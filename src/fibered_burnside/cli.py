@@ -11,15 +11,13 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 import time
 from typing import Optional, Sequence
 
 from . import group_core, species, thevenaz
 from .abelian_fiber import AbelianFiber
-from .errors import (AlgebraError, FiberHasPTorsion, InvalidSpec,
-                     SearchBudgetExceeded)
+from .errors import AlgebraError, FiberHasPTorsion, SearchBudgetExceeded
 from .group_core import FiniteGroup, conjugacy_classes_of_subgroups
 from .monomial import MonomialBasis, gamma_table, monomial_basis
 from .species import (EXHAUSTION_CAVEAT, SpeciesWitness, search_species,
@@ -120,6 +118,8 @@ def cmd_verify(group_spec_g: str, group_spec_h: str, fiber_spec: str,
                *, witness_file: Optional[str] = None, auto: bool = False,
                use_thevenaz_witness: bool = False,
                budget: Optional[int] = None) -> tuple[dict, int]:
+    if budget is not None and budget < 0:
+        raise SpecError(f"--budget must be non-negative, got {budget}")
     built_g = parse_group_spec(group_spec_g)
     built_h = parse_group_spec(group_spec_h)
     fiber = _parse_fiber(fiber_spec)
@@ -274,10 +274,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fibered-burnside",
         description="Exact fibered Burnside ring computations.")
-    parser.add_argument("--threads", type=int,
-                        default=int(os.environ.get("FB_THREADS", "1")),
-                        help="worker hint (current implementation is "
-                             "sequential; accepted for compatibility)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_marks = sub.add_parser("marks", help="table of marks of a group")
@@ -341,7 +337,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 fiber_spec=args.fiber)
         else:  # pragma: no cover
             parser.error(f"unknown command {args.command}")
-    except (SpecError, InvalidSpec, FiberHasPTorsion) as exc:
+    except (SpecError, AlgebraError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (OSError, json.JSONDecodeError, KeyError) as exc:

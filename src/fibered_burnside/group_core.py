@@ -297,15 +297,23 @@ def dihedral_group(n: int) -> FiniteGroup:
 
 
 def closure(group: FiniteGroup, gens: Iterable[int]) -> tuple[int, ...]:
-    """Smallest subgroup containing ``gens``, as a sorted member tuple."""
-    cur = {0}
-    cur.update(int(g) for g in gens)
-    arr = np.fromiter(cur, dtype=np.int64)
-    while True:
-        prods = np.unique(group.mul[np.ix_(arr, arr)])
-        if prods.size == arr.size:
-            return tuple(int(v) for v in prods)
-        arr = prods
+    """Smallest subgroup containing ``gens``, as a sorted member tuple.
+
+    Breadth-first over words in the generators: each step multiplies only
+    the elements first reached in the previous step by the generators. In
+    a finite group the monoid so generated is the subgroup.
+    """
+    seen = np.zeros(group.order, dtype=bool)
+    seen[0] = True
+    cols = np.unique(np.fromiter((int(g) for g in gens), dtype=np.int64))
+    cols = cols[cols != 0]
+    seen[cols] = True
+    frontier = cols
+    while frontier.size:
+        prods = group.mul[frontier[:, None], cols].ravel()
+        frontier = np.unique(prods[~seen[prods]])
+        seen[frontier] = True
+    return tuple(np.flatnonzero(seen).tolist())
 
 
 def _mask_of(members: Iterable[int]) -> int:
@@ -328,7 +336,9 @@ class Subgroup:
                 raise ValueError("a subgroup must contain the identity")
             if closure(group, mem) != mem:
                 raise ValueError("member set is not closed")
-        assert group.order % len(mem) == 0, "Lagrange violated"
+        if group.order % len(mem):
+            raise ValueError(f"a subgroup of order {len(mem)} violates "
+                             f"Lagrange in a group of order {group.order}")
         self.group = group
         self.members = mem
         self.mask = _mask_of(mem)
@@ -446,7 +456,10 @@ def enumerate_subgroups(group: FiniteGroup) -> list[Subgroup]:
                 block = mul[np.ix_(mem_arr, np.asarray(powers, dtype=np.int64))]
                 new_mem = tuple(sorted(base.union(
                     int(v) for v in block.ravel())))
-                assert len(new_mem) == p * size
+                if len(new_mem) != p * size:
+                    raise NotAGroup(
+                        f"extending a subgroup of order {size} by an element "
+                        f"of order {p} modulo it gave {len(new_mem)} elements")
                 if new_mem not in seen:
                     seen.add(new_mem)
                     queue.append(new_mem)
@@ -457,89 +470,48 @@ def enumerate_subgroups(group: FiniteGroup) -> list[Subgroup]:
     return list(subs)
 
 
-def _is_perfect_members(group: FiniteGroup, mem: tuple[int, ...]) -> bool:
-    arr = np.asarray(mem, dtype=np.int64)
-    left = group.mul[np.ix_(group.inv[arr], group.inv[arr])]
-    right = group.mul[np.ix_(arr, arr)]
-    comms = np.unique(group.mul[left.ravel(), right.ravel()])
-    return closure(group, comms) == mem
-
-
 def _perfect_seeds(group: FiniteGroup) -> set[tuple[int, ...]]:
-    """Perfect subgroups, found as closures of (class rep, element) pairs
-    and closed under conjugation.
+    """Perfect subgroups, found as closures of pairs (a, b) and closed under
+    conjugation.
 
     Relies on perfect groups in the supported order range (<= ~2000) being
-    two-generated."""
-    n = group.order
-    reps = []
-    seen_elem = np.zeros(n, dtype=bool)
-    for x in range(n):
-        if not seen_elem[x]:
-            seen_elem[np.unique(group.conj[:, x])] = True
-            reps.append(x)
+    two-generated. Up to conjugation a nontrivial perfect P is <a, b> with
+    a a class representative other than the identity, b outside <a> (else
+    P is cyclic), and b taken up to conjugation by C_G(a), since
+    <a, cbc^-1> = c<a, b>c^-1 for c in C_G(a).
+    """
+    conj = group.conj
+    reps = _orbit_reps(conj, np.arange(group.order))
     found: set[tuple[int, ...]] = set()
     tried: set[tuple[int, ...]] = set()
-    for a in reps:
-        for b in range(n):
+    for a in reps[1:]:
+        cyclic = set(closure(group, (a,)))
+        centralizer = np.flatnonzero(conj[:, a] == a)
+        for b in _orbit_reps(conj, centralizer):
+            if b in cyclic:
+                continue
             mem = closure(group, (a, b))
             if mem in tried:
                 continue
             tried.add(mem)
-            if len(mem) >= 60 and _is_perfect_members(group, mem):
+            if len(mem) >= 60 and commutator_subgroup(
+                    Subgroup(group, mem, verify=False)).members == mem:
                 arr = np.asarray(mem, dtype=np.int64)
-                rows = np.sort(group.conj[:, arr], axis=1)
-                for row in rows:
+                for row in np.sort(conj[:, arr], axis=1):
                     found.add(tuple(int(v) for v in row))
     return found
 
 
-def join_closure_subgroups(group: FiniteGroup) -> list[Subgroup]:
-    """Independent oracle: subset-closure sweep over cyclic joins.
-
-    Seeds with every cyclic subgroup and repeatedly closes the join of a
-    known subgroup with a cyclic subgroup not contained in it; complete
-    because H = <S, g> for S maximal in H and any g in H outside S. Slower
-    than ``enumerate_subgroups`` but with no normalizer reasoning.
-    """
-    cyclic: set[tuple[int, ...]] = set()
-    for g in range(group.order):
-        cyclic.add(closure(group, (g,)))
-    seen: set[tuple[int, ...]] = {(0,)}
-    seen.update(cyclic)
-    frontier = list(seen)
-    cyc_list = [(mem, _mask_of(mem)) for mem in cyclic if len(mem) > 1]
-    while frontier:
-        fresh = []
-        for mem in frontier:
-            mask = _mask_of(mem)
-            base = set(mem)
-            for cmem, cmask in cyc_list:
-                if cmask & mask == cmask:
-                    continue
-                joined = closure(group, base.union(cmem))
-                if joined not in seen:
-                    seen.add(joined)
-                    fresh.append(joined)
-        frontier = fresh
-    return [Subgroup(group, mem, verify=False)
-            for mem in sorted(seen, key=lambda m: (len(m), m))]
-
-
-def brute_force_subgroups(group: FiniteGroup, max_gens: int = 4) -> list[Subgroup]:
-    """Independent oracle: closures of all generator subsets up to ``max_gens``.
-
-    Complete whenever every subgroup needs at most ``max_gens`` generators;
-    4 suffices through order 24 (the worst case is an elementary abelian
-    2-group of rank 4, order 16).
-    """
-    seen: set[tuple[int, ...]] = {(0,)}
-    elems = list(range(1, group.order))
-    for k in range(1, max_gens + 1):
-        for combo in itertools.combinations(elems, k):
-            seen.add(closure(group, combo))
-    return [Subgroup(group, mem, verify=False)
-            for mem in sorted(seen, key=lambda m: (len(m), m))]
+def _orbit_reps(conj: np.ndarray, acting: np.ndarray) -> list[int]:
+    """Least element of each orbit of ``acting`` on the group by
+    conjugation, ascending."""
+    covered = np.zeros(conj.shape[0], dtype=bool)
+    reps = []
+    for x in range(conj.shape[0]):
+        if not covered[x]:
+            covered[conj[acting, x]] = True
+            reps.append(x)
+    return reps
 
 
 # ---------------------------------------------------------------------------
@@ -892,7 +864,8 @@ def _generating_sequence(group: FiniteGroup) -> list[int]:
                 best_g, best_len = g, size
                 if size == group.order:
                     break
-        assert best_g is not None
+        if best_g is None:
+            raise NotAGroup("no element extends a proper generated subgroup")
         gens.append(best_g)
         cur_len = best_len
     return gens
@@ -1032,7 +1005,7 @@ __all__ = [
     "trivial_group", "cyclic_group", "abelian_group", "dihedral_group",
     "symmetric_group", "semidirect_product",
     "closure", "conjugate_members", "conjugate_subgroup",
-    "enumerate_subgroups", "brute_force_subgroups",
+    "enumerate_subgroups",
     "conjugacy_classes_of_subgroups", "normalizer",
     "left_coset_reps", "double_coset_reps", "mark",
     "abelianization", "commutator_subgroup",

@@ -57,9 +57,25 @@ class SpeciesWitness:
     @classmethod
     def from_json(cls, data: dict, g_reps: Sequence[Subgroup],
                   h_reps: Sequence[Subgroup]) -> "SpeciesWitness":
-        return cls(list(g_reps), list(h_reps),
-                   [int(v) for v in data["subgroup_map"]],
-                   [[int(v) for v in row] for row in data["char_maps"]])
+        """Parse witness JSON; raises NotABijection unless both maps are
+        integer lists with one entry per class of ``g_reps``. Index ranges
+        are checked by ``verify_species``."""
+        if not isinstance(data, dict):
+            raise NotABijection("witness JSON must be an object")
+        smap, cmaps = data.get("subgroup_map"), data.get("char_maps")
+        if not (_is_index_list(smap) and isinstance(cmaps, list)
+                and all(_is_index_list(row) for row in cmaps)):
+            raise NotABijection("witness needs integer lists 'subgroup_map' "
+                                "and 'char_maps'")
+        if not len(smap) == len(cmaps) == len(g_reps):
+            raise NotABijection(f"witness maps need one entry per class, "
+                                f"{len(g_reps)} here")
+        return cls(list(g_reps), list(h_reps), smap, cmaps)
+
+
+def _is_index_list(value) -> bool:
+    return isinstance(value, list) and all(
+        isinstance(v, int) and not isinstance(v, bool) for v in value)
 
 
 @dataclass

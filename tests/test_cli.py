@@ -155,6 +155,40 @@ def test_verify_witness_file_round_trip(capsys, tmp_path):
     assert report2["result"]["status"] == "valid"
 
 
+def assert_usage_error(code, err):
+    assert code == 2
+    assert err.count("error:") == 1
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("witness", [
+    {"subgroup_map": [0, 0], "char_maps": [[0], [0, 1]]},   # not a bijection
+    {"subgroup_map": [0, 1], "char_maps": [[0]]},           # too few rows
+    {"subgroup_map": [0], "char_maps": [[0]]},              # too short
+    {"subgroup_map": [0, 1], "char_maps": [[0], [1]]},      # short row
+    {"subgroup_map": [0, 2], "char_maps": [[0], [0, 1]]},   # out of range
+    {"subgroup_map": [0, 1], "char_maps": [[0], [0, 5]]},   # out of range
+    {"subgroup_map": [0, -1], "char_maps": [[0], [0, 1]]},  # negative
+    {"subgroup_map": [0, "1"], "char_maps": [[0], [0, 1]]},  # not an int
+    [[0, 1]],                                               # not an object
+])
+def test_verify_rejects_malformed_witness(capsys, tmp_path, witness):
+    # C2 has two subgroup classes with 1 and 2 characters into C2
+    witness_file = tmp_path / "witness.json"
+    witness_file.write_text(json.dumps(witness))
+    code, out, err = run(capsys, "verify", "cyclic:2", "cyclic:2",
+                         "--fiber", "2", "--witness", str(witness_file))
+    assert_usage_error(code, err)
+    assert out == ""
+
+
+def test_verify_rejects_negative_budget(capsys):
+    code, _, err = run(capsys, "verify", "symmetric:3", "symmetric:3",
+                       "--fiber", "2", "--auto", "--budget", "-1")
+    assert_usage_error(code, err)
+    assert "--budget" in err
+
+
 def test_verify_missing_witness_file(capsys, tmp_path):
     code, _, err = run(capsys, "verify", "cyclic:2", "cyclic:2",
                        "--fiber", "2", "--witness",

@@ -1,31 +1,39 @@
 """Core group arithmetic: construction, subgroups, conjugacy, cosets,
 marks, isomorphism testing.
 
-Oracles: an independent subset-filter enumeration for tiny orders, the
-cyclic-join sweep (join_closure_subgroups) for orders up to ~150, and
-hand-checked tables for the worked examples.
+Oracles (in ``oracles.py``): the |S|x|S| ``reference_closure`` that the
+frontier ``closure`` is checked against, an independent subset-filter
+enumeration for tiny orders, the generator brute force
+(``brute_force_subgroups``) through order 24, the cyclic-join sweep
+(``join_closure_subgroups``) for orders up to ~150, and hand-checked tables
+for the worked examples.
 """
 
 import itertools
+import json
+import os
+import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from oracles import (brute_force_subgroups, join_closure_subgroups,
+                     reference_closure)
 
-from fibered_burnside import thevenaz
 from fibered_burnside.errors import NotAGroup, NotAnAction, NotAnAutomorphism
-from fibered_burnside.group_core import (FiniteGroup, Subgroup, abelian_group,
-                                         abelianization, are_isomorphic,
-                                         brute_force_subgroups, closure,
+from fibered_burnside.group_core import (Subgroup, _perfect_seeds,
+                                         abelian_group, abelianization,
+                                         are_isomorphic, closure,
                                          commutator_subgroup,
                                          conjugacy_classes_of_subgroups,
                                          conjugate_subgroup, cyclic_group,
                                          dihedral_group, double_coset_reps,
                                          enumerate_subgroups,
                                          group_from_cayley, group_from_json,
-                                         group_to_json, join_closure_subgroups,
-                                         left_coset_reps, mark, normalizer,
-                                         semidirect_product, symmetric_group,
-                                         trivial_group)
+                                         group_to_json, left_coset_reps, mark,
+                                         normalizer, semidirect_product,
+                                         symmetric_group, trivial_group)
 
 # ---------------------------------------------------------------------------
 # Construction
@@ -183,6 +191,7 @@ def test_enumerate_matches_subset_filter(factory):
     lambda: dihedral_group(6),
     lambda: dihedral_group(12),
     lambda: symmetric_group(4),
+    lambda: symmetric_group(5),
 ])
 def test_enumerate_matches_join_closure(factory):
     g = factory()
@@ -239,6 +248,53 @@ def test_order_147_join_closure_oracle(tg_7_3):
     got = [s.members for s in enumerate_subgroups(tg_7_3.group)]
     oracle = [s.members for s in join_closure_subgroups(tg_7_3.group)]
     assert got == oracle
+
+
+def _a6_from_cayley_json():
+    """A6 = <(0 1 2), (1 2 3 4 5)> with its elements relabelled by a seeded
+    permutation that keeps the identity at 0, read back from Cayley JSON."""
+    gens = [(1, 2, 0, 3, 4, 5), (0, 2, 3, 4, 5, 1)]
+    elems = [tuple(range(6))]
+    index = {elems[0]: 0}
+    for p in elems:   # grows while iterated: a breadth-first closure
+        for s in gens:
+            q = tuple(p[s[k]] for k in range(6))
+            if q not in index:
+                index[q] = len(elems)
+                elems.append(q)
+    n = len(elems)
+    label = [0] + random.Random(6).sample(range(1, n), n - 1)
+    mul = [[0] * n for _ in range(n)]
+    for i, p in enumerate(elems):
+        for j, q in enumerate(elems):
+            mul[label[i]][label[j]] = label[index[tuple(p[k] for k in q)]]
+    return group_from_json(json.loads(json.dumps({"order": n, "mul": mul})))
+
+
+def test_closure_matches_reference(small_groups, tg_7_3, tg_11_5_a):
+    a6 = _a6_from_cayley_json()
+    assert a6.order == 360
+    rng = np.random.default_rng(2209)
+    for g in [*small_groups, a6, tg_7_3.group, tg_11_5_a.group]:
+        cases = [[], [0], [0, 0]]
+        for _ in range(40):
+            gens = [int(v) for v in
+                    rng.integers(0, g.order, size=rng.integers(0, 5))]
+            cases.append(gens)
+            if gens:
+                # a duplicate, and the identity among the generators
+                cases.append(gens[:3] + [gens[0]])
+                cases.append([0] + gens[:3])
+        for gens in cases:
+            assert closure(g, gens) == reference_closure(g, gens), (g, gens)
+
+
+def test_s6_census():
+    s6 = symmetric_group(6)
+    # A6 and the two classes of six A5s
+    assert len(_perfect_seeds(s6)) == 13
+    assert len(enumerate_subgroups(s6)) == 1455
+    assert len(conjugacy_classes_of_subgroups(s6).reps) == 56
 
 
 # ---------------------------------------------------------------------------
@@ -319,6 +375,20 @@ def test_double_cosets_trivial_cases(s3):
     one = Subgroup(s3, [0])
     assert double_coset_reps(s3, full, full) == [0]
     assert double_coset_reps(s3, one, one) == list(range(6))
+
+
+def test_subgroup_lagrange_is_checked_without_verify():
+    # an explicit check, so that it also holds under python -O
+    with pytest.raises(ValueError, match="Lagrange"):
+        Subgroup(cyclic_group(6), [0, 1, 2, 3], verify=False)
+    code = ("from fibered_burnside.group_core import Subgroup, cyclic_group\n"
+            "Subgroup(cyclic_group(6), [0, 1, 2, 3], verify=False)\n")
+    run = subprocess.run([sys.executable, "-O", "-c", code],
+                         capture_output=True, text=True,
+                         env={**os.environ,
+                              "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert run.returncode != 0
+    assert "ValueError" in run.stderr
 
 
 def test_s3_order2_double_cosets(s3):
