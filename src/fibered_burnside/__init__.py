@@ -9,7 +9,7 @@ from .group_core import (FiniteGroup, Subgroup, SubgroupClassTable,
                          normalizer, semidirect_product, symmetric_group,
                          trivial_group)
 from .monomial import (BurnsideElement, GhostElement, MonomialBasis,
-                       MonomialPair, gamma_coefficient, gamma_table,
+                       MonomialPair, gamma_block, gamma_table,
                        ghost_multiply, mark_morphism, monomial_basis, multiply)
 from .species import (EXHAUSTION_CAVEAT, SpeciesVerdict, SpeciesWitness,
                       search_species, thevenaz_witness, verify_species)

@@ -9,12 +9,12 @@ from __future__ import annotations
 
 import itertools
 from math import prod
-from typing import Iterable, Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import DomainMismatch
-from .group_core import FiniteGroup, Subgroup, abelianization, conjugate_members
+from .group_core import Subgroup, abelianization, conjugate_members
 
 
 class AbelianFiber:
@@ -213,19 +213,11 @@ def hom_set(domain: Subgroup, fiber: AbelianFiber) -> list[Character]:
     return list(homs)
 
 
-def char_mul(a: Character, b: Character) -> Character:
-    return a * b
+def char_group_table(homs: Sequence[Character]) -> list[list[int]]:
+    """Entry [i][j] is the index in ``homs`` of homs[i] * homs[j]."""
+    lookup = {h.values: i for i, h in enumerate(homs)}
+    return [[lookup[(hi * hj).values] for hj in homs] for hi in homs]
 
 
-def char_restrict(a: Character, sub: Subgroup) -> Character:
-    return a.restrict(sub)
-
-
-def char_conjugate(g: int, a: Character) -> Character:
-    return a.conjugate(g)
-
-
-__all__ = [
-    "AbelianFiber", "Character", "trivial_character", "hom_set",
-    "char_mul", "char_restrict", "char_conjugate",
-]
+__all__ = ["AbelianFiber", "Character", "trivial_character", "hom_set",
+           "char_group_table"]

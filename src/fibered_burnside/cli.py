@@ -19,7 +19,7 @@ from . import group_core, species, thevenaz
 from .abelian_fiber import AbelianFiber
 from .errors import AlgebraError, FiberHasPTorsion, SearchBudgetExceeded
 from .group_core import FiniteGroup, conjugacy_classes_of_subgroups
-from .monomial import MonomialBasis, gamma_table, monomial_basis
+from .monomial import gamma_table, monomial_basis
 from .species import (EXHAUSTION_CAVEAT, SpeciesWitness, search_species,
                       thevenaz_witness, verify_species)
 
@@ -222,8 +222,8 @@ def cmd_reproduce_paper(p: int = 11, q: int = 5,
         result["failed_stage"] = "marks_equal"
         return _report("reproduce", inputs, result), EXIT_NEGATIVE
 
-    basis1 = MonomialBasis(tg1.group, fiber, ct1)
-    basis2 = MonomialBasis(tg2.group, fiber, ct2)
+    basis1 = monomial_basis(tg1.group, fiber, ct1)
+    basis2 = monomial_basis(tg2.group, fiber, ct2)
     result["basis_sizes"] = [basis1.size, basis2.size]
     if basis1.size != basis2.size:
         result["failed_stage"] = "basis_sizes"

@@ -9,7 +9,6 @@ so containment tests are O(1).
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 from math import prod
 from typing import Callable, Iterable, Optional, Sequence
@@ -190,9 +189,14 @@ def group_to_json(group: FiniteGroup) -> dict:
 
 
 def group_from_json(data: dict, name: Optional[str] = None) -> FiniteGroup:
-    if "order" not in data or "mul" not in data:
-        raise NotAGroup("JSON group needs 'order' and 'mul'")
+    if not (isinstance(data, dict) and "order" in data
+            and isinstance(data.get("mul"), list)):
+        raise NotAGroup("JSON group needs an object with 'order' and a "
+                        "list 'mul'")
     table = data["mul"]
+    if not all(isinstance(row, list) and all(type(v) is int for v in row)
+               for row in table):
+        raise NotAGroup("'mul' must be a list of rows of integers")
     if len(table) != data["order"]:
         raise NotAGroup("'order' does not match the table size")
     return group_from_cayley(table, name=name)
@@ -678,7 +682,9 @@ def conjugacy_classes_of_subgroups(
     marks_matrix = [[mark(group, ki, lj) for lj in chosen] for ki in chosen]
     table = SubgroupClassTable(group, chosen, marks_matrix,
                                [len(o) for o in orbits], class_of, transporter)
+    # the default table also answers for its own transversal
     group._cache[cache_key] = table
+    group._cache["class_table", tuple(s.members for s in chosen)] = table
     return table
 
 

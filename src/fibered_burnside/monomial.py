@@ -14,7 +14,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .abelian_fiber import AbelianFiber, Character, hom_set, trivial_character
+from .abelian_fiber import (AbelianFiber, Character, char_group_table,
+                            hom_set, trivial_character)
 from .errors import ComponentMismatch
 from .group_core import (FiniteGroup, Subgroup, SubgroupClassTable,
                          _left_coset_data, conjugacy_classes_of_subgroups,
@@ -40,32 +41,46 @@ class MonomialPair:
         return (self.subgroup.members, self.char.values)
 
 
-def gamma_coefficient(pair_k: MonomialPair, pair_l: MonomialPair) -> int:
-    """Number of cosets sL whose conjugated pair lies above (K, phi).
+def gamma_block(k_sub: Subgroup, l_sub: Subgroup,
+                fiber: AbelianFiber) -> np.ndarray:
+    """Gamma coefficients of every (K, phi) against every (L, psi).
 
-    Counts s with K <= sLs^-1 and the conjugate of psi restricting to phi
-    on K. Both pairs must live over the same group and fiber.
+    Entry [a, b] counts the cosets sL with K <= sLs^-1 on which the
+    conjugate of the b-th character of Hom(L, A) restricts to the a-th
+    character of Hom(K, A); rows and columns follow ``hom_set`` order.
+    Both subgroups must live over the same group.
     """
-    group = pair_k.subgroup.group
-    if pair_l.subgroup.group is not group:
-        raise ValueError("pairs live over different groups")
-    k_sub, phi = pair_k.subgroup, pair_k.char
-    l_sub, psi = pair_l.subgroup, pair_l.char
+    group = k_sub.group
+    if l_sub.group is not group:
+        raise ValueError("subgroups live over different groups")
+    homs_k, homs_l = hom_set(k_sub, fiber), hom_set(l_sub, fiber)
+    n_k, n_l = len(homs_k), len(homs_l)
     reps, masks = _left_coset_data(group, l_sub)
-    gens = k_sub.generators()
     kmask = k_sub.mask
-    conj = group.conj
-    inv = group.inv
-    count = 0
-    for s, lmask in zip(reps, masks):
-        if kmask & lmask != kmask:
-            continue
-        sinv = int(inv[s])
-        # (^s psi)(x) = psi(s^-1 x s); agreement on generators of K suffices.
-        if all(psi.value_index(int(conj[sinv, k])) == phi.value_index(k)
-               for k in gens):
-            count += 1
-    return count
+    fixed = [s for s, lmask in zip(reps, masks) if kmask & lmask == kmask]
+    if not fixed:
+        return np.zeros((n_k, n_l), dtype=np.int64)
+    # Characters agree iff they agree on generators of K (the identity
+    # stands in for the empty generating set of the trivial group).
+    gens = np.asarray(k_sub.generators() or (0,), dtype=np.int64)
+    phi_on = _values(homs_k)[:, [k_sub.position(int(k)) for k in gens]]
+    l_pos = np.full(group.order, -1, dtype=np.int64)
+    l_pos[list(l_sub.members)] = np.arange(l_sub.order)
+    # (^s psi)(k) = psi(s^-1 k s): one row per (psi, s), one column per k
+    sinv = group.inv[np.asarray(fixed, dtype=np.int64)]
+    psi_on = _values(homs_l)[:, l_pos[group.conj[np.ix_(sinv, gens)]]]
+    rows = np.concatenate([phi_on, psi_on.reshape(-1, gens.size)])
+    # Every row restricts a character to K, so it equals one phi row.
+    ids = np.unique(rows, axis=0, return_inverse=True)[1].ravel()
+    phi_of = np.empty(n_k, dtype=np.int64)
+    phi_of[ids[:n_k]] = np.arange(n_k)
+    a = phi_of[ids[n_k:]]
+    b = np.repeat(np.arange(n_l), len(fixed))
+    return np.bincount(a * n_l + b, minlength=n_k * n_l).reshape(n_k, n_l)
+
+
+def _values(homs: Sequence[Character]) -> np.ndarray:
+    return np.asarray([h.values for h in homs], dtype=np.int64)
 
 
 class MonomialBasis:
@@ -213,7 +228,7 @@ def _normalizer_char_action(k_sub: Subgroup, homs: Sequence[Character],
     mem = np.asarray(k_sub.members, dtype=np.int64)
     pos = np.full(group.order, -1, dtype=np.int64)
     pos[mem] = np.arange(mem.size)
-    vals = np.asarray([h.values for h in homs], dtype=np.int64)
+    vals = _values(homs)
     lookup = {h.values: i for i, h in enumerate(homs)}
     perms: dict[int, list[int]] = {}
     for n in norm.members:
@@ -227,7 +242,17 @@ def _normalizer_char_action(k_sub: Subgroup, homs: Sequence[Character],
 def monomial_basis(group: FiniteGroup, fiber: AbelianFiber,
                    class_table: Optional[SubgroupClassTable] = None
                    ) -> MonomialBasis:
-    return MonomialBasis(group, fiber, class_table)
+    """The orbit basis over ``class_table`` (default: the group's default
+    class table), built once per fiber and transversal and kept in the
+    group's cache."""
+    if class_table is None:
+        class_table = conjugacy_classes_of_subgroups(group)
+    key = ("basis", fiber.factors,
+           tuple(s.members for s in class_table.reps))
+    basis = group._cache.get(key)
+    if basis is None:
+        basis = group._cache[key] = MonomialBasis(group, fiber, class_table)
+    return basis
 
 
 def all_monomial_pairs(group: FiniteGroup,
@@ -242,8 +267,19 @@ def all_monomial_pairs(group: FiniteGroup,
 
 
 def gamma_table(basis: MonomialBasis) -> list[list[int]]:
-    return [[gamma_coefficient(pk, pl) for pl in basis.reps]
-            for pk in basis.reps]
+    """Gamma coefficients of every basis pair against every basis pair."""
+    # Rows grow block by block. Freeing one table-sized array would raise
+    # glibc's dynamic mmap threshold, and serializing the table afterwards
+    # then peaks higher: by 26 MB for (C2)^4 over C2 x C2.
+    table: list[list[int]] = [[] for _ in range(basis.size)]
+    reps, hom_index = basis.class_table.reps, basis.rep_hom_index
+    for ci, (i0, i1) in enumerate(basis.class_block):
+        for cj, (j0, j1) in enumerate(basis.class_block):
+            block = gamma_block(reps[ci], reps[cj], basis.fiber)
+            rows = block[np.ix_(hom_index[i0:i1], hom_index[j0:j1])]
+            for row, values in zip(table[i0:i1], rows.tolist()):
+                row.extend(values)
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -315,18 +351,10 @@ class GhostRing:
     def __init__(self, basis: MonomialBasis):
         self.basis = basis
         self.class_homs = basis.class_homs
-        self.trivial_index: list[int] = []
-        self.mul_tables: list[np.ndarray] = []
-        for homs in self.class_homs:
-            lookup = {h.values: i for i, h in enumerate(homs)}
-            n_h = len(homs)
-            table = np.empty((n_h, n_h), dtype=np.int64)
-            for i in range(n_h):
-                for j in range(n_h):
-                    table[i, j] = lookup[(homs[i] * homs[j]).values]
-            self.mul_tables.append(table)
-            self.trivial_index.append(
-                next(i for i, h in enumerate(homs) if h.is_trivial()))
+        self.mul_tables = [char_group_table(homs) for homs in self.class_homs]
+        self.trivial_index = [next(i for i, h in enumerate(homs)
+                                   if h.is_trivial())
+                              for homs in self.class_homs]
 
     def zero(self) -> "GhostElement":
         return GhostElement(self, [[0] * len(h) for h in self.class_homs])
@@ -402,7 +430,7 @@ def ghost_multiply(a: GhostElement, b: GhostElement) -> GhostElement:
             for j, yj in enumerate(y):
                 if not yj:
                     continue
-                comp[int(table[i, j])] += xi * yj
+                comp[table[i][j]] += xi * yj
         out.append(comp)
     return GhostElement(ring, out)
 
@@ -430,13 +458,11 @@ def mark_morphism(basis: MonomialBasis, x: BurnsideElement) -> GhostElement:
             continue
         img = basis._ghost_image_cache.get(j)
         if img is None:
-            pl = basis.reps[j]
-            comps = []
-            for ci, homs in enumerate(basis.class_homs):
-                k_sub = basis.class_table.reps[ci]
-                comps.append([gamma_coefficient(MonomialPair(k_sub, phi), pl)
-                              for phi in homs])
-            img = GhostElement(ring, comps)
+            l_sub = basis.reps[j].subgroup
+            b = basis.rep_hom_index[j]
+            img = GhostElement(ring, [
+                gamma_block(k_sub, l_sub, basis.fiber)[:, b]
+                for k_sub in basis.class_table.reps])
             basis._ghost_image_cache[j] = img
         result = result + img.scaled(c)
     return result
@@ -473,7 +499,7 @@ def integer_matrix_determinant(rows: Sequence[Sequence[int]]) -> int:
 __all__ = [
     "MonomialPair", "MonomialBasis", "BurnsideElement", "GhostRing",
     "GhostElement", "monomial_basis", "all_monomial_pairs",
-    "gamma_coefficient", "gamma_table", "multiply", "mark_morphism",
+    "gamma_block", "gamma_table", "multiply", "mark_morphism",
     "ghost_multiply", "ghost_ring", "trivial_character",
     "integer_matrix_determinant",
 ]

@@ -12,15 +12,18 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
-from .abelian_fiber import AbelianFiber, Character, hom_set
+import numpy as np
+
+from .abelian_fiber import (AbelianFiber, Character, char_group_table,
+                            hom_set)
 from .errors import (FiberHasPTorsion, InvalidSpec, NotABijection,
                      NotAGroupIso, SearchBudgetExceeded)
 from .group_core import (FiniteGroup, Subgroup, abelian_invariant_decomposition,
                          conjugacy_classes_of_subgroups)
-from .monomial import MonomialBasis, MonomialPair, gamma_coefficient
+from .monomial import gamma_block, monomial_basis
 from .thevenaz import ThevenazGroup, canonical_class_reps
 
 EXHAUSTION_CAVEAT = (
@@ -44,11 +47,6 @@ class SpeciesWitness:
     h_reps: list[Subgroup]
     subgroup_map: list[int]
     char_maps: list[list[int]]
-    is_group_iso: list[bool] = field(default_factory=list)
-
-    def __post_init__(self):
-        if not self.is_group_iso:
-            self.is_group_iso = [True] * len(self.subgroup_map)
 
     def to_json(self) -> dict:
         return {"subgroup_map": list(self.subgroup_map),
@@ -97,14 +95,9 @@ class SpeciesVerdict:
 # Character group structure
 
 
-def _char_group_table(homs: Sequence[Character]) -> list[list[int]]:
-    lookup = {h.values: i for i, h in enumerate(homs)}
-    return [[lookup[(hi * hj).values] for hj in homs] for hi in homs]
-
-
 def _char_group_data(homs: Sequence[Character]):
     """(product table, identity index, invariant decomposition)."""
-    table = _char_group_table(homs)
+    table = char_group_table(homs)
     ident = next(i for i, h in enumerate(homs) if h.is_trivial())
     dec = abelian_invariant_decomposition(
         list(range(len(homs))), lambda a, b: table[a][b], ident)
@@ -156,8 +149,8 @@ def char_group_isomorphisms(homs1: Sequence[Character],
 
 
 def _is_char_group_iso(homs1, homs2, mapping: Sequence[int]) -> bool:
-    table1 = _char_group_table(homs1)
-    table2 = _char_group_table(homs2)
+    table1 = char_group_table(homs1)
+    table2 = char_group_table(homs2)
     n = len(homs1)
     for a in range(n):
         for b in range(n):
@@ -171,74 +164,64 @@ def _is_char_group_iso(homs1, homs2, mapping: Sequence[int]) -> bool:
 
 
 def verify_species(g: FiniteGroup, h: FiniteGroup, fiber: AbelianFiber,
-                   witness: SpeciesWitness,
-                   *, check_structure: bool = True) -> SpeciesVerdict:
+                   witness: SpeciesWitness) -> SpeciesVerdict:
     """Check the gamma-matching condition of a witness on all quadruples.
 
-    On success the induced basis bijection is materialized and, when
-    ``check_structure`` is set, re-verified to transport all structure
-    constants of the double-coset product (independent end-to-end oracle).
+    On success the induced basis bijection is materialized and re-verified
+    to transport all structure constants of the double-coset product
+    (independent end-to-end oracle).
     """
     k = len(witness.g_reps)
     if len(witness.h_reps) != k or len(witness.subgroup_map) != k:
         raise NotABijection("subgroup map must cover all classes")
     if sorted(witness.subgroup_map) != list(range(k)):
         raise NotABijection("subgroup map is not a bijection of classes")
-    homs_g = [hom_set(s, fiber) for s in witness.g_reps]
-    homs_h = [hom_set(s, fiber) for s in witness.h_reps]
+    basis_g = monomial_basis(
+        g, fiber, conjugacy_classes_of_subgroups(g, reps=witness.g_reps))
+    basis_h = monomial_basis(
+        h, fiber, conjugacy_classes_of_subgroups(h, reps=witness.h_reps))
+    homs_g, homs_h = basis_g.class_homs, basis_h.class_homs
     for ci in range(k):
         cj = witness.subgroup_map[ci]
         cmap = witness.char_maps[ci]
         if (len(cmap) != len(homs_g[ci])
                 or sorted(cmap) != list(range(len(homs_h[cj])))):
             raise NotABijection(f"character map of class {ci} is not a bijection")
-        if not witness.is_group_iso[ci]:
-            raise NotAGroupIso(
-                f"character map of class {ci} must be flagged as a group "
-                "isomorphism")
         if not _is_char_group_iso(homs_g[ci], homs_h[cj], cmap):
             raise NotAGroupIso(
                 f"character map of class {ci} does not preserve products")
     for ci in range(k):
         for cj in range(k):
-            bad = _gamma_mismatch(witness, homs_g, homs_h, ci, cj)
+            bad = _gamma_mismatch(witness, fiber, ci, cj)
             if bad is not None:
                 return SpeciesVerdict(False, counterexample=bad)
-    bijection = None
-    if check_structure:
-        mismatch, bijection = _structure_constant_check(
-            g, h, fiber, witness)
-        if mismatch is not None:
-            return SpeciesVerdict(False, counterexample=mismatch)
+    mismatch, bijection = _structure_constant_check(basis_g, basis_h, witness)
+    if mismatch is not None:
+        return SpeciesVerdict(False, counterexample=mismatch)
     return SpeciesVerdict(True, basis_bijection=bijection)
 
 
-def _gamma_mismatch(witness, homs_g, homs_h, ci: int, cj: int):
-    ki, kj = witness.g_reps[ci], witness.g_reps[cj]
+def _gamma_mismatch(witness, fiber, ci: int, cj: int):
+    """First (a, b), in row-major order, where the gamma block of classes
+    (ci, cj) differs from the block of their images, read through the
+    character maps."""
     ti, tj = witness.subgroup_map[ci], witness.subgroup_map[cj]
-    ri, rj = witness.h_reps[ti], witness.h_reps[tj]
-    for a, phi in enumerate(homs_g[ci]):
-        for b, psi in enumerate(homs_g[cj]):
-            gg = gamma_coefficient(MonomialPair(ki, phi), MonomialPair(kj, psi))
-            phi2 = homs_h[ti][witness.char_maps[ci][a]]
-            psi2 = homs_h[tj][witness.char_maps[cj][b]]
-            gh = gamma_coefficient(MonomialPair(ri, phi2),
-                                   MonomialPair(rj, psi2))
-            if gg != gh:
-                return {
-                    "classes": [ci, cj],
-                    "char_indices": [a, b],
-                    "gamma_g": gg,
-                    "gamma_h": gh,
-                }
-    return None
+    gg = gamma_block(witness.g_reps[ci], witness.g_reps[cj], fiber)
+    gh = gamma_block(witness.h_reps[ti], witness.h_reps[tj], fiber)[
+        np.ix_(witness.char_maps[ci], witness.char_maps[cj])]
+    bad = np.argwhere(gg != gh)
+    if not bad.size:
+        return None
+    a, b = (int(v) for v in bad[0])
+    return {
+        "classes": [ci, cj],
+        "char_indices": [a, b],
+        "gamma_g": int(gg[a, b]),
+        "gamma_h": int(gh[a, b]),
+    }
 
 
-def _structure_constant_check(g, h, fiber, witness):
-    ct_g = conjugacy_classes_of_subgroups(g, reps=witness.g_reps)
-    ct_h = conjugacy_classes_of_subgroups(h, reps=witness.h_reps)
-    basis_g = MonomialBasis(g, fiber, ct_g)
-    basis_h = MonomialBasis(h, fiber, ct_h)
+def _structure_constant_check(basis_g, basis_h, witness):
     if basis_g.size != basis_h.size:
         return {"reason": "basis sizes differ",
                 "sizes": [basis_g.size, basis_h.size]}, None
@@ -311,47 +294,30 @@ def search_species(g: FiniteGroup, h: FiniteGroup, fiber: AbelianFiber,
             iso_cache[key] = list(char_group_isomorphisms(homs_g[i], homs_h[j]))
         return iso_cache[key]
 
-    gamma_g_cache: dict = {}
-    gamma_h_cache: dict = {}
+    blocks_g: dict[tuple[int, int], np.ndarray] = {}
+    blocks_h: dict[tuple[int, int], np.ndarray] = {}
 
-    def gamma_g(ci, a, cj, b):
-        key = (ci, a, cj, b)
-        if key not in gamma_g_cache:
-            gamma_g_cache[key] = gamma_coefficient(
-                MonomialPair(ct_g.reps[ci], homs_g[ci][a]),
-                MonomialPair(ct_g.reps[cj], homs_g[cj][b]))
-        return gamma_g_cache[key]
-
-    def gamma_h(ci, a, cj, b):
-        key = (ci, a, cj, b)
-        if key not in gamma_h_cache:
-            gamma_h_cache[key] = gamma_coefficient(
-                MonomialPair(ct_h.reps[ci], homs_h[ci][a]),
-                MonomialPair(ct_h.reps[cj], homs_h[cj][b]))
-        return gamma_h_cache[key]
+    def block(blocks, reps, ci: int, cj: int) -> np.ndarray:
+        if (ci, cj) not in blocks:
+            blocks[ci, cj] = gamma_block(reps[ci], reps[cj], fiber)
+        return blocks[ci, cj]
 
     assignment: list[Optional[int]] = [None] * k
     char_assignment: list[Optional[list[int]]] = [None] * k
     used = [False] * k
     nodes = 0
 
+    def matches(x: int, y: int) -> bool:
+        """The gamma block of classes (x, y) equals the block of their
+        images, read through the character maps."""
+        image = block(blocks_h, ct_h.reps, assignment[x], assignment[y])
+        return np.array_equal(
+            block(blocks_g, ct_g.reps, x, y),
+            image[np.ix_(char_assignment[x], char_assignment[y])])
+
     def consistent(ci: int) -> bool:
-        tj = assignment[ci]
-        cmap_i = char_assignment[ci]
-        for cj in range(ci + 1):
-            if assignment[cj] is None:
-                continue
-            tl = assignment[cj]
-            cmap_j = char_assignment[cj]
-            for a in range(len(homs_g[ci])):
-                for b in range(len(homs_g[cj])):
-                    if gamma_g(ci, a, cj, b) != gamma_h(tj, cmap_i[a],
-                                                        tl, cmap_j[b]):
-                        return False
-                    if gamma_g(cj, b, ci, a) != gamma_h(tl, cmap_j[b],
-                                                        tj, cmap_i[a]):
-                        return False
-        return True
+        return all(matches(ci, cj) and matches(cj, ci)
+                   for cj in range(ci + 1))
 
     def backtrack(ci: int) -> bool:
         nonlocal nodes

@@ -1,13 +1,27 @@
 """Shared fixtures. Session-scoped so per-group caches (subgroup lists,
 class tables, hom sets) are reused across tests."""
 
+import numpy as np
 import pytest
 
 from fibered_burnside import thevenaz
 from fibered_burnside.abelian_fiber import AbelianFiber
 from fibered_burnside.group_core import (abelian_group, cyclic_group,
-                                         dihedral_group, symmetric_group,
-                                         trivial_group)
+                                         dihedral_group, enumerate_subgroups,
+                                         symmetric_group, trivial_group)
+from fibered_burnside.monomial import gamma_block
+
+
+@pytest.fixture(scope="session")
+def pair_gamma():
+    """``pair_gamma(group, fiber)[i, j]`` is gamma of the i-th against the
+    j-th monomial pair, in ``all_monomial_pairs`` order, read from the
+    gamma blocks of all pairs of subgroups."""
+    def matrix(group, fiber):
+        subs = enumerate_subgroups(group)
+        return np.block([[gamma_block(k_sub, l_sub, fiber) for l_sub in subs]
+                         for k_sub in subs])
+    return matrix
 
 
 @pytest.fixture(scope="session")

@@ -1,14 +1,17 @@
-"""Slow, independent oracles that the fast paths of ``group_core`` are
-tested against. They share no search logic with the library: subgroups are
-closed with the full |S|x|S| product instead of the frontier search, and
-enumerated by sweeps that use no normalizer reasoning."""
+"""Slow, independent oracles that the fast paths of the library are
+tested against. They share no search logic with it: subgroups are closed
+with the full |S|x|S| product instead of the frontier search, enumerated
+by sweeps that use no normalizer reasoning, and gamma coefficients are
+counted one coset at a time instead of by blocks of characters."""
 
 import itertools
 from typing import Iterable
 
 import numpy as np
 
-from fibered_burnside.group_core import FiniteGroup, Subgroup
+from fibered_burnside.group_core import (FiniteGroup, Subgroup,
+                                         _left_coset_data)
+from fibered_burnside.monomial import MonomialPair
 
 
 def reference_closure(group: FiniteGroup, gens: Iterable[int]) -> tuple[int, ...]:
@@ -79,3 +82,31 @@ def brute_force_subgroups(group: FiniteGroup, max_gens: int = 4) -> list[Subgrou
         for combo in itertools.combinations(elems, k):
             seen.add(reference_closure(group, combo))
     return _sorted_subgroups(group, seen)
+
+
+def reference_gamma(pair_k: MonomialPair, pair_l: MonomialPair) -> int:
+    """Number of cosets sL whose conjugated pair lies above (K, phi).
+
+    Counts s with K <= sLs^-1 and the conjugate of psi restricting to phi
+    on K. Both pairs must live over the same group and fiber.
+    """
+    group = pair_k.subgroup.group
+    if pair_l.subgroup.group is not group:
+        raise ValueError("pairs live over different groups")
+    k_sub, phi = pair_k.subgroup, pair_k.char
+    l_sub, psi = pair_l.subgroup, pair_l.char
+    reps, masks = _left_coset_data(group, l_sub)
+    gens = k_sub.generators()
+    kmask = k_sub.mask
+    conj = group.conj
+    inv = group.inv
+    count = 0
+    for s, lmask in zip(reps, masks):
+        if kmask & lmask != kmask:
+            continue
+        sinv = int(inv[s])
+        # (^s psi)(x) = psi(s^-1 x s); agreement on generators of K suffices.
+        if all(psi.value_index(int(conj[sinv, k])) == phi.value_index(k)
+               for k in gens):
+            count += 1
+    return count

@@ -12,15 +12,13 @@ import time
 import pytest
 
 from fibered_burnside import cli, thevenaz
-from fibered_burnside.abelian_fiber import (AbelianFiber, hom_set,
-                                            trivial_character)
-from fibered_burnside.group_core import (Subgroup, abelian_group,
+from fibered_burnside.abelian_fiber import AbelianFiber, hom_set
+from fibered_burnside.group_core import (abelian_group,
                                          conjugacy_classes_of_subgroups,
                                          cyclic_group, dihedral_group,
                                          normalizer, symmetric_group)
-from fibered_burnside.monomial import (MonomialPair, all_monomial_pairs,
-                                       gamma_coefficient, gamma_table,
-                                       ghost_multiply,
+from fibered_burnside.monomial import (all_monomial_pairs, gamma_block,
+                                       gamma_table, ghost_multiply,
                                        integer_matrix_determinant,
                                        mark_morphism, monomial_basis, multiply)
 
@@ -82,7 +80,7 @@ def test_criterion_1_mark_morphism_ring_hom(report_line):
             "mark morphism is a ring hom, gamma nonsingular", start, ok)
 
 
-def test_criterion_2_conjugacy_detection(report_line):
+def test_criterion_2_conjugacy_detection(report_line, pair_gamma):
     start = time.monotonic()
     groups = [cyclic_group(n) for n in (1, 2, 3, 4, 6, 8, 12)]
     groups += [abelian_group((2, 2)), abelian_group((2, 4)),
@@ -94,11 +92,11 @@ def test_criterion_2_conjugacy_detection(report_line):
             pairs = all_monomial_pairs(g, fiber)
             orbits = [{p.conjugate(s).key() for s in g.elements()}
                       for p in pairs]
-            for i, pk in enumerate(pairs):
+            gamma = pair_gamma(g, fiber)
+            both = (gamma != 0) & (gamma.T != 0)
+            for i in range(len(pairs)):
                 for j, pl in enumerate(pairs):
-                    both = (gamma_coefficient(pk, pl) != 0
-                            and gamma_coefficient(pl, pk) != 0)
-                    if both != (pl.key() in orbits[i]):
+                    if both[i, j] != (pl.key() in orbits[i]):
                         ok = False
     _finish(report_line, 2,
             "gamma nonzero both ways detects conjugacy", start, ok)
@@ -147,6 +145,10 @@ def test_criterion_5_proof_case_oracles(report_line):
     reps = thevenaz.canonical_class_reps(tg)
     ok = True
 
+    def trivial_index(sub):
+        return next(i for i, chi in enumerate(hom_set(sub, fiber))
+                    if chi.is_trivial())
+
     # (i) normal p-subgroups K <= L with trivial characters: gamma = [G : L]
     p_subs = [reps[i] for i in (0, 1, 2, 5)]
     for s in p_subs:
@@ -156,9 +158,8 @@ def test_criterion_5_proof_case_oracles(report_line):
         for l_sub in p_subs:
             if not set(k_sub.members) <= set(l_sub.members):
                 continue
-            got = gamma_coefficient(
-                MonomialPair(k_sub, trivial_character(k_sub, fiber)),
-                MonomialPair(l_sub, trivial_character(l_sub, fiber)))
+            block = gamma_block(k_sub, l_sub, fiber)
+            got = block[trivial_index(k_sub), trivial_index(l_sub)]
             if got != g.order // l_sub.order:
                 ok = False
 
@@ -166,10 +167,9 @@ def test_criterion_5_proof_case_oracles(report_line):
     # character of G
     full = reps[9]
     for i in (3, 4):
-        pk = MonomialPair(reps[i], trivial_character(reps[i], fiber))
-        for psi in hom_set(full, fiber):
-            if gamma_coefficient(pk, MonomialPair(full, psi)) != 1:
-                ok = False
+        block = gamma_block(reps[i], full, fiber)
+        if (block[trivial_index(reps[i])] != 1).any():
+            ok = False
 
     # (iii) subgroups of order divisible by q: gamma is 1 or 0 according to
     # whether the characters agree on the order-q generator
@@ -181,13 +181,12 @@ def test_criterion_5_proof_case_oracles(report_line):
         for l_sub in q_subs:
             if not set(k_sub.members) <= set(l_sub.members):
                 continue
-            for phi in hom_set(k_sub, fiber):
-                for psi in hom_set(l_sub, fiber):
-                    got = gamma_coefficient(MonomialPair(k_sub, phi),
-                                            MonomialPair(l_sub, psi))
+            block = gamma_block(k_sub, l_sub, fiber)
+            for a, phi in enumerate(hom_set(k_sub, fiber)):
+                for b, psi in enumerate(hom_set(l_sub, fiber)):
                     want = 1 if phi.value_index(tg.z) == \
                         psi.value_index(tg.z) else 0
-                    if got != want:
+                    if block[a, b] != want:
                         ok = False
     _finish(report_line, 5,
             "closed-form gamma values in the order-605 group", start, ok)

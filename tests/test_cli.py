@@ -1,6 +1,7 @@
 """Command-line interface: spec parsing, output formats, exit codes, and
 determinism. All invocations go through ``cli.main`` in process."""
 
+import hashlib
 import json
 
 import pytest
@@ -241,6 +242,22 @@ def test_cayley_file_rejects_bad_table(capsys, tmp_path):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("payload", [
+    5,                                        # not an object
+    "order mul",                              # not an object
+    {"order": 2, "mul": 5},                   # 'mul' not a list
+    {"order": 2, "mul": [[0, 1], [1, None]]},  # entry not an integer
+    {"order": 2, "mul": [[0, 1], [1, 0.5]]},   # entry not an integer
+    {"order": 2, "mul": [[0, 1], [1, True]]},  # entry not an integer
+])
+def test_cayley_file_rejects_malformed_json(capsys, tmp_path, payload):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = run(capsys, "marks", f"cayley:{path}")
+    assert_usage_error(code, err)
+    assert out == ""
+
+
 # ---------------------------------------------------------------------------
 # reproduce
 
@@ -270,3 +287,46 @@ def test_input_hash_stable(capsys):
     _, r1, _ = run_json(capsys, "marks", "cyclic:6")
     _, r2, _ = run_json(capsys, "marks", "cyclic:6")
     assert r1["input_hash"] == r2["input_hash"]
+
+
+# ---------------------------------------------------------------------------
+# golden stdout digests: reports must stay byte-identical across refactors
+
+# D4 over C2 with the identity subgroup map and an automorphism of the
+# character group of D4 itself: a group isomorphism on every class whose
+# gamma entries still differ, first at classes (1, 7), characters (0, 2)
+GAMMA_FAILING_D4_WITNESS = {
+    "subgroup_map": [0, 1, 2, 3, 4, 5, 6, 7],
+    "char_maps": [[0], [0, 1], [0, 1], [0, 1], [0, 1, 2, 3], [0, 1],
+                  [0, 1, 2, 3], [0, 3, 1, 2]],
+}
+
+GOLDEN = [
+    (("gamma", "symmetric:4", "--fiber", "6"), 0,
+     "e5cd15f2342cc4c5c701508337b74d554a0b8f83262657960c6f0740bfbee6e8"),
+    (("gamma", "dihedral:4", "--fiber", "2,4"), 0,
+     "82f7f063dbf4c1859cd17eb9edffe151e49ae80e924e4d5049241e2d6b42e9f8"),
+    (("verify", "symmetric:3", "symmetric:3", "--fiber", "6", "--auto"), 0,
+     "934fd23398e84d94cf147a2fad42a0e4bdb2de44d9ded87de00f6947d23f6d80"),
+    (("verify", "dihedral:4", "dihedral:4", "--fiber", "2", "--witness",
+      "{witness}"), 1,
+     "c203f5868e308ef33434f352aa5691ec88d0e73b8b99581465dc6aad00e1031a"),
+    (("verify", "thevenaz:7,3,2,4", "thevenaz:7,3,2,4", "--fiber", "3",
+      "--thevenaz-witness"), 0,
+     "635ab70d5106f0f3710bac19fd5bc35fe5cafbeceb5c230f43da2f805bbf8706"),
+    (("reproduce", "--p", "7", "--q", "3"), 0,
+     "8016138066a34b371eb5d11edda62e1cdce4006f629d20d55a74fbdb51190b17"),
+]
+
+
+@pytest.mark.parametrize("argv, exit_code, digest", GOLDEN, ids=[
+    "gamma-s4-fiber6", "gamma-d4-fiber2x4", "verify-auto-s3",
+    "verify-witness-gamma-mismatch", "verify-thevenaz-147",
+    "reproduce-7-3"])
+def test_golden_stdout_digest(capsys, tmp_path, argv, exit_code, digest):
+    witness_file = tmp_path / "witness.json"
+    witness_file.write_text(json.dumps(GAMMA_FAILING_D4_WITNESS))
+    argv = [a.format(witness=witness_file) for a in argv]
+    code, out, _ = run(capsys, *argv)
+    assert code == exit_code
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -338,6 +338,18 @@ def test_marks_triangular_with_positive_diagonal(small_groups):
                     assert table.reps[i].order <= table.reps[j].order
 
 
+def test_default_class_table_shared_with_its_transversal(d4):
+    table = conjugacy_classes_of_subgroups(d4)
+    assert conjugacy_classes_of_subgroups(d4, reps=table.reps) is table
+    # another transversal gets a table of its own
+    reps = list(table.reps)
+    order2 = [i for i, sub in enumerate(reps) if sub.order == 2]
+    reps[order2[0]], reps[order2[1]] = reps[order2[1]], reps[order2[0]]
+    other = conjugacy_classes_of_subgroups(d4, reps=reps)
+    assert other is not table
+    assert [s.members for s in other.reps] == [s.members for s in reps]
+
+
 def test_transporter_maps_to_rep(s4):
     table = conjugacy_classes_of_subgroups(s4)
     for sub in enumerate_subgroups(s4):

@@ -2,26 +2,26 @@
 ring, and the mark morphism.
 
 Central oracle: the mark morphism is a ring homomorphism — checked pair by
-pair against the double-coset product. The tiny worked example over C2 is
-verified against hand-computed tables.
+pair against the double-coset product. Gamma blocks, the gamma table and
+the mark morphism are checked against the scalar ``reference_gamma`` of
+``oracles.py``. The tiny worked example over C2 is verified against
+hand-computed tables.
 """
 
 from math import gcd
 
 import pytest
 
-from fibered_burnside.abelian_fiber import (AbelianFiber, hom_set,
-                                            trivial_character)
+from fibered_burnside.abelian_fiber import AbelianFiber, hom_set
 from fibered_burnside.errors import ComponentMismatch
-from fibered_burnside.group_core import (Subgroup, conjugacy_classes_of_subgroups,
-                                         cyclic_group, enumerate_subgroups,
-                                         mark)
-from fibered_burnside.monomial import (BurnsideElement, MonomialBasis,
-                                       MonomialPair, all_monomial_pairs,
-                                       gamma_coefficient, gamma_table,
-                                       ghost_multiply, ghost_ring,
+from fibered_burnside.group_core import (conjugacy_classes_of_subgroups,
+                                         cyclic_group, mark, symmetric_group)
+from fibered_burnside.monomial import (BurnsideElement, MonomialPair,
+                                       all_monomial_pairs, gamma_block,
+                                       gamma_table, ghost_multiply, ghost_ring,
                                        integer_matrix_determinant,
                                        mark_morphism, monomial_basis, multiply)
+from oracles import reference_gamma
 
 
 def _basis(group, fiber):
@@ -77,22 +77,23 @@ def test_c2_ring_homomorphism(c2_basis):
 # Gamma coefficients
 
 
-def test_gamma_trivial_pair_is_index(s3, fiber_c6):
-    one = Subgroup(s3, [0])
-    triv = MonomialPair(one, trivial_character(one, fiber_c6))
-    for sub in enumerate_subgroups(s3):
-        for psi in hom_set(sub, fiber_c6):
-            assert gamma_coefficient(triv, MonomialPair(sub, psi)) == \
-                s3.order // sub.order
+def test_gamma_trivial_pair_is_index(s3, fiber_c6, pair_gamma):
+    pairs = all_monomial_pairs(s3, fiber_c6)
+    gamma = pair_gamma(s3, fiber_c6)
+    assert pairs[0].subgroup.order == 1   # the trivial subgroup comes first
+    for j, pl in enumerate(pairs):
+        assert gamma[0, j] == s3.order // pl.subgroup.order
 
 
-def test_gamma_with_trivial_characters_is_mark(s3, d4, fiber_c6):
+def test_gamma_with_trivial_characters_is_mark(s3, d4, fiber_c6, pair_gamma):
     for g in (s3, d4):
-        for k_sub in enumerate_subgroups(g):
-            pk = MonomialPair(k_sub, trivial_character(k_sub, fiber_c6))
-            for l_sub in enumerate_subgroups(g):
-                pl = MonomialPair(l_sub, trivial_character(l_sub, fiber_c6))
-                assert gamma_coefficient(pk, pl) == mark(g, k_sub, l_sub)
+        pairs = all_monomial_pairs(g, fiber_c6)
+        gamma = pair_gamma(g, fiber_c6)
+        trivial = [i for i, p in enumerate(pairs) if p.char.is_trivial()]
+        for i in trivial:
+            for j in trivial:
+                assert gamma[i, j] == mark(g, pairs[i].subgroup,
+                                           pairs[j].subgroup)
 
 
 def test_gamma_diagonal_positive(s3, d4, fiber_c2, fiber_c6):
@@ -117,26 +118,86 @@ def test_gamma_zero_unless_subconjugate(d4, fiber_c6):
                     for s in d4.elements())
 
 
-def test_gamma_orbit_invariance(s3, fiber_c6):
+def test_gamma_orbit_invariance(s3, fiber_c6, pair_gamma):
     pairs = all_monomial_pairs(s3, fiber_c6)
-    for pk in pairs:
-        for pl in pairs:
-            base = gamma_coefficient(pk, pl)
-            for g in s3.elements():
-                assert gamma_coefficient(pk.conjugate(g), pl) == base
-                assert gamma_coefficient(pk, pl.conjugate(g)) == base
+    index = {p.key(): i for i, p in enumerate(pairs)}
+    gamma = pair_gamma(s3, fiber_c6)
+    for i, pair in enumerate(pairs):
+        for g in s3.elements():
+            conj = index[pair.conjugate(g).key()]
+            assert (gamma[conj] == gamma[i]).all()
+            assert (gamma[:, conj] == gamma[:, i]).all()
 
 
-def test_conjugacy_detection_small(d4, fiber_c2):
+def test_conjugacy_detection_small(d4, fiber_c2, pair_gamma):
     # nonzero gamma both ways is exactly G-conjugacy of the pairs
     pairs = all_monomial_pairs(d4, fiber_c2)
     keys = [{pair.conjugate(g).key() for g in d4.elements()}
             for pair in pairs]
-    for i, pk in enumerate(pairs):
+    gamma = pair_gamma(d4, fiber_c2)
+    both = (gamma != 0) & (gamma.T != 0)
+    for i in range(len(pairs)):
         for j, pl in enumerate(pairs):
-            both = (gamma_coefficient(pk, pl) != 0
-                    and gamma_coefficient(pl, pk) != 0)
-            assert both == (pl.key() in keys[i])
+            assert both[i, j] == (pl.key() in keys[i])
+
+
+def _assert_gamma_matches_reference(group, fiber):
+    """Blocks on every pair of class representatives, the gamma table and
+    every mark-morphism image agree with the scalar oracle."""
+    reps = conjugacy_classes_of_subgroups(group).reps
+    homs = [hom_set(s, fiber) for s in reps]
+    for k_sub, homs_k in zip(reps, homs):
+        for l_sub, homs_l in zip(reps, homs):
+            expect = [[reference_gamma(MonomialPair(k_sub, phi),
+                                       MonomialPair(l_sub, psi))
+                       for psi in homs_l] for phi in homs_k]
+            assert gamma_block(k_sub, l_sub, fiber).tolist() == expect
+    basis = monomial_basis(group, fiber)
+    assert gamma_table(basis) == [[reference_gamma(pk, pl)
+                                   for pl in basis.reps]
+                                  for pk in basis.reps]
+    for j, pl in enumerate(basis.reps):
+        image = mark_morphism(basis, basis.basis_element(j))
+        assert image.comps == [[reference_gamma(MonomialPair(k_sub, phi), pl)
+                                for phi in homs_k]
+                               for k_sub, homs_k in zip(reps, homs)]
+
+
+@pytest.mark.parametrize("factors", [(1,), (2,), (6,), (2, 4)])
+def test_gamma_block_matches_reference(small_groups, factors):
+    for g in small_groups:
+        _assert_gamma_matches_reference(g, AbelianFiber(factors))
+
+
+def test_gamma_block_matches_reference_s4_and_order_605(s4, tg_11_5_a,
+                                                        tg_11_5_b, fiber_c5,
+                                                        fiber_c6):
+    # S4 over C6: normalizers merge hom-set orbits, so the basis is smaller
+    # than the set of (class, character) pairs
+    assert monomial_basis(s4, fiber_c6).size < sum(
+        len(hom_set(s, fiber_c6))
+        for s in conjugacy_classes_of_subgroups(s4).reps)
+    _assert_gamma_matches_reference(s4, fiber_c6)
+    for tg in (tg_11_5_a, tg_11_5_b):
+        _assert_gamma_matches_reference(tg.group, fiber_c5)
+
+
+def test_gamma_block_rejects_subgroups_of_different_groups(s3, fiber_c2):
+    other = symmetric_group(3)
+    with pytest.raises(ValueError):
+        gamma_block(conjugacy_classes_of_subgroups(s3).reps[0],
+                    conjugacy_classes_of_subgroups(other).reps[0], fiber_c2)
+
+
+def test_monomial_basis_memoized_per_fiber_and_transversal(s3, fiber_c2,
+                                                           fiber_c6):
+    basis = monomial_basis(s3, fiber_c2)
+    table = conjugacy_classes_of_subgroups(s3)
+    assert monomial_basis(s3, AbelianFiber((2,)), table) is basis
+    reps = table.reps
+    assert monomial_basis(
+        s3, fiber_c2, conjugacy_classes_of_subgroups(s3, reps=reps)) is basis
+    assert monomial_basis(s3, fiber_c6) is not basis
 
 
 # ---------------------------------------------------------------------------

@@ -7,17 +7,18 @@ the general verifier.
 
 import pytest
 
-from fibered_burnside import thevenaz
 from fibered_burnside.abelian_fiber import AbelianFiber, hom_set
 from fibered_burnside.errors import (FiberHasPTorsion, InvalidSpec,
                                      NotABijection, NotAGroupIso,
                                      SearchBudgetExceeded)
 from fibered_burnside.group_core import (Subgroup, abelian_group,
                                          conjugacy_classes_of_subgroups,
-                                         cyclic_group, symmetric_group)
+                                         cyclic_group)
+from fibered_burnside.monomial import MonomialPair
 from fibered_burnside.species import (EXHAUSTION_CAVEAT, SpeciesWitness,
                                       char_group_isomorphisms, search_species,
                                       thevenaz_witness, verify_species)
+from oracles import reference_gamma
 
 # ---------------------------------------------------------------------------
 # Character group isomorphisms
@@ -94,11 +95,29 @@ def test_witness_char_map_must_preserve_products(d4, fiber_c2):
         verify_species(d4, d4, fiber_c2, witness)
 
 
-def test_witness_flag_enforced(s3, fiber_c2):
-    witness = _identity_witness(s3, fiber_c2)
-    witness.is_group_iso[0] = False
-    with pytest.raises(NotAGroupIso):
-        verify_species(s3, s3, fiber_c2, witness)
+def _first_reference_mismatch(witness, fiber):
+    """The first (ci, cj, a, b), in that lexicographic order, where the
+    scalar oracle's gamma differs across the witness."""
+    homs_g = [hom_set(s, fiber) for s in witness.g_reps]
+    homs_h = [hom_set(s, fiber) for s in witness.h_reps]
+
+    def pair_h(ci, a):
+        ti = witness.subgroup_map[ci]
+        return MonomialPair(witness.h_reps[ti],
+                            homs_h[ti][witness.char_maps[ci][a]])
+
+    k = len(witness.g_reps)
+    for ci in range(k):
+        for cj in range(k):
+            for a, phi in enumerate(homs_g[ci]):
+                for b, psi in enumerate(homs_g[cj]):
+                    gg = reference_gamma(MonomialPair(witness.g_reps[ci], phi),
+                                         MonomialPair(witness.g_reps[cj], psi))
+                    gh = reference_gamma(pair_h(ci, a), pair_h(cj, b))
+                    if gg != gh:
+                        return {"classes": [ci, cj], "char_indices": [a, b],
+                                "gamma_g": gg, "gamma_h": gh}
+    return None
 
 
 def test_gamma_mismatch_reported(d4):
@@ -117,9 +136,24 @@ def test_gamma_mismatch_reported(d4):
                              [[0]] * len(table.reps))
     verdict = verify_species(d4, d4, fiber, witness)
     assert not verdict.valid
-    assert verdict.counterexample is not None
-    assert {"classes", "char_indices", "gamma_g", "gamma_h"} <= \
-        set(verdict.counterexample)
+    expect = {"classes": [1, 4], "char_indices": [0, 0],
+              "gamma_g": 2, "gamma_h": 0}
+    assert _first_reference_mismatch(witness, fiber) == expect
+    assert verdict.counterexample == expect
+
+
+def test_gamma_mismatch_reported_through_char_map(d4, fiber_c2):
+    # an automorphism of Hom(D4, C2) on the whole group alone is a group
+    # isomorphism of character groups but breaks gamma matching
+    witness = _identity_witness(d4, fiber_c2)
+    full_class = len(witness.g_reps) - 1
+    witness.char_maps[full_class] = [0, 3, 1, 2]
+    verdict = verify_species(d4, d4, fiber_c2, witness)
+    assert not verdict.valid
+    expect = {"classes": [1, 7], "char_indices": [0, 2],
+              "gamma_g": 1, "gamma_h": 0}
+    assert _first_reference_mismatch(witness, fiber_c2) == expect
+    assert verdict.counterexample == expect
 
 
 def test_inverse_witness_validates(s3, fiber_c6):
@@ -194,11 +228,11 @@ def test_thevenaz_witness_shape(tg_11_5_a, tg_11_5_b, fiber_c5):
 
 
 def test_thevenaz_witness_gamma_valid(tg_11_5_a, tg_11_5_b, fiber_c5):
-    # gamma matching on all quadruples; the structure-constant re-check on
-    # all basis products runs in the acceptance suite
+    # gamma matching on all quadruples, then the structure-constant
+    # re-check on all basis products
     witness = thevenaz_witness(tg_11_5_a, tg_11_5_b, fiber_c5)
     verdict = verify_species(tg_11_5_a.group, tg_11_5_b.group, fiber_c5,
-                             witness, check_structure=False)
+                             witness)
     assert verdict.valid
 
 
@@ -216,7 +250,7 @@ def test_search_finds_family_witness(tg_11_5_a, tg_11_5_b, fiber_c5):
     witness = search_species(tg_11_5_a.group, tg_11_5_b.group, fiber_c5)
     assert witness is not None
     verdict = verify_species(tg_11_5_a.group, tg_11_5_b.group, fiber_c5,
-                             witness, check_structure=False)
+                             witness)
     assert verdict.valid
 
 
