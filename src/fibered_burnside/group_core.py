@@ -748,7 +748,8 @@ def abelian_invariant_decomposition(elems: Sequence, mulfn: Callable,
             for _ in range(k):
                 e = mulfn(e, g)
         coords[e] = expo
-    assert len(coords) == n, "basis does not span the group"
+    if len(coords) != n:
+        raise NotAGroup("abelian basis does not span the group")
     return AbelianDecomposition(factors, coords)
 
 
@@ -790,7 +791,9 @@ def _p_group_basis(elems: Sequence, mulfn: Callable, identity, p: int) -> list:
             if orders[y] == d:
                 lift = y
                 break
-        assert lift is not None, "pure subgroup lift missing"
+        if lift is None:
+            raise NotAGroup(
+                "a quotient basis element has no lift of its order")
         lifted.append((lift, d))
     return [(x, top)] + lifted
 
@@ -858,22 +861,31 @@ def abelianization(sub: Subgroup) -> AbelianDecomposition:
 
 
 def _generating_sequence(group: FiniteGroup) -> list[int]:
-    """Greedy generating sequence, each step adding the element that grows
-    the generated subgroup the most."""
+    """Greedy generating sequence, each step adding the least element that
+    grows the generated subgroup the most.
+
+    A step skips every element of a subgroup it has already generated: if
+    g lies in <gens, g'>, then <gens, g> is no larger than <gens, g'>.
+    """
     gens: list[int] = []
-    cur_len = 1
-    while cur_len < group.order:
-        best_g, best_len = None, cur_len
+    cur: tuple[int, ...] = (0,)
+    while len(cur) < group.order:
+        best_g, best = None, cur
+        covered = np.zeros(group.order, dtype=bool)
+        covered[list(cur)] = True
         for g in range(1, group.order):
-            size = len(closure(group, gens + [g]))
-            if size > best_len:
-                best_g, best_len = g, size
-                if size == group.order:
+            if covered[g]:
+                continue
+            sub = closure(group, gens + [g])
+            covered[list(sub)] = True
+            if len(sub) > len(best):
+                best_g, best = g, sub
+                if len(sub) == group.order:
                     break
         if best_g is None:
             raise NotAGroup("no element extends a proper generated subgroup")
         gens.append(best_g)
-        cur_len = best_len
+        cur = best
     return gens
 
 
@@ -881,16 +893,49 @@ def _subgroup_order_census(group: FiniteGroup) -> list[int]:
     return sorted(s.order for s in enumerate_subgroups(group))
 
 
+def _spanning_tree(group: FiniteGroup, roots: Sequence[int],
+                   gens: Sequence[int]) -> list[tuple[np.ndarray, ...]]:
+    """Breadth-first layers of the Cayley graph of <gens>, grown from
+    ``roots`` (members of <gens>) by right multiplication with ``gens``.
+
+    Each layer is (children, parents, generator indices) with
+    child = parent * gens[index]; every element outside ``roots`` appears
+    as a child exactly once, so the layers form a spanning forest.
+    """
+    gen_arr = np.asarray(gens, dtype=np.int64)
+    reached = np.zeros(group.order, dtype=bool)
+    frontier = np.asarray(roots, dtype=np.int64)
+    reached[frontier] = True
+    layers = []
+    while frontier.size:
+        prods = group.mul[np.ix_(frontier, gen_arr)].ravel()
+        fresh = np.nonzero(~reached[prods])[0]
+        children, first = np.unique(prods[fresh], return_index=True)
+        pos = fresh[first]
+        reached[children] = True
+        layers.append((children, frontier[pos // gen_arr.size],
+                       pos % gen_arr.size))
+        frontier = children
+    return layers
+
+
 def are_isomorphic(g: FiniteGroup, h: FiniteGroup) -> Optional[list[int]]:
     """A verified isomorphism G -> H as an index list, or None.
 
-    Backtracks over images of a small generating sequence, one generator at
-    a time. The first generator's image only ranges over element-conjugacy-
-    class representatives of H (composing with inner automorphisms). Each
-    deeper candidate is filtered by element order and class size, by the
-    power and conjugation relations it must satisfy against the already-
-    mapped subgroup, and by a breadth-first extension over the subgroup the
-    prefix generates; a surviving full map is verified on all pairs.
+    Backtracks over images of a greedy generating sequence g_0, ..., g_{k-1}
+    of G, one generator per level; level j maps the chain subgroup
+    C_j = <g_0, ..., g_j>. The first generator's image only ranges over
+    element-conjugacy-class representatives of H (composing with inner
+    automorphisms); deeper candidate pools hold the elements of H with the
+    generator's element order and class size. At each node the whole pool is
+    filtered at once with numpy: the minimal power of g_j that lands in
+    C_{j-1}, and the conjugates of earlier generators by g_j that land in
+    it, must map to the images the prefix gives them. Each surviving
+    candidate, in pool order, extends the map along a spanning tree of C_j
+    (computed once on the G side and rooted at C_{j-1}); the extension is
+    kept only if it respects every Cayley-graph edge of C_j and is
+    injective. A full map is then verified on all pairs. A None answer
+    means the whole tree was searched.
     """
     if g.order != h.order:
         return None
@@ -908,20 +953,18 @@ def are_isomorphic(g: FiniteGroup, h: FiniteGroup) -> Optional[list[int]]:
     k = len(gens)
     chain = [closure(g, gens[:j + 1]) for j in range(k)]
 
-    def inv_pair(grp, x):
-        return (int(grp.element_orders[x]), int(grp.element_class_sizes[x]))
-
-    h_class_reps = []
     seen = np.zeros(n, dtype=bool)
+    h_class_reps = []
     for x in range(n):
         if not seen[x]:
-            seen[np.unique(h.conj[:, x])] = True
+            seen[h.conj[:, x]] = True
             h_class_reps.append(x)
-    cand_lists = []
+    cand_pools = []
     for j, gen in enumerate(gens):
-        want = inv_pair(g, gen)
-        pool = h_class_reps if j == 0 else range(n)
-        cand_lists.append([x for x in pool if inv_pair(h, x) == want])
+        fits = ((h.element_orders == g.element_orders[gen])
+                & (h.element_class_sizes == g.element_class_sizes[gen]))
+        pool = np.asarray(h_class_reps) if j == 0 else np.arange(n)
+        cand_pools.append(pool[fits[pool]])
 
     # relations of gens[j] against the subgroup generated by the earlier
     # generators: minimal power landing in it, and conjugates of earlier
@@ -936,63 +979,46 @@ def are_isomorphic(g: FiniteGroup, h: FiniteGroup) -> Optional[list[int]]:
             e = g.m(e, gj)
             m += 1
         pow_rel.append((m, e))
-        rels = []
-        gj_inv = g.inverse(gj)
-        for i in range(j):
-            t = g.m(g.m(gj, gens[i]), gj_inv)
-            if t in prev:
-                rels.append((i, t))
-        conj_rel.append(rels)
+        conj_rel.append([(i, t) for i, t in
+                         enumerate(g.conj[gj, gens[:j]].tolist()) if t in prev])
 
+    trees = [_spanning_tree(g, [0] if j == 0 else chain[j - 1], gens[:j + 1])
+             for j in range(k)]
+    members = [np.asarray(c, dtype=np.int64) for c in chain]
+    edges = [g.mul[np.ix_(members[j], gens[:j + 1])] for j in range(k)]
     images: list[int] = []
 
-    def extend(level: int) -> Optional[list[int]]:
-        members = chain[level]
-        f = [-1] * n
-        f[0] = 0
-        used = bytearray(n)
-        used[0] = 1
-        queue = [0]
-        count = 1
-        while queue:
-            e = queue.pop()
-            fe = f[e]
-            for gen, img in zip(gens[:level + 1], images):
-                e2 = int(g.mul[e, gen])
-                t = int(h.mul[fe, img])
-                if f[e2] == -1:
-                    if used[t]:
-                        return None
-                    f[e2] = t
-                    used[t] = 1
-                    queue.append(e2)
-                    count += 1
-                elif f[e2] != t:
-                    return None
-        if count != len(members):
+    def extend(level: int, f_prev: np.ndarray) -> Optional[np.ndarray]:
+        imgs = np.asarray(images, dtype=np.int64)
+        f = f_prev.copy()
+        for children, parents, idx in trees[level]:
+            f[children] = h.mul[f[parents], imgs[idx]]
+        fm = f[members[level]]
+        if not (f[edges[level]] == h.mul[fm[:, None], imgs]).all():
+            return None
+        hit = np.zeros(n, dtype=bool)
+        hit[fm] = True
+        if np.count_nonzero(hit) != fm.size:
             return None
         return f
 
-    def backtrack(level: int, f_prev: Optional[list[int]]) -> Optional[list[int]]:
-        for c in cand_lists[level]:
-            if level > 0:
-                m, target = pow_rel[level]
-                e, c_pow = c, c
-                for _ in range(m - 1):
-                    c_pow = int(h.mul[c_pow, c])
-                if c_pow != f_prev[target]:
-                    continue
-                c_inv = h.inverse(c)
-                if any(int(h.mul[int(h.mul[c, images[i]]), c_inv])
-                       != f_prev[t] for i, t in conj_rel[level]):
-                    continue
+    def backtrack(level: int, f_prev: np.ndarray) -> Optional[list[int]]:
+        cands = cand_pools[level]
+        if level > 0:
+            m, target = pow_rel[level]
+            c_pow = cands
+            for _ in range(m - 1):
+                c_pow = h.mul[c_pow, cands]
+            cands = cands[c_pow == f_prev[target]]
+            for i, t in conj_rel[level]:
+                cands = cands[h.conj[cands, images[i]] == f_prev[t]]
+        for c in cands.tolist():
             images.append(c)
-            f = extend(level)
+            f = extend(level, f_prev)
             if f is not None:
                 if level == k - 1:
-                    farr = np.asarray(f, dtype=np.int64)
-                    if np.array_equal(farr[g.mul], h.mul[np.ix_(farr, farr)]):
-                        return f
+                    if np.array_equal(f[g.mul], h.mul[np.ix_(f, f)]):
+                        return f.tolist()
                 else:
                     result = backtrack(level + 1, f)
                     if result is not None:
@@ -1000,7 +1026,9 @@ def are_isomorphic(g: FiniteGroup, h: FiniteGroup) -> Optional[list[int]]:
             images.pop()
         return None
 
-    return backtrack(0, None)
+    identity_only = np.full(n, -1, dtype=np.int64)
+    identity_only[0] = 0
+    return backtrack(0, identity_only)
 
 
 # ---------------------------------------------------------------------------

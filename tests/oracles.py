@@ -1,16 +1,20 @@
 """Slow, independent oracles that the fast paths of the library are
-tested against. They share no search logic with it: subgroups are closed
-with the full |S|x|S| product instead of the frontier search, enumerated
-by sweeps that use no normalizer reasoning, and gamma coefficients are
-counted one coset at a time instead of by blocks of characters."""
+tested against. Subgroups are closed with the full |S|x|S| product
+instead of the frontier search, enumerated by sweeps that use no
+normalizer reasoning, and gamma coefficients are counted one coset at a
+time instead of by blocks of characters. The isomorphism search walks the
+same backtrack tree as the library's, one candidate and one element at a
+time in Python, so the two must return the same map."""
 
 import itertools
-from typing import Iterable
+from typing import Iterable, Optional
 
 import numpy as np
 
+from fibered_burnside.errors import NotAGroup
 from fibered_burnside.group_core import (FiniteGroup, Subgroup,
-                                         _left_coset_data)
+                                         _left_coset_data,
+                                         _subgroup_order_census)
 from fibered_burnside.monomial import MonomialPair
 
 
@@ -110,3 +114,146 @@ def reference_gamma(pair_k: MonomialPair, pair_l: MonomialPair) -> int:
                for k in gens):
             count += 1
     return count
+
+
+def reference_generating_sequence(group: FiniteGroup) -> list[int]:
+    """Greedy generating sequence, each step adding the element that grows
+    the generated subgroup the most."""
+    gens: list[int] = []
+    cur_len = 1
+    while cur_len < group.order:
+        best_g, best_len = None, cur_len
+        for g in range(1, group.order):
+            size = len(reference_closure(group, gens + [g]))
+            if size > best_len:
+                best_g, best_len = g, size
+                if size == group.order:
+                    break
+        if best_g is None:
+            raise NotAGroup("no element extends a proper generated subgroup")
+        gens.append(best_g)
+        cur_len = best_len
+    return gens
+
+
+def reference_are_isomorphic(g: FiniteGroup,
+                             h: FiniteGroup) -> Optional[list[int]]:
+    """A verified isomorphism G -> H as an index list, or None.
+
+    Backtracks over images of a small generating sequence, one generator at
+    a time. The first generator's image only ranges over element-conjugacy-
+    class representatives of H (composing with inner automorphisms). Each
+    deeper candidate is filtered by element order and class size, by the
+    power and conjugation relations it must satisfy against the already-
+    mapped subgroup, and by a breadth-first extension over the subgroup the
+    prefix generates; a surviving full map is verified on all pairs.
+    """
+    if g.order != h.order:
+        return None
+    if not np.array_equal(np.sort(g.element_orders), np.sort(h.element_orders)):
+        return None
+    if not np.array_equal(np.sort(g.element_class_sizes),
+                          np.sort(h.element_class_sizes)):
+        return None
+    if _subgroup_order_census(g) != _subgroup_order_census(h):
+        return None
+    n = g.order
+    if n == 1:
+        return [0]
+    gens = reference_generating_sequence(g)
+    k = len(gens)
+    chain = [reference_closure(g, gens[:j + 1]) for j in range(k)]
+
+    def inv_pair(grp, x):
+        return (int(grp.element_orders[x]), int(grp.element_class_sizes[x]))
+
+    h_class_reps = []
+    seen = np.zeros(n, dtype=bool)
+    for x in range(n):
+        if not seen[x]:
+            seen[np.unique(h.conj[:, x])] = True
+            h_class_reps.append(x)
+    cand_lists = []
+    for j, gen in enumerate(gens):
+        want = inv_pair(g, gen)
+        pool = h_class_reps if j == 0 else range(n)
+        cand_lists.append([x for x in pool if inv_pair(h, x) == want])
+
+    # relations of gens[j] against the subgroup generated by the earlier
+    # generators: minimal power landing in it, and conjugates of earlier
+    # generators that land in it
+    pow_rel: list[Optional[tuple[int, int]]] = [None]
+    conj_rel: list[list[tuple[int, int]]] = [[]]
+    for j in range(1, k):
+        prev = set(chain[j - 1])
+        gj = gens[j]
+        m, e = 1, gj
+        while e not in prev:
+            e = g.m(e, gj)
+            m += 1
+        pow_rel.append((m, e))
+        rels = []
+        gj_inv = g.inverse(gj)
+        for i in range(j):
+            t = g.m(g.m(gj, gens[i]), gj_inv)
+            if t in prev:
+                rels.append((i, t))
+        conj_rel.append(rels)
+
+    images: list[int] = []
+
+    def extend(level: int) -> Optional[list[int]]:
+        members = chain[level]
+        f = [-1] * n
+        f[0] = 0
+        used = bytearray(n)
+        used[0] = 1
+        queue = [0]
+        count = 1
+        while queue:
+            e = queue.pop()
+            fe = f[e]
+            for gen, img in zip(gens[:level + 1], images):
+                e2 = int(g.mul[e, gen])
+                t = int(h.mul[fe, img])
+                if f[e2] == -1:
+                    if used[t]:
+                        return None
+                    f[e2] = t
+                    used[t] = 1
+                    queue.append(e2)
+                    count += 1
+                elif f[e2] != t:
+                    return None
+        if count != len(members):
+            return None
+        return f
+
+    def backtrack(level: int, f_prev: Optional[list[int]]) -> Optional[list[int]]:
+        for c in cand_lists[level]:
+            if level > 0:
+                m, target = pow_rel[level]
+                e, c_pow = c, c
+                for _ in range(m - 1):
+                    c_pow = int(h.mul[c_pow, c])
+                if c_pow != f_prev[target]:
+                    continue
+                c_inv = h.inverse(c)
+                if any(int(h.mul[int(h.mul[c, images[i]]), c_inv])
+                       != f_prev[t] for i, t in conj_rel[level]):
+                    continue
+            images.append(c)
+            f = extend(level)
+            if f is not None:
+                if level == k - 1:
+                    farr = np.asarray(f, dtype=np.int64)
+                    if np.array_equal(farr[g.mul], h.mul[np.ix_(farr, farr)]):
+                        return f
+                else:
+                    result = backtrack(level + 1, f)
+                    if result is not None:
+                        return result
+            images.pop()
+        return None
+
+    return backtrack(0, None)

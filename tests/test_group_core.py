@@ -5,25 +5,32 @@ Oracles (in ``oracles.py``): the |S|x|S| ``reference_closure`` that the
 frontier ``closure`` is checked against, an independent subset-filter
 enumeration for tiny orders, the generator brute force
 (``brute_force_subgroups``) through order 24, the cyclic-join sweep
-(``join_closure_subgroups``) for orders up to ~150, and hand-checked tables
-for the worked examples.
+(``join_closure_subgroups``) for orders up to ~150, the one-candidate-at-a-
+time isomorphism search (``reference_are_isomorphic``) that the numpy search
+must match map for map, and hand-checked tables for the worked examples.
 """
 
+import ast
 import itertools
 import json
 import os
 import random
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from oracles import (brute_force_subgroups, join_closure_subgroups,
-                     reference_closure)
+                     reference_are_isomorphic, reference_closure,
+                     reference_generating_sequence)
 
 from fibered_burnside.errors import NotAGroup, NotAnAction, NotAnAutomorphism
-from fibered_burnside.group_core import (Subgroup, _perfect_seeds,
-                                         abelian_group, abelianization,
+from fibered_burnside.group_core import (FiniteGroup, Subgroup,
+                                         _generating_sequence, _p_group_basis,
+                                         _perfect_seeds, abelian_group,
+                                         abelian_invariant_decomposition,
+                                         abelianization,
                                          are_isomorphic, closure,
                                          commutator_subgroup,
                                          conjugacy_classes_of_subgroups,
@@ -403,6 +410,25 @@ def test_subgroup_lagrange_is_checked_without_verify():
     assert "ValueError" in run.stderr
 
 
+def test_abelian_basis_guards_raise():
+    # explicit raises, so that they also hold under python -O
+    with pytest.raises(NotAGroup, match="span"):
+        abelian_invariant_decomposition([0, 1, 2], lambda a, b: (a + b) % 2, 0)
+    table = [[0, 1, 2, 3], [1, 3, 1, 0], [2, 1, 0, 2], [3, 0, 2, 1]]
+    with pytest.raises(NotAGroup, match="lift"):
+        _p_group_basis([0, 1, 2, 3], lambda a, b: table[a][b], 0, 2)
+
+
+def test_no_assert_statements_in_package():
+    # python -O strips assert statements, so no invariant may rest on one
+    package = Path(__file__).resolve().parents[1] / "src" / "fibered_burnside"
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(package.rglob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Assert)]
+    assert found == []
+
+
 def test_s3_order2_double_cosets(s3):
     k = next(s for s in enumerate_subgroups(s3) if s.order == 2)
     assert len(double_coset_reps(s3, k, k)) == 2
@@ -484,6 +510,33 @@ def test_isomorphic_relabeled_abelian():
 
 def test_counterexample_pair_not_isomorphic(tg_11_5_a, tg_11_5_b):
     assert are_isomorphic(tg_11_5_a.group, tg_11_5_b.group) is None
+
+
+def test_are_isomorphic_matches_reference(small_groups, tg_11_5_a, tg_11_5_b):
+    # same backtrack tree and candidate order as the one-candidate-at-a-time
+    # search, so the same map (or None) on every pair; the trivial group and
+    # C2 only have level 0
+    pairs = list(itertools.product(small_groups, repeat=2))
+    pairs.append((dihedral_group(3), symmetric_group(3)))
+    pairs.append((tg_11_5_a.group, tg_11_5_b.group))
+    for g, h in pairs:
+        assert _generating_sequence(g) == reference_generating_sequence(g), g
+        assert are_isomorphic(g, h) == reference_are_isomorphic(g, h), (g, h)
+
+
+def test_are_isomorphic_finds_relabelled_order_605(tg_11_5_a):
+    # a positive answer at scale walks every level of the search
+    g = tg_11_5_a.group
+    n = g.order
+    label = np.array([0] + random.Random(605).sample(range(1, n), n - 1))
+    unlabel = np.argsort(label)
+    h = FiniteGroup(label[g.mul[np.ix_(unlabel, unlabel)]])
+    f = are_isomorphic(g, h)
+    assert f is not None
+    farr = np.asarray(f)
+    assert sorted(f) == list(range(n))
+    assert np.array_equal(farr[g.mul], h.mul[np.ix_(farr, farr)])
+    assert f == reference_are_isomorphic(g, h)
 
 
 # ---------------------------------------------------------------------------
