@@ -8,7 +8,6 @@ exact Python integers.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -101,8 +100,8 @@ class MonomialBasis:
         self.class_block: list[tuple[int, int]] = []
         # per class: hom index -> basis index of its orbit representative
         self._char_to_basis: list[list[int]] = []
-        self._canon_cache: dict = {}
-        self._product_cache: dict = {}
+        self._chars_cache: dict = {}
+        self._block_cache: dict = {}
         self._ghost_image_cache: dict = {}
         for ci, k_sub in enumerate(class_table.reps):
             homs = hom_set(k_sub, fiber)
@@ -136,27 +135,6 @@ class MonomialBasis:
             self.class_block.append((start, len(self.reps)))
         self.size = len(self.reps)
 
-    def hom_index(self, ci: int, char: Character) -> int:
-        homs = self.class_homs[ci]
-        for i, h in enumerate(homs):
-            if h.values == char.values:
-                return i
-        raise KeyError("character not in hom set")
-
-    def canonical_index(self, pair: MonomialPair) -> int:
-        """Basis index of the orbit of an arbitrary monomial pair."""
-        key = pair.key()
-        cached = self._canon_cache.get(key)
-        if cached is not None:
-            return cached
-        ci = self.class_table.class_of(pair.subgroup)
-        g = self.class_table.transporter_to_rep(pair.subgroup)
-        chi = pair.char if g == 0 else pair.char.conjugate(g)
-        hi = self.hom_index(ci, chi)
-        idx = self._char_to_basis[ci][hi]
-        self._canon_cache[key] = idx
-        return idx
-
     # -- ring structure
 
     def basis_element(self, i: int) -> "BurnsideElement":
@@ -178,29 +156,54 @@ class MonomialBasis:
 
     def product(self, i: int, j: int) -> list[tuple[int, int]]:
         """Structure constants of reps[i] * reps[j] as (index, coeff) pairs."""
-        cached = self._product_cache.get((i, j))
-        if cached is not None:
-            return cached
-        group, fiber = self.group, self.fiber
-        k_sub, phi = self.reps[i].subgroup, self.reps[i].char
-        l_sub, psi = self.reps[j].subgroup, self.reps[j].char
-        conj, inv = group.conj, group.inv
-        out: Counter = Counter()
+        ci, cj = self.rep_class[i], self.rep_class[j]
+        row = self.product_block(ci, cj)[i - self.class_block[ci][0],
+                                          j - self.class_block[cj][0]]
+        idx, counts = np.unique(row, return_counts=True)
+        return list(zip(idx.tolist(), counts.tolist()))
+
+    def product_block(self, ci: int, cj: int) -> np.ndarray:
+        """Products of every orbit representative of class ci with every one
+        of class cj.
+
+        Entry [a, b] lists the basis index of each double-coset term of the
+        a-th representative of class ci times the b-th of class cj, sorted;
+        the last axis has one entry per double coset K\\G/L. For each coset
+        KsL the term is the orbit of (M, phi * psi^s) with M = K n sLs^-1.
+        """
+        block = self._block_cache.get((ci, cj))
+        if block is not None:
+            return block
+        group, table = self.group, self.class_table
+        k_sub, l_sub = table.reps[ci], table.reps[cj]
+        k_chars, l_chars = self._class_chars(ci), self._class_chars(cj)
+        kmem = np.asarray(k_sub.members, dtype=np.int64)
+        lmem = np.asarray(l_sub.members, dtype=np.int64)
+        terms = []
         for s in double_coset_reps(group, k_sub, l_sub):
-            smask = 0
-            for m in l_sub.members:
-                smask |= 1 << int(conj[s, m])
-            inter = [m for m in k_sub.members if (smask >> m) & 1]
-            m_sub = Subgroup(group, inter, verify=False)
-            sinv = int(inv[s])
-            vals = [fiber.add(phi.value_index(m),
-                              psi.value_index(int(conj[sinv, m])))
-                    for m in inter]
-            chi = Character(m_sub, fiber, vals, verify=False)
-            out[self.canonical_index(MonomialPair(m_sub, chi))] += 1
-        result = sorted(out.items())
-        self._product_cache[(i, j)] = result
-        return result
+            in_conj_l = np.zeros(group.order, dtype=bool)
+            in_conj_l[group.conj[s, lmem]] = True
+            m_sub = Subgroup(group, kmem[in_conj_l[kmem]].tolist(),
+                             verify=False)
+            m_chars = self._class_chars(table.class_of(m_sub))
+            # generators of M, carried over from those of its class rep
+            g_inv = group.inv[table.transporter_to_rep(m_sub)]
+            gens = group.conj[g_inv, m_chars.gens]
+            # (phi * psi^s)(m) = phi(m) + psi(s^-1 m s), one row per (a, b)
+            vals = self.fiber.add_table[
+                k_chars.rep_values[:, k_chars.pos[gens]][:, None, :],
+                l_chars.rep_values[
+                    :, l_chars.pos[group.conj[group.inv[s], gens]]][None]]
+            terms.append(m_chars.basis_of_values(vals))
+        block = np.sort(np.stack(terms, axis=-1), axis=-1)
+        self._block_cache[ci, cj] = block
+        return block
+
+    def _class_chars(self, ci: int) -> "_ClassChars":
+        cached = self._chars_cache.get(ci)
+        if cached is None:
+            cached = self._chars_cache[ci] = _ClassChars(self, ci)
+        return cached
 
     def to_json(self) -> dict:
         return {
@@ -212,6 +215,44 @@ class MonomialBasis:
                 for p in self.reps
             ],
         }
+
+
+class _ClassChars:
+    """What the product kernel reads of one subgroup class's characters:
+    positions in its representative R, the values of the orbit
+    representatives, and a lookup from values on the generators of R to
+    basis indices."""
+
+    def __init__(self, basis: MonomialBasis, ci: int):
+        rep, homs = basis.class_table.reps[ci], basis.class_homs[ci]
+        i0, i1 = basis.class_block[ci]
+        self.pos = np.full(basis.group.order, -1, dtype=np.int64)
+        self.pos[list(rep.members)] = np.arange(rep.order)
+        values = _values(homs)
+        self.rep_values = values[basis.rep_hom_index[i0:i1]]
+        self.gens = np.asarray(rep.generators() or (0,), dtype=np.int64)
+        # a character's key: its values on the generators in mixed radix,
+        # exact Python integers once they would overflow int64
+        radix = basis.fiber.order
+        dtype = np.int64 if radix ** self.gens.size < 2 ** 63 else object
+        self.weights = np.asarray(
+            [radix ** k for k in range(self.gens.size)], dtype=dtype)
+        keys = (values[:, self.pos[self.gens]] * self.weights).sum(axis=-1)
+        order = np.argsort(keys)
+        self.keys = keys[order]
+        self.basis_index = np.asarray(basis._char_to_basis[ci],
+                                      dtype=np.int64)[order]
+        self.ci = ci
+
+    def basis_of_values(self, vals: np.ndarray) -> np.ndarray:
+        """Basis index of each character of R given by its values on the
+        generators of R (the last axis of ``vals``)."""
+        want = (vals * self.weights).sum(axis=-1)
+        at = np.minimum(np.searchsorted(self.keys, want), self.keys.size - 1)
+        if not np.array_equal(self.keys[at], want):
+            raise ValueError(f"a character product on class {self.ci} "
+                             f"matches no character of its hom set")
+        return self.basis_index[at]
 
 
 def _find(parent: list[int], i: int) -> int:

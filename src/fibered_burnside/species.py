@@ -10,7 +10,6 @@ does and does not rule out.
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
@@ -120,32 +119,54 @@ def char_group_isomorphisms(homs1: Sequence[Character],
     """All group isomorphisms Hom(K, A) -> Hom(K', A), as index maps.
 
     Deterministic order: candidates for each generator image ascend by
-    hom-set index."""
+    hom-set index. Images are chosen one generator at a time, and a
+    candidate whose cyclic span meets the span of the earlier images is
+    skipped, since no choice of later images makes such a map injective.
+    """
     if len(homs1) != len(homs2):
         return
-    table1, id1, dec1 = _char_group_data(homs1)
+    _, _, dec1 = _char_group_data(homs1)
     table2, id2, dec2 = _char_group_data(homs2)
     if dec1.factors != dec2.factors:
         return
     n = len(homs1)
-    gens1 = []
-    for i, d in enumerate(dec1.factors):
-        unit = tuple(1 if k == i else 0 for k in range(len(dec1.factors)))
-        gens1.append(next(e for e, c in dec1.coords.items() if c == unit))
     orders2 = _element_orders_from_table(table2, id2)
-    candidate_lists = [[e for e in range(n) if orders2[e] == d]
-                       for d in dec1.factors]
-    for images in itertools.product(*candidate_lists):
-        mapping = [0] * n
-        for e in range(n):
-            expo = dec1.coords[e]
-            img = id2
-            for k, g_img in zip(expo, images):
-                for _ in range(k):
-                    img = table2[img][g_img]
-            mapping[e] = img
-        if len(set(mapping)) == n:
-            yield mapping
+    table2 = np.asarray(table2, dtype=np.int64)
+    # powers[k] holds c^0 .. c^(d-1) for each candidate image c of the
+    # k-th generator, of order d, by ascending index of c
+    powers: list[list[np.ndarray]] = []
+    for d in dec1.factors:
+        powers.append([])
+        for c in range(n):
+            if orders2[c] == d:
+                cyc = [id2]
+                for _ in range(d - 1):
+                    cyc.append(int(table2[cyc[-1], c]))
+                powers[-1].append(np.asarray(cyc, dtype=np.int64))
+    # span[x] is the image of the element whose coordinates on the first
+    # k generators have mixed-radix index x; ``flat`` is that index of
+    # every element of Hom(K, A)
+    flat = np.zeros(n, dtype=np.int64)
+    for e in range(n):
+        for c, d in zip(dec1.coords[e], dec1.factors):
+            flat[e] = flat[e] * d + c
+
+    def extend(k: int, span: np.ndarray,
+               in_span: np.ndarray) -> Iterator[list[int]]:
+        if k == len(dec1.factors):
+            yield span[flat].tolist()
+            return
+        for cyc in powers[k]:
+            if in_span[cyc[1:]].any():
+                continue
+            wider = table2[span[:, None], cyc[None, :]].ravel()
+            in_wider = np.zeros(n, dtype=bool)
+            in_wider[wider] = True
+            yield from extend(k + 1, wider, in_wider)
+
+    start = np.zeros(n, dtype=bool)
+    start[id2] = True
+    yield from extend(0, np.asarray([id2], dtype=np.int64), start)
 
 
 def _is_char_group_iso(homs1, homs2, mapping: Sequence[int]) -> bool:
@@ -222,6 +243,10 @@ def _gamma_mismatch(witness, fiber, ci: int, cj: int):
 
 
 def _structure_constant_check(basis_g, basis_h, witness):
+    """Transport every structure constant of ``basis_g`` through the basis
+    bijection the witness induces and compare it with ``basis_h``, one
+    class pair at a time; reports the first differing basis pair (i, j) in
+    row-major order."""
     if basis_g.size != basis_h.size:
         return {"reason": "basis sizes differ",
                 "sizes": [basis_g.size, basis_h.size]}, None
@@ -234,18 +259,32 @@ def _structure_constant_check(basis_g, basis_h, witness):
         mapping.append(basis_h._char_to_basis[cj][hj])
     if len(set(mapping)) != basis_g.size:
         return {"reason": "induced basis map is not a bijection"}, None
-    for i in range(basis_g.size):
-        for j in range(basis_g.size):
-            transported = sorted((mapping[t], c)
-                                 for t, c in basis_g.product(i, j))
-            target = basis_h.product(mapping[i], mapping[j])
-            if transported != target:
-                return {
-                    "reason": "structure constants differ",
-                    "basis_pair": [i, j],
-                    "transported": transported,
-                    "target": target,
-                }, None
+    image = np.asarray(mapping, dtype=np.int64)
+    for ci, (i0, i1) in enumerate(basis_g.class_block):
+        ti = witness.subgroup_map[ci]
+        # which (i, j) with i in class ci differ, over all j
+        differ = np.zeros((i1 - i0, basis_g.size), dtype=bool)
+        for cj, (j0, j1) in enumerate(basis_g.class_block):
+            tj = witness.subgroup_map[cj]
+            block_g = basis_g.product_block(ci, cj)
+            block_h = basis_h.product_block(ti, tj)[np.ix_(
+                image[i0:i1] - basis_h.class_block[ti][0],
+                image[j0:j1] - basis_h.class_block[tj][0])]
+            if block_g.shape != block_h.shape:
+                differ[:, j0:j1] = True
+            else:
+                transported = np.sort(image[block_g], axis=-1)
+                differ[:, j0:j1] = (transported != block_h).any(axis=-1)
+        if differ.any():
+            a, j = (int(v) for v in np.argwhere(differ)[0])
+            i = i0 + a
+            return {
+                "reason": "structure constants differ",
+                "basis_pair": [i, j],
+                "transported": sorted((mapping[t], c)
+                                      for t, c in basis_g.product(i, j)),
+                "target": basis_h.product(mapping[i], mapping[j]),
+            }, None
     return None, list(enumerate(mapping))
 
 
@@ -286,14 +325,6 @@ def search_species(g: FiniteGroup, h: FiniteGroup, fiber: AbelianFiber,
     homs_h = [hom_set(s, fiber) for s in ct_h.reps]
     candidates = [[j for j in range(k) if inv_h[j] == inv_g[i]]
                   for i in range(k)]
-    iso_cache: dict[tuple[int, int], list[list[int]]] = {}
-
-    def isos_between(i: int, j: int) -> list[list[int]]:
-        key = (i, j)
-        if key not in iso_cache:
-            iso_cache[key] = list(char_group_isomorphisms(homs_g[i], homs_h[j]))
-        return iso_cache[key]
-
     blocks_g: dict[tuple[int, int], np.ndarray] = {}
     blocks_h: dict[tuple[int, int], np.ndarray] = {}
 
@@ -303,7 +334,7 @@ def search_species(g: FiniteGroup, h: FiniteGroup, fiber: AbelianFiber,
         return blocks[ci, cj]
 
     assignment: list[Optional[int]] = [None] * k
-    char_assignment: list[Optional[list[int]]] = [None] * k
+    char_assignment: list[Optional[np.ndarray]] = [None] * k
     used = [False] * k
     nodes = 0
 
@@ -313,7 +344,7 @@ def search_species(g: FiniteGroup, h: FiniteGroup, fiber: AbelianFiber,
         image = block(blocks_h, ct_h.reps, assignment[x], assignment[y])
         return np.array_equal(
             block(blocks_g, ct_g.reps, x, y),
-            image[np.ix_(char_assignment[x], char_assignment[y])])
+            image[char_assignment[x][:, None], char_assignment[y]])
 
     def consistent(ci: int) -> bool:
         return all(matches(ci, cj) and matches(cj, ci)
@@ -326,13 +357,13 @@ def search_species(g: FiniteGroup, h: FiniteGroup, fiber: AbelianFiber,
         for j in candidates[ci]:
             if used[j]:
                 continue
-            for cmap in isos_between(ci, j):
+            for cmap in char_group_isomorphisms(homs_g[ci], homs_h[j]):
                 nodes += 1
                 if budget is not None and nodes > budget:
                     raise SearchBudgetExceeded(
                         f"species search exceeded {budget} nodes")
                 assignment[ci] = j
-                char_assignment[ci] = cmap
+                char_assignment[ci] = np.asarray(cmap, dtype=np.int64)
                 used[j] = True
                 if consistent(ci) and backtrack(ci + 1):
                     return True
@@ -345,7 +376,7 @@ def search_species(g: FiniteGroup, h: FiniteGroup, fiber: AbelianFiber,
         return None
     return SpeciesWitness(list(ct_g.reps), list(ct_h.reps),
                           [int(v) for v in assignment],
-                          [list(m) for m in char_assignment])
+                          [m.tolist() for m in char_assignment])
 
 
 # ---------------------------------------------------------------------------

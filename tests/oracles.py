@@ -4,18 +4,25 @@ instead of the frontier search, enumerated by sweeps that use no
 normalizer reasoning, and gamma coefficients are counted one coset at a
 time instead of by blocks of characters. The isomorphism search walks the
 same backtrack tree as the library's, one candidate and one element at a
-time in Python, so the two must return the same map."""
+time in Python, so the two must return the same map. Structure constants
+are computed one basis pair and one double coset at a time, and character
+group isomorphisms by scanning every tuple of generator images."""
 
 import itertools
-from typing import Iterable, Optional
+from collections import Counter
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
+from fibered_burnside.abelian_fiber import Character
 from fibered_burnside.errors import NotAGroup
 from fibered_burnside.group_core import (FiniteGroup, Subgroup,
                                          _left_coset_data,
-                                         _subgroup_order_census)
-from fibered_burnside.monomial import MonomialPair
+                                         _subgroup_order_census,
+                                         double_coset_reps)
+from fibered_burnside.monomial import MonomialBasis, MonomialPair
+from fibered_burnside.species import (_char_group_data,
+                                      _element_orders_from_table)
 
 
 def reference_closure(group: FiniteGroup, gens: Iterable[int]) -> tuple[int, ...]:
@@ -257,3 +264,88 @@ def reference_are_isomorphic(g: FiniteGroup,
         return None
 
     return backtrack(0, None)
+
+
+def hom_index(basis: MonomialBasis, ci: int, char: Character) -> int:
+    homs = basis.class_homs[ci]
+    for i, h in enumerate(homs):
+        if h.values == char.values:
+            return i
+    raise KeyError("character not in hom set")
+
+
+def canonical_index(basis: MonomialBasis, pair: MonomialPair,
+                    cache: Optional[dict] = None) -> int:
+    """Basis index of the orbit of an arbitrary monomial pair."""
+    key = pair.key()
+    cached = None if cache is None else cache.get(key)
+    if cached is not None:
+        return cached
+    ci = basis.class_table.class_of(pair.subgroup)
+    g = basis.class_table.transporter_to_rep(pair.subgroup)
+    chi = pair.char if g == 0 else pair.char.conjugate(g)
+    hi = hom_index(basis, ci, chi)
+    idx = basis._char_to_basis[ci][hi]
+    if cache is not None:
+        cache[key] = idx
+    return idx
+
+
+def reference_product(basis: MonomialBasis, i: int, j: int,
+                      cache: Optional[dict] = None) -> list[tuple[int, int]]:
+    """Structure constants of reps[i] * reps[j] as (index, coeff) pairs.
+
+    ``cache`` (shared across calls on one basis) memoizes
+    ``canonical_index``."""
+    group, fiber = basis.group, basis.fiber
+    k_sub, phi = basis.reps[i].subgroup, basis.reps[i].char
+    l_sub, psi = basis.reps[j].subgroup, basis.reps[j].char
+    conj, inv = group.conj, group.inv
+    out: Counter = Counter()
+    for s in double_coset_reps(group, k_sub, l_sub):
+        smask = 0
+        for m in l_sub.members:
+            smask |= 1 << int(conj[s, m])
+        inter = [m for m in k_sub.members if (smask >> m) & 1]
+        m_sub = Subgroup(group, inter, verify=False)
+        sinv = int(inv[s])
+        vals = [fiber.add(phi.value_index(m),
+                          psi.value_index(int(conj[sinv, m])))
+                for m in inter]
+        chi = Character(m_sub, fiber, vals, verify=False)
+        out[canonical_index(basis, MonomialPair(m_sub, chi), cache)] += 1
+    return sorted(out.items())
+
+
+def reference_char_group_isomorphisms(homs1: Sequence[Character],
+                                      homs2: Sequence[Character]
+                                      ) -> Iterator[list[int]]:
+    """All group isomorphisms Hom(K, A) -> Hom(K', A), as index maps.
+
+    Deterministic order: candidates for each generator image ascend by
+    hom-set index."""
+    if len(homs1) != len(homs2):
+        return
+    table1, id1, dec1 = _char_group_data(homs1)
+    table2, id2, dec2 = _char_group_data(homs2)
+    if dec1.factors != dec2.factors:
+        return
+    n = len(homs1)
+    gens1 = []
+    for i, d in enumerate(dec1.factors):
+        unit = tuple(1 if k == i else 0 for k in range(len(dec1.factors)))
+        gens1.append(next(e for e, c in dec1.coords.items() if c == unit))
+    orders2 = _element_orders_from_table(table2, id2)
+    candidate_lists = [[e for e in range(n) if orders2[e] == d]
+                       for d in dec1.factors]
+    for images in itertools.product(*candidate_lists):
+        mapping = [0] * n
+        for e in range(n):
+            expo = dec1.coords[e]
+            img = id2
+            for k, g_img in zip(expo, images):
+                for _ in range(k):
+                    img = table2[img][g_img]
+            mapping[e] = img
+        if len(set(mapping)) == n:
+            yield mapping

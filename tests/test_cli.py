@@ -119,6 +119,17 @@ def test_verify_budget_exceeded(capsys):
     assert report["result"]["status"] == "budget_exceeded"
 
 
+def test_verify_budget_bounds_large_character_groups(capsys):
+    # the class of (C2)^3 has Hom((C2)^3, C2 x C2) = (C2)^6 with about 2e10
+    # automorphisms; the budget must stop the search without listing them
+    code, report, _ = run_json(capsys, "verify", "abelian:2,2,2",
+                               "abelian:2,2,2", "--fiber", "2,2", "--auto",
+                               "--budget", "50000")
+    assert code == 1
+    assert report["result"]["status"] == "budget_exceeded"
+    assert "50000" in report["result"]["detail"]
+
+
 def test_verify_thevenaz_witness(capsys):
     code, report, _ = run_json(capsys, "verify", "thevenaz:7,3,2,4",
                                "thevenaz:7,3,2,4", "--fiber", "3",

@@ -10,18 +10,22 @@ hand-computed tables.
 
 from math import gcd
 
+import numpy as np
 import pytest
 
 from fibered_burnside.abelian_fiber import AbelianFiber, hom_set
 from fibered_burnside.errors import ComponentMismatch
-from fibered_burnside.group_core import (conjugacy_classes_of_subgroups,
-                                         cyclic_group, mark, symmetric_group)
+from fibered_burnside.group_core import (abelian_group, conjugate_subgroup,
+                                         conjugacy_classes_of_subgroups,
+                                         cyclic_group, double_coset_reps,
+                                         mark, symmetric_group)
 from fibered_burnside.monomial import (BurnsideElement, MonomialPair,
                                        all_monomial_pairs, gamma_block,
                                        gamma_table, ghost_multiply, ghost_ring,
                                        integer_matrix_determinant,
                                        mark_morphism, monomial_basis, multiply)
-from oracles import reference_gamma
+from fibered_burnside.thevenaz import canonical_class_reps
+from oracles import canonical_index, reference_gamma, reference_product
 
 
 def _basis(group, fiber):
@@ -200,6 +204,68 @@ def test_monomial_basis_memoized_per_fiber_and_transversal(s3, fiber_c2,
     assert monomial_basis(s3, fiber_c6) is not basis
 
 
+def _assert_products_match_reference(basis):
+    cache: dict = {}
+    for i in range(basis.size):
+        for j in range(basis.size):
+            assert basis.product(i, j) == reference_product(basis, i, j,
+                                                            cache), (i, j)
+
+
+@pytest.mark.parametrize("factors", [(1,), (2,), (6,), (2, 4)])
+def test_product_matches_reference(small_groups, factors):
+    fiber = AbelianFiber(factors)
+    for g in small_groups:
+        _assert_products_match_reference(monomial_basis(g, fiber))
+
+
+def test_product_matches_reference_e16_and_order_605(tg_11_5_a, tg_11_5_b,
+                                                     fiber_c2, fiber_c5):
+    _assert_products_match_reference(
+        monomial_basis(abelian_group((2, 2, 2, 2)), fiber_c2))
+    for tg in (tg_11_5_a, tg_11_5_b):
+        _assert_products_match_reference(monomial_basis(tg.group, fiber_c5))
+
+
+def test_product_matches_reference_other_transversals(tg_7_3, s4, fiber_c6):
+    # the family's canonical transversal reorders the default classes; a
+    # transversal conjugated away from the default changes the reps, so
+    # the transporters to them differ too
+    table = conjugacy_classes_of_subgroups(
+        tg_7_3.group, reps=canonical_class_reps(tg_7_3))
+    _assert_products_match_reference(
+        monomial_basis(tg_7_3.group, AbelianFiber((3,)), table))
+    default = conjugacy_classes_of_subgroups(s4).reps
+    moved = [conjugate_subgroup(s4, s4.order - 1, r) for r in default]
+    assert any(a != b for a, b in zip(moved, default))
+    _assert_products_match_reference(monomial_basis(
+        s4, fiber_c6, conjugacy_classes_of_subgroups(s4, reps=moved)))
+
+
+def test_product_block_shape_and_order(d4, fiber_c2):
+    basis = monomial_basis(d4, fiber_c2)
+    table = basis.class_table
+    for ci, (i0, i1) in enumerate(basis.class_block):
+        for cj, (j0, j1) in enumerate(basis.class_block):
+            block = basis.product_block(ci, cj)
+            cosets = double_coset_reps(d4, table.reps[ci], table.reps[cj])
+            assert block.shape == (i1 - i0, j1 - j0, len(cosets))
+            assert (np.diff(block, axis=-1) >= 0).all()
+            assert basis.product_block(ci, cj) is block
+
+
+def test_product_block_rejects_values_of_no_character():
+    # over C4, characters of C2 x C2 take values in {0, 2} only
+    basis = monomial_basis(abelian_group((2, 2)), AbelianFiber((4,)))
+    full = len(basis.class_block) - 1
+    chars = basis._class_chars(full)
+    assert chars.gens.size == 2
+    i0, i1 = basis.class_block[full]
+    assert i0 <= int(chars.basis_of_values(np.array([2, 0]))) < i1
+    with pytest.raises(ValueError, match="matches no character"):
+        chars.basis_of_values(np.array([[1, 0]]))
+
+
 # ---------------------------------------------------------------------------
 # Basis structure
 
@@ -215,9 +281,9 @@ def test_orbit_count_formula(s3, d4, fiber_c2, fiber_c6):
 def test_canonical_index_constant_on_orbits(s3, fiber_c6):
     basis = _basis(s3, fiber_c6)
     for pair in all_monomial_pairs(s3, fiber_c6):
-        idx = basis.canonical_index(pair)
+        idx = canonical_index(basis, pair)
         for g in s3.elements():
-            assert basis.canonical_index(pair.conjugate(g)) == idx
+            assert canonical_index(basis, pair.conjugate(g)) == idx
 
 
 def test_basis_grouped_by_class_table_order(d4, fiber_c6):

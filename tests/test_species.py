@@ -5,20 +5,25 @@ must always validate, and the explicit family witness cross-validated by
 the general verifier.
 """
 
+import itertools
+
+import numpy as np
 import pytest
 
-from fibered_burnside.abelian_fiber import AbelianFiber, hom_set
+from fibered_burnside.abelian_fiber import (AbelianFiber, char_group_table,
+                                            hom_set)
 from fibered_burnside.errors import (FiberHasPTorsion, InvalidSpec,
                                      NotABijection, NotAGroupIso,
                                      SearchBudgetExceeded)
 from fibered_burnside.group_core import (Subgroup, abelian_group,
                                          conjugacy_classes_of_subgroups,
                                          cyclic_group)
-from fibered_burnside.monomial import MonomialPair
+from fibered_burnside.monomial import MonomialPair, monomial_basis
 from fibered_burnside.species import (EXHAUSTION_CAVEAT, SpeciesWitness,
+                                      _structure_constant_check,
                                       char_group_isomorphisms, search_species,
                                       thevenaz_witness, verify_species)
-from oracles import reference_gamma
+from oracles import reference_char_group_isomorphisms, reference_gamma
 
 # ---------------------------------------------------------------------------
 # Character group isomorphisms
@@ -40,6 +45,43 @@ def test_char_group_isomorphism_counts():
     # groups of the same size but different structure admit none
     homs_klein4 = hom_set(_full(klein), fiber4)              # still C2 x C2
     assert list(char_group_isomorphisms(homs_klein4, homs_c4)) == []
+
+
+@pytest.mark.parametrize("factors", [(2,), (4,), (6,), (2, 4)])
+def test_char_group_isomorphisms_match_reference(small_groups, factors):
+    # whole lists, in order, on every pair of classes of one group whose
+    # hom sets have the same size (at most 8; C2 x C4 over (2,4) has 32)
+    fiber = AbelianFiber(factors)
+    for g in small_groups:
+        homs = [hom_set(s, fiber)
+                for s in conjugacy_classes_of_subgroups(g).reps]
+        for homs1 in homs:
+            for homs2 in homs:
+                if len(homs1) == len(homs2) <= 8:
+                    assert list(char_group_isomorphisms(homs1, homs2)) == \
+                        list(reference_char_group_isomorphisms(homs1, homs2))
+
+
+def test_char_group_isomorphisms_match_reference_rank_4(fiber_c2):
+    # Hom((C2)^4, C2) has 16 elements and |GL(4, 2)| = 20160 automorphisms;
+    # Hom(C4 x C4, C4) has as many elements and none
+    homs_e16 = hom_set(_full(abelian_group((2, 2, 2, 2))), fiber_c2)
+    homs_c4c4 = hom_set(_full(abelian_group((4, 4))), AbelianFiber((4,)))
+    for homs in (homs_e16, homs_c4c4):
+        assert list(char_group_isomorphisms(homs_e16, homs)) == \
+            list(reference_char_group_isomorphisms(homs_e16, homs))
+    assert len(list(char_group_isomorphisms(homs_e16, homs_e16))) == 20160
+
+
+def test_char_group_isomorphisms_are_lazy():
+    # Hom((C2)^3, C2 x C2) is (C2)^6, with about 2e10 automorphisms
+    homs = hom_set(_full(abelian_group((2, 2, 2))), AbelianFiber((2, 2)))
+    first = list(itertools.islice(char_group_isomorphisms(homs, homs), 1000))
+    assert len({tuple(m) for m in first}) == 1000
+    table = np.asarray(char_group_table(homs))
+    for mapping in np.asarray(first):
+        assert sorted(mapping) == list(range(len(homs)))
+        assert np.array_equal(mapping[table], table[np.ix_(mapping, mapping)])
 
 
 def test_char_group_isomorphisms_preserve_products(s3, fiber_c6):
@@ -154,6 +196,38 @@ def test_gamma_mismatch_reported_through_char_map(d4, fiber_c2):
               "gamma_g": 1, "gamma_h": 0}
     assert _first_reference_mismatch(witness, fiber_c2) == expect
     assert verdict.counterexample == expect
+
+
+def test_structure_constant_mismatch_reported(d4, fiber_c2):
+    # swapping the order-2 classes 1 and 2 keeps the basis sizes but not
+    # the products; the expected dict was recorded from the per-pair
+    # check, which looped over basis pairs in row-major order
+    basis = monomial_basis(d4, fiber_c2)
+    witness = _identity_witness(d4, fiber_c2)
+    witness.subgroup_map[1], witness.subgroup_map[2] = 2, 1
+    mismatch, bijection = _structure_constant_check(basis, basis, witness)
+    assert bijection is None
+    assert mismatch == {"reason": "structure constants differ",
+                        "basis_pair": [1, 7],
+                        "transported": [(3, 2)],
+                        "target": [(0, 1)]}
+
+
+def test_structure_constant_check_rejects_bad_basis_maps(d4, fiber_c2):
+    basis = monomial_basis(d4, fiber_c2)
+    other = monomial_basis(cyclic_group(8), fiber_c2)
+    witness = _identity_witness(d4, fiber_c2)
+    assert _structure_constant_check(basis, other, witness) == (
+        {"reason": "basis sizes differ", "sizes": [19, other.size]}, None)
+    # Hom(C2 x C2, C2) has orbits {0}, {1}, {2, 3} under the normalizer;
+    # sending characters 1 and 2 into one orbit maps two basis pairs to one
+    ci = next(c for c, s in enumerate(witness.g_reps)
+              if s.order == 4 and basis._char_to_basis[c][2]
+              == basis._char_to_basis[c][3])
+    assert basis._char_to_basis[ci][1] != basis._char_to_basis[ci][2]
+    witness.char_maps[ci] = [0, 2, 3, 1]
+    assert _structure_constant_check(basis, basis, witness) == (
+        {"reason": "induced basis map is not a bijection"}, None)
 
 
 def test_inverse_witness_validates(s3, fiber_c6):
