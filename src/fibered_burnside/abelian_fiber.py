@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 from math import prod
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -213,11 +213,73 @@ def hom_set(domain: Subgroup, fiber: AbelianFiber) -> list[Character]:
     return list(homs)
 
 
-def char_group_table(homs: Sequence[Character]) -> list[list[int]]:
-    """Entry [i][j] is the index in ``homs`` of homs[i] * homs[j]."""
-    lookup = {h.values: i for i, h in enumerate(homs)}
-    return [[lookup[(hi * hj).values] for hj in homs] for hi in homs]
+class CharIndex:
+    """Hom(K, A) as arrays, with a lookup from values to hom-set index.
+
+    ``values`` has one row per character in ``hom_set`` order and one column
+    per member of K; ``pos`` is the position of each group element in K, or
+    -1 outside it. A character is determined by its values on ``gens``, the
+    generators of K (the identity for the trivial group), and ``index``
+    finds it from them.
+    """
+
+    def __init__(self, domain: Subgroup, fiber: AbelianFiber):
+        self.values = np.asarray([h.values for h in hom_set(domain, fiber)],
+                                 dtype=np.int64)
+        self.pos = np.full(domain.group.order, -1, dtype=np.int64)
+        self.pos[list(domain.members)] = np.arange(domain.order)
+        self.gens = np.asarray(domain.generators() or (0,), dtype=np.int64)
+        self._add = fiber.add_table
+        # a character's key: its values on the generators in mixed radix,
+        # exact Python integers once they would overflow int64
+        radix = fiber.order
+        dtype = np.int64 if radix ** self.gens.size < 2 ** 63 else object
+        self._weights = np.asarray(
+            [radix ** k for k in range(self.gens.size)], dtype=dtype)
+        keys = self._key(self.values[:, self.pos[self.gens]])
+        self._order = np.argsort(keys)
+        self._keys = keys[self._order]
+        self._table: Optional[np.ndarray] = None
+
+    def _key(self, vals: np.ndarray) -> np.ndarray:
+        return (vals * self._weights).sum(axis=-1)
+
+    def index(self, vals: np.ndarray) -> np.ndarray:
+        """Hom-set index of each character given by its values on ``gens``
+        (the last axis of ``vals``)."""
+        want = self._key(vals)
+        at = np.minimum(np.searchsorted(self._keys, want), self._keys.size - 1)
+        if not np.array_equal(self._keys[at], want):
+            raise ValueError("a value row matches no character of the hom set")
+        return self._order[at]
+
+    @property
+    def trivial(self) -> int:
+        """Hom-set index of the trivial character."""
+        return int(self.index(np.zeros(self.gens.size, dtype=np.int64)))
+
+    @property
+    def table(self) -> np.ndarray:
+        """Entry [i, j] is the hom-set index of the product of the i-th and
+        j-th characters."""
+        # built on first use: only the species checks and the ghost ring
+        # read it, and it has |Hom(K, A)|^2 entries
+        if self._table is None:
+            on_gens = self.values[:, self.pos[self.gens]]
+            self._table = self.index(
+                self._add[on_gens[:, None], on_gens[None]])
+        return self._table
 
 
-__all__ = ["AbelianFiber", "Character", "trivial_character", "hom_set",
-           "char_group_table"]
+def char_index(domain: Subgroup, fiber: AbelianFiber) -> CharIndex:
+    """The ``CharIndex`` of Hom(K, A), built once and kept next to the hom
+    set."""
+    key = ("index", fiber.factors)
+    index = domain._hom_cache.get(key)
+    if index is None:
+        index = domain._hom_cache[key] = CharIndex(domain, fiber)
+    return index
+
+
+__all__ = ["AbelianFiber", "Character", "CharIndex", "trivial_character",
+           "hom_set", "char_index"]

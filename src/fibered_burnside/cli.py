@@ -52,7 +52,7 @@ def parse_group_spec(text: str):
                 return group_core.group_from_json(json.load(fh), name=rest)
     except SpecError:
         raise
-    except (ValueError, OSError, AlgebraError) as exc:
+    except (ValueError, OverflowError, OSError, AlgebraError) as exc:
         raise SpecError(f"bad group spec {text!r}: {exc}") from exc
     raise SpecError(f"unknown group kind {kind!r}")
 
@@ -72,6 +72,8 @@ def _parse_fiber(text: str) -> AbelianFiber:
         return AbelianFiber.parse(text)
     except ValueError as exc:
         raise SpecError(str(exc)) from exc
+    except OverflowError as exc:
+        raise SpecError(f"bad fiber spec {text!r}: {exc}") from exc
 
 
 def _input_hash(inputs: dict) -> str:
@@ -337,15 +339,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 fiber_spec=args.fiber)
         else:  # pragma: no cover
             parser.error(f"unknown command {args.command}")
+        elapsed = time.monotonic() - start
+        print(f"timing_ms: {elapsed * 1000:.1f}", file=sys.stderr)
+        return _emit(report, code, args)
     except (SpecError, AlgebraError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (OSError, json.JSONDecodeError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    elapsed = time.monotonic() - start
-    print(f"timing_ms: {elapsed * 1000:.1f}", file=sys.stderr)
-    return _emit(report, code, args)
 
 
 if __name__ == "__main__":   # pragma: no cover

@@ -34,8 +34,7 @@ class FiniteGroup:
     ``ASSOC_FULL_CHECK_BOUND``, random triples above).
     """
 
-    def __init__(self, mul, name: Optional[str] = None,
-                 *, assoc_bound: int = ASSOC_FULL_CHECK_BOUND):
+    def __init__(self, mul, name: Optional[str] = None):
         table = np.asarray(mul, dtype=np.int64)
         if table.ndim != 2 or table.shape[0] != table.shape[1]:
             raise NotAGroup("multiplication table must be square")
@@ -52,7 +51,7 @@ class FiniteGroup:
         for g in range(n):
             hits = np.nonzero(table[g] == 0)[0]
             inv[g] = hits[0]
-        _check_associativity(table, assoc_bound)
+        _check_associativity(table)
         # g * inv[g] = 0 holds by construction; check the other side too.
         bad = np.nonzero(table[inv, np.arange(n)] != 0)[0]
         if bad.size:
@@ -136,9 +135,9 @@ def _check_latin_square(table: np.ndarray) -> None:
         raise NotAGroup(f"column {bad} is not a permutation", witness=(bad,))
 
 
-def _check_associativity(table: np.ndarray, bound: int) -> None:
+def _check_associativity(table: np.ndarray) -> None:
     n = table.shape[0]
-    if n <= bound:
+    if n <= ASSOC_FULL_CHECK_BOUND:
         for a in range(n):
             lhs = table[table[a]]        # [b, c] -> (a*b)*c
             rhs = table[a][table]        # [b, c] -> a*(b*c)
@@ -158,8 +157,7 @@ def _check_associativity(table: np.ndarray, bound: int) -> None:
                             witness=(int(a[i]), int(b[i]), int(c[i])))
 
 
-def group_from_cayley(table, name: Optional[str] = None,
-                      *, assoc_bound: int = ASSOC_FULL_CHECK_BOUND) -> FiniteGroup:
+def group_from_cayley(table, name: Optional[str] = None) -> FiniteGroup:
     """Validate a raw Cayley table; relabels so the identity sits at index 0."""
     arr = np.asarray(table, dtype=np.int64)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
@@ -181,7 +179,7 @@ def group_from_cayley(table, name: Optional[str] = None,
         sigma = np.arange(n)
         sigma[0], sigma[ident] = ident, 0
         arr = sigma[arr[np.ix_(sigma, sigma)]]
-    return FiniteGroup(arr, name=name, assoc_bound=assoc_bound)
+    return FiniteGroup(arr, name=name)
 
 
 def group_to_json(group: FiniteGroup) -> dict:
@@ -709,17 +707,7 @@ def abelian_invariant_decomposition(elems: Sequence, mulfn: Callable,
     maximal order spans a direct summand, so a basis of the quotient lifts
     order-preservingly.
     """
-    order_memo: dict = {}
-
-    def elem_order(e, op):
-        k, cur = 1, e
-        while cur != identity:
-            cur = op(cur, e)
-            k += 1
-        return k
-
-    for e in elems:
-        order_memo[e] = elem_order(e, mulfn)
+    order_memo = {e: _element_order(e, mulfn, identity) for e in elems}
     n = len(elems)
     primes = sorted({p for p in range(2, n + 1) if n % p == 0 and _is_prime(p)})
     per_prime: dict[int, list] = {}
@@ -753,19 +741,20 @@ def abelian_invariant_decomposition(elems: Sequence, mulfn: Callable,
     return AbelianDecomposition(factors, coords)
 
 
+def _element_order(e, mulfn: Callable, identity) -> int:
+    """The least k >= 1 with e^k = identity under ``mulfn``."""
+    k, cur = 1, e
+    while cur != identity:
+        cur = mulfn(cur, e)
+        k += 1
+    return k
+
+
 def _p_group_basis(elems: Sequence, mulfn: Callable, identity, p: int) -> list:
     """Basis [(gen, order), ...] of an abelian p-group, orders descending."""
     if len(elems) <= 1:
         return []
-
-    def order_of(e):
-        k, cur = 1, e
-        while cur != identity:
-            cur = mulfn(cur, e)
-            k += 1
-        return k
-
-    orders = {e: order_of(e) for e in elems}
+    orders = {e: _element_order(e, mulfn, identity) for e in elems}
     top = max(orders.values())
     x = min(e for e in elems if orders[e] == top)
     cyc = [identity]
@@ -953,12 +942,7 @@ def are_isomorphic(g: FiniteGroup, h: FiniteGroup) -> Optional[list[int]]:
     k = len(gens)
     chain = [closure(g, gens[:j + 1]) for j in range(k)]
 
-    seen = np.zeros(n, dtype=bool)
-    h_class_reps = []
-    for x in range(n):
-        if not seen[x]:
-            seen[h.conj[:, x]] = True
-            h_class_reps.append(x)
+    h_class_reps = _orbit_reps(h.conj, np.arange(n))
     cand_pools = []
     for j, gen in enumerate(gens):
         fits = ((h.element_orders == g.element_orders[gen])

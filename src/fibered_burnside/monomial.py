@@ -13,8 +13,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .abelian_fiber import (AbelianFiber, Character, char_group_table,
-                            hom_set, trivial_character)
+from .abelian_fiber import (AbelianFiber, Character, char_index, hom_set,
+                            trivial_character)
 from .errors import ComponentMismatch
 from .group_core import (FiniteGroup, Subgroup, SubgroupClassTable,
                          _left_coset_data, conjugacy_classes_of_subgroups,
@@ -52,34 +52,21 @@ def gamma_block(k_sub: Subgroup, l_sub: Subgroup,
     group = k_sub.group
     if l_sub.group is not group:
         raise ValueError("subgroups live over different groups")
-    homs_k, homs_l = hom_set(k_sub, fiber), hom_set(l_sub, fiber)
-    n_k, n_l = len(homs_k), len(homs_l)
+    chars_k, chars_l = char_index(k_sub, fiber), char_index(l_sub, fiber)
+    n_k, n_l = len(chars_k.values), len(chars_l.values)
     reps, masks = _left_coset_data(group, l_sub)
     kmask = k_sub.mask
     fixed = [s for s, lmask in zip(reps, masks) if kmask & lmask == kmask]
     if not fixed:
         return np.zeros((n_k, n_l), dtype=np.int64)
-    # Characters agree iff they agree on generators of K (the identity
-    # stands in for the empty generating set of the trivial group).
-    gens = np.asarray(k_sub.generators() or (0,), dtype=np.int64)
-    phi_on = _values(homs_k)[:, [k_sub.position(int(k)) for k in gens]]
-    l_pos = np.full(group.order, -1, dtype=np.int64)
-    l_pos[list(l_sub.members)] = np.arange(l_sub.order)
-    # (^s psi)(k) = psi(s^-1 k s): one row per (psi, s), one column per k
+    # (^s psi)(k) = psi(s^-1 k s) on the generators of K, which determine
+    # a character of K: one row per (psi, s)
     sinv = group.inv[np.asarray(fixed, dtype=np.int64)]
-    psi_on = _values(homs_l)[:, l_pos[group.conj[np.ix_(sinv, gens)]]]
-    rows = np.concatenate([phi_on, psi_on.reshape(-1, gens.size)])
-    # Every row restricts a character to K, so it equals one phi row.
-    ids = np.unique(rows, axis=0, return_inverse=True)[1].ravel()
-    phi_of = np.empty(n_k, dtype=np.int64)
-    phi_of[ids[:n_k]] = np.arange(n_k)
-    a = phi_of[ids[n_k:]]
+    psi_on = chars_l.values[
+        :, chars_l.pos[group.conj[np.ix_(sinv, chars_k.gens)]]]
+    a = chars_k.index(psi_on).ravel()
     b = np.repeat(np.arange(n_l), len(fixed))
     return np.bincount(a * n_l + b, minlength=n_k * n_l).reshape(n_k, n_l)
-
-
-def _values(homs: Sequence[Character]) -> np.ndarray:
-    return np.asarray([h.values for h in homs], dtype=np.int64)
 
 
 class MonomialBasis:
@@ -99,39 +86,31 @@ class MonomialBasis:
         self.class_homs: list[list[Character]] = []
         self.class_block: list[tuple[int, int]] = []
         # per class: hom index -> basis index of its orbit representative
-        self._char_to_basis: list[list[int]] = []
-        self._chars_cache: dict = {}
+        self._char_to_basis: list[np.ndarray] = []
         self._block_cache: dict = {}
         self._ghost_image_cache: dict = {}
+        conj, inv = group.conj, group.inv
         for ci, k_sub in enumerate(class_table.reps):
             homs = hom_set(k_sub, fiber)
             self.class_homs.append(homs)
-            norm = normalizer(group, k_sub)
-            perms = _normalizer_char_action(k_sub, homs, norm)
-            n_h = len(homs)
-            orbit_rep = list(range(n_h))
-            # union-find style sweep over the full normalizer action
-            for perm in perms.values():
-                for i in range(n_h):
-                    j = perm[i]
-                    a, b = _find(orbit_rep, i), _find(orbit_rep, j)
-                    if a != b:
-                        orbit_rep[max(a, b)] = min(a, b)
-            roots = sorted({_find(orbit_rep, i) for i in range(n_h)},
-                           key=lambda r: homs[r].values)
+            chars = char_index(k_sub, fiber)
+            norm = np.asarray(normalizer(group, k_sub).members, dtype=np.int64)
+            # perm[n, i] is the index of x -> chi_i(n^-1 x n); N is a group,
+            # so column i runs over the whole orbit of chi_i
+            perm = chars.index(chars.values[
+                :, chars.pos[conj[np.ix_(inv[norm], chars.gens)]]]).T
+            root = perm.min(axis=0)
+            roots = sorted(set(root.tolist()), key=lambda r: homs[r].values)
             start = len(self.reps)
-            basis_of_root: dict[int, int] = {}
+            basis_of_root = np.empty(len(homs), dtype=np.int64)
             for r in roots:
                 basis_of_root[r] = len(self.reps)
-                chi = homs[r]
-                stab_members = [n for n, perm in perms.items() if perm[r] == r]
-                self.reps.append(MonomialPair(k_sub, chi))
-                self.stabilizers.append(
-                    Subgroup(group, stab_members, verify=False))
+                self.reps.append(MonomialPair(k_sub, homs[r]))
+                self.stabilizers.append(Subgroup(
+                    group, norm[perm[:, r] == r].tolist(), verify=False))
                 self.rep_class.append(ci)
                 self.rep_hom_index.append(r)
-            self._char_to_basis.append(
-                [basis_of_root[_find(orbit_rep, i)] for i in range(n_h)])
+            self._char_to_basis.append(basis_of_root[root])
             self.class_block.append((start, len(self.reps)))
         self.size = len(self.reps)
 
@@ -145,11 +124,8 @@ class MonomialBasis:
     def identity_index(self) -> int:
         full = self.class_table.class_of(
             Subgroup(self.group, range(self.group.order), verify=False))
-        homs = self.class_homs[full]
-        for hi in range(len(homs)):
-            if homs[hi].is_trivial():
-                return self._char_to_basis[full][hi]
-        raise AssertionError("trivial character missing")
+        trivial = char_index(self.class_table.reps[full], self.fiber).trivial
+        return int(self._char_to_basis[full][trivial])
 
     def identity_element(self) -> "BurnsideElement":
         return self.basis_element(self.identity_index())
@@ -174,9 +150,12 @@ class MonomialBasis:
         block = self._block_cache.get((ci, cj))
         if block is not None:
             return block
-        group, table = self.group, self.class_table
+        group, table, fiber = self.group, self.class_table, self.fiber
         k_sub, l_sub = table.reps[ci], table.reps[cj]
-        k_chars, l_chars = self._class_chars(ci), self._class_chars(cj)
+        k_chars, l_chars = char_index(k_sub, fiber), char_index(l_sub, fiber)
+        (i0, i1), (j0, j1) = self.class_block[ci], self.class_block[cj]
+        k_vals = k_chars.values[self.rep_hom_index[i0:i1]]
+        l_vals = l_chars.values[self.rep_hom_index[j0:j1]]
         kmem = np.asarray(k_sub.members, dtype=np.int64)
         lmem = np.asarray(l_sub.members, dtype=np.int64)
         terms = []
@@ -185,25 +164,19 @@ class MonomialBasis:
             in_conj_l[group.conj[s, lmem]] = True
             m_sub = Subgroup(group, kmem[in_conj_l[kmem]].tolist(),
                              verify=False)
-            m_chars = self._class_chars(table.class_of(m_sub))
+            cm = table.class_of(m_sub)
+            m_chars = char_index(table.reps[cm], fiber)
             # generators of M, carried over from those of its class rep
             g_inv = group.inv[table.transporter_to_rep(m_sub)]
             gens = group.conj[g_inv, m_chars.gens]
             # (phi * psi^s)(m) = phi(m) + psi(s^-1 m s), one row per (a, b)
-            vals = self.fiber.add_table[
-                k_chars.rep_values[:, k_chars.pos[gens]][:, None, :],
-                l_chars.rep_values[
-                    :, l_chars.pos[group.conj[group.inv[s], gens]]][None]]
-            terms.append(m_chars.basis_of_values(vals))
+            vals = fiber.add_table[
+                k_vals[:, k_chars.pos[gens]][:, None, :],
+                l_vals[:, l_chars.pos[group.conj[group.inv[s], gens]]][None]]
+            terms.append(self._char_to_basis[cm][m_chars.index(vals)])
         block = np.sort(np.stack(terms, axis=-1), axis=-1)
         self._block_cache[ci, cj] = block
         return block
-
-    def _class_chars(self, ci: int) -> "_ClassChars":
-        cached = self._chars_cache.get(ci)
-        if cached is None:
-            cached = self._chars_cache[ci] = _ClassChars(self, ci)
-        return cached
 
     def to_json(self) -> dict:
         return {
@@ -215,69 +188,6 @@ class MonomialBasis:
                 for p in self.reps
             ],
         }
-
-
-class _ClassChars:
-    """What the product kernel reads of one subgroup class's characters:
-    positions in its representative R, the values of the orbit
-    representatives, and a lookup from values on the generators of R to
-    basis indices."""
-
-    def __init__(self, basis: MonomialBasis, ci: int):
-        rep, homs = basis.class_table.reps[ci], basis.class_homs[ci]
-        i0, i1 = basis.class_block[ci]
-        self.pos = np.full(basis.group.order, -1, dtype=np.int64)
-        self.pos[list(rep.members)] = np.arange(rep.order)
-        values = _values(homs)
-        self.rep_values = values[basis.rep_hom_index[i0:i1]]
-        self.gens = np.asarray(rep.generators() or (0,), dtype=np.int64)
-        # a character's key: its values on the generators in mixed radix,
-        # exact Python integers once they would overflow int64
-        radix = basis.fiber.order
-        dtype = np.int64 if radix ** self.gens.size < 2 ** 63 else object
-        self.weights = np.asarray(
-            [radix ** k for k in range(self.gens.size)], dtype=dtype)
-        keys = (values[:, self.pos[self.gens]] * self.weights).sum(axis=-1)
-        order = np.argsort(keys)
-        self.keys = keys[order]
-        self.basis_index = np.asarray(basis._char_to_basis[ci],
-                                      dtype=np.int64)[order]
-        self.ci = ci
-
-    def basis_of_values(self, vals: np.ndarray) -> np.ndarray:
-        """Basis index of each character of R given by its values on the
-        generators of R (the last axis of ``vals``)."""
-        want = (vals * self.weights).sum(axis=-1)
-        at = np.minimum(np.searchsorted(self.keys, want), self.keys.size - 1)
-        if not np.array_equal(self.keys[at], want):
-            raise ValueError(f"a character product on class {self.ci} "
-                             f"matches no character of its hom set")
-        return self.basis_index[at]
-
-
-def _find(parent: list[int], i: int) -> int:
-    while parent[i] != i:
-        parent[i] = parent[parent[i]]
-        i = parent[i]
-    return i
-
-
-def _normalizer_char_action(k_sub: Subgroup, homs: Sequence[Character],
-                            norm: Subgroup) -> dict[int, list[int]]:
-    """For each n in the normalizer, the permutation of hom-set indices."""
-    group = k_sub.group
-    mem = np.asarray(k_sub.members, dtype=np.int64)
-    pos = np.full(group.order, -1, dtype=np.int64)
-    pos[mem] = np.arange(mem.size)
-    vals = _values(homs)
-    lookup = {h.values: i for i, h in enumerate(homs)}
-    perms: dict[int, list[int]] = {}
-    for n in norm.members:
-        ninv = group.inverse(n)
-        perm_pos = pos[group.conj[ninv, mem]]
-        permuted = vals[:, perm_pos]
-        perms[n] = [lookup[tuple(int(v) for v in row)] for row in permuted]
-    return perms
 
 
 def monomial_basis(group: FiniteGroup, fiber: AbelianFiber,
@@ -392,10 +302,10 @@ class GhostRing:
     def __init__(self, basis: MonomialBasis):
         self.basis = basis
         self.class_homs = basis.class_homs
-        self.mul_tables = [char_group_table(homs) for homs in self.class_homs]
-        self.trivial_index = [next(i for i, h in enumerate(homs)
-                                   if h.is_trivial())
-                              for homs in self.class_homs]
+        chars = [char_index(k_sub, basis.fiber)
+                 for k_sub in basis.class_table.reps]
+        self.mul_tables = [c.table for c in chars]
+        self.trivial_index = [c.trivial for c in chars]
 
     def zero(self) -> "GhostElement":
         return GhostElement(self, [[0] * len(h) for h in self.class_homs])

@@ -16,11 +16,11 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .abelian_fiber import (AbelianFiber, Character, char_group_table,
-                            hom_set)
+from .abelian_fiber import AbelianFiber, Character, char_index, hom_set
 from .errors import (FiberHasPTorsion, InvalidSpec, NotABijection,
                      NotAGroupIso, SearchBudgetExceeded)
-from .group_core import (FiniteGroup, Subgroup, abelian_invariant_decomposition,
+from .group_core import (FiniteGroup, Subgroup, _element_order,
+                         abelian_invariant_decomposition,
                          conjugacy_classes_of_subgroups)
 from .monomial import gamma_block, monomial_basis
 from .thevenaz import ThevenazGroup, canonical_class_reps
@@ -96,22 +96,11 @@ class SpeciesVerdict:
 
 def _char_group_data(homs: Sequence[Character]):
     """(product table, identity index, invariant decomposition)."""
-    table = char_group_table(homs)
-    ident = next(i for i, h in enumerate(homs) if h.is_trivial())
+    chars = char_index(homs[0].domain, homs[0].fiber)
+    rows, ident = chars.table.tolist(), chars.trivial
     dec = abelian_invariant_decomposition(
-        list(range(len(homs))), lambda a, b: table[a][b], ident)
-    return table, ident, dec
-
-
-def _element_orders_from_table(table, ident) -> list[int]:
-    orders = []
-    for e in range(len(table)):
-        k, cur = 1, e
-        while cur != ident:
-            cur = table[cur][e]
-            k += 1
-        orders.append(k)
-    return orders
+        list(range(len(rows))), lambda a, b: rows[a][b], ident)
+    return chars.table, ident, dec
 
 
 def char_group_isomorphisms(homs1: Sequence[Character],
@@ -130,8 +119,8 @@ def char_group_isomorphisms(homs1: Sequence[Character],
     if dec1.factors != dec2.factors:
         return
     n = len(homs1)
-    orders2 = _element_orders_from_table(table2, id2)
-    table2 = np.asarray(table2, dtype=np.int64)
+    orders2 = [_element_order(e, lambda a, b: table2[a, b], id2)
+               for e in range(n)]
     # powers[k] holds c^0 .. c^(d-1) for each candidate image c of the
     # k-th generator, of order d, by ascending index of c
     powers: list[list[np.ndarray]] = []
@@ -169,15 +158,10 @@ def char_group_isomorphisms(homs1: Sequence[Character],
     yield from extend(0, np.asarray([id2], dtype=np.int64), start)
 
 
-def _is_char_group_iso(homs1, homs2, mapping: Sequence[int]) -> bool:
-    table1 = char_group_table(homs1)
-    table2 = char_group_table(homs2)
-    n = len(homs1)
-    for a in range(n):
-        for b in range(n):
-            if mapping[table1[a][b]] != table2[mapping[a]][mapping[b]]:
-                return False
-    return True
+def _is_char_group_iso(table1: np.ndarray, table2: np.ndarray,
+                       mapping: Sequence[int]) -> bool:
+    m = np.asarray(mapping, dtype=np.int64)
+    return np.array_equal(m[table1], table2[np.ix_(m, m)])
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +192,9 @@ def verify_species(g: FiniteGroup, h: FiniteGroup, fiber: AbelianFiber,
         if (len(cmap) != len(homs_g[ci])
                 or sorted(cmap) != list(range(len(homs_h[cj])))):
             raise NotABijection(f"character map of class {ci} is not a bijection")
-        if not _is_char_group_iso(homs_g[ci], homs_h[cj], cmap):
+        if not _is_char_group_iso(
+                char_index(basis_g.class_table.reps[ci], fiber).table,
+                char_index(basis_h.class_table.reps[cj], fiber).table, cmap):
             raise NotAGroupIso(
                 f"character map of class {ci} does not preserve products")
     for ci in range(k):
@@ -256,7 +242,7 @@ def _structure_constant_check(basis_g, basis_h, witness):
         hi = basis_g.rep_hom_index[idx]
         cj = witness.subgroup_map[ci]
         hj = witness.char_maps[ci][hi]
-        mapping.append(basis_h._char_to_basis[cj][hj])
+        mapping.append(int(basis_h._char_to_basis[cj][hj]))
     if len(set(mapping)) != basis_g.size:
         return {"reason": "induced basis map is not a bijection"}, None
     image = np.asarray(mapping, dtype=np.int64)
@@ -292,7 +278,7 @@ def _structure_constant_check(basis_g, basis_h, witness):
 # Search
 
 
-def _class_invariant(group, table, ci: int, fiber) -> tuple:
+def _class_invariant(table, ci: int, fiber) -> tuple:
     rep = table.reps[ci]
     homs = hom_set(rep, fiber)
     cross = Counter()
@@ -317,8 +303,8 @@ def search_species(g: FiniteGroup, h: FiniteGroup, fiber: AbelianFiber,
     k = len(ct_g.reps)
     if len(ct_h.reps) != k:
         return None
-    inv_g = [_class_invariant(g, ct_g, i, fiber) for i in range(k)]
-    inv_h = [_class_invariant(h, ct_h, i, fiber) for i in range(k)]
+    inv_g = [_class_invariant(ct_g, i, fiber) for i in range(k)]
+    inv_h = [_class_invariant(ct_h, i, fiber) for i in range(k)]
     if sorted(inv_g) != sorted(inv_h):
         return None
     homs_g = [hom_set(s, fiber) for s in ct_g.reps]

@@ -6,7 +6,11 @@ time instead of by blocks of characters. The isomorphism search walks the
 same backtrack tree as the library's, one candidate and one element at a
 time in Python, so the two must return the same map. Structure constants
 are computed one basis pair and one double coset at a time, and character
-group isomorphisms by scanning every tuple of generator images."""
+group isomorphisms by scanning every tuple of generator images. Characters
+are identified by dictionaries of their full value tuples: normalizer
+orbits on Hom(K, A) come from a union-find sweep over one permutation per
+normalizer element, and character-group tables from multiplying
+``Character`` objects."""
 
 import itertools
 from collections import Counter
@@ -14,15 +18,14 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from fibered_burnside.abelian_fiber import Character
+from fibered_burnside.abelian_fiber import AbelianFiber, Character, hom_set
 from fibered_burnside.errors import NotAGroup
 from fibered_burnside.group_core import (FiniteGroup, Subgroup,
                                          _left_coset_data,
                                          _subgroup_order_census,
-                                         double_coset_reps)
+                                         abelian_invariant_decomposition,
+                                         double_coset_reps, normalizer)
 from fibered_burnside.monomial import MonomialBasis, MonomialPair
-from fibered_burnside.species import (_char_group_data,
-                                      _element_orders_from_table)
 
 
 def reference_closure(group: FiniteGroup, gens: Iterable[int]) -> tuple[int, ...]:
@@ -315,6 +318,89 @@ def reference_product(basis: MonomialBasis, i: int, j: int,
         chi = Character(m_sub, fiber, vals, verify=False)
         out[canonical_index(basis, MonomialPair(m_sub, chi), cache)] += 1
     return sorted(out.items())
+
+
+def reference_char_group_table(homs: Sequence[Character]) -> list[list[int]]:
+    """Entry [i][j] is the index in ``homs`` of homs[i] * homs[j]."""
+    lookup = {h.values: i for i, h in enumerate(homs)}
+    return [[lookup[(hi * hj).values] for hj in homs] for hi in homs]
+
+
+def _char_group_data(homs: Sequence[Character]):
+    """(product table, identity index, invariant decomposition)."""
+    table = reference_char_group_table(homs)
+    ident = next(i for i, h in enumerate(homs) if h.is_trivial())
+    dec = abelian_invariant_decomposition(
+        list(range(len(homs))), lambda a, b: table[a][b], ident)
+    return table, ident, dec
+
+
+def _element_orders_from_table(table, ident) -> list[int]:
+    orders = []
+    for e in range(len(table)):
+        k, cur = 1, e
+        while cur != ident:
+            cur = table[cur][e]
+            k += 1
+        orders.append(k)
+    return orders
+
+
+def _values(homs: Sequence[Character]) -> np.ndarray:
+    return np.asarray([h.values for h in homs], dtype=np.int64)
+
+
+def _find(parent: list[int], i: int) -> int:
+    while parent[i] != i:
+        parent[i] = parent[parent[i]]
+        i = parent[i]
+    return i
+
+
+def _normalizer_char_action(k_sub: Subgroup, homs: Sequence[Character],
+                            norm: Subgroup) -> dict[int, list[int]]:
+    """For each n in the normalizer, the permutation of hom-set indices."""
+    group = k_sub.group
+    mem = np.asarray(k_sub.members, dtype=np.int64)
+    pos = np.full(group.order, -1, dtype=np.int64)
+    pos[mem] = np.arange(mem.size)
+    vals = _values(homs)
+    lookup = {h.values: i for i, h in enumerate(homs)}
+    perms: dict[int, list[int]] = {}
+    for n in norm.members:
+        ninv = group.inverse(n)
+        perm_pos = pos[group.conj[ninv, mem]]
+        permuted = vals[:, perm_pos]
+        perms[n] = [lookup[tuple(int(v) for v in row)] for row in permuted]
+    return perms
+
+
+def reference_char_orbits(k_sub: Subgroup, fiber: AbelianFiber, start: int):
+    """Normalizer orbits on Hom(K, A), as a basis over one class with
+    ``start`` as its first index: (hom-set index of each orbit
+    representative, its stabilizer's members, basis index of each
+    character). Orbits are merged by a union-find sweep over every
+    normalizer element's permutation of the hom set."""
+    group = k_sub.group
+    homs = hom_set(k_sub, fiber)
+    norm = normalizer(group, k_sub)
+    perms = _normalizer_char_action(k_sub, homs, norm)
+    n_h = len(homs)
+    orbit_rep = list(range(n_h))
+    # union-find style sweep over the full normalizer action
+    for perm in perms.values():
+        for i in range(n_h):
+            j = perm[i]
+            a, b = _find(orbit_rep, i), _find(orbit_rep, j)
+            if a != b:
+                orbit_rep[max(a, b)] = min(a, b)
+    roots = sorted({_find(orbit_rep, i) for i in range(n_h)},
+                   key=lambda r: homs[r].values)
+    basis_of_root = {r: start + k for k, r in enumerate(roots)}
+    stabilizers = [[n for n, perm in perms.items() if perm[r] == r]
+                   for r in roots]
+    return (roots, stabilizers,
+            [basis_of_root[_find(orbit_rep, i)] for i in range(n_h)])
 
 
 def reference_char_group_isomorphisms(homs1: Sequence[Character],

@@ -64,6 +64,17 @@ def test_marks_out_file(capsys, tmp_path):
     assert report["result"]["order"] == 4
 
 
+@pytest.mark.parametrize("dest", ["missing/marks.json", "."])
+def test_out_path_that_cannot_be_opened(capsys, tmp_path, dest):
+    # a missing parent directory, and a directory
+    code, out, err = run(capsys, "marks", "cyclic:2", "--out",
+                         str(tmp_path / dest))
+    assert code == 2
+    assert out == ""
+    assert len([line for line in err.splitlines()
+                if line.startswith("error:")]) == 1
+
+
 def test_timing_on_stderr(capsys):
     _, _, err = run(capsys, "marks", "cyclic:2")
     assert "timing_ms:" in err
@@ -225,6 +236,20 @@ def test_bad_group_specs(capsys, spec):
     code, _, err = run(capsys, "marks", spec)
     assert code == 2
     assert "error:" in err
+
+
+# at or above 2^64 these fail before anything is allocated
+@pytest.mark.parametrize("argv", [
+    ("marks", "abelian:99999999999999999999"),
+    ("marks", "abelian:2,18446744073709551616"),
+    ("gamma", "cyclic:2", "--fiber", "99999999999999999999"),
+    ("gamma", "cyclic:2", "--fiber", "18446744073709551616,2"),
+])
+def test_integers_too_large_for_a_spec(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
 
 
 def test_bad_fiber_spec(capsys):

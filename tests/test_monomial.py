@@ -13,9 +13,10 @@ from math import gcd
 import numpy as np
 import pytest
 
-from fibered_burnside.abelian_fiber import AbelianFiber, hom_set
+from fibered_burnside.abelian_fiber import AbelianFiber, char_index, hom_set
 from fibered_burnside.errors import ComponentMismatch
-from fibered_burnside.group_core import (abelian_group, conjugate_subgroup,
+from fibered_burnside.group_core import (Subgroup, abelian_group,
+                                         conjugate_subgroup,
                                          conjugacy_classes_of_subgroups,
                                          cyclic_group, double_coset_reps,
                                          mark, symmetric_group)
@@ -25,7 +26,9 @@ from fibered_burnside.monomial import (BurnsideElement, MonomialPair,
                                        integer_matrix_determinant,
                                        mark_morphism, monomial_basis, multiply)
 from fibered_burnside.thevenaz import canonical_class_reps
-from oracles import canonical_index, reference_gamma, reference_product
+from oracles import (canonical_index, reference_char_group_table,
+                     reference_char_orbits, reference_gamma,
+                     reference_product)
 
 
 def _basis(group, fiber):
@@ -258,12 +261,67 @@ def test_product_block_rejects_values_of_no_character():
     # over C4, characters of C2 x C2 take values in {0, 2} only
     basis = monomial_basis(abelian_group((2, 2)), AbelianFiber((4,)))
     full = len(basis.class_block) - 1
-    chars = basis._class_chars(full)
+    chars = char_index(basis.class_table.reps[full], basis.fiber)
     assert chars.gens.size == 2
     i0, i1 = basis.class_block[full]
-    assert i0 <= int(chars.basis_of_values(np.array([2, 0]))) < i1
+    hi = chars.index(np.array([2, 0]))
+    assert i0 <= int(basis._char_to_basis[full][hi]) < i1
     with pytest.raises(ValueError, match="matches no character"):
-        chars.basis_of_values(np.array([[1, 0]]))
+        chars.index(np.array([[1, 0]]))
+
+
+# ---------------------------------------------------------------------------
+# The character index against the union-find sweep and Character products
+
+
+def _assert_char_data_matches_reference(basis):
+    for ci, k_sub in enumerate(basis.class_table.reps):
+        i0, i1 = basis.class_block[ci]
+        roots, stabilizers, to_basis = reference_char_orbits(
+            k_sub, basis.fiber, i0)
+        assert basis.rep_hom_index[i0:i1] == roots
+        assert [list(s.members)
+                for s in basis.stabilizers[i0:i1]] == stabilizers
+        assert basis._char_to_basis[ci].tolist() == to_basis
+        assert char_index(k_sub, basis.fiber).table.tolist() == \
+            reference_char_group_table(hom_set(k_sub, basis.fiber))
+
+
+@pytest.mark.parametrize("factors", [(1,), (2,), (6,), (2, 4)])
+def test_char_orbits_and_tables_match_reference(small_groups, factors):
+    fiber = AbelianFiber(factors)
+    for g in small_groups:
+        _assert_char_data_matches_reference(monomial_basis(g, fiber))
+
+
+def test_char_orbits_and_tables_match_reference_larger(tg_11_5_a, tg_11_5_b,
+                                                       s4, fiber_c5,
+                                                       fiber_c6):
+    _assert_char_data_matches_reference(
+        monomial_basis(abelian_group((2, 2, 2, 2)), AbelianFiber((2, 2))))
+    for tg in (tg_11_5_a, tg_11_5_b):
+        _assert_char_data_matches_reference(monomial_basis(tg.group,
+                                                           fiber_c5))
+    default = conjugacy_classes_of_subgroups(s4).reps
+    moved = [conjugate_subgroup(s4, s4.order - 1, r) for r in default]
+    _assert_char_data_matches_reference(monomial_basis(
+        s4, fiber_c6, conjugacy_classes_of_subgroups(s4, reps=moved)))
+
+
+def test_char_index_keys_beyond_int64():
+    # 1458^6 > 2^63: the keys of the 64 characters of (C2)^6 over C1458
+    # are exact Python integers
+    e64 = abelian_group((2,) * 6)
+    full = Subgroup(e64, range(e64.order))
+    fiber = AbelianFiber((1458,))
+    chars = char_index(full, fiber)
+    assert chars.gens.size == 6 and 1458 ** 6 > 2 ** 63
+    assert chars.index(chars.values[:, chars.pos[chars.gens]]).tolist() == \
+        list(range(64))
+    assert chars.table.tolist() == reference_char_group_table(
+        hom_set(full, fiber))
+    with pytest.raises(ValueError, match="matches no character"):
+        chars.index(np.ones(6, dtype=np.int64))
 
 
 # ---------------------------------------------------------------------------
