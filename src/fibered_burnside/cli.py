@@ -9,6 +9,7 @@ byte-identical across runs for identical inputs; timing goes to stderr.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import sys
@@ -248,11 +249,56 @@ def cmd_reproduce_paper(p: int = 11, q: int = 5,
 # Entry point
 
 
-def _matrix_csv(rows: Sequence[Sequence[int]]) -> str:
-    return "\n".join(",".join(str(v) for v in row) for row in rows) + "\n"
+# Decimal text of the small non-negative ints that fill gamma and marks rows
+_SMALL_INTS = tuple(str(v) for v in range(1024))
+
+
+def _join_ints(row: Sequence[int], sep: str) -> str:
+    """``sep.join`` of the decimal text of a row of ints."""
+    small, n = _SMALL_INTS, len(_SMALL_INTS)
+    return sep.join([small[v] if 0 <= v < n else str(v) for v in row])
+
+
+def _write_json(obj, write, level: int = 0) -> None:
+    """Send ``obj`` through ``write`` piece by piece, as the text of
+    ``json.dumps(obj, sort_keys=True, indent=2)`` nested ``level`` deep.
+
+    A list of plain ints (never bools) goes out in one write: these are the
+    rows of the gamma table, the marks and the subgroup members. Dict keys
+    must be strings, as in every report; others raise TypeError."""
+    if not isinstance(obj, (dict, list, tuple)):
+        write(json.dumps(obj))
+        return
+    is_dict = isinstance(obj, dict)
+    if not obj:
+        write("{}" if is_dict else "[]")
+        return
+    inner = "\n" + "  " * (level + 1)
+    close = "\n" + "  " * level + ("}" if is_dict else "]")
+    if is_dict:
+        sep = "{" + inner
+        for key, value in sorted(obj.items()):
+            if not isinstance(key, str):
+                raise TypeError("report keys must be str, not "
+                                f"{type(key).__name__}")
+            write(sep + json.dumps(key) + ": ")
+            _write_json(value, write, level + 1)
+            sep = "," + inner
+    elif set(map(type, obj)) == {int}:
+        write("[" + inner + _join_ints(obj, "," + inner) + close)
+        return
+    else:
+        sep = "[" + inner
+        for item in obj:
+            write(sep)
+            _write_json(item, write, level + 1)
+            sep = "," + inner
+    write(close)
 
 
 def _emit(report: dict, code: int, args) -> int:
+    """Stream the report (or its matrix, as CSV) to ``--out`` or stdout."""
+    matrix = None
     if getattr(args, "format", "json") == "csv":
         result = report["result"]
         matrix = result.get("marks") or result.get("gamma")
@@ -260,15 +306,15 @@ def _emit(report: dict, code: int, args) -> int:
             print("csv format is only available for matrix outputs",
                   file=sys.stderr)
             return EXIT_USAGE
-        text = _matrix_csv(matrix)
-    else:
-        text = json.dumps(report, sort_keys=True, indent=2) + "\n"
     out = getattr(args, "out", None)
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    with (open(out, "w", encoding="utf-8") if out
+          else contextlib.nullcontext(sys.stdout)) as fh:
+        if matrix is None:
+            _write_json(report, fh.write)
+            fh.write("\n")
+        else:
+            for row in matrix:
+                fh.write(_join_ints(row, ",") + "\n")
     return code
 
 
@@ -347,6 +393,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_USAGE
     except (OSError, json.JSONDecodeError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as exc:
+        # a spec too large for this machine, e.g. `marks cyclic:200000`
+        print(f"error: out of memory: {exc}" if str(exc)
+              else "error: out of memory", file=sys.stderr)
         return EXIT_USAGE
 
 

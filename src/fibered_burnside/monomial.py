@@ -219,9 +219,10 @@ def all_monomial_pairs(group: FiniteGroup,
 
 def gamma_table(basis: MonomialBasis) -> list[list[int]]:
     """Gamma coefficients of every basis pair against every basis pair."""
-    # Rows grow block by block. Freeing one table-sized array would raise
-    # glibc's dynamic mmap threshold, and serializing the table afterwards
-    # then peaks higher: by 26 MB for (C2)^4 over C2 x C2.
+    # Rows grow block by block, so no table-sized array lives beside the
+    # rows. The CLI streams the report row by row, so these rows set the
+    # peak memory of `gamma`; one such array would add 23 MB to it for
+    # (C2)^4 over C2 x C2.
     table: list[list[int]] = [[] for _ in range(basis.size)]
     reps, hom_index = basis.class_table.reps, basis.rep_hom_index
     for ci, (i0, i1) in enumerate(basis.class_block):
@@ -403,19 +404,23 @@ def mark_morphism(basis: MonomialBasis, x: BurnsideElement) -> GhostElement:
     if x.basis is not basis:
         raise ComponentMismatch("element over a different basis")
     ring = ghost_ring(basis)
+    images = basis._ghost_image_cache
     result = ring.zero()
     for j, c in enumerate(x.coeffs):
         if not c:
             continue
-        img = basis._ghost_image_cache.get(j)
-        if img is None:
-            l_sub = basis.reps[j].subgroup
-            b = basis.rep_hom_index[j]
-            img = GhostElement(ring, [
-                gamma_block(k_sub, l_sub, basis.fiber)[:, b]
-                for k_sub in basis.class_table.reps])
-            basis._ghost_image_cache[j] = img
-        result = result + img.scaled(c)
+        if j not in images:
+            # one gamma block per class K gives the images of the whole
+            # class of reps[j]
+            cj = basis.rep_class[j]
+            reps = basis.class_table.reps
+            blocks = [gamma_block(k_sub, reps[cj], basis.fiber)
+                      for k_sub in reps]
+            j0, j1 = basis.class_block[cj]
+            for i in range(j0, j1):
+                b = basis.rep_hom_index[i]
+                images[i] = GhostElement(ring, [blk[:, b] for blk in blocks])
+        result = result + images[j].scaled(c)
     return result
 
 

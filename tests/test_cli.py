@@ -3,9 +3,16 @@ determinism. All invocations go through ``cli.main`` in process."""
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, seed, settings
+from hypothesis import strategies as st
 
+import fibered_burnside
 from fibered_burnside import cli
 from fibered_burnside.group_core import (conjugacy_classes_of_subgroups,
                                          symmetric_group)
@@ -53,6 +60,15 @@ def test_marks_csv(capsys):
     rows = [line.split(",") for line in out.strip().splitlines()]
     assert rows[0] == ["6", "3", "2", "1"]
     assert len(rows) == 4
+
+
+def test_gamma_csv_e16_digest(capsys):
+    # sha256 recorded before CSV output was streamed row by row
+    code, out, _ = run(capsys, "gamma", "abelian:2,2,2,2", "--fiber", "2,2",
+                       "--format", "csv")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "97a437abcc73760205864e9bcbaea5e511d0d1b8f806c46bff1f49c5b79138fb"
 
 
 def test_marks_out_file(capsys, tmp_path):
@@ -252,6 +268,30 @@ def test_integers_too_large_for_a_spec(capsys, argv):
     assert err.startswith("error:") and len(err.splitlines()) == 1
 
 
+# stand-ins for `marks cyclic:200000` and `gamma cyclic:2 --fiber 100000`,
+# which ask numpy for an order^2 table
+@pytest.mark.parametrize("command, argv", [
+    ("cmd_marks", ("marks", "cyclic:2")),
+    ("cmd_gamma", ("gamma", "cyclic:2", "--fiber", "2")),
+])
+@pytest.mark.parametrize("exc", [
+    MemoryError(),
+    MemoryError("Unable to allocate 298. GiB for an array with shape "
+                "(200000, 200000) and data type int64"),
+])
+def test_out_of_memory_is_a_usage_error(capsys, monkeypatch, command, argv,
+                                        exc):
+    def too_large(*args):
+        raise exc
+
+    monkeypatch.setattr(cli, command, too_large)
+    code, out, err = run(capsys, *argv)
+    assert_usage_error(code, err)
+    assert out == ""
+    assert err.startswith("error: out of memory")
+    assert len(err.splitlines()) == 1
+
+
 def test_bad_fiber_spec(capsys):
     code, _, err = run(capsys, "gamma", "cyclic:2", "--fiber", "x")
     assert code == 2
@@ -355,14 +395,122 @@ GOLDEN = [
 ]
 
 
-@pytest.mark.parametrize("argv, exit_code, digest", GOLDEN, ids=[
-    "gamma-s4-fiber6", "gamma-d4-fiber2x4", "verify-auto-s3",
-    "verify-witness-gamma-mismatch", "verify-thevenaz-147",
-    "reproduce-7-3"])
-def test_golden_stdout_digest(capsys, tmp_path, argv, exit_code, digest):
+GOLDEN_IDS = ["gamma-s4-fiber6", "gamma-d4-fiber2x4", "verify-auto-s3",
+              "verify-witness-gamma-mismatch", "verify-thevenaz-147",
+              "reproduce-7-3"]
+
+
+def golden_argv(tmp_path, argv):
     witness_file = tmp_path / "witness.json"
     witness_file.write_text(json.dumps(GAMMA_FAILING_D4_WITNESS))
-    argv = [a.format(witness=witness_file) for a in argv]
-    code, out, _ = run(capsys, *argv)
+    return [a.format(witness=witness_file) for a in argv]
+
+
+@pytest.mark.parametrize("argv, exit_code, digest", GOLDEN, ids=GOLDEN_IDS)
+def test_golden_stdout_digest(capsys, tmp_path, argv, exit_code, digest):
+    code, out, _ = run(capsys, *golden_argv(tmp_path, argv))
     assert code == exit_code
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv, exit_code, digest", GOLDEN, ids=GOLDEN_IDS)
+def test_golden_out_file_equals_stdout(capsys, tmp_path, argv, exit_code,
+                                       digest):
+    # the file holds the bytes whose digest the stdout test pins
+    dest = tmp_path / "report.json"
+    code, out, _ = run(capsys, *golden_argv(tmp_path, argv),
+                       "--out", str(dest))
+    assert code == exit_code
+    assert out == ""
+    assert hashlib.sha256(dest.read_bytes()).hexdigest() == digest
+
+
+E16_GAMMA_DIGEST = \
+    "a1613976bcd30c39e1ae31fe9b906424c869a0725662ff6c4b278dd7d7874373"
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="reads ru_maxrss in KiB, as Linux reports it")
+def test_gamma_e16_report_streams_in_bounded_memory(tmp_path):
+    # the 38 MB report of the 1837 x 1837 gamma table must not be built as
+    # one string; stderr goes to a regular file, as in bench/run.py
+    src = str(Path(fibered_burnside.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    digest = hashlib.sha256()
+    with open(tmp_path / "stderr.txt", "w", encoding="utf-8") as err:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "fibered_burnside.cli", "gamma",
+             "abelian:2,2,2,2", "--fiber", "2,2"],
+            stdout=subprocess.PIPE, stderr=err, env=env)
+        for chunk in iter(lambda: proc.stdout.read(1 << 16), b""):
+            digest.update(chunk)
+        proc.stdout.close()
+        _, status, usage = os.wait4(proc.pid, 0)
+        proc.returncode = os.waitstatus_to_exitcode(status)
+    assert proc.returncode == 0
+    assert digest.hexdigest() == E16_GAMMA_DIGEST
+    assert usage.ru_maxrss / 1024 < 120
+
+
+# ---------------------------------------------------------------------------
+# the streaming report writer against json.dumps
+
+
+def written(obj) -> str:
+    pieces = []
+    cli._write_json(obj, pieces.append)
+    return "".join(pieces)
+
+
+# on both sides of the table of small ints, and far past it
+INTS = st.one_of(st.integers(-3, len(cli._SMALL_INTS) + 2), st.integers())
+LEAVES = st.one_of(st.none(), st.booleans(), INTS, st.floats(), st.text(),
+                   st.lists(INTS, max_size=6))
+NESTED = st.recursive(LEAVES, lambda kids: st.one_of(
+    st.lists(kids, max_size=4), st.lists(kids, max_size=4).map(tuple),
+    st.dictionaries(st.text(max_size=4), kids, max_size=4)), max_leaves=24)
+
+
+@seed(20261018)
+@settings(max_examples=250, deadline=None, database=None)
+@given(NESTED)
+@example([])
+@example({})
+@example([7])
+@example([[]])
+@example({"": {}, "b": [[1024]], "a": ("x", [-1])})
+@example([True, 1, False, 0])
+@example([1.0, 1, None])
+@example({"\u00e9\u4e2d": ["\U0001f600", 10 ** 30, -(10 ** 30)]})
+def test_write_json_matches_json_dumps(obj):
+    assert written(obj) == json.dumps(obj, sort_keys=True, indent=2)
+
+
+KEYS = st.one_of(st.text(max_size=3), st.integers(-20, 20), st.booleans(),
+                 st.none(), st.floats(), st.tuples(st.integers(0, 2)))
+
+
+@seed(20261018)
+@settings(max_examples=300, deadline=None, database=None)
+@given(st.dictionaries(KEYS, st.one_of(
+    INTS, st.lists(INTS, max_size=3),
+    st.dictionaries(KEYS, INTS, max_size=3)), max_size=4))
+@example({2: 0, 10: 1})
+@example({None: 0})
+@example({(0,): 0})
+@example({1: 0, "1": 1})
+def test_write_json_non_str_keys_match_or_raise_type_error(obj):
+    try:
+        text = written(obj)
+    except TypeError:
+        assert any(not isinstance(k, str) for k in _all_keys(obj))
+    else:
+        assert text == json.dumps(obj, sort_keys=True, indent=2)
+
+
+def _all_keys(obj):
+    for key, value in obj.items():
+        yield key
+        if isinstance(value, dict):
+            yield from _all_keys(value)

@@ -13,6 +13,7 @@ from math import gcd
 import numpy as np
 import pytest
 
+from fibered_burnside import monomial
 from fibered_burnside.abelian_fiber import AbelianFiber, char_index, hom_set
 from fibered_burnside.errors import ComponentMismatch
 from fibered_burnside.group_core import (Subgroup, abelian_group,
@@ -20,7 +21,8 @@ from fibered_burnside.group_core import (Subgroup, abelian_group,
                                          conjugacy_classes_of_subgroups,
                                          cyclic_group, double_coset_reps,
                                          mark, symmetric_group)
-from fibered_burnside.monomial import (BurnsideElement, MonomialPair,
+from fibered_burnside.monomial import (BurnsideElement, MonomialBasis,
+                                       MonomialPair,
                                        all_monomial_pairs, gamma_block,
                                        gamma_table, ghost_multiply, ghost_ring,
                                        integer_matrix_determinant,
@@ -435,6 +437,26 @@ def test_mark_morphism_linear(s3, fiber_c6):
     y = basis.basis_element(1)
     assert mark_morphism(basis, x + y) == \
         mark_morphism(basis, x) + mark_morphism(basis, y)
+
+
+def test_ghost_images_take_one_gamma_block_per_class_pair(monkeypatch,
+                                                        fiber_c2):
+    # (C2)^4 over C2: 67 subgroup classes, 307 basis elements
+    basis = MonomialBasis(abelian_group([2, 2, 2, 2]), fiber_c2)
+    table = gamma_table(basis)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return gamma_block(*args)
+
+    monkeypatch.setattr(monomial, "gamma_block", counted)
+    images = [mark_morphism(basis, basis.basis_element(j))
+              for j in range(basis.size)]
+    n_classes = len(basis.class_table.reps)
+    assert len(calls) <= n_classes ** 2
+    for a, (ca, ha) in enumerate(zip(basis.rep_class, basis.rep_hom_index)):
+        assert [img.comps[ca][ha] for img in images] == table[a]
 
 
 def test_ring_homomorphism_suite(s3, d4, fiber_c2, fiber_c6):
