@@ -116,23 +116,7 @@ class Character:
         self._hash = hash((id(domain.group), domain.members, fiber.factors,
                            values))
         if verify:
-            self._verify()
-
-    def _verify(self) -> None:
-        if self.values[self.domain.position(0)] != 0:
-            raise ValueError("character must send the identity to 0")
-        group = self.domain.group
-        mem = np.asarray(self.domain.members, dtype=np.int64)
-        pos = np.full(group.order, -1, dtype=np.int64)
-        pos[mem] = np.arange(mem.size)
-        vals = np.asarray(self.values, dtype=np.int64)
-        prod_pos = pos[group.mul[np.ix_(mem, mem)]]
-        if prod_pos.min() < 0:
-            raise ValueError("domain is not closed")
-        lhs = vals[prod_pos]
-        rhs = self.fiber.add_table[np.ix_(vals, vals)]
-        if not np.array_equal(lhs, rhs):
-            raise ValueError("value map is not a homomorphism")
+            _check_homs(domain, fiber, [values])
 
     def value_index(self, g: int) -> int:
         return self.values[self.domain.position(g)]
@@ -187,36 +171,42 @@ def trivial_character(domain: Subgroup, fiber: AbelianFiber) -> Character:
     return Character(domain, fiber, [0] * domain.order, verify=False)
 
 
-def hom_set(domain: Subgroup, fiber: AbelianFiber) -> list[Character]:
-    """Every homomorphism K -> A, in a deterministic order.
+def _check_homs(domain: Subgroup, fiber: AbelianFiber, rows) -> None:
+    """Raise ValueError unless every row of ``rows`` (fiber element indices,
+    one per member of K) is a homomorphism K -> A.
 
-    K is abelianized; a homomorphism is a choice of one d-torsion image per
-    invariant factor C_d. The order is lexicographic in that image tuple.
-    """
-    key = ("hom", fiber.factors)
-    cached = domain._hom_cache.get(key)
-    if cached is not None:
-        return list(cached)
-    dec = abelianization(domain)
-    candidate_lists = [fiber.torsion_indices(d) for d in dec.factors]
-    homs = []
-    for images in itertools.product(*candidate_lists):
-        vals = []
-        for m in domain.members:
-            expo = dec.coords[m]
-            acc = 0
-            for k, img in zip(expo, images):
-                acc = fiber.add(acc, fiber.scale(k, img))
-            vals.append(acc)
-        homs.append(Character(domain, fiber, vals))
-    domain._hom_cache[key] = homs
-    return list(homs)
+    Each row is checked on the edges m -> m g, for m in K and g among the
+    generators of K: every element of K is a word in the generators, so
+    phi(m g) = phi(m) + phi(g) on the edges gives it on all pairs."""
+    group = domain.group
+    pos = np.full(group.order, -1, dtype=np.int64)
+    pos[list(domain.members)] = np.arange(domain.order)
+    if pos[0] < 0:
+        raise ValueError("a domain must contain the identity")
+    rows = np.asarray(rows, dtype=np.int64)
+    if rows[:, pos[0]].any():
+        raise ValueError("character must send the identity to 0")
+    gens = list(domain.generators())
+    ends = pos[group.mul[np.ix_(domain.members, gens)]]
+    if (ends < 0).any():
+        raise ValueError("domain is not closed")
+    if not np.array_equal(rows[:, ends], fiber.add_table[
+            rows[:, :, None], rows[:, None, pos[gens]]]):
+        raise ValueError("value map is not a homomorphism")
+
+
+def hom_set(domain: Subgroup, fiber: AbelianFiber) -> list[Character]:
+    """Every homomorphism K -> A, in ``CharIndex`` order."""
+    return [Character(domain, fiber, row, verify=False)
+            for row in char_index(domain, fiber).values.tolist()]
 
 
 class CharIndex:
     """Hom(K, A) as arrays, with a lookup from values to hom-set index.
 
-    ``values`` has one row per character in ``hom_set`` order and one column
+    K is abelianized; a homomorphism is a choice of one d-torsion image per
+    invariant factor C_d, and the characters are in lexicographic order of
+    that image tuple. ``values`` has one row per character and one column
     per member of K; ``pos`` is the position of each group element in K, or
     -1 outside it. A character is determined by its values on ``gens``, the
     generators of K (the identity for the trivial group), and ``index``
@@ -224,8 +214,19 @@ class CharIndex:
     """
 
     def __init__(self, domain: Subgroup, fiber: AbelianFiber):
-        self.values = np.asarray([h.values for h in hom_set(domain, fiber)],
-                                 dtype=np.int64)
+        dec = abelianization(domain)
+        # one row per character, one column per invariant factor (none for
+        # a perfect K), so these arrays are (1, 0) and (|K|, 0) in rank 0
+        images = np.asarray(list(itertools.product(
+            *(fiber.torsion_indices(d) for d in dec.factors))), dtype=np.int64)
+        expo = np.asarray([dec.coords[m] for m in domain.members],
+                          dtype=np.int64)
+        coords = np.asarray(fiber.elements, dtype=np.int64)
+        # a member's image: its exponents times the fiber coordinates of
+        # the images of the invariant factors' generators
+        self.values = fiber._encode(
+            (expo @ coords[images]) % np.asarray(fiber.factors))
+        _check_homs(domain, fiber, self.values)
         self.pos = np.full(domain.group.order, -1, dtype=np.int64)
         self.pos[list(domain.members)] = np.arange(domain.order)
         self.gens = np.asarray(domain.generators() or (0,), dtype=np.int64)
@@ -272,13 +273,13 @@ class CharIndex:
 
 
 def char_index(domain: Subgroup, fiber: AbelianFiber) -> CharIndex:
-    """The ``CharIndex`` of Hom(K, A), built once and kept next to the hom
-    set."""
-    key = ("index", fiber.factors)
-    index = domain._hom_cache.get(key)
-    if index is None:
-        index = domain._hom_cache[key] = CharIndex(domain, fiber)
-    return index
+    """The ``CharIndex`` of Hom(K, A), built once per member set of K and
+    fiber, and kept in the group's cache."""
+    key = ("chars", domain.members, fiber.factors)
+    cache = domain.group._cache
+    if key not in cache:
+        cache[key] = CharIndex(domain, fiber)
+    return cache[key]
 
 
 __all__ = ["AbelianFiber", "Character", "CharIndex", "trivial_character",

@@ -298,23 +298,15 @@ def _write_json(obj, write, level: int = 0) -> None:
 
 def _emit(report: dict, code: int, args) -> int:
     """Stream the report (or its matrix, as CSV) to ``--out`` or stdout."""
-    matrix = None
-    if getattr(args, "format", "json") == "csv":
-        result = report["result"]
-        matrix = result.get("marks") or result.get("gamma")
-        if matrix is None:
-            print("csv format is only available for matrix outputs",
-                  file=sys.stderr)
-            return EXIT_USAGE
-    out = getattr(args, "out", None)
-    with (open(out, "w", encoding="utf-8") if out
+    with (open(args.out, "w", encoding="utf-8") if args.out
           else contextlib.nullcontext(sys.stdout)) as fh:
-        if matrix is None:
+        if getattr(args, "format", "json") == "csv":
+            # the marks and gamma reports name their matrix by the command
+            for row in report["result"][args.command]:
+                fh.write(_join_ints(row, ",") + "\n")
+        else:
             _write_json(report, fh.write)
             fh.write("\n")
-        else:
-            for row in matrix:
-                fh.write(_join_ints(row, ",") + "\n")
     return code
 
 
@@ -326,12 +318,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_marks = sub.add_parser("marks", help="table of marks of a group")
     p_marks.add_argument("group")
-    _common_output_flags(p_marks)
 
     p_gamma = sub.add_parser("gamma", help="gamma table and monomial basis")
     p_gamma.add_argument("group")
     p_gamma.add_argument("--fiber", required=True)
-    _common_output_flags(p_gamma)
 
     p_verify = sub.add_parser("verify", help="verify or search a species witness")
     p_verify.add_argument("group_g")
@@ -343,7 +333,6 @@ def build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--thevenaz-witness", action="store_true",
                       dest="thevenaz_witness")
     p_verify.add_argument("--budget", type=int, default=None)
-    _common_output_flags(p_verify)
 
     p_rep = sub.add_parser("reproduce",
                            help="reproduce the order-p^2*q counterexample")
@@ -354,14 +343,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_rep.add_argument("--c", type=int, default=None)
     p_rep.add_argument("--d", type=int, default=None)
     p_rep.add_argument("--fiber", default="5")
-    _common_output_flags(p_rep)
+
+    # only the marks and gamma reports hold a matrix to write as CSV
+    for sub_parser in (p_marks, p_gamma):
+        sub_parser.add_argument("--format", choices=("json", "csv"),
+                                default="json")
+    for sub_parser in (p_marks, p_gamma, p_verify, p_rep):
+        sub_parser.add_argument("--out", default=None)
     return parser
-
-
-def _common_output_flags(sub_parser: argparse.ArgumentParser) -> None:
-    sub_parser.add_argument("--format", choices=("json", "csv"),
-                            default="json")
-    sub_parser.add_argument("--out", default=None)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -388,10 +377,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         elapsed = time.monotonic() - start
         print(f"timing_ms: {elapsed * 1000:.1f}", file=sys.stderr)
         return _emit(report, code, args)
-    except (SpecError, AlgebraError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (OSError, json.JSONDecodeError, KeyError) as exc:
+    except (SpecError, AlgebraError, OSError, json.JSONDecodeError,
+            KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except MemoryError as exc:

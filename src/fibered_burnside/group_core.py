@@ -91,15 +91,9 @@ class FiniteGroup:
     @property
     def element_orders(self) -> np.ndarray:
         if self._element_orders is None:
-            n = self.order
-            orders = np.ones(n, dtype=np.int64)
-            for g in range(n):
-                cur, k = g, 1
-                while cur != 0:
-                    cur = int(self.mul[cur, g])
-                    k += 1
-                orders[g] = k
-            self._element_orders = orders
+            self._element_orders = np.asarray(
+                [_element_order(g, self.m, 0) for g in range(self.order)],
+                dtype=np.int64)
         return self._element_orders
 
     @property
@@ -328,7 +322,7 @@ def _mask_of(members: Iterable[int]) -> int:
 class Subgroup:
     """An exactly represented subgroup: sorted member tuple plus bitmask."""
 
-    __slots__ = ("group", "members", "mask", "_gens", "_pos", "_hom_cache")
+    __slots__ = ("group", "members", "mask", "_gens", "_pos")
 
     def __init__(self, group: FiniteGroup, members: Iterable[int],
                  *, verify: bool = True):
@@ -346,7 +340,6 @@ class Subgroup:
         self.mask = _mask_of(mem)
         self._gens: Optional[tuple[int, ...]] = None
         self._pos: Optional[dict[int, int]] = None
-        self._hom_cache: dict = {}
 
     @classmethod
     def generated(cls, group: FiniteGroup, gens: Iterable[int]) -> "Subgroup":
@@ -498,10 +491,18 @@ def _perfect_seeds(group: FiniteGroup) -> set[tuple[int, ...]]:
             tried.add(mem)
             if len(mem) >= 60 and commutator_subgroup(
                     Subgroup(group, mem, verify=False)).members == mem:
-                arr = np.asarray(mem, dtype=np.int64)
-                for row in np.sort(conj[:, arr], axis=1):
-                    found.add(tuple(int(v) for v in row))
+                found.update(_conjugates(group, mem))
     return found
+
+
+def _conjugates(group: FiniteGroup,
+                members: Sequence[int]) -> dict[tuple[int, ...], int]:
+    """Each distinct conjugate ^g(members), as a sorted member tuple, mapped
+    to the least g that gives it."""
+    rows, first = np.unique(
+        np.sort(group.conj[:, np.asarray(members, dtype=np.int64)], axis=1),
+        axis=0, return_index=True)
+    return dict(zip(map(tuple, rows.tolist()), first.tolist()))
 
 
 def _orbit_reps(conj: np.ndarray, acting: np.ndarray) -> list[int]:
@@ -636,12 +637,7 @@ def conjugacy_classes_of_subgroups(
     for s in subs:
         if s.members in visited:
             continue
-        mem = np.asarray(s.members, dtype=np.int64)
-        rows = np.sort(group.conj[:, mem], axis=1)
-        orbit: dict[tuple[int, ...], int] = {}
-        for g in range(group.order):
-            t = tuple(int(v) for v in rows[g])
-            orbit.setdefault(t, g)
+        orbit = _conjugates(group, s.members)
         visited.update(orbit)
         orbits.append(orbit)
     if reps is None:

@@ -10,7 +10,9 @@ group isomorphisms by scanning every tuple of generator images. Characters
 are identified by dictionaries of their full value tuples: normalizer
 orbits on Hom(K, A) come from a union-find sweep over one permutation per
 normalizer element, and character-group tables from multiplying
-``Character`` objects."""
+``Character`` objects. Hom(K, A) itself is built one character and one
+member at a time, and the conjugates of a subgroup are found by one tuple
+per conjugating element."""
 
 import itertools
 from collections import Counter
@@ -24,7 +26,8 @@ from fibered_burnside.group_core import (FiniteGroup, Subgroup,
                                          _left_coset_data,
                                          _subgroup_order_census,
                                          abelian_invariant_decomposition,
-                                         double_coset_reps, normalizer)
+                                         abelianization, double_coset_reps,
+                                         enumerate_subgroups, normalizer)
 from fibered_burnside.monomial import MonomialBasis, MonomialPair
 
 
@@ -435,3 +438,66 @@ def reference_char_group_isomorphisms(homs1: Sequence[Character],
             mapping[e] = img
         if len(set(mapping)) == n:
             yield mapping
+
+
+def reference_hom_set(domain: Subgroup,
+                      fiber: AbelianFiber) -> list[Character]:
+    """Every homomorphism K -> A, one image tuple and one member at a time.
+
+    K is abelianized; a homomorphism is a choice of one d-torsion image per
+    invariant factor C_d. The order is lexicographic in that image tuple.
+    """
+    dec = abelianization(domain)
+    candidate_lists = [fiber.torsion_indices(d) for d in dec.factors]
+    homs = []
+    for images in itertools.product(*candidate_lists):
+        vals = []
+        for m in domain.members:
+            expo = dec.coords[m]
+            acc = 0
+            for k, img in zip(expo, images):
+                acc = fiber.add(acc, fiber.scale(k, img))
+            vals.append(acc)
+        homs.append(Character(domain, fiber, vals))
+    return homs
+
+
+def reference_class_maps(group: FiniteGroup,
+                         reps: Optional[Sequence[Subgroup]] = None
+                         ) -> tuple[dict, dict]:
+    """(class index, transporter to the class representative) of every
+    subgroup's member tuple, as ``conjugacy_classes_of_subgroups`` assigns
+    them; each orbit is swept one conjugating element at a time."""
+    subs = enumerate_subgroups(group)
+    by_members = {s.members: s for s in subs}
+    visited: set[tuple[int, ...]] = set()
+    orbits: list[dict[tuple[int, ...], int]] = []   # members -> g with ^g(seed)
+    for s in subs:
+        if s.members in visited:
+            continue
+        mem = np.asarray(s.members, dtype=np.int64)
+        rows = np.sort(group.conj[:, mem], axis=1)
+        orbit: dict[tuple[int, ...], int] = {}
+        for g in range(group.order):
+            t = tuple(int(v) for v in rows[g])
+            orbit.setdefault(t, g)
+        visited.update(orbit)
+        orbits.append(orbit)
+    if reps is None:
+        chosen = [by_members[min(orbit)] for orbit in orbits]
+        order_key = sorted(range(len(orbits)),
+                           key=lambda i: (chosen[i].order, chosen[i].members))
+        orbits = [orbits[i] for i in order_key]
+        chosen = [chosen[i] for i in order_key]
+    else:
+        chosen = list(reps)
+        orbits = [next(o for o in orbits if s.members in o) for s in chosen]
+    class_of: dict[tuple[int, ...], int] = {}
+    transporter: dict[tuple[int, ...], int] = {}
+    for ci, (rep, orbit) in enumerate(zip(chosen, orbits)):
+        g_rep = orbit[rep.members]
+        for mem_t, g in orbit.items():
+            class_of[mem_t] = ci
+            transporter[mem_t] = group.m(g_rep, group.inverse(g))
+        transporter[rep.members] = 0
+    return class_of, transporter

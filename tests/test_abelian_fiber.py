@@ -1,18 +1,23 @@
 """Fiber groups and character sets Hom(K, A).
 
 Oracles: direct scans over all fiber elements, the torsion-product count
-formula, and exhaustive checks of the group laws on hom sets.
+formula, exhaustive checks of the group laws on hom sets, and
+``reference_hom_set``, which builds Hom(K, A) one member at a time.
 """
 
 from math import gcd
 
 import pytest
+from oracles import reference_hom_set
 
+from fibered_burnside import thevenaz
 from fibered_burnside.abelian_fiber import (AbelianFiber, Character,
-                                            hom_set, trivial_character)
+                                            char_index, hom_set,
+                                            trivial_character)
 from fibered_burnside.errors import DomainMismatch
-from fibered_burnside.group_core import (Subgroup, abelianization,
-                                         cyclic_group, enumerate_subgroups)
+from fibered_burnside.group_core import (Subgroup, abelian_group,
+                                         abelianization, cyclic_group,
+                                         enumerate_subgroups)
 
 # ---------------------------------------------------------------------------
 # Fiber arithmetic
@@ -83,6 +88,14 @@ def test_character_must_be_homomorphism():
     # the two genuine homomorphisms C4 -> C2
     Character(_full(c4), c2, [0, 0, 0, 0])
     Character(_full(c4), c2, [0, 1, 0, 1])
+
+
+def test_character_domain_must_be_a_subgroup():
+    c4, fiber = cyclic_group(4), AbelianFiber((2,))
+    with pytest.raises(ValueError, match="domain is not closed"):
+        Character(Subgroup(c4, [0, 1], verify=False), fiber, [0, 0])
+    with pytest.raises(ValueError, match="contain the identity"):
+        Character(Subgroup(c4, [1, 3], verify=False), fiber, [0, 0])
 
 
 def test_hom_set_c2_c2():
@@ -211,3 +224,35 @@ def test_coprime_hom_sets_are_trivial(small_groups):
             for d in (5, 7):
                 if gcd(sub.order, d) == 1:
                     assert len(hom_set(sub, AbelianFiber((d,)))) == 1
+
+
+# ---------------------------------------------------------------------------
+# The array builder against the member-by-member oracle
+
+
+def _values(homs):
+    return [h.values for h in homs]
+
+
+def test_hom_set_matches_member_loop(small_groups, fiber_c5):
+    assert small_groups[0].order == 1   # rank-0 abelianization
+    cases = [(g, AbelianFiber(factors)) for g in small_groups
+             for factors in ((1,), (2,), (6,), (2, 4))]
+    # built here, not taken from the session fixtures, so that their caches
+    # are freed when the test ends
+    cases += [(abelian_group((2, 2, 2, 2)), AbelianFiber((2, 2)))]
+    cases += [(thevenaz.build(thevenaz.ThevenazSpec(11, 5, a, b)).group,
+               fiber_c5) for a, b in ((3, 9), (3, 4))]
+    for g, fiber in cases:
+        for sub in enumerate_subgroups(g):
+            assert _values(hom_set(sub, fiber)) == \
+                _values(reference_hom_set(sub, fiber)), (g, fiber, sub)
+
+
+def test_char_index_shared_by_equal_member_sets(s3, fiber_c6):
+    for sub in enumerate_subgroups(s3):
+        twin = Subgroup(s3, sub.members, verify=False)
+        assert twin is not sub
+        assert char_index(twin, fiber_c6) is char_index(sub, fiber_c6)
+        # the characters are views on the subgroup object asked for
+        assert all(h.domain is twin for h in hom_set(twin, fiber_c6))

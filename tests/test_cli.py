@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 import fibered_burnside
 from fibered_burnside import cli
+from fibered_burnside.abelian_fiber import CharIndex
 from fibered_burnside.group_core import (conjugacy_classes_of_subgroups,
                                          symmetric_group)
 
@@ -221,6 +222,20 @@ def test_verify_rejects_malformed_witness(capsys, tmp_path, witness):
     assert out == ""
 
 
+@pytest.mark.parametrize("argv", [
+    ("verify", "symmetric:3", "symmetric:3", "--fiber", "6", "--auto"),
+    ("reproduce",),
+])
+def test_format_is_rejected_before_a_command_without_a_matrix(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*argv, "--format", "csv"])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2
+    assert "error:" in err and "--format" in err
+    assert "timing_ms" not in err
+    assert out == ""
+
+
 def test_verify_rejects_negative_budget(capsys):
     code, _, err = run(capsys, "verify", "symmetric:3", "symmetric:3",
                        "--fiber", "2", "--auto", "--budget", "-1")
@@ -345,6 +360,22 @@ def test_reproduce_small_family(capsys):
     assert code == 0
     assert report["result"]["classification"]["class_count"] == 1
     assert report["result"]["note"].startswith("only one isomorphism class")
+
+
+def test_reproduce_builds_each_char_index_once(monkeypatch):
+    # both groups' transversals and the witness's own copies of them share
+    # one index per member set and fiber
+    builds = []
+    build = CharIndex.__init__
+
+    def counted(self, domain, fiber):
+        builds.append((id(domain.group), domain.members, fiber.factors))
+        build(self, domain, fiber)
+
+    monkeypatch.setattr(CharIndex, "__init__", counted)
+    _, code = cli.cmd_reproduce_paper()
+    assert code == 0
+    assert len(builds) == len(set(builds)) == 20
 
 
 def test_reproduce_rejects_p_torsion_fiber(capsys):

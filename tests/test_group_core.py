@@ -22,10 +22,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 from oracles import (brute_force_subgroups, join_closure_subgroups,
-                     reference_are_isomorphic, reference_closure,
-                     reference_generating_sequence)
+                     reference_are_isomorphic, reference_class_maps,
+                     reference_closure, reference_generating_sequence)
 
 from fibered_burnside.errors import NotAGroup, NotAnAction, NotAnAutomorphism
+from fibered_burnside.thevenaz import canonical_class_reps
 from fibered_burnside.group_core import (FiniteGroup, Subgroup,
                                          _generating_sequence, _p_group_basis,
                                          _perfect_seeds, abelian_group,
@@ -364,6 +365,20 @@ def test_transporter_maps_to_rep(s4):
         t = table.transporter_to_rep(sub)
         assert conjugate_subgroup(s4, t, sub).members == \
             table.reps[ci].members
+
+
+def test_class_maps_match_per_conjugator_sweep(small_groups, tg_7_3,
+                                               tg_11_5_a, tg_11_5_b):
+    cases = [(g, None) for g in [*small_groups, symmetric_group(5)]]
+    for tg in (tg_7_3, tg_11_5_a, tg_11_5_b):
+        cases += [(tg.group, None), (tg.group, canonical_class_reps(tg))]
+    for g, reps in cases:
+        table = conjugacy_classes_of_subgroups(g, reps=reps)
+        class_of, transporter = reference_class_maps(g, reps)
+        assert table._class_of == class_of, g
+        assert table._transporter == transporter, g
+        assert table.class_sizes == \
+            [list(class_of.values()).count(ci) for ci in range(len(table.reps))]
 
 
 def test_mark_examples(s3):
