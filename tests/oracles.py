@@ -12,7 +12,9 @@ orbits on Hom(K, A) come from a union-find sweep over one permutation per
 normalizer element, and character-group tables from multiplying
 ``Character`` objects. Hom(K, A) itself is built one character and one
 member at a time, and the conjugates of a subgroup are found by one tuple
-per conjugating element."""
+per conjugating element. Associativity is checked on all n^3 triples, one
+left factor at a time, and inverses and conjugation tables are filled one
+element at a time."""
 
 import itertools
 from collections import Counter
@@ -501,3 +503,32 @@ def reference_class_maps(group: FiniteGroup,
             transporter[mem_t] = group.m(g_rep, group.inverse(g))
         transporter[rep.members] = 0
     return class_of, transporter
+
+
+def reference_check_associativity(table: np.ndarray) -> None:
+    """Every triple (a, b, c), one left factor a at a time."""
+    n = table.shape[0]
+    for a in range(n):
+        lhs = table[table[a]]        # [b, c] -> (a*b)*c
+        rhs = table[a][table]        # [b, c] -> a*(b*c)
+        if not np.array_equal(lhs, rhs):
+            b, c = (int(v[0]) for v in np.nonzero(lhs != rhs))
+            raise NotAGroup("associativity fails", witness=(a, b, c))
+
+
+def reference_inverses(group: FiniteGroup) -> np.ndarray:
+    """inv[g]: the position of 0 in row g of the table."""
+    inv = np.empty(group.order, dtype=np.int64)
+    for g in range(group.order):
+        hits = np.nonzero(group.mul[g] == 0)[0]
+        inv[g] = hits[0]
+    return inv
+
+
+def reference_conj(group: FiniteGroup) -> np.ndarray:
+    """conj[g, x] = g x g^-1, one row per conjugating element g."""
+    n = group.order
+    c = np.empty((n, n), dtype=np.int64)
+    for g in range(n):
+        c[g] = group.mul[group.mul[g], group.inv[g]]
+    return c

@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
@@ -16,7 +17,7 @@ import fibered_burnside
 from fibered_burnside import cli
 from fibered_burnside.abelian_fiber import CharIndex
 from fibered_burnside.group_core import (conjugacy_classes_of_subgroups,
-                                         symmetric_group)
+                                         cyclic_group, symmetric_group)
 
 
 def run(capsys, *argv):
@@ -333,6 +334,20 @@ def test_cayley_file_rejects_bad_table(capsys, tmp_path):
     assert "error:" in err
 
 
+def test_cayley_file_rejects_non_group_above_order_1000(capsys, tmp_path):
+    # C1024 with the intercalate at rows and columns 3, 515 swapped: still a
+    # Latin square with identity 0, but (3*3)*1 = 519 and 3*(3*1) = 7
+    table = cyclic_group(1024).mul.copy()
+    cells = np.ix_([3, 515], [3, 515])
+    table[cells] = table[cells][::-1]
+    path = tmp_path / "loop1024.json"
+    path.write_text(json.dumps({"order": 1024, "mul": table.tolist()}))
+    code, out, err = run(capsys, "marks", f"cayley:{path}")
+    assert_usage_error(code, err)
+    assert "associativity fails" in err
+    assert out == ""
+
+
 @pytest.mark.parametrize("payload", [
     5,                                        # not an object
     "order mul",                              # not an object
@@ -460,8 +475,23 @@ E16_GAMMA_DIGEST = \
     "a1613976bcd30c39e1ae31fe9b906424c869a0725662ff6c4b278dd7d7874373"
 
 
+# Runs the CLI, then appends the process's own peak RSS to stderr. The
+# parent's wait4 ru_maxrss would not do: Linux carries the peak of the
+# process that spawned the child (here the pytest session) across exec.
+REPORT_OWN_PEAK_RSS = """
+import sys
+from fibered_burnside import cli
+code = cli.main(sys.argv[1:])
+sys.stdout.flush()
+with open("/proc/self/status", encoding="ascii") as status:
+    sys.stderr.write(next(line for line in status
+                          if line.startswith("VmHWM:")))
+sys.exit(code)
+"""
+
+
 @pytest.mark.skipif(not sys.platform.startswith("linux"),
-                    reason="reads ru_maxrss in KiB, as Linux reports it")
+                    reason="reads VmHWM from /proc/self/status")
 def test_gamma_e16_report_streams_in_bounded_memory(tmp_path):
     # the 38 MB report of the 1837 x 1837 gamma table must not be built as
     # one string; stderr goes to a regular file, as in bench/run.py
@@ -469,19 +499,21 @@ def test_gamma_e16_report_streams_in_bounded_memory(tmp_path):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     digest = hashlib.sha256()
-    with open(tmp_path / "stderr.txt", "w", encoding="utf-8") as err:
+    err_path = tmp_path / "stderr.txt"
+    with open(err_path, "w", encoding="utf-8") as err:
         proc = subprocess.Popen(
-            [sys.executable, "-m", "fibered_burnside.cli", "gamma",
+            [sys.executable, "-c", REPORT_OWN_PEAK_RSS, "gamma",
              "abelian:2,2,2,2", "--fiber", "2,2"],
             stdout=subprocess.PIPE, stderr=err, env=env)
         for chunk in iter(lambda: proc.stdout.read(1 << 16), b""):
             digest.update(chunk)
         proc.stdout.close()
-        _, status, usage = os.wait4(proc.pid, 0)
-        proc.returncode = os.waitstatus_to_exitcode(status)
+        proc.wait()
     assert proc.returncode == 0
     assert digest.hexdigest() == E16_GAMMA_DIGEST
-    assert usage.ru_maxrss / 1024 < 120
+    hwm = err_path.read_text(encoding="utf-8").splitlines()[-1].split()
+    assert hwm[0] == "VmHWM:" and hwm[2] == "kB"
+    assert int(hwm[1]) / 1024 < 120
 
 
 # ---------------------------------------------------------------------------

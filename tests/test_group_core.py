@@ -7,7 +7,9 @@ enumeration for tiny orders, the generator brute force
 (``brute_force_subgroups``) through order 24, the cyclic-join sweep
 (``join_closure_subgroups``) for orders up to ~150, the one-candidate-at-a-
 time isomorphism search (``reference_are_isomorphic``) that the numpy search
-must match map for map, and hand-checked tables for the worked examples.
+must match map for map, the all-triples associativity check that Light's
+test must agree with on random loops, the per-element inverse and
+conjugation loops, and hand-checked tables for the worked examples.
 """
 
 import ast
@@ -22,12 +24,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 from oracles import (brute_force_subgroups, join_closure_subgroups,
-                     reference_are_isomorphic, reference_class_maps,
-                     reference_closure, reference_generating_sequence)
+                     reference_are_isomorphic, reference_check_associativity,
+                     reference_class_maps, reference_closure, reference_conj,
+                     reference_generating_sequence, reference_inverses)
 
 from fibered_burnside.errors import NotAGroup, NotAnAction, NotAnAutomorphism
 from fibered_burnside.thevenaz import canonical_class_reps
 from fibered_burnside.group_core import (FiniteGroup, Subgroup,
+                                         _check_associativity,
                                          _generating_sequence, _p_group_basis,
                                          _perfect_seeds, abelian_group,
                                          abelian_invariant_decomposition,
@@ -70,6 +74,63 @@ def test_nonassociative_latin_square_rejected():
     ]
     with pytest.raises(NotAGroup):
         group_from_cayley(table)
+
+
+def random_loop(rng: random.Random, n: int) -> np.ndarray:
+    """A Latin square with identity 0, filled cell by cell in row order by
+    randomized backtracking."""
+    table = np.zeros((n, n), dtype=np.int64)
+    table[0] = table[:, 0] = np.arange(n)
+    cells = [(i, j) for i in range(1, n) for j in range(1, n)]
+
+    def fill(k: int) -> bool:
+        if k == len(cells):
+            return True
+        i, j = cells[k]
+        used = set(table[i, :j].tolist()) | set(table[:i, j].tolist())
+        values = [v for v in range(n) if v not in used]
+        rng.shuffle(values)
+        for v in values:
+            table[i, j] = v
+            if fill(k + 1):
+                return True
+        return False
+
+    fill(0)
+    return table
+
+
+def assoc_failure(check, table):
+    try:
+        check(table)
+    except NotAGroup as exc:
+        return exc
+    return None
+
+
+def test_light_associativity_agrees_with_full_check():
+    rng = random.Random(20261018)
+    failing = 0
+    for n in range(1, 10):
+        for _ in range(150):
+            table = random_loop(rng, n)
+            new = assoc_failure(_check_associativity, table)
+            ref = assoc_failure(reference_check_associativity, table)
+            assert (new is None) == (ref is None)
+            if new is not None:
+                failing += 1
+                assert str(new) == "associativity fails"
+                a, g, c = new.witness
+                assert table[table[a, g], c] != table[a, table[g, c]]
+    # every loop of order at most 4 is a group; most larger ones are not
+    assert 600 < failing <= 750
+
+
+def test_inverses_and_conjugation_match_loops(small_groups, tg_11_5_a,
+                                              tg_11_5_b):
+    for g in small_groups + [tg_11_5_a.group, tg_11_5_b.group]:
+        assert np.array_equal(g.inv, reference_inverses(g))
+        assert np.array_equal(g.conj, reference_conj(g))
 
 
 def test_broken_latin_square_rejected():
