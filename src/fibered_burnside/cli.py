@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 from . import group_core, species, thevenaz
 from .abelian_fiber import AbelianFiber
 from .errors import AlgebraError, FiberHasPTorsion, SearchBudgetExceeded
-from .group_core import FiniteGroup, conjugacy_classes_of_subgroups
+from .group_core import conjugacy_classes_of_subgroups
 from .monomial import gamma_table, monomial_basis
 from .species import (EXHAUSTION_CAVEAT, SpeciesWitness, search_species,
                       thevenaz_witness, verify_species)
@@ -49,8 +49,7 @@ def parse_group_spec(text: str):
             p, q, a, b = (int(v) for v in rest.split(","))
             return thevenaz.build(thevenaz.ThevenazSpec(p, q, a, b))
         if kind == "cayley":
-            with open(rest, "r", encoding="utf-8") as fh:
-                return group_core.group_from_json(json.load(fh), name=rest)
+            return group_core.group_from_json(_load_json(rest), name=rest)
     except SpecError:
         raise
     except (ValueError, OverflowError, OSError, AlgebraError) as exc:
@@ -58,11 +57,20 @@ def parse_group_spec(text: str):
     raise SpecError(f"unknown group kind {kind!r}")
 
 
-def _as_group(built) -> FiniteGroup:
-    return built.group if isinstance(built, thevenaz.ThevenazGroup) else built
+def _load_json(path: str):
+    """The JSON value in the file at ``path``; a file that cannot be read
+    or is not JSON in UTF-8 (nesting too deep included) is a SpecError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, ValueError, RecursionError) as exc:
+        raise SpecError(f"bad JSON file {path!r}: {exc}") from exc
 
 
 def _class_table(built):
+    """The class table of a parsed group spec, whose transversal indexes
+    classes in every report and witness file: the canonical order for a
+    ``thevenaz:`` spec, the default (order, members) order otherwise."""
     if isinstance(built, thevenaz.ThevenazGroup):
         return thevenaz.canonical_class_table(built)
     return conjugacy_classes_of_subgroups(built)
@@ -96,20 +104,19 @@ def _report(command: str, inputs: dict, result: dict) -> dict:
 
 
 def cmd_marks(group_spec: str) -> tuple[dict, int]:
-    built = parse_group_spec(group_spec)
-    table = _class_table(built)
-    result = {"group": group_spec, "order": _as_group(built).order}
+    table = _class_table(parse_group_spec(group_spec))
+    result = {"group": group_spec, "order": table.group.order}
     result.update(table.to_json())
     return _report("marks", {"group": group_spec}, result), EXIT_OK
 
 
 def cmd_gamma(group_spec: str, fiber_spec: str) -> tuple[dict, int]:
-    built = parse_group_spec(group_spec)
+    table = _class_table(parse_group_spec(group_spec))
     fiber = _parse_fiber(fiber_spec)
-    basis = monomial_basis(_as_group(built), fiber, _class_table(built))
+    basis = monomial_basis(table.group, fiber, table)
     result = {
         "group": group_spec,
-        "order": _as_group(built).order,
+        "order": table.group.order,
         "basis": basis.to_json(),
         "gamma": gamma_table(basis),
     }
@@ -126,7 +133,6 @@ def cmd_verify(group_spec_g: str, group_spec_h: str, fiber_spec: str,
     built_g = parse_group_spec(group_spec_g)
     built_h = parse_group_spec(group_spec_h)
     fiber = _parse_fiber(fiber_spec)
-    g, h = _as_group(built_g), _as_group(built_h)
     inputs = {"g": group_spec_g, "h": group_spec_h, "fiber": fiber_spec,
               "mode": ("thevenaz-witness" if use_thevenaz_witness
                        else "auto" if auto else "witness-file")}
@@ -137,7 +143,9 @@ def cmd_verify(group_spec_g: str, group_spec_h: str, fiber_spec: str,
         witness = thevenaz_witness(built_g, built_h, fiber)
     elif auto:
         try:
-            witness = search_species(g, h, fiber, budget=budget)
+            witness = search_species(_class_table(built_g),
+                                     _class_table(built_h), fiber,
+                                     budget=budget)
         except SearchBudgetExceeded as exc:
             result = {"status": "budget_exceeded", "detail": str(exc)}
             return _report("verify", inputs, result), EXIT_NEGATIVE
@@ -149,12 +157,10 @@ def cmd_verify(group_spec_g: str, group_spec_h: str, fiber_spec: str,
         if witness_file is None:
             raise SpecError("one of --witness, --auto, --thevenaz-witness "
                             "is required")
-        with open(witness_file, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-        witness = SpeciesWitness.from_json(
-            data, conjugacy_classes_of_subgroups(g).reps,
-            conjugacy_classes_of_subgroups(h).reps)
-    verdict = verify_species(g, h, fiber, witness)
+        witness = SpeciesWitness.from_json(_load_json(witness_file),
+                                           _class_table(built_g),
+                                           _class_table(built_h))
+    verdict = verify_species(witness, fiber)
     result = {"status": "valid" if verdict.valid else "invalid",
               "witness": witness.to_json()}
     result.update(verdict.to_json())
@@ -233,7 +239,7 @@ def cmd_reproduce_paper(p: int = 11, q: int = 5,
         return _report("reproduce", inputs, result), EXIT_NEGATIVE
 
     witness = thevenaz_witness(tg1, tg2, fiber)
-    verdict = verify_species(tg1.group, tg2.group, fiber, witness)
+    verdict = verify_species(witness, fiber)
     result["witness_valid"] = verdict.valid
     result["witness"] = witness.to_json()
     if not verdict.valid:
@@ -377,8 +383,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         elapsed = time.monotonic() - start
         print(f"timing_ms: {elapsed * 1000:.1f}", file=sys.stderr)
         return _emit(report, code, args)
-    except (SpecError, AlgebraError, OSError, json.JSONDecodeError,
-            KeyError) as exc:
+    except (SpecError, AlgebraError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except MemoryError as exc:

@@ -31,14 +31,8 @@ class FiniteGroup:
     """
 
     def __init__(self, mul, name: Optional[str] = None):
-        table = np.asarray(mul, dtype=np.int64)
-        if table.ndim != 2 or table.shape[0] != table.shape[1]:
-            raise NotAGroup("multiplication table must be square")
+        table = _square_table(mul)
         n = table.shape[0]
-        if n == 0:
-            raise NotAGroup("a group has at least one element")
-        if table.min() < 0 or table.max() >= n:
-            raise NotAGroup("table entries must lie in 0..n-1")
         _check_latin_square(table)
         if not (np.array_equal(table[0], np.arange(n))
                 and np.array_equal(table[:, 0], np.arange(n))):
@@ -106,6 +100,20 @@ class FiniteGroup:
         return f"FiniteGroup({self.name}, order={self.order})"
 
 
+def _square_table(mul) -> np.ndarray:
+    """``mul`` as an int64 array, checked to be a non-empty square table
+    with entries in 0..n-1."""
+    table = np.asarray(mul, dtype=np.int64)
+    if table.ndim != 2 or table.shape[0] != table.shape[1]:
+        raise NotAGroup("multiplication table must be square")
+    n = table.shape[0]
+    if n == 0:
+        raise NotAGroup("a group has at least one element")
+    if table.min() < 0 or table.max() >= n:
+        raise NotAGroup("table entries must lie in 0..n-1")
+    return table
+
+
 def _check_latin_square(table: np.ndarray) -> None:
     n = table.shape[0]
     ref = np.arange(n)
@@ -154,14 +162,8 @@ def _check_associativity(table: np.ndarray) -> None:
 
 def group_from_cayley(table, name: Optional[str] = None) -> FiniteGroup:
     """Validate a raw Cayley table; relabels so the identity sits at index 0."""
-    arr = np.asarray(table, dtype=np.int64)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise NotAGroup("multiplication table must be square")
+    arr = _square_table(table)
     n = arr.shape[0]
-    if n == 0:
-        raise NotAGroup("a group has at least one element")
-    if arr.min() < 0 or arr.max() >= n:
-        raise NotAGroup("table entries must lie in 0..n-1")
     ident = None
     ref = np.arange(n)
     for e in range(n):
@@ -182,10 +184,10 @@ def group_to_json(group: FiniteGroup) -> dict:
 
 
 def group_from_json(data: dict, name: Optional[str] = None) -> FiniteGroup:
-    if not (isinstance(data, dict) and "order" in data
+    if not (isinstance(data, dict) and type(data.get("order")) is int
             and isinstance(data.get("mul"), list)):
-        raise NotAGroup("JSON group needs an object with 'order' and a "
-                        "list 'mul'")
+        raise NotAGroup("JSON group needs an object with an integer "
+                        "'order' and a list 'mul'")
     table = data["mul"]
     if not all(isinstance(row, list) and all(type(v) is int for v in row)
                for row in table):

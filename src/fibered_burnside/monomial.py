@@ -13,8 +13,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .abelian_fiber import (AbelianFiber, Character, char_index, hom_set,
-                            trivial_character)
+from .abelian_fiber import AbelianFiber, Character, char_index, hom_set
 from .errors import ComponentMismatch
 from .group_core import (FiniteGroup, Subgroup, SubgroupClassTable,
                          _left_coset_data, conjugacy_classes_of_subgroups,
@@ -456,6 +455,5 @@ __all__ = [
     "MonomialPair", "MonomialBasis", "BurnsideElement", "GhostRing",
     "GhostElement", "monomial_basis", "all_monomial_pairs",
     "gamma_block", "gamma_table", "multiply", "mark_morphism",
-    "ghost_multiply", "ghost_ring", "trivial_character",
-    "integer_matrix_determinant",
+    "ghost_multiply", "ghost_ring", "integer_matrix_determinant",
 ]

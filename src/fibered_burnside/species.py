@@ -19,11 +19,10 @@ import numpy as np
 from .abelian_fiber import AbelianFiber, Character, char_index, hom_set
 from .errors import (FiberHasPTorsion, InvalidSpec, NotABijection,
                      NotAGroupIso, SearchBudgetExceeded)
-from .group_core import (FiniteGroup, Subgroup, _element_order,
-                         abelian_invariant_decomposition,
-                         conjugacy_classes_of_subgroups)
+from .group_core import (SubgroupClassTable, _element_order,
+                         abelian_invariant_decomposition)
 from .monomial import gamma_block, monomial_basis
-from .thevenaz import ThevenazGroup, canonical_class_reps
+from .thevenaz import ThevenazGroup, canonical_class_table
 
 EXHAUSTION_CAVEAT = (
     "A failed search only rules out witnesses whose character maps are all "
@@ -37,13 +36,14 @@ EXHAUSTION_CAVEAT = (
 class SpeciesWitness:
     """Candidate data for a species isomorphism.
 
-    ``subgroup_map[i]`` is the index into ``h_reps`` of the image of
-    ``g_reps[i]``; ``char_maps[i][a]`` is the index in the image class's hom
-    set of the image of the a-th character of class i.
+    ``subgroup_map[i]`` is the index into ``h_table.reps`` of the image of
+    ``g_table.reps[i]``; ``char_maps[i][a]`` is the index in the image
+    class's hom set of the image of the a-th character of class i. The maps
+    only mean something against these two transversals.
     """
 
-    g_reps: list[Subgroup]
-    h_reps: list[Subgroup]
+    g_table: SubgroupClassTable
+    h_table: SubgroupClassTable
     subgroup_map: list[int]
     char_maps: list[list[int]]
 
@@ -52,11 +52,12 @@ class SpeciesWitness:
                 "char_maps": [list(m) for m in self.char_maps]}
 
     @classmethod
-    def from_json(cls, data: dict, g_reps: Sequence[Subgroup],
-                  h_reps: Sequence[Subgroup]) -> "SpeciesWitness":
-        """Parse witness JSON; raises NotABijection unless both maps are
-        integer lists with one entry per class of ``g_reps``. Index ranges
-        are checked by ``verify_species``."""
+    def from_json(cls, data: dict, g_table: SubgroupClassTable,
+                  h_table: SubgroupClassTable) -> "SpeciesWitness":
+        """Parse witness JSON against two class tables; raises
+        NotABijection unless both maps are integer lists with one entry per
+        class of ``g_table``. Index ranges are checked by
+        ``verify_species``."""
         if not isinstance(data, dict):
             raise NotABijection("witness JSON must be an object")
         smap, cmaps = data.get("subgroup_map"), data.get("char_maps")
@@ -64,10 +65,10 @@ class SpeciesWitness:
                 and all(_is_index_list(row) for row in cmaps)):
             raise NotABijection("witness needs integer lists 'subgroup_map' "
                                 "and 'char_maps'")
-        if not len(smap) == len(cmaps) == len(g_reps):
+        if not len(smap) == len(cmaps) == len(g_table.reps):
             raise NotABijection(f"witness maps need one entry per class, "
-                                f"{len(g_reps)} here")
-        return cls(list(g_reps), list(h_reps), smap, cmaps)
+                                f"{len(g_table.reps)} here")
+        return cls(g_table, h_table, smap, cmaps)
 
 
 def _is_index_list(value) -> bool:
@@ -168,23 +169,22 @@ def _is_char_group_iso(table1: np.ndarray, table2: np.ndarray,
 # Verification
 
 
-def verify_species(g: FiniteGroup, h: FiniteGroup, fiber: AbelianFiber,
-                   witness: SpeciesWitness) -> SpeciesVerdict:
+def verify_species(witness: SpeciesWitness,
+                   fiber: AbelianFiber) -> SpeciesVerdict:
     """Check the gamma-matching condition of a witness on all quadruples.
 
     On success the induced basis bijection is materialized and re-verified
     to transport all structure constants of the double-coset product
     (independent end-to-end oracle).
     """
-    k = len(witness.g_reps)
-    if len(witness.h_reps) != k or len(witness.subgroup_map) != k:
+    g_table, h_table = witness.g_table, witness.h_table
+    k = len(g_table.reps)
+    if len(h_table.reps) != k or len(witness.subgroup_map) != k:
         raise NotABijection("subgroup map must cover all classes")
     if sorted(witness.subgroup_map) != list(range(k)):
         raise NotABijection("subgroup map is not a bijection of classes")
-    basis_g = monomial_basis(
-        g, fiber, conjugacy_classes_of_subgroups(g, reps=witness.g_reps))
-    basis_h = monomial_basis(
-        h, fiber, conjugacy_classes_of_subgroups(h, reps=witness.h_reps))
+    basis_g = monomial_basis(g_table.group, fiber, g_table)
+    basis_h = monomial_basis(h_table.group, fiber, h_table)
     homs_g, homs_h = basis_g.class_homs, basis_h.class_homs
     for ci in range(k):
         cj = witness.subgroup_map[ci]
@@ -193,8 +193,8 @@ def verify_species(g: FiniteGroup, h: FiniteGroup, fiber: AbelianFiber,
                 or sorted(cmap) != list(range(len(homs_h[cj])))):
             raise NotABijection(f"character map of class {ci} is not a bijection")
         if not _is_char_group_iso(
-                char_index(basis_g.class_table.reps[ci], fiber).table,
-                char_index(basis_h.class_table.reps[cj], fiber).table, cmap):
+                char_index(g_table.reps[ci], fiber).table,
+                char_index(h_table.reps[cj], fiber).table, cmap):
             raise NotAGroupIso(
                 f"character map of class {ci} does not preserve products")
     for ci in range(k):
@@ -213,8 +213,9 @@ def _gamma_mismatch(witness, fiber, ci: int, cj: int):
     (ci, cj) differs from the block of their images, read through the
     character maps."""
     ti, tj = witness.subgroup_map[ci], witness.subgroup_map[cj]
-    gg = gamma_block(witness.g_reps[ci], witness.g_reps[cj], fiber)
-    gh = gamma_block(witness.h_reps[ti], witness.h_reps[tj], fiber)[
+    g_reps, h_reps = witness.g_table.reps, witness.h_table.reps
+    gg = gamma_block(g_reps[ci], g_reps[cj], fiber)
+    gh = gamma_block(h_reps[ti], h_reps[tj], fiber)[
         np.ix_(witness.char_maps[ci], witness.char_maps[cj])]
     bad = np.argwhere(gg != gh)
     if not bad.size:
@@ -289,26 +290,26 @@ def _class_invariant(table, ci: int, fiber) -> tuple:
             tuple(sorted(cross.items())))
 
 
-def search_species(g: FiniteGroup, h: FiniteGroup, fiber: AbelianFiber,
-                   *, budget: Optional[int] = None) -> Optional[SpeciesWitness]:
-    """Backtracking search for a witness with group-isomorphism character
-    maps; returns the first witness in deterministic order or None.
+def search_species(g_table: SubgroupClassTable,
+                   h_table: SubgroupClassTable, fiber: AbelianFiber, *,
+                   budget: Optional[int] = None) -> Optional[SpeciesWitness]:
+    """Backtracking search for a witness over the transversals of two class
+    tables, with group-isomorphism character maps; returns the first
+    witness in deterministic order or None.
 
     Class candidates are pruned by (order, class size, hom-set size,
     mark-profile multiset). A None result means exhaustion under the
     group-isomorphism restriction; see ``EXHAUSTION_CAVEAT``.
     """
-    ct_g = conjugacy_classes_of_subgroups(g)
-    ct_h = conjugacy_classes_of_subgroups(h)
-    k = len(ct_g.reps)
-    if len(ct_h.reps) != k:
+    k = len(g_table.reps)
+    if len(h_table.reps) != k:
         return None
-    inv_g = [_class_invariant(ct_g, i, fiber) for i in range(k)]
-    inv_h = [_class_invariant(ct_h, i, fiber) for i in range(k)]
+    inv_g = [_class_invariant(g_table, i, fiber) for i in range(k)]
+    inv_h = [_class_invariant(h_table, i, fiber) for i in range(k)]
     if sorted(inv_g) != sorted(inv_h):
         return None
-    homs_g = [hom_set(s, fiber) for s in ct_g.reps]
-    homs_h = [hom_set(s, fiber) for s in ct_h.reps]
+    homs_g = [hom_set(s, fiber) for s in g_table.reps]
+    homs_h = [hom_set(s, fiber) for s in h_table.reps]
     candidates = [[j for j in range(k) if inv_h[j] == inv_g[i]]
                   for i in range(k)]
     blocks_g: dict[tuple[int, int], np.ndarray] = {}
@@ -327,9 +328,9 @@ def search_species(g: FiniteGroup, h: FiniteGroup, fiber: AbelianFiber,
     def matches(x: int, y: int) -> bool:
         """The gamma block of classes (x, y) equals the block of their
         images, read through the character maps."""
-        image = block(blocks_h, ct_h.reps, assignment[x], assignment[y])
+        image = block(blocks_h, h_table.reps, assignment[x], assignment[y])
         return np.array_equal(
-            block(blocks_g, ct_g.reps, x, y),
+            block(blocks_g, g_table.reps, x, y),
             image[char_assignment[x][:, None], char_assignment[y]])
 
     def consistent(ci: int) -> bool:
@@ -360,8 +361,7 @@ def search_species(g: FiniteGroup, h: FiniteGroup, fiber: AbelianFiber,
 
     if not backtrack(0):
         return None
-    return SpeciesWitness(list(ct_g.reps), list(ct_h.reps),
-                          [int(v) for v in assignment],
+    return SpeciesWitness(g_table, h_table, [int(v) for v in assignment],
                           [m.tolist() for m in char_assignment])
 
 
@@ -373,20 +373,20 @@ def thevenaz_witness(tg1: ThevenazGroup, tg2: ThevenazGroup,
                      fiber: AbelianFiber) -> SpeciesWitness:
     """The explicit witness between two family members over the same (p, q).
 
-    Classes are paired by position in the standard class list; on classes
-    containing the order-q generator, characters are paired by their value
-    on it. Requires the fiber to have trivial p-torsion.
+    Classes are paired by position in the canonical class tables; on
+    classes containing the order-q generator, characters are paired by
+    their value on it. Requires the fiber to have trivial p-torsion.
     """
     if (tg1.spec.p, tg1.spec.q) != (tg2.spec.p, tg2.spec.q):
         raise InvalidSpec("family members must share p and q")
     p = tg1.spec.p
     if not fiber.has_trivial_torsion(p):
         raise FiberHasPTorsion(f"fiber has nontrivial {p}-torsion")
-    g_reps = canonical_class_reps(tg1)
-    h_reps = canonical_class_reps(tg2)
-    subgroup_map = list(range(len(g_reps)))
+    g_table = canonical_class_table(tg1)
+    h_table = canonical_class_table(tg2)
+    subgroup_map = list(range(len(g_table.reps)))
     char_maps: list[list[int]] = []
-    for ci, (k_sub, k_img) in enumerate(zip(g_reps, h_reps)):
+    for k_sub, k_img in zip(g_table.reps, h_table.reps):
         homs1 = hom_set(k_sub, fiber)
         homs2 = hom_set(k_img, fiber)
         if len(homs1) == 1:
@@ -398,7 +398,7 @@ def thevenaz_witness(tg1: ThevenazGroup, tg2: ThevenazGroup,
         z1, z2 = tg1.z, tg2.z
         by_value = {h.value_index(z2): j for j, h in enumerate(homs2)}
         char_maps.append([by_value[h.value_index(z1)] for h in homs1])
-    return SpeciesWitness(g_reps, h_reps, subgroup_map, char_maps)
+    return SpeciesWitness(g_table, h_table, subgroup_map, char_maps)
 
 
 __all__ = [

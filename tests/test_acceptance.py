@@ -142,7 +142,7 @@ def test_criterion_5_proof_case_oracles(report_line):
     fiber = AbelianFiber((5,))
     tg = thevenaz.build(thevenaz.ThevenazSpec(11, 5, 3, 9))
     g = tg.group
-    reps = thevenaz.canonical_class_reps(tg)
+    reps = thevenaz.canonical_class_table(tg).reps
     ok = True
 
     def trivial_index(sub):

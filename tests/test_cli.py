@@ -196,6 +196,36 @@ def test_verify_witness_file_round_trip(capsys, tmp_path):
     assert report2["result"]["status"] == "valid"
 
 
+@pytest.mark.parametrize("mode", ["--thevenaz-witness", "--auto"])
+def test_verify_thevenaz_witness_file_round_trip(capsys, tmp_path, mode):
+    # a thevenaz: spec indexes classes canonically in every mode, so a
+    # printed witness reads back against the transversal it was made on
+    argv = ("verify", "thevenaz:7,3,2,4", "thevenaz:7,3,2,4", "--fiber", "3")
+    code, report, _ = run_json(capsys, *argv, mode)
+    assert code == 0
+    witness_file = tmp_path / "witness.json"
+    witness_file.write_text(json.dumps(report["result"]["witness"]))
+    code2, report2, _ = run_json(capsys, *argv, "--witness",
+                                 str(witness_file))
+    assert code2 == 0
+    assert report2["result"]["status"] == "valid"
+
+
+def write_payload(path, payload):
+    """Bytes go to the file as they are, anything else as JSON text."""
+    if isinstance(payload, bytes):
+        path.write_bytes(payload)
+    else:
+        path.write_text(json.dumps(payload))
+
+
+# JSON files that no reader can decode
+UNREADABLE_JSON = [
+    pytest.param(b"\xff\xfe{}", id="not-utf8"),
+    pytest.param(b"[" * 100_000, id="nested-too-deep"),
+]
+
+
 def assert_usage_error(code, err):
     assert code == 2
     assert err.count("error:") == 1
@@ -212,11 +242,12 @@ def assert_usage_error(code, err):
     {"subgroup_map": [0, -1], "char_maps": [[0], [0, 1]]},  # negative
     {"subgroup_map": [0, "1"], "char_maps": [[0], [0, 1]]},  # not an int
     [[0, 1]],                                               # not an object
+    *UNREADABLE_JSON,
 ])
 def test_verify_rejects_malformed_witness(capsys, tmp_path, witness):
     # C2 has two subgroup classes with 1 and 2 characters into C2
     witness_file = tmp_path / "witness.json"
-    witness_file.write_text(json.dumps(witness))
+    write_payload(witness_file, witness)
     code, out, err = run(capsys, "verify", "cyclic:2", "cyclic:2",
                          "--fiber", "2", "--witness", str(witness_file))
     assert_usage_error(code, err)
@@ -355,10 +386,12 @@ def test_cayley_file_rejects_non_group_above_order_1000(capsys, tmp_path):
     {"order": 2, "mul": [[0, 1], [1, None]]},  # entry not an integer
     {"order": 2, "mul": [[0, 1], [1, 0.5]]},   # entry not an integer
     {"order": 2, "mul": [[0, 1], [1, True]]},  # entry not an integer
+    pytest.param({"order": True, "mul": [[0]]}, id="order-not-an-integer"),
+    *UNREADABLE_JSON,
 ])
 def test_cayley_file_rejects_malformed_json(capsys, tmp_path, payload):
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps(payload))
+    write_payload(path, payload)
     code, out, err = run(capsys, "marks", f"cayley:{path}")
     assert_usage_error(code, err)
     assert out == ""
@@ -378,8 +411,8 @@ def test_reproduce_small_family(capsys):
 
 
 def test_reproduce_builds_each_char_index_once(monkeypatch):
-    # both groups' transversals and the witness's own copies of them share
-    # one index per member set and fiber
+    # both groups' transversals, which the witness carries in their class
+    # tables, share one index per member set and fiber
     builds = []
     build = CharIndex.__init__
 

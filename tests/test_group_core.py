@@ -29,7 +29,7 @@ from oracles import (brute_force_subgroups, join_closure_subgroups,
                      reference_generating_sequence, reference_inverses)
 
 from fibered_burnside.errors import NotAGroup, NotAnAction, NotAnAutomorphism
-from fibered_burnside.thevenaz import canonical_class_reps
+from fibered_burnside.thevenaz import canonical_class_table
 from fibered_burnside.group_core import (FiniteGroup, Subgroup,
                                          _check_associativity,
                                          _generating_sequence, _p_group_basis,
@@ -432,7 +432,8 @@ def test_class_maps_match_per_conjugator_sweep(small_groups, tg_7_3,
                                                tg_11_5_a, tg_11_5_b):
     cases = [(g, None) for g in [*small_groups, symmetric_group(5)]]
     for tg in (tg_7_3, tg_11_5_a, tg_11_5_b):
-        cases += [(tg.group, None), (tg.group, canonical_class_reps(tg))]
+        cases += [(tg.group, None),
+                  (tg.group, canonical_class_table(tg).reps)]
     for g, reps in cases:
         table = conjugacy_classes_of_subgroups(g, reps=reps)
         class_of, transporter = reference_class_maps(g, reps)

@@ -27,7 +27,7 @@ from fibered_burnside.monomial import (BurnsideElement, MonomialBasis,
                                        gamma_table, ghost_multiply, ghost_ring,
                                        integer_matrix_determinant,
                                        mark_morphism, monomial_basis, multiply)
-from fibered_burnside.thevenaz import canonical_class_reps
+from fibered_burnside.thevenaz import canonical_class_table
 from oracles import (canonical_index, reference_char_group_table,
                      reference_char_orbits, reference_gamma,
                      reference_product)
@@ -236,8 +236,7 @@ def test_product_matches_reference_other_transversals(tg_7_3, s4, fiber_c6):
     # the family's canonical transversal reorders the default classes; a
     # transversal conjugated away from the default changes the reps, so
     # the transporters to them differ too
-    table = conjugacy_classes_of_subgroups(
-        tg_7_3.group, reps=canonical_class_reps(tg_7_3))
+    table = canonical_class_table(tg_7_3)
     _assert_products_match_reference(
         monomial_basis(tg_7_3.group, AbelianFiber((3,)), table))
     default = conjugacy_classes_of_subgroups(s4).reps

@@ -99,17 +99,22 @@ def test_char_group_isomorphisms_preserve_products(s3, fiber_c6):
 
 
 def _identity_witness(group, fiber):
-    reps = conjugacy_classes_of_subgroups(group).reps
-    char_maps = [list(range(len(hom_set(s, fiber)))) for s in reps]
-    return SpeciesWitness(list(reps), list(reps),
-                          list(range(len(reps))), char_maps)
+    table = conjugacy_classes_of_subgroups(group)
+    char_maps = [list(range(len(hom_set(s, fiber)))) for s in table.reps]
+    return SpeciesWitness(table, table,
+                          list(range(len(table.reps))), char_maps)
+
+
+def _search(g, h, fiber, **kwargs):
+    return search_species(conjugacy_classes_of_subgroups(g),
+                          conjugacy_classes_of_subgroups(h), fiber, **kwargs)
 
 
 def test_identity_witness_valid(s3, d4, fiber_c2, fiber_c6):
     for g in (s3, d4):
         for fiber in (fiber_c2, fiber_c6):
             witness = _identity_witness(g, fiber)
-            verdict = verify_species(g, g, fiber, witness)
+            verdict = verify_species(witness, fiber)
             assert verdict.valid
             assert verdict.basis_bijection is not None
             assert [i for i, _ in verdict.basis_bijection] == \
@@ -120,41 +125,42 @@ def test_witness_must_be_bijection(s3, fiber_c2):
     witness = _identity_witness(s3, fiber_c2)
     witness.subgroup_map = [0, 0, 2, 3]
     with pytest.raises(NotABijection):
-        verify_species(s3, s3, fiber_c2, witness)
+        verify_species(witness, fiber_c2)
     witness2 = _identity_witness(s3, fiber_c2)
     witness2.char_maps[0] = [0, 0]
     with pytest.raises(NotABijection):
-        verify_species(s3, s3, fiber_c2, witness2)
+        verify_species(witness2, fiber_c2)
 
 
 def test_witness_char_map_must_preserve_products(d4, fiber_c2):
     # swapping the trivial character with a nontrivial one breaks products
     witness = _identity_witness(d4, fiber_c2)
-    full_class = len(witness.g_reps) - 1
+    full_class = len(witness.g_table.reps) - 1
     witness.char_maps[full_class] = [1, 0] + \
         witness.char_maps[full_class][2:]
     with pytest.raises(NotAGroupIso):
-        verify_species(d4, d4, fiber_c2, witness)
+        verify_species(witness, fiber_c2)
 
 
 def _first_reference_mismatch(witness, fiber):
     """The first (ci, cj, a, b), in that lexicographic order, where the
     scalar oracle's gamma differs across the witness."""
-    homs_g = [hom_set(s, fiber) for s in witness.g_reps]
-    homs_h = [hom_set(s, fiber) for s in witness.h_reps]
+    g_reps, h_reps = witness.g_table.reps, witness.h_table.reps
+    homs_g = [hom_set(s, fiber) for s in g_reps]
+    homs_h = [hom_set(s, fiber) for s in h_reps]
 
     def pair_h(ci, a):
         ti = witness.subgroup_map[ci]
-        return MonomialPair(witness.h_reps[ti],
+        return MonomialPair(h_reps[ti],
                             homs_h[ti][witness.char_maps[ci][a]])
 
-    k = len(witness.g_reps)
+    k = len(g_reps)
     for ci in range(k):
         for cj in range(k):
             for a, phi in enumerate(homs_g[ci]):
                 for b, psi in enumerate(homs_g[cj]):
-                    gg = reference_gamma(MonomialPair(witness.g_reps[ci], phi),
-                                         MonomialPair(witness.g_reps[cj], psi))
+                    gg = reference_gamma(MonomialPair(g_reps[ci], phi),
+                                         MonomialPair(g_reps[cj], psi))
                     gh = reference_gamma(pair_h(ci, a), pair_h(cj, b))
                     if gg != gh:
                         return {"classes": [ci, cj], "char_indices": [a, b],
@@ -174,9 +180,9 @@ def test_gamma_mismatch_reported(d4):
     mapping = list(range(len(table.reps)))
     i, j = order2[0], order2[1]
     mapping[i], mapping[j] = mapping[j], mapping[i]
-    witness = SpeciesWitness(list(table.reps), list(table.reps), mapping,
+    witness = SpeciesWitness(table, table, mapping,
                              [[0]] * len(table.reps))
-    verdict = verify_species(d4, d4, fiber, witness)
+    verdict = verify_species(witness, fiber)
     assert not verdict.valid
     expect = {"classes": [1, 4], "char_indices": [0, 0],
               "gamma_g": 2, "gamma_h": 0}
@@ -188,9 +194,9 @@ def test_gamma_mismatch_reported_through_char_map(d4, fiber_c2):
     # an automorphism of Hom(D4, C2) on the whole group alone is a group
     # isomorphism of character groups but breaks gamma matching
     witness = _identity_witness(d4, fiber_c2)
-    full_class = len(witness.g_reps) - 1
+    full_class = len(witness.g_table.reps) - 1
     witness.char_maps[full_class] = [0, 3, 1, 2]
-    verdict = verify_species(d4, d4, fiber_c2, witness)
+    verdict = verify_species(witness, fiber_c2)
     assert not verdict.valid
     expect = {"classes": [1, 7], "char_indices": [0, 2],
               "gamma_g": 1, "gamma_h": 0}
@@ -221,7 +227,7 @@ def test_structure_constant_check_rejects_bad_basis_maps(d4, fiber_c2):
         {"reason": "basis sizes differ", "sizes": [19, other.size]}, None)
     # Hom(C2 x C2, C2) has orbits {0}, {1}, {2, 3} under the normalizer;
     # sending characters 1 and 2 into one orbit maps two basis pairs to one
-    ci = next(c for c, s in enumerate(witness.g_reps)
+    ci = next(c for c, s in enumerate(witness.g_table.reps)
               if s.order == 4 and basis._char_to_basis[c][2]
               == basis._char_to_basis[c][3])
     assert basis._char_to_basis[ci][1] != basis._char_to_basis[ci][2]
@@ -231,7 +237,7 @@ def test_structure_constant_check_rejects_bad_basis_maps(d4, fiber_c2):
 
 
 def test_inverse_witness_validates(s3, fiber_c6):
-    witness = search_species(s3, s3, fiber_c6)
+    witness = _search(s3, s3, fiber_c6)
     assert witness is not None
     k = len(witness.subgroup_map)
     inv_map = [0] * k
@@ -245,9 +251,9 @@ def test_inverse_witness_validates(s3, fiber_c6):
         for a, b in enumerate(fwd):
             back[b] = a
         inv_chars.append(back)
-    inverse = SpeciesWitness(list(witness.h_reps), list(witness.g_reps),
+    inverse = SpeciesWitness(witness.h_table, witness.g_table,
                              inv_map, inv_chars)
-    assert verify_species(s3, s3, fiber_c6, inverse).valid
+    assert verify_species(inverse, fiber_c6).valid
 
 
 # ---------------------------------------------------------------------------
@@ -256,24 +262,24 @@ def test_inverse_witness_validates(s3, fiber_c6):
 
 def test_search_self_always_succeeds(small_groups, fiber_c2):
     for g in small_groups:
-        witness = search_species(g, g, fiber_c2)
+        witness = _search(g, g, fiber_c2)
         assert witness is not None
-        assert verify_species(g, g, fiber_c2, witness).valid
+        assert verify_species(witness, fiber_c2).valid
 
 
 def test_search_c4_vs_klein_exhausts(fiber_c2):
     # class counts differ (3 vs 5), so no witness can exist at all
-    assert search_species(cyclic_group(4), abelian_group((2, 2)),
-                          fiber_c2) is None
+    assert _search(cyclic_group(4), abelian_group((2, 2)),
+                   fiber_c2) is None
 
 
 def test_search_s3_vs_c6_exhausts(s3, fiber_c6):
-    assert search_species(s3, cyclic_group(6), fiber_c6) is None
+    assert _search(s3, cyclic_group(6), fiber_c6) is None
 
 
 def test_search_budget(s3, fiber_c6):
     with pytest.raises(SearchBudgetExceeded):
-        search_species(s3, s3, fiber_c6, budget=0)
+        _search(s3, s3, fiber_c6, budget=0)
 
 
 def test_exhaustion_caveat_mentions_open_question():
@@ -289,7 +295,7 @@ def test_thevenaz_witness_identity(tg_7_3):
     fiber = AbelianFiber((3,))
     witness = thevenaz_witness(tg_7_3, tg_7_3, fiber)
     assert witness.subgroup_map == list(range(10))
-    verdict = verify_species(tg_7_3.group, tg_7_3.group, fiber, witness)
+    verdict = verify_species(witness, fiber)
     assert verdict.valid
     assert len(verdict.basis_bijection) == 6 + 4 * 3
 
@@ -305,8 +311,7 @@ def test_thevenaz_witness_gamma_valid(tg_11_5_a, tg_11_5_b, fiber_c5):
     # gamma matching on all quadruples, then the structure-constant
     # re-check on all basis products
     witness = thevenaz_witness(tg_11_5_a, tg_11_5_b, fiber_c5)
-    verdict = verify_species(tg_11_5_a.group, tg_11_5_b.group, fiber_c5,
-                             witness)
+    verdict = verify_species(witness, fiber_c5)
     assert verdict.valid
 
 
@@ -321,17 +326,16 @@ def test_thevenaz_witness_rejects_mixed_parameters(tg_7_3, tg_11_5_a):
 
 
 def test_search_finds_family_witness(tg_11_5_a, tg_11_5_b, fiber_c5):
-    witness = search_species(tg_11_5_a.group, tg_11_5_b.group, fiber_c5)
+    witness = _search(tg_11_5_a.group, tg_11_5_b.group, fiber_c5)
     assert witness is not None
-    verdict = verify_species(tg_11_5_a.group, tg_11_5_b.group, fiber_c5,
-                             witness)
+    verdict = verify_species(witness, fiber_c5)
     assert verdict.valid
 
 
 def test_witness_json_round_trip(s3, fiber_c6):
-    witness = search_species(s3, s3, fiber_c6)
+    witness = _search(s3, s3, fiber_c6)
     data = witness.to_json()
     assert set(data) == {"subgroup_map", "char_maps"}
-    back = SpeciesWitness.from_json(data, witness.g_reps, witness.h_reps)
+    back = SpeciesWitness.from_json(data, witness.g_table, witness.h_table)
     assert back.subgroup_map == witness.subgroup_map
     assert back.char_maps == witness.char_maps

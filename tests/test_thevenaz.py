@@ -14,7 +14,6 @@ from fibered_burnside.errors import InvalidSpec
 from fibered_burnside.group_core import (Subgroup, are_isomorphic, closure,
                                          normalizer)
 from fibered_burnside.thevenaz import (ThevenazSpec, build,
-                                       canonical_class_reps,
                                        canonical_class_table, class_count,
                                        family_isomorphic,
                                        isomorphism_class_partition,
@@ -95,12 +94,12 @@ def test_build_invalid_spec_rejected():
 
 
 def test_canonical_reps_7_3(tg_7_3):
-    reps = canonical_class_reps(tg_7_3)
+    reps = canonical_class_table(tg_7_3).reps
     assert [s.order for s in reps] == [1, 7, 7, 7, 7, 49, 3, 21, 21, 147]
 
 
 def test_canonical_reps_11_5(tg_11_5_a):
-    reps = canonical_class_reps(tg_11_5_a)
+    reps = canonical_class_table(tg_11_5_a).reps
     assert [s.order for s in reps] == \
         [1, 11, 11, 11, 11, 121, 5, 55, 55, 605]
 
@@ -108,7 +107,7 @@ def test_canonical_reps_11_5(tg_11_5_a):
 def test_class_count_matches_census(tg_7_3, tg_11_5_a):
     for tg in (tg_7_3, tg_11_5_a):
         p, q = tg.spec.p, tg.spec.q
-        assert len(canonical_class_reps(tg)) == 8 + (p - 1) // q
+        assert len(canonical_class_table(tg).reps) == 8 + (p - 1) // q
 
 
 def test_diagonal_transversal(tg_11_5_a):
