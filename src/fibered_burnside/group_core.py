@@ -83,11 +83,10 @@ class FiniteGroup:
     @property
     def element_class_sizes(self) -> np.ndarray:
         if self._element_class_sizes is None:
+            # |G| / |C_G(x)|, with |C_G(x)| the g that fix x by conjugation
             n = self.order
-            sizes = np.empty(n, dtype=np.int64)
-            for g in range(n):
-                sizes[g] = np.unique(self.conj[:, g]).size
-            self._element_class_sizes = sizes
+            self._element_class_sizes = n // np.count_nonzero(
+                self.conj == np.arange(n), axis=0)
         return self._element_class_sizes
 
     def is_abelian(self) -> bool:
@@ -410,6 +409,13 @@ def enumerate_subgroups(group: FiniteGroup) -> list[Subgroup]:
     subgroups (possible only when 60 <= |G| and 12 divides |G|) are seeded
     separately from two-generated closures, so non-solvable subgroups are
     reached as well.
+
+    Each queued S carries a generating sequence, so N_G(S) is one gather
+    of the conjugates of those generators. Once <S, g> is found, every
+    member of it is skipped for this S: g normalizes S and [<S, g> : S] = p
+    is prime, so for any g' in <S, g> outside S the quotient <S, g'>/S is a
+    nontrivial subgroup of <S, g>/S, a group of order p; hence g'^p lies in
+    S and <S, g'> = <S, g>, so g' adds nothing new.
     """
     cached = group._cache.get("subgroups")
     if cached is not None:
@@ -417,50 +423,44 @@ def enumerate_subgroups(group: FiniteGroup) -> list[Subgroup]:
     n = group.order
     primes = [p for p in range(2, n + 1) if n % p == 0 and _is_prime(p)]
     seen: set[tuple[int, ...]] = {(0,)}
-    queue: list[tuple[int, ...]] = [(0,)]
+    queue: list[tuple[tuple[int, ...], tuple[int, ...]]] = [((0,), ())]
     if n >= 60 and n % 12 == 0:
         for mem in _perfect_seeds(group):
             if mem not in seen:
                 seen.add(mem)
-                queue.append(mem)
+                queue.append(
+                    (mem, Subgroup(group, mem, verify=False).generators()))
     mul = group.mul
     while queue:
-        mem = queue.pop()
+        mem, gens = queue.pop()
         size = len(mem)
         index = n // size
         valid_primes = [p for p in primes if index % p == 0]
         if not valid_primes:
             continue
-        mask = _mask_of(mem)
         mem_arr = np.asarray(mem, dtype=np.int64)
-        rows = np.sort(group.conj[:, mem_arr], axis=1)
-        norm = np.nonzero((rows == mem_arr).all(axis=1))[0]
-        base = set(mem)
-        for g in norm:
-            g = int(g)
-            if (mask >> g) & 1:
+        inside = _indicator(n, mem_arr)
+        done = inside.copy()
+        for g in _normalizing(group, inside, gens).tolist():
+            if done[g]:
                 continue
             for p in valid_primes:
-                e = g
-                for _ in range(p - 1):
-                    e = int(mul[e, g])
-                if not (mask >> e) & 1:
-                    continue
                 powers = [g]
-                cur = g
                 for _ in range(p - 2):
-                    cur = int(mul[cur, g])
-                    powers.append(cur)
+                    powers.append(int(mul[powers[-1], g]))
+                if not inside[mul[powers[-1], g]]:
+                    continue
                 block = mul[np.ix_(mem_arr, np.asarray(powers, dtype=np.int64))]
-                new_mem = tuple(sorted(base.union(
-                    int(v) for v in block.ravel())))
-                if len(new_mem) != p * size:
+                new_arr = np.union1d(mem_arr, block)
+                if new_arr.size != p * size:
                     raise NotAGroup(
                         f"extending a subgroup of order {size} by an element "
-                        f"of order {p} modulo it gave {len(new_mem)} elements")
+                        f"of order {p} modulo it gave {new_arr.size} elements")
+                done[new_arr] = True
+                new_mem = tuple(new_arr.tolist())
                 if new_mem not in seen:
                     seen.add(new_mem)
-                    queue.append(new_mem)
+                    queue.append((new_mem, gens + (g,)))
                 break   # g^p in S for two primes would force g in S
     subs = [Subgroup(group, mem, verify=False)
             for mem in sorted(seen, key=lambda m: (len(m), m))]
@@ -581,11 +581,29 @@ def double_coset_reps(group: FiniteGroup, k: Subgroup, l: Subgroup) -> list[int]
     return list(reps)
 
 
+def _indicator(n: int, members) -> np.ndarray:
+    """Boolean array of length n, True exactly on ``members``."""
+    inside = np.zeros(n, dtype=bool)
+    inside[np.asarray(members, dtype=np.int64)] = True
+    return inside
+
+
+def _normalizing(group: FiniteGroup, inside: np.ndarray,
+                 gens: Sequence[int]) -> np.ndarray:
+    """The elements g, ascending, that conjugate every one of ``gens`` into
+    the subgroup S they generate (given by its indicator ``inside``).
+
+    That is N_G(S): gSg^-1 is generated by the conjugates of ``gens``, so
+    it lies in S, and it has the order of S, so it equals S.
+    """
+    block = group.conj[:, np.asarray(gens, dtype=np.int64)]
+    return np.flatnonzero(inside[block].all(axis=1))
+
+
 def normalizer(group: FiniteGroup, sub: Subgroup) -> Subgroup:
-    mem = np.asarray(sub.members, dtype=np.int64)
-    rows = np.sort(group.conj[:, mem], axis=1)
-    fixed = np.nonzero((rows == mem).all(axis=1))[0]
-    return Subgroup(group, fixed, verify=False)
+    inside = _indicator(group.order, sub.members)
+    return Subgroup(group, _normalizing(group, inside, sub.generators()),
+                    verify=False)
 
 
 @dataclass
@@ -907,6 +925,47 @@ def _spanning_tree(group: FiniteGroup, roots: Sequence[int],
     return layers
 
 
+def _cyclic_class_lengths(group: FiniteGroup) -> np.ndarray:
+    """For each element x, the number of conjugates of the subgroup <x>.
+
+    <x> has |G : N_G(<x>)| conjugates, and N_G(<x>) is the set of g with
+    gxg^-1 in <x>: one gather of the column conj[:, x] per cyclic subgroup.
+    The generators of <x> are its members of the same order as x.
+    """
+    n = group.order
+    orders = group.element_orders
+    lengths = np.zeros(n, dtype=np.int64)
+    for x in range(n):
+        if lengths[x]:
+            continue
+        cyc = np.asarray(closure(group, (x,)), dtype=np.int64)
+        norm = _normalizing(group, _indicator(n, cyc), (x,))
+        lengths[cyc[orders[cyc] == orders[x]]] = n // norm.size
+    return lengths
+
+
+def _candidate_pools(g: FiniteGroup, h: FiniteGroup,
+                     gens: Sequence[int]) -> list[np.ndarray]:
+    """Per generator of G, the ascending elements of H it may map to.
+
+    An isomorphism keeps each element's order, the size of its conjugacy
+    class and the number of conjugates of the cyclic subgroup it
+    generates, so every other element of H is left out. The first pool
+    holds only conjugacy-class representatives of H.
+    """
+    n = h.order
+    g_cyc, h_cyc = _cyclic_class_lengths(g), _cyclic_class_lengths(h)
+    pools = []
+    for j, gen in enumerate(gens):
+        fits = ((h.element_orders == g.element_orders[gen])
+                & (h.element_class_sizes == g.element_class_sizes[gen])
+                & (h_cyc == g_cyc[gen]))
+        pool = (np.asarray(_orbit_reps(h.conj, np.arange(n))) if j == 0
+                else np.arange(n))
+        pools.append(pool[fits[pool]])
+    return pools
+
+
 def are_isomorphic(g: FiniteGroup, h: FiniteGroup) -> Optional[list[int]]:
     """A verified isomorphism G -> H as an index list, or None.
 
@@ -915,7 +974,8 @@ def are_isomorphic(g: FiniteGroup, h: FiniteGroup) -> Optional[list[int]]:
     C_j = <g_0, ..., g_j>. The first generator's image only ranges over
     element-conjugacy-class representatives of H (composing with inner
     automorphisms); deeper candidate pools hold the elements of H with the
-    generator's element order and class size. At each node the whole pool is
+    generator's element order, class size and number of conjugates of the
+    cyclic subgroup it generates. At each node the whole pool is
     filtered at once with numpy: the minimal power of g_j that lands in
     C_{j-1}, and the conjugates of earlier generators by g_j that land in
     it, must map to the images the prefix gives them. Each surviving
@@ -924,6 +984,12 @@ def are_isomorphic(g: FiniteGroup, h: FiniteGroup) -> Optional[list[int]]:
     kept only if it respects every Cayley-graph edge of C_j and is
     injective. A full map is then verified on all pairs. A None answer
     means the whole tree was searched.
+
+    The three pool invariants are kept by every isomorphism, since it maps
+    <x> and its conjugates onto <f(x)> and its conjugates. A candidate left
+    out of a pool therefore roots a subtree that holds no isomorphism, and
+    the pools keep ascending order, so the search returns the same first
+    map as one over the unpruned pools.
     """
     if g.order != h.order:
         return None
@@ -941,13 +1007,7 @@ def are_isomorphic(g: FiniteGroup, h: FiniteGroup) -> Optional[list[int]]:
     k = len(gens)
     chain = [closure(g, gens[:j + 1]) for j in range(k)]
 
-    h_class_reps = _orbit_reps(h.conj, np.arange(n))
-    cand_pools = []
-    for j, gen in enumerate(gens):
-        fits = ((h.element_orders == g.element_orders[gen])
-                & (h.element_class_sizes == g.element_class_sizes[gen]))
-        pool = np.asarray(h_class_reps) if j == 0 else np.arange(n)
-        cand_pools.append(pool[fits[pool]])
+    cand_pools = _candidate_pools(g, h, gens)
 
     # relations of gens[j] against the subgroup generated by the earlier
     # generators: minimal power landing in it, and conjugates of earlier

@@ -281,12 +281,12 @@ def _structure_constant_check(basis_g, basis_h, witness):
 
 def _class_invariant(table, ci: int, fiber) -> tuple:
     rep = table.reps[ci]
-    homs = hom_set(rep, fiber)
     cross = Counter()
     for cj, other in enumerate(table.reps):
         cross[(other.order, table.class_sizes[cj],
                table.marks[ci][cj], table.marks[cj][ci])] += 1
-    return (rep.order, table.class_sizes[ci], len(homs),
+    return (rep.order, table.class_sizes[ci],
+            len(char_index(rep, fiber).values),
             tuple(sorted(cross.items())))
 
 

@@ -14,7 +14,8 @@ normalizer element, and character-group tables from multiplying
 member at a time, and the conjugates of a subgroup are found by one tuple
 per conjugating element. Associativity is checked on all n^3 triples, one
 left factor at a time, and inverses and conjugation tables are filled one
-element at a time."""
+element at a time, and conjugacy class sizes by counting each element's
+distinct conjugates."""
 
 import itertools
 from collections import Counter
@@ -532,3 +533,9 @@ def reference_conj(group: FiniteGroup) -> np.ndarray:
     for g in range(n):
         c[g] = group.mul[group.mul[g], group.inv[g]]
     return c
+
+
+def reference_element_class_sizes(group: FiniteGroup) -> np.ndarray:
+    """The number of distinct conjugates g x g^-1 of each element x."""
+    return np.array([np.unique(group.conj[:, x]).size
+                     for x in range(group.order)], dtype=np.int64)

@@ -471,12 +471,16 @@ GOLDEN = [
      "635ab70d5106f0f3710bac19fd5bc35fe5cafbeceb5c230f43da2f805bbf8706"),
     (("reproduce", "--p", "7", "--q", "3"), 0,
      "8016138066a34b371eb5d11edda62e1cdce4006f629d20d55a74fbdb51190b17"),
+    (("reproduce",), 0,
+     "88905237c1fcc6fe424928435a6a8c2a2615374386dbe0cea6339a14e923c646"),
+    (("marks", "symmetric:6"), 0,
+     "1ca9abfc9de313ddf83b9c4af27011b48f1db6d8ca6ad6b878e1ba96a1c62493"),
 ]
 
 
 GOLDEN_IDS = ["gamma-s4-fiber6", "gamma-d4-fiber2x4", "verify-auto-s3",
               "verify-witness-gamma-mismatch", "verify-thevenaz-147",
-              "reproduce-7-3"]
+              "reproduce-7-3", "reproduce-11-5", "marks-s6"]
 
 
 def golden_argv(tmp_path, argv):

@@ -8,8 +8,10 @@ enumeration for tiny orders, the generator brute force
 (``join_closure_subgroups``) for orders up to ~150, the one-candidate-at-a-
 time isomorphism search (``reference_are_isomorphic``) that the numpy search
 must match map for map, the all-triples associativity check that Light's
-test must agree with on random loops, the per-element inverse and
-conjugation loops, and hand-checked tables for the worked examples.
+test must agree with on random loops, the per-element inverse,
+conjugation and class-size loops, and hand-checked tables for the worked
+examples. Seeded hypothesis tests run the lattice and isomorphism oracles
+on random products of cyclic groups.
 """
 
 import ast
@@ -19,19 +21,25 @@ import os
 import random
 import subprocess
 import sys
+from math import gcd
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, seed, settings
+from hypothesis import strategies as st
 from oracles import (brute_force_subgroups, join_closure_subgroups,
                      reference_are_isomorphic, reference_check_associativity,
                      reference_class_maps, reference_closure, reference_conj,
+                     reference_element_class_sizes,
                      reference_generating_sequence, reference_inverses)
 
 from fibered_burnside.errors import NotAGroup, NotAnAction, NotAnAutomorphism
 from fibered_burnside.thevenaz import canonical_class_table
 from fibered_burnside.group_core import (FiniteGroup, Subgroup,
+                                         _candidate_pools,
                                          _check_associativity,
+                                         _cyclic_class_lengths,
                                          _generating_sequence, _p_group_basis,
                                          _perfect_seeds, abelian_group,
                                          abelian_invariant_decomposition,
@@ -39,6 +47,7 @@ from fibered_burnside.group_core import (FiniteGroup, Subgroup,
                                          are_isomorphic, closure,
                                          commutator_subgroup,
                                          conjugacy_classes_of_subgroups,
+                                         conjugate_members,
                                          conjugate_subgroup, cyclic_group,
                                          dihedral_group, double_coset_reps,
                                          enumerate_subgroups,
@@ -131,6 +140,12 @@ def test_inverses_and_conjugation_match_loops(small_groups, tg_11_5_a,
     for g in small_groups + [tg_11_5_a.group, tg_11_5_b.group]:
         assert np.array_equal(g.inv, reference_inverses(g))
         assert np.array_equal(g.conj, reference_conj(g))
+
+
+def test_element_class_sizes_match_loop(small_groups, tg_7_3, tg_11_5_a):
+    for g in small_groups + [tg_7_3.group, tg_11_5_a.group]:
+        assert np.array_equal(g.element_class_sizes,
+                              reference_element_class_sizes(g))
 
 
 def test_broken_latin_square_rejected():
@@ -612,19 +627,126 @@ def test_are_isomorphic_matches_reference(small_groups, tg_11_5_a, tg_11_5_b):
         assert are_isomorphic(g, h) == reference_are_isomorphic(g, h), (g, h)
 
 
+def relabelled(g, rng):
+    """A copy of G with its elements relabelled by a permutation drawn from
+    ``rng`` that keeps the identity at 0."""
+    n = g.order
+    label = np.array([0] + rng.sample(range(1, n), n - 1))
+    unlabel = np.argsort(label)
+    return FiniteGroup(label[g.mul[np.ix_(unlabel, unlabel)]])
+
+
 def test_are_isomorphic_finds_relabelled_order_605(tg_11_5_a):
     # a positive answer at scale walks every level of the search
     g = tg_11_5_a.group
     n = g.order
-    label = np.array([0] + random.Random(605).sample(range(1, n), n - 1))
-    unlabel = np.argsort(label)
-    h = FiniteGroup(label[g.mul[np.ix_(unlabel, unlabel)]])
+    h = relabelled(g, random.Random(605))
     f = are_isomorphic(g, h)
     assert f is not None
     farr = np.asarray(f)
     assert sorted(f) == list(range(n))
     assert np.array_equal(farr[g.mul], h.mul[np.ix_(farr, farr)])
     assert f == reference_are_isomorphic(g, h)
+
+
+def test_cyclic_class_lengths_count_conjugates(small_groups, tg_7_3):
+    for g in [*small_groups, tg_7_3.group]:
+        expected = [len({conjugate_members(g, y, closure(g, (x,)))
+                         for y in g.elements()}) for x in g.elements()]
+        assert _cyclic_class_lengths(g).tolist() == expected, g
+
+
+def test_candidate_pools_order_605(tg_11_5_a, tg_11_5_b):
+    # element order and class size alone leave pools of 24, 120 and 484;
+    # the number of conjugates of <x> cuts the first two
+    g, h = tg_11_5_a.group, tg_11_5_b.group
+    pools = _candidate_pools(g, h, _generating_sequence(g))
+    assert [len(pool) for pool in pools] == [4, 20, 484]
+
+
+# ---------------------------------------------------------------------------
+# Property tests on products of cyclic groups: (m, k, r, c) stands for
+# (C_m x| C_k) x C_c, where the generator of C_k acts on C_m as x -> r x.
+
+
+def direct_product(a, b):
+    """A x B, with (x, y) at index x * |B| + y."""
+    n = a.order * b.order
+    table = a.mul[:, None, :, None] * b.order + b.mul[None, :, None, :]
+    return FiniteGroup(table.reshape(n, n))
+
+
+def product_group(params):
+    m, k, r, c = params
+    action = [[pow(r, q, m) * x % m for x in range(m)] for q in range(k)]
+    return direct_product(
+        semidirect_product(cyclic_group(m), cyclic_group(k), action),
+        cyclic_group(c))
+
+
+def _divisors(n):
+    return [d for d in range(1, n + 1) if n % d == 0]
+
+
+@st.composite
+def product_params(draw, order=None):
+    """(m, k, r, c) with m * k * c at most 60, or equal to ``order``."""
+    if order is None:
+        m = draw(st.sampled_from(range(1, 31)))
+        k = draw(st.sampled_from(range(1, 60 // m + 1)))
+        c = draw(st.sampled_from(range(1, 60 // (m * k) + 1)))
+    else:
+        m = draw(st.sampled_from(_divisors(order)))
+        k = draw(st.sampled_from(_divisors(order // m)))
+        c = order // (m * k)
+    # three in four of the draws that can be non-abelian are
+    twists = [r for r in range(2, m) if gcd(r, m) == 1 and pow(r, k, m) == 1]
+    if twists and draw(st.integers(0, 3)):
+        return m, k, draw(st.sampled_from(twists)), c
+    return m, k, 1 % m, c
+
+
+@st.composite
+def same_order_params(draw):
+    first = draw(product_params())
+    m, k, _, c = first
+    return first, draw(product_params(order=m * k * c))
+
+
+@seed(20261018)
+@settings(max_examples=100, deadline=None, database=None)
+@given(product_params())
+@example((12, 2, 5, 1))      # C12 x| C2, x -> 5x
+@example((2, 2, 1, 15))      # C2 x C2 x C15
+@example((5, 4, 2, 3))       # the Frobenius group of order 20, times C3
+def test_enumerate_matches_join_closure_on_products(params):
+    g = product_group(params)
+    got = [s.members for s in enumerate_subgroups(g)]
+    assert got == [s.members for s in join_closure_subgroups(g)]
+
+
+@seed(20261018)
+@settings(max_examples=60, deadline=None, database=None)
+@given(product_params(), st.randoms(use_true_random=False))
+@example((7, 3, 2, 2), random.Random(42))
+def test_are_isomorphic_matches_reference_on_relabellings(params, rng):
+    g = product_group(params)
+    h = relabelled(g, rng)
+    f = are_isomorphic(g, h)
+    assert f is not None
+    assert f == reference_are_isomorphic(g, h)
+
+
+@seed(20261018)
+@settings(max_examples=100, deadline=None, database=None)
+@given(same_order_params(), st.randoms(use_true_random=False))
+@example(((4, 2, 3, 1), (2, 2, 1, 2)), random.Random(8))     # D4, C2^3
+@example(((9, 3, 4, 1), (3, 3, 1, 3)), random.Random(27))    # C9 x| C3, C3^3
+@example(((7, 3, 2, 2), (7, 3, 4, 2)), random.Random(42))    # isomorphic
+def test_are_isomorphic_matches_reference_on_same_order_pairs(pair, rng):
+    g = product_group(pair[0])
+    h = relabelled(product_group(pair[1]), rng)
+    assert are_isomorphic(g, h) == reference_are_isomorphic(g, h)
 
 
 # ---------------------------------------------------------------------------
