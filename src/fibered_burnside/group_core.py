@@ -549,6 +549,20 @@ def _left_coset_data(group: FiniteGroup, sub: Subgroup):
     return data
 
 
+def _coset_labels(group: FiniteGroup, sub: Subgroup) -> np.ndarray:
+    """label[g] is the index of the left coset gL among the reps of
+    ``_left_coset_data``."""
+    key = ("coset_labels", sub.members)
+    label = group._cache.get(key)
+    if label is None:
+        reps = np.asarray(_left_coset_data(group, sub)[0], dtype=np.int64)
+        label = np.empty(group.order, dtype=np.int64)
+        label[group.mul[reps[:, None], np.asarray(sub.members)]] = \
+            np.arange(reps.size)[:, None]
+        group._cache[key] = label
+    return label
+
+
 def left_coset_reps(group: FiniteGroup, sub: Subgroup) -> list[int]:
     return list(_left_coset_data(group, sub)[0])
 
@@ -561,22 +575,27 @@ def mark(group: FiniteGroup, k: Subgroup, l: Subgroup) -> int:
 
 
 def double_coset_reps(group: FiniteGroup, k: Subgroup, l: Subgroup) -> list[int]:
-    """Least-element representatives of the double cosets K\\G/L."""
+    """Least-element representatives of the double cosets K\\G/L, ascending.
+
+    KsL is the union of the left cosets ksL, k in K. The walk visits the
+    left cosets of L by ascending least element; the first one not yet
+    covered starts a new double coset, and its least element is the least
+    element of that double coset. Each double coset costs one gather of
+    |K| labels, so the walk does O(|G|) work and keeps O(|G|) memory.
+    """
     key = ("dcosets", k.members, l.members)
     cached = group._cache.get(key)
     if cached is not None:
         return list(cached)
-    n = group.order
+    cosets = _left_coset_data(group, l)[0]
+    label = _coset_labels(group, l)
     kmem = np.asarray(k.members, dtype=np.int64)
-    lmem = np.asarray(l.members, dtype=np.int64)
-    covered = np.zeros(n, dtype=bool)
+    covered = np.zeros(len(cosets), dtype=bool)
     reps = []
-    for s in range(n):
-        if covered[s]:
-            continue
-        block = group.mul[np.ix_(kmem, group.mul[s, lmem])]
-        covered[block.ravel()] = True
-        reps.append(s)
+    for c, s in enumerate(cosets):
+        if not covered[c]:
+            covered[label[group.mul[kmem, s]]] = True
+            reps.append(s)
     group._cache[key] = reps
     return list(reps)
 
@@ -626,6 +645,11 @@ class SubgroupClassTable:
     def transporter_to_rep(self, sub: Subgroup) -> int:
         """Element g with ^g(sub) equal to the class representative."""
         return self._transporter[sub.members]
+
+    def locate(self, members: tuple[int, ...]) -> tuple[int, int]:
+        """Class index and transporter to the class rep of the subgroup
+        with these sorted members."""
+        return self._class_of[members], self._transporter[members]
 
     def to_json(self) -> dict:
         return {
@@ -822,12 +846,26 @@ def _is_p_power(n: int, p: int) -> bool:
 
 
 def commutator_subgroup(sub: Subgroup) -> Subgroup:
+    """[K, K], as the normal closure in K of the commutators of the
+    generators of K.
+
+    K modulo that closure is generated by pairwise commuting images, so it
+    is abelian, and the closure lies in [K, K]. A subgroup is normal in K
+    once the generators of K conjugate its generators into it.
+    """
     group = sub.group
-    mem = np.asarray(sub.members, dtype=np.int64)
-    left = group.mul[np.ix_(group.inv[mem], group.inv[mem])]   # g^-1 h^-1
-    right = group.mul[np.ix_(mem, mem)]                        # g h
-    comms = np.unique(group.mul[left.ravel(), right.ravel()])
-    return Subgroup(group, closure(group, comms), verify=False)
+    gens = np.asarray(sub.generators(), dtype=np.int64)
+    inv = group.inv[gens]
+    # [a, b] = a^-1 b^-1 a b over all pairs of generators
+    normal_gens = np.unique(group.mul[group.mul[inv[:, None], inv[None]],
+                                      group.mul[gens[:, None], gens[None]]])
+    while True:
+        members = closure(group, normal_gens)
+        conjugates = group.conj[np.ix_(gens, normal_gens)].ravel()
+        missing = conjugates[~_indicator(group.order, members)[conjugates]]
+        if not missing.size:
+            return Subgroup(group, members, verify=False)
+        normal_gens = np.union1d(normal_gens, missing)
 
 
 def abelianization(sub: Subgroup) -> AbelianDecomposition:

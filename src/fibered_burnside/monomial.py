@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .abelian_fiber import AbelianFiber, Character, char_index, hom_set
-from .errors import ComponentMismatch
+from .errors import ComponentMismatch, NotAGroup
 from .group_core import (FiniteGroup, Subgroup, SubgroupClassTable,
                          _left_coset_data, conjugacy_classes_of_subgroups,
                          double_coset_reps, normalizer)
@@ -87,6 +87,7 @@ class MonomialBasis:
         # per class: hom index -> basis index of its orbit representative
         self._char_to_basis: list[np.ndarray] = []
         self._block_cache: dict = {}
+        self._gamma_cache: dict = {}
         self._ghost_image_cache: dict = {}
         conj, inv = group.conj, group.inv
         for ci, k_sub in enumerate(class_table.reps):
@@ -129,6 +130,17 @@ class MonomialBasis:
     def identity_element(self) -> "BurnsideElement":
         return self.basis_element(self.identity_index())
 
+    def gamma_block(self, ci: int, cj: int) -> np.ndarray:
+        """``gamma_block`` of the class reps ci and cj, computed once per
+        basis; the species search and verification both read it."""
+        try:
+            return self._gamma_cache[ci, cj]
+        except KeyError:
+            reps = self.class_table.reps
+            block = self._gamma_cache[ci, cj] = gamma_block(
+                reps[ci], reps[cj], self.fiber)
+            return block
+
     def product(self, i: int, j: int) -> list[tuple[int, int]]:
         """Structure constants of reps[i] * reps[j] as (index, coeff) pairs."""
         ci, cj = self.rep_class[i], self.rep_class[j]
@@ -145,37 +157,66 @@ class MonomialBasis:
         a-th representative of class ci times the b-th of class cj, sorted;
         the last axis has one entry per double coset K\\G/L. For each coset
         KsL the term is the orbit of (M, phi * psi^s) with M = K n sLs^-1.
+
+        Only blocks with ci <= cj are computed; the block (cj, ci) is the
+        transpose of (ci, cj) in its first two axes. That is Mackey
+        symmetry: KsL -> Ls^-1K is a bijection K\\G/L -> L\\G/K, and the
+        term (L n s^-1Ks, psi * phi^(s^-1)) of Ls^-1K is the conjugate by
+        s^-1 of the term (K n sLs^-1, phi * psi^s) of KsL, so both lie in one
+        orbit and have the same basis index. Any representative of a
+        double coset gives a term in that orbit, so the sorted lists agree.
         """
         block = self._block_cache.get((ci, cj))
-        if block is not None:
-            return block
+        if block is None:
+            if ci > cj:
+                block = self.product_block(cj, ci).transpose(1, 0, 2)
+            else:
+                block = self._mackey_block(ci, cj)
+            self._block_cache[ci, cj] = block
+        return block
+
+    def _mackey_block(self, ci: int, cj: int) -> np.ndarray:
+        """The product block of classes (ci, cj), in one pass over all
+        double cosets at once."""
         group, table, fiber = self.group, self.class_table, self.fiber
         k_sub, l_sub = table.reps[ci], table.reps[cj]
         k_chars, l_chars = char_index(k_sub, fiber), char_index(l_sub, fiber)
         (i0, i1), (j0, j1) = self.class_block[ci], self.class_block[cj]
         k_vals = k_chars.values[self.rep_hom_index[i0:i1]]
         l_vals = l_chars.values[self.rep_hom_index[j0:j1]]
-        kmem = np.asarray(k_sub.members, dtype=np.int64)
-        lmem = np.asarray(l_sub.members, dtype=np.int64)
-        terms = []
-        for s in double_coset_reps(group, k_sub, l_sub):
-            in_conj_l = np.zeros(group.order, dtype=bool)
-            in_conj_l[group.conj[s, lmem]] = True
-            m_sub = Subgroup(group, kmem[in_conj_l[kmem]].tolist(),
-                             verify=False)
-            cm = table.class_of(m_sub)
+        reps = np.asarray(double_coset_reps(group, k_sub, l_sub),
+                          dtype=np.int64)
+        # row r holds ^sL for s = reps[r]; its members in K are M = K n ^sL,
+        # which sort first once the others are replaced by the order of G
+        conj_l = group.conj[reps[:, None],
+                            np.asarray(l_sub.members, dtype=np.int64)]
+        in_k = k_chars.pos[conj_l] >= 0
+        sizes = in_k.sum(axis=1)
+        # |KsL| = |K| |L| / |M|, and the double cosets partition G
+        if (k_sub.order * l_sub.order // sizes).sum() != group.order:
+            raise NotAGroup(f"double cosets of classes {ci} and {cj} do not "
+                            f"partition the group")
+        rows = np.sort(np.where(in_k, conj_l, group.order), axis=1).tolist()
+        cosets_of: dict[int, list[int]] = {}    # class of M -> its rows
+        transporters = []
+        for r, (row, size) in enumerate(zip(rows, sizes.tolist())):
+            cm, g = table.locate(tuple(row[:size]))
+            cosets_of.setdefault(cm, []).append(r)
+            transporters.append(g)
+        g_inv = group.inv[np.asarray(transporters, dtype=np.int64)]
+        s_inv = group.inv[reps]
+        terms = np.empty((i1 - i0, j1 - j0, reps.size), dtype=np.int64)
+        for cm, at in cosets_of.items():
             m_chars = char_index(table.reps[cm], fiber)
-            # generators of M, carried over from those of its class rep
-            g_inv = group.inv[table.transporter_to_rep(m_sub)]
-            gens = group.conj[g_inv, m_chars.gens]
-            # (phi * psi^s)(m) = phi(m) + psi(s^-1 m s), one row per (a, b)
-            vals = fiber.add_table[
-                k_vals[:, k_chars.pos[gens]][:, None, :],
-                l_vals[:, l_chars.pos[group.conj[group.inv[s], gens]]][None]]
-            terms.append(self._char_to_basis[cm][m_chars.index(vals)])
-        block = np.sort(np.stack(terms, axis=-1), axis=-1)
-        self._block_cache[ci, cj] = block
-        return block
+            # generators of each M, carried over from those of its class rep
+            gens = group.conj[g_inv[at, None], m_chars.gens]
+            # (phi * psi^s)(m) = phi(m) + psi(s^-1 m s), on the axes
+            # (a, b, coset, generator)
+            l_pos = l_chars.pos[group.conj[s_inv[at, None], gens]]
+            vals = fiber.add_table[k_vals[:, k_chars.pos[gens]][:, None],
+                                   l_vals[:, l_pos][None]]
+            terms[:, :, at] = self._char_to_basis[cm][m_chars.index(vals)]
+        return np.sort(terms, axis=-1)
 
     def to_json(self) -> dict:
         return {

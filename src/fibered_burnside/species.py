@@ -21,7 +21,7 @@ from .errors import (FiberHasPTorsion, InvalidSpec, NotABijection,
                      NotAGroupIso, SearchBudgetExceeded)
 from .group_core import (SubgroupClassTable, _element_order,
                          abelian_invariant_decomposition)
-from .monomial import gamma_block, monomial_basis
+from .monomial import monomial_basis
 from .thevenaz import ThevenazGroup, canonical_class_table
 
 EXHAUSTION_CAVEAT = (
@@ -186,6 +186,7 @@ def verify_species(witness: SpeciesWitness,
     basis_g = monomial_basis(g_table.group, fiber, g_table)
     basis_h = monomial_basis(h_table.group, fiber, h_table)
     homs_g, homs_h = basis_g.class_homs, basis_h.class_homs
+    gamma_g, gamma_h = basis_g.gamma_block, basis_h.gamma_block
     for ci in range(k):
         cj = witness.subgroup_map[ci]
         cmap = witness.char_maps[ci]
@@ -199,7 +200,7 @@ def verify_species(witness: SpeciesWitness,
                 f"character map of class {ci} does not preserve products")
     for ci in range(k):
         for cj in range(k):
-            bad = _gamma_mismatch(witness, fiber, ci, cj)
+            bad = _gamma_mismatch(basis_g, basis_h, witness, ci, cj)
             if bad is not None:
                 return SpeciesVerdict(False, counterexample=bad)
     mismatch, bijection = _structure_constant_check(basis_g, basis_h, witness)
@@ -208,14 +209,13 @@ def verify_species(witness: SpeciesWitness,
     return SpeciesVerdict(True, basis_bijection=bijection)
 
 
-def _gamma_mismatch(witness, fiber, ci: int, cj: int):
+def _gamma_mismatch(basis_g, basis_h, witness, ci: int, cj: int):
     """First (a, b), in row-major order, where the gamma block of classes
     (ci, cj) differs from the block of their images, read through the
     character maps."""
     ti, tj = witness.subgroup_map[ci], witness.subgroup_map[cj]
-    g_reps, h_reps = witness.g_table.reps, witness.h_table.reps
-    gg = gamma_block(g_reps[ci], g_reps[cj], fiber)
-    gh = gamma_block(h_reps[ti], h_reps[tj], fiber)[
+    gg = basis_g.gamma_block(ci, cj)
+    gh = basis_h.gamma_block(ti, tj)[
         np.ix_(witness.char_maps[ci], witness.char_maps[cj])]
     bad = np.argwhere(gg != gh)
     if not bad.size:
@@ -299,7 +299,9 @@ def search_species(g_table: SubgroupClassTable,
 
     Class candidates are pruned by (order, class size, hom-set size,
     mark-profile multiset). A None result means exhaustion under the
-    group-isomorphism restriction; see ``EXHAUSTION_CAVEAT``.
+    group-isomorphism restriction; see ``EXHAUSTION_CAVEAT``. Gamma blocks
+    are read from the two orbit bases, which keep them for
+    ``verify_species``.
     """
     k = len(g_table.reps)
     if len(h_table.reps) != k:
@@ -308,18 +310,12 @@ def search_species(g_table: SubgroupClassTable,
     inv_h = [_class_invariant(h_table, i, fiber) for i in range(k)]
     if sorted(inv_g) != sorted(inv_h):
         return None
-    homs_g = [hom_set(s, fiber) for s in g_table.reps]
-    homs_h = [hom_set(s, fiber) for s in h_table.reps]
+    basis_g = monomial_basis(g_table.group, fiber, g_table)
+    basis_h = monomial_basis(h_table.group, fiber, h_table)
+    homs_g, homs_h = basis_g.class_homs, basis_h.class_homs
+    gamma_g, gamma_h = basis_g.gamma_block, basis_h.gamma_block
     candidates = [[j for j in range(k) if inv_h[j] == inv_g[i]]
                   for i in range(k)]
-    blocks_g: dict[tuple[int, int], np.ndarray] = {}
-    blocks_h: dict[tuple[int, int], np.ndarray] = {}
-
-    def block(blocks, reps, ci: int, cj: int) -> np.ndarray:
-        if (ci, cj) not in blocks:
-            blocks[ci, cj] = gamma_block(reps[ci], reps[cj], fiber)
-        return blocks[ci, cj]
-
     assignment: list[Optional[int]] = [None] * k
     char_assignment: list[Optional[np.ndarray]] = [None] * k
     used = [False] * k
@@ -327,11 +323,11 @@ def search_species(g_table: SubgroupClassTable,
 
     def matches(x: int, y: int) -> bool:
         """The gamma block of classes (x, y) equals the block of their
-        images, read through the character maps."""
-        image = block(blocks_h, h_table.reps, assignment[x], assignment[y])
-        return np.array_equal(
-            block(blocks_g, g_table.reps, x, y),
-            image[char_assignment[x][:, None], char_assignment[y]])
+        images, read through the character maps (which give both blocks
+        one shape)."""
+        image = gamma_h(assignment[x], assignment[y])
+        return bool((gamma_g(x, y) == image[
+            char_assignment[x][:, None], char_assignment[y]]).all())
 
     def consistent(ci: int) -> bool:
         return all(matches(ci, cj) and matches(cj, ci)

@@ -5,7 +5,8 @@ normalizer reasoning, and gamma coefficients are counted one coset at a
 time instead of by blocks of characters. The isomorphism search walks the
 same backtrack tree as the library's, one candidate and one element at a
 time in Python, so the two must return the same map. Structure constants
-are computed one basis pair and one double coset at a time, and character
+are computed one basis pair and one double coset at a time, over double
+cosets found by a sweep over every group element, and character
 group isomorphisms by scanning every tuple of generator images. Characters
 are identified by dictionaries of their full value tuples: normalizer
 orbits on Hom(K, A) come from a union-find sweep over one permutation per
@@ -15,7 +16,8 @@ member at a time, and the conjugates of a subgroup are found by one tuple
 per conjugating element. Associativity is checked on all n^3 triples, one
 left factor at a time, and inverses and conjugation tables are filled one
 element at a time, and conjugacy class sizes by counting each element's
-distinct conjugates."""
+distinct conjugates. Commutator subgroups are closed from all |K|^2
+commutators."""
 
 import itertools
 from collections import Counter
@@ -29,7 +31,7 @@ from fibered_burnside.group_core import (FiniteGroup, Subgroup,
                                          _left_coset_data,
                                          _subgroup_order_census,
                                          abelian_invariant_decomposition,
-                                         abelianization, double_coset_reps,
+                                         abelianization, closure,
                                          enumerate_subgroups, normalizer)
 from fibered_burnside.monomial import MonomialBasis, MonomialPair
 
@@ -300,6 +302,33 @@ def canonical_index(basis: MonomialBasis, pair: MonomialPair,
     return idx
 
 
+def reference_double_coset_reps(group: FiniteGroup, k: Subgroup,
+                                l: Subgroup) -> list[int]:
+    """Least-element representatives of the double cosets K\\G/L."""
+    n = group.order
+    kmem = np.asarray(k.members, dtype=np.int64)
+    lmem = np.asarray(l.members, dtype=np.int64)
+    covered = np.zeros(n, dtype=bool)
+    reps = []
+    for s in range(n):
+        if covered[s]:
+            continue
+        block = group.mul[np.ix_(kmem, group.mul[s, lmem])]
+        covered[block.ravel()] = True
+        reps.append(s)
+    return reps
+
+
+def reference_commutator_subgroup(sub: Subgroup) -> Subgroup:
+    """[K, K], closed from all |K|^2 commutators of K."""
+    group = sub.group
+    mem = np.asarray(sub.members, dtype=np.int64)
+    left = group.mul[np.ix_(group.inv[mem], group.inv[mem])]   # g^-1 h^-1
+    right = group.mul[np.ix_(mem, mem)]                        # g h
+    comms = np.unique(group.mul[left.ravel(), right.ravel()])
+    return Subgroup(group, closure(group, comms), verify=False)
+
+
 def reference_product(basis: MonomialBasis, i: int, j: int,
                       cache: Optional[dict] = None) -> list[tuple[int, int]]:
     """Structure constants of reps[i] * reps[j] as (index, coeff) pairs.
@@ -311,7 +340,7 @@ def reference_product(basis: MonomialBasis, i: int, j: int,
     l_sub, psi = basis.reps[j].subgroup, basis.reps[j].char
     conj, inv = group.conj, group.inv
     out: Counter = Counter()
-    for s in double_coset_reps(group, k_sub, l_sub):
+    for s in reference_double_coset_reps(group, k_sub, l_sub):
         smask = 0
         for m in l_sub.members:
             smask |= 1 << int(conj[s, m])

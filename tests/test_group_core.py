@@ -30,7 +30,9 @@ from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 from oracles import (brute_force_subgroups, join_closure_subgroups,
                      reference_are_isomorphic, reference_check_associativity,
-                     reference_class_maps, reference_closure, reference_conj,
+                     reference_class_maps, reference_closure,
+                     reference_commutator_subgroup, reference_conj,
+                     reference_double_coset_reps,
                      reference_element_class_sizes,
                      reference_generating_sequence, reference_inverses)
 
@@ -373,8 +375,12 @@ def test_closure_matches_reference(small_groups, tg_7_3, tg_11_5_a):
             assert closure(g, gens) == reference_closure(g, gens), (g, gens)
 
 
-def test_s6_census():
-    s6 = symmetric_group(6)
+@pytest.fixture(scope="module")
+def s6():
+    return symmetric_group(6)
+
+
+def test_s6_census(s6):
     # A6 and the two classes of six A5s
     assert len(_perfect_seeds(s6)) == 13
     assert len(enumerate_subgroups(s6)) == 1455
@@ -535,6 +541,19 @@ def test_no_assert_statements_in_package():
 def test_s3_order2_double_cosets(s3):
     k = next(s for s in enumerate_subgroups(s3) if s.order == 2)
     assert len(double_coset_reps(s3, k, k)) == 2
+
+
+def test_double_cosets_match_reference(small_groups, tg_11_5_a, tg_11_5_b):
+    # the walk over left-coset labels against the sweep over all elements
+    groups = [*small_groups, symmetric_group(5), abelian_group((2, 2, 2, 2)),
+              tg_11_5_a.group, tg_11_5_b.group]
+    for g in groups:
+        reps = conjugacy_classes_of_subgroups(g).reps
+        for k_sub in reps:
+            for l_sub in reps:
+                assert double_coset_reps(g, k_sub, l_sub) == \
+                    reference_double_coset_reps(g, k_sub, l_sub), (g, k_sub,
+                                                                   l_sub)
 
 
 def test_double_cosets_partition(small_groups):
@@ -786,3 +805,15 @@ def test_abelianization_coords_are_homomorphism(d4):
             expect = tuple((x + y) % m for x, y, m in
                            zip(dec.coords[a], dec.coords[b], mods))
             assert dec.coords[d4.m(a, b)] == expect
+
+
+def test_commutator_subgroup_matches_reference(small_groups, s6, tg_11_5_a,
+                                               tg_11_5_b):
+    # the normal closure of the generators' commutators against the closure
+    # of all |K|^2 commutators, on every subgroup
+    groups = [*small_groups, symmetric_group(5), s6, _a6_from_cayley_json(),
+              tg_11_5_a.group, tg_11_5_b.group]
+    for g in groups:
+        for sub in enumerate_subgroups(g):
+            assert commutator_subgroup(sub).members == \
+                reference_commutator_subgroup(sub).members, (g, sub)

@@ -5,17 +5,21 @@ Central oracle: the mark morphism is a ring homomorphism — checked pair by
 pair against the double-coset product. Gamma blocks, the gamma table and
 the mark morphism are checked against the scalar ``reference_gamma`` of
 ``oracles.py``. The tiny worked example over C2 is verified against
-hand-computed tables.
+hand-computed tables. A seeded hypothesis test checks products against
+``reference_product``, and the Mackey symmetry of product blocks, on random
+products of cyclic groups.
 """
 
 from math import gcd
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, seed, settings
+from hypothesis import strategies as st
 
 from fibered_burnside import monomial
 from fibered_burnside.abelian_fiber import AbelianFiber, char_index, hom_set
-from fibered_burnside.errors import ComponentMismatch
+from fibered_burnside.errors import ComponentMismatch, NotAGroup
 from fibered_burnside.group_core import (Subgroup, abelian_group,
                                          conjugate_subgroup,
                                          conjugacy_classes_of_subgroups,
@@ -31,6 +35,7 @@ from fibered_burnside.thevenaz import canonical_class_table
 from oracles import (canonical_index, reference_char_group_table,
                      reference_char_orbits, reference_gamma,
                      reference_product)
+from test_group_core import product_group, product_params
 
 
 def _basis(group, fiber):
@@ -256,6 +261,41 @@ def test_product_block_shape_and_order(d4, fiber_c2):
             assert block.shape == (i1 - i0, j1 - j0, len(cosets))
             assert (np.diff(block, axis=-1) >= 0).all()
             assert basis.product_block(ci, cj) is block
+
+
+@seed(20261018)
+@settings(max_examples=25, deadline=None, database=None)
+@given(product_params().filter(lambda p: p[0] * p[1] * p[3] <= 36),
+       st.sampled_from([(1,), (2,), (6,), (2, 4)]))
+def test_product_blocks_on_products(params, factors):
+    # (C_m x| C_k) x C_c up to order 36: every product against the oracle,
+    # and every lower block, computed directly, against the transposed
+    # upper one that product_block returns in its place; the oracle's cost
+    # grows with the square of the basis, so large bases are left out
+    g = product_group(params)
+    fiber = AbelianFiber(factors)
+    basis = monomial_basis(g, fiber)
+    assume(basis.size <= 100)
+    _assert_products_match_reference(basis)
+    fresh = MonomialBasis(g, fiber, basis.class_table)
+    k = len(basis.class_block)
+    for ci in range(k):
+        for cj in range(ci):
+            lower = fresh._mackey_block(ci, cj)
+            assert np.array_equal(
+                lower, basis.product_block(cj, ci).transpose(1, 0, 2))
+            assert np.array_equal(lower, basis.product_block(ci, cj))
+
+
+def test_product_block_rejects_missing_double_coset(monkeypatch, s4,
+                                                    fiber_c2):
+    # the sizes |K||L|/|K n sLs^-1| of the double cosets must add up to |G|
+    basis = MonomialBasis(s4, fiber_c2)
+    reps = basis.class_table.reps
+    monkeypatch.setattr(monomial, "double_coset_reps",
+                        lambda g, k, l: double_coset_reps(g, k, l)[:-1])
+    with pytest.raises(NotAGroup, match="do not partition"):
+        basis.product_block(0, len(reps) - 2)
 
 
 def test_product_block_rejects_values_of_no_character():

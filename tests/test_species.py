@@ -2,14 +2,17 @@
 
 Oracles: exhaustive gamma comparison for tiny witnesses, self-maps that
 must always validate, and the explicit family witness cross-validated by
-the general verifier.
+the general verifier. A count pins how many product and gamma blocks
+``verify --auto`` computes.
 """
 
 import itertools
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from fibered_burnside import cli, monomial
 from fibered_burnside.abelian_fiber import AbelianFiber, hom_set
 from fibered_burnside.errors import (FiberHasPTorsion, InvalidSpec,
                                      NotABijection, NotAGroupIso,
@@ -17,7 +20,8 @@ from fibered_burnside.errors import (FiberHasPTorsion, InvalidSpec,
 from fibered_burnside.group_core import (Subgroup, abelian_group,
                                          conjugacy_classes_of_subgroups,
                                          cyclic_group)
-from fibered_burnside.monomial import MonomialPair, monomial_basis
+from fibered_burnside.monomial import (MonomialBasis, MonomialPair,
+                                       monomial_basis)
 from fibered_burnside.species import (EXHAUSTION_CAVEAT, SpeciesWitness,
                                       _structure_constant_check,
                                       char_group_isomorphisms, search_species,
@@ -234,6 +238,37 @@ def test_structure_constant_check_rejects_bad_basis_maps(d4, fiber_c2):
     witness.char_maps[ci] = [0, 2, 3, 1]
     assert _structure_constant_check(basis, basis, witness) == (
         {"reason": "induced basis map is not a bijection"}, None)
+
+
+def test_verify_auto_computes_each_block_once(monkeypatch):
+    # D6 over C2 x C4, as `verify dihedral:6 dihedral:6 --fiber 2,4 --auto`
+    # runs it: the structure check computes the k(k+1)/2 product blocks
+    # with ci <= cj on each side and transposes the rest, and the search and
+    # the verification share one gamma block per ordered class pair
+    mackey, gammas = [], Counter()
+    real_mackey, real_gamma = MonomialBasis._mackey_block, monomial.gamma_block
+
+    def counted_mackey(basis, ci, cj):
+        mackey.append((basis, ci, cj))
+        return real_mackey(basis, ci, cj)
+
+    def counted_gamma(k_sub, l_sub, fiber):
+        gammas[id(k_sub.group), k_sub.members, l_sub.members] += 1
+        return real_gamma(k_sub, l_sub, fiber)
+
+    monkeypatch.setattr(MonomialBasis, "_mackey_block", counted_mackey)
+    monkeypatch.setattr(monomial, "gamma_block", counted_gamma)
+    report, code = cli.cmd_verify("dihedral:6", "dihedral:6", "2,4",
+                                  auto=True)
+    assert code == 0 and report["result"]["valid"]
+    sides = Counter(basis for basis, _, _ in mackey)
+    assert len(sides) == 2
+    for basis, calls in sides.items():
+        k = len(basis.class_block)
+        assert calls == k * (k + 1) // 2
+    assert all(ci <= cj for _, ci, cj in mackey)
+    assert len({group for group, _, _ in gammas}) == 2
+    assert set(gammas.values()) == {1}
 
 
 def test_inverse_witness_validates(s3, fiber_c6):
