@@ -179,6 +179,11 @@ def cmd_reproduce_paper(p: int = 11, q: int = 5,
     the structure-constant re-check, and classifies the whole family."""
     fiber = _parse_fiber(fiber_spec)
     thevenaz.class_count(p, q)   # validates p, q
+    # outside (11, 5) a missing parameter would be replaced by the
+    # classification's pair, dropping the ones given with it
+    params = (a, b, c, d)
+    if (p, q) != (11, 5) and None in params and params != (None,) * 4:
+        raise SpecError("give all of --a, --b, --c and --d, or none of them")
     if not fiber.has_trivial_torsion(p):
         raise FiberHasPTorsion(
             f"fiber {fiber_spec!r} has nontrivial {p}-torsion; the witness "
@@ -201,7 +206,7 @@ def cmd_reproduce_paper(p: int = 11, q: int = 5,
         b = 9 if b is None else b
         c = 3 if c is None else c
         d = 4 if d is None else d
-    elif a is None or b is None or c is None or d is None:
+    elif a is None:   # and so are b, c and d
         if len(partition) < 2:
             result["counterexample"] = None
             result["note"] = ("only one isomorphism class for these "

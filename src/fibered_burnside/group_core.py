@@ -2,8 +2,7 @@
 
 Elements of a group of order n are the indices 0..n-1, with 0 the identity.
 All heavy scans (validation, conjugation, closures) go through numpy on the
-multiplication table; member sets of subgroups double as Python-int bitmasks
-so containment tests are O(1).
+multiplication table.
 """
 
 from __future__ import annotations
@@ -314,17 +313,10 @@ def closure(group: FiniteGroup, gens: Iterable[int]) -> tuple[int, ...]:
     return tuple(np.flatnonzero(seen).tolist())
 
 
-def _mask_of(members: Iterable[int]) -> int:
-    m = 0
-    for v in members:
-        m |= 1 << int(v)
-    return m
-
-
 class Subgroup:
-    """An exactly represented subgroup: sorted member tuple plus bitmask."""
+    """An exactly represented subgroup: its sorted member tuple."""
 
-    __slots__ = ("group", "members", "mask", "_gens", "_pos")
+    __slots__ = ("group", "members", "_gens", "_pos")
 
     def __init__(self, group: FiniteGroup, members: Iterable[int],
                  *, verify: bool = True):
@@ -339,7 +331,6 @@ class Subgroup:
                              f"Lagrange in a group of order {group.order}")
         self.group = group
         self.members = mem
-        self.mask = _mask_of(mem)
         self._gens: Optional[tuple[int, ...]] = None
         self._pos: Optional[dict[int, int]] = None
 
@@ -351,31 +342,36 @@ class Subgroup:
     def order(self) -> int:
         return len(self.members)
 
+    def _positions(self) -> dict[int, int]:
+        if self._pos is None:
+            self._pos = {m: i for i, m in enumerate(self.members)}
+        return self._pos
+
     def __contains__(self, g: int) -> bool:
-        return bool((self.mask >> int(g)) & 1)
+        return int(g) in self._positions()
 
     def is_subset_of(self, other: "Subgroup") -> bool:
-        return self.mask & other.mask == self.mask
+        pos = other._positions()
+        return all(m in pos for m in self.members)
 
     def position(self, g: int) -> int:
         """Index of g inside the sorted member tuple."""
-        if self._pos is None:
-            self._pos = {m: i for i, m in enumerate(self.members)}
-        return self._pos[int(g)]
+        return self._positions()[int(g)]
 
     def generators(self) -> tuple[int, ...]:
-        """A small (greedy) generating sequence."""
+        """A small (greedy) generating sequence: each member, ascending,
+        that the earlier ones do not generate."""
         if self._gens is None:
             gens: list[int] = []
-            cur: tuple[int, ...] = (0,)
-            cur_mask = 1
+            reached = np.zeros(self.group.order, dtype=bool)
+            reached[0] = True
             for m in self.members:
-                if not (cur_mask >> m) & 1:
+                if not reached[m]:
                     gens.append(m)
                     cur = closure(self.group, gens)
-                    cur_mask = _mask_of(cur)
                     if len(cur) == self.order:
                         break
+                    reached[list(cur)] = True
             self._gens = tuple(gens)
         return self._gens
 
@@ -492,20 +488,26 @@ def _perfect_seeds(group: FiniteGroup) -> set[tuple[int, ...]]:
             if mem in tried:
                 continue
             tried.add(mem)
-            if len(mem) >= 60 and commutator_subgroup(
-                    Subgroup(group, mem, verify=False)).members == mem:
-                found.update(_conjugates(group, mem))
+            sub = Subgroup(group, mem, verify=False)
+            if len(mem) >= 60 and commutator_subgroup(sub).members == mem:
+                found.update(_conjugates(group, sub))
     return found
 
 
 def _conjugates(group: FiniteGroup,
-                members: Sequence[int]) -> dict[tuple[int, ...], int]:
-    """Each distinct conjugate ^g(members), as a sorted member tuple, mapped
-    to the least g that gives it."""
-    rows, first = np.unique(
-        np.sort(group.conj[:, np.asarray(members, dtype=np.int64)], axis=1),
-        axis=0, return_index=True)
-    return dict(zip(map(tuple, rows.tolist()), first.tolist()))
+                sub: Subgroup) -> dict[tuple[int, ...], int]:
+    """Each distinct conjugate ^gS of S = ``sub``, as a sorted member tuple,
+    mapped to the least g that gives it.
+
+    One conjugate per left coset rep s of N = N_G(S): ^gS = ^sS exactly when
+    s^-1 g normalizes S, that is when g lies in sN. So the g that give ^sS
+    form the coset sN, whose least element is its rep s. A normal S costs
+    one coset.
+    """
+    reps = left_coset_reps(group, normalizer(group, sub))
+    rows = np.sort(group.conj[reps[:, None],
+                              np.asarray(sub.members, dtype=np.int64)], axis=1)
+    return dict(zip(map(tuple, rows.tolist()), reps.tolist()))
 
 
 def _orbit_reps(conj: np.ndarray, acting: np.ndarray) -> list[int]:
@@ -524,38 +526,31 @@ def _orbit_reps(conj: np.ndarray, acting: np.ndarray) -> list[int]:
 # Cosets, marks, conjugacy classes
 
 
-def _left_coset_data(group: FiniteGroup, sub: Subgroup):
-    """Per left coset sL: (rep s, bitmask of the conjugate ^sL).
-
-    Reps are the least element of each coset, in increasing order.
-    """
+def left_coset_reps(group: FiniteGroup, sub: Subgroup) -> np.ndarray:
+    """The least element of each left coset sL, ascending, as a read-only
+    int64 array kept in the group's cache."""
     key = ("cosets", sub.members)
-    cached = group._cache.get(key)
-    if cached is not None:
-        return cached
-    n = group.order
-    mem = np.asarray(sub.members, dtype=np.int64)
-    covered = np.zeros(n, dtype=bool)
-    reps: list[int] = []
-    masks: list[int] = []
-    for s in range(n):
-        if covered[s]:
-            continue
-        covered[group.mul[s, mem]] = True
-        reps.append(s)
-        masks.append(_mask_of(group.conj[s, mem]))
-    data = (reps, masks)
-    group._cache[key] = data
-    return data
+    reps = group._cache.get(key)
+    if reps is None:
+        mem = np.asarray(sub.members, dtype=np.int64)
+        covered = np.zeros(group.order, dtype=bool)
+        found: list[int] = []
+        for s in range(group.order):
+            if not covered[s]:
+                covered[group.mul[s, mem]] = True
+                found.append(s)
+        reps = group._cache[key] = np.asarray(found, dtype=np.int64)
+        reps.flags.writeable = False
+    return reps
 
 
 def _coset_labels(group: FiniteGroup, sub: Subgroup) -> np.ndarray:
     """label[g] is the index of the left coset gL among the reps of
-    ``_left_coset_data``."""
+    ``left_coset_reps``."""
     key = ("coset_labels", sub.members)
     label = group._cache.get(key)
     if label is None:
-        reps = np.asarray(_left_coset_data(group, sub)[0], dtype=np.int64)
+        reps = left_coset_reps(group, sub)
         label = np.empty(group.order, dtype=np.int64)
         label[group.mul[reps[:, None], np.asarray(sub.members)]] = \
             np.arange(reps.size)[:, None]
@@ -563,15 +558,27 @@ def _coset_labels(group: FiniteGroup, sub: Subgroup) -> np.ndarray:
     return label
 
 
-def left_coset_reps(group: FiniteGroup, sub: Subgroup) -> list[int]:
-    return list(_left_coset_data(group, sub)[0])
+def fixed_cosets(group: FiniteGroup, k: Subgroup, l: Subgroup) -> np.ndarray:
+    """The left coset reps s of L, ascending, with K <= sLs^-1: the cosets
+    sL that K fixes.
+
+    K <= sLs^-1 holds exactly when s^-1Ks <= L. The subgroup s^-1Ks is
+    generated by the conjugates s^-1xs of the generators x of K, and L is
+    closed, so it lies in L once those conjugates do. One gather of
+    |G:L| x |gens K| conjugates thus decides every coset. By Lagrange, no
+    coset is fixed unless |K| divides |L|.
+    """
+    reps = left_coset_reps(group, l)
+    if l.order % k.order:
+        return reps[:0]
+    gens = np.asarray(k.generators(), dtype=np.int64)
+    inside_l = _indicator(group.order, l.members)
+    return reps[inside_l[group.conj[group.inv[reps][:, None], gens]].all(axis=1)]
 
 
 def mark(group: FiniteGroup, k: Subgroup, l: Subgroup) -> int:
     """Number of cosets sL fixed by K, i.e. with K <= sLs^-1."""
-    reps, masks = _left_coset_data(group, l)
-    kmask = k.mask
-    return sum(1 for m in masks if kmask & m == kmask)
+    return len(fixed_cosets(group, k, l))
 
 
 def double_coset_reps(group: FiniteGroup, k: Subgroup, l: Subgroup) -> list[int]:
@@ -587,7 +594,7 @@ def double_coset_reps(group: FiniteGroup, k: Subgroup, l: Subgroup) -> list[int]
     cached = group._cache.get(key)
     if cached is not None:
         return list(cached)
-    cosets = _left_coset_data(group, l)[0]
+    cosets = left_coset_reps(group, l).tolist()
     label = _coset_labels(group, l)
     kmem = np.asarray(k.members, dtype=np.int64)
     covered = np.zeros(len(cosets), dtype=bool)
@@ -682,7 +689,7 @@ def conjugacy_classes_of_subgroups(
     for s in subs:
         if s.members in visited:
             continue
-        orbit = _conjugates(group, s.members)
+        orbit = _conjugates(group, s)
         visited.update(orbit)
         orbits.append(orbit)
     if reps is None:
@@ -1122,7 +1129,7 @@ __all__ = [
     "closure", "conjugate_members", "conjugate_subgroup",
     "enumerate_subgroups",
     "conjugacy_classes_of_subgroups", "normalizer",
-    "left_coset_reps", "double_coset_reps", "mark",
+    "left_coset_reps", "double_coset_reps", "fixed_cosets", "mark",
     "abelianization", "commutator_subgroup",
     "abelian_invariant_decomposition", "are_isomorphic",
 ]

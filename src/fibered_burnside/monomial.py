@@ -16,8 +16,8 @@ import numpy as np
 from .abelian_fiber import AbelianFiber, Character, char_index, hom_set
 from .errors import ComponentMismatch, NotAGroup
 from .group_core import (FiniteGroup, Subgroup, SubgroupClassTable,
-                         _left_coset_data, conjugacy_classes_of_subgroups,
-                         double_coset_reps, normalizer)
+                         conjugacy_classes_of_subgroups, double_coset_reps,
+                         fixed_cosets, normalizer)
 
 
 @dataclass(frozen=True)
@@ -53,14 +53,12 @@ def gamma_block(k_sub: Subgroup, l_sub: Subgroup,
         raise ValueError("subgroups live over different groups")
     chars_k, chars_l = char_index(k_sub, fiber), char_index(l_sub, fiber)
     n_k, n_l = len(chars_k.values), len(chars_l.values)
-    reps, masks = _left_coset_data(group, l_sub)
-    kmask = k_sub.mask
-    fixed = [s for s, lmask in zip(reps, masks) if kmask & lmask == kmask]
-    if not fixed:
+    fixed = fixed_cosets(group, k_sub, l_sub)
+    if not fixed.size:
         return np.zeros((n_k, n_l), dtype=np.int64)
     # (^s psi)(k) = psi(s^-1 k s) on the generators of K, which determine
     # a character of K: one row per (psi, s)
-    sinv = group.inv[np.asarray(fixed, dtype=np.int64)]
+    sinv = group.inv[fixed]
     psi_on = chars_l.values[
         :, chars_l.pos[group.conj[np.ix_(sinv, chars_k.gens)]]]
     a = chars_k.index(psi_on).ravel()
@@ -88,7 +86,7 @@ class MonomialBasis:
         self._char_to_basis: list[np.ndarray] = []
         self._block_cache: dict = {}
         self._gamma_cache: dict = {}
-        self._ghost_image_cache: dict = {}
+        self._ghost_ring: Optional[GhostRing] = None
         conj, inv = group.conj, group.inv
         for ci, k_sub in enumerate(class_table.reps):
             homs = hom_set(k_sub, fiber)
@@ -132,13 +130,18 @@ class MonomialBasis:
 
     def gamma_block(self, ci: int, cj: int) -> np.ndarray:
         """``gamma_block`` of the class reps ci and cj, computed once per
-        basis; the species search and verification both read it."""
+        basis; the species search and verification both read it. A zero
+        mark means no coset is fixed, so the block is zero."""
         try:
             return self._gamma_cache[ci, cj]
         except KeyError:
             reps = self.class_table.reps
-            block = self._gamma_cache[ci, cj] = gamma_block(
-                reps[ci], reps[cj], self.fiber)
+            if self.class_table.marks[ci][cj]:
+                block = gamma_block(reps[ci], reps[cj], self.fiber)
+            else:
+                block = np.zeros((len(self.class_homs[ci]),
+                                  len(self.class_homs[cj])), dtype=np.int64)
+            self._gamma_cache[ci, cj] = block
             return block
 
     def product(self, i: int, j: int) -> list[tuple[int, int]]:
@@ -378,10 +381,6 @@ class GhostElement:
                             [[a + b for a, b in zip(x, y)]
                              for x, y in zip(self.comps, other.comps)])
 
-    def scaled(self, c: int) -> "GhostElement":
-        return GhostElement(self.ring,
-                            [[c * a for a in comp] for comp in self.comps])
-
     def is_orbit_closed(self) -> bool:
         """Each component constant on normalizer orbits of characters."""
         basis = self.ring.basis
@@ -428,40 +427,30 @@ def ghost_multiply(a: GhostElement, b: GhostElement) -> GhostElement:
 
 
 def ghost_ring(basis: MonomialBasis) -> GhostRing:
-    cached = basis._ghost_image_cache.get("ring")
-    if cached is None:
-        cached = GhostRing(basis)
-        basis._ghost_image_cache["ring"] = cached
-    return cached
+    if basis._ghost_ring is None:
+        basis._ghost_ring = GhostRing(basis)
+    return basis._ghost_ring
 
 
 def mark_morphism(basis: MonomialBasis, x: BurnsideElement) -> GhostElement:
     """Image of x under the mark morphism into the reduced ghost ring.
 
     The K-component of the image of a basis orbit [L, psi] is the vector of
-    gamma coefficients over Hom(K, A), extended linearly.
+    gamma coefficients over Hom(K, A), extended linearly. The blocks come
+    from the basis, so each class pair is computed once.
     """
     if x.basis is not basis:
         raise ComponentMismatch("element over a different basis")
     ring = ghost_ring(basis)
-    images = basis._ghost_image_cache
-    result = ring.zero()
+    comps = ring.zero().comps
     for j, c in enumerate(x.coeffs):
         if not c:
             continue
-        if j not in images:
-            # one gamma block per class K gives the images of the whole
-            # class of reps[j]
-            cj = basis.rep_class[j]
-            reps = basis.class_table.reps
-            blocks = [gamma_block(k_sub, reps[cj], basis.fiber)
-                      for k_sub in reps]
-            j0, j1 = basis.class_block[cj]
-            for i in range(j0, j1):
-                b = basis.rep_hom_index[i]
-                images[i] = GhostElement(ring, [blk[:, b] for blk in blocks])
-        result = result + images[j].scaled(c)
-    return result
+        cj, b = basis.rep_class[j], basis.rep_hom_index[j]
+        for ci, comp in enumerate(comps):
+            column = basis.gamma_block(ci, cj)[:, b].tolist()
+            comps[ci] = [a + c * v for a, v in zip(comp, column)]
+    return GhostElement(ring, comps)
 
 
 # ---------------------------------------------------------------------------

@@ -186,7 +186,6 @@ def verify_species(witness: SpeciesWitness,
     basis_g = monomial_basis(g_table.group, fiber, g_table)
     basis_h = monomial_basis(h_table.group, fiber, h_table)
     homs_g, homs_h = basis_g.class_homs, basis_h.class_homs
-    gamma_g, gamma_h = basis_g.gamma_block, basis_h.gamma_block
     for ci in range(k):
         cj = witness.subgroup_map[ci]
         cmap = witness.char_maps[ci]

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Optional
 
 from .errors import InvalidSpec
 from .group_core import (FiniteGroup, Subgroup, SubgroupClassTable, _is_prime,

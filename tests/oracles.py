@@ -2,7 +2,8 @@
 tested against. Subgroups are closed with the full |S|x|S| product
 instead of the frontier search, enumerated by sweeps that use no
 normalizer reasoning, and gamma coefficients are counted one coset at a
-time instead of by blocks of characters. The isomorphism search walks the
+time, on cosets swept one element at a time and tested on every member of
+K, instead of by blocks of characters. The isomorphism search walks the
 same backtrack tree as the library's, one candidate and one element at a
 time in Python, so the two must return the same map. Structure constants
 are computed one basis pair and one double coset at a time, over double
@@ -19,6 +20,7 @@ element at a time, and conjugacy class sizes by counting each element's
 distinct conjugates. Commutator subgroups are closed from all |K|^2
 commutators."""
 
+import functools
 import itertools
 from collections import Counter
 from typing import Iterable, Iterator, Optional, Sequence
@@ -28,7 +30,6 @@ import numpy as np
 from fibered_burnside.abelian_fiber import AbelianFiber, Character, hom_set
 from fibered_burnside.errors import NotAGroup
 from fibered_burnside.group_core import (FiniteGroup, Subgroup,
-                                         _left_coset_data,
                                          _subgroup_order_census,
                                          abelian_invariant_decomposition,
                                          abelianization, closure,
@@ -106,30 +107,45 @@ def brute_force_subgroups(group: FiniteGroup, max_gens: int = 4) -> list[Subgrou
     return _sorted_subgroups(group, seen)
 
 
+@functools.lru_cache(maxsize=4096)
+def _cosets_fixed_by_sweep(group: FiniteGroup, k_members: tuple[int, ...],
+                           l_members: tuple[int, ...]) -> tuple[int, ...]:
+    """The least element s of each left coset sL, ascending, found by a
+    sweep over every group element, kept when every member of K lies in
+    {s l s^-1 : l in L}."""
+    mul, inv = group.mul, group.inv
+    covered: set[int] = set()
+    fixed = []
+    for s in range(group.order):
+        if s in covered:
+            continue
+        covered.update(int(mul[s, l]) for l in l_members)
+        sinv = int(inv[s])
+        if set(k_members) <= {int(mul[mul[s, l], sinv]) for l in l_members}:
+            fixed.append(s)
+    return tuple(fixed)
+
+
 def reference_gamma(pair_k: MonomialPair, pair_l: MonomialPair) -> int:
     """Number of cosets sL whose conjugated pair lies above (K, phi).
 
-    Counts s with K <= sLs^-1 and the conjugate of psi restricting to phi
-    on K. Both pairs must live over the same group and fiber.
+    Counts the cosets sL with K <= sLs^-1, found by
+    ``_cosets_fixed_by_sweep``, on which the conjugate of psi equals phi on
+    every member of K. Both pairs must live over the same group and fiber.
     """
     group = pair_k.subgroup.group
     if pair_l.subgroup.group is not group:
         raise ValueError("pairs live over different groups")
     k_sub, phi = pair_k.subgroup, pair_k.char
-    l_sub, psi = pair_l.subgroup, pair_l.char
-    reps, masks = _left_coset_data(group, l_sub)
-    gens = k_sub.generators()
-    kmask = k_sub.mask
-    conj = group.conj
-    inv = group.inv
+    psi = pair_l.char
+    mul, inv = group.mul, group.inv
     count = 0
-    for s, lmask in zip(reps, masks):
-        if kmask & lmask != kmask:
-            continue
+    for s in _cosets_fixed_by_sweep(group, k_sub.members,
+                                    pair_l.subgroup.members):
         sinv = int(inv[s])
-        # (^s psi)(x) = psi(s^-1 x s); agreement on generators of K suffices.
-        if all(psi.value_index(int(conj[sinv, k])) == phi.value_index(k)
-               for k in gens):
+        # (^s psi)(x) = psi(s^-1 x s)
+        if all(psi.value_index(int(mul[mul[sinv, k], s])) == phi.value_index(k)
+               for k in k_sub.members):
             count += 1
     return count
 

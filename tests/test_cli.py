@@ -438,6 +438,27 @@ def test_reproduce_rejects_bad_parameters(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("--p", "7", "--q", "3", "--a", "2"),
+    ("--p", "31", "--q", "5", "--a", "8", "--b", "16"),
+    ("--p", "13", "--q", "3", "--a", "3", "--b", "9", "--c", "3"),
+], ids=["one-class-family", "order-4805", "three-of-four"])
+def test_reproduce_rejects_partial_parameters(capsys, argv):
+    # outside (11, 5) a partial set would be replaced by the
+    # classification's pair; the user gets one error line instead
+    code, out, err = run(capsys, "reproduce", *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_reproduce_fills_partial_parameters_at_11_5():
+    report, code = cli.cmd_reproduce_paper(a=3, d=4)
+    assert code == 0
+    inputs = report["inputs"]
+    assert (inputs["a"], inputs["b"], inputs["c"], inputs["d"]) == (3, 9, 3, 4)
+
+
 def test_input_hash_stable(capsys):
     _, r1, _ = run_json(capsys, "marks", "cyclic:6")
     _, r2, _ = run_json(capsys, "marks", "cyclic:6")

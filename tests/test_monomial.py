@@ -5,9 +5,10 @@ Central oracle: the mark morphism is a ring homomorphism — checked pair by
 pair against the double-coset product. Gamma blocks, the gamma table and
 the mark morphism are checked against the scalar ``reference_gamma`` of
 ``oracles.py``. The tiny worked example over C2 is verified against
-hand-computed tables. A seeded hypothesis test checks products against
-``reference_product``, and the Mackey symmetry of product blocks, on random
-products of cyclic groups.
+hand-computed tables. Seeded hypothesis tests check, on random products
+of cyclic groups, products against ``reference_product`` and the Mackey
+symmetry of product blocks, and gamma blocks and marks against the oracle
+and a count of the cosets K fixes.
 """
 
 from math import gcd
@@ -194,6 +195,32 @@ def test_gamma_block_matches_reference_s4_and_order_605(s4, tg_11_5_a,
     _assert_gamma_matches_reference(s4, fiber_c6)
     for tg in (tg_11_5_a, tg_11_5_b):
         _assert_gamma_matches_reference(tg.group, fiber_c5)
+
+
+def _brute_force_mark(group, k_sub, l_sub):
+    """Cosets sL, as sets, that every k in K maps onto themselves."""
+    l_mem = list(l_sub.members)
+    cosets = {frozenset(group.mul[s, l_mem].tolist())
+              for s in range(group.order)}
+    return sum(all(frozenset(group.mul[k, list(c)].tolist()) == c
+                   for k in k_sub.members) for c in cosets)
+
+
+@seed(20261018)
+@settings(max_examples=25, deadline=None, database=None)
+@given(product_params().filter(lambda p: p[0] * p[1] * p[3] <= 36),
+       st.sampled_from([(1,), (2,), (6,), (2, 4)]))
+def test_gamma_blocks_and_marks_on_products(params, factors):
+    # (C_m x| C_k) x C_c up to order 36: on every pair of class reps, the
+    # gamma block against the oracle and the mark against the cosets K
+    # fixes; the reps run from K = 1 to K = G
+    g = product_group(params)
+    _assert_gamma_matches_reference(g, AbelianFiber(factors))
+    reps = conjugacy_classes_of_subgroups(g).reps
+    assert reps[0].order == 1 and reps[-1].order == g.order
+    for k_sub in reps:
+        for l_sub in reps:
+            assert mark(g, k_sub, l_sub) == _brute_force_mark(g, k_sub, l_sub)
 
 
 def test_gamma_block_rejects_subgroups_of_different_groups(s3, fiber_c2):
