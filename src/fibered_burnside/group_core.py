@@ -581,6 +581,27 @@ def mark(group: FiniteGroup, k: Subgroup, l: Subgroup) -> int:
     return len(fixed_cosets(group, k, l))
 
 
+def _marks(group: FiniteGroup, subs: Sequence[Subgroup]) -> list[list[int]]:
+    """The marks of every K in ``subs`` on every L in ``subs``, by the rule
+    of ``fixed_cosets`` with one gather per L: the conjugates by each left
+    coset rep of L of the generators of every K at once, reduced per K.
+    Each K's generators follow the identity, which lies in every L, so no
+    K has an empty run and the trivial subgroup fixes every coset."""
+    runs = [(0, *k.generators()) for k in subs]
+    gens = np.concatenate(runs)
+    starts = np.cumsum([0] + [len(run) for run in runs[:-1]])
+    orders = np.asarray([k.order for k in subs])
+    columns = []
+    for l in subs:
+        reps = left_coset_reps(group, l)
+        inside_l = _indicator(group.order, l.members)
+        fixed = np.logical_and.reduceat(
+            inside_l[group.conj[group.inv[reps][:, None], gens]], starts,
+            axis=1)
+        columns.append(np.where(l.order % orders, 0, fixed.sum(axis=0)))
+    return np.stack(columns, axis=1).tolist()
+
+
 def double_coset_reps(group: FiniteGroup, k: Subgroup, l: Subgroup) -> list[int]:
     """Least-element representatives of the double cosets K\\G/L, ascending.
 
@@ -725,8 +746,7 @@ def conjugacy_classes_of_subgroups(
             # rep = ^(g_rep) seed and mem = ^g seed, so rep = ^(g_rep g^-1) mem
             transporter[mem_t] = group.m(g_rep, group.inverse(g))
         transporter[rep.members] = 0
-    marks_matrix = [[mark(group, ki, lj) for lj in chosen] for ki in chosen]
-    table = SubgroupClassTable(group, chosen, marks_matrix,
+    table = SubgroupClassTable(group, chosen, _marks(group, chosen),
                                [len(o) for o in orbits], class_of, transporter)
     # the default table also answers for its own transversal
     group._cache[cache_key] = table

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -105,13 +105,22 @@ def _char_group_data(homs: Sequence[Character]):
 
 
 def char_group_isomorphisms(homs1: Sequence[Character],
-                            homs2: Sequence[Character]) -> Iterator[list[int]]:
+                            homs2: Sequence[Character], *,
+                            accept: Optional[Callable[[np.ndarray, np.ndarray],
+                                                      bool]] = None
+                            ) -> Iterator[list[int]]:
     """All group isomorphisms Hom(K, A) -> Hom(K', A), as index maps.
 
     Deterministic order: candidates for each generator image ascend by
     hom-set index. Images are chosen one generator at a time, and a
     candidate whose cyclic span meets the span of the earlier images is
     skipped, since no choice of later images makes such a map injective.
+
+    ``accept(dom, img)``, if given, sees every prefix: the hom-set indices
+    ``dom`` of the characters spanned by the generators chosen so far and
+    their images ``img``, in the same order. It is called first with the
+    trivial characters alone and then after each generator image; a prefix
+    it rejects is not extended.
     """
     if len(homs1) != len(homs2):
         return
@@ -135,11 +144,17 @@ def char_group_isomorphisms(homs1: Sequence[Character],
                 powers[-1].append(np.asarray(cyc, dtype=np.int64))
     # span[x] is the image of the element whose coordinates on the first
     # k generators have mixed-radix index x; ``flat`` is that index of
-    # every element of Hom(K, A)
+    # every element of Hom(K, A), and spanned[k][x] is the element itself,
+    # whose later coordinates are 0
     flat = np.zeros(n, dtype=np.int64)
     for e in range(n):
         for c, d in zip(dec1.coords[e], dec1.factors):
             flat[e] = flat[e] * d + c
+    by_flat = np.argsort(flat)
+    tails = np.cumprod((1,) + dec1.factors[::-1])[::-1]
+    spanned = [by_flat[np.arange(n // t) * t] for t in tails]
+    if accept is None:
+        accept = _accept_all
 
     def extend(k: int, span: np.ndarray,
                in_span: np.ndarray) -> Iterator[list[int]]:
@@ -150,13 +165,21 @@ def char_group_isomorphisms(homs1: Sequence[Character],
             if in_span[cyc[1:]].any():
                 continue
             wider = table2[span[:, None], cyc[None, :]].ravel()
+            if not accept(spanned[k + 1], wider):
+                continue
             in_wider = np.zeros(n, dtype=bool)
             in_wider[wider] = True
             yield from extend(k + 1, wider, in_wider)
 
-    start = np.zeros(n, dtype=bool)
-    start[id2] = True
-    yield from extend(0, np.asarray([id2], dtype=np.int64), start)
+    start = np.asarray([id2], dtype=np.int64)
+    if accept(spanned[0], start):
+        in_start = np.zeros(n, dtype=bool)
+        in_start[id2] = True
+        yield from extend(0, start, in_start)
+
+
+def _accept_all(dom: np.ndarray, img: np.ndarray) -> bool:
+    return True
 
 
 def _is_char_group_iso(table1: np.ndarray, table2: np.ndarray,
@@ -297,9 +320,12 @@ def search_species(g_table: SubgroupClassTable,
     witness in deterministic order or None.
 
     Class candidates are pruned by (order, class size, hom-set size,
-    mark-profile multiset). A None result means exhaustion under the
-    group-isomorphism restriction; see ``EXHAUSTION_CAVEAT``. Gamma blocks
-    are read from the two orbit bases, which keep them for
+    mark-profile multiset). Each character map is built one generator
+    image at a time, and a prefix whose span already breaks a gamma
+    coefficient against the assigned classes is dropped; ``budget`` bounds
+    the number of prefixes checked. A None result means exhaustion under
+    the group-isomorphism restriction; see ``EXHAUSTION_CAVEAT``. Gamma
+    blocks are read from the two orbit bases, which keep them for
     ``verify_species``.
     """
     k = len(g_table.reps)
@@ -318,36 +344,70 @@ def search_species(g_table: SubgroupClassTable,
     assignment: list[Optional[int]] = [None] * k
     char_assignment: list[Optional[np.ndarray]] = [None] * k
     used = [False] * k
+    marks_g, marks_h = g_table.marks, h_table.marks
+    rows_g: list[Optional[tuple]] = [None] * k   # (links, kept, rows)
     nodes = 0
 
-    def matches(x: int, y: int) -> bool:
-        """The gamma block of classes (x, y) equals the block of their
-        images, read through the character maps (which give both blocks
-        one shape)."""
-        image = gamma_h(assignment[x], assignment[y])
-        return bool((gamma_g(x, y) == image[
-            char_assignment[x][:, None], char_assignment[y]]).all())
+    def linked(marks, x: int, others) -> list[bool]:
+        """Whether either gamma block of class x with each class in
+        ``others`` can be nonzero. A block is zero exactly when its mark,
+        the entry of the trivial characters, is 0."""
+        return [bool(marks[x][y] or marks[y][x]) for y in others]
 
-    def consistent(ci: int) -> bool:
-        return all(matches(ci, cj) and matches(cj, ci)
-                   for cj in range(ci + 1))
+    def rows(gamma, homs, x: int, others, maps) -> np.ndarray:
+        """The gamma rows of class x against each class in ``others``, and
+        its gamma columns, side by side, with the characters of those
+        classes permuted by ``maps``: one row per character of x."""
+        blocks = [np.zeros((len(homs[x]), 0), dtype=np.int64)]
+        for y, m in zip(others, maps):
+            blocks += [gamma(x, y)[:, m], gamma(y, x)[m].T]
+        return np.concatenate(blocks, axis=1)
+
+    def prefix_check(ci: int, j: int):
+        """``accept`` for class ci sent to class j, every class before ci
+        assigned: the characters spanned so far must have the gamma rows
+        and columns of their images against the assigned classes, read
+        through those classes' character maps, and against each other.
+        On the full span this is the whole gamma condition of ci, so a
+        rejected prefix has no consistent completion. Blocks that are zero
+        on both sides are left out; a class linked to ci on one side only
+        breaks the trivial characters' row, so every prefix is rejected."""
+        if rows_g[ci] is None:
+            links = linked(marks_g, ci, range(ci))
+            kept = [c for c in range(ci) if links[c]]
+            rows_g[ci] = links, kept, rows(gamma_g, homs_g, ci, kept,
+                                           [slice(None)] * len(kept))
+        links, kept, p_g = rows_g[ci]
+        p_h = None
+        if linked(marks_h, j, assignment[:ci]) == links:
+            p_h = rows(gamma_h, homs_h, j, [assignment[c] for c in kept],
+                       [char_assignment[c] for c in kept])
+        diag_g, diag_h = gamma_g(ci, ci), gamma_h(j, j)
+
+        def accept(dom: np.ndarray, img: np.ndarray) -> bool:
+            nonlocal nodes
+            nodes += 1
+            if budget is not None and nodes > budget:
+                raise SearchBudgetExceeded(
+                    f"species search exceeded {budget} nodes")
+            return (p_h is not None
+                    and np.array_equal(p_g[dom], p_h[img])
+                    and np.array_equal(diag_g[np.ix_(dom, dom)],
+                                       diag_h[np.ix_(img, img)]))
+        return accept
 
     def backtrack(ci: int) -> bool:
-        nonlocal nodes
         if ci == k:
             return True
         for j in candidates[ci]:
             if used[j]:
                 continue
-            for cmap in char_group_isomorphisms(homs_g[ci], homs_h[j]):
-                nodes += 1
-                if budget is not None and nodes > budget:
-                    raise SearchBudgetExceeded(
-                        f"species search exceeded {budget} nodes")
+            for cmap in char_group_isomorphisms(
+                    homs_g[ci], homs_h[j], accept=prefix_check(ci, j)):
                 assignment[ci] = j
                 char_assignment[ci] = np.asarray(cmap, dtype=np.int64)
                 used[j] = True
-                if consistent(ci) and backtrack(ci + 1):
+                if backtrack(ci + 1):
                     return True
                 used[j] = False
                 assignment[ci] = None

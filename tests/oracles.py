@@ -18,7 +18,8 @@ per conjugating element. Associativity is checked on all n^3 triples, one
 left factor at a time, and inverses and conjugation tables are filled one
 element at a time, and conjugacy class sizes by counting each element's
 distinct conjugates. Commutator subgroups are closed from all |K|^2
-commutators."""
+commutators. The species search builds each character map whole and
+checks every gamma block of its class only then."""
 
 import functools
 import itertools
@@ -28,13 +29,17 @@ from typing import Iterable, Iterator, Optional, Sequence
 import numpy as np
 
 from fibered_burnside.abelian_fiber import AbelianFiber, Character, hom_set
-from fibered_burnside.errors import NotAGroup
+from fibered_burnside.errors import NotAGroup, SearchBudgetExceeded
 from fibered_burnside.group_core import (FiniteGroup, Subgroup,
+                                         SubgroupClassTable,
                                          _subgroup_order_census,
                                          abelian_invariant_decomposition,
                                          abelianization, closure,
                                          enumerate_subgroups, normalizer)
-from fibered_burnside.monomial import MonomialBasis, MonomialPair
+from fibered_burnside.monomial import (MonomialBasis, MonomialPair,
+                                       monomial_basis)
+from fibered_burnside.species import (SpeciesWitness, _class_invariant,
+                                      char_group_isomorphisms)
 
 
 def reference_closure(group: FiniteGroup, gens: Iterable[int]) -> tuple[int, ...]:
@@ -584,3 +589,75 @@ def reference_element_class_sizes(group: FiniteGroup) -> np.ndarray:
     """The number of distinct conjugates g x g^-1 of each element x."""
     return np.array([np.unique(group.conj[:, x]).size
                      for x in range(group.order)], dtype=np.int64)
+
+
+def reference_search_species(g_table: SubgroupClassTable,
+                             h_table: SubgroupClassTable, fiber: AbelianFiber,
+                             *, budget: Optional[int] = None
+                             ) -> Optional[SpeciesWitness]:
+    """Backtracking search for a witness over the transversals of two class
+    tables, with group-isomorphism character maps; returns the first
+    witness in deterministic order or None.
+
+    Class candidates are pruned by (order, class size, hom-set size,
+    mark-profile multiset). A None result means exhaustion under the
+    group-isomorphism restriction; see ``EXHAUSTION_CAVEAT``. Gamma blocks
+    are read from the two orbit bases, which keep them for
+    ``verify_species``.
+    """
+    k = len(g_table.reps)
+    if len(h_table.reps) != k:
+        return None
+    inv_g = [_class_invariant(g_table, i, fiber) for i in range(k)]
+    inv_h = [_class_invariant(h_table, i, fiber) for i in range(k)]
+    if sorted(inv_g) != sorted(inv_h):
+        return None
+    basis_g = monomial_basis(g_table.group, fiber, g_table)
+    basis_h = monomial_basis(h_table.group, fiber, h_table)
+    homs_g, homs_h = basis_g.class_homs, basis_h.class_homs
+    gamma_g, gamma_h = basis_g.gamma_block, basis_h.gamma_block
+    candidates = [[j for j in range(k) if inv_h[j] == inv_g[i]]
+                  for i in range(k)]
+    assignment: list[Optional[int]] = [None] * k
+    char_assignment: list[Optional[np.ndarray]] = [None] * k
+    used = [False] * k
+    nodes = 0
+
+    def matches(x: int, y: int) -> bool:
+        """The gamma block of classes (x, y) equals the block of their
+        images, read through the character maps (which give both blocks
+        one shape)."""
+        image = gamma_h(assignment[x], assignment[y])
+        return bool((gamma_g(x, y) == image[
+            char_assignment[x][:, None], char_assignment[y]]).all())
+
+    def consistent(ci: int) -> bool:
+        return all(matches(ci, cj) and matches(cj, ci)
+                   for cj in range(ci + 1))
+
+    def backtrack(ci: int) -> bool:
+        nonlocal nodes
+        if ci == k:
+            return True
+        for j in candidates[ci]:
+            if used[j]:
+                continue
+            for cmap in char_group_isomorphisms(homs_g[ci], homs_h[j]):
+                nodes += 1
+                if budget is not None and nodes > budget:
+                    raise SearchBudgetExceeded(
+                        f"species search exceeded {budget} nodes")
+                assignment[ci] = j
+                char_assignment[ci] = np.asarray(cmap, dtype=np.int64)
+                used[j] = True
+                if consistent(ci) and backtrack(ci + 1):
+                    return True
+                used[j] = False
+                assignment[ci] = None
+                char_assignment[ci] = None
+        return False
+
+    if not backtrack(0):
+        return None
+    return SpeciesWitness(g_table, h_table, [int(v) for v in assignment],
+                          [m.tolist() for m in char_assignment])

@@ -150,9 +150,16 @@ def test_verify_budget_exceeded(capsys):
 
 def test_verify_budget_bounds_large_character_groups(capsys):
     # the class of (C2)^3 has Hom((C2)^3, C2 x C2) = (C2)^6 with about 2e10
-    # automorphisms; the budget must stop the search without listing them
+    # automorphisms; checking gamma on each prefix of a character map
+    # decides this pair without a budget
     code, report, _ = run_json(capsys, "verify", "abelian:2,2,2",
-                               "abelian:2,2,2", "--fiber", "2,2", "--auto",
+                               "abelian:2,2,2", "--fiber", "2,2", "--auto")
+    assert code == 0
+    assert report["result"]["status"] == "valid"
+    # Hom(C11 x C11, C11) has 13200 automorphisms and the order-605 pair
+    # over C11 is still undecided after 50000 prefixes; the budget stops it
+    code, report, _ = run_json(capsys, "verify", "thevenaz:11,5,3,9",
+                               "thevenaz:11,5,3,4", "--fiber", "11", "--auto",
                                "--budget", "50000")
     assert code == 1
     assert report["result"]["status"] == "budget_exceeded"

@@ -7,8 +7,9 @@ the mark morphism are checked against the scalar ``reference_gamma`` of
 ``oracles.py``. The tiny worked example over C2 is verified against
 hand-computed tables. Seeded hypothesis tests check, on random products
 of cyclic groups, products against ``reference_product`` and the Mackey
-symmetry of product blocks, and gamma blocks and marks against the oracle
-and a count of the cosets K fixes.
+symmetry of product blocks, gamma blocks and marks against the oracle
+and a count of the cosets K fixes, and the mark morphism as a ring
+homomorphism on sums of a few basis elements.
 """
 
 from math import gcd
@@ -221,6 +222,19 @@ def test_gamma_blocks_and_marks_on_products(params, factors):
     for k_sub in reps:
         for l_sub in reps:
             assert mark(g, k_sub, l_sub) == _brute_force_mark(g, k_sub, l_sub)
+
+
+@seed(20261018)
+@settings(max_examples=40, deadline=None, database=None)
+@given(product_params())
+def test_class_table_marks_on_products(params):
+    # (C_m x| C_k) x C_c up to order 60: the class table builds its marks
+    # one gather per column class; each must equal the mark of that pair,
+    # which the test above counts by brute force
+    g = product_group(params)
+    table = conjugacy_classes_of_subgroups(g)
+    assert table.marks == [[mark(g, k_sub, l_sub) for l_sub in table.reps]
+                           for k_sub in table.reps]
 
 
 def test_gamma_block_rejects_subgroups_of_different_groups(s3, fiber_c2):
@@ -537,6 +551,33 @@ def test_ring_homomorphism_suite(s3, d4, fiber_c2, fiber_c6):
                                     basis.basis_element(j))
                     assert mark_morphism(basis, prod) == \
                         ghost_multiply(images[i], images[j])
+
+
+def _element(basis, terms):
+    """The element with coefficient c on basis index i % size for each
+    (i, c) in ``terms``, summed."""
+    coeffs = [0] * basis.size
+    for i, c in terms:
+        coeffs[i % basis.size] += c
+    return BurnsideElement(basis, coeffs)
+
+
+_TERMS = st.lists(st.tuples(st.integers(0, 10 ** 6), st.integers(-3, 3)),
+                  min_size=1, max_size=4)
+
+
+@seed(20261018)
+@settings(max_examples=25, deadline=None, database=None)
+@given(product_params().filter(lambda p: p[0] * p[1] * p[3] <= 36),
+       st.sampled_from([(1,), (2,), (6,), (2, 4)]), _TERMS, _TERMS)
+def test_mark_morphism_is_ring_homomorphism_on_products(params, factors,
+                                                        x_terms, y_terms):
+    # (C_m x| C_k) x C_c up to order 36: the mark morphism of x * y is the
+    # ghost product of the images, on sums of a few basis elements
+    basis = monomial_basis(product_group(params), AbelianFiber(factors))
+    x, y = _element(basis, x_terms), _element(basis, y_terms)
+    assert mark_morphism(basis, multiply(x, y)) == ghost_multiply(
+        mark_morphism(basis, x), mark_morphism(basis, y))
 
 
 def test_gamma_matrix_nonsingular(s3, d4, fiber_c2, fiber_c6):

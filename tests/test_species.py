@@ -2,11 +2,14 @@
 
 Oracles: exhaustive gamma comparison for tiny witnesses, self-maps that
 must always validate, and the explicit family witness cross-validated by
-the general verifier. A count pins how many product and gamma blocks
-``verify --auto`` computes.
+the general verifier. The search, which checks gamma on every prefix of a
+character map, is compared witness for witness with
+``reference_search_species``, which checks only whole maps. A count pins
+how many product and gamma blocks ``verify --auto`` computes.
 """
 
 import itertools
+import random
 from collections import Counter
 
 import numpy as np
@@ -19,7 +22,8 @@ from fibered_burnside.errors import (FiberHasPTorsion, InvalidSpec,
                                      SearchBudgetExceeded)
 from fibered_burnside.group_core import (Subgroup, abelian_group,
                                          conjugacy_classes_of_subgroups,
-                                         cyclic_group)
+                                         cyclic_group, dihedral_group,
+                                         group_from_json)
 from fibered_burnside.monomial import (MonomialBasis, MonomialPair,
                                        monomial_basis)
 from fibered_burnside.species import (EXHAUSTION_CAVEAT, SpeciesWitness,
@@ -27,7 +31,8 @@ from fibered_burnside.species import (EXHAUSTION_CAVEAT, SpeciesWitness,
                                       char_group_isomorphisms, search_species,
                                       thevenaz_witness, verify_species)
 from oracles import (reference_char_group_isomorphisms,
-                     reference_char_group_table, reference_gamma)
+                     reference_char_group_table, reference_gamma,
+                     reference_search_species)
 
 # ---------------------------------------------------------------------------
 # Character group isomorphisms
@@ -86,6 +91,62 @@ def test_char_group_isomorphisms_are_lazy():
     for mapping in np.asarray(first):
         assert sorted(mapping) == list(range(len(homs)))
         assert np.array_equal(mapping[table], table[np.ix_(mapping, mapping)])
+
+
+def test_char_group_isomorphisms_accept_all_gives_full_list(fiber_c2):
+    # accept sees the trivial characters first and then every prefix; the
+    # calls on the full span are the maps themselves, in order
+    klein = hom_set(_full(abelian_group((2, 2))), fiber_c2)
+    e16 = hom_set(_full(abelian_group((2, 2, 2, 2))), fiber_c2)
+    c4c4 = hom_set(_full(abelian_group((4, 4))), AbelianFiber((4,)))
+    for homs in (klein, e16, c4c4):
+        calls = []
+
+        def accept(dom, img):
+            calls.append((dom.tolist(), img.tolist()))
+            return True
+
+        maps = list(char_group_isomorphisms(homs, homs, accept=accept))
+        assert maps == list(char_group_isomorphisms(homs, homs))
+        assert calls[0] == ([0], [0])
+        assert all(dom[0] == img[0] == 0 and len(dom) == len(set(dom))
+                   for dom, img in calls)
+        full = [[img[dom.index(a)] for a in range(len(homs))]
+                for dom, img in calls if len(dom) == len(homs)]
+        assert full == maps
+
+
+def test_char_group_isomorphisms_accept_prunes_prefixes(fiber_c2):
+    # rejecting every prefix that moves a character leaves the identity
+    e16 = hom_set(_full(abelian_group((2, 2, 2, 2))), fiber_c2)
+    calls = []
+
+    def fixes(dom, img):
+        calls.append(len(dom))
+        return bool((dom == img).all())
+
+    assert list(char_group_isomorphisms(e16, e16, accept=fixes)) == \
+        [list(range(16))]
+    # one trivial prefix, then the 15 candidates for each of 4 generators
+    # less those already spanned
+    assert Counter(calls) == {1: 1, 2: 15, 4: 14, 8: 12, 16: 8}
+
+
+def test_trivial_char_group_calls_accept_once(fiber_c2):
+    # Hom(C3, C2) is trivial: its one map is checked once, on the trivial
+    # characters, and a rejection leaves no map
+    homs = hom_set(_full(cyclic_group(3)), fiber_c2)
+    assert len(homs) == 1
+    calls = []
+
+    def record(dom, img):
+        calls.append((dom.tolist(), img.tolist()))
+        return True
+
+    assert list(char_group_isomorphisms(homs, homs, accept=record)) == [[0]]
+    assert calls == [([0], [0])]
+    assert list(char_group_isomorphisms(
+        homs, homs, accept=lambda dom, img: False)) == []
 
 
 def test_char_group_isomorphisms_preserve_products(s3, fiber_c6):
@@ -315,6 +376,68 @@ def test_search_s3_vs_c6_exhausts(s3, fiber_c6):
 def test_search_budget(s3, fiber_c6):
     with pytest.raises(SearchBudgetExceeded):
         _search(s3, s3, fiber_c6, budget=0)
+
+
+def test_search_e16_within_budget_1000(fiber_c2):
+    # E16 over C2 takes 10981 whole character maps without the prefix
+    # check; with it the same witness takes far fewer than 1000 prefixes
+    e16 = abelian_group((2, 2, 2, 2))
+    table = conjugacy_classes_of_subgroups(e16)
+    witness = search_species(table, table, fiber_c2, budget=1000)
+    assert witness is not None
+    assert witness.to_json() == \
+        reference_search_species(table, table, fiber_c2).to_json()
+    assert verify_species(witness, fiber_c2).valid
+
+
+def _relabelled(group, rng):
+    """``group`` read back from Cayley JSON with its elements relabelled by
+    a permutation drawn from ``rng`` that keeps the identity at 0."""
+    n = group.order
+    label = np.array([0] + rng.sample(range(1, n), n - 1))
+    unlabel = np.argsort(label)
+    mul = label[group.mul[np.ix_(unlabel, unlabel)]]
+    return group_from_json({"order": n, "mul": mul.tolist()})
+
+
+def _search_matches_reference(g, h, fiber):
+    """The search's answer, after checking it against the reference: the
+    same witness JSON, or, where the reference takes more than 20000 whole
+    maps, a witness that verifies."""
+    g_table = conjugacy_classes_of_subgroups(g)
+    h_table = conjugacy_classes_of_subgroups(h)
+    witness = search_species(g_table, h_table, fiber)
+    try:
+        expected = reference_search_species(g_table, h_table, fiber,
+                                            budget=20000)
+    except SearchBudgetExceeded:
+        assert witness is not None and verify_species(witness, fiber).valid
+        return witness
+    assert (None if witness is None else witness.to_json()) == \
+        (None if expected is None else expected.to_json())
+    return witness
+
+
+@pytest.mark.parametrize("factors", [(1,), (2,), (6,), (2, 4), (3,)])
+def test_search_matches_reference(small_groups, tg_11_5_a, tg_11_5_b,
+                                  factors):
+    # self pairs, seeded relabellings and pairs of equal order, among them
+    # the order-605 pair; the relabelled class tables list their classes
+    # in another order, so the identity assignment is not tried first
+    fiber = AbelianFiber(factors)
+    rng = random.Random(20261018)
+    moved = 0
+    for g in small_groups:
+        assert _search_matches_reference(g, g, fiber) is not None
+        witness = _search_matches_reference(g, _relabelled(g, rng), fiber)
+        moved += witness.subgroup_map != sorted(witness.subgroup_map)
+    assert moved
+    groups = [*small_groups, cyclic_group(8), cyclic_group(9),
+              abelian_group((3, 3)), abelian_group((2, 6)),
+              dihedral_group(6), tg_11_5_a.group, tg_11_5_b.group]
+    for g, h in itertools.combinations(groups, 2):
+        if g.order == h.order:
+            _search_matches_reference(g, h, fiber)
 
 
 def test_exhaustion_caveat_mentions_open_question():
