@@ -16,6 +16,8 @@ import sys
 import time
 from typing import Optional, Sequence
 
+import numpy as np
+
 from . import group_core, species, thevenaz
 from .abelian_fiber import AbelianFiber
 from .errors import AlgebraError, FiberHasPTorsion, SearchBudgetExceeded
@@ -262,11 +264,19 @@ def cmd_reproduce_paper(p: int = 11, q: int = 5,
 
 # Decimal text of the small non-negative ints that fill gamma and marks rows
 _SMALL_INTS = tuple(str(v) for v in range(1024))
+_SMALL_TEXT = np.array(_SMALL_INTS, dtype=object)
 
 
 def _join_ints(row: Sequence[int], sep: str) -> str:
-    """``sep.join`` of the decimal text of a row of ints."""
+    """``sep.join`` of the decimal text of a row of ints, which may be a
+    1-D integer ndarray."""
     small, n = _SMALL_INTS, len(_SMALL_INTS)
+    if isinstance(row, np.ndarray):
+        # one gather when the whole row is small; a negative value must not
+        # index from the end
+        if row.size and row.min() >= 0 and row.max() < n:
+            return sep.join(_SMALL_TEXT[row].tolist())
+        row = row.tolist()
     return sep.join([small[v] if 0 <= v < n else str(v) for v in row])
 
 
@@ -274,14 +284,19 @@ def _write_json(obj, write, level: int = 0) -> None:
     """Send ``obj`` through ``write`` piece by piece, as the text of
     ``json.dumps(obj, sort_keys=True, indent=2)`` nested ``level`` deep.
 
-    A list of plain ints (never bools) goes out in one write: these are the
-    rows of the gamma table, the marks and the subgroup members. Dict keys
-    must be strings, as in every report; others raise TypeError."""
-    if not isinstance(obj, (dict, list, tuple)):
+    An ndarray goes out as its ``.tolist()`` would. A list of plain ints
+    (never bools) or a 1-D integer ndarray goes out in one write: these are
+    the rows of the gamma table, the marks and the subgroup members. Dict
+    keys must be strings, as in every report; others raise TypeError."""
+    if isinstance(obj, np.ndarray) and (obj.ndim == 0
+                                        or obj.dtype.kind not in "iu"):
+        obj = obj.tolist()      # only integer rows go through _join_ints
+    is_array = isinstance(obj, np.ndarray)
+    if not (is_array or isinstance(obj, (dict, list, tuple))):
         write(json.dumps(obj))
         return
     is_dict = isinstance(obj, dict)
-    if not obj:
+    if not len(obj):
         write("{}" if is_dict else "[]")
         return
     inner = "\n" + "  " * (level + 1)
@@ -295,7 +310,7 @@ def _write_json(obj, write, level: int = 0) -> None:
             write(sep + json.dumps(key) + ": ")
             _write_json(value, write, level + 1)
             sep = "," + inner
-    elif set(map(type, obj)) == {int}:
+    elif (obj.ndim == 1 if is_array else set(map(type, obj)) == {int}):
         write("[" + inner + _join_ints(obj, "," + inner) + close)
         return
     else:

@@ -3,7 +3,7 @@ coefficients, the reduced ghost ring, and the mark morphism.
 
 The basis is ordered by subgroup class (class-table order), then by the
 character value vector of each orbit representative. All coefficients are
-exact Python integers.
+exact integers: Python ints, or numpy arrays whose dtype holds every entry.
 """
 
 from __future__ import annotations
@@ -130,19 +130,24 @@ class MonomialBasis:
 
     def gamma_block(self, ci: int, cj: int) -> np.ndarray:
         """``gamma_block`` of the class reps ci and cj, computed once per
-        basis; the species search and verification both read it. A zero
-        mark means no coset is fixed, so the block is zero."""
+        basis; the species search and verification both read it."""
         try:
             return self._gamma_cache[ci, cj]
         except KeyError:
-            reps = self.class_table.reps
-            if self.class_table.marks[ci][cj]:
-                block = gamma_block(reps[ci], reps[cj], self.fiber)
-            else:
+            block = self._nonzero_gamma_block(ci, cj)
+            if block is None:
                 block = np.zeros((len(self.class_homs[ci]),
                                   len(self.class_homs[cj])), dtype=np.int64)
             self._gamma_cache[ci, cj] = block
             return block
+
+    def _nonzero_gamma_block(self, ci: int, cj: int) -> Optional[np.ndarray]:
+        """``gamma_block`` of the class reps ci and cj, not cached, or None
+        when their mark is 0: then no coset is fixed, so the block is zero."""
+        if not self.class_table.marks[ci][cj]:
+            return None
+        reps = self.class_table.reps
+        return gamma_block(reps[ci], reps[cj], self.fiber)
 
     def product(self, i: int, j: int) -> list[tuple[int, int]]:
         """Structure constants of reps[i] * reps[j] as (index, coeff) pairs."""
@@ -249,31 +254,26 @@ def monomial_basis(group: FiniteGroup, fiber: AbelianFiber,
     return basis
 
 
-def all_monomial_pairs(group: FiniteGroup,
-                       fiber: AbelianFiber) -> list[MonomialPair]:
-    """Every monomial pair (not just orbit representatives)."""
-    from .group_core import enumerate_subgroups
-    pairs = []
-    for sub in enumerate_subgroups(group):
-        for chi in hom_set(sub, fiber):
-            pairs.append(MonomialPair(sub, chi))
-    return pairs
+def gamma_table(basis: MonomialBasis) -> np.ndarray:
+    """Gamma coefficients of every basis pair against every basis pair.
 
-
-def gamma_table(basis: MonomialBasis) -> list[list[int]]:
-    """Gamma coefficients of every basis pair against every basis pair."""
-    # Rows grow block by block, so no table-sized array lives beside the
-    # rows. The CLI streams the report row by row, so these rows set the
-    # peak memory of `gamma`; one such array would add 23 MB to it for
-    # (C2)^4 over C2 x C2.
-    table: list[list[int]] = [[] for _ in range(basis.size)]
-    reps, hom_index = basis.class_table.reps, basis.rep_hom_index
+    Entry [i, j] counts cosets of the subgroup L of pair j, so it is at
+    most |G : L| <= |G|; the dtype is the smallest signed integer type
+    whose max is at least |G|. Only class pairs with a nonzero mark are
+    computed; the other blocks stay zero.
+    """
+    # One small-int array: the CLI streams the report row by row, so this
+    # table sets the peak memory of `gamma`, 3.4 MB for (C2)^4 over C2 x C2
+    dtype = next(t for t in (np.int8, np.int16, np.int32, np.int64)
+                 if np.iinfo(t).max >= basis.group.order)
+    table = np.zeros((basis.size, basis.size), dtype=dtype)
+    hom_index = np.asarray(basis.rep_hom_index, dtype=np.int64)
     for ci, (i0, i1) in enumerate(basis.class_block):
         for cj, (j0, j1) in enumerate(basis.class_block):
-            block = gamma_block(reps[ci], reps[cj], basis.fiber)
-            rows = block[np.ix_(hom_index[i0:i1], hom_index[j0:j1])]
-            for row, values in zip(table[i0:i1], rows.tolist()):
-                row.extend(values)
+            block = basis._nonzero_gamma_block(ci, cj)
+            if block is not None:
+                table[i0:i1, j0:j1] = block[np.ix_(hom_index[i0:i1],
+                                                   hom_index[j0:j1])]
     return table
 
 
@@ -453,37 +453,8 @@ def mark_morphism(basis: MonomialBasis, x: BurnsideElement) -> GhostElement:
     return GhostElement(ring, comps)
 
 
-# ---------------------------------------------------------------------------
-# Exact linear algebra helper
-
-
-def integer_matrix_determinant(rows: Sequence[Sequence[int]]) -> int:
-    """Exact determinant by fraction-free (Bareiss) elimination."""
-    m = [[int(v) for v in row] for row in rows]
-    n = len(m)
-    if n == 0:
-        return 1
-    if any(len(row) != n for row in m):
-        raise ValueError("matrix must be square")
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            pivot = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
-            if pivot is None:
-                return 0
-            m[k], m[pivot] = m[pivot], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
-
-
 __all__ = [
     "MonomialPair", "MonomialBasis", "BurnsideElement", "GhostRing",
-    "GhostElement", "monomial_basis", "all_monomial_pairs",
-    "gamma_block", "gamma_table", "multiply", "mark_morphism",
-    "ghost_multiply", "ghost_ring", "integer_matrix_determinant",
+    "GhostElement", "monomial_basis", "gamma_block", "gamma_table",
+    "multiply", "mark_morphism", "ghost_multiply", "ghost_ring",
 ]

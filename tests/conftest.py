@@ -15,8 +15,8 @@ from fibered_burnside.monomial import gamma_block
 @pytest.fixture(scope="session")
 def pair_gamma():
     """``pair_gamma(group, fiber)[i, j]`` is gamma of the i-th against the
-    j-th monomial pair, in ``all_monomial_pairs`` order, read from the
-    gamma blocks of all pairs of subgroups."""
+    j-th monomial pair, in ``oracles.all_monomial_pairs`` order, read from
+    the gamma blocks of all pairs of subgroups."""
     def matrix(group, fiber):
         subs = enumerate_subgroups(group)
         return np.block([[gamma_block(k_sub, l_sub, fiber) for l_sub in subs]

@@ -19,7 +19,9 @@ left factor at a time, and inverses and conjugation tables are filled one
 element at a time, and conjugacy class sizes by counting each element's
 distinct conjugates. Commutator subgroups are closed from all |K|^2
 commutators. The species search builds each character map whole and
-checks every gamma block of its class only then."""
+checks every gamma block of its class only then. Every monomial pair is
+listed subgroup by subgroup, and determinants are exact by fraction-free
+elimination over Python ints."""
 
 import functools
 import itertools
@@ -153,6 +155,38 @@ def reference_gamma(pair_k: MonomialPair, pair_l: MonomialPair) -> int:
                for k in k_sub.members):
             count += 1
     return count
+
+
+def all_monomial_pairs(group: FiniteGroup,
+                       fiber: AbelianFiber) -> list[MonomialPair]:
+    """Every monomial pair (not just orbit representatives), by subgroup in
+    ``enumerate_subgroups`` order, then by character in ``hom_set`` order."""
+    return [MonomialPair(sub, chi) for sub in enumerate_subgroups(group)
+            for chi in hom_set(sub, fiber)]
+
+
+def integer_matrix_determinant(rows: Sequence[Sequence[int]]) -> int:
+    """Exact determinant by fraction-free (Bareiss) elimination."""
+    m = [[int(v) for v in row] for row in rows]
+    n = len(m)
+    if n == 0:
+        return 1
+    if any(len(row) != n for row in m):
+        raise ValueError("matrix must be square")
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            pivot = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
+            if pivot is None:
+                return 0
+            m[k], m[pivot] = m[pivot], m[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1]
 
 
 def reference_generating_sequence(group: FiniteGroup) -> list[int]:

@@ -17,10 +17,10 @@ from fibered_burnside.group_core import (abelian_group,
                                          conjugacy_classes_of_subgroups,
                                          cyclic_group, dihedral_group,
                                          normalizer, symmetric_group)
-from fibered_burnside.monomial import (all_monomial_pairs, gamma_block,
-                                       gamma_table, ghost_multiply,
-                                       integer_matrix_determinant,
-                                       mark_morphism, monomial_basis, multiply)
+from fibered_burnside.monomial import (gamma_block, gamma_table,
+                                       ghost_multiply, mark_morphism,
+                                       monomial_basis, multiply)
+from oracles import all_monomial_pairs, integer_matrix_determinant
 
 BUDGETS = {1: 10.0, 2: 60.0, 3: 10.0, 4: 300.0, 5: 60.0, 6: 60.0}
 
@@ -114,7 +114,7 @@ def test_criterion_3_coprime_degeneration(report_line):
         table = conjugacy_classes_of_subgroups(g)
         if basis.size != len(table.reps):
             ok = False
-        if gamma_table(basis) != table.marks:
+        if gamma_table(basis).tolist() != table.marks:
             ok = False
     _finish(report_line, 3,
             "coprime fiber degenerates to the table of marks", start, ok)

@@ -28,13 +28,12 @@ from fibered_burnside.group_core import (Subgroup, abelian_group,
                                          cyclic_group, double_coset_reps,
                                          mark, symmetric_group)
 from fibered_burnside.monomial import (BurnsideElement, MonomialBasis,
-                                       MonomialPair,
-                                       all_monomial_pairs, gamma_block,
-                                       gamma_table, ghost_multiply, ghost_ring,
-                                       integer_matrix_determinant,
+                                       MonomialPair, gamma_block, gamma_table,
+                                       ghost_multiply, ghost_ring,
                                        mark_morphism, monomial_basis, multiply)
 from fibered_burnside.thevenaz import canonical_class_table
-from oracles import (canonical_index, reference_char_group_table,
+from oracles import (all_monomial_pairs, canonical_index,
+                     integer_matrix_determinant, reference_char_group_table,
                      reference_char_orbits, reference_gamma,
                      reference_product)
 from test_group_core import product_group, product_params
@@ -60,7 +59,8 @@ def test_c2_basis_reps(c2_basis):
 
 
 def test_c2_gamma_table(c2_basis):
-    assert gamma_table(c2_basis) == [[2, 1, 1], [0, 1, 0], [0, 0, 1]]
+    assert gamma_table(c2_basis).tolist() == [[2, 1, 1], [0, 1, 0],
+                                              [0, 0, 1]]
 
 
 def test_c2_products(c2_basis):
@@ -169,9 +169,9 @@ def _assert_gamma_matches_reference(group, fiber):
                        for psi in homs_l] for phi in homs_k]
             assert gamma_block(k_sub, l_sub, fiber).tolist() == expect
     basis = monomial_basis(group, fiber)
-    assert gamma_table(basis) == [[reference_gamma(pk, pl)
-                                   for pl in basis.reps]
-                                  for pk in basis.reps]
+    assert gamma_table(basis).tolist() == [[reference_gamma(pk, pl)
+                                            for pl in basis.reps]
+                                           for pk in basis.reps]
     for j, pl in enumerate(basis.reps):
         image = mark_morphism(basis, basis.basis_element(j))
         assert image.comps == [[reference_gamma(MonomialPair(k_sub, phi), pl)
@@ -444,7 +444,7 @@ def test_coprime_fiber_degeneration(s3, d4, fiber_c5):
         basis = _basis(g, fiber)
         table = conjugacy_classes_of_subgroups(g)
         assert basis.size == len(table.reps)
-        assert gamma_table(basis) == table.marks
+        assert gamma_table(basis).tolist() == table.marks
 
 
 def test_identity_element(s3, d4, fiber_c2, fiber_c6):
@@ -536,7 +536,38 @@ def test_ghost_images_take_one_gamma_block_per_class_pair(monkeypatch,
     n_classes = len(basis.class_table.reps)
     assert len(calls) <= n_classes ** 2
     for a, (ca, ha) in enumerate(zip(basis.rep_class, basis.rep_hom_index)):
-        assert [img.comps[ca][ha] for img in images] == table[a]
+        assert [img.comps[ca][ha] for img in images] == table[a].tolist()
+
+
+def test_gamma_table_computes_only_nonzero_mark_blocks(monkeypatch):
+    # (C2)^4 over C2 x C2: 513 of the 67 x 67 class pairs have a nonzero
+    # mark; the other blocks are zero without a gamma_block call
+    basis = MonomialBasis(abelian_group([2, 2, 2, 2]), AbelianFiber((2, 2)))
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return gamma_block(*args)
+
+    monkeypatch.setattr(monomial, "gamma_block", counted)
+    table = gamma_table(basis)
+    assert len(calls) == np.count_nonzero(basis.class_table.marks) == 513
+    assert table.shape == (1837, 1837) and table.dtype == np.int8
+
+
+def test_gamma_table_dtype_holds_the_group_order(tg_11_5_a, fiber_c1):
+    # the (trivial, trivial) entry is |G|, the largest a table can hold
+    for n, dtype in ((127, np.int8), (128, np.int16)):
+        table = gamma_table(_basis(cyclic_group(n), fiber_c1))
+        assert table.dtype == dtype and table[0, 0] == n
+    basis = monomial_basis(tg_11_5_a.group, AbelianFiber((5,)),
+                           canonical_class_table(tg_11_5_a))
+    table = gamma_table(basis)
+    assert table.dtype == np.int16
+    expect = [[basis.gamma_block(ci, cj)[hi, hj]
+               for cj, hj in zip(basis.rep_class, basis.rep_hom_index)]
+              for ci, hi in zip(basis.rep_class, basis.rep_hom_index)]
+    assert table.tolist() == expect
 
 
 def test_ring_homomorphism_suite(s3, d4, fiber_c2, fiber_c6):
