@@ -14,7 +14,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import DomainMismatch
-from .group_core import Subgroup, abelianization, conjugate_members
+from .group_core import (AbelianDecomposition, Subgroup,
+                         abelian_invariant_decomposition, abelianization,
+                         conjugate_members)
 
 
 class AbelianFiber:
@@ -33,15 +35,12 @@ class AbelianFiber:
         self.elements: list[tuple[int, ...]] = list(
             itertools.product(*(range(d) for d in factors)))
         self.index = {e: i for i, e in enumerate(self.elements)}
-        coords = np.array(self.elements, dtype=np.int64).reshape(
+        self.coords = np.array(self.elements, dtype=np.int64).reshape(
             self.order, len(factors))
         mods = np.array(factors, dtype=np.int64)
-        sums = (coords[:, None, :] + coords[None, :, :]) % mods
+        sums = (self.coords[:, None, :] + self.coords[None, :, :]) % mods
         self.add_table = self._encode(sums)
-        self.neg_table = self._encode((-coords) % mods)
-        self._order_of = np.empty(self.order, dtype=np.int64)
-        for i, e in enumerate(self.elements):
-            self._order_of[i] = _tuple_order(e, factors)
+        self.neg_table = self._encode((-self.coords) % mods)
 
     def _encode(self, coords: np.ndarray) -> np.ndarray:
         weights = np.ones(len(self.factors), dtype=np.int64)
@@ -64,17 +63,11 @@ class AbelianFiber:
     def neg(self, i: int) -> int:
         return int(self.neg_table[i])
 
-    def scale(self, k: int, i: int) -> int:
-        e = self.elements[i]
-        return self.index[tuple((k * x) % d for x, d in zip(e, self.factors))]
-
-    def element_order(self, i: int) -> int:
-        return int(self._order_of[i])
-
     def torsion_indices(self, n: int) -> list[int]:
         if n < 1:
             raise ValueError("torsion exponent must be positive")
-        return [i for i in range(self.order) if self.scale(n, i) == 0]
+        return np.flatnonzero(
+            (n * self.coords % self.factors == 0).all(axis=1)).tolist()
 
     def torsion_elements(self, n: int) -> list[tuple[int, ...]]:
         """All a with n*a = 0, in lexicographic order."""
@@ -85,15 +78,6 @@ class AbelianFiber:
 
     def __repr__(self) -> str:
         return f"AbelianFiber{self.factors}"
-
-
-def _tuple_order(e: tuple[int, ...], factors: tuple[int, ...]) -> int:
-    from math import gcd
-    o = 1
-    for x, d in zip(e, factors):
-        if x:
-            o = o * (d // gcd(x, d)) // gcd(o, d // gcd(x, d))
-    return o
 
 
 class Character:
@@ -206,11 +190,11 @@ class CharIndex:
 
     K is abelianized; a homomorphism is a choice of one d-torsion image per
     invariant factor C_d, and the characters are in lexicographic order of
-    that image tuple. ``values`` has one row per character and one column
-    per member of K; ``pos`` is the position of each group element in K, or
-    -1 outside it. A character is determined by its values on ``gens``, the
-    generators of K (the identity for the trivial group), and ``index``
-    finds it from them.
+    that image tuple, so the trivial character is index 0. ``values`` has
+    one row per character and one column per member of K; ``pos`` is the
+    position of each group element in K, or -1 outside it. A character is
+    determined by its values on ``gens``, the generators of K (the identity
+    for the trivial group), and ``index`` finds it from them.
     """
 
     def __init__(self, domain: Subgroup, fiber: AbelianFiber):
@@ -219,13 +203,10 @@ class CharIndex:
         # a perfect K), so these arrays are (1, 0) and (|K|, 0) in rank 0
         images = np.asarray(list(itertools.product(
             *(fiber.torsion_indices(d) for d in dec.factors))), dtype=np.int64)
-        expo = np.asarray([dec.coords[m] for m in domain.members],
-                          dtype=np.int64)
-        coords = np.asarray(fiber.elements, dtype=np.int64)
         # a member's image: its exponents times the fiber coordinates of
         # the images of the invariant factors' generators
         self.values = fiber._encode(
-            (expo @ coords[images]) % np.asarray(fiber.factors))
+            (dec.coords @ fiber.coords[images]) % np.asarray(fiber.factors))
         _check_homs(domain, fiber, self.values)
         self.pos = np.full(domain.group.order, -1, dtype=np.int64)
         self.pos[list(domain.members)] = np.arange(domain.order)
@@ -241,6 +222,7 @@ class CharIndex:
         self._order = np.argsort(keys)
         self._keys = keys[self._order]
         self._table: Optional[np.ndarray] = None
+        self._decomposition: Optional[AbelianDecomposition] = None
 
     def _key(self, vals: np.ndarray) -> np.ndarray:
         return (vals * self._weights).sum(axis=-1)
@@ -255,11 +237,6 @@ class CharIndex:
         return self._order[at]
 
     @property
-    def trivial(self) -> int:
-        """Hom-set index of the trivial character."""
-        return int(self.index(np.zeros(self.gens.size, dtype=np.int64)))
-
-    @property
     def table(self) -> np.ndarray:
         """Entry [i, j] is the hom-set index of the product of the i-th and
         j-th characters."""
@@ -270,6 +247,13 @@ class CharIndex:
             self._table = self.index(
                 self._add[on_gens[:, None], on_gens[None]])
         return self._table
+
+    @property
+    def decomposition(self) -> AbelianDecomposition:
+        """Invariant-factor basis of Hom(K, A) itself, from ``table``."""
+        if self._decomposition is None:
+            self._decomposition = abelian_invariant_decomposition(self.table)
+        return self._decomposition
 
 
 def char_index(domain: Subgroup, fiber: AbelianFiber) -> CharIndex:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import prod
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -74,9 +74,7 @@ class FiniteGroup:
     @property
     def element_orders(self) -> np.ndarray:
         if self._element_orders is None:
-            self._element_orders = np.asarray(
-                [_element_order(g, self.m, 0) for g in range(self.order)],
-                dtype=np.int64)
+            self._element_orders = _orders(self.mul)
         return self._element_orders
 
     @property
@@ -417,7 +415,7 @@ def enumerate_subgroups(group: FiniteGroup) -> list[Subgroup]:
     if cached is not None:
         return list(cached)
     n = group.order
-    primes = [p for p in range(2, n + 1) if n % p == 0 and _is_prime(p)]
+    primes = [p for p, _ in _prime_factors(n)]
     seen: set[tuple[int, ...]] = {(0,)}
     queue: list[tuple[tuple[int, ...], tuple[int, ...]]] = [((0,), ())]
     if n >= 60 and n % 12 == 0:
@@ -760,116 +758,149 @@ def conjugacy_classes_of_subgroups(
 
 @dataclass
 class AbelianDecomposition:
-    """Cyclic decomposition d1 | d2 | ... | dr with explicit coordinates."""
+    """Cyclic decomposition d1 | d2 | ... | dr with explicit coordinates:
+    ``coords[e]`` is the exponent row of element e, and ``span`` lists the
+    elements in lexicographic order of their rows."""
 
     factors: tuple[int, ...]
-    coords: dict  # element -> exponent tuple
+    coords: np.ndarray   # (n, r) int64
+    span: np.ndarray     # (n,) int64
 
 
-def abelian_invariant_decomposition(elems: Sequence, mulfn: Callable,
-                                    identity) -> AbelianDecomposition:
-    """Invariant-factor basis of a finite abelian group.
+def abelian_invariant_decomposition(table) -> AbelianDecomposition:
+    """Invariant-factor basis of a finite abelian group, given by its n x n
+    multiplication table with identity 0.
 
-    ``elems`` must be sortable and hashable; ``mulfn`` is the (commutative)
-    group operation. Works prime by prime: in each p-component an element of
-    maximal order spans a direct summand, so a basis of the quotient lifts
-    order-preservingly.
+    Works prime by prime: in each p-component an element of maximal order
+    spans a direct summand, so a basis of the quotient lifts
+    order-preservingly. Elements compare by index. This rule picks the
+    generators, and so fixes the order of hom sets, every gamma digest and
+    the witness that a species search reports:
+
+    - in the p-component, the least element x of largest order;
+    - in the quotient by <x>, each coset is labelled by its least element,
+      and the quotient's generators are picked by the same rule;
+    - each of those, y, lifts to the first element y x^j, j = 0, 1, ...,
+      whose order is the order of the coset y<x>;
+    - the t-th generators of all primes, p ascending, multiply into the
+      t-th slot, and the slots are put in ascending order.
     """
-    order_memo = {e: _element_order(e, mulfn, identity) for e in elems}
-    n = len(elems)
-    primes = sorted({p for p in range(2, n + 1) if n % p == 0 and _is_prime(p)})
-    per_prime: dict[int, list] = {}
-    for p in primes:
-        comp = sorted(e for e in elems if _is_p_power(order_memo[e], p))
-        basis = _p_group_basis(comp, mulfn, identity, p)
-        if basis:
-            per_prime[p] = basis
-    slots = max((len(b) for b in per_prime.values()), default=0)
-    inv: list[tuple] = []
-    for t in range(slots):
-        gen, d = identity, 1
-        for p in primes:
-            basis = per_prime.get(p, [])
-            if t < len(basis):
-                g, o = basis[t]
-                gen = mulfn(gen, g)
-                d *= o
-        inv.append((gen, d))
-    inv.reverse()   # ascending divisibility d1 | d2 | ...
-    factors = tuple(d for _, d in inv)
-    coords: dict = {}
-    for expo in itertools.product(*(range(d) for d in factors)):
-        e = identity
-        for (g, _), k in zip(inv, expo):
-            for _ in range(k):
-                e = mulfn(e, g)
-        coords[e] = expo
-    if len(coords) != n:
+    table = np.asarray(table, dtype=np.int64)
+    n = table.shape[0]
+    rows, orders = table.tolist(), _orders(table).tolist()
+    gens: list[int] = []
+    factors: list[int] = []
+    for p, a in _prime_factors(n):
+        comp = [e for e in range(n) if p ** a % orders[e] == 0]   # p-part
+        basis = _p_basis(rows, comp, dict(zip(comp, comp)), orders, a)
+        for t, (g, d) in enumerate(basis):
+            if t == len(gens):
+                gens.append(0)
+                factors.append(1)
+            gens[t], factors[t] = rows[gens[t]][g], factors[t] * d
+    gens.reverse()   # ascending divisibility d1 | d2 | ...
+    factors.reverse()
+    span = [0]
+    if prod(factors) == n:   # else the factors cannot span the group
+        for g, d in zip(gens, factors):
+            span = [rows[s][c] for s in span for c in _cycle(rows, g, d)]
+    if len(set(span)) != n:
         raise NotAGroup("abelian basis does not span the group")
-    return AbelianDecomposition(factors, coords)
+    span = np.asarray(span, dtype=np.int64)
+    coords = np.empty((n, len(factors)), dtype=np.int64)
+    coords[span] = list(itertools.product(*map(range, factors)))
+    return AbelianDecomposition(tuple(factors), coords, span)
 
 
-def _element_order(e, mulfn: Callable, identity) -> int:
-    """The least k >= 1 with e^k = identity under ``mulfn``."""
-    k, cur = 1, e
-    while cur != identity:
-        cur = mulfn(cur, e)
-        k += 1
-    return k
-
-
-def _p_group_basis(elems: Sequence, mulfn: Callable, identity, p: int) -> list:
-    """Basis [(gen, order), ...] of an abelian p-group, orders descending."""
-    if len(elems) <= 1:
+def _p_basis(rows: list, quot: list[int], label: dict, orders,
+             a: int) -> list[tuple[int, int]]:
+    """Basis [(gen, order), ...], orders descending, of the group of the
+    cosets that ``label`` sends the elements to. ``quot`` lists their least
+    members, ascending, and ``orders`` gives their orders. The group is a
+    p-group of order at most p^a, so its rank is at most a."""
+    if len(quot) == 1 or not a:
         return []
-    orders = {e: _element_order(e, mulfn, identity) for e in elems}
-    top = max(orders.values())
-    x = min(e for e in elems if orders[e] == top)
-    cyc = [identity]
-    cur = x
-    while cur != identity:
-        cyc.append(cur)
-        cur = mulfn(cur, x)
-    rep_of = {}
-    for e in elems:
-        rep_of[e] = min(mulfn(e, c) for c in cyc)
-    q_elems = sorted(set(rep_of.values()))
-    q_id = rep_of[identity]
-
-    def qmul(a, b):
-        return rep_of[mulfn(a, b)]
-
-    sub = _p_group_basis(q_elems, qmul, q_id, p)
-    lifted = []
-    for ybar, d in sub:
-        lift = None
-        for c in cyc:
-            y = mulfn(ybar, c)
-            if orders[y] == d:
-                lift = y
-                break
+    x = max(quot, key=orders.__getitem__)   # the first of largest order
+    top = orders[x]
+    cyc = [label[c] for c in _cycle(rows, x, top)]
+    least = {q: min([label[rows[q][c]] for c in cyc]) for q in quot}
+    sub_label = {e: least[q] for e, q in label.items()}
+    sub_quot = sorted(set(least.values()))
+    sub_orders = {q: _coset_order(rows, q, sub_label, orders[q])
+                  for q in sub_quot}
+    basis = [(x, top)]
+    for y, d in _p_basis(rows, sub_quot, sub_label, sub_orders, a - 1):
+        lift = next((z for z in (label[rows[y][c]] for c in cyc)
+                     if orders[z] == d), None)
         if lift is None:
             raise NotAGroup(
                 "a quotient basis element has no lift of its order")
-        lifted.append((lift, d))
-    return [(x, top)] + lifted
+        basis.append((lift, d))
+    return basis
+
+
+def _coset_order(rows: list, e: int, label: dict, bound: int) -> int:
+    """The least k >= 1, at most ``bound``, with e^k labelled 0."""
+    k, power = 1, e
+    while label[power] and k < bound:
+        power, k = rows[power][e], k + 1
+    return k
+
+
+def _cycle(rows: list, x: int, d: int) -> list[int]:
+    """x^0, x^1, ..., x^(d-1)."""
+    cyc = [0]
+    for _ in range(d - 1):
+        cyc.append(rows[cyc[-1]][x])
+    return cyc
+
+
+def _orders(table: np.ndarray) -> np.ndarray:
+    """The order of every element, all n at once: for each prime power p^a
+    exactly dividing n, y = x^(n/p^a) has the p-part of the order of x,
+    which is the least p^i with y^(p^i) = 1."""
+    n = table.shape[0]
+    orders = np.ones(n, dtype=np.int64)
+    for p, a in _prime_factors(n):
+        y = _power(table, np.arange(n), n // p ** a)
+        for _ in range(a):
+            live = y != 0
+            if not live.any():
+                break
+            orders[live] *= p
+            y = _power(table, y, p)
+    return orders
+
+
+def _power(table: np.ndarray, x: np.ndarray, k: int) -> np.ndarray:
+    """x^k for each entry of x, k >= 1, by repeated squaring."""
+    out = None
+    while True:
+        if k & 1:
+            out = x if out is None else table[out, x]
+        k >>= 1
+        if not k:
+            return out
+        x = table[x, x]
+
+
+def _prime_factors(n: int) -> list[tuple[int, int]]:
+    """(p, a) for each prime power p^a exactly dividing n, p ascending."""
+    out, p = [], 2
+    while p * p <= n:
+        a = 0
+        while n % p == 0:
+            n, a = n // p, a + 1
+        if a:
+            out.append((p, a))
+        p += 1
+    if n > 1:
+        out.append((n, 1))
+    return out
 
 
 def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
-
-
-def _is_p_power(n: int, p: int) -> bool:
-    while n % p == 0:
-        n //= p
-    return n == 1
+    return n > 1 and _prime_factors(n) == [(n, 1)]
 
 
 def commutator_subgroup(sub: Subgroup) -> Subgroup:
@@ -898,7 +929,10 @@ def commutator_subgroup(sub: Subgroup) -> Subgroup:
 def abelianization(sub: Subgroup) -> AbelianDecomposition:
     """Invariant factors of K/[K,K] with the projection as a coordinate map.
 
-    ``coords`` maps every member of K to its exponent tuple.
+    The quotient's elements are the least members of the cosets of [K,K]
+    in K, and its table comes from one gather through the coset labels.
+    ``coords`` has one row per member of K, in member order, and ``span``
+    lists the least members of the cosets.
     """
     key = ("abelianization", sub.members)
     cached = sub.group._cache.get(key)
@@ -906,24 +940,17 @@ def abelianization(sub: Subgroup) -> AbelianDecomposition:
         return cached
     group = sub.group
     derived = commutator_subgroup(sub)
-    d_arr = np.asarray(derived.members, dtype=np.int64)
-    rep_of: dict[int, int] = {}
-    for k in sub.members:
-        if k in rep_of:
-            continue
-        coset = group.mul[k, d_arr]
-        r = int(coset.min())
-        for e in coset:
-            rep_of[int(e)] = r
-    q_elems = sorted(set(rep_of.values()))
-
-    def qmul(a, b):
-        return rep_of[group.m(a, b)]
-
-    dec = abelian_invariant_decomposition(q_elems, qmul, rep_of[0])
-    project = {k: dec.coords[rep_of[k]] for k in sub.members}
-    result = AbelianDecomposition(dec.factors, project)
-    sub.group._cache[key] = result
+    reps = left_coset_reps(group, derived)
+    label = _coset_labels(group, derived)
+    quot = reps[_indicator(group.order, sub.members)[reps]]
+    at = np.empty(reps.size, dtype=np.int64)
+    at[label[quot]] = np.arange(quot.size)
+    dec = abelian_invariant_decomposition(
+        at[label[group.mul[np.ix_(quot, quot)]]])
+    result = AbelianDecomposition(
+        dec.factors, dec.coords[at[label[np.asarray(sub.members)]]],
+        quot[dec.span])
+    group._cache[key] = result
     return result
 
 

@@ -122,8 +122,7 @@ class MonomialBasis:
     def identity_index(self) -> int:
         full = self.class_table.class_of(
             Subgroup(self.group, range(self.group.order), verify=False))
-        trivial = char_index(self.class_table.reps[full], self.fiber).trivial
-        return int(self._char_to_basis[full][trivial])
+        return int(self._char_to_basis[full][0])   # the trivial character
 
     def identity_element(self) -> "BurnsideElement":
         return self.basis_element(self.identity_index())
@@ -349,16 +348,14 @@ class GhostRing:
         chars = [char_index(k_sub, basis.fiber)
                  for k_sub in basis.class_table.reps]
         self.mul_tables = [c.table for c in chars]
-        self.trivial_index = [c.trivial for c in chars]
 
     def zero(self) -> "GhostElement":
         return GhostElement(self, [[0] * len(h) for h in self.class_homs])
 
     def identity(self) -> "GhostElement":
-        comps = [[0] * len(h) for h in self.class_homs]
-        for ci, ti in enumerate(self.trivial_index):
-            comps[ci][ti] = 1
-        return GhostElement(self, comps)
+        # the trivial character of each class is its index 0
+        return GhostElement(self, [[1] + [0] * (len(h) - 1)
+                                   for h in self.class_homs])
 
 
 class GhostElement:

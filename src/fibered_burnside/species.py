@@ -19,8 +19,7 @@ import numpy as np
 from .abelian_fiber import AbelianFiber, Character, char_index, hom_set
 from .errors import (FiberHasPTorsion, InvalidSpec, NotABijection,
                      NotAGroupIso, SearchBudgetExceeded)
-from .group_core import (SubgroupClassTable, _element_order,
-                         abelian_invariant_decomposition)
+from .group_core import SubgroupClassTable, _orders
 from .monomial import monomial_basis
 from .thevenaz import ThevenazGroup, canonical_class_table
 
@@ -95,15 +94,6 @@ class SpeciesVerdict:
 # Character group structure
 
 
-def _char_group_data(homs: Sequence[Character]):
-    """(product table, identity index, invariant decomposition)."""
-    chars = char_index(homs[0].domain, homs[0].fiber)
-    rows, ident = chars.table.tolist(), chars.trivial
-    dec = abelian_invariant_decomposition(
-        list(range(len(rows))), lambda a, b: rows[a][b], ident)
-    return chars.table, ident, dec
-
-
 def char_group_isomorphisms(homs1: Sequence[Character],
                             homs2: Sequence[Character], *,
                             accept: Optional[Callable[[np.ndarray, np.ndarray],
@@ -111,9 +101,10 @@ def char_group_isomorphisms(homs1: Sequence[Character],
                             ) -> Iterator[list[int]]:
     """All group isomorphisms Hom(K, A) -> Hom(K', A), as index maps.
 
-    Deterministic order: candidates for each generator image ascend by
-    hom-set index. Images are chosen one generator at a time, and a
-    candidate whose cyclic span meets the span of the earlier images is
+    Deterministic order: the generators of Hom(K, A) are those of its
+    ``CharIndex.decomposition``, and candidates for each generator image
+    ascend by hom-set index. Images are chosen one generator at a time, and
+    a candidate whose cyclic span meets the span of the earlier images is
     skipped, since no choice of later images makes such a map injective.
 
     ``accept(dom, img)``, if given, sees every prefix: the hom-set indices
@@ -124,35 +115,30 @@ def char_group_isomorphisms(homs1: Sequence[Character],
     """
     if len(homs1) != len(homs2):
         return
-    _, _, dec1 = _char_group_data(homs1)
-    table2, id2, dec2 = _char_group_data(homs2)
-    if dec1.factors != dec2.factors:
+    chars2 = char_index(homs2[0].domain, homs2[0].fiber)
+    dec1 = char_index(homs1[0].domain, homs1[0].fiber).decomposition
+    if dec1.factors != chars2.decomposition.factors:
         return
     n = len(homs1)
-    orders2 = [_element_order(e, lambda a, b: table2[a, b], id2)
-               for e in range(n)]
+    table2 = chars2.table
+    orders2 = _orders(table2)
     # powers[k] holds c^0 .. c^(d-1) for each candidate image c of the
     # k-th generator, of order d, by ascending index of c
-    powers: list[list[np.ndarray]] = []
+    powers: list[np.ndarray] = []
     for d in dec1.factors:
-        powers.append([])
-        for c in range(n):
-            if orders2[c] == d:
-                cyc = [id2]
-                for _ in range(d - 1):
-                    cyc.append(int(table2[cyc[-1], c]))
-                powers[-1].append(np.asarray(cyc, dtype=np.int64))
+        cands = np.flatnonzero(orders2 == d)
+        cyc = np.zeros((cands.size, d), dtype=np.int64)
+        for j in range(1, d):
+            cyc[:, j] = table2[cyc[:, j - 1], cands]
+        powers.append(cyc)
     # span[x] is the image of the element whose coordinates on the first
     # k generators have mixed-radix index x; ``flat`` is that index of
     # every element of Hom(K, A), and spanned[k][x] is the element itself,
     # whose later coordinates are 0
-    flat = np.zeros(n, dtype=np.int64)
-    for e in range(n):
-        for c, d in zip(dec1.coords[e], dec1.factors):
-            flat[e] = flat[e] * d + c
-    by_flat = np.argsort(flat)
+    flat = np.empty(n, dtype=np.int64)
+    flat[dec1.span] = np.arange(n)
     tails = np.cumprod((1,) + dec1.factors[::-1])[::-1]
-    spanned = [by_flat[np.arange(n // t) * t] for t in tails]
+    spanned = [dec1.span[::t] for t in tails]
     if accept is None:
         accept = _accept_all
 
@@ -171,10 +157,10 @@ def char_group_isomorphisms(homs1: Sequence[Character],
             in_wider[wider] = True
             yield from extend(k + 1, wider, in_wider)
 
-    start = np.asarray([id2], dtype=np.int64)
+    start = np.zeros(1, dtype=np.int64)
     if accept(spanned[0], start):
         in_start = np.zeros(n, dtype=bool)
-        in_start[id2] = True
+        in_start[0] = True
         yield from extend(0, start, in_start)
 
 

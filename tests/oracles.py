@@ -18,7 +18,9 @@ per conjugating element. Associativity is checked on all n^3 triples, one
 left factor at a time, and inverses and conjugation tables are filled one
 element at a time, and conjugacy class sizes by counting each element's
 distinct conjugates. Commutator subgroups are closed from all |K|^2
-commutators. The species search builds each character map whole and
+commutators. Finite abelian groups are decomposed through per-element
+Python callbacks of the group operation, K^ab over a dict of least coset
+members, and element orders by stepping through powers. The species search builds each character map whole and
 checks every gamma block of its class only then. Every monomial pair is
 listed subgroup by subgroup, and determinants are exact by fraction-free
 elimination over Python ints."""
@@ -26,6 +28,7 @@ elimination over Python ints."""
 import functools
 import itertools
 from collections import Counter
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -34,9 +37,8 @@ from fibered_burnside.abelian_fiber import AbelianFiber, Character, hom_set
 from fibered_burnside.errors import NotAGroup, SearchBudgetExceeded
 from fibered_burnside.group_core import (FiniteGroup, Subgroup,
                                          SubgroupClassTable,
-                                         _subgroup_order_census,
-                                         abelian_invariant_decomposition,
-                                         abelianization, closure,
+                                         _subgroup_order_census, closure,
+                                         commutator_subgroup,
                                          enumerate_subgroups, normalizer)
 from fibered_burnside.monomial import (MonomialBasis, MonomialPair,
                                        monomial_basis)
@@ -384,6 +386,162 @@ def reference_commutator_subgroup(sub: Subgroup) -> Subgroup:
     return Subgroup(group, closure(group, comms), verify=False)
 
 
+@dataclass
+class ReferenceDecomposition:
+    """Cyclic decomposition d1 | d2 | ... | dr; ``coords`` maps each
+    element to its exponent tuple."""
+
+    factors: tuple[int, ...]
+    coords: dict
+
+
+def reference_abelian_invariant_decomposition(elems: Sequence, mulfn,
+                                              identity
+                                              ) -> ReferenceDecomposition:
+    """Invariant-factor basis of a finite abelian group, by per-element
+    calls of the group operation ``mulfn``.
+
+    ``elems`` must be sortable and hashable. Works prime by prime: in each
+    p-component an element of maximal order spans a direct summand, so a
+    basis of the quotient lifts order-preservingly. ``coords`` is filled
+    in lexicographic order of the exponent tuples.
+    """
+    order_memo = {e: _element_order(e, mulfn, identity) for e in elems}
+    n = len(elems)
+    primes = sorted({p for p in range(2, n + 1) if n % p == 0 and _is_prime(p)})
+    per_prime: dict[int, list] = {}
+    for p in primes:
+        comp = sorted(e for e in elems if _is_p_power(order_memo[e], p))
+        basis = _p_group_basis(comp, mulfn, identity, p)
+        if basis:
+            per_prime[p] = basis
+    slots = max((len(b) for b in per_prime.values()), default=0)
+    inv: list[tuple] = []
+    for t in range(slots):
+        gen, d = identity, 1
+        for p in primes:
+            basis = per_prime.get(p, [])
+            if t < len(basis):
+                g, o = basis[t]
+                gen = mulfn(gen, g)
+                d *= o
+        inv.append((gen, d))
+    inv.reverse()   # ascending divisibility d1 | d2 | ...
+    factors = tuple(d for _, d in inv)
+    coords: dict = {}
+    for expo in itertools.product(*(range(d) for d in factors)):
+        e = identity
+        for (g, _), k in zip(inv, expo):
+            for _ in range(k):
+                e = mulfn(e, g)
+        coords[e] = expo
+    if len(coords) != n:
+        raise NotAGroup("abelian basis does not span the group")
+    return ReferenceDecomposition(factors, coords)
+
+
+def reference_span(coords: dict) -> list:
+    """The least element with each exponent tuple of ``coords``, in
+    lexicographic order of the tuples."""
+    least: dict = {}
+    for e in sorted(coords):
+        least.setdefault(coords[e], e)
+    return [least[c] for c in sorted(least)]
+
+
+def reference_element_orders(group: FiniteGroup) -> list[int]:
+    """The order of every element, one element and one power at a time."""
+    return [_element_order(g, group.m, 0) for g in group.elements()]
+
+
+def _element_order(e, mulfn, identity) -> int:
+    """The least k >= 1 with e^k = identity under ``mulfn``."""
+    k, cur = 1, e
+    while cur != identity:
+        cur = mulfn(cur, e)
+        k += 1
+    return k
+
+
+def _p_group_basis(elems: Sequence, mulfn, identity, p: int) -> list:
+    """Basis [(gen, order), ...] of an abelian p-group, orders descending."""
+    if len(elems) <= 1:
+        return []
+    orders = {e: _element_order(e, mulfn, identity) for e in elems}
+    top = max(orders.values())
+    x = min(e for e in elems if orders[e] == top)
+    cyc = [identity]
+    cur = x
+    while cur != identity:
+        cyc.append(cur)
+        cur = mulfn(cur, x)
+    rep_of = {}
+    for e in elems:
+        rep_of[e] = min(mulfn(e, c) for c in cyc)
+    q_elems = sorted(set(rep_of.values()))
+    q_id = rep_of[identity]
+
+    def qmul(a, b):
+        return rep_of[mulfn(a, b)]
+
+    sub = _p_group_basis(q_elems, qmul, q_id, p)
+    lifted = []
+    for ybar, d in sub:
+        lift = None
+        for c in cyc:
+            y = mulfn(ybar, c)
+            if orders[y] == d:
+                lift = y
+                break
+        if lift is None:
+            raise NotAGroup(
+                "a quotient basis element has no lift of its order")
+        lifted.append((lift, d))
+    return [(x, top)] + lifted
+
+
+def _is_prime(n: int) -> bool:
+    if n < 2:
+        return False
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 1
+    return True
+
+
+def _is_p_power(n: int, p: int) -> bool:
+    while n % p == 0:
+        n //= p
+    return n == 1
+
+
+def reference_abelianization(sub: Subgroup) -> ReferenceDecomposition:
+    """Invariant factors of K/[K,K], with ``coords`` mapping every member
+    of K to its exponent tuple; the quotient is decomposed through a
+    Python callback over a dict of least coset members."""
+    group = sub.group
+    derived = commutator_subgroup(sub)
+    d_arr = np.asarray(derived.members, dtype=np.int64)
+    rep_of: dict[int, int] = {}
+    for k in sub.members:
+        if k in rep_of:
+            continue
+        coset = group.mul[k, d_arr]
+        r = int(coset.min())
+        for e in coset:
+            rep_of[int(e)] = r
+    q_elems = sorted(set(rep_of.values()))
+
+    def qmul(a, b):
+        return rep_of[group.m(a, b)]
+
+    dec = reference_abelian_invariant_decomposition(q_elems, qmul, rep_of[0])
+    project = {k: dec.coords[rep_of[k]] for k in sub.members}
+    return ReferenceDecomposition(dec.factors, project)
+
+
 def reference_product(basis: MonomialBasis, i: int, j: int,
                       cache: Optional[dict] = None) -> list[tuple[int, int]]:
     """Structure constants of reps[i] * reps[j] as (index, coeff) pairs.
@@ -420,7 +578,7 @@ def _char_group_data(homs: Sequence[Character]):
     """(product table, identity index, invariant decomposition)."""
     table = reference_char_group_table(homs)
     ident = next(i for i, h in enumerate(homs) if h.is_trivial())
-    dec = abelian_invariant_decomposition(
+    dec = reference_abelian_invariant_decomposition(
         list(range(len(homs))), lambda a, b: table[a][b], ident)
     return table, ident, dec
 
@@ -534,7 +692,7 @@ def reference_hom_set(domain: Subgroup,
     K is abelianized; a homomorphism is a choice of one d-torsion image per
     invariant factor C_d. The order is lexicographic in that image tuple.
     """
-    dec = abelianization(domain)
+    dec = reference_abelianization(domain)
     candidate_lists = [fiber.torsion_indices(d) for d in dec.factors]
     homs = []
     for images in itertools.product(*candidate_lists):
@@ -543,7 +701,8 @@ def reference_hom_set(domain: Subgroup,
             expo = dec.coords[m]
             acc = 0
             for k, img in zip(expo, images):
-                acc = fiber.add(acc, fiber.scale(k, img))
+                for _ in range(k):
+                    acc = fiber.add(acc, img)
             vals.append(acc)
         homs.append(Character(domain, fiber, vals))
     return homs

@@ -1,14 +1,17 @@
 """Fiber groups and character sets Hom(K, A).
 
 Oracles: direct scans over all fiber elements, the torsion-product count
-formula, exhaustive checks of the group laws on hom sets, and
-``reference_hom_set``, which builds Hom(K, A) one member at a time.
+formula, exhaustive checks of the group laws on hom sets,
+``reference_hom_set``, which builds Hom(K, A) one member at a time, and
+``reference_abelian_invariant_decomposition``, which decomposes each
+character group through per-element callbacks.
 """
 
 from math import gcd
 
 import pytest
-from oracles import reference_hom_set
+from oracles import (reference_abelian_invariant_decomposition,
+                     reference_hom_set, reference_span)
 
 from fibered_burnside import thevenaz
 from fibered_burnside.abelian_fiber import (AbelianFiber, Character,
@@ -60,14 +63,6 @@ def test_torsion_matches_scan():
         expect = [e for e in a.elements
                   if all((n * x) % d == 0 for x, d in zip(e, a.factors))]
         assert a.torsion_elements(n) == expect
-
-
-def test_element_order():
-    a = AbelianFiber((2, 6))
-    for i, e in enumerate(a.elements):
-        o = a.element_order(i)
-        assert a.scale(o, i) == 0
-        assert all(a.scale(k, i) != 0 for k in range(1, o))
 
 
 # ---------------------------------------------------------------------------
@@ -247,6 +242,25 @@ def test_hom_set_matches_member_loop(small_groups, fiber_c5):
         for sub in enumerate_subgroups(g):
             assert _values(hom_set(sub, fiber)) == \
                 _values(reference_hom_set(sub, fiber)), (g, fiber, sub)
+
+
+def test_char_group_decomposition_matches_reference(small_groups):
+    # the table kernel on every Hom(K, A) against per-element callbacks:
+    # the same factors, coordinates and order of the span
+    for g in small_groups:
+        for factors in ((1,), (2,), (6,), (2, 4), (2, 2)):
+            fiber = AbelianFiber(factors)
+            for sub in enumerate_subgroups(g):
+                chars = char_index(sub, fiber)
+                rows = chars.table.tolist()
+                assert not chars.values[0].any()   # the identity is row 0
+                dec = chars.decomposition
+                ref = reference_abelian_invariant_decomposition(
+                    list(range(len(rows))), lambda a, b: rows[a][b], 0)
+                assert dec.factors == ref.factors, (g, factors, sub)
+                assert dec.coords.tolist() == \
+                    [list(ref.coords[e]) for e in range(len(rows))]
+                assert dec.span.tolist() == reference_span(ref.coords)
 
 
 def test_char_index_shared_by_equal_member_sets(s3, fiber_c6):

@@ -1,6 +1,7 @@
 """Acceptance gate: one test per criterion, each printing a single
-PASS/FAIL line (routed through pytest's terminal reporter so the lines
-survive output capture) and asserting a pinned wall-clock budget.
+PASS/FAIL line and asserting a pinned wall-clock budget. The line goes
+through pytest's terminal reporter with output capture suspended, so it
+shows under the default capture.
 
 Budgets are generous upper bounds chosen for a single modern core; the
 checks themselves are exact, so only the timing is environment-sensitive.
@@ -26,15 +27,17 @@ BUDGETS = {1: 10.0, 2: 60.0, 3: 10.0, 4: 300.0, 5: 60.0, 6: 60.0}
 
 
 @pytest.fixture()
-def report_line(request):
+def report_line(request, capsys):
     reporter = request.config.pluginmanager.get_plugin("terminalreporter")
 
     def emit(text: str) -> None:
-        if reporter is not None:
-            reporter.ensure_newline()
-            reporter.write_line(text)
-        else:   # plain python -m pytest -p no:terminal, or direct call
-            print(text)
+        # capture is suspended, or the line would go to the captured output
+        with capsys.disabled():
+            if reporter is not None:
+                reporter.ensure_newline()
+                reporter.write_line(text)
+            else:   # plain python -m pytest -p no:terminal, or direct call
+                print(text)
 
     return emit
 

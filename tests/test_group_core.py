@@ -29,12 +29,14 @@ import pytest
 from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 from oracles import (brute_force_subgroups, join_closure_subgroups,
-                     reference_are_isomorphic, reference_check_associativity,
-                     reference_class_maps, reference_closure,
-                     reference_commutator_subgroup, reference_conj,
-                     reference_double_coset_reps,
+                     reference_abelianization, reference_are_isomorphic,
+                     reference_check_associativity, reference_class_maps,
+                     reference_closure, reference_commutator_subgroup,
+                     reference_conj, reference_double_coset_reps,
                      reference_element_class_sizes,
-                     reference_generating_sequence, reference_inverses)
+                     reference_element_orders,
+                     reference_generating_sequence, reference_inverses,
+                     reference_span)
 
 from fibered_burnside.errors import NotAGroup, NotAnAction, NotAnAutomorphism
 from fibered_burnside.thevenaz import canonical_class_table
@@ -42,7 +44,7 @@ from fibered_burnside.group_core import (FiniteGroup, Subgroup,
                                          _candidate_pools,
                                          _check_associativity,
                                          _cyclic_class_lengths,
-                                         _generating_sequence, _p_group_basis,
+                                         _generating_sequence,
                                          _perfect_seeds, abelian_group,
                                          abelian_invariant_decomposition,
                                          abelianization,
@@ -510,11 +512,15 @@ def test_subgroup_lagrange_is_checked_without_verify():
 
 def test_abelian_basis_guards_raise():
     # explicit raises, so that they also hold under python -O
+    # addition mod 2 on three elements: the generator 1 has the powers
+    # 0, 1, 0, which miss 2
     with pytest.raises(NotAGroup, match="span"):
-        abelian_invariant_decomposition([0, 1, 2], lambda a, b: (a + b) % 2, 0)
-    table = [[0, 1, 2, 3], [1, 3, 1, 0], [2, 1, 0, 2], [3, 0, 2, 1]]
+        abelian_invariant_decomposition([[0, 1, 0], [1, 0, 1], [0, 1, 0]])
+    # 2 has the largest order, 4; the coset of 3 modulo <2> has order 2,
+    # but 3 * 2^j is always 3, of order 4
+    table = [[0, 1, 2, 3], [1, 0, 0, 3], [2, 0, 1, 3], [3, 3, 3, 1]]
     with pytest.raises(NotAGroup, match="lift"):
-        _p_group_basis([0, 1, 2, 3], lambda a, b: table[a][b], 0, 2)
+        abelian_invariant_decomposition(table)
 
 
 def _asserts(node) -> bool:
@@ -777,7 +783,7 @@ def test_abelianization_of_abelian_group():
     dec = abelianization(Subgroup(g, range(8)))
     assert dec.factors == (2, 4)
     # coords form a bijective homomorphism onto the factor tuple group
-    assert len(set(dec.coords.values())) == 8
+    assert len(set(map(tuple, dec.coords.tolist()))) == 8
 
 
 def test_abelianization_s3(s3):
@@ -802,9 +808,27 @@ def test_abelianization_coords_are_homomorphism(d4):
     mods = dec.factors
     for a in d4.elements():
         for b in d4.elements():
-            expect = tuple((x + y) % m for x, y, m in
-                           zip(dec.coords[a], dec.coords[b], mods))
-            assert dec.coords[d4.m(a, b)] == expect
+            expect = [(x + y) % m for x, y, m in
+                      zip(dec.coords[a], dec.coords[b], mods)]
+            assert dec.coords[d4.m(a, b)].tolist() == expect
+
+
+def test_abelianization_matches_reference(small_groups, s6, tg_11_5_a,
+                                          tg_11_5_b):
+    # the table kernel against per-element callbacks over a dict of coset
+    # members: the same factors, the same coordinates of every member of K
+    # and the same least coset members in order; element orders against a
+    # walk through the powers of each element
+    groups = [*small_groups, s6, _a6_from_cayley_json(), tg_11_5_a.group,
+              tg_11_5_b.group]
+    for g in groups:
+        assert g.element_orders.tolist() == reference_element_orders(g), g
+        for sub in enumerate_subgroups(g):
+            dec, ref = abelianization(sub), reference_abelianization(sub)
+            assert dec.factors == ref.factors, (g, sub)
+            assert dec.coords.tolist() == \
+                [list(ref.coords[m]) for m in sub.members], (g, sub)
+            assert dec.span.tolist() == reference_span(ref.coords), (g, sub)
 
 
 def test_commutator_subgroup_matches_reference(small_groups, s6, tg_11_5_a,

@@ -56,7 +56,7 @@ def test_char_group_isomorphism_counts():
     assert list(char_group_isomorphisms(homs_klein4, homs_c4)) == []
 
 
-@pytest.mark.parametrize("factors", [(2,), (4,), (6,), (2, 4)])
+@pytest.mark.parametrize("factors", [(2,), (4,), (6,), (2, 4), (2, 2)])
 def test_char_group_isomorphisms_match_reference(small_groups, factors):
     # whole lists, in order, on every pair of classes of one group whose
     # hom sets have the same size (at most 8; C2 x C4 over (2,4) has 32)
