@@ -39,6 +39,12 @@ class MonomialPair:
         return (self.subgroup.members, self.char.values)
 
 
+def _starts(counts: np.ndarray) -> np.ndarray:
+    """Where each run starts when runs of these lengths are laid end to
+    end."""
+    return np.cumsum(counts) - counts
+
+
 def gamma_block(k_sub: Subgroup, l_sub: Subgroup,
                 fiber: AbelianFiber) -> np.ndarray:
     """Gamma coefficients of every (K, phi) against every (L, psi).
@@ -165,65 +171,131 @@ class MonomialBasis:
         the last axis has one entry per double coset K\\G/L. For each coset
         KsL the term is the orbit of (M, phi * psi^s) with M = K n sLs^-1.
 
-        Only blocks with ci <= cj are computed; the block (cj, ci) is the
-        transpose of (ci, cj) in its first two axes. That is Mackey
-        symmetry: KsL -> Ls^-1K is a bijection K\\G/L -> L\\G/K, and the
-        term (L n s^-1Ks, psi * phi^(s^-1)) of Ls^-1K is the conjugate by
-        s^-1 of the term (K n sLs^-1, phi * psi^s) of KsL, so both lie in one
-        orbit and have the same basis index. Any representative of a
-        double coset gives a term in that orbit, so the sorted lists agree.
+        The blocks are computed one class row at a time: the first call
+        with class ci computes every block (ci, cj) with cj >= ci in one
+        pass over the double cosets of all those pairs (``_mackey_row``).
+        The block (cj, ci) is the transpose of (ci, cj) in its first two
+        axes. That is Mackey symmetry: KsL -> Ls^-1K is a bijection
+        K\\G/L -> L\\G/K, and the term (L n s^-1Ks, psi * phi^(s^-1)) of
+        Ls^-1K is the conjugate by s^-1 of the term (K n sLs^-1,
+        phi * psi^s) of KsL, so both lie in one orbit and have the same
+        basis index. Any representative of a double coset gives a term in
+        that orbit, so the sorted lists agree.
         """
         block = self._block_cache.get((ci, cj))
         if block is None:
             if ci > cj:
                 block = self.product_block(cj, ci).transpose(1, 0, 2)
+                self._block_cache[ci, cj] = block
             else:
-                block = self._mackey_block(ci, cj)
-            self._block_cache[ci, cj] = block
+                for c, row_block in enumerate(self._mackey_row(ci), ci):
+                    self._block_cache[ci, c] = row_block
+                block = self._block_cache[ci, cj]
         return block
 
-    def _mackey_block(self, ci: int, cj: int) -> np.ndarray:
-        """The product block of classes (ci, cj), in one pass over all
-        double cosets at once."""
+    def _mackey_row(self, ci: int) -> list[np.ndarray]:
+        """The product blocks (ci, cj) for cj = ci, ci + 1, ..., in one pass
+        over the double cosets of all those class pairs at once.
+
+        Arrays over the double cosets are ragged: coset t of the pair
+        (ci, cj) carries the |L| members of L = reps[cj], or one term per
+        orbit representative of class cj, with no padding."""
         group, table, fiber = self.group, self.class_table, self.fiber
-        k_sub, l_sub = table.reps[ci], table.reps[cj]
-        k_chars, l_chars = char_index(k_sub, fiber), char_index(l_sub, fiber)
-        (i0, i1), (j0, j1) = self.class_block[ci], self.class_block[cj]
+        k_sub = table.reps[ci]
+        k_chars = char_index(k_sub, fiber)
+        i0, i1 = self.class_block[ci]
         k_vals = k_chars.values[self.rep_hom_index[i0:i1]]
-        l_vals = l_chars.values[self.rep_hom_index[j0:j1]]
-        reps = np.asarray(double_coset_reps(group, k_sub, l_sub),
-                          dtype=np.int64)
-        # row r holds ^sL for s = reps[r]; its members in K are M = K n ^sL,
-        # which sort first once the others are replaced by the order of G
-        conj_l = group.conj[reps[:, None],
-                            np.asarray(l_sub.members, dtype=np.int64)]
+        cols = range(ci, len(table.reps))
+        l_subs = [table.reps[cj] for cj in cols]
+        # the double cosets of every pair (ci, ci + p), concatenated: coset
+        # t has rep s[t] and is the d[t]-th coset of the pair p = pair[t]
+        reps_of = [double_coset_reps(group, k_sub, l_sub) for l_sub in l_subs]
+        n_cosets = np.asarray([len(r) for r in reps_of], dtype=np.int64)
+        s = np.asarray([x for r in reps_of for x in r], dtype=np.int64)
+        pair = np.repeat(np.arange(len(cols)), n_cosets)
+        d = np.arange(s.size) - np.repeat(_starts(n_cosets), n_cosets)
+        # ^sL, ragged: entry e is s[seg[e]] l s[seg[e]]^-1 for the member l
+        # at position at_l[e] of L = reps[ci + pair[seg[e]]]
+        l_orders = np.asarray([l_sub.order for l_sub in l_subs],
+                              dtype=np.int64)
+        lens = l_orders[pair]
+        seg = np.repeat(np.arange(s.size), lens)
+        at_l = np.arange(seg.size) - np.repeat(_starts(lens), lens)
+        l_members = np.concatenate([np.asarray(l_sub.members, dtype=np.int64)
+                                    for l_sub in l_subs])
+        conj_l = group.conj[s[seg],
+                            l_members[_starts(l_orders)[pair][seg] + at_l]]
+        # the members of M = K n ^sL
         in_k = k_chars.pos[conj_l] >= 0
-        sizes = in_k.sum(axis=1)
-        # |KsL| = |K| |L| / |M|, and the double cosets partition G
-        if (k_sub.order * l_sub.order // sizes).sum() != group.order:
-            raise NotAGroup(f"double cosets of classes {ci} and {cj} do not "
-                            f"partition the group")
-        rows = np.sort(np.where(in_k, conj_l, group.order), axis=1).tolist()
-        cosets_of: dict[int, list[int]] = {}    # class of M -> its rows
+        sizes = np.bincount(seg[in_k], minlength=s.size)
+        # |KsL| = |K| |L| / |M|, and the double cosets of each pair
+        # partition G; the sums are exact in float64 far beyond any |G|
+        covered = np.bincount(pair, weights=k_sub.order * lens // sizes,
+                              minlength=len(cols))
+        bad = np.flatnonzero(covered != group.order)
+        if bad.size:
+            raise NotAGroup(f"double cosets of classes {ci} and "
+                            f"{cols[bad[0]]} do not partition the group")
+        # sorted members of each M, coset by coset, from one sort
+        n = group.order
+        members = (np.sort(seg[in_k] * n + conj_l[in_k]) % n).tolist()
+        ends = np.cumsum(sizes).tolist()
+        cosets_of: dict[int, list[int]] = {}    # class of M -> its cosets
         transporters = []
-        for r, (row, size) in enumerate(zip(rows, sizes.tolist())):
-            cm, g = table.locate(tuple(row[:size]))
-            cosets_of.setdefault(cm, []).append(r)
+        start = 0
+        for t, end in enumerate(ends):
+            cm, g = table.locate(tuple(members[start:end]))
+            cosets_of.setdefault(cm, []).append(t)
             transporters.append(g)
+            start = end
         g_inv = group.inv[np.asarray(transporters, dtype=np.int64)]
-        s_inv = group.inv[reps]
-        terms = np.empty((i1 - i0, j1 - j0, reps.size), dtype=np.int64)
+        s_inv = group.inv[s]
+        # the orbit representatives of each class cj: their characters'
+        # values, ravelled one class after another, and each element's
+        # position in reps[cj]
+        n_reps = np.asarray([self.class_block[cj][1] - self.class_block[cj][0]
+                             for cj in cols], dtype=np.int64)
+        l_vals = np.concatenate([
+            char_index(l_sub, fiber).values[
+                self.rep_hom_index[slice(*self.class_block[cj])]].ravel()
+            for cj, l_sub in zip(cols, l_subs)])
+        l_vals_start = _starts(n_reps * l_orders)
+        l_pos = np.stack([char_index(l_sub, fiber).pos for l_sub in l_subs])
+        # the row's terms: the block of pair p fills the columns from
+        # col_start[p] on, as an (n_reps[p], n_cosets[p]) array
+        widths = n_reps * n_cosets
+        col_start = _starts(widths)
+        terms = np.empty((i1 - i0, int(widths.sum())), dtype=np.int64)
         for cm, at in cosets_of.items():
+            at = np.asarray(at, dtype=np.int64)
             m_chars = char_index(table.reps[cm], fiber)
             # generators of each M, carried over from those of its class rep
             gens = group.conj[g_inv[at, None], m_chars.gens]
+            # one entry per (coset, b): b runs over the orbit reps of the
+            # coset's class cj
+            p = pair[at]
+            nb = n_reps[p]
+            u = np.repeat(np.arange(at.size), nb)
+            b = np.arange(u.size) - np.repeat(_starts(nb), nb)
+            pu = p[u]
             # (phi * psi^s)(m) = phi(m) + psi(s^-1 m s), on the axes
-            # (a, b, coset, generator)
-            l_pos = l_chars.pos[group.conj[s_inv[at, None], gens]]
-            vals = fiber.add_table[k_vals[:, k_chars.pos[gens]][:, None],
-                                   l_vals[:, l_pos][None]]
-            terms[:, :, at] = self._char_to_basis[cm][m_chars.index(vals)]
-        return np.sort(terms, axis=-1)
+            # (a, (coset, b), generator)
+            x = group.conj[s_inv[at, None], gens]
+            psi = l_vals[(l_vals_start[pu] + b * l_orders[pu])[:, None]
+                         + l_pos[p[:, None], x][u]]
+            vals = fiber.add_table[k_vals[:, k_chars.pos[gens]][:, u],
+                                   psi[None]]
+            cols_at = col_start[pu] + b * n_cosets[pu] + d[at][u]
+            terms[:, cols_at] = self._char_to_basis[cm][m_chars.index(vals)]
+        # sort each block's last axis at once: the columns of one (pair, b)
+        # get one key offset, above every basis index
+        group_id = np.repeat(np.arange(int(n_reps.sum())),
+                             np.repeat(n_cosets, n_reps))
+        offset = group_id * self.size
+        terms = np.sort(terms + offset, axis=1) - offset
+        return [terms[:, c0:c0 + w].reshape(i1 - i0, nr, nc)
+                for c0, w, nr, nc in zip(col_start.tolist(), widths.tolist(),
+                                         n_reps.tolist(), n_cosets.tolist())]
 
     def to_json(self) -> dict:
         return {

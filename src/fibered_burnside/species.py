@@ -206,8 +206,14 @@ def verify_species(witness: SpeciesWitness,
                 char_index(h_table.reps[cj], fiber).table, cmap):
             raise NotAGroupIso(
                 f"character map of class {ci} does not preserve products")
+    marks_g, marks_h = g_table.marks, h_table.marks
     for ci in range(k):
+        ti = witness.subgroup_map[ci]
         for cj in range(k):
+            # a mark is the [0, 0] entry of its gamma block, and a block
+            # whose mark is 0 is zero, so two zero marks cannot mismatch
+            if not (marks_g[ci][cj] or marks_h[ti][witness.subgroup_map[cj]]):
+                continue
             bad = _gamma_mismatch(basis_g, basis_h, witness, ci, cj)
             if bad is not None:
                 return SpeciesVerdict(False, counterexample=bad)
@@ -241,7 +247,14 @@ def _structure_constant_check(basis_g, basis_h, witness):
     """Transport every structure constant of ``basis_g`` through the basis
     bijection the witness induces and compare it with ``basis_h``, one
     class pair at a time; reports the first differing basis pair (i, j) in
-    row-major order."""
+    row-major order.
+
+    Only the blocks with ci <= cj are compared. On both sides the block
+    (cj, ci) is the exact transpose of (ci, cj) (``product_block``), and
+    the bijection maps both axes alike, so the pair (j, i) differs exactly
+    when (i, j) does. The first differing pair in row-major order thus
+    has i <= j, and basis indices ascend with the class, so the first
+    class row with a difference among its compared blocks holds it."""
     if basis_g.size != basis_h.size:
         return {"reason": "basis sizes differ",
                 "sizes": [basis_g.size, basis_h.size]}, None
@@ -255,16 +268,18 @@ def _structure_constant_check(basis_g, basis_h, witness):
     if len(set(mapping)) != basis_g.size:
         return {"reason": "induced basis map is not a bijection"}, None
     image = np.asarray(mapping, dtype=np.int64)
+    # the rows of each class's images within their block on the H side
+    at_h = [image[i0:i1] - basis_h.class_block[witness.subgroup_map[ci]][0]
+            for ci, (i0, i1) in enumerate(basis_g.class_block)]
     for ci, (i0, i1) in enumerate(basis_g.class_block):
         ti = witness.subgroup_map[ci]
-        # which (i, j) with i in class ci differ, over all j
+        # which (i, j) with i in class ci and j in a class cj >= ci differ
         differ = np.zeros((i1 - i0, basis_g.size), dtype=bool)
-        for cj, (j0, j1) in enumerate(basis_g.class_block):
-            tj = witness.subgroup_map[cj]
+        for cj in range(ci, len(basis_g.class_block)):
+            j0, j1 = basis_g.class_block[cj]
             block_g = basis_g.product_block(ci, cj)
-            block_h = basis_h.product_block(ti, tj)[np.ix_(
-                image[i0:i1] - basis_h.class_block[ti][0],
-                image[j0:j1] - basis_h.class_block[tj][0])]
+            block_h = basis_h.product_block(
+                ti, witness.subgroup_map[cj])[at_h[ci]][:, at_h[cj]]
             if block_g.shape != block_h.shape:
                 differ[:, j0:j1] = True
             else:

@@ -7,7 +7,9 @@ K, instead of by blocks of characters. The isomorphism search walks the
 same backtrack tree as the library's, one candidate and one element at a
 time in Python, so the two must return the same map. Structure constants
 are computed one basis pair and one double coset at a time, over double
-cosets found by a sweep over every group element, and character
+cosets found by a sweep over every group element; a whole product block
+of one class pair also comes from one batched pass over the double cosets
+of that pair alone, lower blocks computed directly. Character
 group isomorphisms by scanning every tuple of generator images. Characters
 are identified by dictionaries of their full value tuples: normalizer
 orbits on Hom(K, A) come from a union-find sweep over one permutation per
@@ -33,12 +35,14 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from fibered_burnside.abelian_fiber import AbelianFiber, Character, hom_set
+from fibered_burnside.abelian_fiber import (AbelianFiber, Character,
+                                           char_index, hom_set)
 from fibered_burnside.errors import NotAGroup, SearchBudgetExceeded
 from fibered_burnside.group_core import (FiniteGroup, Subgroup,
                                          SubgroupClassTable,
                                          _subgroup_order_census, closure,
                                          commutator_subgroup,
+                                         double_coset_reps,
                                          enumerate_subgroups, normalizer)
 from fibered_burnside.monomial import (MonomialBasis, MonomialPair,
                                        monomial_basis)
@@ -566,6 +570,51 @@ def reference_product(basis: MonomialBasis, i: int, j: int,
         chi = Character(m_sub, fiber, vals, verify=False)
         out[canonical_index(basis, MonomialPair(m_sub, chi), cache)] += 1
     return sorted(out.items())
+
+
+def reference_mackey_block(basis: MonomialBasis, ci: int,
+                           cj: int) -> np.ndarray:
+    """The product block of classes (ci, cj), in one pass over all
+    double cosets at once."""
+    group, table, fiber = basis.group, basis.class_table, basis.fiber
+    k_sub, l_sub = table.reps[ci], table.reps[cj]
+    k_chars, l_chars = char_index(k_sub, fiber), char_index(l_sub, fiber)
+    (i0, i1), (j0, j1) = basis.class_block[ci], basis.class_block[cj]
+    k_vals = k_chars.values[basis.rep_hom_index[i0:i1]]
+    l_vals = l_chars.values[basis.rep_hom_index[j0:j1]]
+    reps = np.asarray(double_coset_reps(group, k_sub, l_sub),
+                      dtype=np.int64)
+    # row r holds ^sL for s = reps[r]; its members in K are M = K n ^sL,
+    # which sort first once the others are replaced by the order of G
+    conj_l = group.conj[reps[:, None],
+                        np.asarray(l_sub.members, dtype=np.int64)]
+    in_k = k_chars.pos[conj_l] >= 0
+    sizes = in_k.sum(axis=1)
+    # |KsL| = |K| |L| / |M|, and the double cosets partition G
+    if (k_sub.order * l_sub.order // sizes).sum() != group.order:
+        raise NotAGroup(f"double cosets of classes {ci} and {cj} do not "
+                        f"partition the group")
+    rows = np.sort(np.where(in_k, conj_l, group.order), axis=1).tolist()
+    cosets_of: dict[int, list[int]] = {}    # class of M -> its rows
+    transporters = []
+    for r, (row, size) in enumerate(zip(rows, sizes.tolist())):
+        cm, g = table.locate(tuple(row[:size]))
+        cosets_of.setdefault(cm, []).append(r)
+        transporters.append(g)
+    g_inv = group.inv[np.asarray(transporters, dtype=np.int64)]
+    s_inv = group.inv[reps]
+    terms = np.empty((i1 - i0, j1 - j0, reps.size), dtype=np.int64)
+    for cm, at in cosets_of.items():
+        m_chars = char_index(table.reps[cm], fiber)
+        # generators of each M, carried over from those of its class rep
+        gens = group.conj[g_inv[at, None], m_chars.gens]
+        # (phi * psi^s)(m) = phi(m) + psi(s^-1 m s), on the axes
+        # (a, b, coset, generator)
+        l_pos = l_chars.pos[group.conj[s_inv[at, None], gens]]
+        vals = fiber.add_table[k_vals[:, k_chars.pos[gens]][:, None],
+                               l_vals[:, l_pos][None]]
+        terms[:, :, at] = basis._char_to_basis[cm][m_chars.index(vals)]
+    return np.sort(terms, axis=-1)
 
 
 def reference_char_group_table(homs: Sequence[Character]) -> list[list[int]]:

@@ -5,7 +5,9 @@ Central oracle: the mark morphism is a ring homomorphism — checked pair by
 pair against the double-coset product. Gamma blocks, the gamma table and
 the mark morphism are checked against the scalar ``reference_gamma`` of
 ``oracles.py``. The tiny worked example over C2 is verified against
-hand-computed tables. Seeded hypothesis tests check, on random products
+hand-computed tables. Every product block of the class-row passes is
+checked against ``reference_mackey_block``, which computes one class pair
+at a time. Seeded hypothesis tests check, on random products
 of cyclic groups, products against ``reference_product`` and the Mackey
 symmetry of product blocks, gamma blocks and marks against the oracle
 and a count of the cosets K fixes, and the mark morphism as a ring
@@ -35,7 +37,7 @@ from fibered_burnside.thevenaz import canonical_class_table
 from oracles import (all_monomial_pairs, canonical_index,
                      integer_matrix_determinant, reference_char_group_table,
                      reference_char_orbits, reference_gamma,
-                     reference_product)
+                     reference_mackey_block, reference_product)
 from test_group_core import product_group, product_params
 
 
@@ -318,14 +320,43 @@ def test_product_blocks_on_products(params, factors):
     basis = monomial_basis(g, fiber)
     assume(basis.size <= 100)
     _assert_products_match_reference(basis)
-    fresh = MonomialBasis(g, fiber, basis.class_table)
     k = len(basis.class_block)
     for ci in range(k):
         for cj in range(ci):
-            lower = fresh._mackey_block(ci, cj)
+            lower = reference_mackey_block(basis, ci, cj)
             assert np.array_equal(
                 lower, basis.product_block(cj, ci).transpose(1, 0, 2))
             assert np.array_equal(lower, basis.product_block(ci, cj))
+
+
+def _assert_blocks_match_reference(basis):
+    k = len(basis.class_block)
+    for ci in range(k):
+        for cj in range(k):
+            block = basis.product_block(ci, cj)
+            expect = reference_mackey_block(basis, ci, cj)
+            assert block.dtype == expect.dtype, (ci, cj)
+            assert block.shape == expect.shape, (ci, cj)
+            assert np.array_equal(block, expect), (ci, cj)
+
+
+def test_product_rows_match_reference_blocks(small_groups, tg_11_5_a,
+                                             tg_11_5_b):
+    # every block of the row passes, upper ones as computed and lower ones
+    # as transposed views, against the per-pair pass computed directly
+    for factors in [(1,), (2,), (6,), (2, 4)]:
+        for g in small_groups:
+            _assert_blocks_match_reference(
+                MonomialBasis(g, AbelianFiber(factors)))
+    _assert_blocks_match_reference(
+        MonomialBasis(symmetric_group(5), AbelianFiber((2,))))
+    e16 = abelian_group((2, 2, 2, 2))
+    for factors in [(2,), (2, 2)]:
+        _assert_blocks_match_reference(
+            MonomialBasis(e16, AbelianFiber(factors)))
+    for tg in (tg_11_5_a, tg_11_5_b):
+        _assert_blocks_match_reference(MonomialBasis(
+            tg.group, AbelianFiber((5,)), canonical_class_table(tg)))
 
 
 def test_product_block_rejects_missing_double_coset(monkeypatch, s4,

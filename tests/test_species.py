@@ -5,7 +5,10 @@ must always validate, and the explicit family witness cross-validated by
 the general verifier. The search, which checks gamma on every prefix of a
 character map, is compared witness for witness with
 ``reference_search_species``, which checks only whole maps. A count pins
-how many product and gamma blocks ``verify --auto`` computes.
+how many product row passes and gamma blocks ``verify --auto`` computes.
+The counterexamples of the gamma and structure-constant checks are pinned
+to the first mismatch that ``reference_gamma`` and ``reference_product``
+find pair by pair.
 """
 
 import itertools
@@ -32,7 +35,7 @@ from fibered_burnside.species import (EXHAUSTION_CAVEAT, SpeciesWitness,
                                       thevenaz_witness, verify_species)
 from oracles import (reference_char_group_isomorphisms,
                      reference_char_group_table, reference_gamma,
-                     reference_search_species)
+                     reference_product, reference_search_species)
 
 # ---------------------------------------------------------------------------
 # Character group isomorphisms
@@ -284,6 +287,70 @@ def test_structure_constant_mismatch_reported(d4, fiber_c2):
                         "target": [(0, 1)]}
 
 
+def _broken_witness(basis, rng):
+    """A witness on ``basis``'s own class table whose maps are seeded
+    bijections: classes are permuted among those with equal order, hom-set
+    size and orbit count, and each character map is any permutation."""
+    table = basis.class_table
+    k = len(table.reps)
+
+    def shape(c):
+        i0, i1 = basis.class_block[c]
+        return table.reps[c].order, len(basis.class_homs[c]), i1 - i0
+
+    subgroup_map = list(range(k))
+    for c in range(k):
+        alike = [d for d in range(k) if shape(d) == shape(c)]
+        if alike[0] == c:
+            images = alike[:]
+            rng.shuffle(images)
+            for d, t in zip(alike, images):
+                subgroup_map[d] = t
+    char_maps = []
+    for homs in basis.class_homs:
+        cmap = list(range(len(homs)))
+        rng.shuffle(cmap)
+        char_maps.append(cmap)
+    return SpeciesWitness(table, table, subgroup_map, char_maps)
+
+
+def _first_reference_product_mismatch(basis, witness):
+    """The first basis pair (i, j), in row-major order, whose structure
+    constants from ``reference_product``, carried through the witness's
+    basis map, differ from those of the image pair."""
+    mapping = [int(basis._char_to_basis[witness.subgroup_map[c]][
+        witness.char_maps[c][h]])
+        for c, h in zip(basis.rep_class, basis.rep_hom_index)]
+    assert sorted(mapping) == list(range(basis.size))
+    cache: dict = {}
+    for i in range(basis.size):
+        for j in range(basis.size):
+            transported = sorted((mapping[t], c) for t, c in
+                                 reference_product(basis, i, j, cache))
+            target = reference_product(basis, mapping[i], mapping[j], cache)
+            if transported != target:
+                return {"reason": "structure constants differ",
+                        "basis_pair": [i, j], "transported": transported,
+                        "target": target}
+    return None
+
+
+@pytest.mark.parametrize("seed,diagonal", [(0, True), (5, False)])
+def test_structure_constant_mismatch_is_row_major_first(s3, fiber_c6, seed,
+                                                        diagonal):
+    # the check compares only blocks with ci <= cj; the pair it reports
+    # must still be the first of the whole product table, found here one
+    # pair at a time with the oracle, in a diagonal block for seed 0 and
+    # in an off-diagonal one for seed 5
+    basis = monomial_basis(s3, fiber_c6)
+    witness = _broken_witness(basis, random.Random(seed))
+    mismatch, bijection = _structure_constant_check(basis, basis, witness)
+    assert bijection is None
+    assert mismatch == _first_reference_product_mismatch(basis, witness)
+    i, j = mismatch["basis_pair"]
+    assert (basis.rep_class[i] == basis.rep_class[j]) == diagonal
+
+
 def test_structure_constant_check_rejects_bad_basis_maps(d4, fiber_c2):
     basis = monomial_basis(d4, fiber_c2)
     other = monomial_basis(cyclic_group(8), fiber_c2)
@@ -303,33 +370,62 @@ def test_structure_constant_check_rejects_bad_basis_maps(d4, fiber_c2):
 
 def test_verify_auto_computes_each_block_once(monkeypatch):
     # D6 over C2 x C4, as `verify dihedral:6 dihedral:6 --fiber 2,4 --auto`
-    # runs it: the structure check computes the k(k+1)/2 product blocks
-    # with ci <= cj on each side and transposes the rest, and the search and
-    # the verification share one gamma block per ordered class pair
-    mackey, gammas = [], Counter()
-    real_mackey, real_gamma = MonomialBasis._mackey_block, monomial.gamma_block
+    # runs it: the structure check runs one row pass per class on each
+    # side, which writes the product blocks (ci, cj) with cj >= ci, each
+    # once, and transposes the rest; the search and the verification share
+    # one gamma block per ordered class pair
+    rows, written, gammas = [], Counter(), Counter()
+    real_row, real_gamma = MonomialBasis._mackey_row, monomial.gamma_block
 
-    def counted_mackey(basis, ci, cj):
-        mackey.append((basis, ci, cj))
-        return real_mackey(basis, ci, cj)
+    def counted_row(basis, ci):
+        blocks = real_row(basis, ci)
+        rows.append((basis, ci, blocks))
+        for cj in range(ci, ci + len(blocks)):
+            written[basis, ci, cj] += 1
+        return blocks
 
     def counted_gamma(k_sub, l_sub, fiber):
         gammas[id(k_sub.group), k_sub.members, l_sub.members] += 1
         return real_gamma(k_sub, l_sub, fiber)
 
-    monkeypatch.setattr(MonomialBasis, "_mackey_block", counted_mackey)
+    monkeypatch.setattr(MonomialBasis, "_mackey_row", counted_row)
     monkeypatch.setattr(monomial, "gamma_block", counted_gamma)
     report, code = cli.cmd_verify("dihedral:6", "dihedral:6", "2,4",
                                   auto=True)
     assert code == 0 and report["result"]["valid"]
-    sides = Counter(basis for basis, _, _ in mackey)
+    sides = Counter(basis for basis, _, _ in rows)
     assert len(sides) == 2
-    for basis, calls in sides.items():
+    for basis in sides:
         k = len(basis.class_block)
-        assert calls == k * (k + 1) // 2
-    assert all(ci <= cj for _, ci, cj in mackey)
+        assert sorted(ci for b, ci, _ in rows if b is basis) == \
+            list(range(k))
+        assert {(ci, cj) for b, ci, cj in written if b is basis} == \
+            {(ci, cj) for ci in range(k) for cj in range(ci, k)}
+    assert set(written.values()) == {1}
+    for basis, ci, blocks in rows:
+        for cj, block in enumerate(blocks, ci):
+            assert basis.product_block(ci, cj) is block
     assert len({group for group, _, _ in gammas}) == 2
     assert set(gammas.values()) == {1}
+
+
+def test_gamma_check_skips_only_pairs_zero_on_both_sides(d4):
+    # swapping the order-4 classes 5 and 6 of D4 sends the class pair
+    # (2, 5), whose mark is 0, to (2, 6), whose mark is 2: the gamma check
+    # must compare that pair although its block on the G side is zero
+    table = conjugacy_classes_of_subgroups(d4)
+    fiber = AbelianFiber((1,))
+    mapping = list(range(len(table.reps)))
+    mapping[5], mapping[6] = 6, 5
+    assert table.marks[2][5] == 0 and table.marks[2][6] == 2
+    witness = SpeciesWitness(table, table, mapping,
+                             [[0]] * len(table.reps))
+    verdict = verify_species(witness, fiber)
+    assert not verdict.valid
+    expect = {"classes": [2, 5], "char_indices": [0, 0],
+              "gamma_g": 0, "gamma_h": table.marks[2][6]}
+    assert _first_reference_mismatch(witness, fiber) == expect
+    assert verdict.counterexample == expect
 
 
 def test_inverse_witness_validates(s3, fiber_c6):
