@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import prod
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -542,36 +542,55 @@ def left_coset_reps(group: FiniteGroup, sub: Subgroup) -> np.ndarray:
     return reps
 
 
+def _coset_matrix(group: FiniteGroup, sub: Subgroup) -> np.ndarray:
+    """Row c lists the members of the c-th left coset of ``sub``, in the
+    order of ``left_coset_reps``: one (|G:L|, |L|) gather."""
+    return group.mul[left_coset_reps(group, sub)[:, None],
+                     np.asarray(sub.members, dtype=np.int64)]
+
+
 def _coset_labels(group: FiniteGroup, sub: Subgroup) -> np.ndarray:
     """label[g] is the index of the left coset gL among the reps of
     ``left_coset_reps``."""
     key = ("coset_labels", sub.members)
     label = group._cache.get(key)
     if label is None:
-        reps = left_coset_reps(group, sub)
+        cosets = _coset_matrix(group, sub)
         label = np.empty(group.order, dtype=np.int64)
-        label[group.mul[reps[:, None], np.asarray(sub.members)]] = \
-            np.arange(reps.size)[:, None]
+        label[cosets] = np.arange(cosets.shape[0])[:, None]
         group._cache[key] = label
     return label
 
 
+def _fixed_by(group: FiniteGroup, ks: Sequence[Subgroup],
+              ls: Sequence[Subgroup]) -> Iterator[np.ndarray]:
+    """For each L in ``ls``, the boolean (|G:L|, len(ks)) array whose
+    entry [c, a] says whether ks[a] fixes the c-th left coset sL of L.
+
+    K fixes sL exactly when K <= sLs^-1, that is when s^-1Ks <= L. The
+    subgroup s^-1Ks is generated by the conjugates s^-1xs of the
+    generators x of K, and L is closed, so it lies in L once those
+    conjugates do. So one gather per L, of the conjugates by each left
+    coset rep of L of the generators of every K at once, reduced per K,
+    decides every pair. Each K's generators follow the identity, which
+    lies in every L, so no K has an empty run.
+    """
+    runs = [(0, *k.generators()) for k in ks]
+    gens = np.concatenate(runs)
+    starts = _starts(np.asarray([len(run) for run in runs]))
+    for l in ls:
+        reps = left_coset_reps(group, l)
+        inside_l = _indicator(group.order, l.members)
+        yield np.logical_and.reduceat(
+            inside_l[group.conj[group.inv[reps][:, None], gens]], starts,
+            axis=1)
+
+
 def fixed_cosets(group: FiniteGroup, k: Subgroup, l: Subgroup) -> np.ndarray:
     """The left coset reps s of L, ascending, with K <= sLs^-1: the cosets
-    sL that K fixes.
-
-    K <= sLs^-1 holds exactly when s^-1Ks <= L. The subgroup s^-1Ks is
-    generated by the conjugates s^-1xs of the generators x of K, and L is
-    closed, so it lies in L once those conjugates do. One gather of
-    |G:L| x |gens K| conjugates thus decides every coset. By Lagrange, no
-    coset is fixed unless |K| divides |L|.
-    """
-    reps = left_coset_reps(group, l)
-    if l.order % k.order:
-        return reps[:0]
-    gens = np.asarray(k.generators(), dtype=np.int64)
-    inside_l = _indicator(group.order, l.members)
-    return reps[inside_l[group.conj[group.inv[reps][:, None], gens]].all(axis=1)]
+    sL that K fixes (the one-pair case of ``_fixed_by``)."""
+    fixed = next(_fixed_by(group, [k], [l]))
+    return left_coset_reps(group, l)[fixed[:, 0]]
 
 
 def mark(group: FiniteGroup, k: Subgroup, l: Subgroup) -> int:
@@ -580,50 +599,59 @@ def mark(group: FiniteGroup, k: Subgroup, l: Subgroup) -> int:
 
 
 def _marks(group: FiniteGroup, subs: Sequence[Subgroup]) -> list[list[int]]:
-    """The marks of every K in ``subs`` on every L in ``subs``, by the rule
-    of ``fixed_cosets`` with one gather per L: the conjugates by each left
-    coset rep of L of the generators of every K at once, reduced per K.
-    Each K's generators follow the identity, which lies in every L, so no
-    K has an empty run and the trivial subgroup fixes every coset."""
-    runs = [(0, *k.generators()) for k in subs]
-    gens = np.concatenate(runs)
-    starts = np.cumsum([0] + [len(run) for run in runs[:-1]])
-    orders = np.asarray([k.order for k in subs])
-    columns = []
-    for l in subs:
-        reps = left_coset_reps(group, l)
-        inside_l = _indicator(group.order, l.members)
-        fixed = np.logical_and.reduceat(
-            inside_l[group.conj[group.inv[reps][:, None], gens]], starts,
-            axis=1)
-        columns.append(np.where(l.order % orders, 0, fixed.sum(axis=0)))
-    return np.stack(columns, axis=1).tolist()
+    """The marks of every K in ``subs`` on every L in ``subs``, one gather
+    per L (``_fixed_by``)."""
+    return np.stack([fixed.sum(axis=0)
+                     for fixed in _fixed_by(group, subs, subs)],
+                    axis=1).tolist()
+
+
+def double_cosets(group: FiniteGroup, ks: Sequence[Subgroup],
+                  ls: Sequence[Subgroup]) -> tuple[np.ndarray, np.ndarray]:
+    """Least-element representatives of the double cosets K\\G/L of every
+    K in ``ks`` and L in ``ls``, as ``(pair, reps)``.
+
+    The reps of the pair (ks[a], ls[b]) are the entries with
+    pair == a * len(ls) + b, ascending, and pairs come in row-major order.
+
+    KgL is the union of the right cosets Kh for h in gL, so its least
+    element is the least min(Kh) over h in gL. Kh is the set of inverses
+    of the left coset h^-1K, so one gather per K through its left cosets
+    gives min(Kh) for every h. One gather of those minima per L, through
+    the left cosets of L, and a minimum per coset give the least element
+    of the double coset through each left coset of L; distinct double
+    cosets have distinct least elements, so a sort and a unique per pair
+    give the reps. This is O(|G|) work per pair and no Python loop over
+    cosets or pairs.
+    """
+    inv = group.inv
+    right = np.empty((len(ks), group.order), dtype=np.int64)
+    for a, k in enumerate(ks):
+        right[a] = inv[_coset_matrix(group, k)].min(axis=1)[
+            _coset_labels(group, k)[inv]]
+    pairs, reps = [], []
+    for b, l in enumerate(ls):
+        least = np.sort(right[:, _coset_matrix(group, l)].min(axis=2),
+                        axis=1)
+        first = np.ones(least.shape, dtype=bool)
+        first[:, 1:] = least[:, 1:] != least[:, :-1]
+        pairs.append(np.nonzero(first)[0] * len(ls) + b)
+        reps.append(least[first])
+    pair = np.concatenate(pairs)
+    by_pair = np.argsort(pair, kind="stable")
+    return pair[by_pair], np.concatenate(reps)[by_pair]
 
 
 def double_coset_reps(group: FiniteGroup, k: Subgroup, l: Subgroup) -> list[int]:
-    """Least-element representatives of the double cosets K\\G/L, ascending.
+    """Least-element representatives of the double cosets K\\G/L,
+    ascending (the one-pair case of ``double_cosets``)."""
+    return double_cosets(group, [k], [l])[1].tolist()
 
-    KsL is the union of the left cosets ksL, k in K. The walk visits the
-    left cosets of L by ascending least element; the first one not yet
-    covered starts a new double coset, and its least element is the least
-    element of that double coset. Each double coset costs one gather of
-    |K| labels, so the walk does O(|G|) work and keeps O(|G|) memory.
-    """
-    key = ("dcosets", k.members, l.members)
-    cached = group._cache.get(key)
-    if cached is not None:
-        return list(cached)
-    cosets = left_coset_reps(group, l).tolist()
-    label = _coset_labels(group, l)
-    kmem = np.asarray(k.members, dtype=np.int64)
-    covered = np.zeros(len(cosets), dtype=bool)
-    reps = []
-    for c, s in enumerate(cosets):
-        if not covered[c]:
-            covered[label[group.mul[kmem, s]]] = True
-            reps.append(s)
-    group._cache[key] = reps
-    return list(reps)
+
+def _starts(counts: np.ndarray) -> np.ndarray:
+    """Where each run starts when runs of these lengths are laid end to
+    end."""
+    return np.cumsum(counts) - counts
 
 
 def _indicator(n: int, members) -> np.ndarray:
@@ -1176,7 +1204,8 @@ __all__ = [
     "closure", "conjugate_members", "conjugate_subgroup",
     "enumerate_subgroups",
     "conjugacy_classes_of_subgroups", "normalizer",
-    "left_coset_reps", "double_coset_reps", "fixed_cosets", "mark",
+    "left_coset_reps", "double_cosets", "double_coset_reps", "fixed_cosets",
+    "mark",
     "abelianization", "commutator_subgroup",
     "abelian_invariant_decomposition", "are_isomorphic",
 ]

@@ -9,15 +9,15 @@ exact integers: Python ints, or numpy arrays whose dtype holds every entry.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .abelian_fiber import AbelianFiber, Character, char_index, hom_set
 from .errors import ComponentMismatch, NotAGroup
 from .group_core import (FiniteGroup, Subgroup, SubgroupClassTable,
-                         conjugacy_classes_of_subgroups, double_coset_reps,
-                         fixed_cosets, normalizer)
+                         _fixed_by, _starts, conjugacy_classes_of_subgroups,
+                         double_cosets, left_coset_reps, normalizer)
 
 
 @dataclass(frozen=True)
@@ -39,10 +39,72 @@ class MonomialPair:
         return (self.subgroup.members, self.char.values)
 
 
-def _starts(counts: np.ndarray) -> np.ndarray:
-    """Where each run starts when runs of these lengths are laid end to
-    end."""
-    return np.cumsum(counts) - counts
+def gamma_rows(k_subs: Sequence[Subgroup], l_subs: Sequence[Subgroup],
+               fiber: AbelianFiber
+               ) -> Callable[[int], dict[int, np.ndarray]]:
+    """The gamma blocks of K = k_subs[a] against every L in ``l_subs``, as
+    a function of a: a dict from b to ``gamma_block(K, l_subs[b])`` for
+    every L of which K fixes a coset. The other blocks are zero.
+
+    The fixed cosets of every pair come first, from one gather per L
+    (``_fixed_by``). Then each K costs one ``CharIndex.index`` over all its
+    rows (L, s, psi): s a fixed coset rep of L and psi in Hom(L, A). The
+    blocks of one K are views of one count array that holds only them.
+    All subgroups must live over the same group.
+    """
+    group = (k_subs[0] if k_subs else l_subs[0]).group
+    if any(sub.group is not group for sub in (*k_subs, *l_subs)):
+        raise ValueError("subgroups live over different groups")
+    # every fixed coset, as (K index, L index, coset rep), sorted by K
+    fixed_k, fixed_l, fixed_s = [], [], []
+    for b, (l_sub, fixed) in enumerate(zip(l_subs,
+                                           _fixed_by(group, k_subs, l_subs))):
+        c, a = np.nonzero(fixed)
+        fixed_k.append(a)
+        fixed_l.append(np.full(a.size, b, dtype=np.int64))
+        fixed_s.append(left_coset_reps(group, l_sub)[c])
+    fixed_k = np.concatenate(fixed_k)
+    by_k = np.argsort(fixed_k, kind="stable")
+    row = _starts(np.bincount(fixed_k, minlength=len(k_subs) + 1))
+    fixed_l = np.concatenate(fixed_l)[by_k]
+    fixed_sinv = group.inv[np.concatenate(fixed_s)[by_k]]
+    # the characters of every L: values ravelled one L after another, and
+    # each element's position in its L
+    chars_l = [char_index(l_sub, fiber) for l_sub in l_subs]
+    n_homs = np.asarray([len(c.values) for c in chars_l], dtype=np.int64)
+    orders = np.asarray([l_sub.order for l_sub in l_subs], dtype=np.int64)
+    l_vals = np.concatenate([c.values.ravel() for c in chars_l])
+    l_vals_start = _starts(n_homs * orders)
+    l_pos = np.stack([c.pos for c in chars_l])
+
+    def blocks_of(a: int) -> dict[int, np.ndarray]:
+        chars_k = char_index(k_subs[a], fiber)
+        e = slice(row[a], row[a + 1])
+        ls, sinv = fixed_l[e], fixed_sinv[e]
+        if not ls.size:
+            return {}
+        # one row per (coset, psi): (^s psi)(k) = psi(s^-1 k s) on the
+        # generators of K, which determine a character of K
+        nl = n_homs[ls]
+        u = np.repeat(np.arange(ls.size), nl)
+        psi = np.arange(u.size) - np.repeat(_starts(nl), nl)
+        lu = ls[u]
+        x = group.conj[sinv[:, None], chars_k.gens][u]
+        hit = chars_k.index(l_vals[
+            (l_vals_start[lu] + psi * orders[lu])[:, None]
+            + l_pos[lu[:, None], x]])
+        # the blocks of the L that K fixes a coset of, side by side
+        present = np.unique(ls)
+        col = np.zeros(len(l_subs), dtype=np.int64)
+        col[present] = _starts(n_homs[present])
+        width = int(n_homs[present].sum())
+        counts = np.bincount(hit * width + col[lu] + psi,
+                             minlength=len(chars_k.values) * width
+                             ).reshape(-1, width)
+        return {b: counts[:, c0:c0 + nb] for b, c0, nb in zip(
+            present.tolist(), col[present].tolist(),
+            n_homs[present].tolist())}
+    return blocks_of
 
 
 def gamma_block(k_sub: Subgroup, l_sub: Subgroup,
@@ -52,24 +114,43 @@ def gamma_block(k_sub: Subgroup, l_sub: Subgroup,
     Entry [a, b] counts the cosets sL with K <= sLs^-1 on which the
     conjugate of the b-th character of Hom(L, A) restricts to the a-th
     character of Hom(K, A); rows and columns follow ``hom_set`` order.
-    Both subgroups must live over the same group.
+    Both subgroups must live over the same group. This is the one-pair
+    case of ``gamma_rows``.
     """
-    group = k_sub.group
-    if l_sub.group is not group:
-        raise ValueError("subgroups live over different groups")
-    chars_k, chars_l = char_index(k_sub, fiber), char_index(l_sub, fiber)
-    n_k, n_l = len(chars_k.values), len(chars_l.values)
-    fixed = fixed_cosets(group, k_sub, l_sub)
-    if not fixed.size:
-        return np.zeros((n_k, n_l), dtype=np.int64)
-    # (^s psi)(k) = psi(s^-1 k s) on the generators of K, which determine
-    # a character of K: one row per (psi, s)
-    sinv = group.inv[fixed]
-    psi_on = chars_l.values[
-        :, chars_l.pos[group.conj[np.ix_(sinv, chars_k.gens)]]]
-    a = chars_k.index(psi_on).ravel()
-    b = np.repeat(np.arange(n_l), len(fixed))
-    return np.bincount(a * n_l + b, minlength=n_k * n_l).reshape(n_k, n_l)
+    block = gamma_rows([k_sub], [l_sub], fiber)(0).get(0)
+    if block is None:
+        block = np.zeros((len(char_index(k_sub, fiber).values),
+                          len(char_index(l_sub, fiber).values)),
+                         dtype=np.int64)
+    return block
+
+
+@dataclass
+class _MackeyGeometry:
+    """The double cosets of every class pair ci <= cj of a basis, in
+    row-major pair order, and the per-basis arrays the terms read.
+
+    Coset t of row ci (``row[ci] <= t < row[ci + 1]``) is the d[t]-th of
+    the pair (ci, cj[t]); s_inv[t] is the inverse of its rep s, cm[t] the
+    class of M = K n sLs^-1, and g_inv[t] the inverse of a transporter of
+    M to that class's rep. Per class c: ``n_reps[c]`` orbit reps, whose
+    character values lie in ``vals`` from ``vals_start[c]`` on, one row
+    of ``orders[c]`` per rep, and ``pos[c]``, each element's position in
+    the class rep or -1."""
+
+    row: np.ndarray
+    cj: np.ndarray
+    d: np.ndarray
+    s_inv: np.ndarray
+    g_inv: np.ndarray
+    cm: np.ndarray
+    n_cosets: np.ndarray       # (k, k), upper triangle
+    col_start: np.ndarray      # (k, k): where block (ci, cj) starts in row ci
+    n_reps: np.ndarray
+    orders: np.ndarray
+    vals: np.ndarray
+    vals_start: np.ndarray
+    pos: np.ndarray
 
 
 class MonomialBasis:
@@ -91,7 +172,10 @@ class MonomialBasis:
         # per class: hom index -> basis index of its orbit representative
         self._char_to_basis: list[np.ndarray] = []
         self._block_cache: dict = {}
-        self._gamma_cache: dict = {}
+        self._row_terms: dict[int, np.ndarray] = {}
+        self._geometry: Optional[_MackeyGeometry] = None
+        self._gamma_cache: dict[int, dict[int, np.ndarray]] = {}
+        self._gamma_rows: Optional[Callable] = None
         self._ghost_ring: Optional[GhostRing] = None
         conj, inv = group.conj, group.inv
         for ci, k_sub in enumerate(class_table.reps):
@@ -135,24 +219,25 @@ class MonomialBasis:
 
     def gamma_block(self, ci: int, cj: int) -> np.ndarray:
         """``gamma_block`` of the class reps ci and cj, computed once per
-        basis; the species search and verification both read it."""
-        try:
-            return self._gamma_cache[ci, cj]
-        except KeyError:
-            block = self._nonzero_gamma_block(ci, cj)
-            if block is None:
-                block = np.zeros((len(self.class_homs[ci]),
-                                  len(self.class_homs[cj])), dtype=np.int64)
-            self._gamma_cache[ci, cj] = block
-            return block
+        basis; the species search and verification both read it. The
+        first call with class ci computes every nonzero block of its row
+        in one batch (``gamma_rows``)."""
+        row = self._gamma_cache.get(ci)
+        if row is None:
+            row = self._gamma_cache[ci] = self._gamma_kernel()(ci)
+        block = row.get(cj)
+        if block is None:
+            block = row[cj] = np.zeros((len(self.class_homs[ci]),
+                                        len(self.class_homs[cj])),
+                                       dtype=np.int64)
+        return block
 
-    def _nonzero_gamma_block(self, ci: int, cj: int) -> Optional[np.ndarray]:
-        """``gamma_block`` of the class reps ci and cj, not cached, or None
-        when their mark is 0: then no coset is fixed, so the block is zero."""
-        if not self.class_table.marks[ci][cj]:
-            return None
-        reps = self.class_table.reps
-        return gamma_block(reps[ci], reps[cj], self.fiber)
+    def _gamma_kernel(self) -> Callable[[int], dict[int, np.ndarray]]:
+        """``gamma_rows`` over the class reps, prepared once per basis."""
+        if self._gamma_rows is None:
+            reps = self.class_table.reps
+            self._gamma_rows = gamma_rows(reps, reps, self.fiber)
+        return self._gamma_rows
 
     def product(self, i: int, j: int) -> list[tuple[int, int]]:
         """Structure constants of reps[i] * reps[j] as (index, coeff) pairs."""
@@ -171,9 +256,11 @@ class MonomialBasis:
         the last axis has one entry per double coset K\\G/L. For each coset
         KsL the term is the orbit of (M, phi * psi^s) with M = K n sLs^-1.
 
-        The blocks are computed one class row at a time: the first call
-        with class ci computes every block (ci, cj) with cj >= ci in one
-        pass over the double cosets of all those pairs (``_mackey_row``).
+        The first call computes the double cosets, the intersections M and
+        their classes for every pair ci <= cj at once (``_mackey_geometry``).
+        The terms are then computed one class row at a time: the first call
+        with class ci computes every block (ci, cj) with cj >= ci
+        (``_mackey_terms``), and each block is a view of that row.
         The block (cj, ci) is the transpose of (ci, cj) in its first two
         axes. That is Mackey symmetry: KsL -> Ls^-1K is a bijection
         K\\G/L -> L\\G/K, and the term (L n s^-1Ks, psi * phi^(s^-1)) of
@@ -186,116 +273,133 @@ class MonomialBasis:
         if block is None:
             if ci > cj:
                 block = self.product_block(cj, ci).transpose(1, 0, 2)
-                self._block_cache[ci, cj] = block
             else:
-                for c, row_block in enumerate(self._mackey_row(ci), ci):
-                    self._block_cache[ci, c] = row_block
-                block = self._block_cache[ci, cj]
+                terms = self._row_terms.get(ci)
+                if terms is None:
+                    terms = self._row_terms[ci] = self._mackey_terms(ci)
+                geo = self._mackey_geometry()
+                c0 = int(geo.col_start[ci, cj])
+                nr, nc = int(geo.n_reps[cj]), int(geo.n_cosets[ci, cj])
+                block = terms[:, c0:c0 + nr * nc].reshape(-1, nr, nc)
+            self._block_cache[ci, cj] = block
         return block
 
-    def _mackey_row(self, ci: int) -> list[np.ndarray]:
-        """The product blocks (ci, cj) for cj = ci, ci + 1, ..., in one pass
-        over the double cosets of all those class pairs at once.
-
-        Arrays over the double cosets are ragged: coset t of the pair
-        (ci, cj) carries the |L| members of L = reps[cj], or one term per
-        orbit representative of class cj, with no padding."""
+    def _mackey_geometry(self) -> _MackeyGeometry:
+        """The double cosets KsL of every class pair ci <= cj, with K =
+        reps[ci] and L = reps[cj], and for each the class of M = K n sLs^-1
+        and a transporter of M to its class rep, from one pass over all
+        pairs. Arrays over the double cosets are ragged: coset t carries
+        the |L| members of its L, with no padding."""
+        if self._geometry is not None:
+            return self._geometry
         group, table, fiber = self.group, self.class_table, self.fiber
-        k_sub = table.reps[ci]
-        k_chars = char_index(k_sub, fiber)
-        i0, i1 = self.class_block[ci]
-        k_vals = k_chars.values[self.rep_hom_index[i0:i1]]
-        cols = range(ci, len(table.reps))
-        l_subs = [table.reps[cj] for cj in cols]
-        # the double cosets of every pair (ci, ci + p), concatenated: coset
-        # t has rep s[t] and is the d[t]-th coset of the pair p = pair[t]
-        reps_of = [double_coset_reps(group, k_sub, l_sub) for l_sub in l_subs]
-        n_cosets = np.asarray([len(r) for r in reps_of], dtype=np.int64)
-        s = np.asarray([x for r in reps_of for x in r], dtype=np.int64)
-        pair = np.repeat(np.arange(len(cols)), n_cosets)
-        d = np.arange(s.size) - np.repeat(_starts(n_cosets), n_cosets)
-        # ^sL, ragged: entry e is s[seg[e]] l s[seg[e]]^-1 for the member l
-        # at position at_l[e] of L = reps[ci + pair[seg[e]]]
-        l_orders = np.asarray([l_sub.order for l_sub in l_subs],
-                              dtype=np.int64)
-        lens = l_orders[pair]
+        reps = table.reps
+        k, n = len(reps), group.order
+        orders = np.asarray([r.order for r in reps], dtype=np.int64)
+        pair, s = double_cosets(group, reps, reps)
+        ci, cj = np.divmod(pair, k)
+        upper = ci <= cj
+        pair, s, ci, cj = pair[upper], s[upper], ci[upper], cj[upper]
+        n_cosets = np.bincount(pair, minlength=k * k)
+        d = np.arange(s.size) - _starts(n_cosets)[pair]
+        # ^sL, ragged: entry e is s l s^-1 for the member l at position
+        # at_l[e] of the L of coset seg[e]
+        lens = orders[cj]
         seg = np.repeat(np.arange(s.size), lens)
         at_l = np.arange(seg.size) - np.repeat(_starts(lens), lens)
-        l_members = np.concatenate([np.asarray(l_sub.members, dtype=np.int64)
-                                    for l_sub in l_subs])
-        conj_l = group.conj[s[seg],
-                            l_members[_starts(l_orders)[pair][seg] + at_l]]
+        members = np.concatenate([np.asarray(r.members, dtype=np.int64)
+                                  for r in reps])
+        conj_l = group.conj[s[seg], members[_starts(orders)[cj][seg] + at_l]]
         # the members of M = K n ^sL
-        in_k = k_chars.pos[conj_l] >= 0
+        pos = np.stack([char_index(r, fiber).pos for r in reps])
+        in_k = pos[ci[seg], conj_l] >= 0
         sizes = np.bincount(seg[in_k], minlength=s.size)
         # |KsL| = |K| |L| / |M|, and the double cosets of each pair
         # partition G; the sums are exact in float64 far beyond any |G|
-        covered = np.bincount(pair, weights=k_sub.order * lens // sizes,
-                              minlength=len(cols))
-        bad = np.flatnonzero(covered != group.order)
+        covered = np.bincount(pair, weights=orders[ci] * lens // sizes,
+                              minlength=k * k).reshape(k, k)
+        bad = np.argwhere(np.triu(covered != n))
         if bad.size:
-            raise NotAGroup(f"double cosets of classes {ci} and "
-                            f"{cols[bad[0]]} do not partition the group")
+            raise NotAGroup(f"double cosets of classes {bad[0, 0]} and "
+                            f"{bad[0, 1]} do not partition the group")
         # sorted members of each M, coset by coset, from one sort
-        n = group.order
-        members = (np.sort(seg[in_k] * n + conj_l[in_k]) % n).tolist()
-        ends = np.cumsum(sizes).tolist()
-        cosets_of: dict[int, list[int]] = {}    # class of M -> its cosets
-        transporters = []
+        m_members = (np.sort(seg[in_k] * n + conj_l[in_k]) % n).tolist()
+        cm = np.empty(s.size, dtype=np.int64)
+        transporters = np.empty(s.size, dtype=np.int64)
         start = 0
-        for t, end in enumerate(ends):
-            cm, g = table.locate(tuple(members[start:end]))
-            cosets_of.setdefault(cm, []).append(t)
-            transporters.append(g)
+        for t, end in enumerate(np.cumsum(sizes).tolist()):
+            cm[t], transporters[t] = table.locate(
+                tuple(m_members[start:end]))
             start = end
-        g_inv = group.inv[np.asarray(transporters, dtype=np.int64)]
-        s_inv = group.inv[s]
-        # the orbit representatives of each class cj: their characters'
-        # values, ravelled one class after another, and each element's
-        # position in reps[cj]
-        n_reps = np.asarray([self.class_block[cj][1] - self.class_block[cj][0]
-                             for cj in cols], dtype=np.int64)
-        l_vals = np.concatenate([
-            char_index(l_sub, fiber).values[
-                self.rep_hom_index[slice(*self.class_block[cj])]].ravel()
-            for cj, l_sub in zip(cols, l_subs)])
-        l_vals_start = _starts(n_reps * l_orders)
-        l_pos = np.stack([char_index(l_sub, fiber).pos for l_sub in l_subs])
-        # the row's terms: the block of pair p fills the columns from
-        # col_start[p] on, as an (n_reps[p], n_cosets[p]) array
-        widths = n_reps * n_cosets
-        col_start = _starts(widths)
-        terms = np.empty((i1 - i0, int(widths.sum())), dtype=np.int64)
-        for cm, at in cosets_of.items():
-            at = np.asarray(at, dtype=np.int64)
-            m_chars = char_index(table.reps[cm], fiber)
+        # the orbit representatives of each class: their characters'
+        # values, ravelled one class after another
+        n_reps = np.asarray([i1 - i0 for i0, i1 in self.class_block],
+                            dtype=np.int64)
+        vals = np.concatenate([
+            char_index(r, fiber).values[
+                self.rep_hom_index[i0:i1]].ravel()
+            for r, (i0, i1) in zip(reps, self.class_block)])
+        # row ci lays its blocks (ci, cj), cj >= ci, side by side
+        n_cosets = n_cosets.reshape(k, k)
+        widths = np.triu(n_reps[None, :] * n_cosets)
+        self._geometry = _MackeyGeometry(
+            row=_starts(np.bincount(ci, minlength=k + 1)), cj=cj, d=d,
+            s_inv=group.inv[s], g_inv=group.inv[transporters], cm=cm,
+            n_cosets=n_cosets, col_start=np.cumsum(widths, axis=1) - widths,
+            n_reps=n_reps, orders=orders, vals=vals,
+            vals_start=_starts(n_reps * orders), pos=pos)
+        return self._geometry
+
+    def _mackey_terms(self, ci: int) -> np.ndarray:
+        """The terms of every block (ci, cj) with cj >= ci, side by side:
+        block (ci, cj) is the columns from ``col_start[ci, cj]`` on, as an
+        (orbit reps of ci, orbit reps of cj, double cosets) array.
+
+        By restriction: for the coset KsL with M = K n sLs^-1 carried to
+        its class rep, each orbit rep phi of K restricts to a character rho
+        of M and each orbit rep psi of L to sigma = psi^s on M, one
+        ``CharIndex.index`` per (coset, rep); the term of (phi, psi) is the
+        orbit of rho * sigma, one lookup in ``CharIndex.table``."""
+        group, table = self.group, self.class_table
+        geo = self._mackey_geometry()
+        t0, t1 = int(geo.row[ci]), int(geo.row[ci + 1])
+        na, k_order = int(geo.n_reps[ci]), int(geo.orders[ci])
+        v0 = int(geo.vals_start[ci])
+        k_vals = geo.vals[v0:v0 + na * k_order].reshape(na, k_order)
+        k_pos = geo.pos[ci]
+        n_cosets, col_start = geo.n_cosets[ci], geo.col_start[ci]
+        terms = np.empty((na, int(n_cosets[ci:] @ geo.n_reps[ci:])),
+                         dtype=np.int64)
+        # the cosets of the row, grouped by the class of M
+        cm = geo.cm[t0:t1]
+        by_cm = np.argsort(cm, kind="stable")
+        classes, first = np.unique(cm[by_cm], return_index=True)
+        for c, at in zip(classes.tolist(), np.split(t0 + by_cm, first[1:])):
+            m_chars = char_index(table.reps[c], self.fiber)
             # generators of each M, carried over from those of its class rep
-            gens = group.conj[g_inv[at, None], m_chars.gens]
+            gens = group.conj[geo.g_inv[at, None], m_chars.gens]
+            rho = m_chars.index(k_vals[:, k_pos[gens]])
             # one entry per (coset, b): b runs over the orbit reps of the
-            # coset's class cj
-            p = pair[at]
-            nb = n_reps[p]
+            # coset's class cj, and psi^s(m) = psi(s^-1 m s)
+            lj = geo.cj[at]
+            nb = geo.n_reps[lj]
             u = np.repeat(np.arange(at.size), nb)
             b = np.arange(u.size) - np.repeat(_starts(nb), nb)
-            pu = p[u]
-            # (phi * psi^s)(m) = phi(m) + psi(s^-1 m s), on the axes
-            # (a, (coset, b), generator)
-            x = group.conj[s_inv[at, None], gens]
-            psi = l_vals[(l_vals_start[pu] + b * l_orders[pu])[:, None]
-                         + l_pos[p[:, None], x][u]]
-            vals = fiber.add_table[k_vals[:, k_chars.pos[gens]][:, u],
-                                   psi[None]]
-            cols_at = col_start[pu] + b * n_cosets[pu] + d[at][u]
-            terms[:, cols_at] = self._char_to_basis[cm][m_chars.index(vals)]
-        # sort each block's last axis at once: the columns of one (pair, b)
+            lu = lj[u]
+            x = group.conj[geo.s_inv[at, None], gens][u]
+            sigma = m_chars.index(geo.vals[
+                (geo.vals_start[lu] + b * geo.orders[lu])[:, None]
+                + geo.pos[lu[:, None], x]])
+            cols = col_start[lu] + b * n_cosets[lu] + geo.d[at][u]
+            terms[:, cols] = self._char_to_basis[c][
+                m_chars.table[rho[:, u], sigma]]
+        # sort each block's last axis at once: the columns of one (cj, b)
         # get one key offset, above every basis index
-        group_id = np.repeat(np.arange(int(n_reps.sum())),
-                             np.repeat(n_cosets, n_reps))
+        nb = geo.n_reps[ci:]
+        group_id = np.repeat(np.arange(int(nb.sum())),
+                             np.repeat(n_cosets[ci:], nb))
         offset = group_id * self.size
-        terms = np.sort(terms + offset, axis=1) - offset
-        return [terms[:, c0:c0 + w].reshape(i1 - i0, nr, nc)
-                for c0, w, nr, nc in zip(col_start.tolist(), widths.tolist(),
-                                         n_reps.tolist(), n_cosets.tolist())]
+        return np.sort(terms + offset, axis=1) - offset
 
     def to_json(self) -> dict:
         return {
@@ -331,7 +435,8 @@ def gamma_table(basis: MonomialBasis) -> np.ndarray:
     Entry [i, j] counts cosets of the subgroup L of pair j, so it is at
     most |G : L| <= |G|; the dtype is the smallest signed integer type
     whose max is at least |G|. Only class pairs with a nonzero mark are
-    computed; the other blocks stay zero.
+    computed, one class row at a time, and no block outlives its row; the
+    other blocks stay zero.
     """
     # One small-int array: the CLI streams the report row by row, so this
     # table sets the peak memory of `gamma`, 3.4 MB for (C2)^4 over C2 x C2
@@ -339,12 +444,12 @@ def gamma_table(basis: MonomialBasis) -> np.ndarray:
                  if np.iinfo(t).max >= basis.group.order)
     table = np.zeros((basis.size, basis.size), dtype=dtype)
     hom_index = np.asarray(basis.rep_hom_index, dtype=np.int64)
+    kernel = basis._gamma_kernel()
     for ci, (i0, i1) in enumerate(basis.class_block):
-        for cj, (j0, j1) in enumerate(basis.class_block):
-            block = basis._nonzero_gamma_block(ci, cj)
-            if block is not None:
-                table[i0:i1, j0:j1] = block[np.ix_(hom_index[i0:i1],
-                                                   hom_index[j0:j1])]
+        for cj, block in kernel(ci).items():
+            j0, j1 = basis.class_block[cj]
+            table[i0:i1, j0:j1] = block[np.ix_(hom_index[i0:i1],
+                                               hom_index[j0:j1])]
     return table
 
 
@@ -524,6 +629,7 @@ def mark_morphism(basis: MonomialBasis, x: BurnsideElement) -> GhostElement:
 
 __all__ = [
     "MonomialPair", "MonomialBasis", "BurnsideElement", "GhostRing",
-    "GhostElement", "monomial_basis", "gamma_block", "gamma_table",
+    "GhostElement", "monomial_basis", "gamma_block", "gamma_rows",
+    "gamma_table",
     "multiply", "mark_morphism", "ghost_multiply", "ghost_ring",
 ]

@@ -10,7 +10,6 @@ does and does not rule out.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Sequence
 
@@ -158,10 +157,15 @@ def char_group_isomorphisms(homs1: Sequence[Character],
             yield from extend(k + 1, wider, in_wider)
 
     start = np.zeros(1, dtype=np.int64)
-    if accept(spanned[0], start):
-        in_start = np.zeros(n, dtype=bool)
-        in_start[0] = True
-        yield from extend(0, start, in_start)
+    try:
+        if accept(spanned[0], start):
+            in_start = np.zeros(n, dtype=bool)
+            in_start[0] = True
+            yield from extend(0, start, in_start)
+    finally:
+        # extend holds itself through its closure; unbinding it frees
+        # accept, and the arrays accept holds, once the maps are done with
+        del extend
 
 
 def _accept_all(dom: np.ndarray, img: np.ndarray) -> bool:
@@ -302,15 +306,26 @@ def _structure_constant_check(basis_g, basis_h, witness):
 # Search
 
 
-def _class_invariant(table, ci: int, fiber) -> tuple:
-    rep = table.reps[ci]
-    cross = Counter()
-    for cj, other in enumerate(table.reps):
-        cross[(other.order, table.class_sizes[cj],
-               table.marks[ci][cj], table.marks[cj][ci])] += 1
-    return (rep.order, table.class_sizes[ci],
-            len(char_index(rep, fiber).values),
-            tuple(sorted(cross.items())))
+def _class_invariants(table: SubgroupClassTable,
+                      fiber: AbelianFiber) -> list[tuple]:
+    """Per class: its order, class size and hom-set size, then the
+    multiset over every class cj of (order, class size, mark on cj, mark
+    of cj), as that class's row of one (k, k, 4) profile array with its
+    4-tuples sorted."""
+    k = len(table.reps)
+    orders = np.asarray([rep.order for rep in table.reps], dtype=np.int64)
+    sizes = np.asarray(table.class_sizes, dtype=np.int64)
+    marks = np.asarray(table.marks, dtype=np.int64).reshape(k, k)
+    profile = np.stack(np.broadcast_arrays(
+        orders[None, :], sizes[None, :], marks, marks.T), axis=-1
+    ).reshape(k * k, 4)
+    # lexsort takes its primary key last: the row, then the 4-tuple
+    by_row = np.lexsort((*profile.T[::-1], np.repeat(np.arange(k), k)))
+    homs = [len(char_index(rep, fiber).values) for rep in table.reps]
+    head = np.stack([orders, sizes, np.asarray(homs, dtype=np.int64)],
+                    axis=1)
+    return list(map(tuple, np.concatenate(
+        [head, profile[by_row].reshape(k, 4 * k)], axis=1).tolist()))
 
 
 def search_species(g_table: SubgroupClassTable,
@@ -332,8 +347,8 @@ def search_species(g_table: SubgroupClassTable,
     k = len(g_table.reps)
     if len(h_table.reps) != k:
         return None
-    inv_g = [_class_invariant(g_table, i, fiber) for i in range(k)]
-    inv_h = [_class_invariant(h_table, i, fiber) for i in range(k)]
+    inv_g = _class_invariants(g_table, fiber)
+    inv_h = _class_invariants(h_table, fiber)
     if sorted(inv_g) != sorted(inv_h):
         return None
     basis_g = monomial_basis(g_table.group, fiber, g_table)
@@ -415,7 +430,12 @@ def search_species(g_table: SubgroupClassTable,
                 char_assignment[ci] = None
         return False
 
-    if not backtrack(0):
+    found = backtrack(0)
+    # backtrack holds itself through its closure, and with it the gamma
+    # rows of the search; unbinding it frees them now, not at the next
+    # run of the cycle collector
+    del backtrack
+    if not found:
         return None
     return SpeciesWitness(g_table, h_table, [int(v) for v in assignment],
                           [m.tolist() for m in char_assignment])

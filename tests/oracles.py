@@ -9,7 +9,10 @@ time in Python, so the two must return the same map. Structure constants
 are computed one basis pair and one double coset at a time, over double
 cosets found by a sweep over every group element; a whole product block
 of one class pair also comes from one batched pass over the double cosets
-of that pair alone, lower blocks computed directly. Character
+of that pair alone, lower blocks computed directly, and a whole class
+row from one pass over the double cosets of that row, found one pair at
+a time, with every term looked up from its full character values.
+Character
 group isomorphisms by scanning every tuple of generator images. Characters
 are identified by dictionaries of their full value tuples: normalizer
 orbits on Hom(K, A) come from a union-find sweep over one permutation per
@@ -23,7 +26,8 @@ distinct conjugates. Commutator subgroups are closed from all |K|^2
 commutators. Finite abelian groups are decomposed through per-element
 Python callbacks of the group operation, K^ab over a dict of least coset
 members, and element orders by stepping through powers. The species search builds each character map whole and
-checks every gamma block of its class only then. Every monomial pair is
+checks every gamma block of its class only then, and tells classes apart
+by a per-class ``Counter`` of mark profiles. Every monomial pair is
 listed subgroup by subgroup, and determinants are exact by fraction-free
 elimination over Python ints."""
 
@@ -44,10 +48,9 @@ from fibered_burnside.group_core import (FiniteGroup, Subgroup,
                                          commutator_subgroup,
                                          double_coset_reps,
                                          enumerate_subgroups, normalizer)
-from fibered_burnside.monomial import (MonomialBasis, MonomialPair,
+from fibered_burnside.monomial import (MonomialBasis, MonomialPair, _starts,
                                        monomial_basis)
-from fibered_burnside.species import (SpeciesWitness, _class_invariant,
-                                      char_group_isomorphisms)
+from fibered_burnside.species import SpeciesWitness, char_group_isomorphisms
 
 
 def reference_closure(group: FiniteGroup, gens: Iterable[int]) -> tuple[int, ...]:
@@ -617,6 +620,112 @@ def reference_mackey_block(basis: MonomialBasis, ci: int,
     return np.sort(terms, axis=-1)
 
 
+def reference_mackey_row(basis: MonomialBasis,
+                         ci: int) -> list[np.ndarray]:
+    """The product blocks (ci, cj) for cj = ci, ci + 1, ..., in one pass
+    over the double cosets of all those class pairs at once.
+
+    Arrays over the double cosets are ragged: coset t of the pair
+    (ci, cj) carries the |L| members of L = reps[cj], or one term per
+    orbit representative of class cj, with no padding."""
+    group, table, fiber = basis.group, basis.class_table, basis.fiber
+    k_sub = table.reps[ci]
+    k_chars = char_index(k_sub, fiber)
+    i0, i1 = basis.class_block[ci]
+    k_vals = k_chars.values[basis.rep_hom_index[i0:i1]]
+    cols = range(ci, len(table.reps))
+    l_subs = [table.reps[cj] for cj in cols]
+    # the double cosets of every pair (ci, ci + p), concatenated: coset
+    # t has rep s[t] and is the d[t]-th coset of the pair p = pair[t]
+    reps_of = [double_coset_reps(group, k_sub, l_sub) for l_sub in l_subs]
+    n_cosets = np.asarray([len(r) for r in reps_of], dtype=np.int64)
+    s = np.asarray([x for r in reps_of for x in r], dtype=np.int64)
+    pair = np.repeat(np.arange(len(cols)), n_cosets)
+    d = np.arange(s.size) - np.repeat(_starts(n_cosets), n_cosets)
+    # ^sL, ragged: entry e is s[seg[e]] l s[seg[e]]^-1 for the member l
+    # at position at_l[e] of L = reps[ci + pair[seg[e]]]
+    l_orders = np.asarray([l_sub.order for l_sub in l_subs],
+                          dtype=np.int64)
+    lens = l_orders[pair]
+    seg = np.repeat(np.arange(s.size), lens)
+    at_l = np.arange(seg.size) - np.repeat(_starts(lens), lens)
+    l_members = np.concatenate([np.asarray(l_sub.members, dtype=np.int64)
+                                for l_sub in l_subs])
+    conj_l = group.conj[s[seg],
+                        l_members[_starts(l_orders)[pair][seg] + at_l]]
+    # the members of M = K n ^sL
+    in_k = k_chars.pos[conj_l] >= 0
+    sizes = np.bincount(seg[in_k], minlength=s.size)
+    # |KsL| = |K| |L| / |M|, and the double cosets of each pair
+    # partition G; the sums are exact in float64 far beyond any |G|
+    covered = np.bincount(pair, weights=k_sub.order * lens // sizes,
+                          minlength=len(cols))
+    bad = np.flatnonzero(covered != group.order)
+    if bad.size:
+        raise NotAGroup(f"double cosets of classes {ci} and "
+                        f"{cols[bad[0]]} do not partition the group")
+    # sorted members of each M, coset by coset, from one sort
+    n = group.order
+    members = (np.sort(seg[in_k] * n + conj_l[in_k]) % n).tolist()
+    ends = np.cumsum(sizes).tolist()
+    cosets_of: dict[int, list[int]] = {}    # class of M -> its cosets
+    transporters = []
+    start = 0
+    for t, end in enumerate(ends):
+        cm, g = table.locate(tuple(members[start:end]))
+        cosets_of.setdefault(cm, []).append(t)
+        transporters.append(g)
+        start = end
+    g_inv = group.inv[np.asarray(transporters, dtype=np.int64)]
+    s_inv = group.inv[s]
+    # the orbit representatives of each class cj: their characters'
+    # values, ravelled one class after another, and each element's
+    # position in reps[cj]
+    n_reps = np.asarray([basis.class_block[cj][1] - basis.class_block[cj][0]
+                         for cj in cols], dtype=np.int64)
+    l_vals = np.concatenate([
+        char_index(l_sub, fiber).values[
+            basis.rep_hom_index[slice(*basis.class_block[cj])]].ravel()
+        for cj, l_sub in zip(cols, l_subs)])
+    l_vals_start = _starts(n_reps * l_orders)
+    l_pos = np.stack([char_index(l_sub, fiber).pos for l_sub in l_subs])
+    # the row's terms: the block of pair p fills the columns from
+    # col_start[p] on, as an (n_reps[p], n_cosets[p]) array
+    widths = n_reps * n_cosets
+    col_start = _starts(widths)
+    terms = np.empty((i1 - i0, int(widths.sum())), dtype=np.int64)
+    for cm, at in cosets_of.items():
+        at = np.asarray(at, dtype=np.int64)
+        m_chars = char_index(table.reps[cm], fiber)
+        # generators of each M, carried over from those of its class rep
+        gens = group.conj[g_inv[at, None], m_chars.gens]
+        # one entry per (coset, b): b runs over the orbit reps of the
+        # coset's class cj
+        p = pair[at]
+        nb = n_reps[p]
+        u = np.repeat(np.arange(at.size), nb)
+        b = np.arange(u.size) - np.repeat(_starts(nb), nb)
+        pu = p[u]
+        # (phi * psi^s)(m) = phi(m) + psi(s^-1 m s), on the axes
+        # (a, (coset, b), generator)
+        x = group.conj[s_inv[at, None], gens]
+        psi = l_vals[(l_vals_start[pu] + b * l_orders[pu])[:, None]
+                     + l_pos[p[:, None], x][u]]
+        vals = fiber.add_table[k_vals[:, k_chars.pos[gens]][:, u],
+                               psi[None]]
+        cols_at = col_start[pu] + b * n_cosets[pu] + d[at][u]
+        terms[:, cols_at] = basis._char_to_basis[cm][m_chars.index(vals)]
+    # sort each block's last axis at once: the columns of one (pair, b)
+    # get one key offset, above every basis index
+    group_id = np.repeat(np.arange(int(n_reps.sum())),
+                         np.repeat(n_cosets, n_reps))
+    offset = group_id * basis.size
+    terms = np.sort(terms + offset, axis=1) - offset
+    return [terms[:, c0:c0 + w].reshape(i1 - i0, nr, nc)
+            for c0, w, nr, nc in zip(col_start.tolist(), widths.tolist(),
+                                     n_reps.tolist(), n_cosets.tolist())]
+
+
 def reference_char_group_table(homs: Sequence[Character]) -> list[list[int]]:
     """Entry [i][j] is the index in ``homs`` of homs[i] * homs[j]."""
     lookup = {h.values: i for i, h in enumerate(homs)}
@@ -833,6 +942,17 @@ def reference_element_class_sizes(group: FiniteGroup) -> np.ndarray:
                      for x in range(group.order)], dtype=np.int64)
 
 
+def reference_class_invariant(table, ci: int, fiber) -> tuple:
+    rep = table.reps[ci]
+    cross = Counter()
+    for cj, other in enumerate(table.reps):
+        cross[(other.order, table.class_sizes[cj],
+               table.marks[ci][cj], table.marks[cj][ci])] += 1
+    return (rep.order, table.class_sizes[ci],
+            len(char_index(rep, fiber).values),
+            tuple(sorted(cross.items())))
+
+
 def reference_search_species(g_table: SubgroupClassTable,
                              h_table: SubgroupClassTable, fiber: AbelianFiber,
                              *, budget: Optional[int] = None
@@ -850,8 +970,8 @@ def reference_search_species(g_table: SubgroupClassTable,
     k = len(g_table.reps)
     if len(h_table.reps) != k:
         return None
-    inv_g = [_class_invariant(g_table, i, fiber) for i in range(k)]
-    inv_h = [_class_invariant(h_table, i, fiber) for i in range(k)]
+    inv_g = [reference_class_invariant(g_table, i, fiber) for i in range(k)]
+    inv_h = [reference_class_invariant(h_table, i, fiber) for i in range(k)]
     if sorted(inv_g) != sorted(inv_h):
         return None
     basis_g = monomial_basis(g_table.group, fiber, g_table)

@@ -556,11 +556,10 @@ sys.exit(code)
 """
 
 
-@pytest.mark.skipif(not sys.platform.startswith("linux"),
-                    reason="reads VmHWM from /proc/self/status")
-def test_gamma_e16_report_streams_in_bounded_memory(tmp_path):
-    # the 38 MB report of the 1837 x 1837 gamma table must not be built as
-    # one string; stderr goes to a regular file, as in bench/run.py
+def _run_reporting_peak(tmp_path, *argv):
+    """Run the CLI in a child that reports its own VmHWM; returns the exit
+    code, the sha256 of stdout, hashed as it streams, and the peak in MB.
+    stderr goes to a regular file, as in bench/run.py."""
     src = str(Path(fibered_burnside.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -568,19 +567,43 @@ def test_gamma_e16_report_streams_in_bounded_memory(tmp_path):
     err_path = tmp_path / "stderr.txt"
     with open(err_path, "w", encoding="utf-8") as err:
         proc = subprocess.Popen(
-            [sys.executable, "-c", REPORT_OWN_PEAK_RSS, "gamma",
-             "abelian:2,2,2,2", "--fiber", "2,2"],
+            [sys.executable, "-c", REPORT_OWN_PEAK_RSS, *argv],
             stdout=subprocess.PIPE, stderr=err, env=env)
         for chunk in iter(lambda: proc.stdout.read(1 << 16), b""):
             digest.update(chunk)
         proc.stdout.close()
         proc.wait()
-    assert proc.returncode == 0
-    assert digest.hexdigest() == E16_GAMMA_DIGEST
     hwm = err_path.read_text(encoding="utf-8").splitlines()[-1].split()
     assert hwm[0] == "VmHWM:" and hwm[2] == "kB"
+    return proc.returncode, digest.hexdigest(), int(hwm[1]) / 1024
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="reads VmHWM from /proc/self/status")
+def test_gamma_e16_report_streams_in_bounded_memory(tmp_path):
+    # the 38 MB report of the 1837 x 1837 gamma table must not be built as
+    # one string
+    code, digest, peak_mb = _run_reporting_peak(
+        tmp_path, "gamma", "abelian:2,2,2,2", "--fiber", "2,2")
+    assert code == 0
+    assert digest == E16_GAMMA_DIGEST
     # 66 MB while the table was a list of int lists, 43 MB as an int8 array
-    assert int(hwm[1]) / 1024 < 56
+    assert peak_mb < 56
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="reads VmHWM from /proc/self/status")
+def test_verify_e16_auto_runs_in_bounded_memory(tmp_path):
+    # (C2)^4 over C2 x C2: 67 classes and 1837 basis elements on each side;
+    # the product terms are evaluated one class row at a time, which peaks
+    # near 115 MB, where all pairs' terms as one flat array took 208 MB
+    code, digest, peak_mb = _run_reporting_peak(
+        tmp_path, "verify", "abelian:2,2,2,2", "abelian:2,2,2,2",
+        "--fiber", "2,2", "--auto")
+    assert code == 0
+    assert digest == \
+        "6b5500b85c79c7a5dfc6e1a70c53cc850a5c7371a62863449c9107bc6774eb09"
+    assert peak_mb < 125
 
 
 # ---------------------------------------------------------------------------

@@ -53,7 +53,8 @@ from fibered_burnside.group_core import (FiniteGroup, Subgroup,
                                          conjugacy_classes_of_subgroups,
                                          conjugate_members,
                                          conjugate_subgroup, cyclic_group,
-                                         dihedral_group, double_coset_reps,
+                                         dihedral_group, double_cosets,
+                                         double_coset_reps,
                                          enumerate_subgroups,
                                          group_from_cayley, group_from_json,
                                          group_to_json, left_coset_reps, mark,
@@ -550,16 +551,20 @@ def test_s3_order2_double_cosets(s3):
 
 
 def test_double_cosets_match_reference(small_groups, tg_11_5_a, tg_11_5_b):
-    # the walk over left-coset labels against the sweep over all elements
+    # the batched kernel, on every ordered pair of class reps at once, and
+    # its one-pair case against the sweep over all elements
     groups = [*small_groups, symmetric_group(5), abelian_group((2, 2, 2, 2)),
-              tg_11_5_a.group, tg_11_5_b.group]
+              _a6_from_cayley_json(), tg_11_5_a.group, tg_11_5_b.group]
     for g in groups:
         reps = conjugacy_classes_of_subgroups(g).reps
-        for k_sub in reps:
-            for l_sub in reps:
-                assert double_coset_reps(g, k_sub, l_sub) == \
-                    reference_double_coset_reps(g, k_sub, l_sub), (g, k_sub,
-                                                                   l_sub)
+        pair, found = double_cosets(g, reps, reps)
+        assert np.all(np.diff(pair) >= 0)
+        for a, k_sub in enumerate(reps):
+            for b, l_sub in enumerate(reps):
+                expect = reference_double_coset_reps(g, k_sub, l_sub)
+                got = found[pair == a * len(reps) + b].tolist()
+                assert got == expect, (g, a, b)
+                assert double_coset_reps(g, k_sub, l_sub) == expect
 
 
 def test_double_cosets_partition(small_groups):

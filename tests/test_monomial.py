@@ -5,9 +5,10 @@ Central oracle: the mark morphism is a ring homomorphism — checked pair by
 pair against the double-coset product. Gamma blocks, the gamma table and
 the mark morphism are checked against the scalar ``reference_gamma`` of
 ``oracles.py``. The tiny worked example over C2 is verified against
-hand-computed tables. Every product block of the class-row passes is
-checked against ``reference_mackey_block``, which computes one class pair
-at a time. Seeded hypothesis tests check, on random products
+hand-computed tables. Every product block of the geometry pass and its
+row terms is checked against ``reference_mackey_block``, which computes
+one class pair at a time, and ``reference_mackey_row``, which computes
+one class row at a time from per-pair double cosets. Seeded hypothesis tests check, on random products
 of cyclic groups, products against ``reference_product`` and the Mackey
 symmetry of product blocks, gamma blocks and marks against the oracle
 and a count of the cosets K fixes, and the mark morphism as a ring
@@ -27,17 +28,20 @@ from fibered_burnside.errors import ComponentMismatch, NotAGroup
 from fibered_burnside.group_core import (Subgroup, abelian_group,
                                          conjugate_subgroup,
                                          conjugacy_classes_of_subgroups,
-                                         cyclic_group, double_coset_reps,
-                                         mark, symmetric_group)
+                                         cyclic_group, double_cosets,
+                                         double_coset_reps, mark,
+                                         symmetric_group)
 from fibered_burnside.monomial import (BurnsideElement, MonomialBasis,
-                                       MonomialPair, gamma_block, gamma_table,
+                                       MonomialPair, gamma_block, gamma_rows,
+                                       gamma_table,
                                        ghost_multiply, ghost_ring,
                                        mark_morphism, monomial_basis, multiply)
 from fibered_burnside.thevenaz import canonical_class_table
 from oracles import (all_monomial_pairs, canonical_index,
                      integer_matrix_determinant, reference_char_group_table,
-                     reference_char_orbits, reference_gamma,
-                     reference_mackey_block, reference_product)
+                     reference_char_orbits, reference_double_coset_reps,
+                     reference_gamma, reference_mackey_block,
+                     reference_mackey_row, reference_product)
 from test_group_core import product_group, product_params
 
 
@@ -311,16 +315,24 @@ def test_product_block_shape_and_order(d4, fiber_c2):
 @given(product_params().filter(lambda p: p[0] * p[1] * p[3] <= 36),
        st.sampled_from([(1,), (2,), (6,), (2, 4)]))
 def test_product_blocks_on_products(params, factors):
-    # (C_m x| C_k) x C_c up to order 36: every product against the oracle,
-    # and every lower block, computed directly, against the transposed
-    # upper one that product_block returns in its place; the oracle's cost
-    # grows with the square of the basis, so large bases are left out
+    # (C_m x| C_k) x C_c up to order 36: the batched double cosets of every
+    # ordered class pair against the sweep, every product against the
+    # oracle, and every lower block, computed directly, against the
+    # transposed upper one that product_block returns in its place; the
+    # oracle's cost grows with the square of the basis, so large bases are
+    # left out
     g = product_group(params)
     fiber = AbelianFiber(factors)
     basis = monomial_basis(g, fiber)
     assume(basis.size <= 100)
+    reps = basis.class_table.reps
+    k = len(reps)
+    pair, found = double_cosets(g, reps, reps)
+    for a, k_sub in enumerate(reps):
+        for b, l_sub in enumerate(reps):
+            assert found[pair == a * k + b].tolist() == \
+                reference_double_coset_reps(g, k_sub, l_sub)
     _assert_products_match_reference(basis)
-    k = len(basis.class_block)
     for ci in range(k):
         for cj in range(ci):
             lower = reference_mackey_block(basis, ci, cj)
@@ -332,18 +344,23 @@ def test_product_blocks_on_products(params, factors):
 def _assert_blocks_match_reference(basis):
     k = len(basis.class_block)
     for ci in range(k):
+        row = reference_mackey_row(basis, ci)
         for cj in range(k):
             block = basis.product_block(ci, cj)
-            expect = reference_mackey_block(basis, ci, cj)
-            assert block.dtype == expect.dtype, (ci, cj)
-            assert block.shape == expect.shape, (ci, cj)
-            assert np.array_equal(block, expect), (ci, cj)
+            expects = [reference_mackey_block(basis, ci, cj)]
+            if cj >= ci:
+                expects.append(row[cj - ci])
+            for expect in expects:
+                assert block.dtype == expect.dtype, (ci, cj)
+                assert block.shape == expect.shape, (ci, cj)
+                assert np.array_equal(block, expect), (ci, cj)
 
 
 def test_product_rows_match_reference_blocks(small_groups, tg_11_5_a,
                                              tg_11_5_b):
-    # every block of the row passes, upper ones as computed and lower ones
-    # as transposed views, against the per-pair pass computed directly
+    # every block of the geometry pass and its row terms, upper ones as
+    # computed and lower ones as transposed views, against the per-pair
+    # pass and the per-row pass computed directly
     for factors in [(1,), (2,), (6,), (2, 4)]:
         for g in small_groups:
             _assert_blocks_match_reference(
@@ -362,12 +379,23 @@ def test_product_rows_match_reference_blocks(small_groups, tg_11_5_a,
 def test_product_block_rejects_missing_double_coset(monkeypatch, s4,
                                                     fiber_c2):
     # the sizes |K||L|/|K n sLs^-1| of the double cosets must add up to |G|
+    # for every pair; with the last coset of the pairs (2, 7) and (3, 5)
+    # dropped from the batched kernel, the first bad pair is named
     basis = MonomialBasis(s4, fiber_c2)
-    reps = basis.class_table.reps
-    monkeypatch.setattr(monomial, "double_coset_reps",
-                        lambda g, k, l: double_coset_reps(g, k, l)[:-1])
-    with pytest.raises(NotAGroup, match="do not partition"):
-        basis.product_block(0, len(reps) - 2)
+    k = len(basis.class_table.reps)
+    assert k > 7
+
+    def dropping(g, ks, ls):
+        pair, reps = double_cosets(g, ks, ls)
+        last = [np.flatnonzero(pair == p)[-1] for p in (2 * k + 7, 3 * k + 5)]
+        keep = np.ones(pair.size, dtype=bool)
+        keep[last] = False
+        return pair[keep], reps[keep]
+
+    monkeypatch.setattr(monomial, "double_cosets", dropping)
+    with pytest.raises(NotAGroup,
+                       match="classes 2 and 7 do not partition the group"):
+        basis.product_block(k - 1, k - 1)
 
 
 def test_product_block_rejects_values_of_no_character():
@@ -550,40 +578,55 @@ def test_mark_morphism_linear(s3, fiber_c6):
         mark_morphism(basis, x) + mark_morphism(basis, y)
 
 
-def test_ghost_images_take_one_gamma_block_per_class_pair(monkeypatch,
-                                                        fiber_c2):
-    # (C2)^4 over C2: 67 subgroup classes, 307 basis elements
-    basis = MonomialBasis(abelian_group([2, 2, 2, 2]), fiber_c2)
-    table = gamma_table(basis)
+def _count_gamma_rows(monkeypatch):
+    """Record, for each ``gamma_rows`` kernel prepared from now on, the K
+    index of every row it computes and the L indices of its blocks."""
     calls = []
 
     def counted(*args):
-        calls.append(args)
-        return gamma_block(*args)
+        kernel = gamma_rows(*args)
 
-    monkeypatch.setattr(monomial, "gamma_block", counted)
+        def row(a):
+            blocks = kernel(a)
+            calls.append((a, sorted(blocks)))
+            return blocks
+        return row
+
+    monkeypatch.setattr(monomial, "gamma_rows", counted)
+    return calls
+
+
+def test_ghost_images_take_one_gamma_block_per_class_pair(monkeypatch,
+                                                        fiber_c2):
+    # (C2)^4 over C2: 67 subgroup classes, 307 basis elements; the ghost
+    # images read the blocks the basis keeps: one kernel row per class, so
+    # each block of a class pair is computed once
+    group = abelian_group([2, 2, 2, 2])
+    table = gamma_table(MonomialBasis(group, fiber_c2))
+    calls = _count_gamma_rows(monkeypatch)
+    basis = MonomialBasis(group, fiber_c2)
     images = [mark_morphism(basis, basis.basis_element(j))
               for j in range(basis.size)]
     n_classes = len(basis.class_table.reps)
-    assert len(calls) <= n_classes ** 2
+    assert sorted(a for a, _ in calls) == list(range(n_classes))
     for a, (ca, ha) in enumerate(zip(basis.rep_class, basis.rep_hom_index)):
         assert [img.comps[ca][ha] for img in images] == table[a].tolist()
 
 
 def test_gamma_table_computes_only_nonzero_mark_blocks(monkeypatch):
     # (C2)^4 over C2 x C2: 513 of the 67 x 67 class pairs have a nonzero
-    # mark; the other blocks are zero without a gamma_block call
+    # mark; the gamma table computes their blocks, one kernel row per
+    # class, and the other blocks stay zero without being computed
     basis = MonomialBasis(abelian_group([2, 2, 2, 2]), AbelianFiber((2, 2)))
-    calls = []
-
-    def counted(*args):
-        calls.append(args)
-        return gamma_block(*args)
-
-    monkeypatch.setattr(monomial, "gamma_block", counted)
+    calls = _count_gamma_rows(monkeypatch)
     table = gamma_table(basis)
-    assert len(calls) == np.count_nonzero(basis.class_table.marks) == 513
+    marks = np.asarray(basis.class_table.marks)
+    assert [a for a, _ in calls] == list(range(len(marks)))
+    assert [b for _, b in calls] == [np.flatnonzero(row).tolist()
+                                     for row in marks]
+    assert np.count_nonzero(marks) == 513
     assert table.shape == (1837, 1837) and table.dtype == np.int8
+    assert not basis._gamma_cache
 
 
 def test_gamma_table_dtype_holds_the_group_order(tg_11_5_a, fiber_c1):

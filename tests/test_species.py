@@ -4,8 +4,10 @@ Oracles: exhaustive gamma comparison for tiny witnesses, self-maps that
 must always validate, and the explicit family witness cross-validated by
 the general verifier. The search, which checks gamma on every prefix of a
 character map, is compared witness for witness with
-``reference_search_species``, which checks only whole maps. A count pins
-how many product row passes and gamma blocks ``verify --auto`` computes.
+``reference_search_species``, which checks only whole maps, and the class
+invariants that prune its candidates with ``reference_class_invariant``.
+A count pins how many geometry passes, product term rows and gamma blocks
+``verify --auto`` computes.
 The counterexamples of the gamma and structure-constant checks are pinned
 to the first mismatch that ``reference_gamma`` and ``reference_product``
 find pair by pair.
@@ -30,11 +32,13 @@ from fibered_burnside.group_core import (Subgroup, abelian_group,
 from fibered_burnside.monomial import (MonomialBasis, MonomialPair,
                                        monomial_basis)
 from fibered_burnside.species import (EXHAUSTION_CAVEAT, SpeciesWitness,
+                                      _class_invariants,
                                       _structure_constant_check,
                                       char_group_isomorphisms, search_species,
                                       thevenaz_witness, verify_species)
 from oracles import (reference_char_group_isomorphisms,
-                     reference_char_group_table, reference_gamma,
+                     reference_char_group_table, reference_class_invariant,
+                     reference_gamma,
                      reference_product, reference_search_species)
 
 # ---------------------------------------------------------------------------
@@ -370,43 +374,62 @@ def test_structure_constant_check_rejects_bad_basis_maps(d4, fiber_c2):
 
 def test_verify_auto_computes_each_block_once(monkeypatch):
     # D6 over C2 x C4, as `verify dihedral:6 dihedral:6 --fiber 2,4 --auto`
-    # runs it: the structure check runs one row pass per class on each
-    # side, which writes the product blocks (ci, cj) with cj >= ci, each
-    # once, and transposes the rest; the search and the verification share
-    # one gamma block per ordered class pair
-    rows, written, gammas = [], Counter(), Counter()
-    real_row, real_gamma = MonomialBasis._mackey_row, monomial.gamma_block
+    # runs it: each side runs one geometry pass (one batched double-coset
+    # call) and one term pass per class, which writes the product blocks
+    # (ci, cj) with cj >= ci, each once, as views of its row; the rest are
+    # transposed. The search and the verification share one gamma kernel
+    # per side, which computes each class row, and so each nonzero gamma
+    # block of an ordered class pair, once
+    geometry, rows, gammas = [], [], Counter()
+    real_cosets, real_terms = monomial.double_cosets, \
+        MonomialBasis._mackey_terms
+    real_gamma = monomial.gamma_rows
 
-    def counted_row(basis, ci):
-        blocks = real_row(basis, ci)
-        rows.append((basis, ci, blocks))
-        for cj in range(ci, ci + len(blocks)):
-            written[basis, ci, cj] += 1
-        return blocks
+    def counted_cosets(group, ks, ls):
+        geometry.append(group)
+        return real_cosets(group, ks, ls)
 
-    def counted_gamma(k_sub, l_sub, fiber):
-        gammas[id(k_sub.group), k_sub.members, l_sub.members] += 1
-        return real_gamma(k_sub, l_sub, fiber)
+    def counted_terms(basis, ci):
+        terms = real_terms(basis, ci)
+        rows.append((basis, ci, terms))
+        return terms
 
-    monkeypatch.setattr(MonomialBasis, "_mackey_row", counted_row)
-    monkeypatch.setattr(monomial, "gamma_block", counted_gamma)
+    def counted_gamma(k_subs, l_subs, fiber):
+        kernel = real_gamma(k_subs, l_subs, fiber)
+
+        def row(a):
+            blocks = kernel(a)
+            for b in blocks:
+                gammas[id(kernel), a, b] += 1
+            return blocks
+        return row
+
+    monkeypatch.setattr(monomial, "double_cosets", counted_cosets)
+    monkeypatch.setattr(MonomialBasis, "_mackey_terms", counted_terms)
+    monkeypatch.setattr(monomial, "gamma_rows", counted_gamma)
     report, code = cli.cmd_verify("dihedral:6", "dihedral:6", "2,4",
                                   auto=True)
     assert code == 0 and report["result"]["valid"]
     sides = Counter(basis for basis, _, _ in rows)
     assert len(sides) == 2
+    assert sorted(map(id, geometry)) == sorted(id(b.group) for b in sides)
     for basis in sides:
         k = len(basis.class_block)
         assert sorted(ci for b, ci, _ in rows if b is basis) == \
             list(range(k))
-        assert {(ci, cj) for b, ci, cj in written if b is basis} == \
-            {(ci, cj) for ci in range(k) for cj in range(ci, k)}
-    assert set(written.values()) == {1}
-    for basis, ci, blocks in rows:
-        for cj, block in enumerate(blocks, ci):
+    for basis, ci, terms in rows:
+        for cj in range(ci, len(basis.class_block)):
+            block = basis.product_block(ci, cj)
+            assert np.shares_memory(block, terms)
             assert basis.product_block(ci, cj) is block
-    assert len({group for group, _, _ in gammas}) == 2
+    kernels = {kernel for kernel, _, _ in gammas}
+    assert len(kernels) == 2
     assert set(gammas.values()) == {1}
+    marks = [basis.class_table.marks for basis in sides]
+    assert marks[0] == marks[1]
+    nonzero = {(a, b) for a, b in np.argwhere(marks[0]).tolist()}
+    for kernel in kernels:
+        assert {(a, b) for kid, a, b in gammas if kid == kernel} == nonzero
 
 
 def test_gamma_check_skips_only_pairs_zero_on_both_sides(d4):
@@ -494,6 +517,37 @@ def _relabelled(group, rng):
     unlabel = np.argsort(label)
     mul = label[group.mul[np.ix_(unlabel, unlabel)]]
     return group_from_json({"order": n, "mul": mul.tolist()})
+
+
+def _invariant_relation(g_table, h_table, invariants):
+    """Which classes of both tables, G's first, have equal invariants."""
+    inv = invariants(g_table) + invariants(h_table)
+    return [[x == y for y in inv] for x in inv]
+
+
+def test_class_invariants_match_reference(small_groups, tg_11_5_a,
+                                          tg_11_5_b):
+    # the sorted profile rows must tell classes apart exactly as the
+    # per-class Counter does, across the two sides of a search
+    rng = random.Random(20261018)
+    pairs = [(g, h) for g in small_groups for h in small_groups]
+    pairs += [(g, _relabelled(g, rng)) for g in small_groups]
+    pairs.append((tg_11_5_a.group, tg_11_5_b.group))
+    split = 0
+    for factors in [(1,), (2,), (6,)]:
+        fiber = AbelianFiber(factors)
+        for g, h in pairs:
+            g_table = conjugacy_classes_of_subgroups(g)
+            h_table = conjugacy_classes_of_subgroups(h)
+            got = _invariant_relation(
+                g_table, h_table, lambda t: _class_invariants(t, fiber))
+            expect = _invariant_relation(
+                g_table, h_table,
+                lambda t: [reference_class_invariant(t, i, fiber)
+                           for i in range(len(t.reps))])
+            assert got == expect, (g, h, factors)
+            split += any(not all(row) for row in expect)
+    assert split
 
 
 def _search_matches_reference(g, h, fiber):
