@@ -16,7 +16,8 @@ import numpy as np
 from .abelian_fiber import AbelianFiber, Character, char_index, hom_set
 from .errors import ComponentMismatch, NotAGroup
 from .group_core import (FiniteGroup, Subgroup, SubgroupClassTable,
-                         _fixed_by, _starts, conjugacy_classes_of_subgroups,
+                         _fixed_by, _sorted_unique, _starts,
+                         conjugacy_classes_of_subgroups,
                          double_cosets, left_coset_reps, normalizer)
 
 
@@ -94,7 +95,7 @@ def gamma_rows(k_subs: Sequence[Subgroup], l_subs: Sequence[Subgroup],
             (l_vals_start[lu] + psi * orders[lu])[:, None]
             + l_pos[lu[:, None], x]])
         # the blocks of the L that K fixes a coset of, side by side
-        present = np.unique(ls)
+        present = _sorted_unique(ls)
         col = np.zeros(len(l_subs), dtype=np.int64)
         col[present] = _starts(n_homs[present])
         width = int(n_homs[present].sum())
@@ -322,7 +323,8 @@ class MonomialBasis:
         if bad.size:
             raise NotAGroup(f"double cosets of classes {bad[0, 0]} and "
                             f"{bad[0, 1]} do not partition the group")
-        # sorted members of each M, coset by coset, from one sort
+        # sorted members of each M, coset by coset, from one sort; the key
+        # is int64 because seg is, whatever the dtype of the table
         m_members = (np.sort(seg[in_k] * n + conj_l[in_k]) % n).tolist()
         cm = np.empty(s.size, dtype=np.int64)
         transporters = np.empty(s.size, dtype=np.int64)

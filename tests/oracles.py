@@ -33,6 +33,7 @@ elimination over Python ints."""
 
 import functools
 import itertools
+import random
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
@@ -196,6 +197,27 @@ def integer_matrix_determinant(rows: Sequence[Sequence[int]]) -> int:
                 m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
         prev = m[k][k]
     return sign * m[n - 1][n - 1]
+
+
+def a6_cayley_json() -> dict:
+    """Cayley JSON of A6 = <(0 1 2), (1 2 3 4 5)> with its elements
+    relabelled by a seeded permutation that keeps the identity at 0."""
+    gens = [(1, 2, 0, 3, 4, 5), (0, 2, 3, 4, 5, 1)]
+    elems = [tuple(range(6))]
+    index = {elems[0]: 0}
+    for p in elems:   # grows while iterated: a breadth-first closure
+        for s in gens:
+            q = tuple(p[s[k]] for k in range(6))
+            if q not in index:
+                index[q] = len(elems)
+                elems.append(q)
+    n = len(elems)
+    label = [0] + random.Random(6).sample(range(1, n), n - 1)
+    mul = [[0] * n for _ in range(n)]
+    for i, p in enumerate(elems):
+        for j, q in enumerate(elems):
+            mul[label[i]][label[j]] = label[index[tuple(p[k] for k in q)]]
+    return {"order": n, "mul": mul}
 
 
 def reference_generating_sequence(group: FiniteGroup) -> list[int]:
@@ -916,6 +938,53 @@ def reference_check_associativity(table: np.ndarray) -> None:
         if not np.array_equal(lhs, rhs):
             b, c = (int(v[0]) for v in np.nonzero(lhs != rhs))
             raise NotAGroup("associativity fails", witness=(a, b, c))
+
+
+def reference_check_latin_square(table: np.ndarray) -> None:
+    """Rows and columns sorted and compared with 0..n-1."""
+    n = table.shape[0]
+    ref = np.arange(n)
+    rows = np.sort(table, axis=1)
+    cols = np.sort(table, axis=0)
+    if not np.array_equal(rows, np.tile(ref, (n, 1))):
+        bad = int(np.nonzero((rows != ref).any(axis=1))[0][0])
+        raise NotAGroup(f"row {bad} is not a permutation", witness=(bad,))
+    if not np.array_equal(cols, np.tile(ref.reshape(n, 1), (1, n))):
+        bad = int(np.nonzero((cols != ref.reshape(n, 1)).any(axis=0))[0][0])
+        raise NotAGroup(f"column {bad} is not a permutation", witness=(bad,))
+
+
+def reference_light_associativity(table: np.ndarray) -> None:
+    """Exact associativity check by Light's test on a generating set.
+
+    The elements b with (a*b)*c = a*(b*c) for all a, c contain the identity
+    and are closed under products, so the table is associative once every
+    element of a generating set passes. The generators are picked greedily:
+    each is the least element not yet reached by right multiplication. The
+    reached set is then a subgroup that the next generator at least
+    doubles, so at most log2(n) elements are tested, each with two n x n
+    gathers. Needs the Latin-square property and identity 0.
+    """
+    n = table.shape[0]
+    seen = np.zeros(n, dtype=bool)
+    seen[0] = True
+    gens: list[int] = []
+    while not seen.all():
+        g = int(np.argmin(seen))
+        lhs = table[table[:, g]]     # [a, c] -> (a*g)*c
+        rhs = table[:, table[g]]     # [a, c] -> a*(g*c)
+        if not np.array_equal(lhs, rhs):
+            a, c = (int(v[0]) for v in np.nonzero(lhs != rhs))
+            raise NotAGroup("associativity fails", witness=(a, g, c))
+        gens.append(g)
+        cols = np.array(gens)
+        frontier = np.flatnonzero(seen)
+        while frontier.size:
+            fresh = np.zeros(n, dtype=bool)
+            fresh[table[frontier[:, None], cols]] = True
+            fresh &= ~seen
+            seen |= fresh
+            frontier = np.flatnonzero(fresh)
 
 
 def reference_inverses(group: FiniteGroup) -> np.ndarray:

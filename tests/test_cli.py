@@ -13,9 +13,10 @@ import pytest
 from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from oracles import a6_cayley_json
 
 import fibered_burnside
-from fibered_burnside import cli
+from fibered_burnside import cli, group_core
 from fibered_burnside.abelian_fiber import CharIndex
 from fibered_burnside.group_core import (conjugacy_classes_of_subgroups,
                                          cyclic_group, symmetric_group)
@@ -556,19 +557,23 @@ sys.exit(code)
 """
 
 
+def _child_env() -> dict:
+    """The environment of a child interpreter that imports this package."""
+    src = str(Path(fibered_burnside.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def _run_reporting_peak(tmp_path, *argv):
     """Run the CLI in a child that reports its own VmHWM; returns the exit
     code, the sha256 of stdout, hashed as it streams, and the peak in MB.
     stderr goes to a regular file, as in bench/run.py."""
-    src = str(Path(fibered_burnside.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     digest = hashlib.sha256()
     err_path = tmp_path / "stderr.txt"
     with open(err_path, "w", encoding="utf-8") as err:
         proc = subprocess.Popen(
             [sys.executable, "-c", REPORT_OWN_PEAK_RSS, *argv],
-            stdout=subprocess.PIPE, stderr=err, env=env)
+            stdout=subprocess.PIPE, stderr=err, env=_child_env())
         for chunk in iter(lambda: proc.stdout.read(1 << 16), b""):
             digest.update(chunk)
         proc.stdout.close()
@@ -604,6 +609,80 @@ def test_verify_e16_auto_runs_in_bounded_memory(tmp_path):
     assert digest == \
         "6b5500b85c79c7a5dfc6e1a70c53cc850a5c7371a62863449c9107bc6774eb09"
     assert peak_mb < 125
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="reads VmHWM from /proc/self/status")
+def test_reproduce_runs_in_bounded_memory(tmp_path):
+    # the two order-605 groups are validated in int16 tables, with no
+    # n x n int64 temporaries, and numpy.ma stays unloaded: 49 MB with
+    # int64 tables and numpy.ma, 40 MB now
+    code, digest, peak_mb = _run_reporting_peak(tmp_path, "reproduce")
+    assert code == 0
+    assert digest == \
+        "88905237c1fcc6fe424928435a6a8c2a2615374386dbe0cea6339a14e923c646"
+    assert peak_mb < 44
+
+
+def _a6_file(tmp_path) -> Path:
+    path = tmp_path / "a6.json"
+    path.write_text(json.dumps(a6_cayley_json()))
+    return path
+
+
+# The four commands of the benchmark, with A6 written to "{a6}"
+BENCH_COMMANDS = [
+    ("reproduce",),
+    ("verify", "abelian:2,2,2,2", "abelian:2,2,2,2", "--fiber", "2",
+     "--auto"),
+    ("gamma", "abelian:2,2,2,2", "--fiber", "2,2"),
+    ("marks", "cayley:{a6}"),
+]
+
+# Runs the CLI, then reports on stderr whether numpy.ma was imported
+REPORT_NUMPY_MA = """
+import sys
+from fibered_burnside import cli
+code = cli.main(sys.argv[1:])
+sys.stderr.write(f"numpy.ma loaded: {'numpy.ma' in sys.modules}\\n")
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize("argv", BENCH_COMMANDS,
+                         ids=["reproduce-605", "search-e16", "gamma-e16",
+                              "lattice-a6"])
+def test_bench_commands_leave_numpy_ma_unloaded(tmp_path, argv):
+    # np.unique and np.union1d import numpy.ma on first use, which costs
+    # about 15 ms and 1.3 MB a process
+    a6 = _a6_file(tmp_path)
+    proc = subprocess.run(
+        [sys.executable, "-c", REPORT_NUMPY_MA,
+         *(a.format(a6=a6) for a in argv)],
+        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+        env=_child_env())
+    assert proc.returncode == 0
+    assert proc.stderr.splitlines()[-1] == "numpy.ma loaded: False"
+
+
+@pytest.mark.parametrize("argv", [
+    ("gamma", "symmetric:4", "--fiber", "6"),
+    ("verify", "thevenaz:7,3,2,4", "thevenaz:7,3,2,4", "--fiber", "3",
+     "--thevenaz-witness"),
+    ("verify", "dihedral:91", "dihedral:91", "--fiber", "2", "--auto"),
+    ("marks", "cayley:{a6}"),
+    ("reproduce",),
+], ids=["order-24", "order-147", "order-182", "a6-cayley", "reproduce-605"])
+def test_int64_tables_give_identical_reports(capsys, tmp_path, monkeypatch,
+                                             argv):
+    # every table in int64 instead of int16, on orders on both sides of
+    # 182, where a key x * n + y of int16 entries would first overflow
+    argv = [a.format(a6=_a6_file(tmp_path)) for a in argv]
+    compact = run(capsys, *argv)[:2]
+    assert cli.parse_group_spec("cyclic:3").mul.dtype == np.int16
+    monkeypatch.setattr(group_core, "_index_dtype", lambda n: np.int64)
+    assert cli.parse_group_spec("cyclic:3").mul.dtype == np.int64
+    assert run(capsys, *argv)[:2] == compact
 
 
 # ---------------------------------------------------------------------------

@@ -28,15 +28,18 @@ import numpy as np
 import pytest
 from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
-from oracles import (brute_force_subgroups, join_closure_subgroups,
+from hypothesis.extra import numpy as hnp
+from oracles import (a6_cayley_json, brute_force_subgroups,
+                     join_closure_subgroups,
                      reference_abelianization, reference_are_isomorphic,
                      reference_check_associativity, reference_class_maps,
                      reference_closure, reference_commutator_subgroup,
                      reference_conj, reference_double_coset_reps,
                      reference_element_class_sizes,
                      reference_element_orders,
+                     reference_check_latin_square,
                      reference_generating_sequence, reference_inverses,
-                     reference_span)
+                     reference_light_associativity, reference_span)
 
 from fibered_burnside.errors import NotAGroup, NotAnAction, NotAnAutomorphism
 from fibered_burnside.thevenaz import canonical_class_table
@@ -44,8 +47,9 @@ from fibered_burnside.group_core import (FiniteGroup, Subgroup,
                                          _candidate_pools,
                                          _check_associativity,
                                          _cyclic_class_lengths,
-                                         _generating_sequence,
-                                         _perfect_seeds, abelian_group,
+                                         _generating_sequence, _index_dtype,
+                                         _perfect_seeds, _sorted_unique,
+                                         _square_table, abelian_group,
                                          abelian_invariant_decomposition,
                                          abelianization,
                                          are_isomorphic, closure,
@@ -123,21 +127,124 @@ def assoc_failure(check, table):
 
 
 def test_light_associativity_agrees_with_full_check():
+    # Light's test on the compact table: the verdict of the all-triples
+    # check, and the message and witness of Light's test on int64
     rng = random.Random(20261018)
     failing = 0
     for n in range(1, 10):
         for _ in range(150):
             table = random_loop(rng, n)
-            new = assoc_failure(_check_associativity, table)
+            new = assoc_failure(_check_associativity, _square_table(table))
             ref = assoc_failure(reference_check_associativity, table)
+            light = assoc_failure(reference_light_associativity, table)
             assert (new is None) == (ref is None)
             if new is not None:
                 failing += 1
-                assert str(new) == "associativity fails"
+                assert (str(new), new.witness) == (str(light), light.witness)
                 a, g, c = new.witness
                 assert table[table[a, g], c] != table[a, table[g, c]]
     # every loop of order at most 4 is a group; most larger ones are not
     assert 600 < failing <= 750
+
+
+def _validation_failure(validate, table):
+    """(message, witness) of the NotAGroup that ``validate(table)`` raises,
+    or None."""
+    try:
+        validate(table)
+    except NotAGroup as exc:
+        return str(exc), exc.witness
+    return None
+
+
+def _reference_validation(table: np.ndarray) -> None:
+    """The sort-based Latin-square check, the identity check and Light's
+    test on int64, in this order."""
+    reference_check_latin_square(table)
+    ref = np.arange(table.shape[0])
+    if not (np.array_equal(table[0], ref) and np.array_equal(table[:, 0], ref)):
+        raise NotAGroup("element 0 is not a two-sided identity")
+    reference_light_associativity(table)
+
+
+def _corrupt(rng: random.Random, table: np.ndarray) -> str:
+    """Overwrite one entry, swap two entries of one row or of one column,
+    exchange two rows, or switch a 2 x 2 subsquare [[u, v], [v, u]] away
+    from row and column 0; the last two keep the Latin property. Returns
+    which."""
+    n = table.shape[0]
+    i, j, i2, j2 = (rng.randrange(n) for _ in range(4))
+    kind = rng.choice(("overwrite", "row swap", "column swap",
+                       "row exchange", "subsquare"))
+    if kind == "overwrite":
+        table[i, j] = rng.randrange(n)
+    elif kind == "row swap":
+        table[i, [j, j2]] = table[i, [j2, j]]
+    elif kind == "column swap":
+        table[[i, i2], j] = table[[i2, i], j]
+    elif kind == "row exchange":
+        table[[i, i2]] = table[[i2, i]]
+    else:
+        j2 = int(np.argmax(table[i2] == table[i, j]))
+        if min(i, j, i2, j2) and table[i, j2] == table[i2, j]:
+            table[[i, i2], [j, j2]], table[[i, i2], [j2, j]] = \
+                table[[i, i2], [j2, j]], table[[i, i2], [j, j2]]
+    return kind
+
+
+def test_corrupted_tables_fail_as_the_oracles_do(small_groups, tg_7_3):
+    # FiniteGroup on the compact table, which checks the columns only once
+    # the identity or Light's test fails, against the checks it replaced,
+    # on orders on both sides of 182, where x * n + y first overflows int16
+    rng = random.Random(20261019)
+    seen = set()
+    for g in [*small_groups, tg_7_3.group, dihedral_group(91),
+              _a6_from_cayley_json()]:
+        for _ in range(40):
+            table = g.mul.astype(np.int64)
+            kind = _corrupt(rng, table)
+            new = _validation_failure(FiniteGroup, table)
+            ref = _validation_failure(_reference_validation, table)
+            assert new == ref, (g, kind)
+            seen.add(None if new is None else new[0].split()[0])
+    assert seen == {None, "row", "column", "element", "associativity"}
+
+
+@seed(20261019)
+@settings(max_examples=200, deadline=None)
+@given(hnp.arrays(st.sampled_from([np.int16, np.int32, np.int64]),
+                  hnp.array_shapes(min_dims=1, max_dims=2, min_side=0,
+                                   max_side=30),
+                  elements=st.integers(-40, 40)))
+def test_sorted_unique_matches_np_unique(values):
+    got, want = _sorted_unique(values), np.unique(values)
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
+
+
+def test_index_dtype_boundaries():
+    # the largest order whose elements fit int16, and the next; no table
+    # is built
+    assert _index_dtype(1) is np.int16
+    assert _index_dtype(32767) is np.int16
+    assert _index_dtype(32768) is np.int32
+
+
+def test_constructors_build_compact_tables():
+    # each constructor's table in int16, equal to the int64 formula: the
+    # index of a tuple of residues is mixed-radix, first factor highest
+    for n in (1, 2, 7, 182):
+        idx = np.arange(n)
+        assert np.array_equal(cyclic_group(n).mul,
+                              (idx[:, None] + idx) % n)
+    factors = (2, 3, 4)
+    coords = np.array(list(itertools.product(*map(range, factors))))
+    sums = (coords[:, None] + coords[None]) % factors
+    expect = (sums * (12, 4, 1)).sum(axis=2)
+    assert np.array_equal(abelian_group(factors).mul, expect)
+    for g in (cyclic_group(5), abelian_group(factors), dihedral_group(91),
+              symmetric_group(4), group_from_cayley(symmetric_group(3).mul)):
+        assert g.mul.dtype == g.inv.dtype == g.conj.dtype == np.int16
 
 
 def test_inverses_and_conjugation_match_loops(small_groups, tg_11_5_a,
@@ -340,24 +447,8 @@ def test_order_147_join_closure_oracle(tg_7_3):
 
 
 def _a6_from_cayley_json():
-    """A6 = <(0 1 2), (1 2 3 4 5)> with its elements relabelled by a seeded
-    permutation that keeps the identity at 0, read back from Cayley JSON."""
-    gens = [(1, 2, 0, 3, 4, 5), (0, 2, 3, 4, 5, 1)]
-    elems = [tuple(range(6))]
-    index = {elems[0]: 0}
-    for p in elems:   # grows while iterated: a breadth-first closure
-        for s in gens:
-            q = tuple(p[s[k]] for k in range(6))
-            if q not in index:
-                index[q] = len(elems)
-                elems.append(q)
-    n = len(elems)
-    label = [0] + random.Random(6).sample(range(1, n), n - 1)
-    mul = [[0] * n for _ in range(n)]
-    for i, p in enumerate(elems):
-        for j, q in enumerate(elems):
-            mul[label[i]][label[j]] = label[index[tuple(p[k] for k in q)]]
-    return group_from_json(json.loads(json.dumps({"order": n, "mul": mul})))
+    """A6 read back from its relabelled Cayley JSON (``a6_cayley_json``)."""
+    return group_from_json(json.loads(json.dumps(a6_cayley_json())))
 
 
 def test_closure_matches_reference(small_groups, tg_7_3, tg_11_5_a):
