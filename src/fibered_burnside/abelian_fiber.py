@@ -34,7 +34,6 @@ class AbelianFiber:
         self.order = prod(factors)
         self.elements: list[tuple[int, ...]] = list(
             itertools.product(*(range(d) for d in factors)))
-        self.index = {e: i for i, e in enumerate(self.elements)}
         self.coords = np.array(self.elements, dtype=np.int64).reshape(
             self.order, len(factors))
         mods = np.array(factors, dtype=np.int64)

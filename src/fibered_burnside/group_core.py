@@ -222,7 +222,7 @@ def group_from_json(data: dict, name: Optional[str] = None) -> FiniteGroup:
         raise NotAGroup("JSON group needs an object with an integer "
                         "'order' and a list 'mul'")
     table = data["mul"]
-    if not all(isinstance(row, list) and all(type(v) is int for v in row)
+    if not all(isinstance(row, list) and set(map(type, row)) <= {int}
                for row in table):
         raise NotAGroup("'mul' must be a list of rows of integers")
     if len(table) != data["order"]:

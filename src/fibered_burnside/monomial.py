@@ -9,11 +9,12 @@ exact integers: Python ints, or numpy arrays whose dtype holds every entry.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .abelian_fiber import AbelianFiber, Character, char_index, hom_set
+from .abelian_fiber import AbelianFiber, Character, CharIndex, char_index
 from .errors import ComponentMismatch, NotAGroup
 from .group_core import (FiniteGroup, Subgroup, SubgroupClassTable,
                          _fixed_by, _sorted_unique, _starts,
@@ -40,6 +41,45 @@ class MonomialPair:
         return (self.subgroup.members, self.char.values)
 
 
+class _HomLayout:
+    """Hom(S, A) for every S in a list of subgroups of one group, ravelled
+    into one array: the |S| values of the r-th character of the c-th S
+    start at ``start[c] + r * orders[c]``, and ``pos[c]`` is each group
+    element's position in that S, or -1 outside it."""
+
+    def __init__(self, subs: Sequence[Subgroup], fiber: AbelianFiber):
+        self.group = subs[0].group
+        self.chars = [char_index(sub, fiber) for sub in subs]
+        self.n_homs = np.asarray([len(c.values) for c in self.chars],
+                                 dtype=np.int64)
+        self.orders = np.asarray([sub.order for sub in subs], dtype=np.int64)
+        self.vals = np.concatenate([c.values.ravel() for c in self.chars])
+        self.start = _starts(self.n_homs * self.orders)
+        self.pos = np.stack([c.pos for c in self.chars])
+
+    def restrict(self, c, r, t, target: CharIndex) -> np.ndarray:
+        """The restriction map: the index in ``target``, the ``CharIndex``
+        of a subgroup T with tTt^-1 in the c-th S, of x -> chi(t x t^-1)
+        on T, for chi the r-th character of that S. One gather of chi at
+        the points t x t^-1, x among the generators of T; the arrays c, r
+        and t broadcast, and the result has their shape."""
+        c, r, t = (np.asarray(v)[..., None] for v in (c, r, t))
+        x = self.group.conj[t, target.gens]
+        return target.index(
+            self.vals[self.start[c] + r * self.orders[c] + self.pos[c, x]])
+
+
+def _hom_layout(subs: Sequence[Subgroup], fiber: AbelianFiber) -> _HomLayout:
+    """The ``_HomLayout`` of ``subs``, built once per list of member sets
+    and fiber and kept in the group's cache, so that a basis and its gamma
+    kernel share one."""
+    key = ("homs", tuple(sub.members for sub in subs), fiber.factors)
+    cache = subs[0].group._cache
+    if key not in cache:
+        cache[key] = _HomLayout(subs, fiber)
+    return cache[key]
+
+
 def gamma_rows(k_subs: Sequence[Subgroup], l_subs: Sequence[Subgroup],
                fiber: AbelianFiber
                ) -> Callable[[int], dict[int, np.ndarray]]:
@@ -48,7 +88,8 @@ def gamma_rows(k_subs: Sequence[Subgroup], l_subs: Sequence[Subgroup],
     every L of which K fixes a coset. The other blocks are zero.
 
     The fixed cosets of every pair come first, from one gather per L
-    (``_fixed_by``). Then each K costs one ``CharIndex.index`` over all its
+    (``_fixed_by``); when there are none, no character is looked at. Then
+    each K costs one restriction (``_HomLayout.restrict``) over all its
     rows (L, s, psi): s a fixed coset rep of L and psi in Hom(L, A). The
     blocks of one K are views of one count array that holds only them.
     All subgroups must live over the same group.
@@ -65,46 +106,37 @@ def gamma_rows(k_subs: Sequence[Subgroup], l_subs: Sequence[Subgroup],
         fixed_l.append(np.full(a.size, b, dtype=np.int64))
         fixed_s.append(left_coset_reps(group, l_sub)[c])
     fixed_k = np.concatenate(fixed_k)
+    if not fixed_k.size:
+        return lambda a: {}
     by_k = np.argsort(fixed_k, kind="stable")
     row = _starts(np.bincount(fixed_k, minlength=len(k_subs) + 1))
     fixed_l = np.concatenate(fixed_l)[by_k]
     fixed_sinv = group.inv[np.concatenate(fixed_s)[by_k]]
-    # the characters of every L: values ravelled one L after another, and
-    # each element's position in its L
-    chars_l = [char_index(l_sub, fiber) for l_sub in l_subs]
-    n_homs = np.asarray([len(c.values) for c in chars_l], dtype=np.int64)
-    orders = np.asarray([l_sub.order for l_sub in l_subs], dtype=np.int64)
-    l_vals = np.concatenate([c.values.ravel() for c in chars_l])
-    l_vals_start = _starts(n_homs * orders)
-    l_pos = np.stack([c.pos for c in chars_l])
+    homs = _hom_layout(l_subs, fiber)
 
     def blocks_of(a: int) -> dict[int, np.ndarray]:
-        chars_k = char_index(k_subs[a], fiber)
         e = slice(row[a], row[a + 1])
         ls, sinv = fixed_l[e], fixed_sinv[e]
         if not ls.size:
             return {}
-        # one row per (coset, psi): (^s psi)(k) = psi(s^-1 k s) on the
-        # generators of K, which determine a character of K
-        nl = n_homs[ls]
+        # one row per (coset, psi): (^s psi)(k) = psi(s^-1 k s) on K
+        nl = homs.n_homs[ls]
         u = np.repeat(np.arange(ls.size), nl)
         psi = np.arange(u.size) - np.repeat(_starts(nl), nl)
         lu = ls[u]
-        x = group.conj[sinv[:, None], chars_k.gens][u]
-        hit = chars_k.index(l_vals[
-            (l_vals_start[lu] + psi * orders[lu])[:, None]
-            + l_pos[lu[:, None], x]])
+        chars_k = char_index(k_subs[a], fiber)
+        hit = homs.restrict(lu, psi, sinv[u], chars_k)
         # the blocks of the L that K fixes a coset of, side by side
         present = _sorted_unique(ls)
         col = np.zeros(len(l_subs), dtype=np.int64)
-        col[present] = _starts(n_homs[present])
-        width = int(n_homs[present].sum())
+        col[present] = _starts(homs.n_homs[present])
+        width = int(homs.n_homs[present].sum())
         counts = np.bincount(hit * width + col[lu] + psi,
                              minlength=len(chars_k.values) * width
                              ).reshape(-1, width)
         return {b: counts[:, c0:c0 + nb] for b, c0, nb in zip(
             present.tolist(), col[present].tolist(),
-            n_homs[present].tolist())}
+            homs.n_homs[present].tolist())}
     return blocks_of
 
 
@@ -129,29 +161,22 @@ def gamma_block(k_sub: Subgroup, l_sub: Subgroup,
 @dataclass
 class _MackeyGeometry:
     """The double cosets of every class pair ci <= cj of a basis, in
-    row-major pair order, and the per-basis arrays the terms read.
+    row-major pair order.
 
     Coset t of row ci (``row[ci] <= t < row[ci + 1]``) is the d[t]-th of
-    the pair (ci, cj[t]); s_inv[t] is the inverse of its rep s, cm[t] the
-    class of M = K n sLs^-1, and g_inv[t] the inverse of a transporter of
-    M to that class's rep. Per class c: ``n_reps[c]`` orbit reps, whose
-    character values lie in ``vals`` from ``vals_start[c]`` on, one row
-    of ``orders[c]`` per rep, and ``pos[c]``, each element's position in
-    the class rep or -1."""
+    the pair (ci, cj[t]), with rep s; cm[t] is the class of M = K n sLs^-1,
+    g_inv[t] the inverse of a transporter g of M to that class's rep, and
+    gs_inv[t] the inverse of the product g s."""
 
     row: np.ndarray
     cj: np.ndarray
     d: np.ndarray
-    s_inv: np.ndarray
     g_inv: np.ndarray
+    gs_inv: np.ndarray
     cm: np.ndarray
     n_cosets: np.ndarray       # (k, k), upper triangle
     col_start: np.ndarray      # (k, k): where block (ci, cj) starts in row ci
-    n_reps: np.ndarray
-    orders: np.ndarray
-    vals: np.ndarray
-    vals_start: np.ndarray
-    pos: np.ndarray
+    n_reps: np.ndarray         # per class: its number of orbit reps
 
 
 class MonomialBasis:
@@ -168,33 +193,28 @@ class MonomialBasis:
         self.stabilizers: list[Subgroup] = []
         self.rep_class: list[int] = []          # basis index -> class index
         self.rep_hom_index: list[int] = []      # basis index -> index in hom_set
-        self.class_homs: list[list[Character]] = []
         self.class_block: list[tuple[int, int]] = []
         # per class: hom index -> basis index of its orbit representative
         self._char_to_basis: list[np.ndarray] = []
         self._block_cache: dict = {}
-        self._row_terms: dict[int, np.ndarray] = {}
-        self._geometry: Optional[_MackeyGeometry] = None
         self._gamma_cache: dict[int, dict[int, np.ndarray]] = {}
-        self._gamma_rows: Optional[Callable] = None
-        self._ghost_ring: Optional[GhostRing] = None
-        conj, inv = group.conj, group.inv
+        # Hom(K, A) of every class rep K, which every restriction reads
+        self._homs = _hom_layout(class_table.reps, fiber)
         for ci, k_sub in enumerate(class_table.reps):
-            homs = hom_set(k_sub, fiber)
-            self.class_homs.append(homs)
-            chars = char_index(k_sub, fiber)
+            chars = self._homs.chars[ci]
             norm = np.asarray(normalizer(group, k_sub).members, dtype=np.int64)
             # perm[n, i] is the index of x -> chi_i(n^-1 x n); N is a group,
             # so column i runs over the whole orbit of chi_i
-            perm = chars.index(chars.values[
-                :, chars.pos[conj[np.ix_(inv[norm], chars.gens)]]]).T
+            perm = self._homs.restrict(ci, np.arange(len(chars.values)),
+                                       group.inv[norm][:, None], chars)
             root = perm.min(axis=0)
-            roots = sorted(set(root.tolist()), key=lambda r: homs[r].values)
+            vals = chars.values.tolist()
             start = len(self.reps)
-            basis_of_root = np.empty(len(homs), dtype=np.int64)
-            for r in roots:
+            basis_of_root = np.empty(len(vals), dtype=np.int64)
+            for r in sorted(set(root.tolist()), key=vals.__getitem__):
                 basis_of_root[r] = len(self.reps)
-                self.reps.append(MonomialPair(k_sub, homs[r]))
+                self.reps.append(MonomialPair(
+                    k_sub, Character(k_sub, fiber, vals[r], verify=False)))
                 self.stabilizers.append(Subgroup(
                     group, norm[perm[:, r] == r].tolist(), verify=False))
                 self.rep_class.append(ci)
@@ -225,20 +245,23 @@ class MonomialBasis:
         in one batch (``gamma_rows``)."""
         row = self._gamma_cache.get(ci)
         if row is None:
-            row = self._gamma_cache[ci] = self._gamma_kernel()(ci)
+            row = self._gamma_cache[ci] = self._gamma_kernel(ci)
         block = row.get(cj)
         if block is None:
-            block = row[cj] = np.zeros((len(self.class_homs[ci]),
-                                        len(self.class_homs[cj])),
+            block = row[cj] = np.zeros((self._homs.n_homs[ci],
+                                        self._homs.n_homs[cj]),
                                        dtype=np.int64)
         return block
 
+    @cached_property
     def _gamma_kernel(self) -> Callable[[int], dict[int, np.ndarray]]:
         """``gamma_rows`` over the class reps, prepared once per basis."""
-        if self._gamma_rows is None:
-            reps = self.class_table.reps
-            self._gamma_rows = gamma_rows(reps, reps, self.fiber)
-        return self._gamma_rows
+        reps = self.class_table.reps
+        return gamma_rows(reps, reps, self.fiber)
+
+    @cached_property
+    def _ghost_ring(self) -> "GhostRing":
+        return GhostRing(self)
 
     def product(self, i: int, j: int) -> list[tuple[int, int]]:
         """Structure constants of reps[i] * reps[j] as (index, coeff) pairs."""
@@ -270,33 +293,24 @@ class MonomialBasis:
         basis index. Any representative of a double coset gives a term in
         that orbit, so the sorted lists agree.
         """
-        block = self._block_cache.get((ci, cj))
-        if block is None:
+        if (ci, cj) not in self._block_cache:
             if ci > cj:
-                block = self.product_block(cj, ci).transpose(1, 0, 2)
+                self._block_cache[ci, cj] = self.product_block(
+                    cj, ci).transpose(1, 0, 2)
             else:
-                terms = self._row_terms.get(ci)
-                if terms is None:
-                    terms = self._row_terms[ci] = self._mackey_terms(ci)
-                geo = self._mackey_geometry()
-                c0 = int(geo.col_start[ci, cj])
-                nr, nc = int(geo.n_reps[cj]), int(geo.n_cosets[ci, cj])
-                block = terms[:, c0:c0 + nr * nc].reshape(-1, nr, nc)
-            self._block_cache[ci, cj] = block
-        return block
+                self._mackey_terms(ci)
+        return self._block_cache[ci, cj]
 
-    def _mackey_geometry(self) -> _MackeyGeometry:
+    @cached_property
+    def _geometry(self) -> _MackeyGeometry:
         """The double cosets KsL of every class pair ci <= cj, with K =
         reps[ci] and L = reps[cj], and for each the class of M = K n sLs^-1
         and a transporter of M to its class rep, from one pass over all
         pairs. Arrays over the double cosets are ragged: coset t carries
         the |L| members of its L, with no padding."""
-        if self._geometry is not None:
-            return self._geometry
-        group, table, fiber = self.group, self.class_table, self.fiber
-        reps = table.reps
+        group, table, homs = self.group, self.class_table, self._homs
+        reps, orders = table.reps, homs.orders
         k, n = len(reps), group.order
-        orders = np.asarray([r.order for r in reps], dtype=np.int64)
         pair, s = double_cosets(group, reps, reps)
         ci, cj = np.divmod(pair, k)
         upper = ci <= cj
@@ -312,8 +326,7 @@ class MonomialBasis:
                                   for r in reps])
         conj_l = group.conj[s[seg], members[_starts(orders)[cj][seg] + at_l]]
         # the members of M = K n ^sL
-        pos = np.stack([char_index(r, fiber).pos for r in reps])
-        in_k = pos[ci[seg], conj_l] >= 0
+        in_k = homs.pos[ci[seg], conj_l] >= 0
         sizes = np.bincount(seg[in_k], minlength=s.size)
         # |KsL| = |K| |L| / |M|, and the double cosets of each pair
         # partition G; the sums are exact in float64 far beyond any |G|
@@ -333,75 +346,69 @@ class MonomialBasis:
             cm[t], transporters[t] = table.locate(
                 tuple(m_members[start:end]))
             start = end
-        # the orbit representatives of each class: their characters'
-        # values, ravelled one class after another
+        # row ci lays its blocks (ci, cj), cj >= ci, side by side
         n_reps = np.asarray([i1 - i0 for i0, i1 in self.class_block],
                             dtype=np.int64)
-        vals = np.concatenate([
-            char_index(r, fiber).values[
-                self.rep_hom_index[i0:i1]].ravel()
-            for r, (i0, i1) in zip(reps, self.class_block)])
-        # row ci lays its blocks (ci, cj), cj >= ci, side by side
         n_cosets = n_cosets.reshape(k, k)
         widths = np.triu(n_reps[None, :] * n_cosets)
-        self._geometry = _MackeyGeometry(
+        return _MackeyGeometry(
             row=_starts(np.bincount(ci, minlength=k + 1)), cj=cj, d=d,
-            s_inv=group.inv[s], g_inv=group.inv[transporters], cm=cm,
+            g_inv=group.inv[transporters],
+            gs_inv=group.inv[group.mul[transporters, s]], cm=cm,
             n_cosets=n_cosets, col_start=np.cumsum(widths, axis=1) - widths,
-            n_reps=n_reps, orders=orders, vals=vals,
-            vals_start=_starts(n_reps * orders), pos=pos)
-        return self._geometry
+            n_reps=n_reps)
 
     def _mackey_terms(self, ci: int) -> np.ndarray:
-        """The terms of every block (ci, cj) with cj >= ci, side by side:
-        block (ci, cj) is the columns from ``col_start[ci, cj]`` on, as an
-        (orbit reps of ci, orbit reps of cj, double cosets) array.
+        """The terms of every block (ci, cj) with cj >= ci, side by side,
+        each block also kept in ``_block_cache`` as a view: block (ci, cj)
+        is the columns from ``col_start[ci, cj]`` on, as an (orbit reps of
+        ci, orbit reps of cj, double cosets) array.
 
         By restriction: for the coset KsL with M = K n sLs^-1 carried to
         its class rep, each orbit rep phi of K restricts to a character rho
         of M and each orbit rep psi of L to sigma = psi^s on M, one
-        ``CharIndex.index`` per (coset, rep); the term of (phi, psi) is the
-        orbit of rho * sigma, one lookup in ``CharIndex.table``."""
-        group, table = self.group, self.class_table
-        geo = self._mackey_geometry()
+        ``_HomLayout.restrict`` per class of M; the term of (phi, psi) is
+        the orbit of rho * sigma, one lookup in ``CharIndex.table``."""
+        homs, geo = self._homs, self._geometry
         t0, t1 = int(geo.row[ci]), int(geo.row[ci + 1])
-        na, k_order = int(geo.n_reps[ci]), int(geo.orders[ci])
-        v0 = int(geo.vals_start[ci])
-        k_vals = geo.vals[v0:v0 + na * k_order].reshape(na, k_order)
-        k_pos = geo.pos[ci]
+        i0, i1 = self.class_block[ci]
+        hom = np.asarray(self.rep_hom_index, dtype=np.int64)
+        n_reps, rep0 = geo.n_reps, _starts(geo.n_reps)
         n_cosets, col_start = geo.n_cosets[ci], geo.col_start[ci]
-        terms = np.empty((na, int(n_cosets[ci:] @ geo.n_reps[ci:])),
+        terms = np.empty((i1 - i0, int(n_cosets[ci:] @ n_reps[ci:])),
                          dtype=np.int64)
         # the cosets of the row, grouped by the class of M
         cm = geo.cm[t0:t1]
         by_cm = np.argsort(cm, kind="stable")
         classes, first = np.unique(cm[by_cm], return_index=True)
         for c, at in zip(classes.tolist(), np.split(t0 + by_cm, first[1:])):
-            m_chars = char_index(table.reps[c], self.fiber)
-            # generators of each M, carried over from those of its class rep
-            gens = group.conj[geo.g_inv[at, None], m_chars.gens]
-            rho = m_chars.index(k_vals[:, k_pos[gens]])
+            m_chars = homs.chars[c]
+            # M is g^-1 M' g for its class rep M', so phi(g^-1 x g) on M'
+            rho = homs.restrict(ci, hom[i0:i1, None], geo.g_inv[at], m_chars)
             # one entry per (coset, b): b runs over the orbit reps of the
-            # coset's class cj, and psi^s(m) = psi(s^-1 m s)
+            # coset's class cj, and psi^s(g^-1 x g) = psi(s^-1 g^-1 x g s)
             lj = geo.cj[at]
-            nb = geo.n_reps[lj]
+            nb = n_reps[lj]
             u = np.repeat(np.arange(at.size), nb)
             b = np.arange(u.size) - np.repeat(_starts(nb), nb)
             lu = lj[u]
-            x = group.conj[geo.s_inv[at, None], gens][u]
-            sigma = m_chars.index(geo.vals[
-                (geo.vals_start[lu] + b * geo.orders[lu])[:, None]
-                + geo.pos[lu[:, None], x]])
+            sigma = homs.restrict(lu, hom[rep0[lu] + b], geo.gs_inv[at][u],
+                                  m_chars)
             cols = col_start[lu] + b * n_cosets[lu] + geo.d[at][u]
             terms[:, cols] = self._char_to_basis[c][
                 m_chars.table[rho[:, u], sigma]]
         # sort each block's last axis at once: the columns of one (cj, b)
         # get one key offset, above every basis index
-        nb = geo.n_reps[ci:]
+        nb = n_reps[ci:]
         group_id = np.repeat(np.arange(int(nb.sum())),
                              np.repeat(n_cosets[ci:], nb))
         offset = group_id * self.size
-        return np.sort(terms + offset, axis=1) - offset
+        terms = np.sort(terms + offset, axis=1) - offset
+        for cj, c0, nr, nc in zip(range(ci, len(n_reps)), *(
+                v[ci:].tolist() for v in (col_start, n_reps, n_cosets))):
+            self._block_cache[ci, cj] = terms[:, c0:c0 + nr * nc].reshape(
+                -1, nr, nc)
+        return terms
 
     def to_json(self) -> dict:
         return {
@@ -446,7 +453,7 @@ def gamma_table(basis: MonomialBasis) -> np.ndarray:
                  if np.iinfo(t).max >= basis.group.order)
     table = np.zeros((basis.size, basis.size), dtype=dtype)
     hom_index = np.asarray(basis.rep_hom_index, dtype=np.int64)
-    kernel = basis._gamma_kernel()
+    kernel = basis._gamma_kernel
     for ci, (i0, i1) in enumerate(basis.class_block):
         for cj, block in kernel(ci).items():
             j0, j1 = basis.class_block[cj]
@@ -523,18 +530,15 @@ class GhostRing:
 
     def __init__(self, basis: MonomialBasis):
         self.basis = basis
-        self.class_homs = basis.class_homs
-        chars = [char_index(k_sub, basis.fiber)
-                 for k_sub in basis.class_table.reps]
-        self.mul_tables = [c.table for c in chars]
+        self.mul_tables = [c.table for c in basis._homs.chars]
+        self.sizes = basis._homs.n_homs.tolist()   # |Hom(K, A)| per class
 
     def zero(self) -> "GhostElement":
-        return GhostElement(self, [[0] * len(h) for h in self.class_homs])
+        return GhostElement(self, [[0] * n for n in self.sizes])
 
     def identity(self) -> "GhostElement":
         # the trivial character of each class is its index 0
-        return GhostElement(self, [[1] + [0] * (len(h) - 1)
-                                   for h in self.class_homs])
+        return GhostElement(self, [[1] + [0] * (n - 1) for n in self.sizes])
 
 
 class GhostElement:
@@ -544,8 +548,7 @@ class GhostElement:
 
     def __init__(self, ring: GhostRing, comps: Sequence[Sequence[int]]):
         comps = [[int(c) for c in comp] for comp in comps]
-        if len(comps) != len(ring.class_homs) or any(
-                len(comp) != len(h) for comp, h in zip(comps, ring.class_homs)):
+        if [len(comp) for comp in comps] != ring.sizes:
             raise ComponentMismatch("component shapes do not match the ring")
         self.ring = ring
         self.comps = comps
@@ -603,8 +606,6 @@ def ghost_multiply(a: GhostElement, b: GhostElement) -> GhostElement:
 
 
 def ghost_ring(basis: MonomialBasis) -> GhostRing:
-    if basis._ghost_ring is None:
-        basis._ghost_ring = GhostRing(basis)
     return basis._ghost_ring
 
 

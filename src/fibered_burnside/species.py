@@ -198,16 +198,15 @@ def verify_species(witness: SpeciesWitness,
         raise NotABijection("subgroup map is not a bijection of classes")
     basis_g = monomial_basis(g_table.group, fiber, g_table)
     basis_h = monomial_basis(h_table.group, fiber, h_table)
-    homs_g, homs_h = basis_g.class_homs, basis_h.class_homs
     for ci in range(k):
         cj = witness.subgroup_map[ci]
         cmap = witness.char_maps[ci]
-        if (len(cmap) != len(homs_g[ci])
-                or sorted(cmap) != list(range(len(homs_h[cj])))):
+        chars_g = char_index(g_table.reps[ci], fiber)
+        chars_h = char_index(h_table.reps[cj], fiber)
+        if (len(cmap) != len(chars_g.values)
+                or sorted(cmap) != list(range(len(chars_h.values)))):
             raise NotABijection(f"character map of class {ci} is not a bijection")
-        if not _is_char_group_iso(
-                char_index(g_table.reps[ci], fiber).table,
-                char_index(h_table.reps[cj], fiber).table, cmap):
+        if not _is_char_group_iso(chars_g.table, chars_h.table, cmap):
             raise NotAGroupIso(
                 f"character map of class {ci} does not preserve products")
     marks_g, marks_h = g_table.marks, h_table.marks
@@ -353,7 +352,8 @@ def search_species(g_table: SubgroupClassTable,
         return None
     basis_g = monomial_basis(g_table.group, fiber, g_table)
     basis_h = monomial_basis(h_table.group, fiber, h_table)
-    homs_g, homs_h = basis_g.class_homs, basis_h.class_homs
+    homs_g = [hom_set(r, fiber) for r in g_table.reps]
+    homs_h = [hom_set(r, fiber) for r in h_table.reps]
     gamma_g, gamma_h = basis_g.gamma_block, basis_h.gamma_block
     candidates = [[j for j in range(k) if inv_h[j] == inv_g[i]]
                   for i in range(k)]

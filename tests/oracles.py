@@ -364,7 +364,7 @@ def reference_are_isomorphic(g: FiniteGroup,
 
 
 def hom_index(basis: MonomialBasis, ci: int, char: Character) -> int:
-    homs = basis.class_homs[ci]
+    homs = hom_set(basis.class_table.reps[ci], basis.fiber)
     for i, h in enumerate(homs):
         if h.values == char.values:
             return i
@@ -1045,7 +1045,8 @@ def reference_search_species(g_table: SubgroupClassTable,
         return None
     basis_g = monomial_basis(g_table.group, fiber, g_table)
     basis_h = monomial_basis(h_table.group, fiber, h_table)
-    homs_g, homs_h = basis_g.class_homs, basis_h.class_homs
+    homs_g = [hom_set(r, fiber) for r in g_table.reps]
+    homs_h = [hom_set(r, fiber) for r in h_table.reps]
     gamma_g, gamma_h = basis_g.gamma_block, basis_h.gamma_block
     candidates = [[j for j in range(k) if inv_h[j] == inv_g[i]]
                   for i in range(k)]

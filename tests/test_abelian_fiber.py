@@ -30,7 +30,7 @@ def test_fiber_basics():
     a = AbelianFiber((2, 4))
     assert a.order == 8
     assert a.elements[0] == (0, 0)
-    zero = a.index[(0, 0)]
+    zero = a.elements.index((0, 0))
     for i in range(a.order):
         assert a.add(i, a.neg(i)) == zero
 

@@ -798,3 +798,32 @@ def _all_keys(obj):
         yield key
         if isinstance(value, dict):
             yield from _all_keys(value)
+
+
+PROBE_TESTS = """
+from hypothesis import given, settings, strategies as st
+
+
+@settings(database=None)
+@given(st.integers())
+def test_fails(x):
+    assert x < 0
+
+
+def test_passes():
+    pass
+"""
+
+
+def test_failing_given_test_is_reported_under_the_suite_settings(tmp_path):
+    # hypothesis imports libcst to report a failing example, and libcst
+    # warns on import; under this project's filterwarnings that warning
+    # must not end the session with INTERNALERROR before later tests run
+    (tmp_path / "test_probe.py").write_text(PROBE_TESTS, encoding="utf-8")
+    config = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "-c", str(config), "--rootdir", str(tmp_path), "test_probe.py"],
+        capture_output=True, text=True, cwd=tmp_path, check=False)
+    assert "INTERNALERROR" not in proc.stdout + proc.stderr
+    assert "1 failed, 1 passed" in proc.stdout

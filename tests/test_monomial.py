@@ -29,8 +29,9 @@ from fibered_burnside.group_core import (Subgroup, abelian_group,
                                          conjugate_subgroup,
                                          conjugacy_classes_of_subgroups,
                                          cyclic_group, double_cosets,
-                                         double_coset_reps, mark,
-                                         symmetric_group)
+                                         double_coset_reps,
+                                         enumerate_subgroups, fixed_cosets,
+                                         mark, normalizer, symmetric_group)
 from fibered_burnside.monomial import (BurnsideElement, MonomialBasis,
                                        MonomialPair, gamma_block, gamma_rows,
                                        gamma_table,
@@ -465,6 +466,37 @@ def test_char_index_keys_beyond_int64():
         chars.index(np.ones(6, dtype=np.int64))
 
 
+@pytest.mark.parametrize("factors", [(2,), (6,), (2, 4)])
+def test_restriction_matches_character_conjugation(small_groups, factors):
+    # the one restriction gather, against Character.conjugate and
+    # Character.restrict read back through hom_set: for every pair (K, L)
+    # of subgroups and every s in a coset sL that K fixes, ^s psi
+    # restricted to K, and for every n in N_G(K), ^n chi. Pairs of class
+    # reps alone would not tell s from s^-1 here: in S3 and D4 they only
+    # meet cosets on which conjugation by s and by s^-1 agree
+    fiber = AbelianFiber(factors)
+    for g in small_groups:
+        subs = enumerate_subgroups(g)
+        layout = monomial._HomLayout(subs, fiber)
+        homs = [hom_set(sub, fiber) for sub in subs]
+        for a, k_sub in enumerate(subs):
+            chars = char_index(k_sub, fiber)
+            where = {chi.values: i for i, chi in enumerate(homs[a])}
+            for b, l_sub in enumerate(subs):
+                fixed = fixed_cosets(g, k_sub, l_sub)
+                for s in g.mul[fixed[:, None], l_sub.members].ravel().tolist():
+                    got = layout.restrict(b, np.arange(len(homs[b])),
+                                          g.inverse(s), chars)
+                    assert got.tolist() == [
+                        where[psi.conjugate(s).restrict(k_sub).values]
+                        for psi in homs[b]]
+            for n in normalizer(g, k_sub).members:
+                got = layout.restrict(a, np.arange(len(homs[a])),
+                                      g.inverse(n), chars)
+                assert got.tolist() == [where[chi.conjugate(n).values]
+                                        for chi in homs[a]]
+
+
 # ---------------------------------------------------------------------------
 # Basis structure
 
@@ -566,7 +598,7 @@ def test_own_component_is_orbit_sum(d4, fiber_c6):
         orbit_of = basis._char_to_basis[ci]
         weight = basis.stabilizers[i].order // pair.subgroup.order
         expect = [weight if orbit_of[hi] == i else 0
-                  for hi in range(len(basis.class_homs[ci]))]
+                  for hi in range(len(hom_set(pair.subgroup, basis.fiber)))]
         assert comp == expect
 
 

@@ -300,7 +300,8 @@ def _broken_witness(basis, rng):
 
     def shape(c):
         i0, i1 = basis.class_block[c]
-        return table.reps[c].order, len(basis.class_homs[c]), i1 - i0
+        return (table.reps[c].order, len(hom_set(table.reps[c], basis.fiber)),
+                i1 - i0)
 
     subgroup_map = list(range(k))
     for c in range(k):
@@ -311,7 +312,7 @@ def _broken_witness(basis, rng):
             for d, t in zip(alike, images):
                 subgroup_map[d] = t
     char_maps = []
-    for homs in basis.class_homs:
+    for homs in (hom_set(r, basis.fiber) for r in table.reps):
         cmap = list(range(len(homs)))
         rng.shuffle(cmap)
         char_maps.append(cmap)
