@@ -104,9 +104,6 @@ class Character:
     def value_index(self, g: int) -> int:
         return self.values[self.domain.position(g)]
 
-    def value(self, g: int) -> tuple[int, ...]:
-        return self.fiber.elements[self.value_index(g)]
-
     def is_trivial(self) -> bool:
         return all(v == 0 for v in self.values)
 

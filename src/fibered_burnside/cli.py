@@ -262,64 +262,81 @@ def cmd_reproduce_paper(p: int = 11, q: int = 5,
 # Entry point
 
 
-# Decimal text of the small non-negative ints that fill gamma and marks rows
-_SMALL_INTS = tuple(str(v) for v in range(1024))
-_SMALL_TEXT = np.array(_SMALL_INTS, dtype=object)
-
-
-def _join_ints(row: Sequence[int], sep: str) -> str:
-    """``sep.join`` of the decimal text of a row of ints, which may be a
-    1-D integer ndarray."""
-    small, n = _SMALL_INTS, len(_SMALL_INTS)
-    if isinstance(row, np.ndarray):
-        # one gather when the whole row is small; a negative value must not
-        # index from the end
-        if row.size and row.min() >= 0 and row.max() < n:
-            return sep.join(_SMALL_TEXT[row].tolist())
-        row = row.tolist()
-    return sep.join([small[v] if 0 <= v < n else str(v) for v in row])
+def _row_text(row: Sequence[int], sep: str) -> str:
+    """``sep.join`` of the decimal text of a row: a list or tuple of plain
+    ints, or a 1-D integer ndarray, where only nonzero entries cost a Python
+    step and each run of k zeros is one ``("0" + sep) * k``."""
+    if not isinstance(row, np.ndarray):
+        return sep.join(map(str, row))
+    at = np.flatnonzero(row)
+    before = at.copy()          # the zeros before each nonzero entry
+    before[1:] -= at[:-1] + 1
+    zero = "0" + sep
+    words = [zero * k + str(v)
+             for k, v in zip(before.tolist(), row[at].tolist())]
+    after = row.size - 1 - int(at[-1]) if at.size else row.size
+    if after:
+        words.append(zero * (after - 1) + "0")
+    return sep.join(words)
 
 
 def _write_json(obj, write, level: int = 0) -> None:
-    """Send ``obj`` through ``write`` piece by piece, as the text of
-    ``json.dumps(obj, sort_keys=True, indent=2)`` nested ``level`` deep.
+    """Send ``obj`` through ``write`` as the text of ``json.dumps(obj,
+    sort_keys=True, indent=2)`` nested ``level`` deep, in writes of 64 K
+    characters or one piece more: several gamma rows or basis pairs each.
 
-    An ndarray goes out as its ``.tolist()`` would. A list of plain ints
-    (never bools) or a 1-D integer ndarray goes out in one write: these are
-    the rows of the gamma table, the marks and the subgroup members. Dict
-    keys must be strings, as in every report; others raise TypeError."""
-    if isinstance(obj, np.ndarray) and (obj.ndim == 0
-                                        or obj.dtype.kind not in "iu"):
-        obj = obj.tolist()      # only integer rows go through _join_ints
-    is_array = isinstance(obj, np.ndarray)
-    if not (is_array or isinstance(obj, (dict, list, tuple))):
-        write(json.dumps(obj))
-        return
-    is_dict = isinstance(obj, dict)
-    if not len(obj):
-        write("{}" if is_dict else "[]")
-        return
-    inner = "\n" + "  " * (level + 1)
-    close = "\n" + "  " * level + ("}" if is_dict else "]")
-    if is_dict:
-        sep = "{" + inner
-        for key, value in sorted(obj.items()):
-            if not isinstance(key, str):
-                raise TypeError("report keys must be str, not "
-                                f"{type(key).__name__}")
-            write(sep + json.dumps(key) + ": ")
-            _write_json(value, write, level + 1)
-            sep = "," + inner
-    elif (obj.ndim == 1 if is_array else set(map(type, obj)) == {int}):
-        write("[" + inner + _join_ints(obj, "," + inner) + close)
-        return
-    else:
-        sep = "[" + inner
-        for item in obj:
-            write(sep)
-            _write_json(item, write, level + 1)
-            sep = "," + inner
-    write(close)
+    An ndarray goes out as its ``.tolist()`` would. A list or tuple of plain
+    ints (never bools) and a 1-D integer ndarray are rows for ``_row_text``;
+    the text of each distinct tuple row is made once per level. Dict keys
+    must be strings, as in every report; others raise TypeError."""
+    parts, texts, size = [], {}, 0      # texts: (level, tuple row) -> text
+
+    def put(text: str) -> None:
+        nonlocal size
+        parts.append(text)
+        size += len(text)
+        if size >= 1 << 16:
+            write("".join(parts))
+            parts.clear()
+            size = 0
+
+    def emit(obj, level: int) -> None:
+        if isinstance(obj, np.ndarray) and (obj.ndim == 0
+                                            or obj.dtype.kind not in "iu"):
+            obj = obj.tolist()      # only integer rows go through _row_text
+        is_array = isinstance(obj, np.ndarray)
+        if not (is_array or isinstance(obj, (dict, list, tuple))):
+            return put(json.dumps(obj))
+        is_dict = isinstance(obj, dict)
+        if not len(obj):
+            return put("{}" if is_dict else "[]")
+        inner = "\n" + "  " * (level + 1)
+        close = "\n" + "  " * level + ("}" if is_dict else "]")
+        if is_dict:
+            sep = "{" + inner
+            for key, value in sorted(obj.items()):
+                if not isinstance(key, str):
+                    raise TypeError("report keys must be str, not "
+                                    f"{type(key).__name__}")
+                put(sep + json.dumps(key) + ": ")
+                emit(value, level + 1)
+                sep = "," + inner
+        elif obj.ndim == 1 if is_array else set(map(type, obj)) == {int}:
+            # only plain ints make a key: a dict takes (True,) for (1,)
+            key = (level, obj) if type(obj) is tuple else None
+            if key is None or key not in texts:
+                texts[key] = "[" + inner + _row_text(obj, "," + inner) + close
+            return put(texts[key])
+        else:
+            sep = "[" + inner
+            for item in obj:
+                put(sep)
+                emit(item, level + 1)
+                sep = "," + inner
+        put(close)
+
+    emit(obj, level)
+    write("".join(parts))
 
 
 def _emit(report: dict, code: int, args) -> int:
@@ -329,7 +346,7 @@ def _emit(report: dict, code: int, args) -> int:
         if getattr(args, "format", "json") == "csv":
             # the marks and gamma reports name their matrix by the command
             for row in report["result"][args.command]:
-                fh.write(_join_ints(row, ",") + "\n")
+                fh.write(_row_text(row, ",") + "\n")
         else:
             _write_json(report, fh.write)
             fh.write("\n")

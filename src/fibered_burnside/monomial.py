@@ -383,17 +383,21 @@ class MonomialBasis:
         classes, first = np.unique(cm[by_cm], return_index=True)
         for c, at in zip(classes.tolist(), np.split(t0 + by_cm, first[1:])):
             m_chars = homs.chars[c]
-            # M is g^-1 M' g for its class rep M', so phi(g^-1 x g) on M'
-            rho = homs.restrict(ci, hom[i0:i1, None], geo.g_inv[at], m_chars)
-            # one entry per (coset, b): b runs over the orbit reps of the
-            # coset's class cj, and psi^s(g^-1 x g) = psi(s^-1 g^-1 x g s)
+            # one entry per (coset, b), b over the orbit reps of its class cj
             lj = geo.cj[at]
             nb = n_reps[lj]
             u = np.repeat(np.arange(at.size), nb)
             b = np.arange(u.size) - np.repeat(_starts(nb), nb)
             lu = lj[u]
-            sigma = homs.restrict(lu, hom[rep0[lu] + b], geo.gs_inv[at][u],
-                                  m_chars)
+            # one restriction to M' = g M g^-1: rho = phi(g^-1 x g) per
+            # (phi, coset), then sigma = psi(s^-1 g^-1 x g s) per (coset, b)
+            phi, q = np.divmod(np.arange((i1 - i0) * at.size), at.size)
+            both = homs.restrict(
+                np.concatenate([np.full(q.size, ci), lu]),
+                hom[np.concatenate([i0 + phi, rep0[lu] + b])],
+                np.concatenate([geo.g_inv[at[q]], geo.gs_inv[at[u]]]),
+                m_chars)
+            rho, sigma = both[:q.size].reshape(i1 - i0, -1), both[q.size:]
             cols = col_start[lu] + b * n_cosets[lu] + geo.d[at][u]
             terms[:, cols] = self._char_to_basis[c][
                 m_chars.table[rho[:, u], sigma]]
@@ -411,12 +415,12 @@ class MonomialBasis:
         return terms
 
     def to_json(self) -> dict:
+        elements = self.fiber.elements     # tuples, written as lists
         return {
             "fiber": list(self.fiber.factors),
             "pairs": [
                 {"subgroup": list(p.subgroup.members),
-                 "character": [list(p.char.value(m))
-                               for m in p.subgroup.members]}
+                 "character": [elements[v] for v in p.char.values]}
                 for p in self.reps
             ],
         }

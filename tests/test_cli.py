@@ -1,6 +1,7 @@
 """Command-line interface: spec parsing, output formats, exit codes, and
 determinism. All invocations go through ``cli.main`` in process."""
 
+import argparse
 import hashlib
 import json
 import os
@@ -593,7 +594,8 @@ def test_gamma_e16_report_streams_in_bounded_memory(tmp_path):
     assert code == 0
     assert digest == E16_GAMMA_DIGEST
     # 66 MB while the table was a list of int lists, 43 MB as an int8 array
-    assert peak_mb < 56
+    # written entry by entry, 42 MB written by zero runs
+    assert peak_mb < 48
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"),
@@ -695,10 +697,13 @@ def written(obj) -> str:
     return "".join(pieces)
 
 
-# on both sides of the table of small ints, and far past it
-INTS = st.one_of(st.integers(-3, len(cli._SMALL_INTS) + 2), st.integers())
+# small, zero included, and far past that
+INTS = st.one_of(st.integers(-3, 1026), st.integers())
+# rows of ints and bools, which a dict would take for each other
+INT_TUPLES = st.lists(st.lists(st.one_of(st.booleans(), st.integers(-1, 2)),
+                               max_size=3).map(tuple), max_size=5)
 LEAVES = st.one_of(st.none(), st.booleans(), INTS, st.floats(), st.text(),
-                   st.lists(INTS, max_size=6))
+                   st.lists(INTS, max_size=6), INT_TUPLES)
 NESTED = st.recursive(LEAVES, lambda kids: st.one_of(
     st.lists(kids, max_size=4), st.lists(kids, max_size=4).map(tuple),
     st.dictionaries(st.text(max_size=4), kids, max_size=4)), max_leaves=24)
@@ -715,6 +720,15 @@ NESTED = st.recursive(LEAVES, lambda kids: st.one_of(
 @example([True, 1, False, 0])
 @example([1.0, 1, None])
 @example({"\u00e9\u4e2d": ["\U0001f600", 10 ** 30, -(10 ** 30)]})
+# lists of tuples: bools beside equal ints, floats, lists, empty tuples,
+# and one tuple at two nesting levels
+@example([(True, 1), (1, 1)])
+@example([(1,), (True,)])
+@example([(1, 0), (True, False), (1, 0)])
+@example([(1.0,), (1,), (1.5, 2)])
+@example([(1, [2]), (1,), ([0],)])
+@example([(), (0,), ()])
+@example({"a": [(1, 2)], "b": [[(1, 2)], (1, 2)], "c": (1, 2)})
 def test_write_json_matches_json_dumps(obj):
     assert written(obj) == json.dumps(obj, sort_keys=True, indent=2)
 
@@ -726,8 +740,7 @@ def int_arrays(draw):
     dtype = np.dtype(draw(st.sampled_from(["int8", "int16", "int64",
                                            "uint8"])))
     lo, hi = int(np.iinfo(dtype).min), int(np.iinfo(dtype).max)
-    values = st.one_of(st.integers(max(lo, -3),
-                                   min(hi, len(cli._SMALL_INTS) + 2)),
+    values = st.one_of(st.integers(max(lo, -3), min(hi, 1026)),
                        st.integers(lo, hi))
     shape = draw(st.one_of(st.tuples(st.integers(0, 6)),
                            st.tuples(st.integers(0, 4), st.integers(0, 4))))
@@ -761,14 +774,79 @@ def test_write_json_of_int_arrays_matches_their_lists(obj):
     assert written(obj) == json.dumps(as_lists(obj), sort_keys=True, indent=2)
 
 
+@st.composite
+def sparse_int_arrays(draw):
+    """A 1-D or 2-D integer ndarray of up to 40 x 40 entries, about 90% of
+    them zero, as in the gamma table: long zero runs, some of them from the
+    end of one row into the next."""
+    dtype = np.dtype(draw(st.sampled_from(["int8", "int16", "int64",
+                                           "uint8"])))
+    shape = draw(st.one_of(st.tuples(st.integers(0, 40)),
+                           st.tuples(st.integers(0, 40), st.integers(0, 40))))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    info = np.iinfo(dtype)
+    small = rng.integers(max(info.min, -3), min(info.max, 1026),
+                         size=shape, endpoint=True)
+    anywhere = rng.integers(info.min, info.max, size=shape, dtype=dtype,
+                            endpoint=True)
+    values = np.where(rng.random(shape) < 0.5, small, anywhere)
+    return np.where(rng.random(shape) < 0.9, 0, values).astype(dtype)
+
+
+@seed(20261019)
+@settings(max_examples=250, deadline=None, database=None)
+@given(st.one_of(sparse_int_arrays(), st.lists(sparse_int_arrays(),
+                                               max_size=3),
+                 st.dictionaries(st.text(max_size=3), sparse_int_arrays(),
+                                 max_size=3)))
+@example(np.zeros((5, 7), dtype=np.int8))
+@example(np.zeros(9, dtype=np.uint8))
+@example(np.array([[0, 0, 3, 0, 0]], dtype=np.int16))
+@example(np.array([[0], [0], [5], [0]], dtype=np.int64))
+# rows that end in zero and rows that end in a nonzero entry, and a zero
+# run from the end of one row into the next
+@example(np.array([[1, 0, 0], [0, 0, 2], [0, 7, 0], [4, 4, 4]],
+                  dtype=np.int8))
+@example({"gamma": np.array([[0, 5, 0, 0], [0, 0, 0, 6]], dtype=np.int16)})
+@example(np.array([[-1, 0, 1023], [1024, 0, 0]], dtype=np.int16))
+@example(np.array([-128, 0, 0, 127, 0], dtype=np.int8))
+@example(np.array([[2 ** 63 - 1, 0], [0, -2 ** 63]], dtype=np.int64))
+def test_write_json_of_sparse_int_arrays_matches_their_lists(obj):
+    assert written(obj) == json.dumps(as_lists(obj), sort_keys=True, indent=2)
+
+
 @seed(20261018)
 @settings(max_examples=200, deadline=None, database=None)
-@given(int_arrays().filter(lambda a: a.ndim == 1))
+@given(st.one_of(int_arrays(), sparse_int_arrays()).filter(
+    lambda a: a.ndim == 1))
 @example(np.array([], dtype=np.int8))
 @example(np.array([1023, 1024], dtype=np.int16))
 @example(np.array([-1, 0], dtype=np.int8))
-def test_join_ints_of_an_array_row_matches_its_list(row):
-    assert cli._join_ints(row, ",") == cli._join_ints(row.tolist(), ",")
+@example(np.array([0, 0, 0], dtype=np.uint8))
+@example(np.array([0, 3, 0, 0], dtype=np.int64))
+def test_row_text_of_an_array_row_matches_its_list(row):
+    assert cli._row_text(row, ",") == cli._row_text(row.tolist(), ",")
+
+
+def test_gamma_e16_report_goes_out_in_row_sized_writes(monkeypatch):
+    # one write per gamma row or basis pair at most, where writing entry by
+    # entry took 42,996
+    report, code = cli.cmd_gamma("abelian:2,2,2,2", "2,2")
+    n_pairs = len(report["result"]["basis"]["pairs"])
+    digest, calls = hashlib.sha256(), []
+
+    class CountingWriter:
+        def write(self, text):
+            calls.append(len(text))
+            digest.update(text.encode())
+
+    monkeypatch.setattr(sys, "stdout", CountingWriter())
+    args = argparse.Namespace(out=None, format="json", command="gamma")
+    assert cli._emit(report, code, args) == 0
+    assert digest.hexdigest() == E16_GAMMA_DIGEST
+    assert len(calls) <= 2 * n_pairs + 50
+    # and never the 38 MB report as one string
+    assert max(calls) < 1 << 17
 
 
 KEYS = st.one_of(st.text(max_size=3), st.integers(-20, 20), st.booleans(),
