@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import hashlib
 import json
 import sys
 import time
+from collections.abc import Iterator
 from typing import Optional, Sequence
 
 import numpy as np
@@ -22,9 +22,19 @@ from . import group_core, species, thevenaz
 from .abelian_fiber import AbelianFiber
 from .errors import AlgebraError, FiberHasPTorsion, SearchBudgetExceeded
 from .group_core import conjugacy_classes_of_subgroups
-from .monomial import gamma_table, monomial_basis
+from .monomial import gamma_class_rows, monomial_basis
 from .species import (EXHAUSTION_CAVEAT, SpeciesWitness, search_species,
                       thevenaz_witness, verify_species)
+
+# SHA-256 from CPython's built-in module: importing hashlib maps OpenSSL's
+# libcrypto, about 3.4 MB of every run's peak
+try:
+    from _sha2 import sha256            # Python 3.12 and later
+except ImportError:
+    try:
+        from _sha256 import sha256      # Python 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -89,7 +99,7 @@ def _parse_fiber(text: str) -> AbelianFiber:
 
 def _input_hash(inputs: dict) -> str:
     blob = json.dumps(inputs, sort_keys=True).encode()
-    return hashlib.sha256(blob).hexdigest()
+    return sha256(blob).hexdigest()
 
 
 def _report(command: str, inputs: dict, result: dict) -> dict:
@@ -120,7 +130,8 @@ def cmd_gamma(group_spec: str, fiber_spec: str) -> tuple[dict, int]:
         "group": group_spec,
         "order": table.group.order,
         "basis": basis.to_json(),
-        "gamma": gamma_table(basis),
+        # made one class at a time while the report is written
+        "gamma": (row for rows in gamma_class_rows(basis) for row in rows),
     }
     return _report("gamma", {"group": group_spec, "fiber": fiber_spec},
                    result), EXIT_OK
@@ -285,10 +296,12 @@ def _write_json(obj, write, level: int = 0) -> None:
     sort_keys=True, indent=2)`` nested ``level`` deep, in writes of 64 K
     characters or one piece more: several gamma rows or basis pairs each.
 
-    An ndarray goes out as its ``.tolist()`` would. A list or tuple of plain
-    ints (never bools) and a 1-D integer ndarray are rows for ``_row_text``;
-    the text of each distinct tuple row is made once per level. Dict keys
-    must be strings, as in every report; others raise TypeError."""
+    An ndarray goes out as its ``.tolist()`` would, and an iterator as the
+    list of its items, each made when it is written. A list or tuple of
+    plain ints (never bools) and a 1-D integer ndarray are rows for
+    ``_row_text``, and a list of such tuples is one piece; the text of each
+    distinct tuple row is made once per level. Dict keys must be strings,
+    as in every report; others raise TypeError."""
     parts, texts, size = [], {}, 0      # texts: (level, tuple row) -> text
 
     def put(text: str) -> None:
@@ -300,18 +313,32 @@ def _write_json(obj, write, level: int = 0) -> None:
             parts.clear()
             size = 0
 
+    def row(obj, level: int) -> str:
+        # only plain ints make a key: a dict takes (True,) for (1,)
+        key = (level, obj) if type(obj) is tuple else None
+        text = texts.get(key)
+        if text is None:
+            inner = "\n" + "  " * (level + 1)
+            text = ("[" + inner + _row_text(obj, "," + inner) + "\n"
+                    + "  " * level + "]")
+            if key is not None:
+                texts[key] = text
+        return text
+
     def emit(obj, level: int) -> None:
         if isinstance(obj, np.ndarray) and (obj.ndim == 0
                                             or obj.dtype.kind not in "iu"):
             obj = obj.tolist()      # only integer rows go through _row_text
-        is_array = isinstance(obj, np.ndarray)
-        if not (is_array or isinstance(obj, (dict, list, tuple))):
+        is_iter = not isinstance(obj, (np.ndarray, dict, list, tuple))
+        if is_iter and not isinstance(obj, Iterator):
             return put(json.dumps(obj))
+        is_array = isinstance(obj, np.ndarray)
         is_dict = isinstance(obj, dict)
-        if not len(obj):
+        if not (is_iter or len(obj)):
             return put("{}" if is_dict else "[]")
         inner = "\n" + "  " * (level + 1)
         close = "\n" + "  " * level + ("}" if is_dict else "]")
+        kinds = set(map(type, obj)) if isinstance(obj, (list, tuple)) else ()
         if is_dict:
             sep = "{" + inner
             for key, value in sorted(obj.items()):
@@ -321,18 +348,21 @@ def _write_json(obj, write, level: int = 0) -> None:
                 put(sep + json.dumps(key) + ": ")
                 emit(value, level + 1)
                 sep = "," + inner
-        elif obj.ndim == 1 if is_array else set(map(type, obj)) == {int}:
-            # only plain ints make a key: a dict takes (True,) for (1,)
-            key = (level, obj) if type(obj) is tuple else None
-            if key is None or key not in texts:
-                texts[key] = "[" + inner + _row_text(obj, "," + inner) + close
-            return put(texts[key])
+        elif obj.ndim == 1 if is_array else kinds == {int}:
+            return put(row(obj, level))
+        elif kinds == {tuple} and all(set(map(type, t)) == {int}
+                                      for t in obj):
+            # a character: its fiber-element tuples side by side
+            return put("[" + inner + ("," + inner).join(
+                row(t, level + 1) for t in obj) + close)
         else:
             sep = "[" + inner
             for item in obj:
                 put(sep)
                 emit(item, level + 1)
                 sep = "," + inner
+            if sep[0] == "[":       # an iterator with no items
+                return put("[]")
         put(close)
 
     emit(obj, level)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -189,8 +189,8 @@ class MonomialBasis:
         self.group = group
         self.fiber = fiber
         self.class_table = class_table
-        self.reps: list[MonomialPair] = []
-        self.stabilizers: list[Subgroup] = []
+        # the basis keeps indices only; ``reps`` and ``stabilizers`` build
+        # the pair and subgroup objects on first use
         self.rep_class: list[int] = []          # basis index -> class index
         self.rep_hom_index: list[int] = []      # basis index -> index in hom_set
         self.class_block: list[tuple[int, int]] = []
@@ -200,28 +200,56 @@ class MonomialBasis:
         self._gamma_cache: dict[int, dict[int, np.ndarray]] = {}
         # Hom(K, A) of every class rep K, which every restriction reads
         self._homs = _hom_layout(class_table.reps, fiber)
-        for ci, k_sub in enumerate(class_table.reps):
-            chars = self._homs.chars[ci]
-            norm = np.asarray(normalizer(group, k_sub).members, dtype=np.int64)
-            # perm[n, i] is the index of x -> chi_i(n^-1 x n); N is a group,
-            # so column i runs over the whole orbit of chi_i
-            perm = self._homs.restrict(ci, np.arange(len(chars.values)),
-                                       group.inv[norm][:, None], chars)
-            root = perm.min(axis=0)
-            vals = chars.values.tolist()
-            start = len(self.reps)
-            basis_of_root = np.empty(len(vals), dtype=np.int64)
-            for r in sorted(set(root.tolist()), key=vals.__getitem__):
-                basis_of_root[r] = len(self.reps)
-                self.reps.append(MonomialPair(
-                    k_sub, Character(k_sub, fiber, vals[r], verify=False)))
-                self.stabilizers.append(Subgroup(
-                    group, norm[perm[:, r] == r].tolist(), verify=False))
-                self.rep_class.append(ci)
-                self.rep_hom_index.append(r)
+        for ci, chars in enumerate(self._homs.chars):
+            root = self._normalizer_action(ci)[1].min(axis=0)
+            # the orbit reps, in lexicographic order of their values
+            roots = _sorted_unique(root)
+            roots = roots[np.lexsort(chars.values[roots].T[::-1])]
+            start = len(self.rep_class)
+            basis_of_root = np.empty(len(chars.values), dtype=np.int64)
+            basis_of_root[roots] = start + np.arange(roots.size)
+            self.rep_class += [ci] * roots.size
+            self.rep_hom_index += roots.tolist()
             self._char_to_basis.append(basis_of_root[root])
-            self.class_block.append((start, len(self.reps)))
-        self.size = len(self.reps)
+            self.class_block.append((start, len(self.rep_class)))
+        self.size = len(self.rep_class)
+
+    def _normalizer_action(self, ci: int) -> tuple[np.ndarray, np.ndarray]:
+        """The members of N = N_G(K), K the rep of class ci, and perm[n, i],
+        the hom index of x -> chi_i(n^-1 x n); N is a group, so column i
+        runs over the whole orbit of chi_i."""
+        k_sub, chars = self.class_table.reps[ci], self._homs.chars[ci]
+        norm = np.asarray(normalizer(self.group, k_sub).members,
+                          dtype=np.int64)
+        return norm, self._homs.restrict(ci, np.arange(len(chars.values)),
+                                         self.group.inv[norm][:, None], chars)
+
+    def _rep_values(self) -> Iterator[tuple[int, list[int]]]:
+        """The class and the character values of each orbit rep, in basis
+        order."""
+        for ci, (i0, i1) in enumerate(self.class_block):
+            vals = self._homs.chars[ci].values.tolist()
+            for r in self.rep_hom_index[i0:i1]:
+                yield ci, vals[r]
+
+    @cached_property
+    def reps(self) -> list[MonomialPair]:
+        """The orbit representative (K, phi) of each basis element."""
+        subs = self.class_table.reps
+        return [MonomialPair(subs[ci], Character(subs[ci], self.fiber, vals,
+                                                 verify=False))
+                for ci, vals in self._rep_values()]
+
+    @cached_property
+    def stabilizers(self) -> list[Subgroup]:
+        """The stabilizer in N_G(K) of each orbit representative (K, phi)."""
+        stabilizers = []
+        for ci, (i0, i1) in enumerate(self.class_block):
+            norm, perm = self._normalizer_action(ci)
+            stabilizers += [Subgroup(self.group, norm[perm[:, r] == r].tolist(),
+                                     verify=False)
+                            for r in self.rep_hom_index[i0:i1]]
+        return stabilizers
 
     # -- ring structure
 
@@ -416,14 +444,10 @@ class MonomialBasis:
 
     def to_json(self) -> dict:
         elements = self.fiber.elements     # tuples, written as lists
-        return {
-            "fiber": list(self.fiber.factors),
-            "pairs": [
-                {"subgroup": list(p.subgroup.members),
-                 "character": [elements[v] for v in p.char.values]}
-                for p in self.reps
-            ],
-        }
+        members = [list(sub.members) for sub in self.class_table.reps]
+        return {"fiber": list(self.fiber.factors), "pairs": [
+            {"subgroup": members[ci], "character": [elements[v] for v in vals]}
+            for ci, vals in self._rep_values()]}
 
 
 def monomial_basis(group: FiniteGroup, fiber: AbelianFiber,
@@ -442,28 +466,33 @@ def monomial_basis(group: FiniteGroup, fiber: AbelianFiber,
     return basis
 
 
-def gamma_table(basis: MonomialBasis) -> np.ndarray:
-    """Gamma coefficients of every basis pair against every basis pair.
-
-    Entry [i, j] counts cosets of the subgroup L of pair j, so it is at
-    most |G : L| <= |G|; the dtype is the smallest signed integer type
-    whose max is at least |G|. Only class pairs with a nonzero mark are
-    computed, one class row at a time, and no block outlives its row; the
-    other blocks stay zero.
-    """
-    # One small-int array: the CLI streams the report row by row, so this
-    # table sets the peak memory of `gamma`, 3.4 MB for (C2)^4 over C2 x C2
+def gamma_class_rows(basis: MonomialBasis) -> Iterator[np.ndarray]:
+    """The rows of ``gamma_table(basis)``, one class at a time: for each
+    class ci in order, the rows of its orbit reps as one (reps of ci, basis
+    size) array, made from class row ci of the gamma kernel only when it is
+    reached. Entry [i, j] counts cosets of the subgroup L of pair j, so it
+    is at most |G : L| <= |G|; the dtype is the smallest signed integer
+    type whose max is at least |G|. Only class pairs with a nonzero mark
+    are computed; the other blocks stay zero."""
     dtype = next(t for t in (np.int8, np.int16, np.int32, np.int64)
                  if np.iinfo(t).max >= basis.group.order)
-    table = np.zeros((basis.size, basis.size), dtype=dtype)
     hom_index = np.asarray(basis.rep_hom_index, dtype=np.int64)
     kernel = basis._gamma_kernel
     for ci, (i0, i1) in enumerate(basis.class_block):
+        rows = np.zeros((i1 - i0, basis.size), dtype=dtype)
         for cj, block in kernel(ci).items():
             j0, j1 = basis.class_block[cj]
-            table[i0:i1, j0:j1] = block[np.ix_(hom_index[i0:i1],
-                                               hom_index[j0:j1])]
-    return table
+            rows[:, j0:j1] = block[np.ix_(hom_index[i0:i1],
+                                          hom_index[j0:j1])]
+        yield rows
+
+
+def gamma_table(basis: MonomialBasis) -> np.ndarray:
+    """Gamma coefficients of every basis pair against every basis pair: the
+    rows of ``gamma_class_rows`` in one array. The CLI writes those rows as
+    they come and never holds this table, 3.4 MB in int8 for (C2)^4 over
+    C2 x C2."""
+    return np.concatenate(list(gamma_class_rows(basis)))
 
 
 # ---------------------------------------------------------------------------
@@ -637,6 +666,6 @@ def mark_morphism(basis: MonomialBasis, x: BurnsideElement) -> GhostElement:
 __all__ = [
     "MonomialPair", "MonomialBasis", "BurnsideElement", "GhostRing",
     "GhostElement", "monomial_basis", "gamma_block", "gamma_rows",
-    "gamma_table",
+    "gamma_class_rows", "gamma_table",
     "multiply", "mark_morphism", "ghost_multiply", "ghost_ring",
 ]

@@ -831,6 +831,30 @@ def reference_char_orbits(k_sub: Subgroup, fiber: AbelianFiber, start: int):
             [basis_of_root[_find(orbit_rep, i)] for i in range(n_h)])
 
 
+def eager_basis_objects(basis: MonomialBasis
+                        ) -> tuple[list[MonomialPair], list[Subgroup]]:
+    """The orbit representatives and their stabilizers as the basis
+    constructor built them for every basis element, before they became
+    lazy properties: per class, the normalizer's permutation of the hom
+    set by one restriction, the least index of each orbit as its root, and
+    the roots in order of their value tuples."""
+    group, fiber = basis.group, basis.fiber
+    reps, stabilizers = [], []
+    for ci, k_sub in enumerate(basis.class_table.reps):
+        chars = char_index(k_sub, fiber)
+        norm = np.asarray(normalizer(group, k_sub).members, dtype=np.int64)
+        perm = basis._homs.restrict(ci, np.arange(len(chars.values)),
+                                    group.inv[norm][:, None], chars)
+        root = perm.min(axis=0)
+        vals = chars.values.tolist()
+        for r in sorted(set(root.tolist()), key=vals.__getitem__):
+            reps.append(MonomialPair(
+                k_sub, Character(k_sub, fiber, vals[r], verify=False)))
+            stabilizers.append(Subgroup(
+                group, norm[perm[:, r] == r].tolist(), verify=False))
+    return reps, stabilizers
+
+
 def reference_char_group_isomorphisms(homs1: Sequence[Character],
                                       homs2: Sequence[Character]
                                       ) -> Iterator[list[int]]:

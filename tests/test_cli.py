@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +19,7 @@ from oracles import a6_cayley_json
 
 import fibered_burnside
 from fibered_burnside import cli, group_core
-from fibered_burnside.abelian_fiber import CharIndex
+from fibered_burnside.abelian_fiber import Character, CharIndex, hom_set
 from fibered_burnside.group_core import (conjugacy_classes_of_subgroups,
                                          cyclic_group, symmetric_group)
 
@@ -355,6 +356,24 @@ def test_bad_fiber_spec(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("gamma", "cyclic:zero", "--fiber", "2"),
+    ("gamma", "nonsense:3", "--fiber", "2"),
+    ("gamma", "cayley:missing.json", "--fiber", "2"),
+    ("gamma", "cyclic:2", "--fiber", "x"),
+    ("gamma", "cyclic:2", "--fiber", "0"),
+    ("gamma", "cyclic:2", "--fiber", "2,"),
+    ("gamma", "symmetric:3", "--fiber", "x", "--format", "csv"),
+])
+def test_gamma_rejects_bad_input_before_any_output(capsys, argv):
+    # the gamma rows are made while the report is written, but every check
+    # on the spec and the fiber runs before the first byte of it
+    code, out, err = run(capsys, *argv)
+    assert_usage_error(code, err)
+    assert out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
 def test_cayley_file_round_trip(capsys, tmp_path):
     # export S3 via marks on the built-in, then feed its table back in
     g = symmetric_group(3)
@@ -473,6 +492,19 @@ def test_input_hash_stable(capsys):
     _, r1, _ = run_json(capsys, "marks", "cyclic:6")
     _, r2, _ = run_json(capsys, "marks", "cyclic:6")
     assert r1["input_hash"] == r2["input_hash"]
+
+
+@seed(20261019)
+@settings(max_examples=200, deadline=None, database=None)
+@given(st.dictionaries(st.text(max_size=6), st.one_of(
+    st.none(), st.booleans(), st.integers(), st.text(max_size=12)),
+    max_size=7))
+@example({"group": "abelian:2,2,2,2", "fiber": "2,2"})
+@example({"p": 11, "q": 5, "a": 3, "b": 9, "c": 3, "d": 4, "fiber": "5"})
+@example({"\u00e9": "\U0001f600", "": None})
+def test_input_hash_is_the_sha256_of_the_sorted_inputs(inputs):
+    blob = json.dumps(inputs, sort_keys=True).encode()
+    assert cli._input_hash(inputs) == hashlib.sha256(blob).hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -594,8 +626,9 @@ def test_gamma_e16_report_streams_in_bounded_memory(tmp_path):
     assert code == 0
     assert digest == E16_GAMMA_DIGEST
     # 66 MB while the table was a list of int lists, 43 MB as an int8 array
-    # written entry by entry, 42 MB written by zero runs
-    assert peak_mb < 48
+    # written entry by entry, 42 MB written by zero runs, 35 MB with rows
+    # made as they are written and no hashlib
+    assert peak_mb < 40
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"),
@@ -641,14 +674,27 @@ BENCH_COMMANDS = [
     ("marks", "cayley:{a6}"),
 ]
 
-# Runs the CLI, then reports on stderr whether numpy.ma was imported
-REPORT_NUMPY_MA = """
+# Runs the CLI on the arguments after the first, then reports on stderr
+# whether the module named by the first was imported
+REPORT_LOADED = """
 import sys
 from fibered_burnside import cli
-code = cli.main(sys.argv[1:])
-sys.stderr.write(f"numpy.ma loaded: {'numpy.ma' in sys.modules}\\n")
+code = cli.main(sys.argv[2:])
+sys.stderr.write(f"{sys.argv[1]} loaded: {sys.argv[1] in sys.modules}\\n")
 sys.exit(code)
 """
+
+
+def _loaded_after(module, argv) -> bool:
+    """Whether the CLI run on ``argv`` in a child imported ``module``."""
+    proc = subprocess.run(
+        [sys.executable, "-c", REPORT_LOADED, module, *argv],
+        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+        env=_child_env())
+    assert proc.returncode == 0
+    *_, last = proc.stderr.splitlines()
+    assert last in (f"{module} loaded: True", f"{module} loaded: False")
+    return last.endswith("True")
 
 
 @pytest.mark.parametrize("argv", BENCH_COMMANDS,
@@ -658,13 +704,20 @@ def test_bench_commands_leave_numpy_ma_unloaded(tmp_path, argv):
     # np.unique and np.union1d import numpy.ma on first use, which costs
     # about 15 ms and 1.3 MB a process
     a6 = _a6_file(tmp_path)
-    proc = subprocess.run(
-        [sys.executable, "-c", REPORT_NUMPY_MA,
-         *(a.format(a6=a6) for a in argv)],
-        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
-        env=_child_env())
-    assert proc.returncode == 0
-    assert proc.stderr.splitlines()[-1] == "numpy.ma loaded: False"
+    assert not _loaded_after("numpy.ma", [a.format(a6=a6) for a in argv])
+
+
+@pytest.mark.parametrize("argv", [
+    ("marks", "cyclic:2"),
+    ("gamma", "cyclic:2", "--fiber", "2"),
+    ("verify", "symmetric:3", "symmetric:3", "--fiber", "6", "--auto"),
+], ids=["marks", "gamma", "verify-auto"])
+def test_commands_hash_their_inputs_without_openssl(argv):
+    # hashlib maps OpenSSL's libcrypto through _hashlib, about 3.4 MB of
+    # resident memory; the input hash comes from CPython's own SHA-256
+    assert not _loaded_after("_hashlib", argv)
+    # and the probe sees a module that is loaded
+    assert _loaded_after("fibered_burnside.monomial", argv)
 
 
 @pytest.mark.parametrize("argv", [
@@ -729,8 +782,40 @@ NESTED = st.recursive(LEAVES, lambda kids: st.one_of(
 @example([(1, [2]), (1,), ([0],)])
 @example([(), (0,), ()])
 @example({"a": [(1, 2)], "b": [[(1, 2)], (1, 2)], "c": (1, 2)})
+# lists whose items are all tuples of plain ints go out as one piece:
+# repeated tuples, big ints, and lists beside them that mix in a list, an
+# int or a tuple with a bool
+@example([(0, 1), (1, 0), (0, 1)])
+@example([[(0, 1), (1, 1)], [(0, 1)], (0, 1)])
+@example({"character": [(10 ** 30, -1), (0,), (0, 0, 0)]})
+@example([(0, 1), [0, 1], (0, 1)])
+@example([(0, 1), 2, (0, 1)])
+@example([(0, 1), (1, True)])
+@example([(False, 0), (0, 0)])
 def test_write_json_matches_json_dumps(obj):
     assert written(obj) == json.dumps(obj, sort_keys=True, indent=2)
+
+
+def as_iterators(obj):
+    """``obj`` with every list in it replaced by an iterator over it."""
+    if isinstance(obj, dict):
+        return {key: as_iterators(value) for key, value in obj.items()}
+    if isinstance(obj, list):
+        return (as_iterators(item) for item in obj)
+    return obj
+
+
+@seed(20261019)
+@settings(max_examples=200, deadline=None, database=None)
+@given(NESTED)
+@example([])
+@example([[]])
+@example({"gamma": [[0, 1], [2, 0]], "basis": []})
+@example([(0, 1), [(1, 0)], [[], [3]]])
+def test_write_json_of_iterators_matches_their_lists(obj):
+    # the gamma report writes its rows from a generator
+    assert written(as_iterators(obj)) == \
+        json.dumps(obj, sort_keys=True, indent=2)
 
 
 @st.composite
@@ -847,6 +932,57 @@ def test_gamma_e16_report_goes_out_in_row_sized_writes(monkeypatch):
     assert len(calls) <= 2 * n_pairs + 50
     # and never the 38 MB report as one string
     assert max(calls) < 1 << 17
+
+
+class HashingWriter:
+    """A stdout that keeps only the sha256 of what is written to it."""
+
+    def __init__(self):
+        self.digest = hashlib.sha256()
+
+    def write(self, text):
+        self.digest.update(text.encode())
+        return len(text)
+
+
+def test_gamma_e16_command_and_report_allocate_under_4_mb(monkeypatch):
+    # the 1837 x 1837 gamma table is never held: its int8 form alone is
+    # 3.4 MB, and the command and report together peaked at 6.6 MB of
+    # Python allocations with it, 3.0 MB without
+    sink = HashingWriter()
+    monkeypatch.setattr(sys, "stdout", sink)
+    args = argparse.Namespace(out=None, format="json", command="gamma")
+    tracemalloc.start()
+    try:
+        report, code = cli.cmd_gamma("abelian:2,2,2,2", "2,2")
+        assert cli._emit(report, code, args) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sink.digest.hexdigest() == E16_GAMMA_DIGEST
+    assert peak < 4 << 20
+
+
+def test_gamma_builds_no_character_objects(capsys, monkeypatch):
+    # the basis keeps class and hom-set indices, and the report reads the
+    # characters' values from the hom-set arrays
+    calls = []
+    init = Character.__init__
+
+    def counting_init(self, *args, **kwargs):
+        calls.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Character, "__init__", counting_init)
+    code, out, _ = run(capsys, "gamma", "symmetric:4", "--fiber", "6")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "e5cd15f2342cc4c5c701508337b74d554a0b8f83262657960c6f0740bfbee6e8"
+    assert not calls
+    # and the counter counts
+    table = conjugacy_classes_of_subgroups(symmetric_group(4))
+    homs = hom_set(table.reps[-1], cli._parse_fiber("6"))
+    assert len(calls) == len(homs) == 2
 
 
 KEYS = st.one_of(st.text(max_size=3), st.integers(-20, 20), st.booleans(),

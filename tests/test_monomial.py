@@ -33,13 +33,14 @@ from fibered_burnside.group_core import (Subgroup, abelian_group,
                                          enumerate_subgroups, fixed_cosets,
                                          mark, normalizer, symmetric_group)
 from fibered_burnside.monomial import (BurnsideElement, MonomialBasis,
-                                       MonomialPair, gamma_block, gamma_rows,
+                                       MonomialPair, gamma_block,
+                                       gamma_class_rows, gamma_rows,
                                        gamma_table,
                                        ghost_multiply, ghost_ring,
                                        mark_morphism, monomial_basis, multiply)
 from fibered_burnside.thevenaz import canonical_class_table
 from oracles import (all_monomial_pairs, canonical_index,
-                     integer_matrix_determinant, reference_char_group_table,
+                     eager_basis_objects, integer_matrix_determinant, reference_char_group_table,
                      reference_char_orbits, reference_double_coset_reps,
                      reference_gamma, reference_mackey_block,
                      reference_mackey_row, reference_product)
@@ -450,6 +451,35 @@ def test_char_orbits_and_tables_match_reference_larger(tg_11_5_a, tg_11_5_b,
         s4, fiber_c6, conjugacy_classes_of_subgroups(s4, reps=moved)))
 
 
+def _assert_lazy_objects_match_eager(basis):
+    # built on first use, from the indices the basis keeps
+    assert "reps" not in vars(basis) and "stabilizers" not in vars(basis)
+    reps, stabilizers = eager_basis_objects(basis)
+    assert basis.reps == reps
+    assert [p.key() for p in basis.reps] == [p.key() for p in reps]
+    assert [s.members for s in basis.stabilizers] == \
+        [s.members for s in stabilizers]
+    assert [p.char.values for p in reps] == [
+        tuple(basis._homs.chars[ci].values[hi].tolist())
+        for ci, hi in zip(basis.rep_class, basis.rep_hom_index)]
+
+
+@pytest.mark.parametrize("factors", [(1,), (2,), (6,), (2, 4)])
+def test_lazy_reps_and_stabilizers_match_eager_construction(small_groups,
+                                                            factors):
+    fiber = AbelianFiber(factors)
+    for g in small_groups:
+        _assert_lazy_objects_match_eager(MonomialBasis(g, fiber))
+
+
+def test_lazy_reps_and_stabilizers_match_eager_construction_larger(
+        tg_11_5_a, fiber_c5):
+    _assert_lazy_objects_match_eager(
+        MonomialBasis(abelian_group((2, 2, 2, 2)), AbelianFiber((2, 2))))
+    _assert_lazy_objects_match_eager(MonomialBasis(
+        tg_11_5_a.group, fiber_c5, canonical_class_table(tg_11_5_a)))
+
+
 def test_char_index_keys_beyond_int64():
     # 1458^6 > 2^63: the keys of the 64 characters of (C2)^6 over C1458
     # are exact Python integers
@@ -659,6 +689,42 @@ def test_gamma_table_computes_only_nonzero_mark_blocks(monkeypatch):
     assert np.count_nonzero(marks) == 513
     assert table.shape == (1837, 1837) and table.dtype == np.int8
     assert not basis._gamma_cache
+
+
+def _assert_streamed_rows_match_gamma_table(basis, expect):
+    """The rows of ``gamma_class_rows``, one class at a time, against a
+    table made apart from them, row for row."""
+    table = gamma_table(basis)
+    assert table.tolist() == expect.tolist()
+    n = 0
+    for (i0, i1), rows in zip(basis.class_block, gamma_class_rows(basis)):
+        assert rows.shape == (i1 - i0, basis.size)
+        assert rows.dtype == table.dtype
+        for row in rows:
+            assert np.array_equal(row, table[n])
+            n += 1
+    assert n == basis.size
+
+
+@pytest.mark.parametrize("factors", [(1,), (2,), (6,), (2, 4)])
+def test_streamed_gamma_rows_match_gamma_blocks(small_groups, factors):
+    fiber = AbelianFiber(factors)
+    for g in small_groups:
+        basis = MonomialBasis(g, fiber)
+        hom = np.asarray(basis.rep_hom_index)
+        expect = np.block([[
+            basis.gamma_block(ci, cj)[np.ix_(hom[i0:i1], hom[j0:j1])]
+            for cj, (j0, j1) in enumerate(basis.class_block)]
+            for ci, (i0, i1) in enumerate(basis.class_block)])
+        _assert_streamed_rows_match_gamma_table(basis, expect)
+
+
+def test_streamed_gamma_rows_match_gamma_table_e16():
+    # (C2)^4 over C2 x C2: 1837 rows, against the table of another basis
+    group, fiber = abelian_group([2, 2, 2, 2]), AbelianFiber((2, 2))
+    expect = gamma_table(MonomialBasis(group, fiber))
+    _assert_streamed_rows_match_gamma_table(MonomialBasis(group, fiber),
+                                            expect)
 
 
 def test_gamma_table_dtype_holds_the_group_order(tg_11_5_a, fiber_c1):
