@@ -150,12 +150,16 @@ def gamma_block(k_sub: Subgroup, l_sub: Subgroup,
     Both subgroups must live over the same group. This is the one-pair
     case of ``gamma_rows``.
     """
-    block = gamma_rows([k_sub], [l_sub], fiber)(0).get(0)
-    if block is None:
-        block = np.zeros((len(char_index(k_sub, fiber).values),
-                          len(char_index(l_sub, fiber).values)),
-                         dtype=np.int64)
-    return block
+    return gamma_rows([k_sub], [l_sub], fiber)(0).get(0, np.zeros(
+        (len(char_index(k_sub, fiber).values),
+         len(char_index(l_sub, fiber).values)), dtype=np.int64))
+
+
+def _sort_runs(terms: np.ndarray, lens: np.ndarray, bound: int):
+    """``terms``, entries below ``bound``, with each run of columns (of the
+    lengths ``lens``) sorted in each row, by one sort of offset keys."""
+    offset = np.repeat(np.arange(lens.size) * bound, lens)
+    return np.sort(terms + offset, axis=1) - offset
 
 
 @dataclass
@@ -177,6 +181,9 @@ class _MackeyGeometry:
     n_cosets: np.ndarray       # (k, k), upper triangle
     col_start: np.ndarray      # (k, k): where block (ci, cj) starts in row ci
     n_reps: np.ndarray         # per class: its number of orbit reps
+    width: np.ndarray          # per class: the number of columns of its row
+    offset: np.ndarray         # (k + 1,): where each row starts in terms
+    terms: np.ndarray          # the class rows, end to end, once computed
 
 
 class MonomialBasis:
@@ -196,7 +203,9 @@ class MonomialBasis:
         self.class_block: list[tuple[int, int]] = []
         # per class: hom index -> basis index of its orbit representative
         self._char_to_basis: list[np.ndarray] = []
-        self._block_cache: dict = {}
+        # the class rows of the product table computed so far, and the blocks
+        self._rows: dict[int, np.ndarray] = {}
+        self._blocks: dict[tuple[int, int], np.ndarray] = {}
         self._gamma_cache: dict[int, dict[int, np.ndarray]] = {}
         # Hom(K, A) of every class rep K, which every restriction reads
         self._homs = _hom_layout(class_table.reps, fiber)
@@ -281,6 +290,17 @@ class MonomialBasis:
                                        dtype=np.int64)
         return block
 
+    def gamma_row(self, ci: int) -> np.ndarray:
+        """The kept gamma blocks of class ci against every class side by
+        side, zero where the kernel has none, in ``_gamma_dtype``."""
+        start = _starts(np.append(self._homs.n_homs, 0))
+        row = np.zeros((start[ci + 1] - start[ci], start[-1]),
+                       dtype=_gamma_dtype(self.group.order))
+        self.gamma_block(ci, ci)        # computes kernel row ci once
+        for cj, block in self._gamma_cache[ci].items():
+            row[:, start[cj]:start[cj + 1]] = block
+        return row
+
     @cached_property
     def _gamma_kernel(self) -> Callable[[int], dict[int, np.ndarray]]:
         """``gamma_rows`` over the class reps, prepared once per basis."""
@@ -308,26 +328,31 @@ class MonomialBasis:
         the last axis has one entry per double coset K\\G/L. For each coset
         KsL the term is the orbit of (M, phi * psi^s) with M = K n sLs^-1.
 
-        The first call computes the double cosets, the intersections M and
-        their classes for every pair ci <= cj at once (``_mackey_geometry``).
-        The terms are then computed one class row at a time: the first call
-        with class ci computes every block (ci, cj) with cj >= ci
-        (``_mackey_terms``), and each block is a view of that row.
-        The block (cj, ci) is the transpose of (ci, cj) in its first two
-        axes. That is Mackey symmetry: KsL -> Ls^-1K is a bijection
-        K\\G/L -> L\\G/K, and the term (L n s^-1Ks, psi * phi^(s^-1)) of
-        Ls^-1K is the conjugate by s^-1 of the term (K n sLs^-1,
-        phi * psi^s) of KsL, so both lie in one orbit and have the same
-        basis index. Any representative of a double coset gives a term in
-        that orbit, so the sorted lists agree.
+        For ci <= cj the block is a view of class row ci (``term_row``),
+        kept once sliced out; (cj, ci) is the transpose of (ci, cj) in its
+        first two axes. That is Mackey symmetry: KsL -> Ls^-1K is a
+        bijection K\\G/L -> L\\G/K, and the term (L n s^-1Ks, psi *
+        phi^(s^-1)) of Ls^-1K is the conjugate by s^-1 of the term (K n
+        sLs^-1, phi * psi^s) of KsL, so both lie in one orbit and have the
+        same basis index. Any representative of a double coset gives a
+        term in that orbit, so the sorted lists agree.
         """
-        if (ci, cj) not in self._block_cache:
+        block = self._blocks.get((ci, cj))
+        if block is None:
             if ci > cj:
-                self._block_cache[ci, cj] = self.product_block(
-                    cj, ci).transpose(1, 0, 2)
+                block = self.product_block(cj, ci).transpose(1, 0, 2)
             else:
-                self._mackey_terms(ci)
-        return self._block_cache[ci, cj]
+                geo = self._geometry
+                c0, nr, nc = geo.col_start[ci, cj], geo.n_reps[cj], geo.n_cosets[ci, cj]
+                block = self.term_row(ci)[:, c0:c0 + nr * nc].reshape(-1, nr, nc)
+            self._blocks[ci, cj] = block
+        return block
+
+    def term_row(self, ci: int) -> np.ndarray:
+        """Class row ci of the product table (``_mackey_terms``), once."""
+        if ci not in self._rows:
+            self._rows[ci] = self._mackey_terms(ci)
+        return self._rows[ci]
 
     @cached_property
     def _geometry(self) -> _MackeyGeometry:
@@ -379,18 +404,19 @@ class MonomialBasis:
                             dtype=np.int64)
         n_cosets = n_cosets.reshape(k, k)
         widths = np.triu(n_reps[None, :] * n_cosets)
+        width = widths.sum(axis=1)
+        offset = _starts(np.append(n_reps * width, 0))
         return _MackeyGeometry(
             row=_starts(np.bincount(ci, minlength=k + 1)), cj=cj, d=d,
             g_inv=group.inv[transporters],
             gs_inv=group.inv[group.mul[transporters, s]], cm=cm,
             n_cosets=n_cosets, col_start=np.cumsum(widths, axis=1) - widths,
-            n_reps=n_reps)
+            n_reps=n_reps, width=width, offset=offset,
+            terms=np.empty(int(offset[-1]), dtype=np.int64))
 
     def _mackey_terms(self, ci: int) -> np.ndarray:
-        """The terms of every block (ci, cj) with cj >= ci, side by side,
-        each block also kept in ``_block_cache`` as a view: block (ci, cj)
-        is the columns from ``col_start[ci, cj]`` on, as an (orbit reps of
-        ci, orbit reps of cj, double cosets) array.
+        """Class row ci of the product table (``term_row``), as a view of
+        its place in ``_MackeyGeometry.terms``.
 
         By restriction: for the coset KsL with M = K n sLs^-1 carried to
         its class rep, each orbit rep phi of K restricts to a character rho
@@ -403,8 +429,8 @@ class MonomialBasis:
         hom = np.asarray(self.rep_hom_index, dtype=np.int64)
         n_reps, rep0 = geo.n_reps, _starts(geo.n_reps)
         n_cosets, col_start = geo.n_cosets[ci], geo.col_start[ci]
-        terms = np.empty((i1 - i0, int(n_cosets[ci:] @ n_reps[ci:])),
-                         dtype=np.int64)
+        terms = geo.terms[geo.offset[ci]:geo.offset[ci + 1]].reshape(
+            i1 - i0, -1)
         # the cosets of the row, grouped by the class of M
         cm = geo.cm[t0:t1]
         by_cm = np.argsort(cm, kind="stable")
@@ -429,17 +455,9 @@ class MonomialBasis:
             cols = col_start[lu] + b * n_cosets[lu] + geo.d[at][u]
             terms[:, cols] = self._char_to_basis[c][
                 m_chars.table[rho[:, u], sigma]]
-        # sort each block's last axis at once: the columns of one (cj, b)
-        # get one key offset, above every basis index
-        nb = n_reps[ci:]
-        group_id = np.repeat(np.arange(int(nb.sum())),
-                             np.repeat(n_cosets[ci:], nb))
-        offset = group_id * self.size
-        terms = np.sort(terms + offset, axis=1) - offset
-        for cj, c0, nr, nc in zip(range(ci, len(n_reps)), *(
-                v[ci:].tolist() for v in (col_start, n_reps, n_cosets))):
-            self._block_cache[ci, cj] = terms[:, c0:c0 + nr * nc].reshape(
-                -1, nr, nc)
+        # sort the run of each product (i, j), j over classes cj >= ci
+        terms[:] = _sort_runs(terms, np.repeat(n_cosets[ci:], n_reps[ci:]),
+                              self.size)
         return terms
 
     def to_json(self) -> dict:
@@ -469,13 +487,10 @@ def monomial_basis(group: FiniteGroup, fiber: AbelianFiber,
 def gamma_class_rows(basis: MonomialBasis) -> Iterator[np.ndarray]:
     """The rows of ``gamma_table(basis)``, one class at a time: for each
     class ci in order, the rows of its orbit reps as one (reps of ci, basis
-    size) array, made from class row ci of the gamma kernel only when it is
-    reached. Entry [i, j] counts cosets of the subgroup L of pair j, so it
-    is at most |G : L| <= |G|; the dtype is the smallest signed integer
-    type whose max is at least |G|. Only class pairs with a nonzero mark
+    size) array in ``_gamma_dtype``, made from class row ci of the gamma
+    kernel only when it is reached. Only class pairs with a nonzero mark
     are computed; the other blocks stay zero."""
-    dtype = next(t for t in (np.int8, np.int16, np.int32, np.int64)
-                 if np.iinfo(t).max >= basis.group.order)
+    dtype = _gamma_dtype(basis.group.order)
     hom_index = np.asarray(basis.rep_hom_index, dtype=np.int64)
     kernel = basis._gamma_kernel
     for ci, (i0, i1) in enumerate(basis.class_block):
@@ -485,6 +500,13 @@ def gamma_class_rows(basis: MonomialBasis) -> Iterator[np.ndarray]:
             rows[:, j0:j1] = block[np.ix_(hom_index[i0:i1],
                                           hom_index[j0:j1])]
         yield rows
+
+
+def _gamma_dtype(order: int) -> type:
+    """The smallest signed integer type whose max is at least ``order``: a
+    gamma coefficient counts cosets of some L, at most |G : L| <= |G|."""
+    return next(t for t in (np.int8, np.int16, np.int32, np.int64)
+                if np.iinfo(t).max >= order)
 
 
 def gamma_table(basis: MonomialBasis) -> np.ndarray:
@@ -542,12 +564,9 @@ def multiply(x: BurnsideElement, y: BurnsideElement) -> BurnsideElement:
         raise ComponentMismatch("elements over different bases")
     basis = x.basis
     out = [0] * basis.size
-    for i, a in enumerate(x.coeffs):
-        if not a:
-            continue
-        for j, b in enumerate(y.coeffs):
-            if not b:
-                continue
+    terms_y = [(j, b) for j, b in enumerate(y.coeffs) if b]
+    for i, a in ((i, a) for i, a in enumerate(x.coeffs) if a):
+        for j, b in terms_y:
             for idx, c in basis.product(i, j):
                 out[idx] += a * b * c
     return BurnsideElement(basis, out)
@@ -595,18 +614,9 @@ class GhostElement:
 
     def is_orbit_closed(self) -> bool:
         """Each component constant on normalizer orbits of characters."""
-        basis = self.ring.basis
-        for ci, comp in enumerate(self.comps):
-            orbit_of = basis._char_to_basis[ci]
-            seen: dict[int, int] = {}
-            for hi, c in enumerate(comp):
-                root = orbit_of[hi]
-                if root in seen:
-                    if seen[root] != c:
-                        return False
-                else:
-                    seen[root] = c
-        return True
+        basis = self.ring.basis   # each equals its orbit rep's entry
+        return all(comp == [comp[basis.rep_hom_index[b]] for b in orb.tolist()]
+                   for comp, orb in zip(self.comps, basis._char_to_basis))
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, GhostElement)

@@ -11,15 +11,15 @@ does and does not rule out.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
-from .abelian_fiber import AbelianFiber, Character, char_index, hom_set
+from .abelian_fiber import AbelianFiber, CharIndex, char_index
 from .errors import (FiberHasPTorsion, InvalidSpec, NotABijection,
                      NotAGroupIso, SearchBudgetExceeded)
-from .group_core import SubgroupClassTable, _orders
-from .monomial import monomial_basis
+from .group_core import SubgroupClassTable, _orders, _starts
+from .monomial import _sort_runs, monomial_basis
 from .thevenaz import ThevenazGroup, canonical_class_table
 
 EXHAUSTION_CAVEAT = (
@@ -93,12 +93,12 @@ class SpeciesVerdict:
 # Character group structure
 
 
-def char_group_isomorphisms(homs1: Sequence[Character],
-                            homs2: Sequence[Character], *,
+def char_group_isomorphisms(chars1: CharIndex, chars2: CharIndex, *,
                             accept: Optional[Callable[[np.ndarray, np.ndarray],
                                                       bool]] = None
                             ) -> Iterator[list[int]]:
-    """All group isomorphisms Hom(K, A) -> Hom(K', A), as index maps.
+    """All group isomorphisms Hom(K, A) -> Hom(K', A), given as their
+    ``CharIndex``, as index maps.
 
     Deterministic order: the generators of Hom(K, A) are those of its
     ``CharIndex.decomposition``, and candidates for each generator image
@@ -112,13 +112,12 @@ def char_group_isomorphisms(homs1: Sequence[Character],
     trivial characters alone and then after each generator image; a prefix
     it rejects is not extended.
     """
-    if len(homs1) != len(homs2):
+    n = len(chars1.values)
+    if n != len(chars2.values):
         return
-    chars2 = char_index(homs2[0].domain, homs2[0].fiber)
-    dec1 = char_index(homs1[0].domain, homs1[0].fiber).decomposition
+    dec1 = chars1.decomposition
     if dec1.factors != chars2.decomposition.factors:
         return
-    n = len(homs1)
     table2 = chars2.table
     orders2 = _orders(table2)
     # powers[k] holds c^0 .. c^(d-1) for each candidate image c of the
@@ -138,8 +137,7 @@ def char_group_isomorphisms(homs1: Sequence[Character],
     flat[dec1.span] = np.arange(n)
     tails = np.cumprod((1,) + dec1.factors[::-1])[::-1]
     spanned = [dec1.span[::t] for t in tails]
-    if accept is None:
-        accept = _accept_all
+    accept = accept or (lambda dom, img: True)
 
     def extend(k: int, span: np.ndarray,
                in_span: np.ndarray) -> Iterator[list[int]]:
@@ -168,28 +166,17 @@ def char_group_isomorphisms(homs1: Sequence[Character],
         del extend
 
 
-def _accept_all(dom: np.ndarray, img: np.ndarray) -> bool:
-    return True
-
-
-def _is_char_group_iso(table1: np.ndarray, table2: np.ndarray,
-                       mapping: Sequence[int]) -> bool:
-    m = np.asarray(mapping, dtype=np.int64)
-    return np.array_equal(m[table1], table2[np.ix_(m, m)])
-
-
 # ---------------------------------------------------------------------------
 # Verification
 
 
 def verify_species(witness: SpeciesWitness,
                    fiber: AbelianFiber) -> SpeciesVerdict:
-    """Check the gamma-matching condition of a witness on all quadruples.
-
-    On success the induced basis bijection is materialized and re-verified
-    to transport all structure constants of the double-coset product
-    (independent end-to-end oracle).
-    """
+    """Check the gamma-matching condition of a witness on every pair of
+    characters of every pair of classes; on success, re-verify that the
+    induced basis bijection transports every structure constant of the
+    double-coset product (an independent end-to-end oracle). Both checks
+    run one class row at a time."""
     g_table, h_table = witness.g_table, witness.h_table
     k = len(g_table.reps)
     if len(h_table.reps) != k or len(witness.subgroup_map) != k:
@@ -199,98 +186,103 @@ def verify_species(witness: SpeciesWitness,
     basis_g = monomial_basis(g_table.group, fiber, g_table)
     basis_h = monomial_basis(h_table.group, fiber, h_table)
     for ci in range(k):
-        cj = witness.subgroup_map[ci]
         cmap = witness.char_maps[ci]
-        chars_g = char_index(g_table.reps[ci], fiber)
-        chars_h = char_index(h_table.reps[cj], fiber)
+        chars_g = basis_g._homs.chars[ci]
+        chars_h = basis_h._homs.chars[witness.subgroup_map[ci]]
         if (len(cmap) != len(chars_g.values)
                 or sorted(cmap) != list(range(len(chars_h.values)))):
             raise NotABijection(f"character map of class {ci} is not a bijection")
-        if not _is_char_group_iso(chars_g.table, chars_h.table, cmap):
+        m = np.asarray(cmap, dtype=np.int64)
+        if not np.array_equal(m[chars_g.table], chars_h.table[np.ix_(m, m)]):
             raise NotAGroupIso(
                 f"character map of class {ci} does not preserve products")
-    marks_g, marks_h = g_table.marks, h_table.marks
-    for ci in range(k):
-        ti = witness.subgroup_map[ci]
-        for cj in range(k):
-            # a mark is the [0, 0] entry of its gamma block, and a block
-            # whose mark is 0 is zero, so two zero marks cannot mismatch
-            if not (marks_g[ci][cj] or marks_h[ti][witness.subgroup_map[cj]]):
-                continue
-            bad = _gamma_mismatch(basis_g, basis_h, witness, ci, cj)
-            if bad is not None:
-                return SpeciesVerdict(False, counterexample=bad)
+    bad = _gamma_check(basis_g, basis_h, witness)
+    if bad is not None:
+        return SpeciesVerdict(False, counterexample=bad)
     mismatch, bijection = _structure_constant_check(basis_g, basis_h, witness)
     if mismatch is not None:
         return SpeciesVerdict(False, counterexample=mismatch)
     return SpeciesVerdict(True, basis_bijection=bijection)
 
 
-def _gamma_mismatch(basis_g, basis_h, witness, ci: int, cj: int):
-    """First (a, b), in row-major order, where the gamma block of classes
-    (ci, cj) differs from the block of their images, read through the
-    character maps."""
-    ti, tj = witness.subgroup_map[ci], witness.subgroup_map[cj]
-    gg = basis_g.gamma_block(ci, cj)
-    gh = basis_h.gamma_block(ti, tj)[
-        np.ix_(witness.char_maps[ci], witness.char_maps[cj])]
-    bad = np.argwhere(gg != gh)
-    if not bad.size:
-        return None
-    a, b = (int(v) for v in bad[0])
-    return {
-        "classes": [ci, cj],
-        "char_indices": [a, b],
-        "gamma_g": int(gg[a, b]),
-        "gamma_h": int(gh[a, b]),
-    }
+def _gamma_check(basis_g, basis_h, witness) -> Optional[dict]:
+    """The first (ci, cj, a, b), in that order, where gamma of the a-th
+    character of class ci against the b-th of class cj differs from gamma
+    of their images; None if there is none. One comparison per class: G's
+    gamma row ci (``gamma_row``) against H's row of its image, with rows
+    taken by the character map of ci and columns by one permutation,
+    (cj, b) -> (subgroup_map[cj], char_maps[cj][b])."""
+    start_g = _starts(np.append(basis_g._homs.n_homs, 0))
+    start_h = _starts(basis_h._homs.n_homs)
+    maps = list(zip(witness.subgroup_map, witness.char_maps))
+    columns = np.concatenate([start_h[t] + np.asarray(m, dtype=np.int64)
+                              for t, m in maps])
+    for ci, (ti, cmap) in enumerate(maps):
+        gg = basis_g.gamma_row(ci)
+        gh = basis_h.gamma_row(ti)[cmap].take(columns, axis=1)
+        differ = gg != gh
+        at = np.flatnonzero(differ.any(axis=0))
+        if at.size:
+            # the first differing class cj, then (a, b) in its block
+            cj = int(np.searchsorted(start_g, at[0], side="right")) - 1
+            a, b = (int(v) for v in np.argwhere(
+                differ[:, start_g[cj]:start_g[cj + 1]])[0])
+            j = start_g[cj] + b
+            return {"classes": [ci, cj], "char_indices": [a, b],
+                    "gamma_g": int(gg[a, j]), "gamma_h": int(gh[a, j])}
+    return None
 
 
 def _structure_constant_check(basis_g, basis_h, witness):
     """Transport every structure constant of ``basis_g`` through the basis
-    bijection the witness induces and compare it with ``basis_h``, one
-    class pair at a time; reports the first differing basis pair (i, j) in
-    row-major order.
-
-    Only the blocks with ci <= cj are compared. On both sides the block
-    (cj, ci) is the exact transpose of (ci, cj) (``product_block``), and
-    the bijection maps both axes alike, so the pair (j, i) differs exactly
-    when (i, j) does. The first differing pair in row-major order thus
-    has i <= j, and basis indices ascend with the class, so the first
-    class row with a difference among its compared blocks holds it."""
+    bijection the witness induces and compare it with ``basis_h``; reports
+    the first differing basis pair (i, j) in row-major order. One pass per
+    class row ci of ``basis_g`` (``term_row``): its terms are mapped
+    through the bijection and each run (i, j) sorted, in one sort, and the
+    runs of the image pairs (x, y) are gathered in one index from the rows
+    of ``basis_h``, at the mirror (y, x) when x's class is after y's
+    (Mackey symmetry, ``product_block``). Runs of unequal length differ.
+    The row holds the pairs with j from class ci on; (i, j) differs
+    exactly when (j, i) does, so the first differing pair in row-major
+    order lies in the first row with a difference."""
     if basis_g.size != basis_h.size:
         return {"reason": "basis sizes differ",
                 "sizes": [basis_g.size, basis_h.size]}, None
-    mapping = []
-    for idx in range(basis_g.size):
-        ci = basis_g.rep_class[idx]
-        hi = basis_g.rep_hom_index[idx]
-        cj = witness.subgroup_map[ci]
-        hj = witness.char_maps[ci][hi]
-        mapping.append(int(basis_h._char_to_basis[cj][hj]))
-    if len(set(mapping)) != basis_g.size:
+    smap = np.asarray(witness.subgroup_map, dtype=np.int64)
+    hom_g = np.asarray(basis_g.rep_hom_index, dtype=np.int64)
+    image = np.concatenate([basis_h._char_to_basis[t][np.asarray(
+        m, dtype=np.int64)[hom_g[i0:i1]]] for t, m, (i0, i1) in zip(
+            smap, witness.char_maps, basis_g.class_block)])
+    if not np.array_equal(np.sort(image), np.arange(basis_g.size)):
         return {"reason": "induced basis map is not a bijection"}, None
-    image = np.asarray(mapping, dtype=np.int64)
-    # the rows of each class's images within their block on the H side
-    at_h = [image[i0:i1] - basis_h.class_block[witness.subgroup_map[ci]][0]
-            for ci, (i0, i1) in enumerate(basis_g.class_block)]
+    geo_g, geo_h = basis_g._geometry, basis_h._geometry
+    class_h = np.asarray(basis_h.rep_class, dtype=np.int64)[image]
+    at_h = image - np.asarray(basis_h.class_block)[class_h, 0]
+    for t in range(len(basis_h.class_block)):
+        basis_h.term_row(t)
     for ci, (i0, i1) in enumerate(basis_g.class_block):
-        ti = witness.subgroup_map[ci]
-        # which (i, j) with i in class ci and j in a class cj >= ci differ
-        differ = np.zeros((i1 - i0, basis_g.size), dtype=bool)
-        for cj in range(ci, len(basis_g.class_block)):
-            j0, j1 = basis_g.class_block[cj]
-            block_g = basis_g.product_block(ci, cj)
-            block_h = basis_h.product_block(
-                ti, witness.subgroup_map[cj])[at_h[ci]][:, at_h[cj]]
-            if block_g.shape != block_h.shape:
-                differ[:, j0:j1] = True
-            else:
-                transported = np.sort(image[block_g], axis=-1)
-                differ[:, j0:j1] = (transported != block_h).any(axis=-1)
+        ti, tj, b = smap[ci], class_h[i0:], at_h[i0:]
+        lens = np.repeat(geo_g.n_cosets[ci, ci:], geo_g.n_reps[ci:])
+        lens_h = geo_h.n_cosets[np.minimum(ti, tj), np.maximum(ti, tj)]
+        # run (x, y) starts at at_h[x] * step + base; unequal runs read 0
+        same = lens == lens_h
+        upper = ti <= tj
+        step = np.where(upper, geo_h.width[ti], lens_h) * same
+        base = np.where(
+            upper, geo_h.offset[ti] + geo_h.col_start[ti, tj] + b * lens_h,
+            geo_h.offset[tj] + geo_h.col_start[tj, ti] + b * geo_h.width[tj]
+        ) * same
+        run = _starts(np.append(lens, 0))
+        d = np.arange(run[-1]) - np.repeat(run[:-1], lens)
+        at = (at_h[i0:i1, None] * np.repeat(step, lens)
+              + np.repeat(base, lens) + d)
+        transported = _sort_runs(image[basis_g.term_row(ci)], lens,
+                                 basis_g.size)
+        differ = np.logical_or.reduceat(
+            transported != geo_h.terms[at], run[:-1], axis=1) | ~same
         if differ.any():
-            a, j = (int(v) for v in np.argwhere(differ)[0])
-            i = i0 + a
+            a, s = (int(v) for v in np.argwhere(differ)[0])
+            i, j, mapping = i0 + a, i0 + s, image.tolist()
             return {
                 "reason": "structure constants differ",
                 "basis_pair": [i, j],
@@ -298,7 +290,7 @@ def _structure_constant_check(basis_g, basis_h, witness):
                                       for t, c in basis_g.product(i, j)),
                 "target": basis_h.product(mapping[i], mapping[j]),
             }, None
-    return None, list(enumerate(mapping))
+    return None, list(enumerate(image.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -352,8 +344,7 @@ def search_species(g_table: SubgroupClassTable,
         return None
     basis_g = monomial_basis(g_table.group, fiber, g_table)
     basis_h = monomial_basis(h_table.group, fiber, h_table)
-    homs_g = [hom_set(r, fiber) for r in g_table.reps]
-    homs_h = [hom_set(r, fiber) for r in h_table.reps]
+    homs_g, homs_h = basis_g._homs.chars, basis_h._homs.chars
     gamma_g, gamma_h = basis_g.gamma_block, basis_h.gamma_block
     candidates = [[j for j in range(k) if inv_h[j] == inv_g[i]]
                   for i in range(k)]
@@ -374,7 +365,7 @@ def search_species(g_table: SubgroupClassTable,
         """The gamma rows of class x against each class in ``others``, and
         its gamma columns, side by side, with the characters of those
         classes permuted by ``maps``: one row per character of x."""
-        blocks = [np.zeros((len(homs[x]), 0), dtype=np.int64)]
+        blocks = [np.zeros((len(homs[x].values), 0), dtype=np.int64)]
         for y, m in zip(others, maps):
             blocks += [gamma(x, y)[:, m], gamma(y, x)[m].T]
         return np.concatenate(blocks, axis=1)
@@ -450,8 +441,10 @@ def thevenaz_witness(tg1: ThevenazGroup, tg2: ThevenazGroup,
     """The explicit witness between two family members over the same (p, q).
 
     Classes are paired by position in the canonical class tables; on
-    classes containing the order-q generator, characters are paired by
-    their value on it. Requires the fiber to have trivial p-torsion.
+    classes containing the order-q generator z, characters are paired by
+    their value on it (the z column of ``CharIndex.values``); the other
+    classes have the trivial character only. Requires the fiber to have
+    trivial p-torsion.
     """
     if (tg1.spec.p, tg1.spec.q) != (tg2.spec.p, tg2.spec.q):
         raise InvalidSpec("family members must share p and q")
@@ -463,17 +456,13 @@ def thevenaz_witness(tg1: ThevenazGroup, tg2: ThevenazGroup,
     subgroup_map = list(range(len(g_table.reps)))
     char_maps: list[list[int]] = []
     for k_sub, k_img in zip(g_table.reps, h_table.reps):
-        homs1 = hom_set(k_sub, fiber)
-        homs2 = hom_set(k_img, fiber)
-        if len(homs1) == 1:
-            if len(homs2) != 1:
-                raise InvalidSpec("character groups unexpectedly differ")
-            char_maps.append([0])
-            continue
-        # non-p-subgroup classes: characters are determined by the value on z
-        z1, z2 = tg1.z, tg2.z
-        by_value = {h.value_index(z2): j for j, h in enumerate(homs2)}
-        char_maps.append([by_value[h.value_index(z1)] for h in homs1])
+        # values on z, or at the identity (column 0) for a class without z
+        on_z = [c.values[:, max(c.pos[z], 0)].tolist() for c, z in (
+            (char_index(k_sub, fiber), tg1.z), (char_index(k_img, fiber), tg2.z))]
+        by_value = {v: j for j, v in enumerate(on_z[1])}
+        if sorted(on_z[0]) != sorted(on_z[1]) or len(by_value) < len(on_z[1]):
+            raise InvalidSpec("character groups unexpectedly differ")
+        char_maps.append([by_value[v] for v in on_z[0]])
     return SpeciesWitness(g_table, h_table, subgroup_map, char_maps)
 
 

@@ -27,7 +27,9 @@ commutators. Finite abelian groups are decomposed through per-element
 Python callbacks of the group operation, K^ab over a dict of least coset
 members, and element orders by stepping through powers. The species search builds each character map whole and
 checks every gamma block of its class only then, and tells classes apart
-by a per-class ``Counter`` of mark profiles. Every monomial pair is
+by a per-class ``Counter`` of mark profiles. A species witness is checked
+one class pair at a time: gamma block against gamma block, and product
+block against product block. Every monomial pair is
 listed subgroup by subgroup, and determinants are exact by fraction-free
 elimination over Python ints."""
 
@@ -1069,8 +1071,8 @@ def reference_search_species(g_table: SubgroupClassTable,
         return None
     basis_g = monomial_basis(g_table.group, fiber, g_table)
     basis_h = monomial_basis(h_table.group, fiber, h_table)
-    homs_g = [hom_set(r, fiber) for r in g_table.reps]
-    homs_h = [hom_set(r, fiber) for r in h_table.reps]
+    homs_g = [char_index(r, fiber) for r in g_table.reps]
+    homs_h = [char_index(r, fiber) for r in h_table.reps]
     gamma_g, gamma_h = basis_g.gamma_block, basis_h.gamma_block
     candidates = [[j for j in range(k) if inv_h[j] == inv_g[i]]
                   for i in range(k)]
@@ -1117,3 +1119,97 @@ def reference_search_species(g_table: SubgroupClassTable,
         return None
     return SpeciesWitness(g_table, h_table, [int(v) for v in assignment],
                           [m.tolist() for m in char_assignment])
+
+
+def reference_gamma_check(basis_g, basis_h, witness):
+    """The gamma check of ``verify_species`` one class pair at a time: the
+    first counterexample over ci, then cj, of ``reference_gamma_mismatch``,
+    skipping the pairs whose mark is 0 on both sides; None if none."""
+    marks_g, marks_h = witness.g_table.marks, witness.h_table.marks
+    k = len(witness.g_table.reps)
+    for ci in range(k):
+        ti = witness.subgroup_map[ci]
+        for cj in range(k):
+            # a mark is the [0, 0] entry of its gamma block, and a block
+            # whose mark is 0 is zero, so two zero marks cannot mismatch
+            if not (marks_g[ci][cj] or marks_h[ti][witness.subgroup_map[cj]]):
+                continue
+            bad = reference_gamma_mismatch(basis_g, basis_h, witness, ci, cj)
+            if bad is not None:
+                return bad
+    return None
+
+
+def reference_gamma_mismatch(basis_g, basis_h, witness, ci: int, cj: int):
+    """First (a, b), in row-major order, where the gamma block of classes
+    (ci, cj) differs from the block of their images, read through the
+    character maps."""
+    ti, tj = witness.subgroup_map[ci], witness.subgroup_map[cj]
+    gg = basis_g.gamma_block(ci, cj)
+    gh = basis_h.gamma_block(ti, tj)[
+        np.ix_(witness.char_maps[ci], witness.char_maps[cj])]
+    bad = np.argwhere(gg != gh)
+    if not bad.size:
+        return None
+    a, b = (int(v) for v in bad[0])
+    return {
+        "classes": [ci, cj],
+        "char_indices": [a, b],
+        "gamma_g": int(gg[a, b]),
+        "gamma_h": int(gh[a, b]),
+    }
+
+
+def reference_structure_constant_check(basis_g, basis_h, witness):
+    """Transport every structure constant of ``basis_g`` through the basis
+    bijection the witness induces and compare it with ``basis_h``, one
+    class pair at a time; reports the first differing basis pair (i, j) in
+    row-major order.
+
+    Only the blocks with ci <= cj are compared. On both sides the block
+    (cj, ci) is the exact transpose of (ci, cj) (``product_block``), and
+    the bijection maps both axes alike, so the pair (j, i) differs exactly
+    when (i, j) does. The first differing pair in row-major order thus
+    has i <= j, and basis indices ascend with the class, so the first
+    class row with a difference among its compared blocks holds it."""
+    if basis_g.size != basis_h.size:
+        return {"reason": "basis sizes differ",
+                "sizes": [basis_g.size, basis_h.size]}, None
+    mapping = []
+    for idx in range(basis_g.size):
+        ci = basis_g.rep_class[idx]
+        hi = basis_g.rep_hom_index[idx]
+        cj = witness.subgroup_map[ci]
+        hj = witness.char_maps[ci][hi]
+        mapping.append(int(basis_h._char_to_basis[cj][hj]))
+    if len(set(mapping)) != basis_g.size:
+        return {"reason": "induced basis map is not a bijection"}, None
+    image = np.asarray(mapping, dtype=np.int64)
+    # the rows of each class's images within their block on the H side
+    at_h = [image[i0:i1] - basis_h.class_block[witness.subgroup_map[ci]][0]
+            for ci, (i0, i1) in enumerate(basis_g.class_block)]
+    for ci, (i0, i1) in enumerate(basis_g.class_block):
+        ti = witness.subgroup_map[ci]
+        # which (i, j) with i in class ci and j in a class cj >= ci differ
+        differ = np.zeros((i1 - i0, basis_g.size), dtype=bool)
+        for cj in range(ci, len(basis_g.class_block)):
+            j0, j1 = basis_g.class_block[cj]
+            block_g = basis_g.product_block(ci, cj)
+            block_h = basis_h.product_block(
+                ti, witness.subgroup_map[cj])[at_h[ci]][:, at_h[cj]]
+            if block_g.shape != block_h.shape:
+                differ[:, j0:j1] = True
+            else:
+                transported = np.sort(image[block_g], axis=-1)
+                differ[:, j0:j1] = (transported != block_h).any(axis=-1)
+        if differ.any():
+            a, j = (int(v) for v in np.argwhere(differ)[0])
+            i = i0 + a
+            return {
+                "reason": "structure constants differ",
+                "basis_pair": [i, j],
+                "transported": sorted((mapping[t], c)
+                                      for t, c in basis_g.product(i, j)),
+                "target": basis_h.product(mapping[i], mapping[j]),
+            }, None
+    return None, list(enumerate(mapping))

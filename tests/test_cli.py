@@ -985,6 +985,30 @@ def test_gamma_builds_no_character_objects(capsys, monkeypatch):
     assert len(calls) == len(homs) == 2
 
 
+@pytest.mark.parametrize("command", [
+    lambda: cli.cmd_verify("abelian:2,2,2,2", "abelian:2,2,2,2", "2",
+                           auto=True),
+    lambda: cli.cmd_reproduce_paper(),
+], ids=["verify-e16-auto", "reproduce"])
+def test_species_commands_build_no_character_objects(monkeypatch, command):
+    # the search pairs character groups by their CharIndex, the family
+    # witness pairs characters by the z column of CharIndex.values, and
+    # both checks of verify_species compare arrays
+    calls = []
+    init = Character.__init__
+
+    def counting_init(self, *args, **kwargs):
+        calls.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Character, "__init__", counting_init)
+    report, code = command()
+    assert code == 0
+    assert report["result"].get("valid", report["result"].get(
+        "witness_valid")) is True
+    assert not calls
+
+
 KEYS = st.one_of(st.text(max_size=3), st.integers(-20, 20), st.booleans(),
                  st.none(), st.floats(), st.tuples(st.integers(0, 2)))
 

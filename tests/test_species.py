@@ -10,7 +10,9 @@ A count pins how many geometry passes, product term rows and gamma blocks
 ``verify --auto`` computes.
 The counterexamples of the gamma and structure-constant checks are pinned
 to the first mismatch that ``reference_gamma`` and ``reference_product``
-find pair by pair.
+find pair by pair, and both row checks are compared, input for input, with
+``reference_gamma_check`` and ``reference_structure_constant_check``, the
+per-class-pair loops they replace.
 """
 
 import itertools
@@ -21,7 +23,7 @@ import numpy as np
 import pytest
 
 from fibered_burnside import cli, monomial
-from fibered_burnside.abelian_fiber import AbelianFiber, hom_set
+from fibered_burnside.abelian_fiber import AbelianFiber, char_index, hom_set
 from fibered_burnside.errors import (FiberHasPTorsion, InvalidSpec,
                                      NotABijection, NotAGroupIso,
                                      SearchBudgetExceeded)
@@ -32,14 +34,15 @@ from fibered_burnside.group_core import (Subgroup, abelian_group,
 from fibered_burnside.monomial import (MonomialBasis, MonomialPair,
                                        monomial_basis)
 from fibered_burnside.species import (EXHAUSTION_CAVEAT, SpeciesWitness,
-                                      _class_invariants,
+                                      _class_invariants, _gamma_check,
                                       _structure_constant_check,
                                       char_group_isomorphisms, search_species,
                                       thevenaz_witness, verify_species)
 from oracles import (reference_char_group_isomorphisms,
                      reference_char_group_table, reference_class_invariant,
-                     reference_gamma,
-                     reference_product, reference_search_species)
+                     reference_gamma, reference_gamma_check,
+                     reference_product, reference_search_species,
+                     reference_structure_constant_check)
 
 # ---------------------------------------------------------------------------
 # Character group isomorphisms
@@ -53,13 +56,13 @@ def test_char_group_isomorphism_counts():
     klein = abelian_group((2, 2))
     c4 = cyclic_group(4)
     fiber4 = AbelianFiber((4,))
-    homs_klein = hom_set(_full(klein), AbelianFiber((2,)))   # C2 x C2
-    homs_c4 = hom_set(_full(c4), fiber4)                     # C4
+    homs_klein = char_index(_full(klein), AbelianFiber((2,)))  # C2 x C2
+    homs_c4 = char_index(_full(c4), fiber4)                    # C4
     # Aut(C2 x C2) has 6 elements, Aut(C4) has 2
     assert len(list(char_group_isomorphisms(homs_klein, homs_klein))) == 6
     assert len(list(char_group_isomorphisms(homs_c4, homs_c4))) == 2
     # groups of the same size but different structure admit none
-    homs_klein4 = hom_set(_full(klein), fiber4)              # still C2 x C2
+    homs_klein4 = char_index(_full(klein), fiber4)             # still C2 x C2
     assert list(char_group_isomorphisms(homs_klein4, homs_c4)) == []
 
 
@@ -69,30 +72,37 @@ def test_char_group_isomorphisms_match_reference(small_groups, factors):
     # hom sets have the same size (at most 8; C2 x C4 over (2,4) has 32)
     fiber = AbelianFiber(factors)
     for g in small_groups:
-        homs = [hom_set(s, fiber)
-                for s in conjugacy_classes_of_subgroups(g).reps]
-        for homs1 in homs:
-            for homs2 in homs:
+        reps = conjugacy_classes_of_subgroups(g).reps
+        homs = [hom_set(s, fiber) for s in reps]
+        chars = [char_index(s, fiber) for s in reps]
+        for homs1, chars1 in zip(homs, chars):
+            for homs2, chars2 in zip(homs, chars):
                 if len(homs1) == len(homs2) <= 8:
-                    assert list(char_group_isomorphisms(homs1, homs2)) == \
+                    assert list(char_group_isomorphisms(chars1, chars2)) == \
                         list(reference_char_group_isomorphisms(homs1, homs2))
 
 
 def test_char_group_isomorphisms_match_reference_rank_4(fiber_c2):
     # Hom((C2)^4, C2) has 16 elements and |GL(4, 2)| = 20160 automorphisms;
     # Hom(C4 x C4, C4) has as many elements and none
-    homs_e16 = hom_set(_full(abelian_group((2, 2, 2, 2))), fiber_c2)
-    homs_c4c4 = hom_set(_full(abelian_group((4, 4))), AbelianFiber((4,)))
-    for homs in (homs_e16, homs_c4c4):
-        assert list(char_group_isomorphisms(homs_e16, homs)) == \
-            list(reference_char_group_isomorphisms(homs_e16, homs))
-    assert len(list(char_group_isomorphisms(homs_e16, homs_e16))) == 20160
+    e16 = _full(abelian_group((2, 2, 2, 2)))
+    c4c4 = _full(abelian_group((4, 4)))
+    homs_e16 = hom_set(e16, fiber_c2)
+    chars_e16 = char_index(e16, fiber_c2)
+    for sub, fiber in ((e16, fiber_c2), (c4c4, AbelianFiber((4,)))):
+        assert list(char_group_isomorphisms(
+            chars_e16, char_index(sub, fiber))) == \
+            list(reference_char_group_isomorphisms(homs_e16,
+                                                   hom_set(sub, fiber)))
+    assert len(list(char_group_isomorphisms(chars_e16, chars_e16))) == 20160
 
 
 def test_char_group_isomorphisms_are_lazy():
     # Hom((C2)^3, C2 x C2) is (C2)^6, with about 2e10 automorphisms
-    homs = hom_set(_full(abelian_group((2, 2, 2))), AbelianFiber((2, 2)))
-    first = list(itertools.islice(char_group_isomorphisms(homs, homs), 1000))
+    e8, fiber = _full(abelian_group((2, 2, 2))), AbelianFiber((2, 2))
+    homs, chars = hom_set(e8, fiber), char_index(e8, fiber)
+    first = list(itertools.islice(char_group_isomorphisms(chars, chars),
+                                  1000))
     assert len({tuple(m) for m in first}) == 1000
     table = np.asarray(reference_char_group_table(homs))
     for mapping in np.asarray(first):
@@ -103,9 +113,9 @@ def test_char_group_isomorphisms_are_lazy():
 def test_char_group_isomorphisms_accept_all_gives_full_list(fiber_c2):
     # accept sees the trivial characters first and then every prefix; the
     # calls on the full span are the maps themselves, in order
-    klein = hom_set(_full(abelian_group((2, 2))), fiber_c2)
-    e16 = hom_set(_full(abelian_group((2, 2, 2, 2))), fiber_c2)
-    c4c4 = hom_set(_full(abelian_group((4, 4))), AbelianFiber((4,)))
+    klein = char_index(_full(abelian_group((2, 2))), fiber_c2)
+    e16 = char_index(_full(abelian_group((2, 2, 2, 2))), fiber_c2)
+    c4c4 = char_index(_full(abelian_group((4, 4))), AbelianFiber((4,)))
     for homs in (klein, e16, c4c4):
         calls = []
 
@@ -118,14 +128,15 @@ def test_char_group_isomorphisms_accept_all_gives_full_list(fiber_c2):
         assert calls[0] == ([0], [0])
         assert all(dom[0] == img[0] == 0 and len(dom) == len(set(dom))
                    for dom, img in calls)
-        full = [[img[dom.index(a)] for a in range(len(homs))]
-                for dom, img in calls if len(dom) == len(homs)]
+        n = len(homs.values)
+        full = [[img[dom.index(a)] for a in range(n)]
+                for dom, img in calls if len(dom) == n]
         assert full == maps
 
 
 def test_char_group_isomorphisms_accept_prunes_prefixes(fiber_c2):
     # rejecting every prefix that moves a character leaves the identity
-    e16 = hom_set(_full(abelian_group((2, 2, 2, 2))), fiber_c2)
+    e16 = char_index(_full(abelian_group((2, 2, 2, 2))), fiber_c2)
     calls = []
 
     def fixes(dom, img):
@@ -142,8 +153,8 @@ def test_char_group_isomorphisms_accept_prunes_prefixes(fiber_c2):
 def test_trivial_char_group_calls_accept_once(fiber_c2):
     # Hom(C3, C2) is trivial: its one map is checked once, on the trivial
     # characters, and a rejection leaves no map
-    homs = hom_set(_full(cyclic_group(3)), fiber_c2)
-    assert len(homs) == 1
+    homs = char_index(_full(cyclic_group(3)), fiber_c2)
+    assert len(homs.values) == 1
     calls = []
 
     def record(dom, img):
@@ -158,9 +169,10 @@ def test_trivial_char_group_calls_accept_once(fiber_c2):
 
 def test_char_group_isomorphisms_preserve_products(s3, fiber_c6):
     homs = hom_set(_full(s3), fiber_c6)
+    chars = char_index(_full(s3), fiber_c6)
     lookup = {h.values: i for i, h in enumerate(homs)}
     table = [[lookup[(a * b).values] for b in homs] for a in homs]
-    for mapping in char_group_isomorphisms(homs, homs):
+    for mapping in char_group_isomorphisms(chars, chars):
         for a in range(len(homs)):
             for b in range(len(homs)):
                 assert mapping[table[a][b]] == table[mapping[a]][mapping[b]]
@@ -376,11 +388,13 @@ def test_structure_constant_check_rejects_bad_basis_maps(d4, fiber_c2):
 def test_verify_auto_computes_each_block_once(monkeypatch):
     # D6 over C2 x C4, as `verify dihedral:6 dihedral:6 --fiber 2,4 --auto`
     # runs it: each side runs one geometry pass (one batched double-coset
-    # call) and one term pass per class, which writes the product blocks
-    # (ci, cj) with cj >= ci, each once, as views of its row; the rest are
-    # transposed. The search and the verification share one gamma kernel
-    # per side, which computes each class row, and so each nonzero gamma
-    # block of an ordered class pair, once
+    # call) and one term pass per class, which the basis keeps as class
+    # row ci. Every product block is a view of a kept row: (ci, cj) with
+    # cj >= ci of row ci, the rest the transpose of their mirror; it is
+    # sliced out once, asked again is the same array, and reading it
+    # computes no row again. The search and the verification share one
+    # gamma kernel per side, which computes each class row, and so each
+    # nonzero gamma block of an ordered class pair, once
     geometry, rows, gammas = [], [], Counter()
     real_cosets, real_terms = monomial.double_cosets, \
         MonomialBasis._mackey_terms
@@ -418,11 +432,16 @@ def test_verify_auto_computes_each_block_once(monkeypatch):
         k = len(basis.class_block)
         assert sorted(ci for b, ci, _ in rows if b is basis) == \
             list(range(k))
-    for basis, ci, terms in rows:
-        for cj in range(ci, len(basis.class_block)):
-            block = basis.product_block(ci, cj)
-            assert np.shares_memory(block, terms)
-            assert basis.product_block(ci, cj) is block
+    terms = {(basis, ci): row for basis, ci, row in rows}
+    for basis in sides:
+        k = len(basis.class_block)
+        for ci in range(k):
+            for cj in range(k):
+                block = basis.product_block(ci, cj)
+                assert np.shares_memory(block, terms[basis, min(ci, cj)])
+                assert basis.product_block(ci, cj) is block
+    assert len(rows) == len(terms) == sum(len(basis.class_block)
+                                          for basis in sides)
     kernels = {kernel for kernel, _, _ in gammas}
     assert len(kernels) == 2
     assert set(gammas.values()) == {1}
@@ -431,6 +450,34 @@ def test_verify_auto_computes_each_block_once(monkeypatch):
     nonzero = {(a, b) for a, b in np.argwhere(marks[0]).tolist()}
     for kernel in kernels:
         assert {(a, b) for kid, a, b in gammas if kid == kernel} == nonzero
+
+
+def test_verify_species_reads_no_product_blocks(monkeypatch):
+    # `verify abelian:2,2,2,2 abelian:2,2,2,2 --fiber 2 --auto` compares
+    # whole class rows: it computes all 67 rows of each side and slices no
+    # product block out of them
+    blocks, rows = [], []
+    real_block, real_terms = MonomialBasis.product_block, \
+        MonomialBasis._mackey_terms
+
+    def counted_block(basis, ci, cj):
+        blocks.append((ci, cj))
+        return real_block(basis, ci, cj)
+
+    def counted_terms(basis, ci):
+        rows.append((basis, ci))
+        return real_terms(basis, ci)
+
+    monkeypatch.setattr(MonomialBasis, "product_block", counted_block)
+    monkeypatch.setattr(MonomialBasis, "_mackey_terms", counted_terms)
+    report, code = cli.cmd_verify("abelian:2,2,2,2", "abelian:2,2,2,2", "2",
+                                  auto=True)
+    assert code == 0 and report["result"]["valid"]
+    assert blocks == []
+    assert len(rows) == len(set(rows)) == 2 * 67
+    # and the counter counts
+    rows[0][0].product_block(3, 1)
+    assert blocks == [(3, 1), (1, 3)]
 
 
 def test_gamma_check_skips_only_pairs_zero_on_both_sides(d4):
@@ -450,6 +497,99 @@ def test_gamma_check_skips_only_pairs_zero_on_both_sides(d4):
               "gamma_g": 0, "gamma_h": table.marks[2][6]}
     assert _first_reference_mismatch(witness, fiber) == expect
     assert verdict.counterexample == expect
+
+
+def _swapped_classes(table, fiber, rng):
+    """The identity witness on ``table`` with two classes of equal order
+    and hom-set size, drawn from ``rng``, swapped; None if there are no
+    two such classes."""
+    homs = [len(char_index(rep, fiber).values) for rep in table.reps]
+    alike = [(x, y) for x in range(len(homs)) for y in range(x)
+             if (table.reps[x].order, homs[x]) ==
+             (table.reps[y].order, homs[y])]
+    if not alike:
+        return None
+    x, y = rng.choice(alike)
+    smap = list(range(len(homs)))
+    smap[x], smap[y] = y, x
+    return SpeciesWitness(table, table, smap, [list(range(n)) for n in homs])
+
+
+def _differential_witnesses(g, fiber, rng):
+    """Witnesses for comparing the row checks with the per-pair oracles:
+    the identity; seeded broken ones; the identity with shuffled character
+    maps only; two classes swapped; and a witness to a relabelled copy of
+    g, as found and with its character maps shuffled."""
+    table = conjugacy_classes_of_subgroups(g)
+    basis = monomial_basis(g, fiber, table)
+    yield _identity_witness(g, fiber)
+    for _ in range(3):
+        yield _broken_witness(basis, rng)
+    shuffled = _identity_witness(g, fiber)
+    for cmap in shuffled.char_maps:
+        rng.shuffle(cmap)
+    yield shuffled
+    swapped = _swapped_classes(table, fiber, rng)
+    if swapped is not None:
+        yield swapped
+    found = search_species(table, conjugacy_classes_of_subgroups(
+        _relabelled(g, rng)), fiber)
+    assert found is not None
+    yield found
+    yield SpeciesWitness(found.g_table, found.h_table, found.subgroup_map,
+                         [rng.sample(m, len(m)) for m in found.char_maps])
+
+
+@pytest.mark.parametrize("factors", [(1,), (2,), (6,), (2, 4)])
+def test_row_checks_match_per_pair_oracles(small_groups, factors):
+    # the gamma row comparison and the structure-constant row pass against
+    # the per-pair loops they replace: the same counterexample dict, the
+    # same bijection and, where the character maps are group isomorphisms,
+    # the same verdict
+    fiber = AbelianFiber(factors)
+    rng = random.Random(20261019)
+    seen = Counter()
+    for g in small_groups:
+        for witness in _differential_witnesses(g, fiber, rng):
+            basis_g = monomial_basis(g, fiber, witness.g_table)
+            basis_h = monomial_basis(witness.h_table.group, fiber,
+                                     witness.h_table)
+            gamma = _gamma_check(basis_g, basis_h, witness)
+            assert gamma == reference_gamma_check(basis_g, basis_h, witness)
+            checked = _structure_constant_check(basis_g, basis_h, witness)
+            assert checked == reference_structure_constant_check(
+                basis_g, basis_h, witness)
+            mismatch, bijection = checked
+            try:
+                verdict = verify_species(witness, fiber)
+            except NotAGroupIso:
+                seen["not a group isomorphism"] += 1
+            else:
+                expect = gamma or mismatch
+                assert verdict.valid == (expect is None)
+                assert verdict.counterexample == expect
+                assert verdict.basis_bijection == (None if expect
+                                                   else bijection)
+            smap = witness.subgroup_map
+            seen["order reversed"] += any(
+                smap[ci] > smap[cj] for cj in range(len(smap))
+                for ci in range(cj))
+            seen["other group"] += basis_g is not basis_h
+            seen["gamma differs"] += gamma is not None
+            seen["valid"] += bijection is not None
+            if mismatch is not None and "basis_pair" in mismatch:
+                seen["products differ"] += 1
+                ci, cj = (basis_g.rep_class[i] for i in mismatch["basis_pair"])
+                ti, tj = sorted((smap[ci], smap[cj]))
+                seen["double coset counts differ"] += bool(
+                    basis_g._geometry.n_cosets[min(ci, cj), max(ci, cj)]
+                    != basis_h._geometry.n_cosets[ti, tj])
+    # every kind of input came up; over C1 every character map is [0]
+    kinds = {"order reversed", "other group", "gamma differs", "valid",
+             "products differ", "double coset counts differ"}
+    if factors != (1,):
+        kinds.add("not a group isomorphism")
+    assert kinds <= {kind for kind, n in seen.items() if n}, seen
 
 
 def test_inverse_witness_validates(s3, fiber_c6):
