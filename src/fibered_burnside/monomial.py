@@ -181,9 +181,12 @@ class _MackeyGeometry:
     n_cosets: np.ndarray       # (k, k), upper triangle
     col_start: np.ndarray      # (k, k): where block (ci, cj) starts in row ci
     n_reps: np.ndarray         # per class: its number of orbit reps
+    rep0: np.ndarray           # per class: its first basis index
+    rep_class: np.ndarray      # per basis index: its class
     width: np.ndarray          # per class: the number of columns of its row
     offset: np.ndarray         # (k + 1,): where each row starts in terms
     terms: np.ndarray          # the class rows, end to end, once computed
+    done: np.ndarray           # per class: whether its row is computed
 
 
 class MonomialBasis:
@@ -202,11 +205,9 @@ class MonomialBasis:
         self.rep_hom_index: list[int] = []      # basis index -> index in hom_set
         self.class_block: list[tuple[int, int]] = []
         # per class: hom index -> basis index of its orbit representative
-        self._char_to_basis: list[np.ndarray] = []
-        # the class rows of the product table computed so far, and the blocks
-        self._rows: dict[int, np.ndarray] = {}
-        self._blocks: dict[tuple[int, int], np.ndarray] = {}
-        self._gamma_cache: dict[int, dict[int, np.ndarray]] = {}
+        self.char_to_basis: list[np.ndarray] = []
+        # the gamma rows computed so far
+        self._gamma: dict[int, np.ndarray] = {}
         # Hom(K, A) of every class rep K, which every restriction reads
         self._homs = _hom_layout(class_table.reps, fiber)
         for ci, chars in enumerate(self._homs.chars):
@@ -219,9 +220,12 @@ class MonomialBasis:
             basis_of_root[roots] = start + np.arange(roots.size)
             self.rep_class += [ci] * roots.size
             self.rep_hom_index += roots.tolist()
-            self._char_to_basis.append(basis_of_root[root])
+            self.char_to_basis.append(basis_of_root[root])
             self.class_block.append((start, len(self.rep_class)))
         self.size = len(self.rep_class)
+        # the characters of class cj are the columns hom_start[cj] to
+        # hom_start[cj + 1] of every gamma row, in hom-set order
+        self.hom_start = _starts(np.append(self._homs.n_homs, 0))
 
     def _normalizer_action(self, ci: int) -> tuple[np.ndarray, np.ndarray]:
         """The members of N = N_G(K), K the rep of class ci, and perm[n, i],
@@ -270,36 +274,45 @@ class MonomialBasis:
     def identity_index(self) -> int:
         full = self.class_table.class_of(
             Subgroup(self.group, range(self.group.order), verify=False))
-        return int(self._char_to_basis[full][0])   # the trivial character
+        return int(self.char_to_basis[full][0])   # the trivial character
 
     def identity_element(self) -> "BurnsideElement":
         return self.basis_element(self.identity_index())
 
     def gamma_block(self, ci: int, cj: int) -> np.ndarray:
-        """``gamma_block`` of the class reps ci and cj, computed once per
-        basis; the species search and verification both read it. The
-        first call with class ci computes every nonzero block of its row
-        in one batch (``gamma_rows``)."""
-        row = self._gamma_cache.get(ci)
-        if row is None:
-            row = self._gamma_cache[ci] = self._gamma_kernel(ci)
-        block = row.get(cj)
-        if block is None:
-            block = row[cj] = np.zeros((self._homs.n_homs[ci],
-                                        self._homs.n_homs[cj]),
-                                       dtype=np.int64)
-        return block
+        """``gamma_block`` of the class reps ci and cj, as a view of the
+        columns of class cj in ``gamma_row(ci)``."""
+        return self.gamma_row(ci)[:, self.hom_start[cj]:self.hom_start[cj + 1]]
 
     def gamma_row(self, ci: int) -> np.ndarray:
-        """The kept gamma blocks of class ci against every class side by
-        side, zero where the kernel has none, in ``_gamma_dtype``."""
-        start = _starts(np.append(self._homs.n_homs, 0))
-        row = np.zeros((start[ci + 1] - start[ci], start[-1]),
-                       dtype=_gamma_dtype(self.group.order))
-        self.gamma_block(ci, ci)        # computes kernel row ci once
-        for cj, block in self._gamma_cache[ci].items():
-            row[:, start[cj]:start[cj + 1]] = block
+        """The gamma coefficients of every character of class ci (one row
+        each, in hom-set order) against every character of every class
+        (``hom_start``), in ``_gamma_dtype``. Made from kernel row ci on
+        first use and kept; the species search and verification both read
+        it."""
+        row = self._gamma.get(ci)
+        if row is None:
+            # the hom indices of every class in turn: 0, 1, ..., 0, 1, ...
+            start = self.hom_start
+            hom = np.arange(start[-1]) - np.repeat(start[:-1], np.diff(start))
+            row = self._gamma[ci] = self._laid_out_gamma(ci, hom, start)
         return row
+
+    def _laid_out_gamma(self, ci: int, hom: np.ndarray,
+                        start: np.ndarray) -> np.ndarray:
+        """Kernel row ci (``gamma_rows``) in ``_gamma_dtype``, laid out by
+        the hom indices ``hom`` of every class c, which are hom[start[c]]
+        to hom[start[c + 1] - 1]: a row per hom index of class ci, and a
+        column per hom index of every class; zero where the kernel has no
+        block, which is where the mark is 0."""
+        start = start.tolist()
+        out = np.zeros((start[ci + 1] - start[ci], start[-1]),
+                       dtype=_gamma_dtype(self.group.order))
+        rows = hom[start[ci]:start[ci + 1], None]
+        for cj, block in self._gamma_kernel(ci).items():
+            out[:, start[cj]:start[cj + 1]] = block[
+                rows, hom[start[cj]:start[cj + 1]]]
+        return out
 
     @cached_property
     def _gamma_kernel(self) -> Callable[[int], dict[int, np.ndarray]]:
@@ -313,46 +326,42 @@ class MonomialBasis:
 
     def product(self, i: int, j: int) -> list[tuple[int, int]]:
         """Structure constants of reps[i] * reps[j] as (index, coeff) pairs."""
-        ci, cj = self.rep_class[i], self.rep_class[j]
-        row = self.product_block(ci, cj)[i - self.class_block[ci][0],
-                                          j - self.class_block[cj][0]]
-        idx, counts = np.unique(row, return_counts=True)
+        start, n = self.runs(i, j)
+        idx, counts = np.unique(self.terms[start:start + n],
+                                return_counts=True)
         return list(zip(idx.tolist(), counts.tolist()))
 
-    def product_block(self, ci: int, cj: int) -> np.ndarray:
-        """Products of every orbit representative of class ci with every one
-        of class cj.
+    def runs(self, i, j) -> tuple[np.ndarray, np.ndarray]:
+        """Where the product of reps[i] and reps[j] lies in ``terms``, for
+        arrays of basis indices i and j that broadcast: the start of its
+        run and the run's length, one term per double coset K\\G/L, sorted.
+        For each coset KsL the term is the basis index of the orbit of
+        (M, phi * psi^s) with M = K n sLs^-1. The class rows that the runs
+        lie in are computed first (``_mackey_terms``), once each.
 
-        Entry [a, b] lists the basis index of each double-coset term of the
-        a-th representative of class ci times the b-th of class cj, sorted;
-        the last axis has one entry per double coset K\\G/L. For each coset
-        KsL the term is the orbit of (M, phi * psi^s) with M = K n sLs^-1.
-
-        For ci <= cj the block is a view of class row ci (``term_row``),
-        kept once sliced out; (cj, ci) is the transpose of (ci, cj) in its
-        first two axes. That is Mackey symmetry: KsL -> Ls^-1K is a
+        A pair is read at (min(i, j), max(i, j)), which lies in the row of
+        the lower class, as basis indices ascend with the class. The runs
+        of (i, j) and (j, i) agree by Mackey symmetry: KsL -> Ls^-1K is a
         bijection K\\G/L -> L\\G/K, and the term (L n s^-1Ks, psi *
         phi^(s^-1)) of Ls^-1K is the conjugate by s^-1 of the term (K n
         sLs^-1, phi * psi^s) of KsL, so both lie in one orbit and have the
-        same basis index. Any representative of a double coset gives a
-        term in that orbit, so the sorted lists agree.
+        same basis index. Any representative of a double coset gives a term
+        in that orbit, so the sorted runs agree.
         """
-        block = self._blocks.get((ci, cj))
-        if block is None:
-            if ci > cj:
-                block = self.product_block(cj, ci).transpose(1, 0, 2)
-            else:
-                geo = self._geometry
-                c0, nr, nc = geo.col_start[ci, cj], geo.n_reps[cj], geo.n_cosets[ci, cj]
-                block = self.term_row(ci)[:, c0:c0 + nr * nc].reshape(-1, nr, nc)
-            self._blocks[ci, cj] = block
-        return block
+        geo = self._geometry
+        lo, hi = np.minimum(i, j), np.maximum(i, j)
+        ci, cj = geo.rep_class[lo], geo.rep_class[hi]
+        for c in _sorted_unique(ci[~geo.done[ci]]).tolist():
+            self._mackey_terms(c)
+        n = geo.n_cosets[ci, cj]
+        return (geo.offset[ci] + (lo - geo.rep0[ci]) * geo.width[ci]
+                + geo.col_start[ci, cj] + (hi - geo.rep0[cj]) * n), n
 
-    def term_row(self, ci: int) -> np.ndarray:
-        """Class row ci of the product table (``_mackey_terms``), once."""
-        if ci not in self._rows:
-            self._rows[ci] = self._mackey_terms(ci)
-        return self._rows[ci]
+    @property
+    def terms(self) -> np.ndarray:
+        """The class rows of the product table end to end, where ``runs``
+        points; a row holds its terms once it has been computed."""
+        return self._geometry.terms
 
     @cached_property
     def _geometry(self) -> _MackeyGeometry:
@@ -411,12 +420,15 @@ class MonomialBasis:
             g_inv=group.inv[transporters],
             gs_inv=group.inv[group.mul[transporters, s]], cm=cm,
             n_cosets=n_cosets, col_start=np.cumsum(widths, axis=1) - widths,
-            n_reps=n_reps, width=width, offset=offset,
-            terms=np.empty(int(offset[-1]), dtype=np.int64))
+            n_reps=n_reps, rep0=_starts(n_reps),
+            rep_class=np.asarray(self.rep_class, dtype=np.int64),
+            width=width, offset=offset,
+            terms=np.empty(int(offset[-1]), dtype=np.int64),
+            done=np.zeros(k, dtype=bool))
 
     def _mackey_terms(self, ci: int) -> np.ndarray:
-        """Class row ci of the product table (``term_row``), as a view of
-        its place in ``_MackeyGeometry.terms``.
+        """Class row ci of the product table, written to its place in
+        ``terms`` and returned as a view of it.
 
         By restriction: for the coset KsL with M = K n sLs^-1 carried to
         its class rep, each orbit rep phi of K restricts to a character rho
@@ -427,7 +439,7 @@ class MonomialBasis:
         t0, t1 = int(geo.row[ci]), int(geo.row[ci + 1])
         i0, i1 = self.class_block[ci]
         hom = np.asarray(self.rep_hom_index, dtype=np.int64)
-        n_reps, rep0 = geo.n_reps, _starts(geo.n_reps)
+        n_reps, rep0 = geo.n_reps, geo.rep0
         n_cosets, col_start = geo.n_cosets[ci], geo.col_start[ci]
         terms = geo.terms[geo.offset[ci]:geo.offset[ci + 1]].reshape(
             i1 - i0, -1)
@@ -453,11 +465,12 @@ class MonomialBasis:
                 m_chars)
             rho, sigma = both[:q.size].reshape(i1 - i0, -1), both[q.size:]
             cols = col_start[lu] + b * n_cosets[lu] + geo.d[at][u]
-            terms[:, cols] = self._char_to_basis[c][
+            terms[:, cols] = self.char_to_basis[c][
                 m_chars.table[rho[:, u], sigma]]
         # sort the run of each product (i, j), j over classes cj >= ci
         terms[:] = _sort_runs(terms, np.repeat(n_cosets[ci:], n_reps[ci:]),
                               self.size)
+        geo.done[ci] = True
         return terms
 
     def to_json(self) -> dict:
@@ -489,17 +502,13 @@ def gamma_class_rows(basis: MonomialBasis) -> Iterator[np.ndarray]:
     class ci in order, the rows of its orbit reps as one (reps of ci, basis
     size) array in ``_gamma_dtype``, made from class row ci of the gamma
     kernel only when it is reached. Only class pairs with a nonzero mark
-    are computed; the other blocks stay zero."""
-    dtype = _gamma_dtype(basis.group.order)
+    are computed; the other blocks stay zero. The layout is that of
+    ``gamma_row``, by orbit rep in place of hom index, and the basis keeps
+    none of these rows."""
     hom_index = np.asarray(basis.rep_hom_index, dtype=np.int64)
-    kernel = basis._gamma_kernel
-    for ci, (i0, i1) in enumerate(basis.class_block):
-        rows = np.zeros((i1 - i0, basis.size), dtype=dtype)
-        for cj, block in kernel(ci).items():
-            j0, j1 = basis.class_block[cj]
-            rows[:, j0:j1] = block[np.ix_(hom_index[i0:i1],
-                                          hom_index[j0:j1])]
-        yield rows
+    start = np.asarray([i0 for i0, _ in basis.class_block] + [basis.size])
+    for ci in range(len(basis.class_block)):
+        yield basis._laid_out_gamma(ci, hom_index, start)
 
 
 def _gamma_dtype(order: int) -> type:
@@ -616,7 +625,7 @@ class GhostElement:
         """Each component constant on normalizer orbits of characters."""
         basis = self.ring.basis   # each equals its orbit rep's entry
         return all(comp == [comp[basis.rep_hom_index[b]] for b in orb.tolist()]
-                   for comp, orb in zip(self.comps, basis._char_to_basis))
+                   for comp, orb in zip(self.comps, basis.char_to_basis))
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, GhostElement)
@@ -656,8 +665,8 @@ def mark_morphism(basis: MonomialBasis, x: BurnsideElement) -> GhostElement:
     """Image of x under the mark morphism into the reduced ghost ring.
 
     The K-component of the image of a basis orbit [L, psi] is the vector of
-    gamma coefficients over Hom(K, A), extended linearly. The blocks come
-    from the basis, so each class pair is computed once.
+    gamma coefficients over Hom(K, A), extended linearly. The gamma rows
+    come from the basis, so each class row is computed once.
     """
     if x.basis is not basis:
         raise ComponentMismatch("element over a different basis")

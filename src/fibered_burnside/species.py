@@ -187,8 +187,8 @@ def verify_species(witness: SpeciesWitness,
     basis_h = monomial_basis(h_table.group, fiber, h_table)
     for ci in range(k):
         cmap = witness.char_maps[ci]
-        chars_g = basis_g._homs.chars[ci]
-        chars_h = basis_h._homs.chars[witness.subgroup_map[ci]]
+        chars_g = char_index(g_table.reps[ci], fiber)
+        chars_h = char_index(h_table.reps[witness.subgroup_map[ci]], fiber)
         if (len(cmap) != len(chars_g.values)
                 or sorted(cmap) != list(range(len(chars_h.values)))):
             raise NotABijection(f"character map of class {ci} is not a bijection")
@@ -212,8 +212,7 @@ def _gamma_check(basis_g, basis_h, witness) -> Optional[dict]:
     gamma row ci (``gamma_row``) against H's row of its image, with rows
     taken by the character map of ci and columns by one permutation,
     (cj, b) -> (subgroup_map[cj], char_maps[cj][b])."""
-    start_g = _starts(np.append(basis_g._homs.n_homs, 0))
-    start_h = _starts(basis_h._homs.n_homs)
+    start_g, start_h = basis_g.hom_start, basis_h.hom_start
     maps = list(zip(witness.subgroup_map, witness.char_maps))
     columns = np.concatenate([start_h[t] + np.asarray(m, dtype=np.int64)
                               for t, m in maps])
@@ -237,49 +236,39 @@ def _structure_constant_check(basis_g, basis_h, witness):
     """Transport every structure constant of ``basis_g`` through the basis
     bijection the witness induces and compare it with ``basis_h``; reports
     the first differing basis pair (i, j) in row-major order. One pass per
-    class row ci of ``basis_g`` (``term_row``): its terms are mapped
-    through the bijection and each run (i, j) sorted, in one sort, and the
-    runs of the image pairs (x, y) are gathered in one index from the rows
-    of ``basis_h``, at the mirror (y, x) when x's class is after y's
-    (Mackey symmetry, ``product_block``). Runs of unequal length differ.
-    The row holds the pairs with j from class ci on; (i, j) differs
-    exactly when (j, i) does, so the first differing pair in row-major
-    order lies in the first row with a difference."""
+    class ci of ``basis_g``: the runs of its pairs (i, j), j from class ci
+    on, and the runs of their images on ``basis_h`` come from the run
+    locator (``MonomialBasis.runs``); G's terms are mapped through the
+    bijection and each run sorted again, in one sort, and one gather reads
+    H's runs. Runs of unequal length differ, whatever is read for them
+    (H's buffer from its start). The pairs left out of a row are the
+    mirrors of pairs of earlier rows, and (i, j) differs exactly when
+    (j, i) does, so the first differing pair in row-major order lies in
+    the first row with a difference."""
     if basis_g.size != basis_h.size:
         return {"reason": "basis sizes differ",
                 "sizes": [basis_g.size, basis_h.size]}, None
-    smap = np.asarray(witness.subgroup_map, dtype=np.int64)
     hom_g = np.asarray(basis_g.rep_hom_index, dtype=np.int64)
-    image = np.concatenate([basis_h._char_to_basis[t][np.asarray(
+    image = np.concatenate([basis_h.char_to_basis[t][np.asarray(
         m, dtype=np.int64)[hom_g[i0:i1]]] for t, m, (i0, i1) in zip(
-            smap, witness.char_maps, basis_g.class_block)])
+            witness.subgroup_map, witness.char_maps, basis_g.class_block)])
     if not np.array_equal(np.sort(image), np.arange(basis_g.size)):
         return {"reason": "induced basis map is not a bijection"}, None
-    geo_g, geo_h = basis_g._geometry, basis_h._geometry
-    class_h = np.asarray(basis_h.rep_class, dtype=np.int64)[image]
-    at_h = image - np.asarray(basis_h.class_block)[class_h, 0]
-    for t in range(len(basis_h.class_block)):
-        basis_h.term_row(t)
-    for ci, (i0, i1) in enumerate(basis_g.class_block):
-        ti, tj, b = smap[ci], class_h[i0:], at_h[i0:]
-        lens = np.repeat(geo_g.n_cosets[ci, ci:], geo_g.n_reps[ci:])
-        lens_h = geo_h.n_cosets[np.minimum(ti, tj), np.maximum(ti, tj)]
-        # run (x, y) starts at at_h[x] * step + base; unequal runs read 0
+    for i0, i1 in basis_g.class_block:
+        i, j = np.arange(i0, i1)[:, None], np.arange(i0, basis_g.size)
+        start, lens = basis_g.runs(i, j)
+        start_h, lens_h = basis_h.runs(image[i], image[j])
         same = lens == lens_h
-        upper = ti <= tj
-        step = np.where(upper, geo_h.width[ti], lens_h) * same
-        base = np.where(
-            upper, geo_h.offset[ti] + geo_h.col_start[ti, tj] + b * lens_h,
-            geo_h.offset[tj] + geo_h.col_start[tj, ti] + b * geo_h.width[tj]
-        ) * same
-        run = _starts(np.append(lens, 0))
-        d = np.arange(run[-1]) - np.repeat(run[:-1], lens)
-        at = (at_h[i0:i1, None] * np.repeat(step, lens)
-              + np.repeat(base, lens) + d)
-        transported = _sort_runs(image[basis_g.term_row(ci)], lens,
-                                 basis_g.size)
-        differ = np.logical_or.reduceat(
-            transported != geo_h.terms[at], run[:-1], axis=1) | ~same
+        # the run of each pair, laid out along the row; every row of the
+        # class has the same lengths
+        run = _starts(np.append(lens[0], 0))
+        d = np.arange(run[-1]) - np.repeat(run[:-1], lens[0])
+        transported = _sort_runs(
+            image[basis_g.terms[np.repeat(start, lens[0], axis=1) + d]],
+            lens[0], basis_g.size)
+        target = basis_h.terms[np.repeat(start_h * same, lens[0], axis=1) + d]
+        differ = np.logical_or.reduceat(transported != target, run[:-1],
+                                        axis=1) | ~same
         if differ.any():
             a, s = (int(v) for v in np.argwhere(differ)[0])
             i, j, mapping = i0 + a, i0 + s, image.tolist()
@@ -344,7 +333,8 @@ def search_species(g_table: SubgroupClassTable,
         return None
     basis_g = monomial_basis(g_table.group, fiber, g_table)
     basis_h = monomial_basis(h_table.group, fiber, h_table)
-    homs_g, homs_h = basis_g._homs.chars, basis_h._homs.chars
+    homs_g = [char_index(rep, fiber) for rep in g_table.reps]
+    homs_h = [char_index(rep, fiber) for rep in h_table.reps]
     gamma_g, gamma_h = basis_g.gamma_block, basis_h.gamma_block
     candidates = [[j for j in range(k) if inv_h[j] == inv_g[i]]
                   for i in range(k)]

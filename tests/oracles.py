@@ -384,7 +384,7 @@ def canonical_index(basis: MonomialBasis, pair: MonomialPair,
     g = basis.class_table.transporter_to_rep(pair.subgroup)
     chi = pair.char if g == 0 else pair.char.conjugate(g)
     hi = hom_index(basis, ci, chi)
-    idx = basis._char_to_basis[ci][hi]
+    idx = basis.char_to_basis[ci][hi]
     if cache is not None:
         cache[key] = idx
     return idx
@@ -640,7 +640,7 @@ def reference_mackey_block(basis: MonomialBasis, ci: int,
         l_pos = l_chars.pos[group.conj[s_inv[at, None], gens]]
         vals = fiber.add_table[k_vals[:, k_chars.pos[gens]][:, None],
                                l_vals[:, l_pos][None]]
-        terms[:, :, at] = basis._char_to_basis[cm][m_chars.index(vals)]
+        terms[:, :, at] = basis.char_to_basis[cm][m_chars.index(vals)]
     return np.sort(terms, axis=-1)
 
 
@@ -738,7 +738,7 @@ def reference_mackey_row(basis: MonomialBasis,
         vals = fiber.add_table[k_vals[:, k_chars.pos[gens]][:, u],
                                psi[None]]
         cols_at = col_start[pu] + b * n_cosets[pu] + d[at][u]
-        terms[:, cols_at] = basis._char_to_basis[cm][m_chars.index(vals)]
+        terms[:, cols_at] = basis.char_to_basis[cm][m_chars.index(vals)]
     # sort each block's last axis at once: the columns of one (pair, b)
     # get one key offset, above every basis index
     group_id = np.repeat(np.arange(int(n_reps.sum())),
@@ -748,6 +748,18 @@ def reference_mackey_row(basis: MonomialBasis,
     return [terms[:, c0:c0 + w].reshape(i1 - i0, nr, nc)
             for c0, w, nr, nc in zip(col_start.tolist(), widths.tolist(),
                                      n_reps.tolist(), n_cosets.tolist())]
+
+
+def located_block(basis: MonomialBasis, ci: int, cj: int) -> np.ndarray:
+    """The product block of classes (ci, cj), as ``reference_mackey_block``
+    lays it out, read from the kept rows of ``basis`` through its run
+    locator (``MonomialBasis.runs``): entry [a, b] is the sorted run of the
+    a-th orbit rep of class ci times the b-th of class cj."""
+    (i0, i1), (j0, j1) = basis.class_block[ci], basis.class_block[cj]
+    start, lens = basis.runs(np.arange(i0, i1)[:, None], np.arange(j0, j1))
+    n = int(lens[0, 0])
+    assert (lens == n).all()
+    return basis.terms[start[..., None] + np.arange(n)]
 
 
 def reference_char_group_table(homs: Sequence[Character]) -> list[list[int]]:
@@ -1167,8 +1179,8 @@ def reference_structure_constant_check(basis_g, basis_h, witness):
     row-major order.
 
     Only the blocks with ci <= cj are compared. On both sides the block
-    (cj, ci) is the exact transpose of (ci, cj) (``product_block``), and
-    the bijection maps both axes alike, so the pair (j, i) differs exactly
+    (cj, ci) is the exact transpose of (ci, cj) (``MonomialBasis.runs``),
+    and the bijection maps both axes alike, so the pair (j, i) differs exactly
     when (i, j) does. The first differing pair in row-major order thus
     has i <= j, and basis indices ascend with the class, so the first
     class row with a difference among its compared blocks holds it."""
@@ -1181,7 +1193,7 @@ def reference_structure_constant_check(basis_g, basis_h, witness):
         hi = basis_g.rep_hom_index[idx]
         cj = witness.subgroup_map[ci]
         hj = witness.char_maps[ci][hi]
-        mapping.append(int(basis_h._char_to_basis[cj][hj]))
+        mapping.append(int(basis_h.char_to_basis[cj][hj]))
     if len(set(mapping)) != basis_g.size:
         return {"reason": "induced basis map is not a bijection"}, None
     image = np.asarray(mapping, dtype=np.int64)
@@ -1194,9 +1206,9 @@ def reference_structure_constant_check(basis_g, basis_h, witness):
         differ = np.zeros((i1 - i0, basis_g.size), dtype=bool)
         for cj in range(ci, len(basis_g.class_block)):
             j0, j1 = basis_g.class_block[cj]
-            block_g = basis_g.product_block(ci, cj)
-            block_h = basis_h.product_block(
-                ti, witness.subgroup_map[cj])[at_h[ci]][:, at_h[cj]]
+            block_g = located_block(basis_g, ci, cj)
+            block_h = located_block(
+                basis_h, ti, witness.subgroup_map[cj])[at_h[ci]][:, at_h[cj]]
             if block_g.shape != block_h.shape:
                 differ[:, j0:j1] = True
             else:

@@ -40,7 +40,8 @@ from fibered_burnside.monomial import (BurnsideElement, MonomialBasis,
                                        mark_morphism, monomial_basis, multiply)
 from fibered_burnside.thevenaz import canonical_class_table
 from oracles import (all_monomial_pairs, canonical_index,
-                     eager_basis_objects, integer_matrix_determinant, reference_char_group_table,
+                     eager_basis_objects, integer_matrix_determinant,
+                     located_block, reference_char_group_table,
                      reference_char_orbits, reference_double_coset_reps,
                      reference_gamma, reference_mackey_block,
                      reference_mackey_row, reference_product)
@@ -301,15 +302,16 @@ def test_product_matches_reference_other_transversals(tg_7_3, s4, fiber_c6):
 
 
 def test_product_block_shape_and_order(d4, fiber_c2):
+    # the runs of a class pair, read through the locator: one term per
+    # double coset, sorted
     basis = monomial_basis(d4, fiber_c2)
     table = basis.class_table
     for ci, (i0, i1) in enumerate(basis.class_block):
         for cj, (j0, j1) in enumerate(basis.class_block):
-            block = basis.product_block(ci, cj)
+            block = located_block(basis, ci, cj)
             cosets = double_coset_reps(d4, table.reps[ci], table.reps[cj])
             assert block.shape == (i1 - i0, j1 - j0, len(cosets))
             assert (np.diff(block, axis=-1) >= 0).all()
-            assert basis.product_block(ci, cj) is block
 
 
 @seed(20261018)
@@ -319,10 +321,9 @@ def test_product_block_shape_and_order(d4, fiber_c2):
 def test_product_blocks_on_products(params, factors):
     # (C_m x| C_k) x C_c up to order 36: the batched double cosets of every
     # ordered class pair against the sweep, every product against the
-    # oracle, and every lower block, computed directly, against the
-    # transposed upper one that product_block returns in its place; the
-    # oracle's cost grows with the square of the basis, so large bases are
-    # left out
+    # oracle, and every block, lower ones included, as the run locator
+    # reads it against the block computed directly; the oracle's cost
+    # grows with the square of the basis, so large bases are left out
     g = product_group(params)
     fiber = AbelianFiber(factors)
     basis = monomial_basis(g, fiber)
@@ -336,11 +337,9 @@ def test_product_blocks_on_products(params, factors):
                 reference_double_coset_reps(g, k_sub, l_sub)
     _assert_products_match_reference(basis)
     for ci in range(k):
-        for cj in range(ci):
-            lower = reference_mackey_block(basis, ci, cj)
-            assert np.array_equal(
-                lower, basis.product_block(cj, ci).transpose(1, 0, 2))
-            assert np.array_equal(lower, basis.product_block(ci, cj))
+        for cj in range(k):
+            assert np.array_equal(located_block(basis, ci, cj),
+                                  reference_mackey_block(basis, ci, cj))
 
 
 def _assert_blocks_match_reference(basis):
@@ -348,7 +347,7 @@ def _assert_blocks_match_reference(basis):
     for ci in range(k):
         row = reference_mackey_row(basis, ci)
         for cj in range(k):
-            block = basis.product_block(ci, cj)
+            block = located_block(basis, ci, cj)
             expects = [reference_mackey_block(basis, ci, cj)]
             if cj >= ci:
                 expects.append(row[cj - ci])
@@ -360,9 +359,9 @@ def _assert_blocks_match_reference(basis):
 
 def test_product_rows_match_reference_blocks(small_groups, tg_11_5_a,
                                              tg_11_5_b):
-    # every block of the geometry pass and its row terms, upper ones as
-    # computed and lower ones as transposed views, against the per-pair
-    # pass and the per-row pass computed directly
+    # every block of the geometry pass and its row terms, lower ones
+    # included, as the run locator reads them from the kept rows, against
+    # the per-pair pass and the per-row pass computed directly
     for factors in [(1,), (2,), (6,), (2, 4)]:
         for g in small_groups:
             _assert_blocks_match_reference(
@@ -397,7 +396,7 @@ def test_product_block_rejects_missing_double_coset(monkeypatch, s4,
     monkeypatch.setattr(monomial, "double_cosets", dropping)
     with pytest.raises(NotAGroup,
                        match="classes 2 and 7 do not partition the group"):
-        basis.product_block(k - 1, k - 1)
+        basis.product(basis.size - 1, basis.size - 1)
 
 
 def test_product_block_rejects_values_of_no_character():
@@ -408,7 +407,7 @@ def test_product_block_rejects_values_of_no_character():
     assert chars.gens.size == 2
     i0, i1 = basis.class_block[full]
     hi = chars.index(np.array([2, 0]))
-    assert i0 <= int(basis._char_to_basis[full][hi]) < i1
+    assert i0 <= int(basis.char_to_basis[full][hi]) < i1
     with pytest.raises(ValueError, match="matches no character"):
         chars.index(np.array([[1, 0]]))
 
@@ -425,7 +424,7 @@ def _assert_char_data_matches_reference(basis):
         assert basis.rep_hom_index[i0:i1] == roots
         assert [list(s.members)
                 for s in basis.stabilizers[i0:i1]] == stabilizers
-        assert basis._char_to_basis[ci].tolist() == to_basis
+        assert basis.char_to_basis[ci].tolist() == to_basis
         assert char_index(k_sub, basis.fiber).table.tolist() == \
             reference_char_group_table(hom_set(k_sub, basis.fiber))
 
@@ -625,7 +624,7 @@ def test_own_component_is_orbit_sum(d4, fiber_c6):
     for i, pair in enumerate(basis.reps):
         ci = basis.rep_class[i]
         comp = mark_morphism(basis, basis.basis_element(i)).comps[ci]
-        orbit_of = basis._char_to_basis[ci]
+        orbit_of = basis.char_to_basis[ci]
         weight = basis.stabilizers[i].order // pair.subgroup.order
         expect = [weight if orbit_of[hi] == i else 0
                   for hi in range(len(hom_set(pair.subgroup, basis.fiber)))]
@@ -688,7 +687,35 @@ def test_gamma_table_computes_only_nonzero_mark_blocks(monkeypatch):
                                      for row in marks]
     assert np.count_nonzero(marks) == 513
     assert table.shape == (1837, 1837) and table.dtype == np.int8
-    assert not basis._gamma_cache
+    # and keeps no gamma row
+    assert not basis._gamma
+    assert len(list(gamma_class_rows(basis))) == len(marks)
+    assert not basis._gamma
+
+
+def test_gamma_blocks_are_views_of_one_kept_row_per_class(monkeypatch, d4,
+                                                          s4, fiber_c2,
+                                                          fiber_c6):
+    # D4 over C6 and S4 over C2: every gamma block is a view of the kept
+    # gamma row of its first class, equal to the one-pair kernel; the
+    # kernel runs once per class, whatever the order blocks are asked in
+    for group, fiber in ((d4, fiber_c6), (s4, fiber_c2)):
+        reps = conjugacy_classes_of_subgroups(group).reps
+        k = len(reps)
+        expect = [[gamma_block(k_sub, l_sub, fiber).tolist()
+                   for l_sub in reps] for k_sub in reps]
+        calls = _count_gamma_rows(monkeypatch)
+        basis = MonomialBasis(group, fiber)
+        for cj in range(k):
+            for ci in range(k):
+                block = basis.gamma_block(ci, cj)
+                row = basis.gamma_row(ci)
+                assert basis.gamma_row(ci) is row
+                assert np.shares_memory(block, row)
+                assert block.dtype == row.dtype == np.int8
+                assert block.tolist() == expect[ci][cj]
+        assert sorted(a for a, _ in calls) == list(range(k))
+        assert sorted(basis._gamma) == list(range(k))
 
 
 def _assert_streamed_rows_match_gamma_table(basis, expect):

@@ -335,7 +335,7 @@ def _first_reference_product_mismatch(basis, witness):
     """The first basis pair (i, j), in row-major order, whose structure
     constants from ``reference_product``, carried through the witness's
     basis map, differ from those of the image pair."""
-    mapping = [int(basis._char_to_basis[witness.subgroup_map[c]][
+    mapping = [int(basis.char_to_basis[witness.subgroup_map[c]][
         witness.char_maps[c][h]])
         for c, h in zip(basis.rep_class, basis.rep_hom_index)]
     assert sorted(mapping) == list(range(basis.size))
@@ -377,9 +377,9 @@ def test_structure_constant_check_rejects_bad_basis_maps(d4, fiber_c2):
     # Hom(C2 x C2, C2) has orbits {0}, {1}, {2, 3} under the normalizer;
     # sending characters 1 and 2 into one orbit maps two basis pairs to one
     ci = next(c for c, s in enumerate(witness.g_table.reps)
-              if s.order == 4 and basis._char_to_basis[c][2]
-              == basis._char_to_basis[c][3])
-    assert basis._char_to_basis[ci][1] != basis._char_to_basis[ci][2]
+              if s.order == 4 and basis.char_to_basis[c][2]
+              == basis.char_to_basis[c][3])
+    assert basis.char_to_basis[ci][1] != basis.char_to_basis[ci][2]
     witness.char_maps[ci] = [0, 2, 3, 1]
     assert _structure_constant_check(basis, basis, witness) == (
         {"reason": "induced basis map is not a bijection"}, None)
@@ -389,9 +389,8 @@ def test_verify_auto_computes_each_block_once(monkeypatch):
     # D6 over C2 x C4, as `verify dihedral:6 dihedral:6 --fiber 2,4 --auto`
     # runs it: each side runs one geometry pass (one batched double-coset
     # call) and one term pass per class, which the basis keeps as class
-    # row ci. Every product block is a view of a kept row: (ci, cj) with
-    # cj >= ci of row ci, the rest the transpose of their mirror; it is
-    # sliced out once, asked again is the same array, and reading it
+    # row ci. The run locator points every product of classes (ci, cj)
+    # into the kept row of the lower class, min(ci, cj), and reading runs
     # computes no row again. The search and the verification share one
     # gamma kernel per side, which computes each class row, and so each
     # nonzero gamma block of an ordered class pair, once
@@ -435,11 +434,17 @@ def test_verify_auto_computes_each_block_once(monkeypatch):
     terms = {(basis, ci): row for basis, ci, row in rows}
     for basis in sides:
         k = len(basis.class_block)
-        for ci in range(k):
-            for cj in range(k):
-                block = basis.product_block(ci, cj)
-                assert np.shares_memory(block, terms[basis, min(ci, cj)])
-                assert basis.product_block(ci, cj) is block
+        for ci, (i0, i1) in enumerate(basis.class_block):
+            for cj, (j0, j1) in enumerate(basis.class_block):
+                row = terms[basis, min(ci, cj)]
+                assert np.shares_memory(row, basis.terms)
+                # where the row starts in the buffer, in entries
+                at = ((row.ctypes.data - basis.terms.ctypes.data)
+                      // basis.terms.itemsize)
+                start, lens = basis.runs(np.arange(i0, i1)[:, None],
+                                         np.arange(j0, j1))
+                assert (start >= at).all()
+                assert (start + lens <= at + row.size).all()
     assert len(rows) == len(terms) == sum(len(basis.class_block)
                                           for basis in sides)
     kernels = {kernel for kernel, _, _ in gammas}
@@ -454,30 +459,47 @@ def test_verify_auto_computes_each_block_once(monkeypatch):
 
 def test_verify_species_reads_no_product_blocks(monkeypatch):
     # `verify abelian:2,2,2,2 abelian:2,2,2,2 --fiber 2 --auto` compares
-    # whole class rows: it computes all 67 rows of each side and slices no
-    # product block out of them
-    blocks, rows = [], []
-    real_block, real_terms = MonomialBasis.product_block, \
-        MonomialBasis._mackey_terms
-
-    def counted_block(basis, ci, cj):
-        blocks.append((ci, cj))
-        return real_block(basis, ci, cj)
+    # whole class rows, read through the run locator: it computes each of
+    # the 67 rows of each side once, and the basis has no product blocks
+    rows = []
+    real_terms = MonomialBasis._mackey_terms
 
     def counted_terms(basis, ci):
         rows.append((basis, ci))
         return real_terms(basis, ci)
 
-    monkeypatch.setattr(MonomialBasis, "product_block", counted_block)
     monkeypatch.setattr(MonomialBasis, "_mackey_terms", counted_terms)
     report, code = cli.cmd_verify("abelian:2,2,2,2", "abelian:2,2,2,2", "2",
                                   auto=True)
     assert code == 0 and report["result"]["valid"]
-    assert blocks == []
     assert len(rows) == len(set(rows)) == 2 * 67
-    # and the counter counts
-    rows[0][0].product_block(3, 1)
-    assert blocks == [(3, 1), (1, 3)]
+    assert not hasattr(MonomialBasis, "product_block")
+
+
+@pytest.mark.parametrize("swap,expect", [
+    ((1, 2), {"basis_pair": [0, 1], "transported": [(0, 3)],
+              "target": [(0, 2)]}),
+    ((0, 2), {"basis_pair": [0, 0], "transported": [(2, 6)],
+              "target": [(2, 2)]}),
+])
+def test_unequal_runs_differ(s3, swap, expect):
+    # S3 over C1, two classes of different order but one character each
+    # swapped: the runs of a pair and of its image have different numbers
+    # of double cosets, so the pair differs whatever its terms are. Read
+    # with the length of G's run, H's terms would agree on the pair (0, 1)
+    # for the swap (1, 2), and run past the end of H's term buffer for the
+    # swap (0, 2)
+    table = conjugacy_classes_of_subgroups(s3)
+    assert [r.order for r in table.reps] == [1, 2, 3, 6]
+    smap = list(range(4))
+    smap[swap[0]], smap[swap[1]] = swap[1], swap[0]
+    witness = SpeciesWitness(table, table, smap, [[0]] * 4)
+    basis = monomial_basis(s3, AbelianFiber((1,)), table)
+    checked = _structure_constant_check(basis, basis, witness)
+    assert checked == ({"reason": "structure constants differ", **expect},
+                       None)
+    assert checked == reference_structure_constant_check(basis, basis,
+                                                         witness)
 
 
 def test_gamma_check_skips_only_pairs_zero_on_both_sides(d4):
