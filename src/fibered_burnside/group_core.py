@@ -436,9 +436,10 @@ def conjugate_subgroup(group: FiniteGroup, g: int, sub: Subgroup) -> Subgroup:
 
 
 def enumerate_subgroups(group: FiniteGroup) -> list[Subgroup]:
-    """All subgroups, via layered cyclic extension.
+    """All subgroups, via layered cyclic extension of one subgroup per
+    conjugacy class.
 
-    Starting from the trivial subgroup, every known S is extended to
+    Starting from the trivial subgroup, a known S is extended to
     <S, g> = S u Sg u ... u Sg^(p-1) for g in N_G(S) with g^p in S; each
     solvable subgroup arises this way along a composition series. Perfect
     subgroups (possible only when 60 <= |G| and 12 divides |G|) are seeded
@@ -451,6 +452,12 @@ def enumerate_subgroups(group: FiniteGroup) -> list[Subgroup]:
     is prime, so for any g' in <S, g> outside S the quotient <S, g'>/S is a
     nontrivial subgroup of <S, g>/S, a group of order p; hence g'^p lies in
     S and <S, g'> = <S, g>, so g' adds nothing new.
+
+    Only one subgroup per conjugacy class is extended: when S is, all its
+    conjugates (one per left coset of N_G(S)) are recorded, and a queued
+    conjugate is skipped. Nothing is lost, as conjugation by c maps N_G(S)
+    onto N_G(cSc^-1) and <S, g> onto <cSc^-1, cgc^-1>: the extensions of a
+    conjugate of S are the conjugates of the extensions of S.
     """
     cached = group._cache.get("subgroups")
     if cached is not None:
@@ -458,25 +465,30 @@ def enumerate_subgroups(group: FiniteGroup) -> list[Subgroup]:
     n = group.order
     primes = [p for p, _ in _prime_factors(n)]
     seen: set[tuple[int, ...]] = {(0,)}
+    extended: set[tuple[int, ...]] = set()   # conjugates of those extended
     queue: list[tuple[tuple[int, ...], tuple[int, ...]]] = [((0,), ())]
     if n >= 60 and n % 12 == 0:
-        for mem in _perfect_seeds(group):
-            if mem not in seen:
-                seen.add(mem)
-                queue.append(
-                    (mem, Subgroup(group, mem, verify=False).generators()))
+        seeds = _perfect_seeds(group)
+        seen.update(seeds)
+        queue.extend(seeds.items())
     mul = group.mul
     while queue:
         mem, gens = queue.pop()
         size = len(mem)
         index = n // size
         valid_primes = [p for p in primes if index % p == 0]
-        if not valid_primes:
+        if not valid_primes or mem in extended:
             continue
         mem_arr = np.asarray(mem, dtype=np.int64)
         inside = _indicator(n, mem_arr)
+        norm = _normalizing(group, inside, gens)
+        if norm.size < n:   # a normal S is its only conjugate
+            orbit = _conjugates(group, mem_arr,
+                                Subgroup(group, norm.tolist(), verify=False))
+            seen.update(orbit)
+            extended.update(orbit)
         done = inside.copy()
-        for g in _normalizing(group, inside, gens).tolist():
+        for g in norm.tolist():
             if done[g]:
                 continue
             for p in valid_primes:
@@ -503,49 +515,57 @@ def enumerate_subgroups(group: FiniteGroup) -> list[Subgroup]:
     return list(subs)
 
 
-def _perfect_seeds(group: FiniteGroup) -> set[tuple[int, ...]]:
-    """Perfect subgroups, found as closures of pairs (a, b) and closed under
-    conjugation.
+def _perfect_seeds(group: FiniteGroup) -> dict[tuple[int, ...], tuple[int, int]]:
+    """Perfect subgroups of order at least 60, at least one per conjugacy
+    class, each mapped to a pair (a, b) that generates it.
 
     Relies on perfect groups in the supported order range (<= ~2000) being
     two-generated. Up to conjugation a nontrivial perfect P is <a, b> with
-    a a class representative other than the identity, b outside <a> (else
-    P is cyclic), and b taken up to conjugation by C_G(a), since
-    <a, cbc^-1> = c<a, b>c^-1 for c in C_G(a).
+    a a class representative other than the identity and b outside C_G(a),
+    since a commuting pair spans an abelian group. b counts only up to the
+    moves b -> a^i b a^j, b -> b^-1 and b -> cbc^-1 for c in C_G(a). The
+    first two keep <a, b>, as a^i b a^j and b^-1 lie in it and give b back
+    with a. The last gives <a, cbc^-1> = c<a, b>c^-1, as c fixes a. So one
+    b per orbit of these moves reaches every class, and the moves keep b
+    outside C_G(a).
     """
-    conj = group.conj
-    reps = _orbit_reps(conj, np.arange(group.order))
-    found: set[tuple[int, ...]] = set()
+    conj, mul, inv = group.conj, group.mul, group.inv
+    found: dict[tuple[int, ...], tuple[int, int]] = {}
     tried: set[tuple[int, ...]] = set()
-    for a in reps[1:]:
-        cyclic = set(closure(group, (a,)))
+    for a in _orbit_reps(conj, np.arange(group.order))[1:]:
+        powers = np.asarray(closure(group, (a,)), dtype=np.int64)
         centralizer = np.flatnonzero(conj[:, a] == a)
-        for b in _orbit_reps(conj, centralizer):
-            if b in cyclic:
+        covered = _indicator(group.order, centralizer)
+        for b in range(group.order):
+            if covered[b]:
                 continue
+            moved = conj[centralizer[:, None], (b, inv[b])].ravel()
+            moved = mul[powers[:, None], moved].ravel()
+            covered[mul[moved[:, None], powers]] = True
             mem = closure(group, (a, b))
             if mem in tried:
                 continue
             tried.add(mem)
             sub = Subgroup(group, mem, verify=False)
             if len(mem) >= 60 and commutator_subgroup(sub).members == mem:
-                found.update(_conjugates(group, sub))
+                found[mem] = (a, b)
     return found
 
 
-def _conjugates(group: FiniteGroup,
-                sub: Subgroup) -> dict[tuple[int, ...], int]:
-    """Each distinct conjugate ^gS of S = ``sub``, as a sorted member tuple,
-    mapped to the least g that gives it.
+def _conjugates(group: FiniteGroup, members: Sequence[int],
+                norm: Subgroup) -> dict[tuple[int, ...], int]:
+    """Each distinct conjugate ^gS of the subgroup S with these sorted
+    ``members`` and normalizer ``norm``, as a sorted member tuple, mapped
+    to the least g that gives it.
 
     One conjugate per left coset rep s of N = N_G(S): ^gS = ^sS exactly when
     s^-1 g normalizes S, that is when g lies in sN. So the g that give ^sS
     form the coset sN, whose least element is its rep s. A normal S costs
     one coset.
     """
-    reps = left_coset_reps(group, normalizer(group, sub))
+    reps = left_coset_reps(group, norm)
     rows = np.sort(group.conj[reps[:, None],
-                              np.asarray(sub.members, dtype=np.int64)], axis=1)
+                              np.asarray(members, dtype=np.int64)], axis=1)
     return dict(zip(map(tuple, rows.tolist()), reps.tolist()))
 
 
@@ -787,7 +807,7 @@ def conjugacy_classes_of_subgroups(
     for s in subs:
         if s.members in visited:
             continue
-        orbit = _conjugates(group, s)
+        orbit = _conjugates(group, s.members, normalizer(group, s))
         visited.update(orbit)
         orbits.append(orbit)
     if reps is None:

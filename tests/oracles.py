@@ -1,7 +1,9 @@
 """Slow, independent oracles that the fast paths of the library are
 tested against. Subgroups are closed with the full |S|x|S| product
 instead of the frontier search, enumerated by sweeps that use no
-normalizer reasoning, and gamma coefficients are counted one coset at a
+normalizer reasoning and by cyclic extension of every subgroup found
+(not one per conjugacy class) from perfect subgroups closed under
+conjugation, and gamma coefficients are counted one coset at a
 time, on cosets swept one element at a time and tested on every member of
 K, instead of by blocks of characters. The isomorphism search walks the
 same backtrack tree as the library's, one candidate and one element at a
@@ -46,7 +48,10 @@ from fibered_burnside.abelian_fiber import (AbelianFiber, Character,
                                            char_index, hom_set)
 from fibered_burnside.errors import NotAGroup, SearchBudgetExceeded
 from fibered_burnside.group_core import (FiniteGroup, Subgroup,
-                                         SubgroupClassTable,
+                                         SubgroupClassTable, _conjugates,
+                                         _indicator, _normalizing,
+                                         _orbit_reps, _prime_factors,
+                                         _sorted_unique,
                                          _subgroup_order_census, closure,
                                          commutator_subgroup,
                                          double_coset_reps,
@@ -124,6 +129,109 @@ def brute_force_subgroups(group: FiniteGroup, max_gens: int = 4) -> list[Subgrou
         for combo in itertools.combinations(elems, k):
             seen.add(reference_closure(group, combo))
     return _sorted_subgroups(group, seen)
+
+
+def reference_enumerate_subgroups(group: FiniteGroup) -> list[Subgroup]:
+    """All subgroups, via layered cyclic extension of every subgroup found,
+    not one per conjugacy class, seeded with ``reference_perfect_seeds``.
+
+    Like ``enumerate_subgroups`` it keeps its list on the group, so a class
+    table built afterwards on the same group rests on this list.
+
+    Starting from the trivial subgroup, every known S is extended to
+    <S, g> = S u Sg u ... u Sg^(p-1) for g in N_G(S) with g^p in S; each
+    solvable subgroup arises this way along a composition series. Perfect
+    subgroups (possible only when 60 <= |G| and 12 divides |G|) are seeded
+    separately from two-generated closures, so non-solvable subgroups are
+    reached as well.
+
+    Each queued S carries a generating sequence, so N_G(S) is one gather
+    of the conjugates of those generators. Once <S, g> is found, every
+    member of it is skipped for this S: g normalizes S and [<S, g> : S] = p
+    is prime, so for any g' in <S, g> outside S the quotient <S, g'>/S is a
+    nontrivial subgroup of <S, g>/S, a group of order p; hence g'^p lies in
+    S and <S, g'> = <S, g>, so g' adds nothing new.
+    """
+    cached = group._cache.get("subgroups")
+    if cached is not None:
+        return list(cached)
+    n = group.order
+    primes = [p for p, _ in _prime_factors(n)]
+    seen: set[tuple[int, ...]] = {(0,)}
+    queue: list[tuple[tuple[int, ...], tuple[int, ...]]] = [((0,), ())]
+    if n >= 60 and n % 12 == 0:
+        for mem in reference_perfect_seeds(group):
+            if mem not in seen:
+                seen.add(mem)
+                queue.append(
+                    (mem, Subgroup(group, mem, verify=False).generators()))
+    mul = group.mul
+    while queue:
+        mem, gens = queue.pop()
+        size = len(mem)
+        index = n // size
+        valid_primes = [p for p in primes if index % p == 0]
+        if not valid_primes:
+            continue
+        mem_arr = np.asarray(mem, dtype=np.int64)
+        inside = _indicator(n, mem_arr)
+        done = inside.copy()
+        for g in _normalizing(group, inside, gens).tolist():
+            if done[g]:
+                continue
+            for p in valid_primes:
+                powers = [g]
+                for _ in range(p - 2):
+                    powers.append(int(mul[powers[-1], g]))
+                if not inside[mul[powers[-1], g]]:
+                    continue
+                block = mul[np.ix_(mem_arr, np.asarray(powers, dtype=np.int64))]
+                new_arr = _sorted_unique(np.concatenate((mem_arr, block.ravel())))
+                if new_arr.size != p * size:
+                    raise NotAGroup(
+                        f"extending a subgroup of order {size} by an element "
+                        f"of order {p} modulo it gave {new_arr.size} elements")
+                done[new_arr] = True
+                new_mem = tuple(new_arr.tolist())
+                if new_mem not in seen:
+                    seen.add(new_mem)
+                    queue.append((new_mem, gens + (g,)))
+                break   # g^p in S for two primes would force g in S
+    subs = [Subgroup(group, mem, verify=False)
+            for mem in sorted(seen, key=lambda m: (len(m), m))]
+    group._cache["subgroups"] = subs
+    return list(subs)
+
+
+def reference_perfect_seeds(group: FiniteGroup) -> set[tuple[int, ...]]:
+    """Perfect subgroups, found as closures of pairs (a, b) and closed under
+    conjugation.
+
+    Relies on perfect groups in the supported order range (<= ~2000) being
+    two-generated. Up to conjugation a nontrivial perfect P is <a, b> with
+    a a class representative other than the identity, b outside <a> (else
+    P is cyclic), and b taken up to conjugation by C_G(a), since
+    <a, cbc^-1> = c<a, b>c^-1 for c in C_G(a).
+    """
+    conj = group.conj
+    reps = _orbit_reps(conj, np.arange(group.order))
+    found: set[tuple[int, ...]] = set()
+    tried: set[tuple[int, ...]] = set()
+    for a in reps[1:]:
+        cyclic = set(closure(group, (a,)))
+        centralizer = np.flatnonzero(conj[:, a] == a)
+        for b in _orbit_reps(conj, centralizer):
+            if b in cyclic:
+                continue
+            mem = closure(group, (a, b))
+            if mem in tried:
+                continue
+            tried.add(mem)
+            sub = Subgroup(group, mem, verify=False)
+            if len(mem) >= 60 and commutator_subgroup(sub).members == mem:
+                found.update(_conjugates(group, sub.members,
+                                         normalizer(group, sub)))
+    return found
 
 
 @functools.lru_cache(maxsize=4096)

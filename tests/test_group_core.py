@@ -5,10 +5,13 @@ Oracles (in ``oracles.py``): the |S|x|S| ``reference_closure`` that the
 frontier ``closure`` is checked against, an independent subset-filter
 enumeration for tiny orders, the generator brute force
 (``brute_force_subgroups``) through order 24, the cyclic-join sweep
-(``join_closure_subgroups``) for orders up to ~150, the one-candidate-at-a-
-time isomorphism search (``reference_are_isomorphic``) that the numpy search
-must match map for map, the all-triples associativity check that Light's
-test must agree with on random loops, the per-element inverse,
+(``join_closure_subgroups``) for orders up to ~150, the extension of every
+subgroup found from perfect seeds closed under conjugation
+(``reference_enumerate_subgroups``) for non-solvable groups up to order
+720, the one-candidate-at-a-time isomorphism search
+(``reference_are_isomorphic``) that the numpy search must match map for
+map, the all-triples associativity check that Light's test must agree
+with on random loops, the per-element inverse,
 conjugation and class-size loops, and hand-checked tables for the worked
 examples. Seeded hypothesis tests run the lattice and isomorphism oracles
 on random products of cyclic groups.
@@ -21,6 +24,7 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from math import gcd
 from pathlib import Path
 
@@ -30,7 +34,8 @@ from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from oracles import (a6_cayley_json, brute_force_subgroups,
-                     join_closure_subgroups,
+                     join_closure_subgroups, reference_enumerate_subgroups,
+                     reference_perfect_seeds,
                      reference_abelianization, reference_are_isomorphic,
                      reference_check_associativity, reference_class_maps,
                      reference_closure, reference_commutator_subgroup,
@@ -41,6 +46,7 @@ from oracles import (a6_cayley_json, brute_force_subgroups,
                      reference_generating_sequence, reference_inverses,
                      reference_light_associativity, reference_span)
 
+from fibered_burnside import group_core
 from fibered_burnside.errors import NotAGroup, NotAnAction, NotAnAutomorphism
 from fibered_burnside.thevenaz import canonical_class_table
 from fibered_burnside.group_core import (FiniteGroup, Subgroup,
@@ -474,11 +480,135 @@ def s6():
     return symmetric_group(6)
 
 
+def _perfect_subgroups(g):
+    """The perfect subgroups of G other than 1, read off its subgroup list.
+    A nontrivial perfect group maps onto a nonabelian simple group, so it
+    has order at least 60."""
+    return {s.members for s in enumerate_subgroups(g)
+            if s.order >= 60 and commutator_subgroup(s) == s}
+
+
+def _seeded_classes(g):
+    """Every subgroup conjugate to one of ``_perfect_seeds``."""
+    table = conjugacy_classes_of_subgroups(g)
+    classes = {table.locate(mem)[0] for mem in _perfect_seeds(g)}
+    return {s.members for s in enumerate_subgroups(g)
+            if table.class_of(s) in classes}
+
+
 def test_s6_census(s6):
     # A6 and the two classes of six A5s
-    assert len(_perfect_seeds(s6)) == 13
+    assert len(_perfect_subgroups(s6)) == 13
+    assert _seeded_classes(s6) == _perfect_subgroups(s6)
     assert len(enumerate_subgroups(s6)) == 1455
     assert len(conjugacy_classes_of_subgroups(s6).reps) == 56
+
+
+def permutation_group(gens, degree):
+    """The group generated by permutations of range(degree), each a tuple
+    of images, multiplied as (pq)(k) = p(q(k)), with the identity at 0.
+
+    The table is built with numpy: the key of a permutation is the number
+    whose base-``degree`` digits are its images, the key of every product
+    pq is summed over k from the column of the images p(q(k)), and one
+    search in the sorted element keys turns it into an index. Keys are
+    int32, so degree**degree must stay below 2**31 (degree at most 9).
+    """
+    elems = [tuple(range(degree))]
+    index = {elems[0]: 0}
+    for p in elems:   # grows while iterated: a breadth-first closure
+        for s in gens:
+            q = tuple(p[k] for k in s)
+            if q not in index:
+                index[q] = len(elems)
+                elems.append(q)
+    perms = np.asarray(elems, dtype=np.int32)
+    weights = degree ** np.arange(degree, dtype=np.int32)
+    keys = perms @ weights
+    by_key = np.argsort(keys)
+    products = np.zeros((len(elems), len(elems)), dtype=np.int32)
+    for k in range(degree):
+        products += perms[:, perms[:, k]] * weights[k]
+    return FiniteGroup(by_key[np.searchsorted(keys[by_key], products)])
+
+
+def _a6():
+    """A6 = <(0 1 2), (1 2 3 4 5)>."""
+    return permutation_group([(1, 2, 0, 3, 4, 5), (0, 2, 3, 4, 5, 1)], 6)
+
+
+def _sl2_5():
+    """SL(2, 5), order 120: perfect, and -1 is a central involution."""
+    mats = sorted((m for m in itertools.product(range(5), repeat=4)
+                   if (m[0] * m[3] - m[1] * m[2]) % 5 == 1),
+                  key=lambda m: m != (1, 0, 0, 1))
+    index = {m: i for i, m in enumerate(mats)}
+    return FiniteGroup([[index[((a * e + b * g) % 5, (a * f + b * h) % 5,
+                                (c * e + d * g) % 5, (c * f + d * h) % 5)]
+                         for e, f, g, h in mats] for a, b, c, d in mats])
+
+
+@pytest.mark.parametrize("factory", [
+    lambda: symmetric_group(5),
+    lambda: symmetric_group(6),
+    *[lambda seed=seed: relabelled(_a6(), random.Random(seed))
+      for seed in range(3)],
+    _sl2_5,
+    lambda: direct_product(symmetric_group(5), cyclic_group(2)),
+], ids=["S5", "S6", "A6-seed0", "A6-seed1", "A6-seed2", "SL(2,5)",
+        "S5xC2"])
+def test_enumerate_matches_reference_extension(factory):
+    # the reference extends every subgroup and closes the perfect seeds
+    # under conjugation; both run on fresh copies of the same table
+    g, ref = factory(), factory()
+    assert g.order % 12 == 0 and g.order >= 60   # perfect seeding runs
+    got = conjugacy_classes_of_subgroups(g)
+    oracle = [s.members for s in reference_enumerate_subgroups(ref)]
+    want = conjugacy_classes_of_subgroups(ref)   # on the oracle's list
+    assert [s.members for s in enumerate_subgroups(g)] == oracle
+    assert _seeded_classes(g) == reference_perfect_seeds(ref)
+    for mem, pair in _perfect_seeds(g).items():
+        assert closure(g, pair) == mem
+    assert [s.members for s in got.reps] == [s.members for s in want.reps]
+    assert got.marks == want.marks
+    assert got.class_sizes == want.class_sizes
+    for s in enumerate_subgroups(g):
+        assert got.transporter_to_rep(s) == want.transporter_to_rep(s)
+
+
+def test_a6_lattice_pruning(monkeypatch):
+    # without the pruning, 381 pair closures and 510 normalizer passes
+    a6 = _a6_from_cayley_json()
+    pairs, passes = [], []
+
+    def counted_closure(group, gens, closure=group_core.closure):
+        gens = tuple(gens)
+        pairs.append(len(gens) == 2)
+        return closure(group, gens)
+
+    def counted_normalizing(*args, normalizing=group_core._normalizing):
+        passes.append(args)
+        return normalizing(*args)
+
+    monkeypatch.setattr(group_core, "closure", counted_closure)
+    monkeypatch.setattr(group_core, "_normalizing", counted_normalizing)
+    _perfect_seeds(a6)
+    assert 0 < sum(pairs) <= 100
+    assert len(enumerate_subgroups(a6)) == 501
+    assert 0 < len(passes) <= 40
+
+
+def test_a7_census():
+    # A7 = <(0 1 2 3 4 5 6), (0 1)(2 3)>: 21 + 42 A5, 30 PSL(2, 7), 7 A6, A7
+    a7 = permutation_group([(1, 2, 3, 4, 5, 6, 0), (1, 0, 3, 2, 4, 5, 6)], 7)
+    assert a7.order == 2520
+    assert len(enumerate_subgroups(a7)) == 3786
+    assert len(conjugacy_classes_of_subgroups(a7).reps) == 40
+    perfect = _perfect_subgroups(a7)
+    assert len(perfect) == 101
+    assert Counter(len(mem) for mem in perfect) == {
+        60: 63, 168: 30, 360: 7, 2520: 1}
+    assert _seeded_classes(a7) == perfect
 
 
 # ---------------------------------------------------------------------------
