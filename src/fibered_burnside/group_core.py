@@ -526,8 +526,8 @@ def _perfect_seeds(group: FiniteGroup) -> dict[tuple[int, ...], tuple[int, int]]
     moves b -> a^i b a^j, b -> b^-1 and b -> cbc^-1 for c in C_G(a). The
     first two keep <a, b>, as a^i b a^j and b^-1 lie in it and give b back
     with a. The last gives <a, cbc^-1> = c<a, b>c^-1, as c fixes a. So one
-    b per orbit of these moves reaches every class, and the moves keep b
-    outside C_G(a).
+    b per orbit <a>{cb^(+-1)c^-1}<a> reaches every class, and the moves
+    keep b outside C_G(a). Deduplicating each step keeps it to n x |a|.
     """
     conj, mul, inv = group.conj, group.mul, group.inv
     found: dict[tuple[int, ...], tuple[int, int]] = {}
@@ -536,11 +536,10 @@ def _perfect_seeds(group: FiniteGroup) -> dict[tuple[int, ...], tuple[int, int]]
         powers = np.asarray(closure(group, (a,)), dtype=np.int64)
         centralizer = np.flatnonzero(conj[:, a] == a)
         covered = _indicator(group.order, centralizer)
-        for b in range(group.order):
-            if covered[b]:
-                continue
-            moved = conj[centralizer[:, None], (b, inv[b])].ravel()
-            moved = mul[powers[:, None], moved].ravel()
+        while not covered.all():
+            b = int(np.argmin(covered))   # the least b not yet reached
+            moved = _sorted_unique(conj[centralizer[:, None], (b, inv[b])])
+            moved = _sorted_unique(mul[powers[:, None], moved])
             covered[mul[moved[:, None], powers]] = True
             mem = closure(group, (a, b))
             if mem in tried:

@@ -309,25 +309,44 @@ def integer_matrix_determinant(rows: Sequence[Sequence[int]]) -> int:
     return sign * m[n - 1][n - 1]
 
 
-def a6_cayley_json() -> dict:
-    """Cayley JSON of A6 = <(0 1 2), (1 2 3 4 5)> with its elements
-    relabelled by a seeded permutation that keeps the identity at 0."""
-    gens = [(1, 2, 0, 3, 4, 5), (0, 2, 3, 4, 5, 1)]
-    elems = [tuple(range(6))]
+def permutation_group(gens, degree) -> FiniteGroup:
+    """The group generated by permutations of range(degree), each a tuple
+    of images, multiplied as (pq)(k) = p(q(k)), with the identity at 0 and
+    the other elements in breadth-first order from ``gens``.
+
+    The table is built with numpy: the key of a permutation is the number
+    whose base-``degree`` digits are its images, the key of every product
+    pq is summed over k from the column of the images p(q(k)), and one
+    search in the sorted element keys turns it into an index. Keys are
+    int32, so degree**degree must stay below 2**31 (degree at most 9).
+    """
+    elems = [tuple(range(degree))]
     index = {elems[0]: 0}
     for p in elems:   # grows while iterated: a breadth-first closure
         for s in gens:
-            q = tuple(p[s[k]] for k in range(6))
+            q = tuple(p[k] for k in s)
             if q not in index:
                 index[q] = len(elems)
                 elems.append(q)
-    n = len(elems)
-    label = [0] + random.Random(6).sample(range(1, n), n - 1)
-    mul = [[0] * n for _ in range(n)]
-    for i, p in enumerate(elems):
-        for j, q in enumerate(elems):
-            mul[label[i]][label[j]] = label[index[tuple(p[k] for k in q)]]
-    return {"order": n, "mul": mul}
+    perms = np.asarray(elems, dtype=np.int32)
+    weights = degree ** np.arange(degree, dtype=np.int32)
+    keys = perms @ weights
+    by_key = np.argsort(keys)
+    products = np.zeros((len(elems), len(elems)), dtype=np.int32)
+    for k in range(degree):
+        products += perms[:, perms[:, k]] * weights[k]
+    return FiniteGroup(by_key[np.searchsorted(keys[by_key], products)])
+
+
+def a6_cayley_json() -> dict:
+    """Cayley JSON of A6 = <(0 1 2), (1 2 3 4 5)> with its elements
+    relabelled by a seeded permutation that keeps the identity at 0."""
+    table = permutation_group([(1, 2, 0, 3, 4, 5), (0, 2, 3, 4, 5, 1)], 6).mul
+    n = table.shape[0]
+    label = np.asarray([0] + random.Random(6).sample(range(1, n), n - 1))
+    mul = np.empty_like(label, shape=(n, n))
+    mul[label[:, None], label] = label[table]
+    return {"order": n, "mul": mul.tolist()}
 
 
 def reference_generating_sequence(group: FiniteGroup) -> list[int]:

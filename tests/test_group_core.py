@@ -7,8 +7,8 @@ enumeration for tiny orders, the generator brute force
 (``brute_force_subgroups``) through order 24, the cyclic-join sweep
 (``join_closure_subgroups``) for orders up to ~150, the extension of every
 subgroup found from perfect seeds closed under conjugation
-(``reference_enumerate_subgroups``) for non-solvable groups up to order
-720, the one-candidate-at-a-time isomorphism search
+(``reference_enumerate_subgroups``) for groups up to order 720 that run
+perfect seeding, the one-candidate-at-a-time isomorphism search
 (``reference_are_isomorphic``) that the numpy search must match map for
 map, the all-triples associativity check that Light's test must agree
 with on random loops, the per-element inverse,
@@ -24,6 +24,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 from math import gcd
 from pathlib import Path
@@ -34,8 +35,8 @@ from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from oracles import (a6_cayley_json, brute_force_subgroups,
-                     join_closure_subgroups, reference_enumerate_subgroups,
-                     reference_perfect_seeds,
+                     join_closure_subgroups, permutation_group,
+                     reference_enumerate_subgroups, reference_perfect_seeds,
                      reference_abelianization, reference_are_isomorphic,
                      reference_check_associativity, reference_class_maps,
                      reference_closure, reference_commutator_subgroup,
@@ -504,39 +505,6 @@ def test_s6_census(s6):
     assert len(conjugacy_classes_of_subgroups(s6).reps) == 56
 
 
-def permutation_group(gens, degree):
-    """The group generated by permutations of range(degree), each a tuple
-    of images, multiplied as (pq)(k) = p(q(k)), with the identity at 0.
-
-    The table is built with numpy: the key of a permutation is the number
-    whose base-``degree`` digits are its images, the key of every product
-    pq is summed over k from the column of the images p(q(k)), and one
-    search in the sorted element keys turns it into an index. Keys are
-    int32, so degree**degree must stay below 2**31 (degree at most 9).
-    """
-    elems = [tuple(range(degree))]
-    index = {elems[0]: 0}
-    for p in elems:   # grows while iterated: a breadth-first closure
-        for s in gens:
-            q = tuple(p[k] for k in s)
-            if q not in index:
-                index[q] = len(elems)
-                elems.append(q)
-    perms = np.asarray(elems, dtype=np.int32)
-    weights = degree ** np.arange(degree, dtype=np.int32)
-    keys = perms @ weights
-    by_key = np.argsort(keys)
-    products = np.zeros((len(elems), len(elems)), dtype=np.int32)
-    for k in range(degree):
-        products += perms[:, perms[:, k]] * weights[k]
-    return FiniteGroup(by_key[np.searchsorted(keys[by_key], products)])
-
-
-def _a6():
-    """A6 = <(0 1 2), (1 2 3 4 5)>."""
-    return permutation_group([(1, 2, 0, 3, 4, 5), (0, 2, 3, 4, 5, 1)], 6)
-
-
 def _sl2_5():
     """SL(2, 5), order 120: perfect, and -1 is a central involution."""
     mats = sorted((m for m in itertools.product(range(5), repeat=4)
@@ -551,12 +519,14 @@ def _sl2_5():
 @pytest.mark.parametrize("factory", [
     lambda: symmetric_group(5),
     lambda: symmetric_group(6),
-    *[lambda seed=seed: relabelled(_a6(), random.Random(seed))
+    *[lambda seed=seed: relabelled(_a6_from_cayley_json(),
+                                   random.Random(seed))
       for seed in range(3)],
     _sl2_5,
     lambda: direct_product(symmetric_group(5), cyclic_group(2)),
+    lambda: dihedral_group(90),
 ], ids=["S5", "S6", "A6-seed0", "A6-seed1", "A6-seed2", "SL(2,5)",
-        "S5xC2"])
+        "S5xC2", "D90"])
 def test_enumerate_matches_reference_extension(factory):
     # the reference extends every subgroup and closes the perfect seeds
     # under conjugation; both run on fresh copies of the same table
@@ -609,6 +579,25 @@ def test_a7_census():
     assert Counter(len(mem) for mem in perfect) == {
         60: 63, 168: 30, 360: 7, 2520: 1}
     assert _seeded_classes(a7) == perfect
+
+
+def test_dihedral_330_seeding_memory():
+    # D330 has order 660, which 12 divides, so seeding runs; it has no
+    # perfect subgroup, and tau(330) + sigma(330) = 16 + 864 subgroups: the
+    # rotations of each order d | 330, and 330/d dihedral groups over each.
+    # A rotation a of order 330 has the 330 rotations as C_G(a), so marking
+    # the orbits of b without removing duplicates gathers 2|C_G(a)||a|^2 =
+    # 72M entries (144 MB) at once; deduplicated, at most n x |a| = 218k.
+    g = dihedral_group(330)
+    g.conj
+    tracemalloc.start()
+    try:
+        assert _perfect_seeds(g) == {}
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4_000_000
+    assert len(enumerate_subgroups(g)) == 16 + 864
 
 
 # ---------------------------------------------------------------------------
