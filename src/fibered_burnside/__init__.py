@@ -1,6 +1,6 @@
 """Exact computation with fibered Burnside rings of finite groups."""
 
-from .abelian_fiber import AbelianFiber, Character, hom_set, trivial_character
+from .abelian_fiber import AbelianFiber
 from .group_core import (FiniteGroup, Subgroup, SubgroupClassTable,
                          abelian_group, abelianization, are_isomorphic,
                          conjugacy_classes_of_subgroups, cyclic_group,
@@ -9,8 +9,8 @@ from .group_core import (FiniteGroup, Subgroup, SubgroupClassTable,
                          normalizer, semidirect_product, symmetric_group,
                          trivial_group)
 from .monomial import (BurnsideElement, GhostElement, MonomialBasis,
-                       MonomialPair, gamma_block, gamma_table,
-                       ghost_multiply, mark_morphism, monomial_basis, multiply)
+                       gamma_block, gamma_table, ghost_multiply,
+                       mark_morphism, monomial_basis, multiply)
 from .species import (EXHAUSTION_CAVEAT, SpeciesVerdict, SpeciesWitness,
                       search_species, thevenaz_witness, verify_species)
 from .thevenaz import ThevenazGroup, ThevenazSpec

@@ -1,8 +1,9 @@
 """Finite abelian fiber groups and homomorphism sets Hom(K, A).
 
-Fiber elements are residue tuples; characters store their values as indices
-into the fiber's lexicographic element list, so pointwise products and
-comparisons are integer-table lookups.
+Fiber elements are residue tuples. Hom(K, A) is a ``CharIndex``: one row
+per character, holding its values as indices into the fiber's
+lexicographic element list, so pointwise products and comparisons are
+integer-table lookups.
 """
 
 from __future__ import annotations
@@ -13,10 +14,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import DomainMismatch
 from .group_core import (AbelianDecomposition, Subgroup,
-                         abelian_invariant_decomposition, abelianization,
-                         conjugate_members)
+                         abelian_invariant_decomposition, abelianization)
 
 
 class AbelianFiber:
@@ -79,78 +78,6 @@ class AbelianFiber:
         return f"AbelianFiber{self.factors}"
 
 
-class Character:
-    """A homomorphism from a subgroup K into the fiber.
-
-    ``values[i]`` is the fiber element index of the image of the i-th member
-    of K (members sorted ascending).
-    """
-
-    __slots__ = ("domain", "fiber", "values", "_hash")
-
-    def __init__(self, domain: Subgroup, fiber: AbelianFiber,
-                 values: Sequence[int], *, verify: bool = True):
-        values = tuple(int(v) for v in values)
-        if len(values) != domain.order:
-            raise ValueError("need one value per domain member")
-        self.domain = domain
-        self.fiber = fiber
-        self.values = values
-        self._hash = hash((id(domain.group), domain.members, fiber.factors,
-                           values))
-        if verify:
-            _check_homs(domain, fiber, [values])
-
-    def value_index(self, g: int) -> int:
-        return self.values[self.domain.position(g)]
-
-    def is_trivial(self) -> bool:
-        return all(v == 0 for v in self.values)
-
-    def __mul__(self, other: "Character") -> "Character":
-        if (self.domain != other.domain
-                or self.fiber.factors != other.fiber.factors):
-            raise DomainMismatch("characters live on different domains")
-        vals = self.fiber.add_table[np.asarray(self.values),
-                                    np.asarray(other.values)]
-        return Character(self.domain, self.fiber, vals, verify=False)
-
-    def inverse(self) -> "Character":
-        vals = self.fiber.neg_table[np.asarray(self.values)]
-        return Character(self.domain, self.fiber, vals, verify=False)
-
-    def restrict(self, sub: Subgroup) -> "Character":
-        if not sub.is_subset_of(self.domain):
-            raise DomainMismatch("restriction target is not a subgroup of the domain")
-        vals = [self.value_index(m) for m in sub.members]
-        return Character(sub, self.fiber, vals, verify=False)
-
-    def conjugate(self, g: int) -> "Character":
-        """The conjugate character on ^gK, x -> value(g^-1 x g)."""
-        group = self.domain.group
-        new_members = conjugate_members(group, g, self.domain.members)
-        new_domain = Subgroup(group, new_members, verify=False)
-        ginv = group.inverse(g)
-        vals = [self.value_index(int(group.conj[ginv, x])) for x in new_members]
-        return Character(new_domain, self.fiber, vals, verify=False)
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, Character)
-                and self.domain == other.domain
-                and self.fiber.factors == other.fiber.factors
-                and self.values == other.values)
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __repr__(self) -> str:
-        return f"Character(domain={self.domain.members}, values={self.values})"
-
-
-def trivial_character(domain: Subgroup, fiber: AbelianFiber) -> Character:
-    return Character(domain, fiber, [0] * domain.order, verify=False)
-
-
 def _check_homs(domain: Subgroup, fiber: AbelianFiber, rows) -> None:
     """Raise ValueError unless every row of ``rows`` (fiber element indices,
     one per member of K) is a homomorphism K -> A.
@@ -164,6 +91,8 @@ def _check_homs(domain: Subgroup, fiber: AbelianFiber, rows) -> None:
     if pos[0] < 0:
         raise ValueError("a domain must contain the identity")
     rows = np.asarray(rows, dtype=np.int64)
+    if rows.ndim != 2 or rows.shape[1] != domain.order:
+        raise ValueError("need one value per domain member")
     if rows[:, pos[0]].any():
         raise ValueError("character must send the identity to 0")
     gens = list(domain.generators())
@@ -173,12 +102,6 @@ def _check_homs(domain: Subgroup, fiber: AbelianFiber, rows) -> None:
     if not np.array_equal(rows[:, ends], fiber.add_table[
             rows[:, :, None], rows[:, None, pos[gens]]]):
         raise ValueError("value map is not a homomorphism")
-
-
-def hom_set(domain: Subgroup, fiber: AbelianFiber) -> list[Character]:
-    """Every homomorphism K -> A, in ``CharIndex`` order."""
-    return [Character(domain, fiber, row, verify=False)
-            for row in char_index(domain, fiber).values.tolist()]
 
 
 class CharIndex:
@@ -262,5 +185,4 @@ def char_index(domain: Subgroup, fiber: AbelianFiber) -> CharIndex:
     return cache[key]
 
 
-__all__ = ["AbelianFiber", "Character", "CharIndex", "trivial_character",
-           "hom_set", "char_index"]
+__all__ = ["AbelianFiber", "CharIndex", "char_index"]

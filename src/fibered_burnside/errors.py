@@ -25,10 +25,6 @@ class NotAnAction(AlgebraError):
     """A claimed action map is not a homomorphism into the automorphism group."""
 
 
-class DomainMismatch(AlgebraError):
-    """Two characters with different domains were combined pointwise."""
-
-
 class ComponentMismatch(AlgebraError):
     """Two ghost elements over different ghost rings were combined."""
 

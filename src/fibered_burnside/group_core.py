@@ -389,14 +389,6 @@ class Subgroup:
     def __contains__(self, g: int) -> bool:
         return int(g) in self._positions()
 
-    def is_subset_of(self, other: "Subgroup") -> bool:
-        pos = other._positions()
-        return all(m in pos for m in self.members)
-
-    def position(self, g: int) -> int:
-        """Index of g inside the sorted member tuple."""
-        return self._positions()[int(g)]
-
     def generators(self) -> tuple[int, ...]:
         """A small (greedy) generating sequence: each member, ascending,
         that the earlier ones do not generate."""

@@ -1,9 +1,12 @@
-"""Monomial pairs, the orbit basis of the fibered Burnside ring, gamma
-coefficients, the reduced ghost ring, and the mark morphism.
+"""The orbit basis of the fibered Burnside ring, gamma coefficients, the
+reduced ghost ring, and the mark morphism.
 
-The basis is ordered by subgroup class (class-table order), then by the
-character value vector of each orbit representative. All coefficients are
-exact integers: Python ints, or numpy arrays whose dtype holds every entry.
+A basis element is the orbit of a monomial pair (K, phi), held as indices:
+the class of K in the class table and the index of phi in the
+``CharIndex`` of that class's rep. The basis is ordered by subgroup class
+(class-table order), then by the character value vector of each orbit
+representative. All coefficients are exact integers: Python ints, or numpy
+arrays whose dtype holds every entry.
 """
 
 from __future__ import annotations
@@ -14,31 +17,12 @@ from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .abelian_fiber import AbelianFiber, Character, CharIndex, char_index
+from .abelian_fiber import AbelianFiber, CharIndex, char_index
 from .errors import ComponentMismatch, NotAGroup
 from .group_core import (FiniteGroup, Subgroup, SubgroupClassTable,
                          _fixed_by, _sorted_unique, _starts,
                          conjugacy_classes_of_subgroups,
                          double_cosets, left_coset_reps, normalizer)
-
-
-@dataclass(frozen=True)
-class MonomialPair:
-    """A subgroup together with a character on it."""
-
-    subgroup: Subgroup
-    char: Character
-
-    def __post_init__(self):
-        if self.char.domain != self.subgroup:
-            raise ValueError("character domain must equal the subgroup")
-
-    def conjugate(self, g: int) -> "MonomialPair":
-        chi = self.char.conjugate(g)
-        return MonomialPair(chi.domain, chi)
-
-    def key(self):
-        return (self.subgroup.members, self.char.values)
 
 
 class _HomLayout:
@@ -81,18 +65,19 @@ def _hom_layout(subs: Sequence[Subgroup], fiber: AbelianFiber) -> _HomLayout:
 
 
 def gamma_rows(k_subs: Sequence[Subgroup], l_subs: Sequence[Subgroup],
-               fiber: AbelianFiber
-               ) -> Callable[[int], dict[int, np.ndarray]]:
-    """The gamma blocks of K = k_subs[a] against every L in ``l_subs``, as
-    a function of a: a dict from b to ``gamma_block(K, l_subs[b])`` for
-    every L of which K fixes a coset. The other blocks are zero.
+               fiber: AbelianFiber) -> Callable[[int], np.ndarray]:
+    """The gamma coefficients of K = k_subs[a] against every L in
+    ``l_subs``, as a function of a: one row per character of K, in
+    ``CharIndex`` order, and the characters of every L side by side, in
+    the order of ``l_subs`` and in ``CharIndex`` order within each, in
+    ``_gamma_dtype(|G|)``. The columns of an L of which K fixes no coset
+    are zero.
 
     The fixed cosets of every pair come first, from one gather per L
-    (``_fixed_by``); when there are none, no character is looked at. Then
-    each K costs one restriction (``_HomLayout.restrict``) over all its
-    rows (L, s, psi): s a fixed coset rep of L and psi in Hom(L, A). The
-    blocks of one K are views of one count array that holds only them.
-    All subgroups must live over the same group.
+    (``_fixed_by``), so only they are looked at. Then each K costs one
+    restriction (``_HomLayout.restrict``) over all its rows (L, s, psi):
+    s a fixed coset rep of L and psi in Hom(L, A), each counted straight
+    into the row. All subgroups must live over the same group.
     """
     group = (k_subs[0] if k_subs else l_subs[0]).group
     if any(sub.group is not group for sub in (*k_subs, *l_subs)):
@@ -106,38 +91,29 @@ def gamma_rows(k_subs: Sequence[Subgroup], l_subs: Sequence[Subgroup],
         fixed_l.append(np.full(a.size, b, dtype=np.int64))
         fixed_s.append(left_coset_reps(group, l_sub)[c])
     fixed_k = np.concatenate(fixed_k)
-    if not fixed_k.size:
-        return lambda a: {}
     by_k = np.argsort(fixed_k, kind="stable")
     row = _starts(np.bincount(fixed_k, minlength=len(k_subs) + 1))
     fixed_l = np.concatenate(fixed_l)[by_k]
     fixed_sinv = group.inv[np.concatenate(fixed_s)[by_k]]
     homs = _hom_layout(l_subs, fiber)
+    col = _starts(homs.n_homs)
+    width = int(homs.n_homs.sum())
+    dtype = _gamma_dtype(group.order)
 
-    def blocks_of(a: int) -> dict[int, np.ndarray]:
+    def row_of(a: int) -> np.ndarray:
         e = slice(row[a], row[a + 1])
         ls, sinv = fixed_l[e], fixed_sinv[e]
-        if not ls.size:
-            return {}
-        # one row per (coset, psi): (^s psi)(k) = psi(s^-1 k s) on K
+        # one entry per (coset, psi): (^s psi)(k) = psi(s^-1 k s) on K
         nl = homs.n_homs[ls]
         u = np.repeat(np.arange(ls.size), nl)
         psi = np.arange(u.size) - np.repeat(_starts(nl), nl)
         lu = ls[u]
         chars_k = char_index(k_subs[a], fiber)
         hit = homs.restrict(lu, psi, sinv[u], chars_k)
-        # the blocks of the L that K fixes a coset of, side by side
-        present = _sorted_unique(ls)
-        col = np.zeros(len(l_subs), dtype=np.int64)
-        col[present] = _starts(homs.n_homs[present])
-        width = int(homs.n_homs[present].sum())
-        counts = np.bincount(hit * width + col[lu] + psi,
-                             minlength=len(chars_k.values) * width
-                             ).reshape(-1, width)
-        return {b: counts[:, c0:c0 + nb] for b, c0, nb in zip(
-            present.tolist(), col[present].tolist(),
-            homs.n_homs[present].tolist())}
-    return blocks_of
+        out = np.zeros((len(chars_k.values), width), dtype=dtype)
+        np.add.at(out.reshape(-1), hit * width + col[lu] + psi, 1)
+        return out
+    return row_of
 
 
 def gamma_block(k_sub: Subgroup, l_sub: Subgroup,
@@ -146,13 +122,11 @@ def gamma_block(k_sub: Subgroup, l_sub: Subgroup,
 
     Entry [a, b] counts the cosets sL with K <= sLs^-1 on which the
     conjugate of the b-th character of Hom(L, A) restricts to the a-th
-    character of Hom(K, A); rows and columns follow ``hom_set`` order.
+    character of Hom(K, A); rows and columns follow ``CharIndex`` order.
     Both subgroups must live over the same group. This is the one-pair
     case of ``gamma_rows``.
     """
-    return gamma_rows([k_sub], [l_sub], fiber)(0).get(0, np.zeros(
-        (len(char_index(k_sub, fiber).values),
-         len(char_index(l_sub, fiber).values)), dtype=np.int64))
+    return gamma_rows([k_sub], [l_sub], fiber)(0)
 
 
 def _sort_runs(terms: np.ndarray, lens: np.ndarray, bound: int):
@@ -199,10 +173,9 @@ class MonomialBasis:
         self.group = group
         self.fiber = fiber
         self.class_table = class_table
-        # the basis keeps indices only; ``reps`` and ``stabilizers`` build
-        # the pair and subgroup objects on first use
+        # the basis keeps indices only
         self.rep_class: list[int] = []          # basis index -> class index
-        self.rep_hom_index: list[int] = []      # basis index -> index in hom_set
+        self.rep_hom_index: list[int] = []      # basis index -> hom index
         self.class_block: list[tuple[int, int]] = []
         # per class: hom index -> basis index of its orbit representative
         self.char_to_basis: list[np.ndarray] = []
@@ -211,7 +184,14 @@ class MonomialBasis:
         # Hom(K, A) of every class rep K, which every restriction reads
         self._homs = _hom_layout(class_table.reps, fiber)
         for ci, chars in enumerate(self._homs.chars):
-            root = self._normalizer_action(ci)[1].min(axis=0)
+            # the hom index of x -> chi_i(n^-1 x n), row n over N = N_G(K)
+            # and column i; N is a group, so column i runs over the whole
+            # orbit of chi_i, and its least entry names the orbit
+            norm = np.asarray(normalizer(group, class_table.reps[ci]).members,
+                              dtype=np.int64)
+            root = self._homs.restrict(ci, np.arange(len(chars.values)),
+                                       group.inv[norm][:, None],
+                                       chars).min(axis=0)
             # the orbit reps, in lexicographic order of their values
             roots = _sorted_unique(root)
             roots = roots[np.lexsort(chars.values[roots].T[::-1])]
@@ -224,45 +204,8 @@ class MonomialBasis:
             self.class_block.append((start, len(self.rep_class)))
         self.size = len(self.rep_class)
         # the characters of class cj are the columns hom_start[cj] to
-        # hom_start[cj + 1] of every gamma row, in hom-set order
+        # hom_start[cj + 1] of every gamma row, in ``CharIndex`` order
         self.hom_start = _starts(np.append(self._homs.n_homs, 0))
-
-    def _normalizer_action(self, ci: int) -> tuple[np.ndarray, np.ndarray]:
-        """The members of N = N_G(K), K the rep of class ci, and perm[n, i],
-        the hom index of x -> chi_i(n^-1 x n); N is a group, so column i
-        runs over the whole orbit of chi_i."""
-        k_sub, chars = self.class_table.reps[ci], self._homs.chars[ci]
-        norm = np.asarray(normalizer(self.group, k_sub).members,
-                          dtype=np.int64)
-        return norm, self._homs.restrict(ci, np.arange(len(chars.values)),
-                                         self.group.inv[norm][:, None], chars)
-
-    def _rep_values(self) -> Iterator[tuple[int, list[int]]]:
-        """The class and the character values of each orbit rep, in basis
-        order."""
-        for ci, (i0, i1) in enumerate(self.class_block):
-            vals = self._homs.chars[ci].values.tolist()
-            for r in self.rep_hom_index[i0:i1]:
-                yield ci, vals[r]
-
-    @cached_property
-    def reps(self) -> list[MonomialPair]:
-        """The orbit representative (K, phi) of each basis element."""
-        subs = self.class_table.reps
-        return [MonomialPair(subs[ci], Character(subs[ci], self.fiber, vals,
-                                                 verify=False))
-                for ci, vals in self._rep_values()]
-
-    @cached_property
-    def stabilizers(self) -> list[Subgroup]:
-        """The stabilizer in N_G(K) of each orbit representative (K, phi)."""
-        stabilizers = []
-        for ci, (i0, i1) in enumerate(self.class_block):
-            norm, perm = self._normalizer_action(ci)
-            stabilizers += [Subgroup(self.group, norm[perm[:, r] == r].tolist(),
-                                     verify=False)
-                            for r in self.rep_hom_index[i0:i1]]
-        return stabilizers
 
     # -- ring structure
 
@@ -286,36 +229,17 @@ class MonomialBasis:
 
     def gamma_row(self, ci: int) -> np.ndarray:
         """The gamma coefficients of every character of class ci (one row
-        each, in hom-set order) against every character of every class
-        (``hom_start``), in ``_gamma_dtype``. Made from kernel row ci on
+        each, in ``CharIndex`` order) against every character of every
+        class (``hom_start``), in ``_gamma_dtype``: kernel row ci, made on
         first use and kept; the species search and verification both read
         it."""
         row = self._gamma.get(ci)
         if row is None:
-            # the hom indices of every class in turn: 0, 1, ..., 0, 1, ...
-            start = self.hom_start
-            hom = np.arange(start[-1]) - np.repeat(start[:-1], np.diff(start))
-            row = self._gamma[ci] = self._laid_out_gamma(ci, hom, start)
+            row = self._gamma[ci] = self._gamma_kernel(ci)
         return row
 
-    def _laid_out_gamma(self, ci: int, hom: np.ndarray,
-                        start: np.ndarray) -> np.ndarray:
-        """Kernel row ci (``gamma_rows``) in ``_gamma_dtype``, laid out by
-        the hom indices ``hom`` of every class c, which are hom[start[c]]
-        to hom[start[c + 1] - 1]: a row per hom index of class ci, and a
-        column per hom index of every class; zero where the kernel has no
-        block, which is where the mark is 0."""
-        start = start.tolist()
-        out = np.zeros((start[ci + 1] - start[ci], start[-1]),
-                       dtype=_gamma_dtype(self.group.order))
-        rows = hom[start[ci]:start[ci + 1], None]
-        for cj, block in self._gamma_kernel(ci).items():
-            out[:, start[cj]:start[cj + 1]] = block[
-                rows, hom[start[cj]:start[cj + 1]]]
-        return out
-
     @cached_property
-    def _gamma_kernel(self) -> Callable[[int], dict[int, np.ndarray]]:
+    def _gamma_kernel(self) -> Callable[[int], np.ndarray]:
         """``gamma_rows`` over the class reps, prepared once per basis."""
         reps = self.class_table.reps
         return gamma_rows(reps, reps, self.fiber)
@@ -325,14 +249,15 @@ class MonomialBasis:
         return GhostRing(self)
 
     def product(self, i: int, j: int) -> list[tuple[int, int]]:
-        """Structure constants of reps[i] * reps[j] as (index, coeff) pairs."""
+        """Structure constants of basis elements i times j as (index, coeff)
+        pairs."""
         start, n = self.runs(i, j)
         idx, counts = np.unique(self.terms[start:start + n],
                                 return_counts=True)
         return list(zip(idx.tolist(), counts.tolist()))
 
     def runs(self, i, j) -> tuple[np.ndarray, np.ndarray]:
-        """Where the product of reps[i] and reps[j] lies in ``terms``, for
+        """Where the product of basis elements i and j lies in ``terms``, for
         arrays of basis indices i and j that broadcast: the start of its
         run and the run's length, one term per double coset K\\G/L, sorted.
         For each coset KsL the term is the basis index of the orbit of
@@ -475,10 +400,14 @@ class MonomialBasis:
 
     def to_json(self) -> dict:
         elements = self.fiber.elements     # tuples, written as lists
-        members = [list(sub.members) for sub in self.class_table.reps]
-        return {"fiber": list(self.fiber.factors), "pairs": [
-            {"subgroup": members[ci], "character": [elements[v] for v in vals]}
-            for ci, vals in self._rep_values()]}
+        pairs = []
+        for ci, (i0, i1) in enumerate(self.class_block):
+            members = list(self.class_table.reps[ci].members)
+            vals = self._homs.chars[ci].values[self.rep_hom_index[i0:i1]]
+            pairs += [{"subgroup": members,
+                       "character": [elements[v] for v in row]}
+                      for row in vals.tolist()]
+        return {"fiber": list(self.fiber.factors), "pairs": pairs}
 
 
 def monomial_basis(group: FiniteGroup, fiber: AbelianFiber,
@@ -500,15 +429,13 @@ def monomial_basis(group: FiniteGroup, fiber: AbelianFiber,
 def gamma_class_rows(basis: MonomialBasis) -> Iterator[np.ndarray]:
     """The rows of ``gamma_table(basis)``, one class at a time: for each
     class ci in order, the rows of its orbit reps as one (reps of ci, basis
-    size) array in ``_gamma_dtype``, made from class row ci of the gamma
-    kernel only when it is reached. Only class pairs with a nonzero mark
-    are computed; the other blocks stay zero. The layout is that of
-    ``gamma_row``, by orbit rep in place of hom index, and the basis keeps
-    none of these rows."""
-    hom_index = np.asarray(basis.rep_hom_index, dtype=np.int64)
-    start = np.asarray([i0 for i0, _ in basis.class_block] + [basis.size])
-    for ci in range(len(basis.class_block)):
-        yield basis._laid_out_gamma(ci, hom_index, start)
+    size) array in ``_gamma_dtype``, selected from class row ci of the
+    gamma kernel only when it is reached: its rows and columns at the
+    characters of the orbit reps. The basis keeps none of these rows."""
+    hom = np.asarray(basis.rep_hom_index, dtype=np.int64)
+    cols = basis.hom_start[basis.rep_class] + hom
+    for ci, (i0, i1) in enumerate(basis.class_block):
+        yield basis._gamma_kernel(ci)[hom[i0:i1, None], cols]
 
 
 def _gamma_dtype(order: int) -> type:
@@ -683,7 +610,7 @@ def mark_morphism(basis: MonomialBasis, x: BurnsideElement) -> GhostElement:
 
 
 __all__ = [
-    "MonomialPair", "MonomialBasis", "BurnsideElement", "GhostRing",
+    "MonomialBasis", "BurnsideElement", "GhostRing",
     "GhostElement", "monomial_basis", "gamma_block", "gamma_rows",
     "gamma_class_rows", "gamma_table",
     "multiply", "mark_morphism", "ghost_multiply", "ghost_ring",

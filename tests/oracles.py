@@ -16,7 +16,10 @@ row from one pass over the double cosets of that row, found one pair at
 a time, with every term looked up from its full character values.
 Character
 group isomorphisms by scanning every tuple of generator images. Characters
-are identified by dictionaries of their full value tuples: normalizer
+are ``Character`` objects, defined here apart from the package's arrays;
+one built from outside values checks the homomorphism rule on all |K|^2
+pairs of members. They are identified by dictionaries of their full value
+tuples: normalizer
 orbits on Hom(K, A) come from a union-find sweep over one permutation per
 normalizer element, and character-group tables from multiplying
 ``Character`` objects. Hom(K, A) itself is built one character and one
@@ -35,6 +38,7 @@ block against product block. Every monomial pair is
 listed subgroup by subgroup, and determinants are exact by fraction-free
 elimination over Python ints."""
 
+import bisect
 import functools
 import itertools
 import random
@@ -44,8 +48,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from fibered_burnside.abelian_fiber import (AbelianFiber, Character,
-                                           char_index, hom_set)
+from fibered_burnside.abelian_fiber import AbelianFiber, char_index
 from fibered_burnside.errors import NotAGroup, SearchBudgetExceeded
 from fibered_burnside.group_core import (FiniteGroup, Subgroup,
                                          SubgroupClassTable, _conjugates,
@@ -56,8 +59,7 @@ from fibered_burnside.group_core import (FiniteGroup, Subgroup,
                                          commutator_subgroup,
                                          double_coset_reps,
                                          enumerate_subgroups, normalizer)
-from fibered_burnside.monomial import (MonomialBasis, MonomialPair, _starts,
-                                       monomial_basis)
+from fibered_burnside.monomial import MonomialBasis, _starts, monomial_basis
 from fibered_burnside.species import SpeciesWitness, char_group_isomorphisms
 
 
@@ -251,6 +253,111 @@ def _cosets_fixed_by_sweep(group: FiniteGroup, k_members: tuple[int, ...],
         if set(k_members) <= {int(mul[mul[s, l], sinv]) for l in l_members}:
             fixed.append(s)
     return tuple(fixed)
+
+
+class Character:
+    """A homomorphism from a subgroup K into the fiber.
+
+    ``values[i]`` is the fiber element index of the image of the i-th member
+    of K (members sorted ascending). Unless ``verify`` is false, the value
+    map is checked to be a homomorphism on all |K|^2 pairs of members."""
+
+    __slots__ = ("domain", "fiber", "values")
+
+    def __init__(self, domain: Subgroup, fiber: AbelianFiber,
+                 values: Sequence[int], *, verify: bool = True):
+        values = tuple(map(int, values))
+        if len(values) != domain.order:
+            raise ValueError("need one value per domain member")
+        self.domain = domain
+        self.fiber = fiber
+        self.values = values
+        if verify:
+            self._check()
+
+    def _check(self) -> None:
+        members = self.domain.members
+        pos = {m: i for i, m in enumerate(members)}
+        if 0 not in pos:
+            raise ValueError("a domain must contain the identity")
+        if self.values[pos[0]]:
+            raise ValueError("character must send the identity to 0")
+        add = self.fiber.add_table.tolist()
+        products = self.domain.group.mul[np.ix_(members, members)].tolist()
+        for vx, row in zip(self.values, products):
+            for vy, xy in zip(self.values, row):
+                if xy not in pos:
+                    raise ValueError("domain is not closed")
+                if self.values[pos[xy]] != add[vx][vy]:
+                    raise ValueError("value map is not a homomorphism")
+
+    def value_index(self, g: int) -> int:
+        return self.values[bisect.bisect_left(self.domain.members, int(g))]
+
+    def is_trivial(self) -> bool:
+        return not any(self.values)
+
+    def __mul__(self, other: "Character") -> "Character":
+        add = self.fiber.add_table
+        return Character(self.domain, self.fiber,
+                         [add[a, b] for a, b in zip(self.values, other.values)],
+                         verify=False)
+
+    def conjugate(self, g: int) -> "Character":
+        """The conjugate character on ^gK, x -> value(g^-1 x g)."""
+        group, value = self.domain.group, dict(zip(self.domain.members,
+                                                   self.values))
+        members = sorted(group.conj[g, list(self.domain.members)].tolist())
+        back = group.conj[group.inverse(g), members].tolist()
+        return Character(Subgroup(group, members, verify=False), self.fiber,
+                         [value[x] for x in back], verify=False)
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, Character)
+                and self.domain == other.domain
+                and self.fiber.factors == other.fiber.factors
+                and self.values == other.values)
+
+    def __hash__(self) -> int:
+        return hash((self.domain.members, self.fiber.factors, self.values))
+
+    def __repr__(self) -> str:
+        return f"Character(domain={self.domain.members}, values={self.values})"
+
+
+def hom_set(domain: Subgroup, fiber: AbelianFiber) -> list[Character]:
+    """Every homomorphism K -> A, in ``CharIndex`` order: the rows of
+    ``char_index(K, A)`` as ``Character`` objects."""
+    return [Character(domain, fiber, row, verify=False)
+            for row in char_index(domain, fiber).values.tolist()]
+
+
+@dataclass(frozen=True)
+class MonomialPair:
+    """A subgroup together with a character on it."""
+
+    subgroup: Subgroup
+    char: Character
+
+    def __post_init__(self):
+        if self.char.domain != self.subgroup:
+            raise ValueError("character domain must equal the subgroup")
+
+    def conjugate(self, g: int) -> "MonomialPair":
+        chi = self.char.conjugate(g)
+        return MonomialPair(chi.domain, chi)
+
+    def key(self):
+        return (self.subgroup.members, self.char.values)
+
+
+def basis_pair(basis: MonomialBasis, i: int) -> MonomialPair:
+    """The orbit rep (K, phi) of basis element i, read from the class and
+    hom index that the basis keeps for it."""
+    k_sub = basis.class_table.reps[basis.rep_class[i]]
+    vals = char_index(k_sub, basis.fiber).values[basis.rep_hom_index[i]]
+    return MonomialPair(k_sub, Character(k_sub, basis.fiber, vals.tolist(),
+                                         verify=False))
 
 
 def reference_gamma(pair_k: MonomialPair, pair_l: MonomialPair) -> int:
@@ -702,13 +809,19 @@ def reference_abelianization(sub: Subgroup) -> ReferenceDecomposition:
 
 def reference_product(basis: MonomialBasis, i: int, j: int,
                       cache: Optional[dict] = None) -> list[tuple[int, int]]:
-    """Structure constants of reps[i] * reps[j] as (index, coeff) pairs.
+    """Structure constants of basis elements i times j as (index, coeff)
+    pairs.
 
     ``cache`` (shared across calls on one basis) memoizes
-    ``canonical_index``."""
+    ``canonical_index`` and ``basis_pair``."""
     group, fiber = basis.group, basis.fiber
-    k_sub, phi = basis.reps[i].subgroup, basis.reps[i].char
-    l_sub, psi = basis.reps[j].subgroup, basis.reps[j].char
+    if cache is None:
+        cache = {}
+    for k in (i, j):
+        if ("rep", k) not in cache:
+            cache["rep", k] = basis_pair(basis, k)
+    (k_sub, phi), (l_sub, psi) = ((p.subgroup, p.char) for p in
+                                  (cache["rep", i], cache["rep", j]))
     conj, inv = group.conj, group.inv
     out: Counter = Counter()
     for s in reference_double_coset_reps(group, k_sub, l_sub):
@@ -974,11 +1087,10 @@ def reference_char_orbits(k_sub: Subgroup, fiber: AbelianFiber, start: int):
 
 def eager_basis_objects(basis: MonomialBasis
                         ) -> tuple[list[MonomialPair], list[Subgroup]]:
-    """The orbit representatives and their stabilizers as the basis
-    constructor built them for every basis element, before they became
-    lazy properties: per class, the normalizer's permutation of the hom
-    set by one restriction, the least index of each orbit as its root, and
-    the roots in order of their value tuples."""
+    """The orbit representatives and their stabilizers of every basis
+    element, built at once: per class, the normalizer's permutation of the
+    hom set by one restriction, the least index of each orbit as its root,
+    and the roots in order of their value tuples."""
     group, fiber = basis.group, basis.fiber
     reps, stabilizers = [], []
     for ci, k_sub in enumerate(basis.class_table.reps):

@@ -2,22 +2,24 @@
 
 Oracles: direct scans over all fiber elements, the torsion-product count
 formula, exhaustive checks of the group laws on hom sets,
-``reference_hom_set``, which builds Hom(K, A) one member at a time, and
+``reference_hom_set``, which builds Hom(K, A) one member at a time, the
+oracles' ``Character``, which checks the homomorphism rule on all pairs of
+members and conjugates one member at a time, and
 ``reference_abelian_invariant_decomposition``, which decomposes each
 character group through per-element callbacks.
 """
 
 from math import gcd
 
+import numpy as np
 import pytest
-from oracles import (reference_abelian_invariant_decomposition,
+from oracles import (Character, hom_set,
+                     reference_abelian_invariant_decomposition,
                      reference_hom_set, reference_span)
 
 from fibered_burnside import thevenaz
-from fibered_burnside.abelian_fiber import (AbelianFiber, Character,
-                                            char_index, hom_set,
-                                            trivial_character)
-from fibered_burnside.errors import DomainMismatch
+from fibered_burnside.abelian_fiber import (AbelianFiber, CharIndex,
+                                            _check_homs, char_index)
 from fibered_burnside.group_core import (Subgroup, abelian_group,
                                          abelianization, cyclic_group,
                                          enumerate_subgroups)
@@ -73,37 +75,47 @@ def _full(group):
     return Subgroup(group, range(group.order))
 
 
+def _checks(domain, fiber):
+    """The package's check of value rows on a domain, and the oracles'."""
+    return [lambda rows: _check_homs(domain, fiber, rows),
+            lambda rows: [Character(domain, fiber, row) for row in rows]]
+
+
 def test_character_must_be_homomorphism():
     c4 = cyclic_group(4)
     c2 = AbelianFiber((2,))
-    with pytest.raises(ValueError):
-        Character(_full(c4), c2, [0, 1, 1, 0])
-    with pytest.raises(ValueError):
-        Character(_full(c4), c2, [1, 0, 0, 0])
-    # the two genuine homomorphisms C4 -> C2
-    Character(_full(c4), c2, [0, 0, 0, 0])
-    Character(_full(c4), c2, [0, 1, 0, 1])
+    for check in _checks(_full(c4), c2):
+        with pytest.raises(ValueError, match="not a homomorphism"):
+            check([[0, 1, 1, 0]])
+        with pytest.raises(ValueError, match="identity to 0"):
+            check([[1, 0, 0, 0]])
+        # the two genuine homomorphisms C4 -> C2
+        check([[0, 0, 0, 0], [0, 1, 0, 1]])
+    assert char_index(_full(c4), c2).values.tolist() == [[0, 0, 0, 0],
+                                                          [0, 1, 0, 1]]
 
 
 def test_character_domain_must_be_a_subgroup():
     c4, fiber = cyclic_group(4), AbelianFiber((2,))
-    with pytest.raises(ValueError, match="domain is not closed"):
-        Character(Subgroup(c4, [0, 1], verify=False), fiber, [0, 0])
-    with pytest.raises(ValueError, match="contain the identity"):
-        Character(Subgroup(c4, [1, 3], verify=False), fiber, [0, 0])
+    for members, message in (([0, 1], "domain is not closed"),
+                             ([1, 3], "contain the identity")):
+        domain = Subgroup(c4, members, verify=False)
+        for check in _checks(domain, fiber):
+            with pytest.raises(ValueError, match=message):
+                check([[0, 0]])
 
 
 def test_hom_set_c2_c2():
     c2 = cyclic_group(2)
-    homs = hom_set(_full(c2), AbelianFiber((2,)))
-    assert [h.values for h in homs] == [(0, 0), (0, 1)]
+    chars = char_index(_full(c2), AbelianFiber((2,)))
+    assert chars.values.tolist() == [[0, 0], [0, 1]]
 
 
 def test_hom_set_coprime_is_trivial():
     c4 = cyclic_group(4)
     for sub in enumerate_subgroups(c4):
-        homs = hom_set(sub, AbelianFiber((3,)))
-        assert len(homs) == 1 and homs[0].is_trivial()
+        values = char_index(sub, AbelianFiber((3,))).values
+        assert values.shape == (1, sub.order) and not values.any()
 
 
 def test_hom_set_count_formula(s3, d4, fiber_c2, fiber_c6):
@@ -114,60 +126,71 @@ def test_hom_set_count_formula(s3, d4, fiber_c2, fiber_c6):
                 expect = 1
                 for d in dec.factors:
                     expect *= len(fiber.torsion_indices(d))
-                assert len(hom_set(sub, fiber)) == expect
+                assert len(char_index(sub, fiber).values) == expect
 
 
 def test_hom_set_deterministic_and_distinct(s4, fiber_c6):
     for sub in enumerate_subgroups(s4):
-        homs1 = hom_set(sub, fiber_c6)
-        homs2 = hom_set(sub, fiber_c6)
-        assert [h.values for h in homs1] == [h.values for h in homs2]
-        assert len({h.values for h in homs1}) == len(homs1)
+        values = CharIndex(sub, fiber_c6).values
+        assert np.array_equal(CharIndex(sub, fiber_c6).values, values)
+        assert len(np.unique(values, axis=0)) == len(values)
 
 
 def test_hom_set_is_abelian_group(s3, fiber_c6):
+    add, neg = fiber_c6.add_table, fiber_c6.neg_table
     for sub in enumerate_subgroups(s3):
-        homs = hom_set(sub, fiber_c6)
-        values = {h.values for h in homs}
+        homs = char_index(sub, fiber_c6).values
+        values = set(map(tuple, homs.tolist()))
         for h1 in homs:
-            assert h1.inverse().values in values
-            assert (h1 * h1.inverse()).is_trivial()
+            assert tuple(neg[h1].tolist()) in values
+            assert not add[h1, neg[h1]].any()
             for h2 in homs:
-                assert (h1 * h2).values in values
-                assert (h1 * h2).values == (h2 * h1).values
+                assert tuple(add[h1, h2].tolist()) in values
+                assert np.array_equal(add[h1, h2], add[h2, h1])
 
 
 def test_thevenaz_full_group_characters(tg_7_3):
     g = tg_7_3.group
-    homs = hom_set(_full(g), AbelianFiber((3,)))
-    assert len(homs) == 3
+    chars = char_index(_full(g), AbelianFiber((3,)))
+    assert len(chars.values) == 3
     # each character is pinned down by its value on the order-q generator
-    assert sorted(h.value_index(tg_7_3.z) for h in homs) == [0, 1, 2]
-    for h in homs:
-        assert h.value_index(tg_7_3.x) == 0
-        assert h.value_index(tg_7_3.y) == 0
+    values_at = chars.values.T[chars.pos]
+    assert sorted(values_at[tg_7_3.z].tolist()) == [0, 1, 2]
+    assert not values_at[tg_7_3.x].any()
+    assert not values_at[tg_7_3.y].any()
 
 
 def test_char_mul_domain_mismatch(s3, fiber_c2):
-    subs = [s for s in enumerate_subgroups(s3) if s.order == 2]
-    with pytest.raises(DomainMismatch):
-        trivial_character(subs[0], fiber_c2) * \
-            trivial_character(subs[1], fiber_c2)
+    # characters are multiplied only within one hom set (``CharIndex.table``),
+    # so values from another domain can only reach the one check as rows of
+    # the wrong length for its domain
+    subs = [s for s in enumerate_subgroups(s3) if s.order in (2, 3)]
+    order_2, order_3 = subs[0], subs[-1]
+    assert (order_2.order, order_3.order) == (2, 3)
+    rows = char_index(order_3, fiber_c2).values
+    for check in _checks(order_2, fiber_c2):
+        with pytest.raises(ValueError, match="one value per domain member"):
+            check(rows)
 
 
 def test_trivial_is_identity(s3, fiber_c6):
-    full = _full(s3)
-    for h in hom_set(full, fiber_c6):
-        assert (h * trivial_character(full, fiber_c6)).values == h.values
+    chars = char_index(_full(s3), fiber_c6)
+    assert not chars.values[0].any()
+    assert np.array_equal(
+        fiber_c6.add_table[chars.values, chars.values[0]], chars.values)
+    n = len(chars.values)
+    assert chars.table[:, 0].tolist() == chars.table[0].tolist() == \
+        list(range(n))
 
 
 def test_restriction(s3, fiber_c6):
-    full = _full(s3)
-    for h in hom_set(full, fiber_c6):
-        for sub in enumerate_subgroups(s3):
-            r = h.restrict(sub)
-            assert all(r.value_index(m) == h.value_index(m)
-                       for m in sub.members)
+    # a character of S3 restricted to a subgroup is a character of it
+    full = char_index(_full(s3), fiber_c6)
+    for sub in enumerate_subgroups(s3):
+        chars = char_index(sub, fiber_c6)
+        restricted = full.values[:, full.pos[list(sub.members)]]
+        assert np.array_equal(chars.values[chars.index(
+            restricted[:, chars.pos[chars.gens]])], restricted)
 
 
 def test_conjugation_is_action(s3, d4, fiber_c6):
@@ -218,15 +241,11 @@ def test_coprime_hom_sets_are_trivial(small_groups):
         for sub in enumerate_subgroups(g):
             for d in (5, 7):
                 if gcd(sub.order, d) == 1:
-                    assert len(hom_set(sub, AbelianFiber((d,)))) == 1
+                    assert len(char_index(sub, AbelianFiber((d,))).values) == 1
 
 
 # ---------------------------------------------------------------------------
 # The array builder against the member-by-member oracle
-
-
-def _values(homs):
-    return [h.values for h in homs]
 
 
 def test_hom_set_matches_member_loop(small_groups, fiber_c5):
@@ -240,8 +259,9 @@ def test_hom_set_matches_member_loop(small_groups, fiber_c5):
                fiber_c5) for a, b in ((3, 9), (3, 4))]
     for g, fiber in cases:
         for sub in enumerate_subgroups(g):
-            assert _values(hom_set(sub, fiber)) == \
-                _values(reference_hom_set(sub, fiber)), (g, fiber, sub)
+            assert char_index(sub, fiber).values.tolist() == \
+                [list(h.values) for h in reference_hom_set(sub, fiber)], \
+                (g, fiber, sub)
 
 
 def test_char_group_decomposition_matches_reference(small_groups):
@@ -268,5 +288,3 @@ def test_char_index_shared_by_equal_member_sets(s3, fiber_c6):
         twin = Subgroup(s3, sub.members, verify=False)
         assert twin is not sub
         assert char_index(twin, fiber_c6) is char_index(sub, fiber_c6)
-        # the characters are views on the subgroup object asked for
-        assert all(h.domain is twin for h in hom_set(twin, fiber_c6))

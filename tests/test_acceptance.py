@@ -13,7 +13,7 @@ import time
 import pytest
 
 from fibered_burnside import cli, thevenaz
-from fibered_burnside.abelian_fiber import AbelianFiber, hom_set
+from fibered_burnside.abelian_fiber import AbelianFiber
 from fibered_burnside.group_core import (abelian_group,
                                          conjugacy_classes_of_subgroups,
                                          cyclic_group, dihedral_group,
@@ -21,7 +21,7 @@ from fibered_burnside.group_core import (abelian_group,
 from fibered_burnside.monomial import (gamma_block, gamma_table,
                                        ghost_multiply, mark_morphism,
                                        monomial_basis, multiply)
-from oracles import all_monomial_pairs, integer_matrix_determinant
+from oracles import all_monomial_pairs, hom_set, integer_matrix_determinant
 
 BUDGETS = {1: 10.0, 2: 60.0, 3: 10.0, 4: 300.0, 5: 60.0, 6: 60.0}
 

@@ -2,9 +2,12 @@
 determinism. All invocations go through ``cli.main`` in process."""
 
 import argparse
+import ast
 import hashlib
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 import tracemalloc
@@ -15,13 +18,15 @@ import pytest
 from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
-from oracles import a6_cayley_json
+from oracles import a6_cayley_json, hom_set
 
 import fibered_burnside
 from fibered_burnside import cli, group_core
-from fibered_burnside.abelian_fiber import Character, CharIndex, hom_set
-from fibered_burnside.group_core import (conjugacy_classes_of_subgroups,
+from fibered_burnside.abelian_fiber import CharIndex
+from fibered_burnside.group_core import (Subgroup,
+                                         conjugacy_classes_of_subgroups,
                                          cyclic_group, symmetric_group)
+from fibered_burnside.monomial import MonomialBasis
 
 
 def run(capsys, *argv):
@@ -963,50 +968,80 @@ def test_gamma_e16_command_and_report_allocate_under_4_mb(monkeypatch):
     assert peak < 4 << 20
 
 
-def test_gamma_builds_no_character_objects(capsys, monkeypatch):
-    # the basis keeps class and hom-set indices, and the report reads the
-    # characters' values from the hom-set arrays
+def character_inits(command):
+    # the profile hook sees every Python call, so a class named Character
+    # counts wherever it is defined: in the package or in the oracles
     calls = []
-    init = Character.__init__
 
-    def counting_init(self, *args, **kwargs):
-        calls.append(1)
-        init(self, *args, **kwargs)
+    def profile(frame, event, arg):
+        if event == "call" and \
+                frame.f_code.co_qualname == "Character.__init__":
+            calls.append(1)
 
-    monkeypatch.setattr(Character, "__init__", counting_init)
-    code, out, _ = run(capsys, "gamma", "symmetric:4", "--fiber", "6")
-    assert code == 0
+    sys.setprofile(profile)
+    try:
+        return command(), len(calls)
+    finally:
+        sys.setprofile(None)
+
+
+def test_gamma_builds_no_character_objects(capsys):
+    # the report reads the characters' values from the CharIndex arrays
+    (code, out, _), built = character_inits(
+        lambda: run(capsys, "gamma", "symmetric:4", "--fiber", "6"))
+    assert (code, built) == (0, 0)
     assert hashlib.sha256(out.encode()).hexdigest() == \
         "e5cd15f2342cc4c5c701508337b74d554a0b8f83262657960c6f0740bfbee6e8"
-    assert not calls
     # and the counter counts
-    table = conjugacy_classes_of_subgroups(symmetric_group(4))
-    homs = hom_set(table.reps[-1], cli._parse_fiber("6"))
-    assert len(calls) == len(homs) == 2
+    rep = conjugacy_classes_of_subgroups(symmetric_group(4)).reps[-1]
+    homs, built = character_inits(lambda: hom_set(rep, cli._parse_fiber("6")))
+    assert built == len(homs) == 2
 
 
 @pytest.mark.parametrize("command", [
     lambda: cli.cmd_verify("abelian:2,2,2,2", "abelian:2,2,2,2", "2",
                            auto=True),
-    lambda: cli.cmd_reproduce_paper(),
+    cli.cmd_reproduce_paper,
 ], ids=["verify-e16-auto", "reproduce"])
-def test_species_commands_build_no_character_objects(monkeypatch, command):
-    # the search pairs character groups by their CharIndex, the family
-    # witness pairs characters by the z column of CharIndex.values, and
-    # both checks of verify_species compare arrays
-    calls = []
-    init = Character.__init__
+def test_species_commands_build_no_character_objects(command):
+    # the search and the family witness pair characters by CharIndex rows,
+    # and both checks of verify_species compare arrays
+    (report, code), built = character_inits(command)
+    assert (code, built) == (0, 0)
+    result = report["result"]
+    assert result.get("valid", result.get("witness_valid")) is True
 
-    def counting_init(self, *args, **kwargs):
-        calls.append(1)
-        init(self, *args, **kwargs)
 
-    monkeypatch.setattr(Character, "__init__", counting_init)
-    report, code = command()
-    assert code == 0
-    assert report["result"].get("valid", report["result"].get(
-        "witness_valid")) is True
-    assert not calls
+def test_package_has_one_character_representation():
+    # Hom(K, A) is held as CharIndex rows and a basis element as its class
+    # and hom index; the Character and MonomialPair objects, which no
+    # command built, live in the test oracles alone
+    removed = {"Character", "trivial_character", "hom_set",
+               "DomainMismatch", "MonomialPair"}
+    modules = [fibered_burnside] + [
+        importlib.import_module(f"fibered_burnside.{info.name}")
+        for info in pkgutil.iter_modules(fibered_burnside.__path__)]
+    assert {m.__name__ for m in modules} >= {
+        "fibered_burnside.abelian_fiber", "fibered_burnside.errors",
+        "fibered_burnside.monomial"}
+    for module in modules:
+        assert not removed & set(vars(module)), module.__name__
+        assert not removed & set(getattr(module, "__all__", ())), \
+            module.__name__
+    for cls, names in ((MonomialBasis, ("reps", "stabilizers")),
+                       (Subgroup, ("position", "is_subset_of"))):
+        assert not [name for name in names if hasattr(cls, name)]
+
+
+def test_package_has_no_assert_statements():
+    # `python -O` strips asserts, so every check that guards a result
+    # raises an explicit error instead
+    paths = sorted(Path(fibered_burnside.__file__).parent.rglob("*.py"))
+    assert len(paths) >= 8
+    found = [f"{path.name}:{node.lineno}" for path in paths
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.Assert)]
+    assert not found
 
 
 KEYS = st.one_of(st.text(max_size=3), st.integers(-20, 20), st.booleans(),

@@ -23,7 +23,7 @@ from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 
 from fibered_burnside import monomial
-from fibered_burnside.abelian_fiber import AbelianFiber, char_index, hom_set
+from fibered_burnside.abelian_fiber import AbelianFiber, char_index
 from fibered_burnside.errors import ComponentMismatch, NotAGroup
 from fibered_burnside.group_core import (Subgroup, abelian_group,
                                          conjugate_subgroup,
@@ -33,14 +33,14 @@ from fibered_burnside.group_core import (Subgroup, abelian_group,
                                          enumerate_subgroups, fixed_cosets,
                                          mark, normalizer, symmetric_group)
 from fibered_burnside.monomial import (BurnsideElement, MonomialBasis,
-                                       MonomialPair, gamma_block,
-                                       gamma_class_rows, gamma_rows,
-                                       gamma_table,
+                                       gamma_block, gamma_class_rows,
+                                       gamma_rows, gamma_table,
                                        ghost_multiply, ghost_ring,
                                        mark_morphism, monomial_basis, multiply)
 from fibered_burnside.thevenaz import canonical_class_table
-from oracles import (all_monomial_pairs, canonical_index,
-                     eager_basis_objects, integer_matrix_determinant,
+from oracles import (MonomialPair, all_monomial_pairs, basis_pair,
+                     canonical_index, eager_basis_objects, hom_set,
+                     integer_matrix_determinant,
                      located_block, reference_char_group_table,
                      reference_char_orbits, reference_double_coset_reps,
                      reference_gamma, reference_mackey_block,
@@ -50,6 +50,11 @@ from test_group_core import product_group, product_params
 
 def _basis(group, fiber):
     return monomial_basis(group, fiber)
+
+
+def _pairs(basis):
+    """The orbit rep (K, phi) of every basis element, from its indices."""
+    return [basis_pair(basis, i) for i in range(basis.size)]
 
 
 # ---------------------------------------------------------------------------
@@ -63,7 +68,7 @@ def c2_basis():
 
 def test_c2_basis_reps(c2_basis):
     # (1,1), (C2,1), (C2,sigma) in that order
-    keys = [(p.subgroup.members, p.char.values) for p in c2_basis.reps]
+    keys = [(p.subgroup.members, p.char.values) for p in _pairs(c2_basis)]
     assert keys == [((0,), (0,)), ((0, 1), (0, 0)), ((0, 1), (0, 1))]
 
 
@@ -134,8 +139,9 @@ def test_gamma_zero_unless_subconjugate(d4, fiber_c6):
     from fibered_burnside.group_core import conjugate_subgroup
     basis = _basis(d4, fiber_c6)
     table = gamma_table(basis)
-    for i, pk in enumerate(basis.reps):
-        for j, pl in enumerate(basis.reps):
+    pairs = _pairs(basis)
+    for i, pk in enumerate(pairs):
+        for j, pl in enumerate(pairs):
             if table[i][j]:
                 k_mem = set(pk.subgroup.members)
                 assert any(
@@ -178,10 +184,11 @@ def _assert_gamma_matches_reference(group, fiber):
                        for psi in homs_l] for phi in homs_k]
             assert gamma_block(k_sub, l_sub, fiber).tolist() == expect
     basis = monomial_basis(group, fiber)
+    pairs = _pairs(basis)
     assert gamma_table(basis).tolist() == [[reference_gamma(pk, pl)
-                                            for pl in basis.reps]
-                                           for pk in basis.reps]
-    for j, pl in enumerate(basis.reps):
+                                            for pl in pairs]
+                                           for pk in pairs]
+    for j, pl in enumerate(pairs):
         image = mark_morphism(basis, basis.basis_element(j))
         assert image.comps == [[reference_gamma(MonomialPair(k_sub, phi), pl)
                                 for phi in homs_k]
@@ -417,13 +424,14 @@ def test_product_block_rejects_values_of_no_character():
 
 
 def _assert_char_data_matches_reference(basis):
+    eager_stabilizers = eager_basis_objects(basis)[1]
     for ci, k_sub in enumerate(basis.class_table.reps):
         i0, i1 = basis.class_block[ci]
         roots, stabilizers, to_basis = reference_char_orbits(
             k_sub, basis.fiber, i0)
         assert basis.rep_hom_index[i0:i1] == roots
         assert [list(s.members)
-                for s in basis.stabilizers[i0:i1]] == stabilizers
+                for s in eager_stabilizers[i0:i1]] == stabilizers
         assert basis.char_to_basis[ci].tolist() == to_basis
         assert char_index(k_sub, basis.fiber).table.tolist() == \
             reference_char_group_table(hom_set(k_sub, basis.fiber))
@@ -451,16 +459,22 @@ def test_char_orbits_and_tables_match_reference_larger(tg_11_5_a, tg_11_5_b,
 
 
 def _assert_lazy_objects_match_eager(basis):
-    # built on first use, from the indices the basis keeps
-    assert "reps" not in vars(basis) and "stabilizers" not in vars(basis)
+    # the basis keeps indices only: each orbit rep read on demand from its
+    # class and hom index, and its stabilizer in N_G(K), the n with
+    # phi(n^-1 x n) = phi(x) on every x in K, one n at a time, against the
+    # eager construction
     reps, stabilizers = eager_basis_objects(basis)
-    assert basis.reps == reps
-    assert [p.key() for p in basis.reps] == [p.key() for p in reps]
-    assert [s.members for s in basis.stabilizers] == \
-        [s.members for s in stabilizers]
-    assert [p.char.values for p in reps] == [
-        tuple(basis._homs.chars[ci].values[hi].tolist())
-        for ci, hi in zip(basis.rep_class, basis.rep_hom_index)]
+    pairs = _pairs(basis)
+    assert pairs == reps
+    assert [p.key() for p in pairs] == [p.key() for p in reps]
+    group = basis.group
+    for pair, stabilizer in zip(pairs, stabilizers):
+        members, values = list(pair.subgroup.members), list(pair.char.values)
+        value = dict(zip(members, values))
+        assert [n for n in normalizer(group, pair.subgroup).members
+                if [value[x] for x in group.conj[group.inverse(n),
+                                                 members].tolist()]
+                == values] == list(stabilizer.members)
 
 
 @pytest.mark.parametrize("factors", [(1,), (2,), (6,), (2, 4)])
@@ -497,8 +511,8 @@ def test_char_index_keys_beyond_int64():
 
 @pytest.mark.parametrize("factors", [(2,), (6,), (2, 4)])
 def test_restriction_matches_character_conjugation(small_groups, factors):
-    # the one restriction gather, against Character.conjugate and
-    # Character.restrict read back through hom_set: for every pair (K, L)
+    # the one restriction gather, against the oracles' Character.conjugate
+    # read back on K through hom_set: for every pair (K, L)
     # of subgroups and every s in a coset sL that K fixes, ^s psi
     # restricted to K, and for every n in N_G(K), ^n chi. Pairs of class
     # reps alone would not tell s from s^-1 here: in S3 and D4 they only
@@ -517,7 +531,8 @@ def test_restriction_matches_character_conjugation(small_groups, factors):
                     got = layout.restrict(b, np.arange(len(homs[b])),
                                           g.inverse(s), chars)
                     assert got.tolist() == [
-                        where[psi.conjugate(s).restrict(k_sub).values]
+                        where[tuple(psi.conjugate(s).value_index(k)
+                                    for k in k_sub.members)]
                         for psi in homs[b]]
             for n in normalizer(g, k_sub).members:
                 got = layout.restrict(a, np.arange(len(homs[a])),
@@ -533,8 +548,8 @@ def test_restriction_matches_character_conjugation(small_groups, factors):
 def test_orbit_count_formula(s3, d4, fiber_c2, fiber_c6):
     for g in (s3, d4):
         for fiber in (fiber_c2, fiber_c6):
-            basis = _basis(g, fiber)
-            total = sum(g.order // stab.order for stab in basis.stabilizers)
+            stabilizers = eager_basis_objects(_basis(g, fiber))[1]
+            total = sum(g.order // stab.order for stab in stabilizers)
             assert total == len(all_monomial_pairs(g, fiber))
 
 
@@ -551,7 +566,8 @@ def test_basis_grouped_by_class_table_order(d4, fiber_c6):
     table = conjugacy_classes_of_subgroups(d4)
     for ci, (start, stop) in enumerate(basis.class_block):
         for i in range(start, stop):
-            assert basis.reps[i].subgroup.members == table.reps[ci].members
+            assert basis_pair(basis, i).subgroup.members == \
+                table.reps[ci].members
     assert basis.class_block[-1][1] == basis.size
 
 
@@ -621,11 +637,12 @@ def test_own_component_is_orbit_sum(d4, fiber_c6):
     # the K-component of the ghost image of [K, phi] is supported on the
     # normalizer orbit of phi, with constant value |N_G(K, phi)| / |K|
     basis = _basis(d4, fiber_c6)
-    for i, pair in enumerate(basis.reps):
+    reps, stabilizers = eager_basis_objects(basis)
+    for i, pair in enumerate(reps):
         ci = basis.rep_class[i]
         comp = mark_morphism(basis, basis.basis_element(i)).comps[ci]
         orbit_of = basis.char_to_basis[ci]
-        weight = basis.stabilizers[i].order // pair.subgroup.order
+        weight = stabilizers[i].order // pair.subgroup.order
         expect = [weight if orbit_of[hi] == i else 0
                   for hi in range(len(hom_set(pair.subgroup, basis.fiber)))]
         assert comp == expect
@@ -639,52 +656,73 @@ def test_mark_morphism_linear(s3, fiber_c6):
         mark_morphism(basis, x) + mark_morphism(basis, y)
 
 
-def _count_gamma_rows(monkeypatch):
-    """Record, for each ``gamma_rows`` kernel prepared from now on, the K
-    index of every row it computes and the L indices of its blocks."""
-    calls = []
+def count_gamma_rows(monkeypatch):
+    """Record each row that a ``gamma_rows`` kernel prepared from now on
+    computes, as (id of the kernel, K index, entries, row): entries is the
+    number of characters that the restrictions (``_HomLayout.restrict``)
+    hand back while the row is computed, and row the array returned."""
+    calls, active = [], []
+    restrict = monomial._HomLayout.restrict
+
+    def counted_restrict(self, *args):
+        hit = restrict(self, *args)
+        if active:
+            active[-1] += hit.size
+        return hit
 
     def counted(*args):
         kernel = gamma_rows(*args)
 
         def row(a):
-            blocks = kernel(a)
-            calls.append((a, sorted(blocks)))
-            return blocks
+            active.append(0)
+            out = kernel(a)
+            calls.append((id(kernel), a, active.pop(), out))
+            return out
         return row
 
+    monkeypatch.setattr(monomial._HomLayout, "restrict", counted_restrict)
     monkeypatch.setattr(monomial, "gamma_rows", counted)
     return calls
+
+
+def restricted_entries(basis):
+    """Per class a, the characters the gamma kernel restricts for row a
+    when it looks at fixed cosets only: sum over b of mark(a, b) times
+    |Hom(L_b, A)|, where a zero mark costs nothing."""
+    return (np.asarray(basis.class_table.marks)
+            @ basis._homs.n_homs).tolist()
 
 
 def test_ghost_images_take_one_gamma_block_per_class_pair(monkeypatch,
                                                         fiber_c2):
     # (C2)^4 over C2: 67 subgroup classes, 307 basis elements; the ghost
-    # images read the blocks the basis keeps: one kernel row per class, so
+    # images read the rows the basis keeps: one kernel row per class, so
     # each block of a class pair is computed once
     group = abelian_group([2, 2, 2, 2])
     table = gamma_table(MonomialBasis(group, fiber_c2))
-    calls = _count_gamma_rows(monkeypatch)
+    calls = count_gamma_rows(monkeypatch)
     basis = MonomialBasis(group, fiber_c2)
     images = [mark_morphism(basis, basis.basis_element(j))
               for j in range(basis.size)]
     n_classes = len(basis.class_table.reps)
-    assert sorted(a for a, _ in calls) == list(range(n_classes))
+    assert sorted(a for _, a, _, _ in calls) == list(range(n_classes))
+    for _, a, _, row in calls:
+        assert basis.gamma_row(a) is row
     for a, (ca, ha) in enumerate(zip(basis.rep_class, basis.rep_hom_index)):
         assert [img.comps[ca][ha] for img in images] == table[a].tolist()
 
 
 def test_gamma_table_computes_only_nonzero_mark_blocks(monkeypatch):
     # (C2)^4 over C2 x C2: 513 of the 67 x 67 class pairs have a nonzero
-    # mark; the gamma table computes their blocks, one kernel row per
-    # class, and the other blocks stay zero without being computed
+    # mark; the gamma table computes one kernel row per class, and each
+    # row restricts the characters of the fixed cosets alone: a kernel
+    # that looked at a pair with a zero mark would restrict more
     basis = MonomialBasis(abelian_group([2, 2, 2, 2]), AbelianFiber((2, 2)))
-    calls = _count_gamma_rows(monkeypatch)
+    calls = count_gamma_rows(monkeypatch)
     table = gamma_table(basis)
     marks = np.asarray(basis.class_table.marks)
-    assert [a for a, _ in calls] == list(range(len(marks)))
-    assert [b for _, b in calls] == [np.flatnonzero(row).tolist()
-                                     for row in marks]
+    assert [a for _, a, _, _ in calls] == list(range(len(marks)))
+    assert [n for _, _, n, _ in calls] == restricted_entries(basis)
     assert np.count_nonzero(marks) == 513
     assert table.shape == (1837, 1837) and table.dtype == np.int8
     # and keeps no gamma row
@@ -697,14 +735,15 @@ def test_gamma_blocks_are_views_of_one_kept_row_per_class(monkeypatch, d4,
                                                           s4, fiber_c2,
                                                           fiber_c6):
     # D4 over C6 and S4 over C2: every gamma block is a view of the kept
-    # gamma row of its first class, equal to the one-pair kernel; the
-    # kernel runs once per class, whatever the order blocks are asked in
+    # gamma row of its first class, which is the kernel's row itself, and
+    # equal to the one-pair kernel; the kernel runs once per class,
+    # whatever the order blocks are asked in
     for group, fiber in ((d4, fiber_c6), (s4, fiber_c2)):
         reps = conjugacy_classes_of_subgroups(group).reps
         k = len(reps)
         expect = [[gamma_block(k_sub, l_sub, fiber).tolist()
                    for l_sub in reps] for k_sub in reps]
-        calls = _count_gamma_rows(monkeypatch)
+        calls = count_gamma_rows(monkeypatch)
         basis = MonomialBasis(group, fiber)
         for cj in range(k):
             for ci in range(k):
@@ -714,7 +753,8 @@ def test_gamma_blocks_are_views_of_one_kept_row_per_class(monkeypatch, d4,
                 assert np.shares_memory(block, row)
                 assert block.dtype == row.dtype == np.int8
                 assert block.tolist() == expect[ci][cj]
-        assert sorted(a for a, _ in calls) == list(range(k))
+        assert sorted(a for _, a, _, _ in calls) == list(range(k))
+        assert all(basis.gamma_row(a) is row for _, a, _, row in calls)
         assert sorted(basis._gamma) == list(range(k))
 
 

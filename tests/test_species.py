@@ -23,7 +23,7 @@ import numpy as np
 import pytest
 
 from fibered_burnside import cli, monomial
-from fibered_burnside.abelian_fiber import AbelianFiber, char_index, hom_set
+from fibered_burnside.abelian_fiber import AbelianFiber, char_index
 from fibered_burnside.errors import (FiberHasPTorsion, InvalidSpec,
                                      NotABijection, NotAGroupIso,
                                      SearchBudgetExceeded)
@@ -31,18 +31,19 @@ from fibered_burnside.group_core import (Subgroup, abelian_group,
                                          conjugacy_classes_of_subgroups,
                                          cyclic_group, dihedral_group,
                                          group_from_json)
-from fibered_burnside.monomial import (MonomialBasis, MonomialPair,
-                                       monomial_basis)
+from fibered_burnside.monomial import MonomialBasis, monomial_basis
 from fibered_burnside.species import (EXHAUSTION_CAVEAT, SpeciesWitness,
                                       _class_invariants, _gamma_check,
                                       _structure_constant_check,
                                       char_group_isomorphisms, search_species,
                                       thevenaz_witness, verify_species)
-from oracles import (reference_char_group_isomorphisms,
+from oracles import (MonomialPair, hom_set,
+                     reference_char_group_isomorphisms,
                      reference_char_group_table, reference_class_invariant,
                      reference_gamma, reference_gamma_check,
                      reference_product, reference_search_species,
                      reference_structure_constant_check)
+from test_monomial import count_gamma_rows, restricted_entries
 
 # ---------------------------------------------------------------------------
 # Character group isomorphisms
@@ -392,12 +393,10 @@ def test_verify_auto_computes_each_block_once(monkeypatch):
     # row ci. The run locator points every product of classes (ci, cj)
     # into the kept row of the lower class, min(ci, cj), and reading runs
     # computes no row again. The search and the verification share one
-    # gamma kernel per side, which computes each class row, and so each
-    # nonzero gamma block of an ordered class pair, once
-    geometry, rows, gammas = [], [], Counter()
+    # gamma kernel per side, which computes each class row once
+    geometry, rows = [], []
     real_cosets, real_terms = monomial.double_cosets, \
         MonomialBasis._mackey_terms
-    real_gamma = monomial.gamma_rows
 
     def counted_cosets(group, ks, ls):
         geometry.append(group)
@@ -408,19 +407,9 @@ def test_verify_auto_computes_each_block_once(monkeypatch):
         rows.append((basis, ci, terms))
         return terms
 
-    def counted_gamma(k_subs, l_subs, fiber):
-        kernel = real_gamma(k_subs, l_subs, fiber)
-
-        def row(a):
-            blocks = kernel(a)
-            for b in blocks:
-                gammas[id(kernel), a, b] += 1
-            return blocks
-        return row
-
+    gammas = count_gamma_rows(monkeypatch)
     monkeypatch.setattr(monomial, "double_cosets", counted_cosets)
     monkeypatch.setattr(MonomialBasis, "_mackey_terms", counted_terms)
-    monkeypatch.setattr(monomial, "gamma_rows", counted_gamma)
     report, code = cli.cmd_verify("dihedral:6", "dihedral:6", "2,4",
                                   auto=True)
     assert code == 0 and report["result"]["valid"]
@@ -447,14 +436,17 @@ def test_verify_auto_computes_each_block_once(monkeypatch):
                 assert (start + lens <= at + row.size).all()
     assert len(rows) == len(terms) == sum(len(basis.class_block)
                                           for basis in sides)
-    kernels = {kernel for kernel, _, _ in gammas}
-    assert len(kernels) == 2
-    assert set(gammas.values()) == {1}
+    assert len({kernel for kernel, _, _, _ in gammas}) == 2
+    assert len(gammas) == sum(len(basis.class_block) for basis in sides)
     marks = [basis.class_table.marks for basis in sides]
     assert marks[0] == marks[1]
-    nonzero = {(a, b) for a, b in np.argwhere(marks[0]).tolist()}
-    for kernel in kernels:
-        assert {(a, b) for kid, a, b in gammas if kid == kernel} == nonzero
+    for basis in sides:
+        # the kept rows are the kernel's own, and each row restricts the
+        # characters of the fixed cosets alone, so no block of a pair
+        # with a zero mark is computed
+        mine = sorted((a, n) for _, a, n, row in gammas
+                      if basis._gamma.get(a) is row)
+        assert mine == list(enumerate(restricted_entries(basis)))
 
 
 def test_verify_species_reads_no_product_blocks(monkeypatch):
