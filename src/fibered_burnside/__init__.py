@@ -1,5 +1,9 @@
 """Exact computation with fibered Burnside rings of finite groups."""
 
+# The submodules are imported eagerly, not on first use: the benchmark's
+# tracer (bench/tracer.py) imports fibered_burnside.cli and then reads every
+# submodule it wraps from sys.modules, so a deferred import would be missing
+# there. Keep them eager until the tracer imports what it wraps itself.
 from .abelian_fiber import AbelianFiber
 from .group_core import (FiniteGroup, Subgroup, SubgroupClassTable,
                          abelian_group, abelianization, are_isomorphic,

@@ -59,6 +59,7 @@ class FiniteGroup:
         self.name: str = name if name is not None else f"group{n}"
         self._conj: Optional[np.ndarray] = None
         self._element_orders: Optional[np.ndarray] = None
+        self._element_classes: Optional[tuple[np.ndarray, np.ndarray]] = None
         self._element_class_sizes: Optional[np.ndarray] = None
         self._cache: dict = {}
 
@@ -92,15 +93,36 @@ class FiniteGroup:
         return self._element_orders
 
     @property
+    def element_classes(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(reps, label)`` for the conjugacy classes of elements:
+        ``reps[c]`` is the least member of class c, ascending, and
+        ``label[x]`` is the class of x.
+
+        One orbit ``conj[:, x]`` per class, x its least member; the next x
+        is found by an ``argmin`` over the flags beyond it, so no Python
+        step visits the other members."""
+        if self._element_classes is None:
+            n = self.order
+            label = np.empty(n, dtype=np.int64)
+            labelled = np.zeros(n, dtype=bool)
+            reps: list[int] = []
+            x = 0
+            while not labelled[x]:
+                orbit = self.conj[:, x].astype(np.intp)
+                label[orbit] = len(reps)
+                labelled[orbit] = True
+                reps.append(x)
+                # the least unlabelled element, or x again once all are
+                x += int(np.argmin(labelled[x:]))
+            self._element_classes = (np.asarray(reps, dtype=np.int64), label)
+        return self._element_classes
+
+    @property
     def element_class_sizes(self) -> np.ndarray:
+        """The size of the conjugacy class of each element."""
         if self._element_class_sizes is None:
-            # one orbit conj[:, x] per conjugacy class, x its least member
-            sizes = np.zeros(self.order, dtype=np.int64)
-            for x in range(self.order):
-                if not sizes[x]:
-                    orbit = _sorted_unique(self.conj[:, x])
-                    sizes[orbit] = orbit.size
-            self._element_class_sizes = sizes
+            label = self.element_classes[1]
+            self._element_class_sizes = np.bincount(label)[label]
         return self._element_class_sizes
 
     def is_abelian(self) -> bool:
@@ -265,14 +287,36 @@ def abelian_group(factors: Sequence[int]) -> FiniteGroup:
 def symmetric_group(n: int) -> FiniteGroup:
     if not 1 <= n <= 6:
         raise ValueError("symmetric_group supports n in 1..6")
-    perms = sorted(itertools.permutations(range(n)))
-    index = {p: i for i, p in enumerate(perms)}
-    size = len(perms)
-    table = np.empty((size, size), dtype=_index_dtype(size))
-    for i, p in enumerate(perms):
-        for j, q in enumerate(perms):
-            table[i, j] = index[tuple(p[q[k]] for k in range(n))]
-    return FiniteGroup(table, name=f"S{n}")
+    # permutations() of a sorted range comes in lexicographic order
+    perms = np.asarray(list(itertools.permutations(range(n))), dtype=np.int32)
+    return FiniteGroup(_permutation_table(perms), name=f"S{n}")
+
+
+def _permutation_table(perms: np.ndarray) -> np.ndarray:
+    """The multiplication table of the permutations in the rows of
+    ``perms``, a set closed under composition, multiplied as
+    (pq)(k) = p(q(k)): entry [i, j] is the row of perms[i] perms[j].
+
+    The key of a permutation is the number whose base-d digits are its d
+    images. The keys of the products pq are summed over k from one column
+    gather of the images p(q(k)) per k, and one search in the sorted keys
+    of the rows turns them into indices. Keys are int32, so d**d must stay
+    below 2**31 (d at most 9). Rows go in blocks of 64 p, so that no
+    temporary is much larger than the table itself."""
+    m, d = perms.shape
+    weights = d ** np.arange(d, dtype=np.int32)
+    keys = perms @ weights
+    by_key = np.argsort(keys).astype(_index_dtype(m))
+    sorted_keys = keys[by_key]
+    table = np.empty((m, m), dtype=by_key.dtype)
+    for start in range(0, m, 64):
+        block = perms[start:start + 64]
+        products = np.zeros((len(block), m), dtype=np.int32)
+        for k in range(d):
+            products += block[:, perms[:, k]] * weights[k]
+        table[start:start + 64] = by_key[np.searchsorted(sorted_keys,
+                                                          products)]
+    return table
 
 
 def semidirect_product(normal: FiniteGroup, acting: FiniteGroup,
@@ -508,8 +552,8 @@ def enumerate_subgroups(group: FiniteGroup) -> list[Subgroup]:
 
 
 def _perfect_seeds(group: FiniteGroup) -> dict[tuple[int, ...], tuple[int, int]]:
-    """Perfect subgroups of order at least 60, at least one per conjugacy
-    class, each mapped to a pair (a, b) that generates it.
+    """Perfect subgroups of order at least 60, one per conjugacy class,
+    each mapped to a pair (a, b) that generates it.
 
     Relies on perfect groups in the supported order range (<= ~2000) being
     two-generated. Up to conjugation a nontrivial perfect P is <a, b> with
@@ -524,7 +568,7 @@ def _perfect_seeds(group: FiniteGroup) -> dict[tuple[int, ...], tuple[int, int]]
     conj, mul, inv = group.conj, group.mul, group.inv
     found: dict[tuple[int, ...], tuple[int, int]] = {}
     tried: set[tuple[int, ...]] = set()
-    for a in _orbit_reps(conj, np.arange(group.order))[1:]:
+    for a in group.element_classes[0][1:].tolist():
         powers = np.asarray(closure(group, (a,)), dtype=np.int64)
         centralizer = np.flatnonzero(conj[:, a] == a)
         covered = _indicator(group.order, centralizer)
@@ -540,6 +584,8 @@ def _perfect_seeds(group: FiniteGroup) -> dict[tuple[int, ...], tuple[int, int]]
             sub = Subgroup(group, mem, verify=False)
             if len(mem) >= 60 and commutator_subgroup(sub).members == mem:
                 found[mem] = (a, b)
+                # one closure per class: a conjugate of P is P again
+                tried.update(_conjugates(group, mem, normalizer(group, sub)))
     return found
 
 
@@ -560,36 +606,37 @@ def _conjugates(group: FiniteGroup, members: Sequence[int],
     return dict(zip(map(tuple, rows.tolist()), reps.tolist()))
 
 
-def _orbit_reps(conj: np.ndarray, acting: np.ndarray) -> list[int]:
-    """Least element of each orbit of ``acting`` on the group by
-    conjugation, ascending."""
-    covered = np.zeros(conj.shape[0], dtype=bool)
-    reps = []
-    for x in range(conj.shape[0]):
-        if not covered[x]:
-            covered[conj[acting, x].astype(np.intp)] = True
-            reps.append(x)
-    return reps
-
-
 # ---------------------------------------------------------------------------
 # Cosets, marks, conjugacy classes
 
 
 def left_coset_reps(group: FiniteGroup, sub: Subgroup) -> np.ndarray:
     """The least element of each left coset sL, ascending, as a read-only
-    int64 array kept in the group's cache."""
+    int64 array kept in the group's cache.
+
+    When |L|^2 <= n, one n x |L| gather gives min(gL) for every g, and the
+    reps are the g equal to it. Otherwise there are fewer than |L| cosets,
+    and each rep is found by an ``argmin`` over the covered flags beyond
+    the last one. Either way the work is at most n^1.5."""
     key = ("cosets", sub.members)
     reps = group._cache.get(key)
     if reps is None:
+        n = group.order
         mem = np.asarray(sub.members, dtype=np.int64)
-        covered = np.zeros(group.order, dtype=bool)
-        found: list[int] = []
-        for s in range(group.order):
-            if not covered[s]:
+        if mem.size ** 2 <= n:
+            least = group.mul[:, mem].min(axis=1)
+            found = np.flatnonzero(least == np.arange(n))
+        else:
+            covered = np.zeros(n, dtype=bool)
+            starts: list[int] = []
+            s = 0
+            while not covered[s]:
                 covered[group.mul[s, mem].astype(np.intp)] = True
-                found.append(s)
-        reps = group._cache[key] = np.asarray(found, dtype=np.int64)
+                starts.append(s)
+                # the least uncovered element, or s again once all are
+                s += int(np.argmin(covered[s:]))
+            found = np.asarray(starts, dtype=np.int64)
+        reps = group._cache[key] = found
         reps.flags.writeable = False
     return reps
 
@@ -1053,11 +1100,17 @@ def _generating_sequence(group: FiniteGroup) -> list[int]:
     """Greedy generating sequence, each step adding the least element that
     grows the generated subgroup the most.
 
-    A step skips every element of a subgroup it has already generated: if
-    g lies in <gens, g'>, then <gens, g> is no larger than <gens, g'>.
+    The first step's subgroups are the cyclic <g>, of order the order of
+    g, so it takes the least element of largest order without a closure.
+    A later step skips every element of a subgroup it has already
+    generated: if g lies in <gens, g'>, then <gens, g> is no larger than
+    <gens, g'>.
     """
     gens: list[int] = []
     cur: tuple[int, ...] = (0,)
+    if group.order > 1:
+        gens.append(int(np.argmax(group.element_orders)))
+        cur = closure(group, gens)
     while len(cur) < group.order:
         best_g, best = None, cur
         covered = np.zeros(group.order, dtype=bool)
@@ -1112,19 +1165,32 @@ def _cyclic_class_lengths(group: FiniteGroup) -> np.ndarray:
     """For each element x, the number of conjugates of the subgroup <x>.
 
     <x> has |G : N_G(<x>)| conjugates, and N_G(<x>) is the set of g with
-    gxg^-1 in <x>: one gather of the column conj[:, x] per cyclic subgroup.
-    The generators of <x> are its members of the same order as x.
+    gxg^-1 in <x>. The map g -> gxg^-1 sends each coset of C_G(x) to one
+    member of the class of x, so |N_G(<x>)| = |C_G(x)| * m, with m the
+    number of powers of x in that class, and <x> has |class of x| / m
+    conjugates. The generators of <x> and all their conjugates give
+    conjugate subgroups, so one x per class of cyclic subgroups is
+    counted: the least class rep whose class is not reached yet. Its
+    powers come by doubling, x^(k+i) = x^k x^i, in log2(ord x) gathers.
     """
-    n = group.order
+    reps, label = group.element_classes
     orders = group.element_orders
-    lengths = np.zeros(n, dtype=np.int64)
-    for x in range(n):
-        if lengths[x]:
+    lengths = np.zeros(reps.size, dtype=np.int64)   # per element class
+    for c, x in enumerate(reps.tolist()):
+        if lengths[c]:
             continue
-        cyc = np.asarray(closure(group, (x,)), dtype=np.int64)
-        norm = _normalizing(group, _indicator(n, cyc), (x,))
-        lengths[cyc[orders[cyc] == orders[x]]] = n // norm.size
-    return lengths
+        d = int(orders[x])
+        powers = np.zeros(d, dtype=np.int64)
+        known, step = 1, x   # powers[:known] hold x^0 .. x^(known-1)
+        while known < d:
+            take = min(known, d - known)
+            powers[known:known + take] = group.mul[step, powers[:take]]
+            known += take
+            step = int(group.mul[powers[known - 1], x])
+        classes = label[powers]
+        lengths[classes[orders[powers] == d]] = (
+            group.element_class_sizes[x] // np.count_nonzero(classes == c))
+    return lengths[label]
 
 
 def _candidate_pools(g: FiniteGroup, h: FiniteGroup,
@@ -1143,8 +1209,7 @@ def _candidate_pools(g: FiniteGroup, h: FiniteGroup,
         fits = ((h.element_orders == g.element_orders[gen])
                 & (h.element_class_sizes == g.element_class_sizes[gen])
                 & (h_cyc == g_cyc[gen]))
-        pool = (np.asarray(_orbit_reps(h.conj, np.arange(n))) if j == 0
-                else np.arange(n))
+        pool = h.element_classes[0] if j == 0 else np.arange(n)
         pools.append(pool[fits[pool]])
     return pools
 

@@ -27,8 +27,10 @@ member at a time, and the conjugates of a subgroup are found by one tuple
 per conjugating element. Associativity is checked on all n^3 triples, one
 left factor at a time, and inverses and conjugation tables are filled one
 element at a time, and conjugacy class sizes by counting each element's
-distinct conjugates. Commutator subgroups are closed from all |K|^2
-commutators. Finite abelian groups are decomposed through per-element
+distinct conjugates. Element classes, left cosets and cyclic subgroups
+are swept one element at a time, and symmetric groups are composed one
+pair of permutation tuples at a time. Commutator subgroups are closed
+from all |K|^2 commutators. Finite abelian groups are decomposed through per-element
 Python callbacks of the group operation, K^ab over a dict of least coset
 members, and element orders by stepping through powers. The species search builds each character map whole and
 checks every gamma block of its class only then, and tells classes apart
@@ -52,9 +54,9 @@ from fibered_burnside.abelian_fiber import AbelianFiber, char_index
 from fibered_burnside.errors import NotAGroup, SearchBudgetExceeded
 from fibered_burnside.group_core import (FiniteGroup, Subgroup,
                                          SubgroupClassTable, _conjugates,
-                                         _indicator, _normalizing,
-                                         _orbit_reps, _prime_factors,
-                                         _sorted_unique,
+                                         _index_dtype, _indicator,
+                                         _normalizing, _permutation_table,
+                                         _prime_factors, _sorted_unique,
                                          _subgroup_order_census, closure,
                                          commutator_subgroup,
                                          double_coset_reps,
@@ -203,6 +205,60 @@ def reference_enumerate_subgroups(group: FiniteGroup) -> list[Subgroup]:
             for mem in sorted(seen, key=lambda m: (len(m), m))]
     group._cache["subgroups"] = subs
     return list(subs)
+
+
+def _orbit_reps(conj: np.ndarray, acting: np.ndarray) -> list[int]:
+    """Least element of each orbit of ``acting`` on the group by
+    conjugation, ascending."""
+    covered = np.zeros(conj.shape[0], dtype=bool)
+    reps = []
+    for x in range(conj.shape[0]):
+        if not covered[x]:
+            covered[conj[acting, x].astype(np.intp)] = True
+            reps.append(x)
+    return reps
+
+
+def reference_left_coset_reps(group: FiniteGroup,
+                              sub: Subgroup) -> np.ndarray:
+    """The least element of each left coset sL, ascending: a sweep over
+    every element."""
+    mem = np.asarray(sub.members, dtype=np.int64)
+    covered = np.zeros(group.order, dtype=bool)
+    found: list[int] = []
+    for s in range(group.order):
+        if not covered[s]:
+            covered[group.mul[s, mem].astype(np.intp)] = True
+            found.append(s)
+    return np.asarray(found, dtype=np.int64)
+
+
+def reference_cyclic_class_lengths(group: FiniteGroup) -> np.ndarray:
+    """For each element x, the number of conjugates of <x>: one closure
+    and one normalizer column per cyclic subgroup."""
+    n = group.order
+    orders = group.element_orders
+    lengths = np.zeros(n, dtype=np.int64)
+    for x in range(n):
+        if lengths[x]:
+            continue
+        cyc = np.asarray(closure(group, (x,)), dtype=np.int64)
+        norm = _normalizing(group, _indicator(n, cyc), (x,))
+        lengths[cyc[orders[cyc] == orders[x]]] = n // norm.size
+    return lengths
+
+
+def reference_symmetric_group(n: int) -> FiniteGroup:
+    """S_n on the lexicographically sorted permutation tuples, composed
+    one pair at a time."""
+    perms = sorted(itertools.permutations(range(n)))
+    index = {p: i for i, p in enumerate(perms)}
+    size = len(perms)
+    table = np.empty((size, size), dtype=_index_dtype(size))
+    for i, p in enumerate(perms):
+        for j, q in enumerate(perms):
+            table[i, j] = index[tuple(p[q[k]] for k in range(n))]
+    return FiniteGroup(table, name=f"S{n}")
 
 
 def reference_perfect_seeds(group: FiniteGroup) -> set[tuple[int, ...]]:
@@ -419,13 +475,9 @@ def integer_matrix_determinant(rows: Sequence[Sequence[int]]) -> int:
 def permutation_group(gens, degree) -> FiniteGroup:
     """The group generated by permutations of range(degree), each a tuple
     of images, multiplied as (pq)(k) = p(q(k)), with the identity at 0 and
-    the other elements in breadth-first order from ``gens``.
-
-    The table is built with numpy: the key of a permutation is the number
-    whose base-``degree`` digits are its images, the key of every product
-    pq is summed over k from the column of the images p(q(k)), and one
-    search in the sorted element keys turns it into an index. Keys are
-    int32, so degree**degree must stay below 2**31 (degree at most 9).
+    the other elements in breadth-first order from ``gens``. The table
+    comes from ``_permutation_table``, as that of ``symmetric_group`` does,
+    so degree is at most 9.
     """
     elems = [tuple(range(degree))]
     index = {elems[0]: 0}
@@ -435,14 +487,7 @@ def permutation_group(gens, degree) -> FiniteGroup:
             if q not in index:
                 index[q] = len(elems)
                 elems.append(q)
-    perms = np.asarray(elems, dtype=np.int32)
-    weights = degree ** np.arange(degree, dtype=np.int32)
-    keys = perms @ weights
-    by_key = np.argsort(keys)
-    products = np.zeros((len(elems), len(elems)), dtype=np.int32)
-    for k in range(degree):
-        products += perms[:, perms[:, k]] * weights[k]
-    return FiniteGroup(by_key[np.searchsorted(keys[by_key], products)])
+    return FiniteGroup(_permutation_table(np.asarray(elems, dtype=np.int32)))
 
 
 def a6_cayley_json() -> dict:

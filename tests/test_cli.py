@@ -725,6 +725,21 @@ def test_commands_hash_their_inputs_without_openssl(argv):
     assert _loaded_after("fibered_burnside.monomial", argv)
 
 
+def test_importing_cli_loads_every_traced_module():
+    # bench/tracer.py imports fibered_burnside.cli, then reads these six
+    # modules from sys.modules to wrap their functions; a deferred import
+    # would leave one missing there
+    probe = ("import sys, fibered_burnside.cli\n"
+             "print(*(m for m in sys.modules\n"
+             "        if m.startswith('fibered_burnside.')))")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, env=_child_env(), check=False)
+    assert proc.returncode == 0, proc.stderr
+    assert {f"fibered_burnside.{name}" for name in (
+        "group_core", "abelian_fiber", "monomial", "species", "thevenaz",
+        "cli")} <= set(proc.stdout.split())
+
+
 @pytest.mark.parametrize("argv", [
     ("gamma", "symmetric:4", "--fiber", "6"),
     ("verify", "thevenaz:7,3,2,4", "thevenaz:7,3,2,4", "--fiber", "3",

@@ -13,7 +13,9 @@ perfect seeding, the one-candidate-at-a-time isomorphism search
 map, the all-triples associativity check that Light's test must agree
 with on random loops, the per-element inverse,
 conjugation and class-size loops, and hand-checked tables for the worked
-examples. Seeded hypothesis tests run the lattice and isomorphism oracles
+examples. The element-class labelling, the left coset reps and
+``symmetric_group`` are checked against the per-element sweeps they
+replaced. Seeded hypothesis tests run the lattice and isomorphism oracles
 on random products of cyclic groups.
 """
 
@@ -34,7 +36,7 @@ import pytest
 from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
-from oracles import (a6_cayley_json, brute_force_subgroups,
+from oracles import (_orbit_reps, a6_cayley_json, brute_force_subgroups,
                      join_closure_subgroups, permutation_group,
                      reference_enumerate_subgroups, reference_perfect_seeds,
                      reference_abelianization, reference_are_isomorphic,
@@ -44,8 +46,11 @@ from oracles import (a6_cayley_json, brute_force_subgroups,
                      reference_element_class_sizes,
                      reference_element_orders,
                      reference_check_latin_square,
+                     reference_cyclic_class_lengths,
                      reference_generating_sequence, reference_inverses,
-                     reference_light_associativity, reference_span)
+                     reference_left_coset_reps,
+                     reference_light_associativity, reference_span,
+                     reference_symmetric_group)
 
 from fibered_burnside import group_core
 from fibered_burnside.errors import NotAGroup, NotAnAction, NotAnAutomorphism
@@ -62,7 +67,6 @@ from fibered_burnside.group_core import (FiniteGroup, Subgroup,
                                          are_isomorphic, closure,
                                          commutator_subgroup,
                                          conjugacy_classes_of_subgroups,
-                                         conjugate_members,
                                          conjugate_subgroup, cyclic_group,
                                          dihedral_group, double_cosets,
                                          double_coset_reps,
@@ -261,10 +265,51 @@ def test_inverses_and_conjugation_match_loops(small_groups, tg_11_5_a,
         assert np.array_equal(g.conj, reference_conj(g))
 
 
-def test_element_class_sizes_match_loop(small_groups, tg_7_3, tg_11_5_a):
-    for g in small_groups + [tg_7_3.group, tg_11_5_a.group]:
+def _coset_test_groups(small_groups, tg_11_5_a, tg_11_5_b):
+    """Groups with subgroups on both sides of |L|^2 = n."""
+    return [*small_groups, symmetric_group(5),
+            *[relabelled(_a6_from_cayley_json(), random.Random(seed))
+              for seed in range(3)],
+            dihedral_group(90), tg_11_5_a.group, tg_11_5_b.group]
+
+
+def test_element_class_sizes_match_loop(small_groups, tg_7_3, tg_11_5_a,
+                                        tg_11_5_b):
+    # the labelling's reps against the orbit sweep, and its sizes against
+    # counting each element's distinct conjugates
+    for g in [*_coset_test_groups(small_groups, tg_11_5_a, tg_11_5_b),
+              tg_7_3.group]:
+        reps, label = g.element_classes
+        assert reps.tolist() == _orbit_reps(g.conj, np.arange(g.order)), g
+        # the class of x is its orbit: every conjugate of x shares its label
+        assert np.array_equal(label[g.conj],
+                              np.broadcast_to(label, g.mul.shape)), g
+        assert np.array_equal(label[reps], np.arange(reps.size)), g
         assert np.array_equal(g.element_class_sizes,
-                              reference_element_class_sizes(g))
+                              reference_element_class_sizes(g)), g
+
+
+def test_left_coset_reps_match_sweep(small_groups, tg_11_5_a, tg_11_5_b):
+    # the n x |L| gather when |L|^2 <= n, one argmin jump per coset above
+    branches = Counter()
+    for g in _coset_test_groups(small_groups, tg_11_5_a, tg_11_5_b):
+        for sub in enumerate_subgroups(g):
+            branches[sub.order ** 2 <= g.order] += 1
+            got = left_coset_reps(g, sub)
+            assert got.dtype == np.int64 and not got.flags.writeable
+            assert np.array_equal(got, reference_left_coset_reps(g, sub)), \
+                (g, sub)
+    assert branches[True] and branches[False]
+
+
+def test_symmetric_group_matches_loop():
+    for n in range(1, 7):
+        got, want = symmetric_group(n), reference_symmetric_group(n)
+        assert got.mul.dtype == want.mul.dtype
+        assert np.array_equal(got.mul, want.mul), n
+        assert got.name == want.name == f"S{n}"
+    with pytest.raises(ValueError):
+        symmetric_group(7)
 
 
 def test_broken_latin_square_rejected():
@@ -547,9 +592,11 @@ def test_enumerate_matches_reference_extension(factory):
 
 
 def test_a6_lattice_pruning(monkeypatch):
-    # without the pruning, 381 pair closures and 510 normalizer passes
+    # without the pruning, 381 pair closures and 510 normalizer passes;
+    # one perfect closure per class of A6's 3 (A6 and two classes of A5)
+    # pays a commutator check, where keeping every closure paid 10
     a6 = _a6_from_cayley_json()
-    pairs, passes = [], []
+    pairs, passes, commutators = [], [], []
 
     def counted_closure(group, gens, closure=group_core.closure):
         gens = tuple(gens)
@@ -560,10 +607,16 @@ def test_a6_lattice_pruning(monkeypatch):
         passes.append(args)
         return normalizing(*args)
 
+    def counted_commutator(sub, commutator=group_core.commutator_subgroup):
+        commutators.append(sub.members)
+        return commutator(sub)
+
     monkeypatch.setattr(group_core, "closure", counted_closure)
     monkeypatch.setattr(group_core, "_normalizing", counted_normalizing)
-    _perfect_seeds(a6)
+    monkeypatch.setattr(group_core, "commutator_subgroup", counted_commutator)
+    assert len(_perfect_seeds(a6)) == 3
     assert 0 < sum(pairs) <= 100
+    assert len(commutators) <= 3
     assert len(enumerate_subgroups(a6)) == 501
     assert 0 < len(passes) <= 40
 
@@ -889,11 +942,19 @@ def test_are_isomorphic_finds_relabelled_order_605(tg_11_5_a):
     assert f == reference_are_isomorphic(g, h)
 
 
-def test_cyclic_class_lengths_count_conjugates(small_groups, tg_7_3):
-    for g in [*small_groups, tg_7_3.group]:
-        expected = [len({conjugate_members(g, y, closure(g, (x,)))
-                         for y in g.elements()}) for x in g.elements()]
-        assert _cyclic_class_lengths(g).tolist() == expected, g
+def test_cyclic_class_lengths_count_conjugates(small_groups, tg_7_3,
+                                               tg_11_5_a, tg_11_5_b):
+    # the distinct conjugates of each <x>, one sorted row per conjugating
+    # element; and the closure and normalizer column per cyclic subgroup
+    for g in [*small_groups, tg_7_3.group, tg_11_5_a.group, tg_11_5_b.group,
+              relabelled(_a6_from_cayley_json(), random.Random(0))]:
+        cyclic = [closure(g, (x,)) for x in g.elements()]
+        count = {mem: len(set(map(tuple, np.sort(g.conj[:, mem],
+                                                 axis=1).tolist())))
+                 for mem in set(cyclic)}
+        got = _cyclic_class_lengths(g).tolist()
+        assert got == [count[mem] for mem in cyclic], g
+        assert got == reference_cyclic_class_lengths(g).tolist(), g
 
 
 def test_candidate_pools_order_605(tg_11_5_a, tg_11_5_b):
