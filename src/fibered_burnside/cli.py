@@ -13,8 +13,8 @@ import contextlib
 import json
 import sys
 import time
-from collections.abc import Iterator
-from typing import Optional, Sequence
+from collections.abc import Iterable, Iterator
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -131,7 +131,7 @@ def cmd_gamma(group_spec: str, fiber_spec: str) -> tuple[dict, int]:
         "order": table.group.order,
         "basis": basis.to_json(),
         # made one class at a time while the report is written
-        "gamma": (row for rows in gamma_class_rows(basis) for row in rows),
+        "gamma": _Matrix(gamma_class_rows(basis)),
     }
     return _report("gamma", {"group": group_spec, "fiber": fiber_spec},
                    result), EXIT_OK
@@ -273,45 +273,80 @@ def cmd_reproduce_paper(p: int = 11, q: int = 5,
 # Entry point
 
 
-def _row_text(row: Sequence[int], sep: str) -> str:
-    """``sep.join`` of the decimal text of a row: a list or tuple of plain
-    ints, or a 1-D integer ndarray, where only nonzero entries cost a Python
-    step and each run of k zeros is one ``("0" + sep) * k``."""
-    if not isinstance(row, np.ndarray):
-        return sep.join(map(str, row))
-    at = np.flatnonzero(row)
-    before = at.copy()          # the zeros before each nonzero entry
-    before[1:] -= at[:-1] + 1
-    zero = "0" + sep
-    words = [zero * k + str(v)
-             for k, v in zip(before.tolist(), row[at].tolist())]
-    after = row.size - 1 - int(at[-1]) if at.size else row.size
-    if after:
-        words.append(zero * (after - 1) + "0")
-    return sep.join(words)
+class _Matrix(NamedTuple):
+    """An integer matrix as its blocks of rows: 2-D ndarrays of one width,
+    at least 1, each made when it is written."""
+    blocks: Iterable[np.ndarray]
+
+
+def _write_rows(blocks: Iterable[np.ndarray], write, first: str, lead: str,
+                sep: str, close: str) -> int:
+    """Write the rows of a ``_Matrix``'s blocks through ``write`` as ASCII
+    bytes, row r as ``(first if r == 0 else lead) + sep.join(its entries)
+    + close`` (``first`` and ``lead`` of one length); returns how many.
+
+    A row of entries 0-9 is the all-zero row's bytes from one template,
+    copied into a reused chunk of about 64 KB with its nonzero digits
+    patched in, one scatter per chunk, and written without a copy. Other
+    rows go through ``str``."""
+    rows, step = 0, len(sep) + 1
+    for block in blocks:
+        width = block.shape[1]
+        unit = np.frombuffer((lead + "0" + (sep + "0") * (width - 1)
+                              + close).encode(), dtype=np.uint8)
+        chunk = max(1, (1 << 16) // unit.size)
+        buf = np.empty(chunk * unit.size, dtype=np.uint8)
+        other = np.flatnonzero((block.max(axis=1) > 9)
+                               | (block.min(axis=1) < 0)).tolist()
+        start = 0
+        for stop in [*other, len(block)]:
+            for r0 in range(start, stop, chunk):
+                part = block[r0:min(r0 + chunk, stop)].reshape(-1)
+                f = np.flatnonzero(part != 0)   # faster than a 2-D nonzero
+                out = buf[:part.size // width * unit.size]
+                out.reshape(-1, unit.size)[:] = unit
+                if rows + r0 == 0:
+                    out[:len(first)] = list(first.encode())
+                # entry f of the chunk is in row f // width, column f % width
+                out[f // width * (unit.size - width * step) + f * step
+                    + len(lead)] = part[f] + ord("0")
+                write(out.data)
+            if stop < len(block):
+                write(((lead if rows + stop else first) + sep.join(
+                    map(str, block[stop].tolist())) + close).encode())
+            start = stop + 1
+        rows += len(block)
+        unit = buf = out = None     # not held while the next block is made
+    return rows
 
 
 def _write_json(obj, write, level: int = 0) -> None:
-    """Send ``obj`` through ``write`` as the text of ``json.dumps(obj,
-    sort_keys=True, indent=2)`` nested ``level`` deep, in writes of 64 K
-    characters or one piece more: several gamma rows or basis pairs each.
+    """Send ``obj`` through ``write`` as the ASCII bytes of
+    ``json.dumps(obj, sort_keys=True, indent=2)`` nested ``level`` deep, in
+    writes of about 64 KB. ``write`` takes a bytes-like object and is done
+    with it when it returns.
 
-    An ndarray goes out as its ``.tolist()`` would, and an iterator as the
-    list of its items, each made when it is written. A list or tuple of
-    plain ints (never bools) and a 1-D integer ndarray are rows for
-    ``_row_text``, and a list of such tuples is one piece; the text of each
-    distinct tuple row is made once per level. Dict keys must be strings,
-    as in every report; others raise TypeError."""
+    An ndarray goes out as its ``.tolist()`` would, an iterator as the list
+    of its items, and a ``_Matrix`` as the list of its rows, each made when
+    it is written. A 2-D integer ndarray goes out by ``_write_rows``, a
+    list or tuple of plain ints (never bools) as one piece, and so does a
+    list of such tuples; the text of each distinct tuple row is made once
+    per level. Dict keys must be strings, as in every report; others raise
+    TypeError."""
     parts, texts, size = [], {}, 0      # texts: (level, tuple row) -> text
+
+    def flush() -> None:
+        nonlocal size
+        write("".join(parts).encode())
+        parts.clear()
+        size = 0
 
     def put(text: str) -> None:
         nonlocal size
         parts.append(text)
         size += len(text)
         if size >= 1 << 16:
-            write("".join(parts))
-            parts.clear()
-            size = 0
+            flush()
 
     def row(obj, level: int) -> str:
         # only plain ints make a key: a dict takes (True,) for (1,)
@@ -319,20 +354,28 @@ def _write_json(obj, write, level: int = 0) -> None:
         text = texts.get(key)
         if text is None:
             inner = "\n" + "  " * (level + 1)
-            text = ("[" + inner + _row_text(obj, "," + inner) + "\n"
+            text = ("[" + inner + ("," + inner).join(map(str, obj)) + "\n"
                     + "  " * level + "]")
             if key is not None:
                 texts[key] = text
         return text
 
     def emit(obj, level: int) -> None:
-        if isinstance(obj, np.ndarray) and (obj.ndim == 0
+        if isinstance(obj, np.ndarray) and (obj.ndim != 2
                                             or obj.dtype.kind not in "iu"):
-            obj = obj.tolist()      # only integer rows go through _row_text
+            obj = obj.tolist()      # only integer matrices go by template
+        if isinstance(obj, _Matrix) or (isinstance(obj, np.ndarray)
+                                        and obj.size):
+            flush()
+            inner = "\n" + "  " * (level + 1)
+            entry = inner + "  "
+            head = inner + "[" + entry      # what comes before a row's entries
+            return put("\n" + "  " * level + "]" if _write_rows(
+                getattr(obj, "blocks", [obj]), write, "[" + head, "," + head,
+                "," + entry, inner + "]") else "[]")
         is_iter = not isinstance(obj, (np.ndarray, dict, list, tuple))
         if is_iter and not isinstance(obj, Iterator):
             return put(json.dumps(obj))
-        is_array = isinstance(obj, np.ndarray)
         is_dict = isinstance(obj, dict)
         if not (is_iter or len(obj)):
             return put("{}" if is_dict else "[]")
@@ -348,7 +391,7 @@ def _write_json(obj, write, level: int = 0) -> None:
                 put(sep + json.dumps(key) + ": ")
                 emit(value, level + 1)
                 sep = "," + inner
-        elif obj.ndim == 1 if is_array else kinds == {int}:
+        elif kinds == {int}:
             return put(row(obj, level))
         elif kinds == {tuple} and all(set(map(type, t)) == {int}
                                       for t in obj):
@@ -366,20 +409,35 @@ def _write_json(obj, write, level: int = 0) -> None:
         put(close)
 
     emit(obj, level)
-    write("".join(parts))
+    flush()
 
 
 def _emit(report: dict, code: int, args) -> int:
-    """Stream the report (or its matrix, as CSV) to ``--out`` or stdout."""
-    with (open(args.out, "w", encoding="utf-8") if args.out
-          else contextlib.nullcontext(sys.stdout)) as fh:
+    """Stream the report (or its matrix, as CSV) to ``--out`` or stdout as
+    bytes, below any Python buffer: a failed write raises here and leaves
+    nothing to flush at exit. A stdout with no ``.buffer`` (a text sink, as
+    a tracer may install) gets the decoded ASCII."""
+    out = sys.stdout
+    with (open(args.out, "wb", buffering=0) if args.out
+          else contextlib.nullcontext()) as fh:
+        if fh is None and hasattr(out, "buffer"):
+            out.flush()
+            fh = getattr(out.buffer, "raw", out.buffer)
+
+        def write(data) -> None:
+            if fh is None:
+                return out.write(str(data, "ascii"))
+            view = memoryview(data)
+            while view:     # a raw stream may take part of it, or none
+                view = view[fh.write(view) or 0:]
         if getattr(args, "format", "json") == "csv":
             # the marks and gamma reports name their matrix by the command
-            for row in report["result"][args.command]:
-                fh.write(_row_text(row, ",") + "\n")
+            matrix = report["result"][args.command]
+            _write_rows(getattr(matrix, "blocks", [np.asarray(matrix)]),
+                        write, "", "", ",", "\n")
         else:
-            _write_json(report, fh.write)
-            fh.write("\n")
+            _write_json(report, write)
+            write(b"\n")
     return code
 
 

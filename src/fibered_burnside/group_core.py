@@ -809,11 +809,6 @@ class SubgroupClassTable:
         """Element g with ^g(sub) equal to the class representative."""
         return self._transporter[sub.members]
 
-    def locate(self, members: tuple[int, ...]) -> tuple[int, int]:
-        """Class index and transporter to the class rep of the subgroup
-        with these sorted members."""
-        return self._class_of[members], self._transporter[members]
-
     def to_json(self) -> dict:
         return {
             "reps": [list(s.members) for s in self.reps],

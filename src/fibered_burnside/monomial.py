@@ -21,8 +21,8 @@ from .abelian_fiber import AbelianFiber, CharIndex, char_index
 from .errors import ComponentMismatch, NotAGroup
 from .group_core import (FiniteGroup, Subgroup, SubgroupClassTable,
                          _fixed_by, _sorted_unique, _starts,
-                         conjugacy_classes_of_subgroups,
-                         double_cosets, left_coset_reps, normalizer)
+                         conjugacy_classes_of_subgroups, double_cosets,
+                         enumerate_subgroups, left_coset_reps, normalizer)
 
 
 class _HomLayout:
@@ -134,6 +134,37 @@ def _sort_runs(terms: np.ndarray, lens: np.ndarray, bound: int):
     lengths ``lens``) sorted in each row, by one sort of offset keys."""
     offset = np.repeat(np.arange(lens.size) * bound, lens)
     return np.sort(terms + offset, axis=1) - offset
+
+
+def _locate(table: SubgroupClassTable, members: np.ndarray,
+            sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The class index in ``table`` and the transporter to the class rep of
+    each subgroup whose sorted members lie end to end in ``members``,
+    ``sizes[t]`` of them for the t-th: per order m, one sorted search of
+    their int64 bytes among those of every subgroup of order m."""
+    by_order: dict[int, list[Subgroup]] = {}
+    for sub in enumerate_subgroups(table.group):
+        by_order.setdefault(sub.order, []).append(sub)
+    found = np.empty((sizes.size, 2), dtype=np.int64)
+    start = _starts(sizes)
+    for m in set(sizes.tolist()):
+        subs = by_order.get(m)
+        if not subs:
+            raise KeyError(f"no subgroup of order {m}")
+        keys = np.asarray([s.members for s in subs], dtype=np.int64).view(
+            f"V{8 * m}").ravel()
+        at = np.flatnonzero(sizes == m)
+        want = members[start[at, None] + np.arange(m)].astype(
+            np.int64, copy=False).view(f"V{8 * m}").ravel()
+        by = np.argsort(keys)
+        hit = np.searchsorted(keys, want, sorter=by)
+        i = by[hit.clip(max=by.size - 1)]
+        if (keys[i] != want).any():
+            raise KeyError("members of no subgroup")
+        found[at] = np.asarray([[table.class_of(s) for s in subs],
+                                [table.transporter_to_rep(s) for s in subs]],
+                               dtype=np.int64).T[i]
+    return found[:, 0], found[:, 1]
 
 
 @dataclass
@@ -323,16 +354,11 @@ class MonomialBasis:
         if bad.size:
             raise NotAGroup(f"double cosets of classes {bad[0, 0]} and "
                             f"{bad[0, 1]} do not partition the group")
-        # sorted members of each M, coset by coset, from one sort; the key
-        # is int64 because seg is, whatever the dtype of the table
-        m_members = (np.sort(seg[in_k] * n + conj_l[in_k]) % n).tolist()
-        cm = np.empty(s.size, dtype=np.int64)
-        transporters = np.empty(s.size, dtype=np.int64)
-        start = 0
-        for t, end in enumerate(np.cumsum(sizes).tolist()):
-            cm[t], transporters[t] = table.locate(
-                tuple(m_members[start:end]))
-            start = end
+        # sorted members of each M, coset by coset, from one sort (the key
+        # is int64 because seg is, whatever the dtype of the table), all
+        # located in the class table at once
+        cm, transporters = _locate(
+            table, np.sort(seg[in_k] * n + conj_l[in_k]) % n, sizes)
         # row ci lays its blocks (ci, cj), cj >= ci, side by side
         n_reps = np.asarray([i1 - i0 for i0, i1 in self.class_block],
                             dtype=np.int64)
@@ -399,14 +425,16 @@ class MonomialBasis:
         return terms
 
     def to_json(self) -> dict:
+        """The fiber and each basis element's subgroup members and
+        character values; "pairs" is an iterator whose pairs are made as it
+        is read, so a report that streams it never holds them."""
         elements = self.fiber.elements     # tuples, written as lists
-        pairs = []
-        for ci, (i0, i1) in enumerate(self.class_block):
-            members = list(self.class_table.reps[ci].members)
-            vals = self._homs.chars[ci].values[self.rep_hom_index[i0:i1]]
-            pairs += [{"subgroup": members,
-                       "character": [elements[v] for v in row]}
-                      for row in vals.tolist()]
+        homs, reps = self._homs, self.class_table.reps
+        pairs = ({"subgroup": list(reps[ci].members),
+                  "character": [elements[v] for v in row]}
+                 for ci, (i0, i1) in enumerate(self.class_block)
+                 for row in homs.chars[ci].values[
+                     self.rep_hom_index[i0:i1]].tolist())
         return {"fiber": list(self.fiber.factors), "pairs": pairs}
 
 
@@ -430,12 +458,12 @@ def gamma_class_rows(basis: MonomialBasis) -> Iterator[np.ndarray]:
     """The rows of ``gamma_table(basis)``, one class at a time: for each
     class ci in order, the rows of its orbit reps as one (reps of ci, basis
     size) array in ``_gamma_dtype``, selected from class row ci of the
-    gamma kernel only when it is reached: its rows and columns at the
-    characters of the orbit reps. The basis keeps none of these rows."""
+    gamma kernel only when it is reached: its rows, then its columns, at
+    the characters of the orbit reps. The basis keeps none of these rows."""
     hom = np.asarray(basis.rep_hom_index, dtype=np.int64)
     cols = basis.hom_start[basis.rep_class] + hom
     for ci, (i0, i1) in enumerate(basis.class_block):
-        yield basis._gamma_kernel(ci)[hom[i0:i1, None], cols]
+        yield basis._gamma_kernel(ci).take(hom[i0:i1], 0).take(cols, 1)
 
 
 def _gamma_dtype(order: int) -> type:

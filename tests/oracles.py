@@ -58,7 +58,7 @@ from fibered_burnside.group_core import (FiniteGroup, Subgroup,
                                          _normalizing, _permutation_table,
                                          _prime_factors, _sorted_unique,
                                          _subgroup_order_census, closure,
-                                         commutator_subgroup,
+                                         commutator_subgroup, double_cosets,
                                          double_coset_reps,
                                          enumerate_subgroups, normalizer)
 from fibered_burnside.monomial import MonomialBasis, _starts, monomial_basis
@@ -884,6 +884,36 @@ def reference_product(basis: MonomialBasis, i: int, j: int,
     return sorted(out.items())
 
 
+def reference_locate(table: SubgroupClassTable,
+                     members: tuple[int, ...]) -> tuple[int, int]:
+    """Class index and transporter to the class rep of the subgroup with
+    these sorted members: one lookup in the class table's dicts, which
+    ``monomial._locate`` makes for many subgroups at once."""
+    return table._class_of[members], table._transporter[members]
+
+
+def reference_m_classes(basis: MonomialBasis) -> tuple[list[int], list[int]]:
+    """For each double coset KsL of each class pair ci <= cj, in the order
+    of ``MonomialBasis._geometry``, the class of M = K n sLs^-1 and the
+    transporter of M to its class rep: M's members sorted in a Python loop
+    and located one coset at a time."""
+    group, table = basis.group, basis.class_table
+    reps = table.reps
+    pair, s = double_cosets(group, reps, reps)
+    cm, transporters = [], []
+    for p, x in zip(pair.tolist(), s.tolist()):
+        ci, cj = divmod(p, len(reps))
+        if ci <= cj:
+            k_members = set(reps[ci].members)
+            m = tuple(sorted(v for v in (int(group.conj[x, y])
+                                         for y in reps[cj].members)
+                             if v in k_members))
+            c, g = reference_locate(table, m)
+            cm.append(c)
+            transporters.append(g)
+    return cm, transporters
+
+
 def reference_mackey_block(basis: MonomialBasis, ci: int,
                            cj: int) -> np.ndarray:
     """The product block of classes (ci, cj), in one pass over all
@@ -910,7 +940,7 @@ def reference_mackey_block(basis: MonomialBasis, ci: int,
     cosets_of: dict[int, list[int]] = {}    # class of M -> its rows
     transporters = []
     for r, (row, size) in enumerate(zip(rows, sizes.tolist())):
-        cm, g = table.locate(tuple(row[:size]))
+        cm, g = reference_locate(table, tuple(row[:size]))
         cosets_of.setdefault(cm, []).append(r)
         transporters.append(g)
     g_inv = group.inv[np.asarray(transporters, dtype=np.int64)]
@@ -981,7 +1011,7 @@ def reference_mackey_row(basis: MonomialBasis,
     transporters = []
     start = 0
     for t, end in enumerate(ends):
-        cm, g = table.locate(tuple(members[start:end]))
+        cm, g = reference_locate(table, tuple(members[start:end]))
         cosets_of.setdefault(cm, []).append(t)
         transporters.append(g)
         start = end

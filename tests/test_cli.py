@@ -11,6 +11,7 @@ import pkgutil
 import subprocess
 import sys
 import tracemalloc
+import types
 from pathlib import Path
 
 import numpy as np
@@ -664,6 +665,69 @@ def test_reproduce_runs_in_bounded_memory(tmp_path):
     assert peak_mb < 44
 
 
+# a report of about 300 bytes, written in one piece, and the 38 MB E16
+# gamma report, written in about 680
+FAILING_WRITES = [("marks", "cyclic:2"),
+                  ("gamma", "abelian:2,2,2,2", "--fiber", "2,2")]
+
+
+def _cli_child(argv, stdout, unbuffered: bool) -> subprocess.Popen:
+    """The CLI in a child interpreter writing to ``stdout``, with Python's
+    stdout buffered or not (PYTHONUNBUFFERED)."""
+    env = _child_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return subprocess.Popen(
+        [sys.executable, "-m", "fibered_burnside.cli", *argv],
+        stdout=stdout, stderr=subprocess.PIPE, env=env)
+
+
+def _assert_one_error(proc: subprocess.Popen) -> None:
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait() == 2, err
+    assert [line.split(":")[0] for line in err.splitlines()] == \
+        ["timing_ms", "error"], err
+    assert "Traceback" not in err and "Exception ignored" not in err
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="writes to /dev/full")
+@pytest.mark.parametrize("unbuffered", [True, False],
+                         ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("argv", FAILING_WRITES, ids=["marks", "gamma"])
+def test_write_to_a_full_device_is_one_error_line(argv, unbuffered):
+    # every write fails with ENOSPC, the last one included: nothing may be
+    # left in a buffer for the interpreter to flush at exit
+    with open("/dev/full", "wb") as full:
+        proc = _cli_child(argv, full, unbuffered)
+    _assert_one_error(proc)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="relies on EPIPE")
+@pytest.mark.parametrize("unbuffered", [True, False],
+                         ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("argv, read", [
+    (FAILING_WRITES[0], None), (FAILING_WRITES[1], None),
+    (FAILING_WRITES[1], 50),
+], ids=["marks-closed", "gamma-closed", "gamma-after-50-bytes"])
+def test_write_to_a_closed_pipe_is_one_error_line(argv, read, unbuffered):
+    # the reader closes the pipe before the child starts (None), so that
+    # even a report written in one piece fails, or after 50 bytes, halfway
+    # through a report far larger than the pipe holds: EPIPE either way
+    r, w = os.pipe()
+    if read is None:
+        os.close(r)
+    with open(w, "wb") as pipe_in:
+        proc = _cli_child(argv, pipe_in, unbuffered)
+    if read is not None:
+        with open(r, "rb") as pipe_out:
+            assert len(pipe_out.read(read)) == read
+    _assert_one_error(proc)
+
+
 def _a6_file(tmp_path) -> Path:
     path = tmp_path / "a6.json"
     path.write_text(json.dumps(a6_cayley_json()))
@@ -765,9 +829,11 @@ def test_int64_tables_give_identical_reports(capsys, tmp_path, monkeypatch,
 
 
 def written(obj) -> str:
+    # the writer hands over views of a buffer it reuses, so each piece is
+    # copied as it comes
     pieces = []
-    cli._write_json(obj, pieces.append)
-    return "".join(pieces)
+    cli._write_json(obj, lambda data: pieces.append(bytes(data)))
+    return b"".join(pieces).decode("ascii")
 
 
 # small, zero included, and far past that
@@ -875,6 +941,27 @@ def as_lists(obj):
 @example(np.array([2 ** 63 - 1, -2 ** 63], dtype=np.int64))
 # arrays that are not integer rows go out through .tolist()
 @example([np.array(7), np.array([True, False]), np.array([[0.5, -1.0]])])
+# 2-D blocks: rows of digits beside rows with a multi-digit or a negative
+# entry, first and last among them, and every dtype's extremes
+@example(np.array([[0, 9, 10], [1, 2, 3], [0, -1, 0], [0, 0, 0]],
+                  dtype=np.int16))
+@example({"g": np.array([[-1, 0], [0, 9], [100, 0]], dtype=np.int64)})
+@example(np.array([[-128, 127, 0], [9, 0, 1], [0, 0, -128]], dtype=np.int8))
+@example(np.array([[-32768, 0], [0, 32767], [5, 5]], dtype=np.int16))
+@example([np.array([[2 ** 63 - 1, 0], [0, 3], [-2 ** 63, 0]],
+                   dtype=np.int64)])
+@example(np.array([[255, 0], [0, 9], [0, 0]], dtype=np.uint8))
+# blocks with no rows or no columns, in every dtype
+@example([np.zeros((0, 4), dtype=t) for t in ("int8", "int16", "int64",
+                                              "uint8")])
+@example({t: np.zeros((2, 0), dtype=t) for t in ("int8", "int16", "int64",
+                                                 "uint8")})
+# more rows than one chunk holds, with a row of other entries between
+# chunks, and rows wider than a chunk
+@example(np.where(np.arange(2000)[:, None] == 700, -3,
+                  np.arange(40000).reshape(2000, 20) * 7 % 10).astype(
+                      np.int8))
+@example({"wide": np.eye(3, 30000, 29999, dtype=np.uint8) * 9})
 def test_write_json_of_int_arrays_matches_their_lists(obj):
     assert written(obj) == json.dumps(as_lists(obj), sort_keys=True, indent=2)
 
@@ -929,40 +1016,66 @@ def test_write_json_of_sparse_int_arrays_matches_their_lists(obj):
 @example(np.array([-1, 0], dtype=np.int8))
 @example(np.array([0, 0, 0], dtype=np.uint8))
 @example(np.array([0, 3, 0, 0], dtype=np.int64))
+@example(np.array([9, 10, 0, -1], dtype=np.int16))
 def test_row_text_of_an_array_row_matches_its_list(row):
-    assert cli._row_text(row, ",") == cli._row_text(row.tolist(), ",")
+    # a 1-D array goes out through its .tolist(), and a list of plain
+    # ints as one join
+    assert written(row) == written(row.tolist()) == json.dumps(
+        row.tolist(), indent=2)
+
+
+class HashingWriter:
+    """A stdout that keeps only the sha256 of what is written to it and the
+    size of each write: bytes through its ``.buffer``, or, made with
+    ``binary=False``, text only, as the benchmark's tracer installs."""
+
+    def __init__(self, binary: bool = True):
+        self.digest, self.sizes = hashlib.sha256(), []
+        if binary:
+            self.buffer = types.SimpleNamespace(write=self._put,
+                                                flush=lambda: None)
+
+    def _put(self, data) -> int:
+        data = memoryview(data)
+        self.digest.update(data)
+        self.sizes.append(data.nbytes)
+        return data.nbytes
+
+    def write(self, text: str) -> int:
+        self._put(text.encode("ascii"))
+        return len(text)
+
+    def flush(self) -> None:
+        pass
+
+
+def emitted_e16_gamma(monkeypatch, binary: bool) -> HashingWriter:
+    """The E16 gamma report, written by ``_emit`` to a ``HashingWriter``
+    as stdout."""
+    report, code = cli.cmd_gamma("abelian:2,2,2,2", "2,2")
+    sink = HashingWriter(binary)
+    monkeypatch.setattr(sys, "stdout", sink)
+    args = argparse.Namespace(out=None, format="json", command="gamma")
+    assert cli._emit(report, code, args) == 0
+    return sink
 
 
 def test_gamma_e16_report_goes_out_in_row_sized_writes(monkeypatch):
     # one write per gamma row or basis pair at most, where writing entry by
-    # entry took 42,996
-    report, code = cli.cmd_gamma("abelian:2,2,2,2", "2,2")
-    n_pairs = len(report["result"]["basis"]["pairs"])
-    digest, calls = hashlib.sha256(), []
-
-    class CountingWriter:
-        def write(self, text):
-            calls.append(len(text))
-            digest.update(text.encode())
-
-    monkeypatch.setattr(sys, "stdout", CountingWriter())
-    args = argparse.Namespace(out=None, format="json", command="gamma")
-    assert cli._emit(report, code, args) == 0
-    assert digest.hexdigest() == E16_GAMMA_DIGEST
-    assert len(calls) <= 2 * n_pairs + 50
-    # and never the 38 MB report as one string
-    assert max(calls) < 1 << 17
+    # entry took 42,996: 1837 of each
+    sink = emitted_e16_gamma(monkeypatch, binary=True)
+    assert sink.digest.hexdigest() == E16_GAMMA_DIGEST
+    assert len(sink.sizes) <= 2 * 1837 + 50
+    # and never the 38 MB report as one piece
+    assert max(sink.sizes) < 1 << 17
 
 
-class HashingWriter:
-    """A stdout that keeps only the sha256 of what is written to it."""
-
-    def __init__(self):
-        self.digest = hashlib.sha256()
-
-    def write(self, text):
-        self.digest.update(text.encode())
-        return len(text)
+def test_gamma_e16_report_to_a_text_only_stdout(monkeypatch):
+    # a stdout with no .buffer, as the benchmark's tracer installs, gets
+    # the same text in the same pieces
+    sink = emitted_e16_gamma(monkeypatch, binary=False)
+    assert sink.digest.hexdigest() == E16_GAMMA_DIGEST
+    assert sink.sizes == emitted_e16_gamma(monkeypatch, binary=True).sizes
 
 
 def test_gamma_e16_command_and_report_allocate_under_4_mb(monkeypatch):
@@ -981,6 +1094,64 @@ def test_gamma_e16_command_and_report_allocate_under_4_mb(monkeypatch):
         tracemalloc.stop()
     assert sink.digest.hexdigest() == E16_GAMMA_DIGEST
     assert peak < 4 << 20
+
+
+@pytest.mark.parametrize("fmt, digest", [
+    ("json", E16_GAMMA_DIGEST),
+    ("csv", "97a437abcc73760205864e9bcbaea5e511d0d1b8f806c46bff1f49c5b79138fb"),
+], ids=["json", "csv"])
+def test_gamma_e16_out_file_equals_stdout(capsys, tmp_path, fmt, digest):
+    argv = ("gamma", "abelian:2,2,2,2", "--fiber", "2,2", "--format", fmt)
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    dest = tmp_path / "gamma.out"
+    assert run(capsys, *argv, "--out", str(dest))[:2] == (0, "")
+    assert dest.read_bytes() == out.encode()
+
+
+@st.composite
+def int_blocks(draw):
+    """Blocks of rows of one width, at least 1, and one integer dtype, some
+    of them with no rows: entries mostly digits, some anywhere in the
+    dtype."""
+    dtype = np.dtype(draw(st.sampled_from(["int8", "int16", "int64",
+                                           "uint8"])))
+    info = np.iinfo(dtype)
+    values = st.one_of(st.integers(0, 9), st.integers(0, 9),
+                       st.integers(int(info.min), int(info.max)))
+    shape = st.tuples(st.integers(0, 4), st.just(draw(st.integers(1, 6))))
+    return draw(st.lists(hnp.arrays(dtype, shape, elements=values),
+                         max_size=4))
+
+
+@seed(20261020)
+@settings(max_examples=250, deadline=None, database=None)
+@given(int_blocks(), st.integers(0, 2))
+@example([], 0)
+@example([np.zeros((0, 3), dtype=np.int8)] * 2, 1)
+# the first row in a later block, as a row of digits and as another row
+@example([np.zeros((0, 3), dtype=np.int8),
+          np.array([[1, 2, 3]], dtype=np.int8),
+          np.array([[10, 0, 0], [0, 0, 4]], dtype=np.int8)], 0)
+@example([np.zeros((0, 2), dtype=np.int16),
+          np.array([[-1, 0], [0, 0]], dtype=np.int16)], 2)
+def test_matrix_blocks_are_written_as_the_rows_of_one_matrix(blocks, level):
+    # the gamma report hands the writer its class blocks as one matrix, in
+    # JSON and in CSV
+    rows = [row for block in blocks for row in block.tolist()]
+    assert written({"m": cli._Matrix(iter(blocks))}) == \
+        json.dumps({"m": rows}, indent=2)
+    pieces = []
+    cli._write_json([[cli._Matrix(iter(blocks))]],
+                    lambda data: pieces.append(bytes(data)), level)
+    assert b"".join(pieces).decode("ascii") == json.dumps(
+        [[rows]], indent=2).replace("\n", "\n" + "  " * level)
+    pieces.clear()
+    assert cli._write_rows(blocks, lambda data: pieces.append(bytes(data)),
+                           "", "", ",", "\n") == len(rows)
+    assert b"".join(pieces).decode("ascii") == "".join(
+        ",".join(map(str, row)) + "\n" for row in rows)
 
 
 def character_inits(command):

@@ -15,6 +15,7 @@ and a count of the cosets K fixes, and the mark morphism as a ring
 homomorphism on sums of a few basis elements.
 """
 
+import random
 from math import gcd
 
 import numpy as np
@@ -44,8 +45,10 @@ from oracles import (MonomialPair, all_monomial_pairs, basis_pair,
                      located_block, reference_char_group_table,
                      reference_char_orbits, reference_double_coset_reps,
                      reference_gamma, reference_mackey_block,
-                     reference_mackey_row, reference_product)
-from test_group_core import product_group, product_params
+                     reference_m_classes, reference_mackey_row,
+                     reference_product)
+from test_group_core import (_a6_from_cayley_json, product_group,
+                             product_params, relabelled)
 
 
 def _basis(group, fiber):
@@ -891,3 +894,41 @@ def test_determinant_matches_cofactor_expansion():
                 term *= m[i][perm[i]]
             expect += term
         assert integer_matrix_determinant(m) == expect
+
+
+def test_locate_finds_every_subgroup_and_no_other_set(s4):
+    # all 30 subgroups of S4 at once, in an order unlike the table's
+    table = conjugacy_classes_of_subgroups(s4)
+    subs = enumerate_subgroups(s4)[::-1]
+    cm, t = monomial._locate(table,
+                             np.concatenate([s.members for s in subs]),
+                             np.asarray([s.order for s in subs]))
+    assert cm.tolist() == [table.class_of(s) for s in subs]
+    assert t.tolist() == [table.transporter_to_rep(s) for s in subs]
+    # a 3-set beside the subgroups of order 3, and an order none has
+    c3 = next(s for s in subs if s.order == 3)
+    other = min(set(range(1, 24)) - set(c3.members))
+    for members in (sorted({0, c3.members[1], other}), [0, 1, 2, 3, 4]):
+        with pytest.raises(KeyError):
+            monomial._locate(table, np.asarray(members),
+                             np.asarray([len(members)]))
+
+
+@pytest.mark.parametrize("make", [
+    lambda request: symmetric_group(4),
+    *[lambda request, seed=seed: relabelled(_a6_from_cayley_json(),
+                                            random.Random(seed))
+      for seed in range(3)],
+    lambda request: abelian_group((2, 2, 2, 2)),
+    lambda request: request.getfixturevalue("tg_11_5_a").group,
+    lambda request: request.getfixturevalue("tg_11_5_b").group,
+], ids=["S4", "A6-seed0", "A6-seed1", "A6-seed2", "E16", "605-a", "605-b"])
+def test_geometry_locates_every_m_as_the_loop_does(request, make):
+    # the geometry pass locates every M = K n sLs^-1 in the class table by
+    # one sorted search per order; the loop looks each M up on its own
+    group = make(request)
+    basis = MonomialBasis(group, AbelianFiber((2,)))
+    geo = basis._geometry
+    cm, transporters = reference_m_classes(basis)
+    assert geo.cm.tolist() == cm
+    assert geo.g_inv.tolist() == group.inv[transporters].tolist()
