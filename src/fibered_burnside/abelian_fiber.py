@@ -86,8 +86,9 @@ def _check_homs(domain: Subgroup, fiber: AbelianFiber, rows) -> None:
     generators of K: every element of K is a word in the generators, so
     phi(m g) = phi(m) + phi(g) on the edges gives it on all pairs."""
     group = domain.group
+    members = np.asarray(domain.members, dtype=np.int64)
     pos = np.full(group.order, -1, dtype=np.int64)
-    pos[list(domain.members)] = np.arange(domain.order)
+    pos[members] = np.arange(domain.order)
     if pos[0] < 0:
         raise ValueError("a domain must contain the identity")
     rows = np.asarray(rows, dtype=np.int64)
@@ -95,12 +96,12 @@ def _check_homs(domain: Subgroup, fiber: AbelianFiber, rows) -> None:
         raise ValueError("need one value per domain member")
     if rows[:, pos[0]].any():
         raise ValueError("character must send the identity to 0")
-    gens = list(domain.generators())
-    ends = pos[group.mul[np.ix_(domain.members, gens)]]
+    gens = np.asarray(domain.generators(), dtype=np.int64)
+    ends = pos[group.mul[members[:, None], gens]]
     if (ends < 0).any():
         raise ValueError("domain is not closed")
-    if not np.array_equal(rows[:, ends], fiber.add_table[
-            rows[:, :, None], rows[:, None, pos[gens]]]):
+    if not (rows[:, ends] == fiber.add_table[
+            rows[:, :, None], rows[:, None, pos[gens]]]).all():
         raise ValueError("value map is not a homomorphism")
 
 

@@ -129,8 +129,9 @@ def cmd_gamma(group_spec: str, fiber_spec: str) -> tuple[dict, int]:
     result = {
         "group": group_spec,
         "order": table.group.order,
-        "basis": basis.to_json(),
-        # made one class at a time while the report is written
+        # both made one class at a time while the report is written
+        "basis": {"fiber": list(fiber.factors),
+                  "pairs": _Pairs(fiber.elements, basis.class_pairs())},
         "gamma": _Matrix(gamma_class_rows(basis)),
     }
     return _report("gamma", {"group": group_spec, "fiber": fiber_spec},
@@ -279,6 +280,33 @@ class _Matrix(NamedTuple):
     blocks: Iterable[np.ndarray]
 
 
+class _Pairs(NamedTuple):
+    """Monomial pairs as the list of their ``{"character": [...],
+    "subgroup": [...]}`` objects: ``classes`` yields, one subgroup at a
+    time, its members and the characters of its pairs, one row of indices
+    into ``elements``, the fiber elements, per pair."""
+    elements: Sequence[tuple[int, ...]]
+    classes: Iterable[tuple[Sequence[int], np.ndarray]]
+
+
+def _pair_texts(pairs: _Pairs, level: int) -> Iterator[str]:
+    """The JSON text of each pair of ``pairs`` as an item of a list nested
+    ``level`` deep: the text of each fiber element is made once, and the
+    subgroup's text once per subgroup, and each character is joined from
+    them."""
+    ind = ["\n" + "  " * k for k in range(level + 5)]
+    elements = [ind[level + 3] + "[" + ind[level + 4] + (
+        "," + ind[level + 4]).join(map(str, e)) + ind[level + 3] + "]"
+        for e in pairs.elements]
+    head = "{" + ind[level + 2] + '"character": ['
+    for members, rows in pairs.classes:
+        tail = (ind[level + 2] + "]," + ind[level + 2] + '"subgroup": [' +
+                ind[level + 3] + ("," + ind[level + 3]).join(map(str, members))
+                + ind[level + 2] + "]" + ind[level + 1] + "}")
+        for row in rows.tolist():
+            yield head + ",".join(map(elements.__getitem__, row)) + tail
+
+
 def _write_rows(blocks: Iterable[np.ndarray], write, first: str, lead: str,
                 sep: str, close: str) -> int:
     """Write the rows of a ``_Matrix``'s blocks through ``write`` as ASCII
@@ -329,11 +357,11 @@ def _write_json(obj, write, level: int = 0) -> None:
     An ndarray goes out as its ``.tolist()`` would, an iterator as the list
     of its items, and a ``_Matrix`` as the list of its rows, each made when
     it is written. A 2-D integer ndarray goes out by ``_write_rows``, a
-    list or tuple of plain ints (never bools) as one piece, and so does a
-    list of such tuples; the text of each distinct tuple row is made once
-    per level. Dict keys must be strings, as in every report; others raise
-    TypeError."""
-    parts, texts, size = [], {}, 0      # texts: (level, tuple row) -> text
+    list or tuple of plain ints (never bools) as one piece, and a
+    ``_Pairs`` as the list of its pairs, each one piece from
+    ``_pair_texts``. Dict keys must be strings, as in every report; others
+    raise TypeError."""
+    parts, size = [], 0
 
     def flush() -> None:
         nonlocal size
@@ -348,19 +376,14 @@ def _write_json(obj, write, level: int = 0) -> None:
         if size >= 1 << 16:
             flush()
 
-    def row(obj, level: int) -> str:
-        # only plain ints make a key: a dict takes (True,) for (1,)
-        key = (level, obj) if type(obj) is tuple else None
-        text = texts.get(key)
-        if text is None:
-            inner = "\n" + "  " * (level + 1)
-            text = ("[" + inner + ("," + inner).join(map(str, obj)) + "\n"
-                    + "  " * level + "]")
-            if key is not None:
-                texts[key] = text
-        return text
-
     def emit(obj, level: int) -> None:
+        if isinstance(obj, _Pairs):
+            sep = "[\n" + "  " * (level + 1)
+            for text in _pair_texts(obj, level):
+                put(sep)
+                put(text)
+                sep = ",\n" + "  " * (level + 1)
+            return put("[]" if sep[0] == "[" else "\n" + "  " * level + "]")
         if isinstance(obj, np.ndarray) and (obj.ndim != 2
                                             or obj.dtype.kind not in "iu"):
             obj = obj.tolist()      # only integer matrices go by template
@@ -392,12 +415,8 @@ def _write_json(obj, write, level: int = 0) -> None:
                 emit(value, level + 1)
                 sep = "," + inner
         elif kinds == {int}:
-            return put(row(obj, level))
-        elif kinds == {tuple} and all(set(map(type, t)) == {int}
-                                      for t in obj):
-            # a character: its fiber-element tuples side by side
-            return put("[" + inner + ("," + inner).join(
-                row(t, level + 1) for t in obj) + close)
+            return put("[" + inner + ("," + inner).join(map(str, obj))
+                       + close)
         else:
             sep = "[" + inner
             for item in obj:

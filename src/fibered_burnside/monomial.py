@@ -13,11 +13,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .abelian_fiber import AbelianFiber, CharIndex, char_index
+from .abelian_fiber import AbelianFiber, char_index
 from .errors import ComponentMismatch, NotAGroup
 from .group_core import (FiniteGroup, Subgroup, SubgroupClassTable,
                          _fixed_by, _sorted_unique, _starts,
@@ -29,7 +30,14 @@ class _HomLayout:
     """Hom(S, A) for every S in a list of subgroups of one group, ravelled
     into one array: the |S| values of the r-th character of the c-th S
     start at ``start[c] + r * orders[c]``, and ``pos[c]`` is each group
-    element's position in that S, or -1 outside it."""
+    element's position in that S, or -1 outside it.
+
+    One sorted key array finds any character of any S. The key of the r-th
+    character of the c-th S is ``key_start[c]`` plus its values on the
+    generators of S (``gens[c]``, padded with the identity at weight 0) in
+    mixed radix |A|, so the keys of each S fill a range of their own, and
+    ``found`` maps each sorted key back to r. Keys are int64 while the key
+    spaces of all the S fit, exact Python integers beyond."""
 
     def __init__(self, subs: Sequence[Subgroup], fiber: AbelianFiber):
         self.group = subs[0].group
@@ -40,17 +48,61 @@ class _HomLayout:
         self.vals = np.concatenate([c.values.ravel() for c in self.chars])
         self.start = _starts(self.n_homs * self.orders)
         self.pos = np.stack([c.pos for c in self.chars])
+        self.n_gens = np.asarray([c.gens.size for c in self.chars],
+                                 dtype=np.int64)
+        self.gens = np.zeros((len(subs), self.n_gens.max()), dtype=np.int64)
+        radix = fiber.order
+        space = [radix ** int(k) for k in self.n_gens]
+        dtype = np.int64 if sum(space) < 2 ** 63 else object
+        self.weights = np.zeros(self.gens.shape, dtype=dtype)
+        for i, chars in enumerate(self.chars):
+            self.gens[i, :chars.gens.size] = chars.gens
+            self.weights[i, :chars.gens.size] = [
+                radix ** k for k in range(chars.gens.size)]
+        self.key_start = np.asarray([0, *accumulate(space[:-1])], dtype=dtype)
+        # every character's key: its own restriction to its S
+        c = np.repeat(np.arange(len(subs)), self.n_homs)
+        r = np.arange(c.size) - _starts(self.n_homs)[c]
+        keys = self._key(c, r, 0, c)
+        by_key = np.argsort(keys)
+        self.keys, self.found = keys[by_key], r[by_key]
+        self.table_start = _starts(self.n_homs ** 2)
 
-    def restrict(self, c, r, t, target: CharIndex) -> np.ndarray:
-        """The restriction map: the index in ``target``, the ``CharIndex``
-        of a subgroup T with tTt^-1 in the c-th S, of x -> chi(t x t^-1)
-        on T, for chi the r-th character of that S. One gather of chi at
-        the points t x t^-1, x among the generators of T; the arrays c, r
-        and t broadcast, and the result has their shape."""
+    def _key(self, c, r, t, target) -> np.ndarray:
+        """The layout key, as a character of the target-th S, of x ->
+        chi(t x t^-1) for chi the r-th character of the c-th S; the key
+        columns run to the most generators any target has."""
+        target = np.asarray(target)
+        width = int(self.n_gens[target].max(initial=1))
         c, r, t = (np.asarray(v)[..., None] for v in (c, r, t))
-        x = self.group.conj[t, target.gens]
-        return target.index(
-            self.vals[self.start[c] + r * self.orders[c] + self.pos[c, x]])
+        x = self.group.conj[t, self.gens[:, :width][target]]
+        vals = self.vals[self.start[c] + r * self.orders[c] + self.pos[c, x]]
+        return self.key_start[target] + (
+            vals * self.weights[:, :width][target]).sum(axis=-1)
+
+    def restrict(self, c, r, t, target) -> np.ndarray:
+        """The restriction map: the hom index in the target-th S, call it T,
+        with tTt^-1 in the c-th S, of x -> chi(t x t^-1) on T, for chi the
+        r-th character of the c-th S. One gather of chi at the points
+        t x t^-1, x among the generators of T, and one search of their
+        keys; the arrays c, r, t and target broadcast, and the result has
+        their shape."""
+        want = self._key(c, r, t, target)
+        at = np.minimum(np.searchsorted(self.keys, want), self.keys.size - 1)
+        if not np.all(self.keys[at] == want):
+            raise ValueError("a restriction matches no character of its "
+                             "target")
+        return self.found[at]
+
+    @cached_property
+    def table(self) -> np.ndarray:
+        """The product tables of every Hom(S, A) end to end: the hom index
+        of the product of the i-th and j-th characters of the c-th S is at
+        ``table_start[c] + i * n_homs[c] + j``, in the smallest integer
+        dtype that holds every index. Made on first use, by the first row
+        of products; the gamma kernel never reads it."""
+        return np.concatenate([c.table.ravel() for c in self.chars],
+                              dtype=_gamma_dtype(int(self.n_homs.max())))
 
 
 def _hom_layout(subs: Sequence[Subgroup], fiber: AbelianFiber) -> _HomLayout:
@@ -95,9 +147,12 @@ def gamma_rows(k_subs: Sequence[Subgroup], l_subs: Sequence[Subgroup],
     row = _starts(np.bincount(fixed_k, minlength=len(k_subs) + 1))
     fixed_l = np.concatenate(fixed_l)[by_k]
     fixed_sinv = group.inv[np.concatenate(fixed_s)[by_k]]
-    homs = _hom_layout(l_subs, fiber)
-    col = _starts(homs.n_homs)
-    width = int(homs.n_homs.sum())
+    # the layout holds every K after the Ls, unless the two lists are one
+    same = [s.members for s in k_subs] == [s.members for s in l_subs]
+    homs = _hom_layout(l_subs if same else (*l_subs, *k_subs), fiber)
+    k_at = 0 if same else len(l_subs)
+    col = _starts(homs.n_homs[:len(l_subs)])
+    width = int(homs.n_homs[:len(l_subs)].sum())
     dtype = _gamma_dtype(group.order)
 
     def row_of(a: int) -> np.ndarray:
@@ -108,9 +163,8 @@ def gamma_rows(k_subs: Sequence[Subgroup], l_subs: Sequence[Subgroup],
         u = np.repeat(np.arange(ls.size), nl)
         psi = np.arange(u.size) - np.repeat(_starts(nl), nl)
         lu = ls[u]
-        chars_k = char_index(k_subs[a], fiber)
-        hit = homs.restrict(lu, psi, sinv[u], chars_k)
-        out = np.zeros((len(chars_k.values), width), dtype=dtype)
+        hit = homs.restrict(lu, psi, sinv[u], k_at + a)
+        out = np.zeros((homs.n_homs[k_at + a], width), dtype=dtype)
         np.add.at(out.reshape(-1), hit * width + col[lu] + psi, 1)
         return out
     return row_of
@@ -188,6 +242,9 @@ class _MackeyGeometry:
     n_reps: np.ndarray         # per class: its number of orbit reps
     rep0: np.ndarray           # per class: its first basis index
     rep_class: np.ndarray      # per basis index: its class
+    hom: np.ndarray            # per basis index: its hom index
+    orbit: np.ndarray          # per (class, hom index), at hom_start: the
+                               # basis index of the character's orbit
     width: np.ndarray          # per class: the number of columns of its row
     offset: np.ndarray         # (k + 1,): where each row starts in terms
     terms: np.ndarray          # the class rows, end to end, once computed
@@ -222,7 +279,7 @@ class MonomialBasis:
                               dtype=np.int64)
             root = self._homs.restrict(ci, np.arange(len(chars.values)),
                                        group.inv[norm][:, None],
-                                       chars).min(axis=0)
+                                       ci).min(axis=0)
             # the orbit reps, in lexicographic order of their values
             roots = _sorted_unique(root)
             roots = roots[np.lexsort(chars.values[roots].T[::-1])]
@@ -373,6 +430,8 @@ class MonomialBasis:
             n_cosets=n_cosets, col_start=np.cumsum(widths, axis=1) - widths,
             n_reps=n_reps, rep0=_starts(n_reps),
             rep_class=np.asarray(self.rep_class, dtype=np.int64),
+            hom=np.asarray(self.rep_hom_index, dtype=np.int64),
+            orbit=np.concatenate(self.char_to_basis),
             width=width, offset=offset,
             terms=np.empty(int(offset[-1]), dtype=np.int64),
             done=np.zeros(k, dtype=bool))
@@ -383,59 +442,51 @@ class MonomialBasis:
 
         By restriction: for the coset KsL with M = K n sLs^-1 carried to
         its class rep, each orbit rep phi of K restricts to a character rho
-        of M and each orbit rep psi of L to sigma = psi^s on M, one
-        ``_HomLayout.restrict`` per class of M; the term of (phi, psi) is
-        the orbit of rho * sigma, one lookup in ``CharIndex.table``."""
+        of M and each orbit rep psi of L to sigma = psi^s on M, all of them
+        in one ``_HomLayout.restrict`` whatever the class of each M; the
+        term of (phi, psi) is the orbit of rho * sigma, one gather through
+        the layout's product tables (``_HomLayout.table``)."""
         homs, geo = self._homs, self._geometry
         t0, t1 = int(geo.row[ci]), int(geo.row[ci + 1])
         i0, i1 = self.class_block[ci]
-        hom = np.asarray(self.rep_hom_index, dtype=np.int64)
         n_reps, rep0 = geo.n_reps, geo.rep0
         n_cosets, col_start = geo.n_cosets[ci], geo.col_start[ci]
         terms = geo.terms[geo.offset[ci]:geo.offset[ci + 1]].reshape(
             i1 - i0, -1)
-        # the cosets of the row, grouped by the class of M
+        # one entry per (coset, b), b over the orbit reps of its class cj
+        lj = geo.cj[t0:t1]
+        nb = n_reps[lj]
+        u = np.repeat(np.arange(t1 - t0), nb)
+        b = np.arange(u.size) - np.repeat(_starts(nb), nb)
+        lu = lj[u]
+        # one restriction to each M' = g M g^-1: rho = phi(g^-1 x g) per
+        # (phi, coset), then sigma = psi(s^-1 g^-1 x g s) per (coset, b)
+        phi, q = np.divmod(np.arange((i1 - i0) * (t1 - t0)), t1 - t0)
         cm = geo.cm[t0:t1]
-        by_cm = np.argsort(cm, kind="stable")
-        classes, first = np.unique(cm[by_cm], return_index=True)
-        for c, at in zip(classes.tolist(), np.split(t0 + by_cm, first[1:])):
-            m_chars = homs.chars[c]
-            # one entry per (coset, b), b over the orbit reps of its class cj
-            lj = geo.cj[at]
-            nb = n_reps[lj]
-            u = np.repeat(np.arange(at.size), nb)
-            b = np.arange(u.size) - np.repeat(_starts(nb), nb)
-            lu = lj[u]
-            # one restriction to M' = g M g^-1: rho = phi(g^-1 x g) per
-            # (phi, coset), then sigma = psi(s^-1 g^-1 x g s) per (coset, b)
-            phi, q = np.divmod(np.arange((i1 - i0) * at.size), at.size)
-            both = homs.restrict(
-                np.concatenate([np.full(q.size, ci), lu]),
-                hom[np.concatenate([i0 + phi, rep0[lu] + b])],
-                np.concatenate([geo.g_inv[at[q]], geo.gs_inv[at[u]]]),
-                m_chars)
-            rho, sigma = both[:q.size].reshape(i1 - i0, -1), both[q.size:]
-            cols = col_start[lu] + b * n_cosets[lu] + geo.d[at][u]
-            terms[:, cols] = self.char_to_basis[c][
-                m_chars.table[rho[:, u], sigma]]
+        both = homs.restrict(
+            np.concatenate([np.full(q.size, ci), lu]),
+            geo.hom[np.concatenate([i0 + phi, rep0[lu] + b])],
+            np.concatenate([geo.g_inv[t0 + q], geo.gs_inv[t0 + u]]),
+            np.concatenate([cm[q], cm[u]]))
+        # rho * sigma in the product table of M: row rho, column sigma
+        rho = (both[:q.size] * homs.n_homs[cm[q]]).reshape(i1 - i0, -1)
+        mu = cm[u]
+        at = rho[:, u] + (homs.table_start[mu] + both[q.size:])
+        cols = col_start[lu] + b * n_cosets[lu] + geo.d[t0:t1][u]
+        terms[:, cols] = geo.orbit[homs.table[at] + self.hom_start[mu]]
         # sort the run of each product (i, j), j over classes cj >= ci
         terms[:] = _sort_runs(terms, np.repeat(n_cosets[ci:], n_reps[ci:]),
                               self.size)
         geo.done[ci] = True
         return terms
 
-    def to_json(self) -> dict:
-        """The fiber and each basis element's subgroup members and
-        character values; "pairs" is an iterator whose pairs are made as it
-        is read, so a report that streams it never holds them."""
-        elements = self.fiber.elements     # tuples, written as lists
-        homs, reps = self._homs, self.class_table.reps
-        pairs = ({"subgroup": list(reps[ci].members),
-                  "character": [elements[v] for v in row]}
-                 for ci, (i0, i1) in enumerate(self.class_block)
-                 for row in homs.chars[ci].values[
-                     self.rep_hom_index[i0:i1]].tolist())
-        return {"fiber": list(self.fiber.factors), "pairs": pairs}
+    def class_pairs(self) -> Iterator[tuple[tuple[int, ...], np.ndarray]]:
+        """The orbit reps, one class at a time as each is read: the members
+        of the class rep, and the values of the characters of its orbit reps
+        as fiber element indices, one row each, in basis order."""
+        for ci, (i0, i1) in enumerate(self.class_block):
+            yield (self.class_table.reps[ci].members,
+                   self._homs.chars[ci].values[self.rep_hom_index[i0:i1]])
 
 
 def monomial_basis(group: FiniteGroup, fiber: AbelianFiber,

@@ -193,7 +193,7 @@ def verify_species(witness: SpeciesWitness,
                 or sorted(cmap) != list(range(len(chars_h.values)))):
             raise NotABijection(f"character map of class {ci} is not a bijection")
         m = np.asarray(cmap, dtype=np.int64)
-        if not np.array_equal(m[chars_g.table], chars_h.table[np.ix_(m, m)]):
+        if not (m[chars_g.table] == chars_h.table[m[:, None], m]).all():
             raise NotAGroupIso(
                 f"character map of class {ci} does not preserve products")
     bad = _gamma_check(basis_g, basis_h, witness)
@@ -387,10 +387,11 @@ def search_species(g_table: SubgroupClassTable,
             if budget is not None and nodes > budget:
                 raise SearchBudgetExceeded(
                     f"species search exceeded {budget} nodes")
+            # dom and img have one length, and p_g and p_h one shape
             return (p_h is not None
-                    and np.array_equal(p_g[dom], p_h[img])
-                    and np.array_equal(diag_g[np.ix_(dom, dom)],
-                                       diag_h[np.ix_(img, img)]))
+                    and (p_g[dom] == p_h[img]).all()
+                    and (diag_g[dom[:, None], dom]
+                         == diag_h[img[:, None], img]).all())
         return accept
 
     def backtrack(ci: int) -> bool:

@@ -1172,7 +1172,7 @@ def eager_basis_objects(basis: MonomialBasis
         chars = char_index(k_sub, fiber)
         norm = np.asarray(normalizer(group, k_sub).members, dtype=np.int64)
         perm = basis._homs.restrict(ci, np.arange(len(chars.values)),
-                                    group.inv[norm][:, None], chars)
+                                    group.inv[norm][:, None], ci)
         root = perm.min(axis=0)
         vals = chars.values.tolist()
         for r in sorted(set(root.tolist()), key=vals.__getitem__):

@@ -544,12 +544,16 @@ GOLDEN = [
      "88905237c1fcc6fe424928435a6a8c2a2615374386dbe0cea6339a14e923c646"),
     (("marks", "symmetric:6"), 0,
      "1ca9abfc9de313ddf83b9c4af27011b48f1db6d8ca6ad6b878e1ba96a1c62493"),
+    (("verify", "abelian:2,2,2,2", "abelian:2,2,2,2", "--fiber", "2",
+      "--auto"), 0,
+     "703d9dd03f5f9cc2621b4d91acabd337c3f87ff6f94d56be4a1b1b1c73727a8b"),
 ]
 
 
 GOLDEN_IDS = ["gamma-s4-fiber6", "gamma-d4-fiber2x4", "verify-auto-s3",
               "verify-witness-gamma-mismatch", "verify-thevenaz-147",
-              "reproduce-7-3", "reproduce-11-5", "marks-s6"]
+              "reproduce-7-3", "reproduce-11-5", "marks-s6",
+              "verify-auto-e16"]
 
 
 def golden_argv(tmp_path, argv):
@@ -1152,6 +1156,48 @@ def test_matrix_blocks_are_written_as_the_rows_of_one_matrix(blocks, level):
                            "", "", ",", "\n") == len(rows)
     assert b"".join(pieces).decode("ascii") == "".join(
         ",".join(map(str, row)) + "\n" for row in rows)
+
+
+@st.composite
+def pair_classes(draw):
+    """Fiber elements and the (members, character rows) of up to 3
+    subgroups, as ``MonomialBasis.class_pairs`` yields them, with classes
+    that have no pairs."""
+    width = draw(st.integers(1, 3))
+    elements = draw(st.lists(st.tuples(*[st.integers(0, 12)] * width),
+                             min_size=1, max_size=5))
+    classes = []
+    for _ in range(draw(st.integers(0, 3))):
+        members = draw(st.lists(st.integers(0, 1000), min_size=1,
+                                max_size=4))
+        rows = draw(st.lists(st.lists(st.integers(0, len(elements) - 1),
+                                      min_size=len(members),
+                                      max_size=len(members)), max_size=3))
+        classes.append((tuple(members), np.asarray(
+            rows, dtype=np.int64).reshape(len(rows), len(members))))
+    return elements, classes
+
+
+@seed(20261021)
+@settings(max_examples=200, deadline=None, database=None)
+@given(pair_classes(), st.integers(0, 3))
+@example(([(0,)], []), 0)
+@example(([(0, 1), (1, 0)], [((0,), np.zeros((0, 1), dtype=np.int64)),
+                             ((0, 5), np.array([[0, 1], [1, 1]]))]), 3)
+def test_pairs_are_written_as_their_objects(data, level):
+    # the basis pairs of the gamma report go out one subgroup at a time,
+    # each character joined from the texts of its fiber elements
+    elements, classes = data
+    pairs = [{"subgroup": list(members),
+              "character": [elements[v] for v in row]}
+             for members, rows in classes for row in rows.tolist()]
+    assert written({"pairs": cli._Pairs(elements, iter(classes))}) == \
+        json.dumps({"pairs": pairs}, sort_keys=True, indent=2)
+    pieces = []
+    cli._write_json([cli._Pairs(elements, iter(classes))],
+                    lambda data: pieces.append(bytes(data)), level)
+    assert b"".join(pieces).decode("ascii") == json.dumps(
+        [pairs], sort_keys=True, indent=2).replace("\n", "\n" + "  " * level)
 
 
 def character_inits(command):

@@ -23,13 +23,14 @@ import pytest
 from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 
-from fibered_burnside import monomial
+from fibered_burnside import monomial, thevenaz
 from fibered_burnside.abelian_fiber import AbelianFiber, char_index
 from fibered_burnside.errors import ComponentMismatch, NotAGroup
 from fibered_burnside.group_core import (Subgroup, abelian_group,
                                          conjugate_subgroup,
                                          conjugacy_classes_of_subgroups,
-                                         cyclic_group, double_cosets,
+                                         cyclic_group, dihedral_group,
+                                         double_cosets,
                                          double_coset_reps,
                                          enumerate_subgroups, fixed_cosets,
                                          mark, normalizer, symmetric_group)
@@ -526,22 +527,116 @@ def test_restriction_matches_character_conjugation(small_groups, factors):
         layout = monomial._HomLayout(subs, fiber)
         homs = [hom_set(sub, fiber) for sub in subs]
         for a, k_sub in enumerate(subs):
-            chars = char_index(k_sub, fiber)
             where = {chi.values: i for i, chi in enumerate(homs[a])}
             for b, l_sub in enumerate(subs):
                 fixed = fixed_cosets(g, k_sub, l_sub)
                 for s in g.mul[fixed[:, None], l_sub.members].ravel().tolist():
                     got = layout.restrict(b, np.arange(len(homs[b])),
-                                          g.inverse(s), chars)
+                                          g.inverse(s), a)
                     assert got.tolist() == [
                         where[tuple(psi.conjugate(s).value_index(k)
                                     for k in k_sub.members)]
                         for psi in homs[b]]
             for n in normalizer(g, k_sub).members:
                 got = layout.restrict(a, np.arange(len(homs[a])),
-                                      g.inverse(n), chars)
+                                      g.inverse(n), a)
                 assert got.tolist() == [where[chi.conjugate(n).values]
                                         for chi in homs[a]]
+
+
+def _lookups_against_char_index(layout, cases):
+    """``layout.restrict`` of every case (c, t, d) at once, for all the
+    characters r of the c-th subgroup S, against ``CharIndex.index`` of the
+    d-th subgroup T read one case at a time: x -> chi_r(t x t^-1) on T,
+    where tTt^-1 lies in S."""
+    conj = layout.group.conj
+    c, t, d = (np.repeat([case[k] for case in cases],
+                         [layout.n_homs[case[0]] for case in cases])
+               for k in range(3))
+    r = np.concatenate([np.arange(layout.n_homs[case[0]])
+                        for case in cases])
+    got = layout.restrict(c, r, t, d)
+    want = np.concatenate([
+        layout.chars[d].index(layout.chars[c].values[
+            :, layout.chars[c].pos[conj[t, layout.chars[d].gens]]])
+        for c, t, d in cases])
+    assert got.tolist() == want.tolist()
+
+
+@pytest.mark.parametrize("factors", [(2,), (6,), (2, 4), (55,)])
+def test_layout_lookup_matches_char_index(s4, tg_11_5_a, factors):
+    # every class rep T inside another S (the identity carries it there),
+    # and every class rep onto itself through each member of its
+    # normalizer, as one restriction of mixed targets: the layout key is
+    # exact on every class, whatever its number of generators
+    fiber = AbelianFiber(factors)
+    for g in (s4, dihedral_group(6), abelian_group((2, 2, 2, 2)),
+              tg_11_5_a.group):
+        reps = conjugacy_classes_of_subgroups(g).reps
+        layout = monomial._HomLayout(reps, fiber)
+        assert layout.keys.dtype == np.int64
+        inside = [(c, 0, d) for c, s_sub in enumerate(reps)
+                  for d, t_sub in enumerate(reps)
+                  if set(t_sub.members) <= set(s_sub.members)]
+        onto = [(c, n, c) for c, s_sub in enumerate(reps)
+                for n in normalizer(g, s_sub).members]
+        _lookups_against_char_index(layout, inside + onto)
+        # and each character of each class is found as itself
+        for c in range(len(reps)):
+            assert layout.restrict(c, np.arange(layout.n_homs[c]), 0,
+                                   c).tolist() == list(range(
+                                       layout.n_homs[c]))
+
+
+def test_layout_lookup_beyond_int64():
+    # 2048^6 > 2^63: the keys of (C2)^6 over C2048 and of two of its
+    # subgroups, of 3 generators and of 1, are exact Python integers
+    e64 = abelian_group((2,) * 6)
+    subs = [Subgroup(e64, range(e64.order)), Subgroup(e64, range(8)),
+            Subgroup(e64, [0, 5])]
+    layout = monomial._HomLayout(subs, AbelianFiber((2048,)))
+    assert layout.n_gens.tolist() == [6, 3, 1]
+    assert layout.keys.dtype == object and 2048 ** 6 > 2 ** 63
+    assert layout.n_homs.tolist() == [64, 8, 2]
+    _lookups_against_char_index(layout, [
+        (c, t, d) for c in range(3) for d in range(c, 3)
+        for t in range(e64.order)])
+    # a value of 1 on a generator is no character of (C2)^6 over C2048
+    layout.vals = layout.vals.copy()
+    layout.vals[layout.start[0] + layout.pos[0, layout.gens[0, 0]]] = 1
+    with pytest.raises(ValueError, match="matches no character"):
+        layout.restrict(0, 0, 0, 0)
+
+
+def test_mackey_row_is_one_restriction(monkeypatch, fiber_c2, fiber_c5):
+    # each class row of the product table restricts all its rho and sigma
+    # at once, whatever the classes of its M = K n sLs^-1; the product
+    # table of the layout is made by the first row and never by gamma.
+    # Both groups are built here: a layout is kept in its group's cache
+    tg = thevenaz.build(thevenaz.ThevenazSpec(11, 5, 3, 9))
+    calls = []
+    restrict = monomial._HomLayout.restrict
+
+    def counted(self, *args):
+        calls.append(args[3])
+        return restrict(self, *args)
+
+    for group, fiber, table in (
+            (abelian_group((2, 2, 2, 2)), fiber_c2, None),
+            (tg.group, fiber_c5, canonical_class_table(tg))):
+        basis = MonomialBasis(group, fiber, table)
+        gamma_table(basis)
+        assert "table" not in vars(basis._homs)
+        monkeypatch.setattr(monomial._HomLayout, "restrict", counted)
+        calls.clear()
+        k = len(basis.class_table.reps)
+        for ci in range(k):
+            basis._mackey_terms(ci)
+        monkeypatch.undo()
+        assert len(calls) == k
+        assert "table" in vars(basis._homs)
+        # the rows mix targets: some row restricts to several classes of M
+        assert max(np.unique(target).size for target in calls) > 1
 
 
 # ---------------------------------------------------------------------------
