@@ -4,7 +4,10 @@
 # tracer (bench/tracer.py) imports fibered_burnside.cli and then reads every
 # submodule it wraps from sys.modules, so a deferred import would be missing
 # there. Keep them eager until the tracer imports what it wraps itself.
-from .abelian_fiber import AbelianFiber
+# group_core comes first: it is the largest module, and compiled before
+# numpy loads, the memory its compilation frees is reused by numpy's
+# import; compiled after, it stays a hole in the heap. Without cached
+# bytecode that keeps about 1 MB off the resident size of every command.
 from .group_core import (FiniteGroup, Subgroup, SubgroupClassTable,
                          abelian_group, abelianization, are_isomorphic,
                          conjugacy_classes_of_subgroups, cyclic_group,
@@ -12,6 +15,7 @@ from .group_core import (FiniteGroup, Subgroup, SubgroupClassTable,
                          enumerate_subgroups, group_from_cayley, mark,
                          normalizer, semidirect_product, symmetric_group,
                          trivial_group)
+from .abelian_fiber import AbelianFiber
 from .monomial import (BurnsideElement, GhostElement, MonomialBasis,
                        gamma_block, gamma_table, ghost_multiply,
                        mark_morphism, monomial_basis, multiply)

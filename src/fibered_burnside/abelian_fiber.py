@@ -9,12 +9,12 @@ integer-table lookups.
 from __future__ import annotations
 
 import itertools
-from math import prod
+from math import gcd, prod
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .group_core import (AbelianDecomposition, Subgroup,
+from .group_core import (AbelianDecomposition, Subgroup, _prime_factors,
                          abelian_invariant_decomposition, abelianization)
 
 
@@ -106,7 +106,7 @@ def _check_homs(domain: Subgroup, fiber: AbelianFiber, rows) -> None:
 
 
 class CharIndex:
-    """Hom(K, A) as arrays, with a lookup from values to hom-set index.
+    """Hom(K, A) as arrays.
 
     K is abelianized; a homomorphism is a choice of one d-torsion image per
     invariant factor C_d, and the characters are in lexicographic order of
@@ -114,58 +114,49 @@ class CharIndex:
     one row per character and one column per member of K; ``pos`` is the
     position of each group element in K, or -1 outside it. A character is
     determined by its values on ``gens``, the generators of K (the identity
-    for the trivial group), and ``index`` finds it from them.
+    for the trivial group). ``hom_factors`` are the invariant factors of
+    Hom(K, A), by arithmetic: Hom(C_d, C_e) is C_gcd(d, e).
     """
 
     def __init__(self, domain: Subgroup, fiber: AbelianFiber):
         dec = abelianization(domain)
+        torsion = [fiber.torsion_indices(d) for d in dec.factors]
         # one row per character, one column per invariant factor (none for
         # a perfect K), so these arrays are (1, 0) and (|K|, 0) in rank 0
-        images = np.asarray(list(itertools.product(
-            *(fiber.torsion_indices(d) for d in dec.factors))), dtype=np.int64)
+        self._images = np.asarray(list(itertools.product(*torsion)),
+                                  dtype=np.int64)
         # a member's image: its exponents times the fiber coordinates of
         # the images of the invariant factors' generators
         self.values = fiber._encode(
-            (dec.coords @ fiber.coords[images]) % np.asarray(fiber.factors))
+            (dec.coords @ fiber.coords[self._images])
+            % np.asarray(fiber.factors))
         _check_homs(domain, fiber, self.values)
         self.pos = np.full(domain.group.order, -1, dtype=np.int64)
         self.pos[list(domain.members)] = np.arange(domain.order)
         self.gens = np.asarray(domain.generators() or (0,), dtype=np.int64)
+        self.hom_factors = _invariant_factors(
+            [gcd(d, e) for d in dec.factors for e in fiber.factors])
+        self._torsion = torsion
         self._add = fiber.add_table
-        # a character's key: its values on the generators in mixed radix,
-        # exact Python integers once they would overflow int64
-        radix = fiber.order
-        dtype = np.int64 if radix ** self.gens.size < 2 ** 63 else object
-        self._weights = np.asarray(
-            [radix ** k for k in range(self.gens.size)], dtype=dtype)
-        keys = self._key(self.values[:, self.pos[self.gens]])
-        self._order = np.argsort(keys)
-        self._keys = keys[self._order]
         self._table: Optional[np.ndarray] = None
         self._decomposition: Optional[AbelianDecomposition] = None
-
-    def _key(self, vals: np.ndarray) -> np.ndarray:
-        return (vals * self._weights).sum(axis=-1)
-
-    def index(self, vals: np.ndarray) -> np.ndarray:
-        """Hom-set index of each character given by its values on ``gens``
-        (the last axis of ``vals``)."""
-        want = self._key(vals)
-        at = np.minimum(np.searchsorted(self._keys, want), self._keys.size - 1)
-        if not np.array_equal(self._keys[at], want):
-            raise ValueError("a value row matches no character of the hom set")
-        return self._order[at]
 
     @property
     def table(self) -> np.ndarray:
         """Entry [i, j] is the hom-set index of the product of the i-th and
-        j-th characters."""
+        j-th characters: the mixed-radix position, over each factor's
+        d-torsion, of the fiber sums of their image tuples."""
         # built on first use: only the species checks and the ghost ring
         # read it, and it has |Hom(K, A)|^2 entries
         if self._table is None:
-            on_gens = self.values[:, self.pos[self.gens]]
-            self._table = self.index(
-                self._add[on_gens[:, None], on_gens[None]])
+            n = len(self.values)
+            self._table = np.zeros((n, n), dtype=np.int64)
+            for k, torsion in enumerate(self._torsion):
+                rank = np.zeros(self._add.shape[0], dtype=np.int64)
+                rank[torsion] = np.arange(len(torsion))
+                image = self._images[:, k]
+                self._table *= len(torsion)
+                self._table += rank[self._add[image[:, None], image]]
         return self._table
 
     @property
@@ -174,6 +165,21 @@ class CharIndex:
         if self._decomposition is None:
             self._decomposition = abelian_invariant_decomposition(self.table)
         return self._decomposition
+
+
+def _invariant_factors(orders: Sequence[int]) -> tuple[int, ...]:
+    """The invariant factors d1 | d2 | ... of the direct sum of cyclic
+    groups of these orders, as ``abelian_invariant_decomposition`` orders
+    them: the t-th largest p-parts of every prime p multiply into the t-th
+    slot from the top, and no factor is 1."""
+    slots: list[int] = []
+    for p, a in _prime_factors(prod(orders)):
+        parts = sorted((gcd(m, p ** a) for m in orders), reverse=True)
+        for t, q in enumerate(q for q in parts if q > 1):
+            if t == len(slots):
+                slots.append(1)
+            slots[t] *= q
+    return tuple(reversed(slots))
 
 
 def char_index(domain: Subgroup, fiber: AbelianFiber) -> CharIndex:

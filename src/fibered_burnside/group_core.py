@@ -234,10 +234,6 @@ def group_from_cayley(table, name: Optional[str] = None) -> FiniteGroup:
     return FiniteGroup(arr, name=name)
 
 
-def group_to_json(group: FiniteGroup) -> dict:
-    return {"order": group.order, "mul": group.mul.tolist()}
-
-
 def group_from_json(data: dict, name: Optional[str] = None) -> FiniteGroup:
     if not (isinstance(data, dict) and type(data.get("order")) is int
             and isinstance(data.get("mul"), list)):
@@ -434,8 +430,10 @@ class Subgroup:
         return int(g) in self._positions()
 
     def generators(self) -> tuple[int, ...]:
-        """A small (greedy) generating sequence: each member, ascending,
-        that the earlier ones do not generate."""
+        """A generating sequence. A subgroup from ``enumerate_subgroups``
+        carries the one the lattice built it from; any other gets the
+        greedy one: each member, ascending, that the earlier ones do not
+        generate."""
         if self._gens is None:
             gens: list[int] = []
             reached = np.zeros(self.group.order, dtype=bool)
@@ -461,16 +459,6 @@ class Subgroup:
         return f"Subgroup(order={self.order}, members={self.members})"
 
 
-def conjugate_members(group: FiniteGroup, g: int,
-                      members: Sequence[int]) -> tuple[int, ...]:
-    arr = group.conj[g, np.asarray(members, dtype=np.int64)]
-    return tuple(int(v) for v in np.sort(arr))
-
-
-def conjugate_subgroup(group: FiniteGroup, g: int, sub: Subgroup) -> Subgroup:
-    return Subgroup(group, conjugate_members(group, g, sub.members), verify=False)
-
-
 def enumerate_subgroups(group: FiniteGroup) -> list[Subgroup]:
     """All subgroups, via layered cyclic extension of one subgroup per
     conjugacy class.
@@ -482,9 +470,12 @@ def enumerate_subgroups(group: FiniteGroup) -> list[Subgroup]:
     separately from two-generated closures, so non-solvable subgroups are
     reached as well.
 
-    Each queued S carries a generating sequence, so N_G(S) is one gather
-    of the conjugates of those generators. Once <S, g> is found, every
-    member of it is skipped for this S: g normalizes S and [<S, g> : S] = p
+    Each S found keeps the sequence it was built from (``gens + (g,)``
+    for an extension, ``(a, b)`` for a perfect seed, the conjugates of
+    S's own for a conjugate of S) as its ``generators()``, so N_G(S) is
+    one gather of the conjugates of those generators, and no generating
+    set is searched for. Once <S, g> is found, every member of it is
+    skipped for this S: g normalizes S and [<S, g> : S] = p
     is prime, so for any g' in <S, g> outside S the quotient <S, g'>/S is a
     nontrivial subgroup of <S, g>/S, a group of order p; hence g'^p lies in
     S and <S, g'> = <S, g>, so g' adds nothing new.
@@ -500,16 +491,18 @@ def enumerate_subgroups(group: FiniteGroup) -> list[Subgroup]:
         return list(cached)
     n = group.order
     primes = [p for p, _ in _prime_factors(n)]
-    seen: set[tuple[int, ...]] = {(0,)}
+    # every subgroup found: members -> the sequence it was built from
+    seen: dict[tuple[int, ...], tuple[int, ...]] = {(0,): ()}
     extended: set[tuple[int, ...]] = set()   # conjugates of those extended
-    queue: list[tuple[tuple[int, ...], tuple[int, ...]]] = [((0,), ())]
+    queue: list[tuple[int, ...]] = [(0,)]
     if n >= 60 and n % 12 == 0:
         seeds = _perfect_seeds(group)
         seen.update(seeds)
-        queue.extend(seeds.items())
+        queue.extend(seeds)
     mul = group.mul
     while queue:
-        mem, gens = queue.pop()
+        mem = queue.pop()
+        gens = seen[mem]
         size = len(mem)
         index = n // size
         valid_primes = [p for p in primes if index % p == 0]
@@ -521,7 +514,10 @@ def enumerate_subgroups(group: FiniteGroup) -> list[Subgroup]:
         if norm.size < n:   # a normal S is its only conjugate
             orbit = _conjugates(group, mem_arr,
                                 Subgroup(group, norm.tolist(), verify=False))
-            seen.update(orbit)
+            moved = group.conj[np.fromiter(orbit.values(), dtype=np.int64)[
+                :, None], np.asarray(gens, dtype=np.int64)]
+            for conj_mem, conj_gens in zip(orbit, moved.tolist()):
+                seen.setdefault(conj_mem, tuple(conj_gens))
             extended.update(orbit)
         done = inside.copy()
         for g in norm.tolist():
@@ -542,11 +538,13 @@ def enumerate_subgroups(group: FiniteGroup) -> list[Subgroup]:
                 done[new_arr] = True
                 new_mem = tuple(new_arr.tolist())
                 if new_mem not in seen:
-                    seen.add(new_mem)
-                    queue.append((new_mem, gens + (g,)))
+                    seen[new_mem] = gens + (g,)
+                    queue.append(new_mem)
                 break   # g^p in S for two primes would force g in S
-    subs = [Subgroup(group, mem, verify=False)
-            for mem in sorted(seen, key=lambda m: (len(m), m))]
+    subs = []
+    for mem in sorted(seen, key=lambda m: (len(m), m)):
+        subs.append(Subgroup(group, mem, verify=False))
+        subs[-1]._gens = seen[mem]
     group._cache["subgroups"] = subs
     return list(subs)
 
@@ -582,6 +580,7 @@ def _perfect_seeds(group: FiniteGroup) -> dict[tuple[int, ...], tuple[int, int]]
                 continue
             tried.add(mem)
             sub = Subgroup(group, mem, verify=False)
+            sub._gens = (a, b)
             if len(mem) >= 60 and commutator_subgroup(sub).members == mem:
                 found[mem] = (a, b)
                 # one closure per class: a conjugate of P is P again
@@ -1322,11 +1321,10 @@ def are_isomorphic(g: FiniteGroup, h: FiniteGroup) -> Optional[list[int]]:
 
 __all__ = [
     "FiniteGroup", "Subgroup", "SubgroupClassTable", "AbelianDecomposition",
-    "group_from_cayley", "group_to_json", "group_from_json",
+    "group_from_cayley", "group_from_json",
     "trivial_group", "cyclic_group", "abelian_group", "dihedral_group",
     "symmetric_group", "semidirect_product",
-    "closure", "conjugate_members", "conjugate_subgroup",
-    "enumerate_subgroups",
+    "closure", "enumerate_subgroups",
     "conjugacy_classes_of_subgroups", "normalizer",
     "left_coset_reps", "double_cosets", "double_coset_reps", "fixed_cosets",
     "mark",

@@ -21,7 +21,7 @@ import numpy as np
 from .abelian_fiber import AbelianFiber, char_index
 from .errors import ComponentMismatch, NotAGroup
 from .group_core import (FiniteGroup, Subgroup, SubgroupClassTable,
-                         _fixed_by, _sorted_unique, _starts,
+                         _fixed_by, _index_dtype, _sorted_unique, _starts,
                          conjugacy_classes_of_subgroups, double_cosets,
                          enumerate_subgroups, left_coset_reps, normalizer)
 
@@ -126,10 +126,15 @@ def gamma_rows(k_subs: Sequence[Subgroup], l_subs: Sequence[Subgroup],
     are zero.
 
     The fixed cosets of every pair come first, from one gather per L
-    (``_fixed_by``), so only they are looked at. Then each K costs one
-    restriction (``_HomLayout.restrict``) over all its rows (L, s, psi):
-    s a fixed coset rep of L and psi in Hom(L, A), each counted straight
-    into the row. All subgroups must live over the same group.
+    (``_fixed_by``), so only they are looked at: K's entries are its
+    (L, s, psi), s a fixed coset rep of L and psi in Hom(L, A). The Ks
+    fall into blocks of consecutive indices, none with more entries than
+    the largest single K has. The first row read of a block restricts the
+    entries of the whole block in one ``_HomLayout.restrict`` and keeps
+    them until each row is read; a row is counted into its own array when
+    it is read, so rows can be read one at a time. A row read a second
+    time is restricted again, alone. All subgroups must live over the
+    same group.
     """
     group = (k_subs[0] if k_subs else l_subs[0]).group
     if any(sub.group is not group for sub in (*k_subs, *l_subs)):
@@ -144,6 +149,7 @@ def gamma_rows(k_subs: Sequence[Subgroup], l_subs: Sequence[Subgroup],
         fixed_s.append(left_coset_reps(group, l_sub)[c])
     fixed_k = np.concatenate(fixed_k)
     by_k = np.argsort(fixed_k, kind="stable")
+    fixed_k = fixed_k[by_k]
     row = _starts(np.bincount(fixed_k, minlength=len(k_subs) + 1))
     fixed_l = np.concatenate(fixed_l)[by_k]
     fixed_sinv = group.inv[np.concatenate(fixed_s)[by_k]]
@@ -154,18 +160,43 @@ def gamma_rows(k_subs: Sequence[Subgroup], l_subs: Sequence[Subgroup],
     col = _starts(homs.n_homs[:len(l_subs)])
     width = int(homs.n_homs[:len(l_subs)].sum())
     dtype = _gamma_dtype(group.order)
+    # where the entries of each K start, and the blocks of consecutive Ks
+    # between ``bounds``: a block ends before the K that would take it past
+    # the largest K's entries
+    entries = _starts(np.append(homs.n_homs[fixed_l], 0))[row]
+    cap = np.diff(entries).max(initial=0)
+    bounds = [0]
+    for a in range(1, len(k_subs)):
+        if entries[a + 1] - entries[bounds[-1]] > cap:
+            bounds.append(a)
+    bounds.append(len(k_subs))
+    unread = np.ones(len(k_subs), dtype=bool)
+    pending: dict[int, np.ndarray] = {}   # K -> its flat row positions
 
-    def row_of(a: int) -> np.ndarray:
-        e = slice(row[a], row[a + 1])
+    def restrict_rows(a0: int, a1: int) -> None:
+        """Keep the flat row positions of the entries of Ks a0 to a1 - 1,
+        one per (coset, psi): (^s psi)(k) = psi(s^-1 k s) on K."""
+        e = slice(row[a0], row[a1])
         ls, sinv = fixed_l[e], fixed_sinv[e]
-        # one entry per (coset, psi): (^s psi)(k) = psi(s^-1 k s) on K
         nl = homs.n_homs[ls]
         u = np.repeat(np.arange(ls.size), nl)
         psi = np.arange(u.size) - np.repeat(_starts(nl), nl)
         lu = ls[u]
-        hit = homs.restrict(lu, psi, sinv[u], k_at + a)
+        hit = homs.restrict(lu, psi, sinv[u], k_at + fixed_k[e][u])
+        flat = hit * width + col[lu] + psi
+        pending.update(zip(range(a0, a1), np.split(
+            flat, entries[a0 + 1:a1] - entries[a0])))
+        unread[a0:a1] = False
+
+    def row_of(a: int) -> np.ndarray:
+        if a not in pending:
+            if unread[a]:   # the first row read of its block
+                b = int(np.searchsorted(bounds, a, "right"))
+                restrict_rows(bounds[b - 1], bounds[b])
+            else:
+                restrict_rows(a, a + 1)
         out = np.zeros((homs.n_homs[k_at + a], width), dtype=dtype)
-        np.add.at(out.reshape(-1), hit * width + col[lu] + psi, 1)
+        np.add.at(out.reshape(-1), pending.pop(a), 1)
         return out
     return row_of
 
@@ -247,7 +278,8 @@ class _MackeyGeometry:
                                # basis index of the character's orbit
     width: np.ndarray          # per class: the number of columns of its row
     offset: np.ndarray         # (k + 1,): where each row starts in terms
-    terms: np.ndarray          # the class rows, end to end, once computed
+    terms: np.ndarray          # the class rows, end to end, once computed,
+                               # in the index dtype of the basis size
     done: np.ndarray           # per class: whether its row is computed
 
 
@@ -433,7 +465,7 @@ class MonomialBasis:
             hom=np.asarray(self.rep_hom_index, dtype=np.int64),
             orbit=np.concatenate(self.char_to_basis),
             width=width, offset=offset,
-            terms=np.empty(int(offset[-1]), dtype=np.int64),
+            terms=np.empty(int(offset[-1]), dtype=_index_dtype(self.size)),
             done=np.zeros(k, dtype=bool))
 
     def _mackey_terms(self, ci: int) -> np.ndarray:

@@ -102,9 +102,11 @@ def char_group_isomorphisms(chars1: CharIndex, chars2: CharIndex, *,
 
     Deterministic order: the generators of Hom(K, A) are those of its
     ``CharIndex.decomposition``, and candidates for each generator image
-    ascend by hom-set index. Images are chosen one generator at a time, and
-    a candidate whose cyclic span meets the span of the earlier images is
-    skipped, since no choice of later images makes such a map injective.
+    ascend by hom-set index; Hom(K', A) is compared by its
+    ``hom_factors`` and never decomposed. Images are chosen one generator
+    at a time, and a candidate whose cyclic span meets the span of the
+    earlier images is skipped, since no choice of later images makes such
+    a map injective.
 
     ``accept(dom, img)``, if given, sees every prefix: the hom-set indices
     ``dom`` of the characters spanned by the generators chosen so far and
@@ -115,9 +117,9 @@ def char_group_isomorphisms(chars1: CharIndex, chars2: CharIndex, *,
     n = len(chars1.values)
     if n != len(chars2.values):
         return
-    dec1 = chars1.decomposition
-    if dec1.factors != chars2.decomposition.factors:
+    if chars1.hom_factors != chars2.hom_factors:
         return
+    dec1 = chars1.decomposition
     table2 = chars2.table
     orders2 = _orders(table2)
     # powers[k] holds c^0 .. c^(d-1) for each candidate image c of the
@@ -336,8 +338,10 @@ def search_species(g_table: SubgroupClassTable,
     homs_g = [char_index(rep, fiber) for rep in g_table.reps]
     homs_h = [char_index(rep, fiber) for rep in h_table.reps]
     gamma_g, gamma_h = basis_g.gamma_block, basis_h.gamma_block
-    candidates = [[j for j in range(k) if inv_h[j] == inv_g[i]]
-                  for i in range(k)]
+    by_inv: dict[tuple, list[int]] = {}
+    for j, inv in enumerate(inv_h):
+        by_inv.setdefault(inv, []).append(j)
+    candidates = [by_inv[inv] for inv in inv_g]
     assignment: list[Optional[int]] = [None] * k
     char_assignment: list[Optional[np.ndarray]] = [None] * k
     used = [False] * k

@@ -1,44 +1,44 @@
-"""Slow, independent oracles that the fast paths of the library are
-tested against. Subgroups are closed with the full |S|x|S| product
-instead of the frontier search, enumerated by sweeps that use no
-normalizer reasoning and by cyclic extension of every subgroup found
-(not one per conjugacy class) from perfect subgroups closed under
-conjugation, and gamma coefficients are counted one coset at a
-time, on cosets swept one element at a time and tested on every member of
-K, instead of by blocks of characters. The isomorphism search walks the
-same backtrack tree as the library's, one candidate and one element at a
-time in Python, so the two must return the same map. Structure constants
-are computed one basis pair and one double coset at a time, over double
-cosets found by a sweep over every group element; a whole product block
-of one class pair also comes from one batched pass over the double cosets
-of that pair alone, lower blocks computed directly, and a whole class
-row from one pass over the double cosets of that row, found one pair at
-a time, with every term looked up from its full character values.
-Character
-group isomorphisms by scanning every tuple of generator images. Characters
-are ``Character`` objects, defined here apart from the package's arrays;
-one built from outside values checks the homomorphism rule on all |K|^2
-pairs of members. They are identified by dictionaries of their full value
-tuples: normalizer
-orbits on Hom(K, A) come from a union-find sweep over one permutation per
-normalizer element, and character-group tables from multiplying
-``Character`` objects. Hom(K, A) itself is built one character and one
-member at a time, and the conjugates of a subgroup are found by one tuple
-per conjugating element. Associativity is checked on all n^3 triples, one
-left factor at a time, and inverses and conjugation tables are filled one
+"""Slow, independent oracles that the fast paths of the library are tested
+against. Subgroups are closed with the full |S|x|S| product instead of the
+frontier search, enumerated by sweeps that use no normalizer reasoning and
+by cyclic extension of every subgroup found (not one per conjugacy class)
+from perfect subgroups closed under conjugation, and gamma coefficients are
+counted one coset at a time, on cosets swept one element at a time and
+tested on every member of K, instead of by blocks of characters. The
+isomorphism search walks the same backtrack tree as the library's, one
+candidate and one element at a time in Python, so the two must return the
+same map. Structure constants are computed one basis pair and one double
+coset at a time, over double cosets found by a sweep over every group
+element; a whole product block of one class pair also comes from one
+batched pass over the double cosets of that pair alone, lower blocks
+computed directly, and a whole class row from one pass over the double
+cosets of that row, found one pair at a time, with every term looked up
+from its full character values. Character group isomorphisms by scanning
+every tuple of generator images. Characters are ``Character`` objects,
+defined here apart from the package's arrays; one built from outside values
+checks the homomorphism rule on all |K|^2 pairs of members. They are
+identified by dictionaries of their full value tuples: normalizer orbits on
+Hom(K, A) come from a union-find sweep over one permutation per normalizer
+element, and character-group tables from multiplying ``Character`` objects.
+Hom(K, A) itself is built one character and one member at a time, a
+character is found from its values on the generators through a dictionary
+of value tuples, greedy generating sequences are closed with the full
+product, and the conjugates of a subgroup are found by one tuple per
+conjugating element. Associativity is checked on all n^3 triples, one left
+factor at a time, and inverses and conjugation tables are filled one
 element at a time, and conjugacy class sizes by counting each element's
-distinct conjugates. Element classes, left cosets and cyclic subgroups
-are swept one element at a time, and symmetric groups are composed one
-pair of permutation tuples at a time. Commutator subgroups are closed
-from all |K|^2 commutators. Finite abelian groups are decomposed through per-element
+distinct conjugates. Element classes, left cosets and cyclic subgroups are
+swept one element at a time, and symmetric groups are composed one pair of
+permutation tuples at a time. Commutator subgroups are closed from all
+|K|^2 commutators. Finite abelian groups are decomposed through per-element
 Python callbacks of the group operation, K^ab over a dict of least coset
-members, and element orders by stepping through powers. The species search builds each character map whole and
-checks every gamma block of its class only then, and tells classes apart
-by a per-class ``Counter`` of mark profiles. A species witness is checked
-one class pair at a time: gamma block against gamma block, and product
-block against product block. Every monomial pair is
-listed subgroup by subgroup, and determinants are exact by fraction-free
-elimination over Python ints."""
+members, and element orders by stepping through powers. The species search
+builds each character map whole and checks every gamma block of its class
+only then, and tells classes apart by a per-class ``Counter`` of mark
+profiles. A species witness is checked one class pair at a time: gamma
+block against gamma block, and product block against product block. Every
+monomial pair is listed subgroup by subgroup, and determinants are exact by
+fraction-free elimination over Python ints."""
 
 import bisect
 import functools
@@ -50,7 +50,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from fibered_burnside.abelian_fiber import AbelianFiber, char_index
+from fibered_burnside.abelian_fiber import AbelianFiber, CharIndex, char_index
 from fibered_burnside.errors import NotAGroup, SearchBudgetExceeded
 from fibered_burnside.group_core import (FiniteGroup, Subgroup,
                                          SubgroupClassTable, _conjugates,
@@ -75,6 +75,52 @@ def reference_closure(group: FiniteGroup, gens: Iterable[int]) -> tuple[int, ...
         if prods.size == arr.size:
             return tuple(int(v) for v in prods)
         arr = prods
+
+
+def conjugate_members(group: FiniteGroup, g: int,
+                      members: Sequence[int]) -> tuple[int, ...]:
+    """The sorted members of g S g^-1, one member at a time."""
+    return tuple(sorted(int(group.conj[g, m]) for m in members))
+
+
+def conjugate_subgroup(group: FiniteGroup, g: int, sub: Subgroup) -> Subgroup:
+    return Subgroup(group, conjugate_members(group, g, sub.members),
+                    verify=False)
+
+
+def group_to_json(group: FiniteGroup) -> dict:
+    """Cayley JSON of a group, as ``group_from_json`` reads it."""
+    return {"order": group.order, "mul": group.mul.tolist()}
+
+
+def greedy_generators(sub: Subgroup) -> tuple[int, ...]:
+    """Each member of ``sub``, ascending, that the earlier ones picked do
+    not generate, closed with ``reference_closure``."""
+    gens: list[int] = []
+    reached = {0}
+    for m in sub.members:
+        if m not in reached:
+            gens.append(m)
+            reached = set(reference_closure(sub.group, gens))
+            if len(reached) == sub.order:
+                break
+    return tuple(gens)
+
+
+def char_lookup(chars: CharIndex, vals) -> np.ndarray:
+    """The hom-set index of each character of ``chars`` given by its values
+    on ``chars.gens`` (the last axis of ``vals``), from a dictionary of
+    every character's value tuple on the generators; ValueError when a
+    row is no character's."""
+    on_gens = chars.values[:, chars.pos[chars.gens]].tolist()
+    where = {tuple(row): i for i, row in enumerate(on_gens)}
+    vals = np.asarray(vals)
+    try:
+        found = [where[tuple(row)]
+                 for row in vals.reshape(-1, vals.shape[-1]).tolist()]
+    except KeyError:
+        raise ValueError("a value row matches no character of the hom set")
+    return np.asarray(found, dtype=np.int64).reshape(vals.shape[:-1])
 
 
 def _mask_of(members: Iterable[int]) -> int:
@@ -955,7 +1001,7 @@ def reference_mackey_block(basis: MonomialBasis, ci: int,
         l_pos = l_chars.pos[group.conj[s_inv[at, None], gens]]
         vals = fiber.add_table[k_vals[:, k_chars.pos[gens]][:, None],
                                l_vals[:, l_pos][None]]
-        terms[:, :, at] = basis.char_to_basis[cm][m_chars.index(vals)]
+        terms[:, :, at] = basis.char_to_basis[cm][char_lookup(m_chars, vals)]
     return np.sort(terms, axis=-1)
 
 
@@ -1053,7 +1099,7 @@ def reference_mackey_row(basis: MonomialBasis,
         vals = fiber.add_table[k_vals[:, k_chars.pos[gens]][:, u],
                                psi[None]]
         cols_at = col_start[pu] + b * n_cosets[pu] + d[at][u]
-        terms[:, cols_at] = basis.char_to_basis[cm][m_chars.index(vals)]
+        terms[:, cols_at] = basis.char_to_basis[cm][char_lookup(m_chars, vals)]
     # sort each block's last axis at once: the columns of one (pair, b)
     # get one key offset, above every basis index
     group_id = np.repeat(np.arange(int(n_reps.sum())),

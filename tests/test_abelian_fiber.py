@@ -13,7 +13,7 @@ from math import gcd
 
 import numpy as np
 import pytest
-from oracles import (Character, hom_set,
+from oracles import (Character, char_lookup, hom_set,
                      reference_abelian_invariant_decomposition,
                      reference_hom_set, reference_span)
 
@@ -21,8 +21,9 @@ from fibered_burnside import thevenaz
 from fibered_burnside.abelian_fiber import (AbelianFiber, CharIndex,
                                             _check_homs, char_index)
 from fibered_burnside.group_core import (Subgroup, abelian_group,
-                                         abelianization, cyclic_group,
-                                         enumerate_subgroups)
+                                         abelianization,
+                                         conjugacy_classes_of_subgroups,
+                                         cyclic_group, enumerate_subgroups)
 
 # ---------------------------------------------------------------------------
 # Fiber arithmetic
@@ -189,8 +190,8 @@ def test_restriction(s3, fiber_c6):
     for sub in enumerate_subgroups(s3):
         chars = char_index(sub, fiber_c6)
         restricted = full.values[:, full.pos[list(sub.members)]]
-        assert np.array_equal(chars.values[chars.index(
-            restricted[:, chars.pos[chars.gens]])], restricted)
+        assert np.array_equal(chars.values[char_lookup(
+            chars, restricted[:, chars.pos[chars.gens]])], restricted)
 
 
 def test_conjugation_is_action(s3, d4, fiber_c6):
@@ -288,3 +289,35 @@ def test_char_index_shared_by_equal_member_sets(s3, fiber_c6):
         twin = Subgroup(s3, sub.members, verify=False)
         assert twin is not sub
         assert char_index(twin, fiber_c6) is char_index(sub, fiber_c6)
+
+
+@pytest.mark.parametrize("factors", [(1,), (2,), (5,), (6,), (2, 2), (2, 4),
+                                     (3, 9)])
+def test_hom_factors_match_decomposition(small_groups, tg_11_5_a, tg_11_5_b,
+                                         factors):
+    # Hom(K, A) = sum of C_gcd(d, e) over the invariant factors d of K^ab
+    # and e of A, in invariant-factor form, against the decomposition of
+    # the character group's own table: every class rep of the small groups
+    # and of the order-605 pair
+    fiber = AbelianFiber(factors)
+    for g in (*small_groups, tg_11_5_a.group, tg_11_5_b.group):
+        for rep in conjugacy_classes_of_subgroups(g).reps:
+            chars = char_index(rep, fiber)
+            assert chars.hom_factors == chars.decomposition.factors, \
+                (g, factors, rep)
+
+
+@pytest.mark.parametrize("factors", [(1,), (2,), (6,), (2, 4), (3, 9)])
+def test_char_table_matches_lookup_of_products(small_groups, tg_7_3,
+                                               factors):
+    # entry [r, s] of the table, read off the image tuples, is the
+    # character whose values on the generators are the fiber sums of
+    # those of r and s, found by the oracles' dictionary lookup
+    fiber = AbelianFiber(factors)
+    for g in (*small_groups, tg_7_3.group):
+        for sub in enumerate_subgroups(g):
+            chars = char_index(sub, fiber)
+            on_gens = chars.values[:, chars.pos[chars.gens]]
+            assert chars.table.tolist() == char_lookup(
+                chars, fiber.add_table[on_gens[:, None], on_gens[None]]
+            ).tolist(), (g, factors, sub)

@@ -37,6 +37,7 @@ from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from oracles import (_orbit_reps, a6_cayley_json, brute_force_subgroups,
+                     conjugate_subgroup, greedy_generators, group_to_json,
                      join_closure_subgroups, permutation_group,
                      reference_enumerate_subgroups, reference_perfect_seeds,
                      reference_abelianization, reference_are_isomorphic,
@@ -68,12 +69,12 @@ from fibered_burnside.group_core import (FiniteGroup, Subgroup,
                                          are_isomorphic, closure,
                                          commutator_subgroup,
                                          conjugacy_classes_of_subgroups,
-                                         conjugate_subgroup, cyclic_group,
+                                         cyclic_group,
                                          dihedral_group, double_cosets,
                                          double_coset_reps,
                                          enumerate_subgroups,
                                          group_from_cayley, group_from_json,
-                                         group_to_json, left_coset_reps, mark,
+                                         left_coset_reps, mark,
                                          normalizer, semidirect_product,
                                          symmetric_group, trivial_group)
 
@@ -633,6 +634,47 @@ def test_a7_census():
     assert Counter(len(mem) for mem in perfect) == {
         60: 63, 168: 30, 360: 7, 2520: 1}
     assert _seeded_classes(a7) == perfect
+
+
+def test_lattice_generators_generate_each_subgroup(small_groups):
+    # every subgroup keeps the sequence the lattice built it from, and
+    # that sequence generates it
+    a6 = permutation_group([(1, 2, 0, 3, 4, 5), (0, 2, 3, 4, 5, 1)], 6)
+    a7 = permutation_group([(1, 2, 3, 4, 5, 6, 0), (1, 0, 3, 2, 4, 5, 6)], 7)
+    for g in (*small_groups, a6, a7, dihedral_group(90)):
+        for s in enumerate_subgroups(g):
+            assert closure(g, s.generators()) == s.members, (g, s)
+
+
+def test_subgroup_outside_the_lattice_keeps_greedy_generators(small_groups,
+                                                              s4):
+    # a Subgroup made from its members alone closes greedily, whatever
+    # sequence the lattice's equal subgroup carries
+    for g in (*small_groups, s4):
+        for s in enumerate_subgroups(g):
+            twin = Subgroup(g, s.members)
+            assert twin == s
+            assert twin.generators() == greedy_generators(s), (g, s)
+
+
+@pytest.mark.parametrize("make", [lambda: abelian_group((2, 2, 2, 2)),
+                                  _a6_from_cayley_json],
+                         ids=["E16", "A6"])
+def test_class_table_closes_nothing_after_the_lattice(monkeypatch, make):
+    # the class table reads the lattice's generating sequences for the
+    # normalizers and marks, so it runs no closure of its own
+    g = make()
+    enumerate_subgroups(g)
+    calls = []
+
+    def counted_closure(group, gens, closure=group_core.closure):
+        calls.append(gens)
+        return closure(group, gens)
+
+    monkeypatch.setattr(group_core, "closure", counted_closure)
+    table = conjugacy_classes_of_subgroups(g)
+    assert len(table.reps) == {16: 67, 360: 22}[g.order]
+    assert calls == []
 
 
 def test_dihedral_330_seeding_memory():

@@ -26,8 +26,8 @@ from hypothesis import strategies as st
 from fibered_burnside import monomial, thevenaz
 from fibered_burnside.abelian_fiber import AbelianFiber, char_index
 from fibered_burnside.errors import ComponentMismatch, NotAGroup
-from fibered_burnside.group_core import (Subgroup, abelian_group,
-                                         conjugate_subgroup,
+from fibered_burnside.group_core import (Subgroup, _index_dtype,
+                                         abelian_group,
                                          conjugacy_classes_of_subgroups,
                                          cyclic_group, dihedral_group,
                                          double_cosets,
@@ -41,7 +41,8 @@ from fibered_burnside.monomial import (BurnsideElement, MonomialBasis,
                                        mark_morphism, monomial_basis, multiply)
 from fibered_burnside.thevenaz import canonical_class_table
 from oracles import (MonomialPair, all_monomial_pairs, basis_pair,
-                     canonical_index, eager_basis_objects, hom_set,
+                     canonical_index, char_lookup, conjugate_subgroup,
+                     eager_basis_objects, hom_set,
                      integer_matrix_determinant,
                      located_block, reference_char_group_table,
                      reference_char_orbits, reference_double_coset_reps,
@@ -140,7 +141,6 @@ def test_gamma_diagonal_positive(s3, d4, fiber_c2, fiber_c6):
 
 
 def test_gamma_zero_unless_subconjugate(d4, fiber_c6):
-    from fibered_burnside.group_core import conjugate_subgroup
     basis = _basis(d4, fiber_c6)
     table = gamma_table(basis)
     pairs = _pairs(basis)
@@ -354,6 +354,8 @@ def test_product_blocks_on_products(params, factors):
 
 
 def _assert_blocks_match_reference(basis):
+    # the references count in int64; the kept rows hold basis indices in
+    # the smallest index dtype of the basis size
     k = len(basis.class_block)
     for ci in range(k):
         row = reference_mackey_row(basis, ci)
@@ -363,7 +365,8 @@ def _assert_blocks_match_reference(basis):
             if cj >= ci:
                 expects.append(row[cj - ci])
             for expect in expects:
-                assert block.dtype == expect.dtype, (ci, cj)
+                assert expect.dtype == np.int64, (ci, cj)
+                assert block.dtype == _index_dtype(basis.size), (ci, cj)
                 assert block.shape == expect.shape, (ci, cj)
                 assert np.array_equal(block, expect), (ci, cj)
 
@@ -417,10 +420,10 @@ def test_product_block_rejects_values_of_no_character():
     chars = char_index(basis.class_table.reps[full], basis.fiber)
     assert chars.gens.size == 2
     i0, i1 = basis.class_block[full]
-    hi = chars.index(np.array([2, 0]))
+    hi = char_lookup(chars, np.array([2, 0]))
     assert i0 <= int(basis.char_to_basis[full][hi]) < i1
     with pytest.raises(ValueError, match="matches no character"):
-        chars.index(np.array([[1, 0]]))
+        char_lookup(chars, np.array([[1, 0]]))
 
 
 # ---------------------------------------------------------------------------
@@ -498,19 +501,20 @@ def test_lazy_reps_and_stabilizers_match_eager_construction_larger(
 
 
 def test_char_index_keys_beyond_int64():
-    # 1458^6 > 2^63: the keys of the 64 characters of (C2)^6 over C1458
-    # are exact Python integers
+    # (C2)^6 over C1458, where values on the 6 generators in mixed radix
+    # 1458 would pass 2^63: the product table is read off the image
+    # tuples, with no key, and every character is told by its values
     e64 = abelian_group((2,) * 6)
     full = Subgroup(e64, range(e64.order))
     fiber = AbelianFiber((1458,))
     chars = char_index(full, fiber)
     assert chars.gens.size == 6 and 1458 ** 6 > 2 ** 63
-    assert chars.index(chars.values[:, chars.pos[chars.gens]]).tolist() == \
-        list(range(64))
+    assert char_lookup(chars, chars.values[:, chars.pos[chars.gens]]
+                       ).tolist() == list(range(64))
     assert chars.table.tolist() == reference_char_group_table(
         hom_set(full, fiber))
     with pytest.raises(ValueError, match="matches no character"):
-        chars.index(np.ones(6, dtype=np.int64))
+        char_lookup(chars, np.ones(6, dtype=np.int64))
 
 
 @pytest.mark.parametrize("factors", [(2,), (6,), (2, 4)])
@@ -546,9 +550,9 @@ def test_restriction_matches_character_conjugation(small_groups, factors):
 
 def _lookups_against_char_index(layout, cases):
     """``layout.restrict`` of every case (c, t, d) at once, for all the
-    characters r of the c-th subgroup S, against ``CharIndex.index`` of the
-    d-th subgroup T read one case at a time: x -> chi_r(t x t^-1) on T,
-    where tTt^-1 lies in S."""
+    characters r of the c-th subgroup S, against the oracles' lookup
+    (``char_lookup``) in the d-th subgroup T, one case at a time:
+    x -> chi_r(t x t^-1) on T, where tTt^-1 lies in S."""
     conj = layout.group.conj
     c, t, d = (np.repeat([case[k] for case in cases],
                          [layout.n_homs[case[0]] for case in cases])
@@ -557,7 +561,7 @@ def _lookups_against_char_index(layout, cases):
                         for case in cases])
     got = layout.restrict(c, r, t, d)
     want = np.concatenate([
-        layout.chars[d].index(layout.chars[c].values[
+        char_lookup(layout.chars[d], layout.chars[c].values[
             :, layout.chars[c].pos[conj[t, layout.chars[d].gens]]])
         for c, t, d in cases])
     assert got.tolist() == want.tolist()
@@ -754,27 +758,33 @@ def test_mark_morphism_linear(s3, fiber_c6):
         mark_morphism(basis, x) + mark_morphism(basis, y)
 
 
-def count_gamma_rows(monkeypatch):
+def count_gamma_rows(monkeypatch, blocks=None):
     """Record each row that a ``gamma_rows`` kernel prepared from now on
     computes, as (id of the kernel, K index, entries, row): entries is the
     number of characters that the restrictions (``_HomLayout.restrict``)
-    hand back while the row is computed, and row the array returned."""
+    hand back while the row is computed, and row the array returned. A
+    list ``blocks``, if given, gets one (id of the kernel, K indices,
+    entries) per such restriction: the Ks its characters restrict to,
+    ascending, and their number."""
     calls, active = [], []
     restrict = monomial._HomLayout.restrict
 
-    def counted_restrict(self, *args):
-        hit = restrict(self, *args)
+    def counted_restrict(self, c, r, t, target):
+        hit = restrict(self, c, r, t, target)
         if active:
-            active[-1] += hit.size
+            active[-1][1] += hit.size
+            if blocks is not None:
+                blocks.append((active[-1][0], np.unique(target).tolist(),
+                               hit.size))
         return hit
 
     def counted(*args):
         kernel = gamma_rows(*args)
 
         def row(a):
-            active.append(0)
+            active.append([id(kernel), 0])
             out = kernel(a)
-            calls.append((id(kernel), a, active.pop(), out))
+            calls.append((id(kernel), a, active.pop()[1], out))
             return out
         return row
 
@@ -789,6 +799,27 @@ def restricted_entries(basis):
     |Hom(L_b, A)|, where a zero mark costs nothing."""
     return (np.asarray(basis.class_table.marks)
             @ basis._homs.n_homs).tolist()
+
+
+def assert_rows_restricted_by_blocks(basis, kernel, calls, blocks):
+    """The rows and restrictions of the gamma kernel with id ``kernel``
+    over the class reps of ``basis``, as ``count_gamma_rows`` records them:
+    each class row is made once; the restrictions hand back
+    sum(restricted_entries(basis)) characters in all, so no pair with a
+    zero mark is looked at; no class row lies in two of them, so no block
+    is restricted twice; and each is a block of consecutive rows with no
+    more entries than the largest row."""
+    entries = restricted_entries(basis)
+    rows = [a for kid, a, _, _ in calls if kid == kernel]
+    assert sorted(rows) == list(range(len(entries)))
+    mine = [(ks, n) for kid, ks, n in blocks if kid == kernel]
+    assert sum(n for _, n in mine) == sum(entries)
+    covered = [a for ks, _ in mine for a in ks]
+    assert len(covered) == len(set(covered)) == len(entries)
+    for ks, n in mine:
+        assert ks == list(range(ks[0], ks[-1] + 1))
+        assert n == sum(entries[a] for a in ks) <= max(entries)
+    return mine
 
 
 def test_ghost_images_take_one_gamma_block_per_class_pair(monkeypatch,
@@ -812,21 +843,48 @@ def test_ghost_images_take_one_gamma_block_per_class_pair(monkeypatch,
 
 def test_gamma_table_computes_only_nonzero_mark_blocks(monkeypatch):
     # (C2)^4 over C2 x C2: 513 of the 67 x 67 class pairs have a nonzero
-    # mark; the gamma table computes one kernel row per class, and each
-    # row restricts the characters of the fixed cosets alone: a kernel
-    # that looked at a pair with a zero mark would restrict more
+    # mark; the gamma table computes one kernel row per class, and the
+    # kernel restricts the characters of the fixed cosets alone, a block
+    # of consecutive rows at a time: a kernel that looked at a pair with a
+    # zero mark would restrict more. No block is restricted twice, none
+    # holds more entries than the largest row, and there are fewer blocks
+    # than rows
     basis = MonomialBasis(abelian_group([2, 2, 2, 2]), AbelianFiber((2, 2)))
-    calls = count_gamma_rows(monkeypatch)
+    blocks = []
+    calls = count_gamma_rows(monkeypatch, blocks)
     table = gamma_table(basis)
     marks = np.asarray(basis.class_table.marks)
     assert [a for _, a, _, _ in calls] == list(range(len(marks)))
-    assert [n for _, _, n, _ in calls] == restricted_entries(basis)
+    mine = assert_rows_restricted_by_blocks(basis, calls[0][0], calls,
+                                            blocks)
+    assert len(mine) == len(blocks) < len(marks)
     assert np.count_nonzero(marks) == 513
     assert table.shape == (1837, 1837) and table.dtype == np.int8
     # and keeps no gamma row
     assert not basis._gamma
     assert len(list(gamma_class_rows(basis))) == len(marks)
     assert not basis._gamma
+
+
+def test_gamma_rows_read_in_any_order_match_one_pair_blocks(monkeypatch,
+                                                           s4, fiber_c6):
+    # the rows of one kernel read backwards and then some again: each
+    # equals the rows of one-pair kernels; the first reads restrict each
+    # block once, and a row read again is restricted again, alone
+    reps = conjugacy_classes_of_subgroups(s4).reps
+    expect = [np.concatenate([gamma_block(k_sub, l_sub, fiber_c6)
+                              for l_sub in reps], axis=1) for k_sub in reps]
+    blocks = []
+    calls = count_gamma_rows(monkeypatch, blocks)
+    kernel = monomial.gamma_rows(reps, reps, fiber_c6)
+    again = (3, 0, 3)
+    for a in (*range(len(reps) - 1, -1, -1), *again):
+        assert np.array_equal(kernel(a), expect[a])
+    basis = MonomialBasis(s4, fiber_c6)
+    first = assert_rows_restricted_by_blocks(
+        basis, calls[0][0], calls[:len(reps)], blocks[:-len(again)])
+    assert len(first) < len(reps)
+    assert [ks for _, ks, _ in blocks[-len(again):]] == [[a] for a in again]
 
 
 def test_gamma_blocks_are_views_of_one_kept_row_per_class(monkeypatch, d4,

@@ -43,7 +43,8 @@ from oracles import (MonomialPair, hom_set,
                      reference_gamma, reference_gamma_check,
                      reference_product, reference_search_species,
                      reference_structure_constant_check)
-from test_monomial import count_gamma_rows, restricted_entries
+from test_monomial import (assert_rows_restricted_by_blocks,
+                           count_gamma_rows)
 
 # ---------------------------------------------------------------------------
 # Character group isomorphisms
@@ -407,7 +408,8 @@ def test_verify_auto_computes_each_block_once(monkeypatch):
         rows.append((basis, ci, terms))
         return terms
 
-    gammas = count_gamma_rows(monkeypatch)
+    blocks = []
+    gammas = count_gamma_rows(monkeypatch, blocks)
     monkeypatch.setattr(monomial, "double_cosets", counted_cosets)
     monkeypatch.setattr(MonomialBasis, "_mackey_terms", counted_terms)
     report, code = cli.cmd_verify("dihedral:6", "dihedral:6", "2,4",
@@ -441,12 +443,13 @@ def test_verify_auto_computes_each_block_once(monkeypatch):
     marks = [basis.class_table.marks for basis in sides]
     assert marks[0] == marks[1]
     for basis in sides:
-        # the kept rows are the kernel's own, and each row restricts the
-        # characters of the fixed cosets alone, so no block of a pair
-        # with a zero mark is computed
-        mine = sorted((a, n) for _, a, n, row in gammas
-                      if basis._gamma.get(a) is row)
-        assert mine == list(enumerate(restricted_entries(basis)))
+        # the kept rows are the kernel's own, and the kernel restricts the
+        # characters of the fixed cosets alone, a block of consecutive
+        # rows at a time, so no block of a pair with a zero mark is
+        # computed, and no block of rows is restricted twice
+        kernel, = {kid for kid, a, _, row in gammas
+                   if basis._gamma.get(a) is row}
+        assert_rows_restricted_by_blocks(basis, kernel, gammas, blocks)
 
 
 def test_verify_species_reads_no_product_blocks(monkeypatch):
