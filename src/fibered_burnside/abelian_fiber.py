@@ -38,7 +38,6 @@ class AbelianFiber:
         mods = np.array(factors, dtype=np.int64)
         sums = (self.coords[:, None, :] + self.coords[None, :, :]) % mods
         self.add_table = self._encode(sums)
-        self.neg_table = self._encode((-self.coords) % mods)
 
     def _encode(self, coords: np.ndarray) -> np.ndarray:
         weights = np.ones(len(self.factors), dtype=np.int64)
@@ -55,21 +54,11 @@ class AbelianFiber:
             raise ValueError(f"bad fiber spec {text!r}") from exc
         return cls(factors)
 
-    def add(self, i: int, j: int) -> int:
-        return int(self.add_table[i, j])
-
-    def neg(self, i: int) -> int:
-        return int(self.neg_table[i])
-
     def torsion_indices(self, n: int) -> list[int]:
         if n < 1:
             raise ValueError("torsion exponent must be positive")
         return np.flatnonzero(
             (n * self.coords % self.factors == 0).all(axis=1)).tolist()
-
-    def torsion_elements(self, n: int) -> list[tuple[int, ...]]:
-        """All a with n*a = 0, in lexicographic order."""
-        return [self.elements[i] for i in self.torsion_indices(n)]
 
     def has_trivial_torsion(self, n: int) -> bool:
         return len(self.torsion_indices(n)) == 1
@@ -146,7 +135,7 @@ class CharIndex:
         """Entry [i, j] is the hom-set index of the product of the i-th and
         j-th characters: the mixed-radix position, over each factor's
         d-torsion, of the fiber sums of their image tuples."""
-        # built on first use: only the species checks and the ghost ring
+        # built on first use: only the products and the species checks
         # read it, and it has |Hom(K, A)|^2 entries
         if self._table is None:
             n = len(self.values)

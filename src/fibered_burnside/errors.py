@@ -25,10 +25,6 @@ class NotAnAction(AlgebraError):
     """A claimed action map is not a homomorphism into the automorphism group."""
 
 
-class ComponentMismatch(AlgebraError):
-    """Two ghost elements over different ghost rings were combined."""
-
-
 class NotABijection(AlgebraError):
     """A witness map that must be a bijection is not one."""
 

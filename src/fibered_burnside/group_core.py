@@ -83,9 +83,6 @@ class FiniteGroup:
                 inv.take(row.take(inv.take(row)), out=self._conj[g])
         return self._conj
 
-    def element_order(self, g: int) -> int:
-        return int(self.element_orders[g])
-
     @property
     def element_orders(self) -> np.ndarray:
         if self._element_orders is None:
@@ -684,18 +681,6 @@ def _fixed_by(group: FiniteGroup, ks: Sequence[Subgroup],
             axis=1)
 
 
-def fixed_cosets(group: FiniteGroup, k: Subgroup, l: Subgroup) -> np.ndarray:
-    """The left coset reps s of L, ascending, with K <= sLs^-1: the cosets
-    sL that K fixes (the one-pair case of ``_fixed_by``)."""
-    fixed = next(_fixed_by(group, [k], [l]))
-    return left_coset_reps(group, l)[fixed[:, 0]]
-
-
-def mark(group: FiniteGroup, k: Subgroup, l: Subgroup) -> int:
-    """Number of cosets sL fixed by K, i.e. with K <= sLs^-1."""
-    return len(fixed_cosets(group, k, l))
-
-
 def _marks(group: FiniteGroup, subs: Sequence[Subgroup]) -> list[list[int]]:
     """The marks of every K in ``subs`` on every L in ``subs``, one gather
     per L (``_fixed_by``)."""
@@ -738,12 +723,6 @@ def double_cosets(group: FiniteGroup, ks: Sequence[Subgroup],
     pair = np.concatenate(pairs)
     by_pair = np.argsort(pair, kind="stable")
     return pair[by_pair], np.concatenate(reps)[by_pair]
-
-
-def double_coset_reps(group: FiniteGroup, k: Subgroup, l: Subgroup) -> list[int]:
-    """Least-element representatives of the double cosets K\\G/L,
-    ascending (the one-pair case of ``double_cosets``)."""
-    return double_cosets(group, [k], [l])[1].tolist()
 
 
 def _sorted_unique(values) -> np.ndarray:
@@ -1049,6 +1028,8 @@ def commutator_subgroup(sub: Subgroup) -> Subgroup:
     normal_gens = _sorted_unique(
         group.mul[group.mul[inv[:, None], inv[None]],
                   group.mul[gens[:, None], gens[None]]])
+    if normal_gens.size <= 1:   # no commutator but 1: K is abelian
+        return Subgroup(group, (0,), verify=False)
     while True:
         members = closure(group, normal_gens)
         conjugates = group.conj[np.ix_(gens, normal_gens)].ravel()
@@ -1326,8 +1307,7 @@ __all__ = [
     "symmetric_group", "semidirect_product",
     "closure", "enumerate_subgroups",
     "conjugacy_classes_of_subgroups", "normalizer",
-    "left_coset_reps", "double_cosets", "double_coset_reps", "fixed_cosets",
-    "mark",
+    "left_coset_reps", "double_cosets",
     "abelianization", "commutator_subgroup",
     "abelian_invariant_decomposition", "are_isomorphic",
 ]

@@ -1,5 +1,5 @@
-"""The orbit basis of the fibered Burnside ring, gamma coefficients, the
-reduced ghost ring, and the mark morphism.
+"""The orbit basis of the fibered Burnside ring, its gamma coefficients
+and its structure constants.
 
 A basis element is the orbit of a monomial pair (K, phi), held as indices:
 the class of K in the class table and the index of phi in the
@@ -19,7 +19,7 @@ from typing import Callable, Iterator, Optional, Sequence
 import numpy as np
 
 from .abelian_fiber import AbelianFiber, char_index
-from .errors import ComponentMismatch, NotAGroup
+from .errors import NotAGroup
 from .group_core import (FiniteGroup, Subgroup, SubgroupClassTable,
                          _fixed_by, _index_dtype, _sorted_unique, _starts,
                          conjugacy_classes_of_subgroups, double_cosets,
@@ -116,14 +116,15 @@ def _hom_layout(subs: Sequence[Subgroup], fiber: AbelianFiber) -> _HomLayout:
     return cache[key]
 
 
-def gamma_rows(k_subs: Sequence[Subgroup], l_subs: Sequence[Subgroup],
+def gamma_rows(subs: Sequence[Subgroup],
                fiber: AbelianFiber) -> Callable[[int], np.ndarray]:
-    """The gamma coefficients of K = k_subs[a] against every L in
-    ``l_subs``, as a function of a: one row per character of K, in
-    ``CharIndex`` order, and the characters of every L side by side, in
-    the order of ``l_subs`` and in ``CharIndex`` order within each, in
-    ``_gamma_dtype(|G|)``. The columns of an L of which K fixes no coset
-    are zero.
+    """The gamma coefficients of K = subs[a] against every L in ``subs``,
+    as a function of a: one row per character of K, in ``CharIndex``
+    order, and the characters of every L side by side, in the order of
+    ``subs`` and in ``CharIndex`` order within each, in
+    ``_gamma_dtype(|G|)``. Entry [phi, psi] counts the cosets sL with K <=
+    sLs^-1 on which the conjugate of psi restricts to phi. The columns of
+    an L of which K fixes no coset are zero.
 
     The fixed cosets of every pair come first, from one gather per L
     (``_fixed_by``), so only they are looked at: K's entries are its
@@ -136,13 +137,13 @@ def gamma_rows(k_subs: Sequence[Subgroup], l_subs: Sequence[Subgroup],
     time is restricted again, alone. All subgroups must live over the
     same group.
     """
-    group = (k_subs[0] if k_subs else l_subs[0]).group
-    if any(sub.group is not group for sub in (*k_subs, *l_subs)):
+    group = subs[0].group
+    if any(sub.group is not group for sub in subs):
         raise ValueError("subgroups live over different groups")
     # every fixed coset, as (K index, L index, coset rep), sorted by K
     fixed_k, fixed_l, fixed_s = [], [], []
-    for b, (l_sub, fixed) in enumerate(zip(l_subs,
-                                           _fixed_by(group, k_subs, l_subs))):
+    for b, (l_sub, fixed) in enumerate(zip(subs,
+                                           _fixed_by(group, subs, subs))):
         c, a = np.nonzero(fixed)
         fixed_k.append(a)
         fixed_l.append(np.full(a.size, b, dtype=np.int64))
@@ -150,15 +151,12 @@ def gamma_rows(k_subs: Sequence[Subgroup], l_subs: Sequence[Subgroup],
     fixed_k = np.concatenate(fixed_k)
     by_k = np.argsort(fixed_k, kind="stable")
     fixed_k = fixed_k[by_k]
-    row = _starts(np.bincount(fixed_k, minlength=len(k_subs) + 1))
+    row = _starts(np.bincount(fixed_k, minlength=len(subs) + 1))
     fixed_l = np.concatenate(fixed_l)[by_k]
     fixed_sinv = group.inv[np.concatenate(fixed_s)[by_k]]
-    # the layout holds every K after the Ls, unless the two lists are one
-    same = [s.members for s in k_subs] == [s.members for s in l_subs]
-    homs = _hom_layout(l_subs if same else (*l_subs, *k_subs), fiber)
-    k_at = 0 if same else len(l_subs)
-    col = _starts(homs.n_homs[:len(l_subs)])
-    width = int(homs.n_homs[:len(l_subs)].sum())
+    homs = _hom_layout(subs, fiber)
+    col = _starts(homs.n_homs)
+    width = int(homs.n_homs.sum())
     dtype = _gamma_dtype(group.order)
     # where the entries of each K start, and the blocks of consecutive Ks
     # between ``bounds``: a block ends before the K that would take it past
@@ -166,11 +164,11 @@ def gamma_rows(k_subs: Sequence[Subgroup], l_subs: Sequence[Subgroup],
     entries = _starts(np.append(homs.n_homs[fixed_l], 0))[row]
     cap = np.diff(entries).max(initial=0)
     bounds = [0]
-    for a in range(1, len(k_subs)):
+    for a in range(1, len(subs)):
         if entries[a + 1] - entries[bounds[-1]] > cap:
             bounds.append(a)
-    bounds.append(len(k_subs))
-    unread = np.ones(len(k_subs), dtype=bool)
+    bounds.append(len(subs))
+    unread = np.ones(len(subs), dtype=bool)
     pending: dict[int, np.ndarray] = {}   # K -> its flat row positions
 
     def restrict_rows(a0: int, a1: int) -> None:
@@ -182,7 +180,7 @@ def gamma_rows(k_subs: Sequence[Subgroup], l_subs: Sequence[Subgroup],
         u = np.repeat(np.arange(ls.size), nl)
         psi = np.arange(u.size) - np.repeat(_starts(nl), nl)
         lu = ls[u]
-        hit = homs.restrict(lu, psi, sinv[u], k_at + fixed_k[e][u])
+        hit = homs.restrict(lu, psi, sinv[u], fixed_k[e][u])
         flat = hit * width + col[lu] + psi
         pending.update(zip(range(a0, a1), np.split(
             flat, entries[a0 + 1:a1] - entries[a0])))
@@ -195,23 +193,10 @@ def gamma_rows(k_subs: Sequence[Subgroup], l_subs: Sequence[Subgroup],
                 restrict_rows(bounds[b - 1], bounds[b])
             else:
                 restrict_rows(a, a + 1)
-        out = np.zeros((homs.n_homs[k_at + a], width), dtype=dtype)
+        out = np.zeros((homs.n_homs[a], width), dtype=dtype)
         np.add.at(out.reshape(-1), pending.pop(a), 1)
         return out
     return row_of
-
-
-def gamma_block(k_sub: Subgroup, l_sub: Subgroup,
-                fiber: AbelianFiber) -> np.ndarray:
-    """Gamma coefficients of every (K, phi) against every (L, psi).
-
-    Entry [a, b] counts the cosets sL with K <= sLs^-1 on which the
-    conjugate of the b-th character of Hom(L, A) restricts to the a-th
-    character of Hom(K, A); rows and columns follow ``CharIndex`` order.
-    Both subgroups must live over the same group. This is the one-pair
-    case of ``gamma_rows``.
-    """
-    return gamma_rows([k_sub], [l_sub], fiber)(0)
 
 
 def _sort_runs(terms: np.ndarray, lens: np.ndarray, bound: int):
@@ -327,24 +312,12 @@ class MonomialBasis:
         # hom_start[cj + 1] of every gamma row, in ``CharIndex`` order
         self.hom_start = _starts(np.append(self._homs.n_homs, 0))
 
-    # -- ring structure
-
-    def basis_element(self, i: int) -> "BurnsideElement":
-        coeffs = [0] * self.size
-        coeffs[i] = 1
-        return BurnsideElement(self, coeffs)
-
-    def identity_index(self) -> int:
-        full = self.class_table.class_of(
-            Subgroup(self.group, range(self.group.order), verify=False))
-        return int(self.char_to_basis[full][0])   # the trivial character
-
-    def identity_element(self) -> "BurnsideElement":
-        return self.basis_element(self.identity_index())
+    # -- gamma coefficients and structure constants
 
     def gamma_block(self, ci: int, cj: int) -> np.ndarray:
-        """``gamma_block`` of the class reps ci and cj, as a view of the
-        columns of class cj in ``gamma_row(ci)``."""
+        """The gamma coefficients of the characters of class rep ci against
+        those of class rep cj (``gamma_rows``), as a view of the columns of
+        class cj in ``gamma_row(ci)``."""
         return self.gamma_row(ci)[:, self.hom_start[cj]:self.hom_start[cj + 1]]
 
     def gamma_row(self, ci: int) -> np.ndarray:
@@ -361,12 +334,7 @@ class MonomialBasis:
     @cached_property
     def _gamma_kernel(self) -> Callable[[int], np.ndarray]:
         """``gamma_rows`` over the class reps, prepared once per basis."""
-        reps = self.class_table.reps
-        return gamma_rows(reps, reps, self.fiber)
-
-    @cached_property
-    def _ghost_ring(self) -> "GhostRing":
-        return GhostRing(self)
+        return gamma_rows(self.class_table.reps, self.fiber)
 
     def product(self, i: int, j: int) -> list[tuple[int, int]]:
         """Structure constants of basis elements i times j as (index, coeff)
@@ -538,11 +506,12 @@ def monomial_basis(group: FiniteGroup, fiber: AbelianFiber,
 
 
 def gamma_class_rows(basis: MonomialBasis) -> Iterator[np.ndarray]:
-    """The rows of ``gamma_table(basis)``, one class at a time: for each
-    class ci in order, the rows of its orbit reps as one (reps of ci, basis
-    size) array in ``_gamma_dtype``, selected from class row ci of the
-    gamma kernel only when it is reached: its rows, then its columns, at
-    the characters of the orbit reps. The basis keeps none of these rows."""
+    """The gamma table of the basis, every basis pair against every basis
+    pair, one class at a time: for each class ci in order, the rows of its
+    orbit reps as one (reps of ci, basis size) array in ``_gamma_dtype``,
+    selected from class row ci of the gamma kernel only when it is reached:
+    its rows, then its columns, at the characters of the orbit reps. The
+    basis keeps none of these rows."""
     hom = np.asarray(basis.rep_hom_index, dtype=np.int64)
     cols = basis.hom_start[basis.rep_class] + hom
     for ci, (i0, i1) in enumerate(basis.class_block):
@@ -556,173 +525,6 @@ def _gamma_dtype(order: int) -> type:
                 if np.iinfo(t).max >= order)
 
 
-def gamma_table(basis: MonomialBasis) -> np.ndarray:
-    """Gamma coefficients of every basis pair against every basis pair: the
-    rows of ``gamma_class_rows`` in one array. The CLI writes those rows as
-    they come and never holds this table, 3.4 MB in int8 for (C2)^4 over
-    C2 x C2."""
-    return np.concatenate(list(gamma_class_rows(basis)))
-
-
-# ---------------------------------------------------------------------------
-# Ring elements
-
-
-class BurnsideElement:
-    """Integer vector over the monomial orbit basis."""
-
-    __slots__ = ("basis", "coeffs")
-
-    def __init__(self, basis: MonomialBasis, coeffs: Sequence[int]):
-        coeffs = [int(c) for c in coeffs]
-        if len(coeffs) != basis.size:
-            raise ValueError("coefficient vector has the wrong length")
-        self.basis = basis
-        self.coeffs = coeffs
-
-    def __add__(self, other: "BurnsideElement") -> "BurnsideElement":
-        self._check(other)
-        return BurnsideElement(self.basis,
-                               [a + b for a, b in zip(self.coeffs, other.coeffs)])
-
-    def __sub__(self, other: "BurnsideElement") -> "BurnsideElement":
-        self._check(other)
-        return BurnsideElement(self.basis,
-                               [a - b for a, b in zip(self.coeffs, other.coeffs)])
-
-    def _check(self, other: "BurnsideElement") -> None:
-        if self.basis is not other.basis:
-            raise ComponentMismatch("elements over different bases")
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, BurnsideElement)
-                and self.basis is other.basis and self.coeffs == other.coeffs)
-
-    def __hash__(self):
-        return hash((id(self.basis), tuple(self.coeffs)))
-
-    def __repr__(self) -> str:
-        return f"BurnsideElement({self.coeffs})"
-
-
-def multiply(x: BurnsideElement, y: BurnsideElement) -> BurnsideElement:
-    """Bilinear extension of the double-coset product of basis orbits."""
-    if x.basis is not y.basis:
-        raise ComponentMismatch("elements over different bases")
-    basis = x.basis
-    out = [0] * basis.size
-    terms_y = [(j, b) for j, b in enumerate(y.coeffs) if b]
-    for i, a in ((i, a) for i, a in enumerate(x.coeffs) if a):
-        for j, b in terms_y:
-            for idx, c in basis.product(i, j):
-                out[idx] += a * b * c
-    return BurnsideElement(basis, out)
-
-
-# ---------------------------------------------------------------------------
-# Ghost ring
-
-
-class GhostRing:
-    """Product over subgroup classes of the group rings of Hom(K, A),
-    restricted (by construction of its elements) to normalizer-fixed points."""
-
-    def __init__(self, basis: MonomialBasis):
-        self.basis = basis
-        self.mul_tables = [c.table for c in basis._homs.chars]
-        self.sizes = basis._homs.n_homs.tolist()   # |Hom(K, A)| per class
-
-    def zero(self) -> "GhostElement":
-        return GhostElement(self, [[0] * n for n in self.sizes])
-
-    def identity(self) -> "GhostElement":
-        # the trivial character of each class is its index 0
-        return GhostElement(self, [[1] + [0] * (n - 1) for n in self.sizes])
-
-
-class GhostElement:
-    """Per subgroup class, an integer vector over Hom(K, A)."""
-
-    __slots__ = ("ring", "comps")
-
-    def __init__(self, ring: GhostRing, comps: Sequence[Sequence[int]]):
-        comps = [[int(c) for c in comp] for comp in comps]
-        if [len(comp) for comp in comps] != ring.sizes:
-            raise ComponentMismatch("component shapes do not match the ring")
-        self.ring = ring
-        self.comps = comps
-
-    def __add__(self, other: "GhostElement") -> "GhostElement":
-        if other.ring is not self.ring:
-            raise ComponentMismatch("ghost elements over different rings")
-        return GhostElement(self.ring,
-                            [[a + b for a, b in zip(x, y)]
-                             for x, y in zip(self.comps, other.comps)])
-
-    def is_orbit_closed(self) -> bool:
-        """Each component constant on normalizer orbits of characters."""
-        basis = self.ring.basis   # each equals its orbit rep's entry
-        return all(comp == [comp[basis.rep_hom_index[b]] for b in orb.tolist()]
-                   for comp, orb in zip(self.comps, basis.char_to_basis))
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, GhostElement)
-                and self.ring is other.ring and self.comps == other.comps)
-
-    def __hash__(self):
-        return hash((id(self.ring), tuple(tuple(c) for c in self.comps)))
-
-    def __repr__(self) -> str:
-        return f"GhostElement({self.comps})"
-
-
-def ghost_multiply(a: GhostElement, b: GhostElement) -> GhostElement:
-    """Componentwise group-ring convolution."""
-    if a.ring is not b.ring:
-        raise ComponentMismatch("ghost elements over different rings")
-    ring = a.ring
-    out = []
-    for table, x, y in zip(ring.mul_tables, a.comps, b.comps):
-        comp = [0] * len(x)
-        for i, xi in enumerate(x):
-            if not xi:
-                continue
-            for j, yj in enumerate(y):
-                if not yj:
-                    continue
-                comp[table[i][j]] += xi * yj
-        out.append(comp)
-    return GhostElement(ring, out)
-
-
-def ghost_ring(basis: MonomialBasis) -> GhostRing:
-    return basis._ghost_ring
-
-
-def mark_morphism(basis: MonomialBasis, x: BurnsideElement) -> GhostElement:
-    """Image of x under the mark morphism into the reduced ghost ring.
-
-    The K-component of the image of a basis orbit [L, psi] is the vector of
-    gamma coefficients over Hom(K, A), extended linearly. The gamma rows
-    come from the basis, so each class row is computed once.
-    """
-    if x.basis is not basis:
-        raise ComponentMismatch("element over a different basis")
-    ring = ghost_ring(basis)
-    comps = ring.zero().comps
-    for j, c in enumerate(x.coeffs):
-        if not c:
-            continue
-        cj, b = basis.rep_class[j], basis.rep_hom_index[j]
-        for ci, comp in enumerate(comps):
-            column = basis.gamma_block(ci, cj)[:, b].tolist()
-            comps[ci] = [a + c * v for a, v in zip(comp, column)]
-    return GhostElement(ring, comps)
-
-
 __all__ = [
-    "MonomialBasis", "BurnsideElement", "GhostRing",
-    "GhostElement", "monomial_basis", "gamma_block", "gamma_rows",
-    "gamma_class_rows", "gamma_table",
-    "multiply", "mark_morphism", "ghost_multiply", "ghost_ring",
+    "MonomialBasis", "monomial_basis", "gamma_rows", "gamma_class_rows",
 ]

@@ -9,18 +9,18 @@ from fibered_burnside.abelian_fiber import AbelianFiber
 from fibered_burnside.group_core import (abelian_group, cyclic_group,
                                          dihedral_group, enumerate_subgroups,
                                          symmetric_group, trivial_group)
-from fibered_burnside.monomial import gamma_block
+from fibered_burnside.monomial import gamma_rows
 
 
 @pytest.fixture(scope="session")
 def pair_gamma():
     """``pair_gamma(group, fiber)[i, j]`` is gamma of the i-th against the
-    j-th monomial pair, in ``oracles.all_monomial_pairs`` order, read from
-    the gamma blocks of all pairs of subgroups."""
+    j-th monomial pair, in ``oracles.all_monomial_pairs`` order: the rows
+    of one gamma kernel over all subgroups, laid end to end."""
     def matrix(group, fiber):
         subs = enumerate_subgroups(group)
-        return np.block([[gamma_block(k_sub, l_sub, fiber) for l_sub in subs]
-                         for k_sub in subs])
+        kernel = gamma_rows(subs, fiber)
+        return np.concatenate([kernel(a) for a in range(len(subs))])
     return matrix
 
 

@@ -38,7 +38,16 @@ only then, and tells classes apart by a per-class ``Counter`` of mark
 profiles. A species witness is checked one class pair at a time: gamma
 block against gamma block, and product block against product block. Every
 monomial pair is listed subgroup by subgroup, and determinants are exact by
-fraction-free elimination over Python ints."""
+fraction-free elimination over Python ints.
+
+The ring layer lives here too, as an oracle apart from the product table:
+``BurnsideElement`` vectors over a basis, multiplied pair by pair through
+``MonomialBasis.product``, the reduced ghost ring, and the mark morphism
+into it, read off the gamma rows, so that the mark morphism and the ring
+axioms check the products against gamma. The one-pair cases of the
+package's batched kernels (``gamma_block``, ``fixed_cosets``, ``mark``,
+``double_coset_reps``) and the one-element helpers of fibers and groups
+that no command reaches are kept with it."""
 
 import bisect
 import functools
@@ -51,17 +60,20 @@ from typing import Iterable, Iterator, Optional, Sequence
 import numpy as np
 
 from fibered_burnside.abelian_fiber import AbelianFiber, CharIndex, char_index
-from fibered_burnside.errors import NotAGroup, SearchBudgetExceeded
+from fibered_burnside.errors import (AlgebraError, NotAGroup,
+                                     SearchBudgetExceeded)
 from fibered_burnside.group_core import (FiniteGroup, Subgroup,
                                          SubgroupClassTable, _conjugates,
-                                         _index_dtype, _indicator,
+                                         _fixed_by, _index_dtype, _indicator,
                                          _normalizing, _permutation_table,
                                          _prime_factors, _sorted_unique,
                                          _subgroup_order_census, closure,
                                          commutator_subgroup, double_cosets,
-                                         double_coset_reps,
-                                         enumerate_subgroups, normalizer)
-from fibered_burnside.monomial import MonomialBasis, _starts, monomial_basis
+                                         enumerate_subgroups,
+                                         left_coset_reps, normalizer)
+from fibered_burnside.monomial import (MonomialBasis, _starts,
+                                       gamma_class_rows, gamma_rows,
+                                       monomial_basis)
 from fibered_burnside.species import SpeciesWitness, char_group_isomorphisms
 
 
@@ -922,7 +934,7 @@ def reference_product(basis: MonomialBasis, i: int, j: int,
         inter = [m for m in k_sub.members if (smask >> m) & 1]
         m_sub = Subgroup(group, inter, verify=False)
         sinv = int(inv[s])
-        vals = [fiber.add(phi.value_index(m),
+        vals = [fiber_add(fiber, phi.value_index(m),
                           psi.value_index(int(conj[sinv, m])))
                 for m in inter]
         chi = Character(m_sub, fiber, vals, verify=False)
@@ -1280,7 +1292,7 @@ def reference_hom_set(domain: Subgroup,
             acc = 0
             for k, img in zip(expo, images):
                 for _ in range(k):
-                    acc = fiber.add(acc, img)
+                    acc = fiber_add(fiber, acc, img)
             vals.append(acc)
         homs.append(Character(domain, fiber, vals))
     return homs
@@ -1585,3 +1597,252 @@ def reference_structure_constant_check(basis_g, basis_h, witness):
                 "target": basis_h.product(mapping[i], mapping[j]),
             }, None
     return None, list(enumerate(mapping))
+
+
+# ---------------------------------------------------------------------------
+# One-pair cases of the package's batched kernels, and helpers that no
+# command reaches
+
+
+def element_order(group: FiniteGroup, g: int) -> int:
+    return int(group.element_orders[g])
+
+
+def fiber_add(fiber: AbelianFiber, i: int, j: int) -> int:
+    return int(fiber.add_table[i, j])
+
+
+def neg_table(fiber: AbelianFiber) -> np.ndarray:
+    """The index of -a for every fiber element index a."""
+    return fiber._encode((-fiber.coords) % np.array(fiber.factors,
+                                                    dtype=np.int64))
+
+
+def fiber_neg(fiber: AbelianFiber, i: int) -> int:
+    return int(neg_table(fiber)[i])
+
+
+def torsion_elements(fiber: AbelianFiber, n: int) -> list[tuple[int, ...]]:
+    """All a with n*a = 0, in lexicographic order."""
+    return [fiber.elements[i] for i in fiber.torsion_indices(n)]
+
+
+def fixed_cosets(group: FiniteGroup, k: Subgroup, l: Subgroup) -> np.ndarray:
+    """The left coset reps s of L, ascending, with K <= sLs^-1: the cosets
+    sL that K fixes (the one-pair case of ``_fixed_by``)."""
+    fixed = next(_fixed_by(group, [k], [l]))
+    return left_coset_reps(group, l)[fixed[:, 0]]
+
+
+def mark(group: FiniteGroup, k: Subgroup, l: Subgroup) -> int:
+    """Number of cosets sL fixed by K, i.e. with K <= sLs^-1."""
+    return len(fixed_cosets(group, k, l))
+
+
+def double_coset_reps(group: FiniteGroup, k: Subgroup, l: Subgroup) -> list[int]:
+    """Least-element representatives of the double cosets K\\G/L,
+    ascending (the one-pair case of ``double_cosets``)."""
+    return double_cosets(group, [k], [l])[1].tolist()
+
+
+def gamma_block(k_sub: Subgroup, l_sub: Subgroup,
+                fiber: AbelianFiber) -> np.ndarray:
+    """Gamma coefficients of every (K, phi) against every (L, psi).
+
+    Entry [a, b] counts the cosets sL with K <= sLs^-1 on which the
+    conjugate of the b-th character of Hom(L, A) restricts to the a-th
+    character of Hom(K, A); rows and columns follow ``CharIndex`` order.
+    Both subgroups must live over the same group. This is the one-pair
+    case of ``gamma_rows``: row 0 of the kernel over [K, L], at the
+    columns of L, or over [K] alone when L is K."""
+    if k_sub == l_sub:
+        return gamma_rows([k_sub], fiber)(0)
+    return gamma_rows([k_sub, l_sub], fiber)(0)[
+        :, len(char_index(k_sub, fiber).values):]
+
+
+def gamma_table(basis: MonomialBasis) -> np.ndarray:
+    """Gamma coefficients of every basis pair against every basis pair: the
+    rows of ``gamma_class_rows`` in one array. The CLI writes those rows as
+    they come and never holds this table, 3.4 MB in int8 for (C2)^4 over
+    C2 x C2."""
+    return np.concatenate(list(gamma_class_rows(basis)))
+
+
+# ---------------------------------------------------------------------------
+# Ring elements
+
+
+class ComponentMismatch(AlgebraError):
+    """Two ghost elements over different ghost rings were combined."""
+
+
+def basis_element(basis: MonomialBasis, i: int) -> "BurnsideElement":
+    coeffs = [0] * basis.size
+    coeffs[i] = 1
+    return BurnsideElement(basis, coeffs)
+
+
+def identity_index(basis: MonomialBasis) -> int:
+    full = basis.class_table.class_of(
+        Subgroup(basis.group, range(basis.group.order), verify=False))
+    return int(basis.char_to_basis[full][0])   # the trivial character
+
+
+def identity_element(basis: MonomialBasis) -> "BurnsideElement":
+    return basis_element(basis, identity_index(basis))
+
+
+class BurnsideElement:
+    """Integer vector over the monomial orbit basis."""
+
+    __slots__ = ("basis", "coeffs")
+
+    def __init__(self, basis: MonomialBasis, coeffs: Sequence[int]):
+        coeffs = [int(c) for c in coeffs]
+        if len(coeffs) != basis.size:
+            raise ValueError("coefficient vector has the wrong length")
+        self.basis = basis
+        self.coeffs = coeffs
+
+    def __add__(self, other: "BurnsideElement") -> "BurnsideElement":
+        self._check(other)
+        return BurnsideElement(self.basis,
+                               [a + b for a, b in zip(self.coeffs, other.coeffs)])
+
+    def __sub__(self, other: "BurnsideElement") -> "BurnsideElement":
+        self._check(other)
+        return BurnsideElement(self.basis,
+                               [a - b for a, b in zip(self.coeffs, other.coeffs)])
+
+    def _check(self, other: "BurnsideElement") -> None:
+        if self.basis is not other.basis:
+            raise ComponentMismatch("elements over different bases")
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, BurnsideElement)
+                and self.basis is other.basis and self.coeffs == other.coeffs)
+
+    def __hash__(self):
+        return hash((id(self.basis), tuple(self.coeffs)))
+
+    def __repr__(self) -> str:
+        return f"BurnsideElement({self.coeffs})"
+
+
+def multiply(x: BurnsideElement, y: BurnsideElement) -> BurnsideElement:
+    """Bilinear extension of the double-coset product of basis orbits."""
+    if x.basis is not y.basis:
+        raise ComponentMismatch("elements over different bases")
+    basis = x.basis
+    out = [0] * basis.size
+    terms_y = [(j, b) for j, b in enumerate(y.coeffs) if b]
+    for i, a in ((i, a) for i, a in enumerate(x.coeffs) if a):
+        for j, b in terms_y:
+            for idx, c in basis.product(i, j):
+                out[idx] += a * b * c
+    return BurnsideElement(basis, out)
+
+
+# ---------------------------------------------------------------------------
+# Ghost ring
+
+
+class GhostRing:
+    """Product over subgroup classes of the group rings of Hom(K, A),
+    restricted (by construction of its elements) to normalizer-fixed points."""
+
+    def __init__(self, basis: MonomialBasis):
+        self.basis = basis
+        self.mul_tables = [c.table for c in basis._homs.chars]
+        self.sizes = basis._homs.n_homs.tolist()   # |Hom(K, A)| per class
+
+    def zero(self) -> "GhostElement":
+        return GhostElement(self, [[0] * n for n in self.sizes])
+
+    def identity(self) -> "GhostElement":
+        # the trivial character of each class is its index 0
+        return GhostElement(self, [[1] + [0] * (n - 1) for n in self.sizes])
+
+
+class GhostElement:
+    """Per subgroup class, an integer vector over Hom(K, A)."""
+
+    __slots__ = ("ring", "comps")
+
+    def __init__(self, ring: GhostRing, comps: Sequence[Sequence[int]]):
+        comps = [[int(c) for c in comp] for comp in comps]
+        if [len(comp) for comp in comps] != ring.sizes:
+            raise ComponentMismatch("component shapes do not match the ring")
+        self.ring = ring
+        self.comps = comps
+
+    def __add__(self, other: "GhostElement") -> "GhostElement":
+        if other.ring is not self.ring:
+            raise ComponentMismatch("ghost elements over different rings")
+        return GhostElement(self.ring,
+                            [[a + b for a, b in zip(x, y)]
+                             for x, y in zip(self.comps, other.comps)])
+
+    def is_orbit_closed(self) -> bool:
+        """Each component constant on normalizer orbits of characters."""
+        basis = self.ring.basis   # each equals its orbit rep's entry
+        return all(comp == [comp[basis.rep_hom_index[b]] for b in orb.tolist()]
+                   for comp, orb in zip(self.comps, basis.char_to_basis))
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, GhostElement)
+                and self.ring is other.ring and self.comps == other.comps)
+
+    def __hash__(self):
+        return hash((id(self.ring), tuple(tuple(c) for c in self.comps)))
+
+    def __repr__(self) -> str:
+        return f"GhostElement({self.comps})"
+
+
+def ghost_multiply(a: GhostElement, b: GhostElement) -> GhostElement:
+    """Componentwise group-ring convolution."""
+    if a.ring is not b.ring:
+        raise ComponentMismatch("ghost elements over different rings")
+    ring = a.ring
+    out = []
+    for table, x, y in zip(ring.mul_tables, a.comps, b.comps):
+        comp = [0] * len(x)
+        for i, xi in enumerate(x):
+            if not xi:
+                continue
+            for j, yj in enumerate(y):
+                if not yj:
+                    continue
+                comp[table[i][j]] += xi * yj
+        out.append(comp)
+    return GhostElement(ring, out)
+
+
+@functools.cache
+def ghost_ring(basis: MonomialBasis) -> GhostRing:
+    """The ghost ring of ``basis``, one per basis, so that the images of
+    one basis can be compared."""
+    return GhostRing(basis)
+
+
+def mark_morphism(basis: MonomialBasis, x: BurnsideElement) -> GhostElement:
+    """Image of x under the mark morphism into the reduced ghost ring.
+
+    The K-component of the image of a basis orbit [L, psi] is the vector of
+    gamma coefficients over Hom(K, A), extended linearly. The gamma rows
+    come from the basis, so each class row is computed once.
+    """
+    if x.basis is not basis:
+        raise ComponentMismatch("element over a different basis")
+    ring = ghost_ring(basis)
+    comps = ring.zero().comps
+    for j, c in enumerate(x.coeffs):
+        if not c:
+            continue
+        cj, b = basis.rep_class[j], basis.rep_hom_index[j]
+        for ci, comp in enumerate(comps):
+            column = basis.gamma_block(ci, cj)[:, b].tolist()
+            comps[ci] = [a + c * v for a, v in zip(comp, column)]
+    return GhostElement(ring, comps)

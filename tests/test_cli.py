@@ -3,8 +3,10 @@ determinism. All invocations go through ``cli.main`` in process."""
 
 import argparse
 import ast
+import collections
 import hashlib
 import importlib
+import inspect
 import json
 import os
 import pkgutil
@@ -23,11 +25,11 @@ from oracles import a6_cayley_json, hom_set
 
 import fibered_burnside
 from fibered_burnside import cli, group_core
-from fibered_burnside.abelian_fiber import CharIndex
+from fibered_burnside.abelian_fiber import AbelianFiber, CharIndex
 from fibered_burnside.group_core import (Subgroup,
                                          conjugacy_classes_of_subgroups,
                                          cyclic_group, symmetric_group)
-from fibered_burnside.monomial import MonomialBasis
+from fibered_burnside.monomial import MonomialBasis, gamma_rows
 
 
 def run(capsys, *argv):
@@ -1244,25 +1246,103 @@ def test_species_commands_build_no_character_objects(command):
     assert result.get("valid", result.get("witness_valid")) is True
 
 
-def test_package_has_one_character_representation():
-    # Hom(K, A) is held as CharIndex rows and a basis element as its class
-    # and hom index; the Character and MonomialPair objects, which no
-    # command built, live in the test oracles alone
-    removed = {"Character", "trivial_character", "hom_set",
-               "DomainMismatch", "MonomialPair"}
+def _package_modules():
+    """The package and every submodule of it."""
     modules = [fibered_burnside] + [
         importlib.import_module(f"fibered_burnside.{info.name}")
         for info in pkgutil.iter_modules(fibered_burnside.__path__)]
     assert {m.__name__ for m in modules} >= {
         "fibered_burnside.abelian_fiber", "fibered_burnside.errors",
-        "fibered_burnside.monomial"}
-    for module in modules:
+        "fibered_burnside.group_core", "fibered_burnside.monomial"}
+    return modules
+
+
+def _assert_names_gone(removed, methods):
+    """No module of the package defines or exports a name in ``removed``,
+    and no class in ``methods`` has any of the names listed for it."""
+    for module in _package_modules():
         assert not removed & set(vars(module)), module.__name__
         assert not removed & set(getattr(module, "__all__", ())), \
             module.__name__
-    for cls, names in ((MonomialBasis, ("reps", "stabilizers")),
-                       (Subgroup, ("position", "is_subset_of"))):
+    for cls, names in methods:
         assert not [name for name in names if hasattr(cls, name)]
+
+
+def test_package_has_one_character_representation():
+    # Hom(K, A) is held as CharIndex rows and a basis element as its class
+    # and hom index; the Character and MonomialPair objects, which no
+    # command built, live in the test oracles alone
+    _assert_names_gone(
+        {"Character", "trivial_character", "hom_set", "DomainMismatch",
+         "MonomialPair"},
+        ((MonomialBasis, ("reps", "stabilizers")),
+         (Subgroup, ("position", "is_subset_of"))))
+
+
+def test_package_has_no_ring_layer_or_one_pair_wrappers():
+    # no command builds a ring element, a ghost element or the mark
+    # morphism, or asks a batched kernel for one pair: those live in the
+    # test oracles alone, and the gamma kernel takes one list of subgroups
+    _assert_names_gone(
+        {"BurnsideElement", "multiply", "GhostRing", "GhostElement",
+         "ghost_multiply", "ghost_ring", "mark_morphism", "gamma_table",
+         "gamma_block", "mark", "fixed_cosets", "double_coset_reps",
+         "neg_table", "ComponentMismatch"},
+        ((MonomialBasis, ("basis_element", "identity_index",
+                          "identity_element", "_ghost_ring")),
+         (group_core.FiniteGroup, ("element_order",)),
+         (AbelianFiber, ("add", "neg", "torsion_elements")),
+         (AbelianFiber((2,)), ("neg_table",))))
+    assert list(inspect.signature(gamma_rows).parameters) == ["subs", "fiber"]
+    for module in _package_modules():
+        missing = [name for name in getattr(module, "__all__", ())
+                   if not hasattr(module, name)]
+        assert not missing, module.__name__
+
+
+# Top-level functions and classes, and methods, that nothing in the package
+# refers to, each with the reason it stays
+UNREFERENCED = {
+    "trivial_group": "public constructor of the one-element group, "
+                     "exported beside cyclic_group",
+}
+
+
+def test_package_defines_nothing_it_never_uses():
+    # a definition is used when some Name or Attribute node of the package
+    # outside the definition itself carries its name; imports and __all__
+    # strings do not count, so what only the tests reach shows here
+    paths = sorted(Path(fibered_burnside.__file__).parent.rglob("*.py"))
+    trees = [ast.parse(path.read_text(), str(path)) for path in paths]
+
+    def names(node):
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name):
+                yield sub.id
+            elif isinstance(sub, ast.Attribute):
+                yield sub.attr
+
+    used = collections.Counter(name for tree in trees for name in names(tree))
+    unused = []
+    for tree in trees:
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                defs = [node]
+            elif isinstance(node, ast.ClassDef):
+                defs = [node] + [
+                    item for item in node.body
+                    if isinstance(item, ast.FunctionDef)
+                    and not (item.name.startswith("__")
+                             and item.name.endswith("__"))]
+            else:
+                continue
+            for defn in defs:
+                own = collections.Counter(names(defn))
+                if used[defn.name] == own[defn.name]:
+                    unused.append(defn.name)
+    assert len(paths) >= 8 and len(used) > 500
+    assert sorted(set(unused) - set(UNREFERENCED)) == []
+    assert sorted(set(UNREFERENCED) - set(unused)) == []
 
 
 def test_package_has_no_assert_statements():
