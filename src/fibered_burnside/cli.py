@@ -11,10 +11,12 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import re
 import sys
 import time
 from collections.abc import Iterable, Iterator
-from typing import NamedTuple, Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -274,13 +276,15 @@ def cmd_reproduce_paper(p: int = 11, q: int = 5,
 # Entry point
 
 
-class _Matrix(NamedTuple):
+@dataclass(frozen=True)
+class _Matrix:
     """An integer matrix as its blocks of rows: 2-D ndarrays of one width,
     at least 1, each made when it is written."""
     blocks: Iterable[np.ndarray]
 
 
-class _Pairs(NamedTuple):
+@dataclass(frozen=True)
+class _Pairs:
     """Monomial pairs as the list of their ``{"character": [...],
     "subgroup": [...]}`` objects: ``classes`` yields, one subgroup at a
     time, its members and the characters of its pairs, one row of indices
@@ -348,87 +352,65 @@ def _write_rows(blocks: Iterable[np.ndarray], write, first: str, lead: str,
     return rows
 
 
-def _write_json(obj, write, level: int = 0) -> None:
-    """Send ``obj`` through ``write`` as the ASCII bytes of
-    ``json.dumps(obj, sort_keys=True, indent=2)`` nested ``level`` deep, in
-    writes of about 64 KB. ``write`` takes a bytes-like object and is done
-    with it when it returns.
+def _write_json(report, write) -> None:
+    """Send ``report`` through ``write`` as the ASCII bytes of
+    ``json.dumps(report, sort_keys=True, indent=2)``. ``write`` takes a
+    bytes-like object and is done with it when it returns.
 
-    An ndarray goes out as its ``.tolist()`` would, an iterator as the list
-    of its items, and a ``_Matrix`` as the list of its rows, each made when
-    it is written. A 2-D integer ndarray goes out by ``_write_rows``, a
-    list or tuple of plain ints (never bools) as one piece, and a
-    ``_Pairs`` as the list of its pairs, each one piece from
-    ``_pair_texts``. Dict keys must be strings, as in every report; others
-    raise TypeError."""
-    parts, size = [], 0
+    A ``_Matrix`` goes out as the list of its rows and a ``_Pairs`` as the
+    list of its pairs, each made when it is written: ``json.dumps`` leaves
+    a marker string in their place, and the text between markers is
+    written as it is. The rows go by ``_write_rows``, and the pairs, from
+    ``_pair_texts``, with the text around them in writes of about 64 KB.
+    Any other value that JSON cannot encode raises TypeError."""
+    holes: list = []
+    mark = "\0"
 
-    def flush() -> None:
-        nonlocal size
-        write("".join(parts).encode())
-        parts.clear()
-        size = 0
+    def hole(value) -> str:
+        if not isinstance(value, (_Matrix, _Pairs)):
+            raise TypeError(f"Object of type {type(value).__name__} "
+                            "is not JSON serializable")
+        holes.append(value)
+        return mark + str(len(holes) - 1)
 
-    def put(text: str) -> None:
-        nonlocal size
-        parts.append(text)
-        size += len(text)
-        if size >= 1 << 16:
-            flush()
-
-    def emit(obj, level: int) -> None:
-        if isinstance(obj, _Pairs):
-            sep = "[\n" + "  " * (level + 1)
-            for text in _pair_texts(obj, level):
-                put(sep)
-                put(text)
-                sep = ",\n" + "  " * (level + 1)
-            return put("[]" if sep[0] == "[" else "\n" + "  " * level + "]")
-        if isinstance(obj, np.ndarray) and (obj.ndim != 2
-                                            or obj.dtype.kind not in "iu"):
-            obj = obj.tolist()      # only integer matrices go by template
-        if isinstance(obj, _Matrix) or (isinstance(obj, np.ndarray)
-                                        and obj.size):
-            flush()
-            inner = "\n" + "  " * (level + 1)
+    while True:
+        holes.clear()
+        text = json.dumps(report, sort_keys=True, indent=2, default=hole)
+        # text and hole numbers by turns; a report string that reads as a
+        # marker makes one number too many, and a longer mark follows
+        split = re.split('"' + re.escape(json.dumps(mark)[1:-1]) + r'(\d+)"',
+                         text)
+        if len(split) == 2 * len(holes) + 1:
+            break
+        mark += "\0"
+    parts, size = [split[0]], 0
+    for at in range(1, len(split), 2):
+        value = holes[int(split[at])]
+        line = split[at - 1][split[at - 1].rfind("\n") + 1:]
+        level = (len(line) - len(line.lstrip(" "))) // 2
+        inner = "\n" + "  " * (level + 1)
+        close = "\n" + "  " * level + "]"
+        if isinstance(value, _Matrix):
+            write("".join(parts).encode())
+            parts, size = [], 0
             entry = inner + "  "
             head = inner + "[" + entry      # what comes before a row's entries
-            return put("\n" + "  " * level + "]" if _write_rows(
-                getattr(obj, "blocks", [obj]), write, "[" + head, "," + head,
-                "," + entry, inner + "]") else "[]")
-        is_iter = not isinstance(obj, (np.ndarray, dict, list, tuple))
-        if is_iter and not isinstance(obj, Iterator):
-            return put(json.dumps(obj))
-        is_dict = isinstance(obj, dict)
-        if not (is_iter or len(obj)):
-            return put("{}" if is_dict else "[]")
-        inner = "\n" + "  " * (level + 1)
-        close = "\n" + "  " * level + ("}" if is_dict else "]")
-        kinds = set(map(type, obj)) if isinstance(obj, (list, tuple)) else ()
-        if is_dict:
-            sep = "{" + inner
-            for key, value in sorted(obj.items()):
-                if not isinstance(key, str):
-                    raise TypeError("report keys must be str, not "
-                                    f"{type(key).__name__}")
-                put(sep + json.dumps(key) + ": ")
-                emit(value, level + 1)
-                sep = "," + inner
-        elif kinds == {int}:
-            return put("[" + inner + ("," + inner).join(map(str, obj))
-                       + close)
+            if not _write_rows(value.blocks, write, "[" + head, "," + head,
+                               "," + entry, inner + "]"):
+                close = "[]"
         else:
             sep = "[" + inner
-            for item in obj:
-                put(sep)
-                emit(item, level + 1)
+            for piece in _pair_texts(value, level):
+                parts += sep, piece
+                size += len(piece)
+                if size >= 1 << 16:
+                    write("".join(parts).encode())
+                    parts, size = [], 0
                 sep = "," + inner
-            if sep[0] == "[":       # an iterator with no items
-                return put("[]")
-        put(close)
-
-    emit(obj, level)
-    flush()
+            if sep[0] == "[":
+                close = "[]"
+        parts += close, split[at + 1]
+    write("".join(parts).encode())
 
 
 def _emit(report: dict, code: int, args) -> int:

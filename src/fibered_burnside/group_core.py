@@ -125,9 +125,6 @@ class FiniteGroup:
     def is_abelian(self) -> bool:
         return bool(np.array_equal(self.mul, self.mul.T))
 
-    def elements(self) -> range:
-        return range(self.order)
-
     def __repr__(self) -> str:
         return f"FiniteGroup({self.name}, order={self.order})"
 
@@ -392,7 +389,7 @@ def closure(group: FiniteGroup, gens: Iterable[int]) -> tuple[int, ...]:
 class Subgroup:
     """An exactly represented subgroup: its sorted member tuple."""
 
-    __slots__ = ("group", "members", "_gens", "_pos")
+    __slots__ = ("group", "members", "_gens")
 
     def __init__(self, group: FiniteGroup, members: Iterable[int],
                  *, verify: bool = True):
@@ -408,7 +405,6 @@ class Subgroup:
         self.group = group
         self.members = mem
         self._gens: Optional[tuple[int, ...]] = None
-        self._pos: Optional[dict[int, int]] = None
 
     @classmethod
     def generated(cls, group: FiniteGroup, gens: Iterable[int]) -> "Subgroup":
@@ -417,14 +413,6 @@ class Subgroup:
     @property
     def order(self) -> int:
         return len(self.members)
-
-    def _positions(self) -> dict[int, int]:
-        if self._pos is None:
-            self._pos = {m: i for i, m in enumerate(self.members)}
-        return self._pos
-
-    def __contains__(self, g: int) -> bool:
-        return int(g) in self._positions()
 
     def generators(self) -> tuple[int, ...]:
         """A generating sequence. A subgroup from ``enumerate_subgroups``
@@ -832,19 +820,11 @@ def conjugacy_classes_of_subgroups(
         if len(chosen) != len(orbits):
             raise ValueError(
                 f"transversal has {len(chosen)} subgroups, expected {len(orbits)}")
-        reordered = []
-        used = [False] * len(orbits)
-        for s in chosen:
-            hit = None
-            for i, orbit in enumerate(orbits):
-                if s.members in orbit:
-                    hit = i
-                    break
-            if hit is None or used[hit]:
-                raise ValueError("supplied subgroups are not a transversal")
-            used[hit] = True
-            reordered.append(orbits[hit])
-        orbits = reordered
+        orbit_of = {mem: i for i, orbit in enumerate(orbits) for mem in orbit}
+        hits = [orbit_of.get(s.members) for s in chosen]
+        if None in hits or len(set(hits)) != len(hits):
+            raise ValueError("supplied subgroups are not a transversal")
+        orbits = [orbits[i] for i in hits]
     class_of: dict[tuple[int, ...], int] = {}
     transporter: dict[tuple[int, ...], int] = {}
     for ci, (rep, orbit) in enumerate(zip(chosen, orbits)):

@@ -819,7 +819,7 @@ def reference_span(coords: dict) -> list:
 
 def reference_element_orders(group: FiniteGroup) -> list[int]:
     """The order of every element, one element and one power at a time."""
-    return [_element_order(g, group.m, 0) for g in group.elements()]
+    return [_element_order(g, group.m, 0) for g in range(group.order)]
 
 
 def _element_order(e, mulfn, identity) -> int:

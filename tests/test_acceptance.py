@@ -93,7 +93,7 @@ def test_criterion_2_conjugacy_detection(report_line, pair_gamma):
     for g in groups:
         for fiber in (AbelianFiber((2,)), AbelianFiber((6,))):
             pairs = all_monomial_pairs(g, fiber)
-            orbits = [{p.conjugate(s).key() for s in g.elements()}
+            orbits = [{p.conjugate(s).key() for s in range(g.order)}
                       for p in pairs]
             gamma = pair_gamma(g, fiber)
             both = (gamma != 0) & (gamma.T != 0)

@@ -342,7 +342,7 @@ def test_constructor_orders():
 
 def test_cyclic_element_orders():
     g = cyclic_group(12)
-    orders = sorted(int(element_order(g, x)) for x in g.elements())
+    orders = sorted(int(element_order(g, x)) for x in range(g.order))
     # one element of each order d | 12, phi(d) many
     assert orders == sorted(
         d for d in (1, 2, 3, 4, 6, 12)
@@ -354,7 +354,7 @@ def test_dihedral_nonabelian():
     g = dihedral_group(4)
     assert not g.is_abelian()
     # n rotations + n reflections of order 2
-    assert sum(1 for x in g.elements() if element_order(g, x) == 2) == 5
+    assert sum(1 for x in range(g.order) if element_order(g, x) == 2) == 5
 
 
 def test_json_round_trip():
@@ -480,7 +480,7 @@ def test_enumeration_sorted_and_lagrange(small_groups):
         keys = [(s.order, s.members) for s in subs]
         assert keys == sorted(keys)
         assert all(g.order % s.order == 0 for s in subs)
-        assert all(0 in s for s in subs)
+        assert all(0 in s.members for s in subs)
 
 
 def test_order_605_census(tg_11_5_a):
@@ -721,7 +721,8 @@ def test_class_reps_lex_least(small_groups):
     for g in small_groups:
         table = conjugacy_classes_of_subgroups(g)
         for rep in table.reps:
-            orbit = {conjugate_subgroup(g, x, rep).members for x in g.elements()}
+            orbit = {conjugate_subgroup(g, x, rep).members
+                     for x in range(g.order)}
             assert rep.members == min(orbit)
 
 
@@ -747,6 +748,35 @@ def test_default_class_table_shared_with_its_transversal(d4):
     other = conjugacy_classes_of_subgroups(d4, reps=reps)
     assert other is not table
     assert [s.members for s in other.reps] == [s.members for s in reps]
+
+
+def test_transversal_of_the_wrong_size_is_rejected(d4):
+    reps = conjugacy_classes_of_subgroups(d4).reps
+    with pytest.raises(ValueError, match=f"transversal has {len(reps) - 1} "
+                       f"subgroups, expected {len(reps)}"):
+        conjugacy_classes_of_subgroups(d4, reps=reps[:-1])
+
+
+def test_transversal_with_two_reps_of_one_class_is_rejected(d4):
+    reps = list(conjugacy_classes_of_subgroups(d4).reps)
+    ci, other = next(
+        (ci, moved) for ci, rep in enumerate(reps)
+        for moved in (conjugate_subgroup(d4, x, rep) for x in range(d4.order))
+        if moved.members != rep.members)
+    # the conjugate stands in for another class's rep, so the count holds
+    reps[ci - 1] = other
+    with pytest.raises(ValueError, match="not a transversal"):
+        conjugacy_classes_of_subgroups(d4, reps=reps)
+
+
+def test_transversal_with_a_set_that_is_no_subgroup_is_rejected(d4):
+    reps = list(conjugacy_classes_of_subgroups(d4).reps)
+    x = int(np.flatnonzero(d4.element_orders == 4)[0])
+    ci = next(ci for ci, rep in enumerate(reps) if rep.order == 2)
+    # {1, x} with x of order 4 is not closed, so it lies in no class
+    reps[ci] = Subgroup(d4, (0, x), verify=False)
+    with pytest.raises(ValueError, match="not a transversal"):
+        conjugacy_classes_of_subgroups(d4, reps=reps)
 
 
 def test_transporter_maps_to_rep(s4):
@@ -787,7 +817,7 @@ def test_mark_conjugation_invariant(d4):
     for k_sub in subs:
         for l_sub in subs:
             m = mark(d4, k_sub, l_sub)
-            for x in d4.elements():
+            for x in range(d4.order):
                 assert mark(d4, conjugate_subgroup(d4, x, k_sub),
                             conjugate_subgroup(d4, x, l_sub)) == m
 
@@ -907,7 +937,7 @@ def test_normalizer_of_whole_group(s3):
 def test_normalizer_brute_force(d4):
     for sub in enumerate_subgroups(d4):
         got = normalizer(d4, sub).members
-        expected = tuple(x for x in d4.elements()
+        expected = tuple(x for x in range(d4.order)
                          if conjugate_subgroup(d4, x, sub).members
                          == sub.members)
         assert got == expected
@@ -930,8 +960,8 @@ def test_isomorphism_is_verified_homomorphism():
     g, h = dihedral_group(3), symmetric_group(3)
     f = are_isomorphic(g, h)
     assert sorted(f) == list(range(6))
-    for a in g.elements():
-        for b in g.elements():
+    for a in range(g.order):
+        for b in range(g.order):
             assert f[g.m(a, b)] == h.m(f[a], f[b])
 
 
@@ -991,7 +1021,7 @@ def test_cyclic_class_lengths_count_conjugates(small_groups, tg_7_3,
     # element; and the closure and normalizer column per cyclic subgroup
     for g in [*small_groups, tg_7_3.group, tg_11_5_a.group, tg_11_5_b.group,
               relabelled(_a6_from_cayley_json(), random.Random(0))]:
-        cyclic = [closure(g, (x,)) for x in g.elements()]
+        cyclic = [closure(g, (x,)) for x in range(g.order)]
         count = {mem: len(set(map(tuple, np.sort(g.conj[:, mem],
                                                  axis=1).tolist())))
                  for mem in set(cyclic)}
@@ -1153,8 +1183,8 @@ def test_abelianization_coords_are_homomorphism(d4):
     full = Subgroup(d4, range(8))
     dec = abelianization(full)
     mods = dec.factors
-    for a in d4.elements():
-        for b in d4.elements():
+    for a in range(d4.order):
+        for b in range(d4.order):
             expect = [(x + y) % m for x, y, m in
                       zip(dec.coords[a], dec.coords[b], mods)]
             assert dec.coords[d4.m(a, b)].tolist() == expect
