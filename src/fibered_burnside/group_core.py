@@ -26,10 +26,10 @@ class FiniteGroup:
 
     The table is validated exactly on construction, at every order:
     Latin-square property, identity at index 0, inverses, and
-    associativity by Light's test on a generating set. ``mul``, ``inv``
-    and ``conj`` are in ``_index_dtype(order)``; a key or a count built
-    from their values is widened to int64 first, as numpy arrays wrap
-    around silently."""
+    associativity by Light's test on a generating set. The stored tables
+    are ``mul`` and ``inv``, in ``_index_dtype(order)``; a key or a count
+    built from their values is widened to int64 first, as numpy arrays
+    wrap around silently. Conjugates come from ``_conjugate``."""
 
     def __init__(self, mul, name: Optional[str] = None):
         table = _square_table(mul)
@@ -57,7 +57,6 @@ class FiniteGroup:
         self.mul: np.ndarray = table
         self.inv: np.ndarray = inv
         self.name: str = name if name is not None else f"group{n}"
-        self._conj: Optional[np.ndarray] = None
         self._element_orders: Optional[np.ndarray] = None
         self._element_classes: Optional[tuple[np.ndarray, np.ndarray]] = None
         self._element_class_sizes: Optional[np.ndarray] = None
@@ -72,18 +71,6 @@ class FiniteGroup:
         return int(self.inv[a])
 
     @property
-    def conj(self) -> np.ndarray:
-        """Table conj[g, x] = g x g^-1."""
-        if self._conj is None:
-            # g x g^-1 = (g (g x)^-1)^-1: three takes along row g, about
-            # 5x faster at order 8405 than the gather mul[mul, inv[:, None]]
-            mul, inv = self.mul, self.inv
-            self._conj = np.empty_like(mul)
-            for g, row in enumerate(mul):
-                inv.take(row.take(inv.take(row)), out=self._conj[g])
-        return self._conj
-
-    @property
     def element_orders(self) -> np.ndarray:
         if self._element_orders is None:
             self._element_orders = _orders(self.mul)
@@ -95,17 +82,18 @@ class FiniteGroup:
         ``reps[c]`` is the least member of class c, ascending, and
         ``label[x]`` is the class of x.
 
-        One orbit ``conj[:, x]`` per class, x its least member; the next x
-        is found by an ``argmin`` over the flags beyond it, so no Python
-        step visits the other members."""
+        One orbit, the conjugates of x by every g, per class, x its least
+        member; the next x is found by an ``argmin`` over the flags beyond
+        it, so no Python step visits the other members."""
         if self._element_classes is None:
             n = self.order
+            every = np.arange(n)
             label = np.empty(n, dtype=np.int64)
             labelled = np.zeros(n, dtype=bool)
             reps: list[int] = []
             x = 0
             while not labelled[x]:
-                orbit = self.conj[:, x].astype(np.intp)
+                orbit = _conjugate(self, every, x).astype(np.intp)
                 label[orbit] = len(reps)
                 labelled[orbit] = True
                 reps.append(x)
@@ -127,6 +115,12 @@ class FiniteGroup:
 
     def __repr__(self) -> str:
         return f"FiniteGroup({self.name}, order={self.order})"
+
+
+def _conjugate(group: FiniteGroup, g, x) -> np.ndarray:
+    """g x g^-1 for index arrays g and x that broadcast, in the group's
+    dtype: two gathers of ``mul``, so no n x n conjugation table is kept."""
+    return group.mul[group.mul[g, x], group.inv[g]]
 
 
 def _index_dtype(n: int) -> type:
@@ -499,8 +493,9 @@ def enumerate_subgroups(group: FiniteGroup) -> list[Subgroup]:
         if norm.size < n:   # a normal S is its only conjugate
             orbit = _conjugates(group, mem_arr,
                                 Subgroup(group, norm.tolist(), verify=False))
-            moved = group.conj[np.fromiter(orbit.values(), dtype=np.int64)[
-                :, None], np.asarray(gens, dtype=np.int64)]
+            moved = _conjugate(
+                group, np.fromiter(orbit.values(), dtype=np.int64)[:, None],
+                np.asarray(gens, dtype=np.int64))
             for conj_mem, conj_gens in zip(orbit, moved.tolist()):
                 seen.setdefault(conj_mem, tuple(conj_gens))
             extended.update(orbit)
@@ -548,16 +543,18 @@ def _perfect_seeds(group: FiniteGroup) -> dict[tuple[int, ...], tuple[int, int]]
     b per orbit <a>{cb^(+-1)c^-1}<a> reaches every class, and the moves
     keep b outside C_G(a). Deduplicating each step keeps it to n x |a|.
     """
-    conj, mul, inv = group.conj, group.mul, group.inv
+    mul, inv = group.mul, group.inv
+    every = np.arange(group.order)
     found: dict[tuple[int, ...], tuple[int, int]] = {}
     tried: set[tuple[int, ...]] = set()
     for a in group.element_classes[0][1:].tolist():
         powers = np.asarray(closure(group, (a,)), dtype=np.int64)
-        centralizer = np.flatnonzero(conj[:, a] == a)
+        centralizer = np.flatnonzero(_conjugate(group, every, a) == a)
         covered = _indicator(group.order, centralizer)
         while not covered.all():
             b = int(np.argmin(covered))   # the least b not yet reached
-            moved = _sorted_unique(conj[centralizer[:, None], (b, inv[b])])
+            moved = _sorted_unique(_conjugate(group, centralizer[:, None],
+                                              np.asarray((b, inv[b]))))
             moved = _sorted_unique(mul[powers[:, None], moved])
             covered[mul[moved[:, None], powers]] = True
             mem = closure(group, (a, b))
@@ -585,8 +582,8 @@ def _conjugates(group: FiniteGroup, members: Sequence[int],
     one coset.
     """
     reps = left_coset_reps(group, norm)
-    rows = np.sort(group.conj[reps[:, None],
-                              np.asarray(members, dtype=np.int64)], axis=1)
+    rows = np.sort(_conjugate(group, reps[:, None],
+                              np.asarray(members, dtype=np.int64)), axis=1)
     return dict(zip(map(tuple, rows.tolist()), reps.tolist()))
 
 
@@ -664,9 +661,8 @@ def _fixed_by(group: FiniteGroup, ks: Sequence[Subgroup],
     for l in ls:
         reps = left_coset_reps(group, l)
         inside_l = _indicator(group.order, l.members)
-        yield np.logical_and.reduceat(
-            inside_l[group.conj[group.inv[reps][:, None], gens]], starts,
-            axis=1)
+        moved = _conjugate(group, group.inv[reps][:, None], gens)
+        yield np.logical_and.reduceat(inside_l[moved], starts, axis=1)
 
 
 def _marks(group: FiniteGroup, subs: Sequence[Subgroup]) -> list[list[int]]:
@@ -744,7 +740,8 @@ def _normalizing(group: FiniteGroup, inside: np.ndarray,
     That is N_G(S): gSg^-1 is generated by the conjugates of ``gens``, so
     it lies in S, and it has the order of S, so it equals S.
     """
-    block = group.conj[:, np.asarray(gens, dtype=np.int64)]
+    block = _conjugate(group, np.arange(group.order)[:, None],
+                       np.asarray(gens, dtype=np.int64))
     return np.flatnonzero(inside[block.astype(np.intp)].all(axis=1))
 
 
@@ -1012,7 +1009,7 @@ def commutator_subgroup(sub: Subgroup) -> Subgroup:
         return Subgroup(group, (0,), verify=False)
     while True:
         members = closure(group, normal_gens)
-        conjugates = group.conj[np.ix_(gens, normal_gens)].ravel()
+        conjugates = _conjugate(group, gens[:, None], normal_gens).ravel()
         missing = conjugates[~_indicator(group.order, members)[conjugates]]
         if not missing.size:
             return Subgroup(group, members, verify=False)
@@ -1226,7 +1223,8 @@ def are_isomorphic(g: FiniteGroup, h: FiniteGroup) -> Optional[list[int]]:
             m += 1
         pow_rel.append((m, e))
         conj_rel.append([(i, t) for i, t in
-                         enumerate(g.conj[gj, gens[:j]].tolist()) if t in prev])
+                         enumerate(_conjugate(g, gj, gens[:j]).tolist())
+                         if t in prev])
 
     trees = [_spanning_tree(g, [0] if j == 0 else chain[j - 1], gens[:j + 1])
              for j in range(k)]
@@ -1257,14 +1255,19 @@ def are_isomorphic(g: FiniteGroup, h: FiniteGroup) -> Optional[list[int]]:
                 c_pow = h.mul[c_pow, cands]
             cands = cands[c_pow == f_prev[target]]
             for i, t in conj_rel[level]:
-                cands = cands[h.conj[cands, images[i]] == f_prev[t]]
+                cands = cands[_conjugate(h, cands, images[i]) == f_prev[t]]
         for c in cands.tolist():
             images.append(c)
             f = extend(level, f_prev)
             if f is not None:
                 if level == k - 1:
-                    f = f.astype(h.mul.dtype)   # n x n gathers in that dtype
-                    if np.array_equal(f[g.mul], h.mul[np.ix_(f, f)]):
+                    f = f.astype(h.mul.dtype)   # gathers in that dtype
+                    # f(xy) = f(x)f(y) for all pairs, in row order, in
+                    # blocks of about 2^20 pairs: no transient is n x n
+                    step = max(1, 2 ** 20 // n)
+                    if all(np.array_equal(f[g.mul[x:x + step]],
+                                          h.mul[f[x:x + step, None], f])
+                           for x in range(0, n, step)):
                         return f.tolist()
                 else:
                     result = backtrack(level + 1, f)

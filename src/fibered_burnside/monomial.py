@@ -21,9 +21,10 @@ import numpy as np
 from .abelian_fiber import AbelianFiber, char_index
 from .errors import NotAGroup
 from .group_core import (FiniteGroup, Subgroup, SubgroupClassTable,
-                         _fixed_by, _index_dtype, _sorted_unique, _starts,
-                         conjugacy_classes_of_subgroups, double_cosets,
-                         enumerate_subgroups, left_coset_reps, normalizer)
+                         _conjugate, _fixed_by, _index_dtype, _sorted_unique,
+                         _starts, conjugacy_classes_of_subgroups,
+                         double_cosets, enumerate_subgroups, left_coset_reps,
+                         normalizer)
 
 
 class _HomLayout:
@@ -75,7 +76,7 @@ class _HomLayout:
         target = np.asarray(target)
         width = int(self.n_gens[target].max(initial=1))
         c, r, t = (np.asarray(v)[..., None] for v in (c, r, t))
-        x = self.group.conj[t, self.gens[:, :width][target]]
+        x = _conjugate(self.group, t, self.gens[:, :width][target])
         vals = self.vals[self.start[c] + r * self.orders[c] + self.pos[c, x]]
         return self.key_start[target] + (
             vals * self.weights[:, :width][target]).sum(axis=-1)
@@ -194,7 +195,8 @@ def gamma_rows(subs: Sequence[Subgroup],
             else:
                 restrict_rows(a, a + 1)
         out = np.zeros((homs.n_homs[a], width), dtype=dtype)
-        np.add.at(out.reshape(-1), pending.pop(a), 1)
+        # a count of the output's dtype keeps ufunc.at on its fast path
+        np.add.at(out.reshape(-1), pending.pop(a), out.dtype.type(1))
         return out
     return row_of
 
@@ -399,7 +401,8 @@ class MonomialBasis:
         at_l = np.arange(seg.size) - np.repeat(_starts(lens), lens)
         members = np.concatenate([np.asarray(r.members, dtype=np.int64)
                                   for r in reps])
-        conj_l = group.conj[s[seg], members[_starts(orders)[cj][seg] + at_l]]
+        conj_l = _conjugate(group, s[seg],
+                            members[_starts(orders)[cj][seg] + at_l])
         # the members of M = K n ^sL
         in_k = homs.pos[ci[seg], conj_l] >= 0
         sizes = np.bincount(seg[in_k], minlength=s.size)

@@ -92,7 +92,8 @@ def reference_closure(group: FiniteGroup, gens: Iterable[int]) -> tuple[int, ...
 def conjugate_members(group: FiniteGroup, g: int,
                       members: Sequence[int]) -> tuple[int, ...]:
     """The sorted members of g S g^-1, one member at a time."""
-    return tuple(sorted(int(group.conj[g, m]) for m in members))
+    conj = reference_conj(group)
+    return tuple(sorted(int(conj[g, m]) for m in members))
 
 
 def conjugate_subgroup(group: FiniteGroup, g: int, sub: Subgroup) -> Subgroup:
@@ -329,7 +330,7 @@ def reference_perfect_seeds(group: FiniteGroup) -> set[tuple[int, ...]]:
     P is cyclic), and b taken up to conjugation by C_G(a), since
     <a, cbc^-1> = c<a, b>c^-1 for c in C_G(a).
     """
-    conj = group.conj
+    conj = reference_conj(group)
     reps = _orbit_reps(conj, np.arange(group.order))
     found: set[tuple[int, ...]] = set()
     tried: set[tuple[int, ...]] = set()
@@ -421,8 +422,9 @@ class Character:
         """The conjugate character on ^gK, x -> value(g^-1 x g)."""
         group, value = self.domain.group, dict(zip(self.domain.members,
                                                    self.values))
-        members = sorted(group.conj[g, list(self.domain.members)].tolist())
-        back = group.conj[group.inverse(g), members].tolist()
+        conj = reference_conj(group)
+        members = sorted(conj[g, list(self.domain.members)].tolist())
+        back = conj[group.inverse(g), members].tolist()
         return Character(Subgroup(group, members, verify=False), self.fiber,
                          [value[x] for x in back], verify=False)
 
@@ -614,7 +616,7 @@ def reference_are_isomorphic(g: FiniteGroup,
     seen = np.zeros(n, dtype=bool)
     for x in range(n):
         if not seen[x]:
-            seen[np.unique(h.conj[:, x])] = True
+            seen[np.unique(reference_conj(h)[:, x])] = True
             h_class_reps.append(x)
     cand_lists = []
     for j, gen in enumerate(gens):
@@ -925,7 +927,7 @@ def reference_product(basis: MonomialBasis, i: int, j: int,
             cache["rep", k] = basis_pair(basis, k)
     (k_sub, phi), (l_sub, psi) = ((p.subgroup, p.char) for p in
                                   (cache["rep", i], cache["rep", j]))
-    conj, inv = group.conj, group.inv
+    conj, inv = reference_conj(group), group.inv
     out: Counter = Counter()
     for s in reference_double_coset_reps(group, k_sub, l_sub):
         smask = 0
@@ -956,14 +958,14 @@ def reference_m_classes(basis: MonomialBasis) -> tuple[list[int], list[int]]:
     transporter of M to its class rep: M's members sorted in a Python loop
     and located one coset at a time."""
     group, table = basis.group, basis.class_table
-    reps = table.reps
+    reps, conj = table.reps, reference_conj(basis.group)
     pair, s = double_cosets(group, reps, reps)
     cm, transporters = [], []
     for p, x in zip(pair.tolist(), s.tolist()):
         ci, cj = divmod(p, len(reps))
         if ci <= cj:
             k_members = set(reps[ci].members)
-            m = tuple(sorted(v for v in (int(group.conj[x, y])
+            m = tuple(sorted(v for v in (int(conj[x, y])
                                          for y in reps[cj].members)
                              if v in k_members))
             c, g = reference_locate(table, m)
@@ -986,8 +988,8 @@ def reference_mackey_block(basis: MonomialBasis, ci: int,
                       dtype=np.int64)
     # row r holds ^sL for s = reps[r]; its members in K are M = K n ^sL,
     # which sort first once the others are replaced by the order of G
-    conj_l = group.conj[reps[:, None],
-                        np.asarray(l_sub.members, dtype=np.int64)]
+    conj_l = reference_conj(group)[reps[:, None],
+                                   np.asarray(l_sub.members, dtype=np.int64)]
     in_k = k_chars.pos[conj_l] >= 0
     sizes = in_k.sum(axis=1)
     # |KsL| = |K| |L| / |M|, and the double cosets partition G
@@ -1007,10 +1009,10 @@ def reference_mackey_block(basis: MonomialBasis, ci: int,
     for cm, at in cosets_of.items():
         m_chars = char_index(table.reps[cm], fiber)
         # generators of each M, carried over from those of its class rep
-        gens = group.conj[g_inv[at, None], m_chars.gens]
+        gens = reference_conj(group)[g_inv[at, None], m_chars.gens]
         # (phi * psi^s)(m) = phi(m) + psi(s^-1 m s), on the axes
         # (a, b, coset, generator)
-        l_pos = l_chars.pos[group.conj[s_inv[at, None], gens]]
+        l_pos = l_chars.pos[reference_conj(group)[s_inv[at, None], gens]]
         vals = fiber.add_table[k_vals[:, k_chars.pos[gens]][:, None],
                                l_vals[:, l_pos][None]]
         terms[:, :, at] = basis.char_to_basis[cm][char_lookup(m_chars, vals)]
@@ -1048,8 +1050,8 @@ def reference_mackey_row(basis: MonomialBasis,
     at_l = np.arange(seg.size) - np.repeat(_starts(lens), lens)
     l_members = np.concatenate([np.asarray(l_sub.members, dtype=np.int64)
                                 for l_sub in l_subs])
-    conj_l = group.conj[s[seg],
-                        l_members[_starts(l_orders)[pair][seg] + at_l]]
+    conj_l = reference_conj(group)[
+        s[seg], l_members[_starts(l_orders)[pair][seg] + at_l]]
     # the members of M = K n ^sL
     in_k = k_chars.pos[conj_l] >= 0
     sizes = np.bincount(seg[in_k], minlength=s.size)
@@ -1095,7 +1097,7 @@ def reference_mackey_row(basis: MonomialBasis,
         at = np.asarray(at, dtype=np.int64)
         m_chars = char_index(table.reps[cm], fiber)
         # generators of each M, carried over from those of its class rep
-        gens = group.conj[g_inv[at, None], m_chars.gens]
+        gens = reference_conj(group)[g_inv[at, None], m_chars.gens]
         # one entry per (coset, b): b runs over the orbit reps of the
         # coset's class cj
         p = pair[at]
@@ -1105,7 +1107,7 @@ def reference_mackey_row(basis: MonomialBasis,
         pu = p[u]
         # (phi * psi^s)(m) = phi(m) + psi(s^-1 m s), on the axes
         # (a, (coset, b), generator)
-        x = group.conj[s_inv[at, None], gens]
+        x = reference_conj(group)[s_inv[at, None], gens]
         psi = l_vals[(l_vals_start[pu] + b * l_orders[pu])[:, None]
                      + l_pos[p[:, None], x][u]]
         vals = fiber.add_table[k_vals[:, k_chars.pos[gens]][:, u],
@@ -1184,7 +1186,7 @@ def _normalizer_char_action(k_sub: Subgroup, homs: Sequence[Character],
     perms: dict[int, list[int]] = {}
     for n in norm.members:
         ninv = group.inverse(n)
-        perm_pos = pos[group.conj[ninv, mem]]
+        perm_pos = pos[reference_conj(group)[ninv, mem]]
         permuted = vals[:, perm_pos]
         perms[n] = [lookup[tuple(int(v) for v in row)] for row in permuted]
     return perms
@@ -1312,7 +1314,7 @@ def reference_class_maps(group: FiniteGroup,
         if s.members in visited:
             continue
         mem = np.asarray(s.members, dtype=np.int64)
-        rows = np.sort(group.conj[:, mem], axis=1)
+        rows = np.sort(reference_conj(group)[:, mem], axis=1)
         orbit: dict[tuple[int, ...], int] = {}
         for g in range(group.order):
             t = tuple(int(v) for v in rows[g])
@@ -1406,18 +1408,23 @@ def reference_inverses(group: FiniteGroup) -> np.ndarray:
     return inv
 
 
+@functools.lru_cache(maxsize=8)
 def reference_conj(group: FiniteGroup) -> np.ndarray:
-    """conj[g, x] = g x g^-1, one row per conjugating element g."""
+    """conj[g, x] = g x g^-1, one row per conjugating element g, as a
+    read-only table kept for the last few groups asked for, as the
+    package stores no conjugation table."""
     n = group.order
     c = np.empty((n, n), dtype=np.int64)
     for g in range(n):
         c[g] = group.mul[group.mul[g], group.inv[g]]
+    c.flags.writeable = False
     return c
 
 
 def reference_element_class_sizes(group: FiniteGroup) -> np.ndarray:
     """The number of distinct conjugates g x g^-1 of each element x."""
-    return np.array([np.unique(group.conj[:, x]).size
+    conj = reference_conj(group)
+    return np.array([np.unique(conj[:, x]).size
                      for x in range(group.order)], dtype=np.int64)
 
 

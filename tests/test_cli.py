@@ -24,7 +24,7 @@ from hypothesis.extra import numpy as hnp
 from oracles import a6_cayley_json, hom_set
 
 import fibered_burnside
-from fibered_burnside import cli, group_core
+from fibered_burnside import cli, group_core, thevenaz
 from fibered_burnside.abelian_fiber import AbelianFiber, CharIndex
 from fibered_burnside.group_core import (Subgroup,
                                          conjugacy_classes_of_subgroups,
@@ -461,6 +461,53 @@ def test_reproduce_builds_each_char_index_once(monkeypatch):
     _, code = cli.cmd_reproduce_paper()
     assert code == 0
     assert len(builds) == len(set(builds)) == 20
+
+
+def _square_arrays(value, n: int, seen: set) -> list[np.ndarray]:
+    """The arrays of n^2 or more entries reachable from ``value`` through
+    containers and object attributes."""
+    if id(value) in seen:
+        return []
+    seen.add(id(value))
+    if isinstance(value, np.ndarray):
+        return [value] if value.size >= n * n else []
+    if isinstance(value, dict):
+        parts = [*value.keys(), *value.values()]
+    elif isinstance(value, (list, tuple, set, frozenset)):
+        parts = list(value)
+    else:
+        parts = list(getattr(value, "__dict__", {}).values())
+        parts += [getattr(value, name)
+                  for cls in type(value).__mro__
+                  for name in getattr(cls, "__slots__", ())
+                  if hasattr(value, name)]
+    return [a for part in parts for a in _square_arrays(part, n, seen)]
+
+
+def test_reproduce_keeps_no_square_table_but_mul(monkeypatch):
+    # once every stage has run on the order-605 pair, the multiplication
+    # table is the only array of n^2 entries either group holds, in an
+    # attribute or anywhere in its cache: conjugates are gathered where
+    # they are read, and no n x n table is kept for them
+    built = []
+    build = thevenaz.build
+
+    def kept(spec):
+        built.append(build(spec))
+        return built[-1]
+
+    monkeypatch.setattr(thevenaz, "build", kept)
+    _, code = cli.cmd_reproduce_paper()
+    assert code == 0
+    assert [tg.group.order for tg in built] == [605, 605]
+    muls = {id(tg.group.mul) for tg in built}
+    for tg in built:
+        group = tg.group
+        assert not hasattr(group, "conj") and not hasattr(group, "_conj")
+        assert group._cache
+        found = _square_arrays(group, group.order, set())
+        assert [a for a in found if id(a) not in muls] == []
+        assert any(a is group.mul for a in found)
 
 
 def test_reproduce_rejects_p_torsion_fiber(capsys):
@@ -1308,7 +1355,8 @@ def test_package_has_no_ring_layer_or_one_pair_wrappers():
          "neg_table", "ComponentMismatch"},
         ((MonomialBasis, ("basis_element", "identity_index",
                           "identity_element", "_ghost_ring")),
-         (group_core.FiniteGroup, ("element_order", "elements")),
+         (group_core.FiniteGroup, ("element_order", "elements", "conj")),
+         (group_core.trivial_group(), ("conj", "_conj")),
          (Subgroup, ("__contains__", "_positions", "_pos")),
          (AbelianFiber, ("add", "neg", "torsion_elements")),
          (AbelianFiber((2,)), ("neg_table",))))

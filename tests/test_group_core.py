@@ -57,10 +57,12 @@ from oracles import (_orbit_reps, a6_cayley_json, brute_force_subgroups,
 
 from fibered_burnside import group_core
 from fibered_burnside.errors import NotAGroup, NotAnAction, NotAnAutomorphism
-from fibered_burnside.thevenaz import canonical_class_table
+from fibered_burnside.thevenaz import (ThevenazSpec, build,
+                                       canonical_class_table,
+                                       isomorphism_class_partition)
 from fibered_burnside.group_core import (FiniteGroup, Subgroup,
                                          _candidate_pools,
-                                         _check_associativity,
+                                         _check_associativity, _conjugate,
                                          _cyclic_class_lengths,
                                          _generating_sequence, _index_dtype,
                                          _perfect_seeds, _sorted_unique,
@@ -257,14 +259,24 @@ def test_constructors_build_compact_tables():
     assert np.array_equal(abelian_group(factors).mul, expect)
     for g in (cyclic_group(5), abelian_group(factors), dihedral_group(91),
               symmetric_group(4), group_from_cayley(symmetric_group(3).mul)):
-        assert g.mul.dtype == g.inv.dtype == g.conj.dtype == np.int16
+        assert (g.mul.dtype == g.inv.dtype
+                == _conjugate(g, np.arange(g.order), 0).dtype == np.int16)
 
 
-def test_inverses_and_conjugation_match_loops(small_groups, tg_11_5_a,
-                                              tg_11_5_b):
-    for g in small_groups + [tg_11_5_a.group, tg_11_5_b.group]:
+def test_inverses_and_conjugation_match_loops(small_groups, s4, tg_7_3,
+                                              tg_11_5_a, tg_11_5_b):
+    # g x g^-1 from two gathers, on every (g, x), against the table filled
+    # one row at a time; one g against many x, and many g against one x,
+    # broadcast the same way
+    for g in [*small_groups, s4,
+              relabelled(_a6_from_cayley_json(), random.Random(0)),
+              tg_7_3.group, tg_11_5_a.group, tg_11_5_b.group]:
         assert np.array_equal(g.inv, reference_inverses(g))
-        assert np.array_equal(g.conj, reference_conj(g))
+        conj, every = reference_conj(g), np.arange(g.order)
+        assert np.array_equal(_conjugate(g, every[:, None], every), conj), g
+        x = g.order // 2
+        assert np.array_equal(_conjugate(g, x, every), conj[x]), g
+        assert np.array_equal(_conjugate(g, every, x), conj[:, x]), g
 
 
 def _coset_test_groups(small_groups, tg_11_5_a, tg_11_5_b):
@@ -282,9 +294,10 @@ def test_element_class_sizes_match_loop(small_groups, tg_7_3, tg_11_5_a,
     for g in [*_coset_test_groups(small_groups, tg_11_5_a, tg_11_5_b),
               tg_7_3.group]:
         reps, label = g.element_classes
-        assert reps.tolist() == _orbit_reps(g.conj, np.arange(g.order)), g
+        conj = reference_conj(g)
+        assert reps.tolist() == _orbit_reps(conj, np.arange(g.order)), g
         # the class of x is its orbit: every conjugate of x shares its label
-        assert np.array_equal(label[g.conj],
+        assert np.array_equal(label[conj],
                               np.broadcast_to(label, g.mul.shape)), g
         assert np.array_equal(label[reps], np.arange(reps.size)), g
         assert np.array_equal(g.element_class_sizes,
@@ -677,6 +690,27 @@ def test_class_table_closes_nothing_after_the_lattice(monkeypatch, make):
     assert calls == []
 
 
+def test_element_classes_memory_at_order_4805():
+    # the (31, 5) family member: the labelling reads one column of
+    # conjugates per class, so it allocates a few arrays of n entries and
+    # never an n x n table (46 MB here, as its multiplication table is)
+    p, q = 31, 5
+    a, b = isomorphism_class_partition(p, q)[0][0]
+    g = build(ThevenazSpec(p, q, a, b)).group
+    assert g.order == 4805
+    tracemalloc.start()
+    try:
+        reps, label = g.element_classes
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < g.mul.nbytes // 20
+    # the identity, the 960 other elements of C31 x C31 in classes of 5,
+    # and one class per nontrivial coset of it
+    assert reps.size == 197
+    assert np.array_equal(label[reps], np.arange(reps.size))
+
+
 def test_dihedral_330_seeding_memory():
     # D330 has order 660, which 12 divides, so seeding runs; it has no
     # perfect subgroup, and tau(330) + sigma(330) = 16 + 864 subgroups: the
@@ -685,7 +719,6 @@ def test_dihedral_330_seeding_memory():
     # the orbits of b without removing duplicates gathers 2|C_G(a)||a|^2 =
     # 72M entries (144 MB) at once; deduplicated, at most n x |a| = 218k.
     g = dihedral_group(330)
-    g.conj
     tracemalloc.start()
     try:
         assert _perfect_seeds(g) == {}
@@ -1015,6 +1048,17 @@ def test_are_isomorphic_finds_relabelled_order_605(tg_11_5_a):
     assert f == reference_are_isomorphic(g, h)
 
 
+def test_are_isomorphic_checks_all_pairs_in_row_blocks():
+    # at order 1100 the final check on all pairs runs in two row blocks,
+    # of 953 and 147 rows; the map it passes is an isomorphism
+    g = abelian_group((2, 550))
+    h = relabelled(g, random.Random(1100))
+    f = are_isomorphic(g, h)
+    assert f is not None and sorted(f) == list(range(g.order))
+    farr = np.asarray(f)
+    assert np.array_equal(farr[g.mul], h.mul[np.ix_(farr, farr)])
+
+
 def test_cyclic_class_lengths_count_conjugates(small_groups, tg_7_3,
                                                tg_11_5_a, tg_11_5_b):
     # the distinct conjugates of each <x>, one sorted row per conjugating
@@ -1022,7 +1066,8 @@ def test_cyclic_class_lengths_count_conjugates(small_groups, tg_7_3,
     for g in [*small_groups, tg_7_3.group, tg_11_5_a.group, tg_11_5_b.group,
               relabelled(_a6_from_cayley_json(), random.Random(0))]:
         cyclic = [closure(g, (x,)) for x in range(g.order)]
-        count = {mem: len(set(map(tuple, np.sort(g.conj[:, mem],
+        conj = reference_conj(g)
+        count = {mem: len(set(map(tuple, np.sort(conj[:, mem],
                                                  axis=1).tolist())))
                  for mem in set(cyclic)}
         got = _cyclic_class_lengths(g).tolist()

@@ -46,7 +46,8 @@ from oracles import (BurnsideElement, ComponentMismatch, MonomialPair,
                      integer_matrix_determinant,
                      located_block, mark, mark_morphism, multiply,
                      reference_char_group_table,
-                     reference_char_orbits, reference_double_coset_reps,
+                     reference_char_orbits, reference_conj,
+                     reference_double_coset_reps,
                      reference_gamma, reference_mackey_block,
                      reference_m_classes, reference_mackey_row,
                      reference_product)
@@ -480,8 +481,8 @@ def _assert_lazy_objects_match_eager(basis):
         members, values = list(pair.subgroup.members), list(pair.char.values)
         value = dict(zip(members, values))
         assert [n for n in normalizer(group, pair.subgroup).members
-                if [value[x] for x in group.conj[group.inverse(n),
-                                                 members].tolist()]
+                if [value[x] for x in reference_conj(group)[
+                    group.inverse(n), members].tolist()]
                 == values] == list(stabilizer.members)
 
 
@@ -554,7 +555,7 @@ def _lookups_against_char_index(layout, cases):
     characters r of the c-th subgroup S, against the oracles' lookup
     (``char_lookup``) in the d-th subgroup T, one case at a time:
     x -> chi_r(t x t^-1) on T, where tTt^-1 lies in S."""
-    conj = layout.group.conj
+    conj = reference_conj(layout.group)
     c, t, d = (np.repeat([case[k] for case in cases],
                          [layout.n_homs[case[0]] for case in cases])
                for k in range(3))
