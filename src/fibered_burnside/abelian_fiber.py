@@ -9,8 +9,9 @@ integer-table lookups.
 from __future__ import annotations
 
 import itertools
+from functools import cached_property
 from math import gcd, prod
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -101,10 +102,14 @@ class CharIndex:
     invariant factor C_d, and the characters are in lexicographic order of
     that image tuple, so the trivial character is index 0. ``values`` has
     one row per character and one column per member of K; ``pos`` is the
-    position of each group element in K, or -1 outside it. A character is
-    determined by its values on ``gens``, the generators of K (the identity
-    for the trivial group). ``hom_factors`` are the invariant factors of
-    Hom(K, A), by arithmetic: Hom(C_d, C_e) is C_gcd(d, e).
+    position of each group element in K, or -1 outside it. ``gens`` holds
+    the member of K with each unit coordinate of K^ab (the identity for a
+    perfect K, whose one character is told by its value 0 there), and a
+    character's index is the sum of ``rank[k, v] * stride[k]`` over its
+    values v on them: ``rank[k]`` is each fiber element's position in the
+    k-th factor's torsion, or -1 outside it, and ``stride`` is the
+    mixed radix of those torsions. ``hom_factors`` are the invariant
+    factors of Hom(K, A), by arithmetic: Hom(C_d, C_e) is C_gcd(d, e).
     """
 
     def __init__(self, domain: Subgroup, fiber: AbelianFiber):
@@ -112,48 +117,46 @@ class CharIndex:
         torsion = [fiber.torsion_indices(d) for d in dec.factors]
         # one row per character, one column per invariant factor (none for
         # a perfect K), so these arrays are (1, 0) and (|K|, 0) in rank 0
-        self._images = np.asarray(list(itertools.product(*torsion)),
-                                  dtype=np.int64)
+        images = np.asarray(list(itertools.product(*torsion)),
+                            dtype=np.int64)
         # a member's image: its exponents times the fiber coordinates of
         # the images of the invariant factors' generators
         self.values = fiber._encode(
-            (dec.coords @ fiber.coords[self._images])
-            % np.asarray(fiber.factors))
+            (dec.coords @ fiber.coords[images]) % np.asarray(fiber.factors))
         _check_homs(domain, fiber, self.values)
         self.pos = np.full(domain.group.order, -1, dtype=np.int64)
         self.pos[list(domain.members)] = np.arange(domain.order)
-        self.gens = np.asarray(domain.generators() or (0,), dtype=np.int64)
+        units = [prod(dec.factors[k + 1:]) for k in range(len(dec.factors))]
+        self.gens = np.asarray(dec.span[units] if units else [0],
+                               dtype=np.int64)
+        torsion = torsion or [[0]]
+        self.rank = np.full((len(torsion), fiber.order), -1, dtype=np.int64)
+        for k, members in enumerate(torsion):
+            self.rank[k, members] = np.arange(len(members))
+        self.stride = np.asarray([prod(map(len, torsion[k + 1:]))
+                                  for k in range(len(torsion))],
+                                 dtype=np.int64)
         self.hom_factors = _invariant_factors(
             [gcd(d, e) for d in dec.factors for e in fiber.factors])
-        self._torsion = torsion
         self._add = fiber.add_table
-        self._table: Optional[np.ndarray] = None
-        self._decomposition: Optional[AbelianDecomposition] = None
 
-    @property
+    @cached_property
     def table(self) -> np.ndarray:
         """Entry [i, j] is the hom-set index of the product of the i-th and
-        j-th characters: the mixed-radix position, over each factor's
-        d-torsion, of the fiber sums of their image tuples."""
+        j-th characters: the rank and stride sum of the fiber sums of their
+        values on ``gens``."""
         # built on first use: only the products and the species checks
         # read it, and it has |Hom(K, A)|^2 entries
-        if self._table is None:
-            n = len(self.values)
-            self._table = np.zeros((n, n), dtype=np.int64)
-            for k, torsion in enumerate(self._torsion):
-                rank = np.zeros(self._add.shape[0], dtype=np.int64)
-                rank[torsion] = np.arange(len(torsion))
-                image = self._images[:, k]
-                self._table *= len(torsion)
-                self._table += rank[self._add[image[:, None], image]]
-        return self._table
+        on_gens = self.values[:, self.pos[self.gens]]
+        table = np.zeros((len(on_gens),) * 2, dtype=np.int64)
+        for k, v in enumerate(on_gens.T):
+            table += self.rank[k, self._add[v[:, None], v]] * self.stride[k]
+        return table
 
-    @property
+    @cached_property
     def decomposition(self) -> AbelianDecomposition:
         """Invariant-factor basis of Hom(K, A) itself, from ``table``."""
-        if self._decomposition is None:
-            self._decomposition = abelian_invariant_decomposition(self.table)
-        return self._decomposition
+        return abelian_invariant_decomposition(self.table)
 
 
 def _invariant_factors(orders: Sequence[int]) -> tuple[int, ...]:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from math import prod
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -57,9 +58,6 @@ class FiniteGroup:
         self.mul: np.ndarray = table
         self.inv: np.ndarray = inv
         self.name: str = name if name is not None else f"group{n}"
-        self._element_orders: Optional[np.ndarray] = None
-        self._element_classes: Optional[tuple[np.ndarray, np.ndarray]] = None
-        self._element_class_sizes: Optional[np.ndarray] = None
         self._cache: dict = {}
 
     # -- elementary operations
@@ -70,13 +68,11 @@ class FiniteGroup:
     def inverse(self, a: int) -> int:
         return int(self.inv[a])
 
-    @property
+    @cached_property
     def element_orders(self) -> np.ndarray:
-        if self._element_orders is None:
-            self._element_orders = _orders(self.mul)
-        return self._element_orders
+        return _orders(self.mul)
 
-    @property
+    @cached_property
     def element_classes(self) -> tuple[np.ndarray, np.ndarray]:
         """``(reps, label)`` for the conjugacy classes of elements:
         ``reps[c]`` is the least member of class c, ascending, and
@@ -85,30 +81,26 @@ class FiniteGroup:
         One orbit, the conjugates of x by every g, per class, x its least
         member; the next x is found by an ``argmin`` over the flags beyond
         it, so no Python step visits the other members."""
-        if self._element_classes is None:
-            n = self.order
-            every = np.arange(n)
-            label = np.empty(n, dtype=np.int64)
-            labelled = np.zeros(n, dtype=bool)
-            reps: list[int] = []
-            x = 0
-            while not labelled[x]:
-                orbit = _conjugate(self, every, x).astype(np.intp)
-                label[orbit] = len(reps)
-                labelled[orbit] = True
-                reps.append(x)
-                # the least unlabelled element, or x again once all are
-                x += int(np.argmin(labelled[x:]))
-            self._element_classes = (np.asarray(reps, dtype=np.int64), label)
-        return self._element_classes
+        n = self.order
+        every = np.arange(n)
+        label = np.empty(n, dtype=np.int64)
+        labelled = np.zeros(n, dtype=bool)
+        reps: list[int] = []
+        x = 0
+        while not labelled[x]:
+            orbit = _conjugate(self, every, x).astype(np.intp)
+            label[orbit] = len(reps)
+            labelled[orbit] = True
+            reps.append(x)
+            # the least unlabelled element, or x again once all are
+            x += int(np.argmin(labelled[x:]))
+        return np.asarray(reps, dtype=np.int64), label
 
-    @property
+    @cached_property
     def element_class_sizes(self) -> np.ndarray:
         """The size of the conjugacy class of each element."""
-        if self._element_class_sizes is None:
-            label = self.element_classes[1]
-            self._element_class_sizes = np.bincount(label)[label]
-        return self._element_class_sizes
+        label = self.element_classes[1]
+        return np.bincount(label)[label]
 
     def is_abelian(self) -> bool:
         return bool(np.array_equal(self.mul, self.mul.T))

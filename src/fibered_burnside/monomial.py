@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate
 from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -22,7 +21,8 @@ from .abelian_fiber import AbelianFiber, char_index
 from .errors import NotAGroup
 from .group_core import (FiniteGroup, Subgroup, SubgroupClassTable,
                          _conjugate, _fixed_by, _index_dtype, _sorted_unique,
-                         _starts, conjugacy_classes_of_subgroups,
+                         _starts, abelianization,
+                         conjugacy_classes_of_subgroups,
                          double_cosets, enumerate_subgroups, left_coset_reps,
                          normalizer)
 
@@ -33,12 +33,13 @@ class _HomLayout:
     start at ``start[c] + r * orders[c]``, and ``pos[c]`` is each group
     element's position in that S, or -1 outside it.
 
-    One sorted key array finds any character of any S. The key of the r-th
-    character of the c-th S is ``key_start[c]`` plus its values on the
-    generators of S (``gens[c]``, padded with the identity at weight 0) in
-    mixed radix |A|, so the keys of each S fill a range of their own, and
-    ``found`` maps each sorted key back to r. Keys are int64 while the key
-    spaces of all the S fit, exact Python integers beyond."""
+    A character of the c-th S is found by its ``CharIndex`` position, the
+    sum of ``rank[c, k, v] * stride[c, k]`` over its values v on the
+    points ``gens[c, k]``: the ``CharIndex.gens`` of S, then, for a
+    nonabelian S, which those need not generate (S3, A4 and S4 do not),
+    the generators of S, so that a restriction sees whether all of S lies
+    where it is read. Those and the padding, the identity, have rank 0 at
+    every value and stride 0."""
 
     def __init__(self, subs: Sequence[Subgroup], fiber: AbelianFiber):
         self.group = subs[0].group
@@ -49,51 +50,38 @@ class _HomLayout:
         self.vals = np.concatenate([c.values.ravel() for c in self.chars])
         self.start = _starts(self.n_homs * self.orders)
         self.pos = np.stack([c.pos for c in self.chars])
-        self.n_gens = np.asarray([c.gens.size for c in self.chars],
-                                 dtype=np.int64)
-        self.gens = np.zeros((len(subs), self.n_gens.max()), dtype=np.int64)
-        radix = fiber.order
-        space = [radix ** int(k) for k in self.n_gens]
-        dtype = np.int64 if sum(space) < 2 ** 63 else object
-        self.weights = np.zeros(self.gens.shape, dtype=dtype)
-        for i, chars in enumerate(self.chars):
-            self.gens[i, :chars.gens.size] = chars.gens
-            self.weights[i, :chars.gens.size] = [
-                radix ** k for k in range(chars.gens.size)]
-        self.key_start = np.asarray([0, *accumulate(space[:-1])], dtype=dtype)
-        # every character's key: its own restriction to its S
-        c = np.repeat(np.arange(len(subs)), self.n_homs)
-        r = np.arange(c.size) - _starts(self.n_homs)[c]
-        keys = self._key(c, r, 0, c)
-        by_key = np.argsort(keys)
-        self.keys, self.found = keys[by_key], r[by_key]
+        points = [c.gens if abelianization(sub).span.size == sub.order
+                  else np.append(c.gens, sub.generators())
+                  for c, sub in zip(self.chars, subs)]
+        self.width = np.asarray([p.size for p in points], dtype=np.int64)
+        self.gens = np.zeros((len(subs), self.width.max()), dtype=np.int64)
+        self.rank = np.zeros(self.gens.shape + (fiber.order,), dtype=np.int64)
+        self.stride = np.zeros(self.gens.shape, dtype=np.int64)
+        for i, (chars, p) in enumerate(zip(self.chars, points)):
+            self.gens[i, :p.size] = p
+            self.rank[i, :len(chars.rank)] = chars.rank
+            self.stride[i, :chars.stride.size] = chars.stride
         self.table_start = _starts(self.n_homs ** 2)
-
-    def _key(self, c, r, t, target) -> np.ndarray:
-        """The layout key, as a character of the target-th S, of x ->
-        chi(t x t^-1) for chi the r-th character of the c-th S; the key
-        columns run to the most generators any target has."""
-        target = np.asarray(target)
-        width = int(self.n_gens[target].max(initial=1))
-        c, r, t = (np.asarray(v)[..., None] for v in (c, r, t))
-        x = _conjugate(self.group, t, self.gens[:, :width][target])
-        vals = self.vals[self.start[c] + r * self.orders[c] + self.pos[c, x]]
-        return self.key_start[target] + (
-            vals * self.weights[:, :width][target]).sum(axis=-1)
 
     def restrict(self, c, r, t, target) -> np.ndarray:
         """The restriction map: the hom index in the target-th S, call it T,
         with tTt^-1 in the c-th S, of x -> chi(t x t^-1) on T, for chi the
         r-th character of the c-th S. One gather of chi at the points
-        t x t^-1, x among the generators of T, and one search of their
-        keys; the arrays c, r, t and target broadcast, and the result has
-        their shape."""
-        want = self._key(c, r, t, target)
-        at = np.minimum(np.searchsorted(self.keys, want), self.keys.size - 1)
-        if not np.all(self.keys[at] == want):
+        t x t^-1, x among the ``gens`` of T, up to the most any target has;
+        a point outside the c-th S, or a value outside its torsion, raises.
+        The arrays c, r, t and target broadcast, and the result has their
+        shape."""
+        target = np.asarray(target)
+        width = int(self.width[target].max(initial=1))
+        c, r, t = (np.asarray(v)[..., None] for v in (c, r, t))
+        x = _conjugate(self.group, t, self.gens[:, :width][target])
+        at = self.pos[c, x]
+        vals = self.vals[self.start[c] + r * self.orders[c] + at]
+        rank = self.rank[target[..., None], np.arange(width), vals]
+        if (at < 0).any() or (rank < 0).any():
             raise ValueError("a restriction matches no character of its "
                              "target")
-        return self.found[at]
+        return (rank * self.stride[:, :width][target]).sum(axis=-1)
 
     @cached_property
     def table(self) -> np.ndarray:

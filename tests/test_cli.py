@@ -24,7 +24,7 @@ from hypothesis.extra import numpy as hnp
 from oracles import a6_cayley_json, hom_set
 
 import fibered_burnside
-from fibered_burnside import cli, group_core, thevenaz
+from fibered_burnside import cli, group_core, monomial, thevenaz
 from fibered_burnside.abelian_fiber import AbelianFiber, CharIndex
 from fibered_burnside.group_core import (Subgroup,
                                          conjugacy_classes_of_subgroups,
@@ -1365,6 +1365,21 @@ def test_package_has_no_ring_layer_or_one_pair_wrappers():
         missing = [name for name in getattr(module, "__all__", ())
                    if not hasattr(module, name)]
         assert not missing, module.__name__
+
+
+def test_package_has_one_character_index():
+    # a character is found by its CharIndex position alone: the Hom layout
+    # keeps no key array, key weights or key search of its own, and
+    # CharIndex memoizes its table and decomposition as cached properties
+    group = group_core.abelian_group((2, 2))
+    layout = monomial._HomLayout(group_core.enumerate_subgroups(group),
+                                 AbelianFiber((2,)))
+    chars = layout.chars[-1]
+    assert chars.decomposition.factors   # made on first use, with table
+    _assert_names_gone(set(), (
+        (layout, ("keys", "found", "weights", "key_start", "n_gens",
+                  "_key")),
+        (chars, ("_torsion", "_table", "_decomposition"))))
 
 
 # Top-level functions and classes, and methods, that nothing in the package

@@ -573,14 +573,14 @@ def _lookups_against_char_index(layout, cases):
 def test_layout_lookup_matches_char_index(s4, tg_11_5_a, factors):
     # every class rep T inside another S (the identity carries it there),
     # and every class rep onto itself through each member of its
-    # normalizer, as one restriction of mixed targets: the layout key is
-    # exact on every class, whatever its number of generators
+    # normalizer, as one restriction of mixed targets: the CharIndex
+    # position is exact on every class, whatever its number of generators,
+    # and on the perfect A5 < S5, whose one generator is the identity
     fiber = AbelianFiber(factors)
     for g in (s4, dihedral_group(6), abelian_group((2, 2, 2, 2)),
-              tg_11_5_a.group):
+              tg_11_5_a.group, symmetric_group(5)):
         reps = conjugacy_classes_of_subgroups(g).reps
         layout = monomial._HomLayout(reps, fiber)
-        assert layout.keys.dtype == np.int64
         inside = [(c, 0, d) for c, s_sub in enumerate(reps)
                   for d, t_sub in enumerate(reps)
                   if set(t_sub.members) <= set(s_sub.members)]
@@ -594,15 +594,37 @@ def test_layout_lookup_matches_char_index(s4, tg_11_5_a, factors):
                                        layout.n_homs[c]))
 
 
+def test_restrict_rejects_target_outside_source(s4, d4):
+    # with the identity transporter, a T that is not inside S has no
+    # restriction of any character of S: every such (S, chi, T), over all
+    # subgroups, raises. On S4 the CharIndex generators of S3, A4 and S4
+    # do not generate them, so the generators of T are read as well
+    cases = 0
+    for g, factors in ((s4, (2,)), (d4, (2, 4)),
+                       (abelian_group((2, 4)), (4,)), (s4, (6,))):
+        subs = enumerate_subgroups(g)
+        layout = monomial._HomLayout(subs, AbelianFiber(factors))
+        for c, s_sub in enumerate(subs):
+            for d, t_sub in enumerate(subs):
+                if set(t_sub.members) <= set(s_sub.members):
+                    continue
+                for r in range(layout.n_homs[c]):
+                    cases += 1
+                    with pytest.raises(ValueError,
+                                       match="matches no character"):
+                        layout.restrict(c, r, 0, d)
+    assert cases == 4062
+
+
 def test_layout_lookup_beyond_int64():
-    # 2048^6 > 2^63: the keys of (C2)^6 over C2048 and of two of its
-    # subgroups, of 3 generators and of 1, are exact Python integers
+    # 2048^6 > 2^63: values of (C2)^6 over C2048 and of two of its
+    # subgroups, of 3 generators and of 1, read in radix 2048 would pass
+    # int64, while their CharIndex positions stay below |Hom(S, A)|
     e64 = abelian_group((2,) * 6)
     subs = [Subgroup(e64, range(e64.order)), Subgroup(e64, range(8)),
             Subgroup(e64, [0, 5])]
     layout = monomial._HomLayout(subs, AbelianFiber((2048,)))
-    assert layout.n_gens.tolist() == [6, 3, 1]
-    assert layout.keys.dtype == object and 2048 ** 6 > 2 ** 63
+    assert 2048 ** 6 > 2 ** 63 and layout.width.tolist() == [6, 3, 1]
     assert layout.n_homs.tolist() == [64, 8, 2]
     _lookups_against_char_index(layout, [
         (c, t, d) for c in range(3) for d in range(c, 3)
