@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import gc
 import json
 import re
 import sys
 import time
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NoReturn, Optional, Sequence
 
 import numpy as np
 
@@ -486,6 +487,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    """Run one command on ``argv`` (the command line when None) and return
+    its exit code. It changes no process-wide state, so tests and tracers
+    call it in process many times; ``run`` is the program entry."""
     parser = build_parser()
     args = parser.parse_args(argv)
     start = time.monotonic()
@@ -519,5 +523,19 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_USAGE
 
 
+def run() -> NoReturn:
+    """The program entry, of ``python -m fibered_burnside.cli`` and of the
+    ``fibered-burnside`` script: ``main`` on the command line, then exit
+    with its code. On every way out, argparse's exits included, the heap
+    is frozen first: finalization then skips the collections that would
+    free each object numpy's import made, and the OS reclaims them at
+    exit. Atexit handlers and stdio flushing still run, unlike under
+    ``os._exit``."""
+    try:
+        sys.exit(main())
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":   # pragma: no cover
-    sys.exit(main())
+    run()

@@ -355,11 +355,13 @@ def search_species(g_table: SubgroupClassTable,
         the entry of the trivial characters, is 0."""
         return [bool(marks[x][y] or marks[y][x]) for y in others]
 
-    def rows(gamma, homs, x: int, others, maps) -> np.ndarray:
+    def rows(gamma, x: int, others, maps) -> np.ndarray:
         """The gamma rows of class x against each class in ``others``, and
         its gamma columns, side by side, with the characters of those
-        classes permuted by ``maps``: one row per character of x."""
-        blocks = [np.zeros((len(homs[x].values), 0), dtype=np.int64)]
+        classes permuted by ``maps``: one row per character of x. They
+        start from an empty slice of x's own block, which keeps the gamma
+        dtype."""
+        blocks = [gamma(x, x)[:, :0]]
         for y, m in zip(others, maps):
             blocks += [gamma(x, y)[:, m], gamma(y, x)[m].T]
         return np.concatenate(blocks, axis=1)
@@ -376,12 +378,12 @@ def search_species(g_table: SubgroupClassTable,
         if rows_g[ci] is None:
             links = linked(marks_g, ci, range(ci))
             kept = [c for c in range(ci) if links[c]]
-            rows_g[ci] = links, kept, rows(gamma_g, homs_g, ci, kept,
+            rows_g[ci] = links, kept, rows(gamma_g, ci, kept,
                                            [slice(None)] * len(kept))
         links, kept, p_g = rows_g[ci]
         p_h = None
         if linked(marks_h, j, assignment[:ci]) == links:
-            p_h = rows(gamma_h, homs_h, j, [assignment[c] for c in kept],
+            p_h = rows(gamma_h, j, [assignment[c] for c in kept],
                        [char_assignment[c] for c in kept])
         diag_g, diag_h = gamma_g(ci, ci), gamma_h(j, j)
 

@@ -4,6 +4,7 @@ determinism. All invocations go through ``cli.main`` in process."""
 import argparse
 import ast
 import collections
+import gc
 import hashlib
 import importlib
 import inspect
@@ -800,6 +801,88 @@ def test_write_to_a_closed_pipe_is_one_error_line(argv, read, unbuffered):
         with open(r, "rb") as pipe_out:
             assert len(pipe_out.read(read)) == read
     _assert_one_error(proc)
+
+
+# Runs the CLI as __main__, as `python -m fibered_burnside.cli` does, and
+# reports at exit, after the program entry returned, how many objects the
+# heap has frozen
+RUN_AS_MAIN = """
+import atexit, gc, runpy, sys
+atexit.register(lambda: print("frozen:", gc.get_freeze_count(),
+                              file=sys.stderr))
+runpy.run_module("fibered_burnside.cli", run_name="__main__", alter_sys=True)
+"""
+
+
+@pytest.mark.parametrize("argv, exit_code", [
+    (("marks", "cyclic:2"), 0),
+    (("verify", "cyclic:4", "abelian:2,2", "--fiber", "2", "--auto"), 1),
+    (("marks", "bogus:1"), 2),
+    (("marks",), 2),
+], ids=["affirmative", "negative", "bad-spec", "argparse-usage"])
+def test_program_entry_freezes_the_heap_before_exit(capsys, argv, exit_code):
+    # on every exit code, argparse's own exit included, the entry freezes
+    # the heap, so finalization does not free numpy's objects one by one;
+    # the atexit probe still runs, and stdout is the in-process report
+    proc = subprocess.run([sys.executable, "-c", RUN_AS_MAIN, *argv],
+                          capture_output=True, env=_child_env(), check=False)
+    *_, last = proc.stderr.decode().splitlines()
+    assert last.startswith("frozen: ") and int(last.split()[1]) > 0, last
+    try:
+        code, out, _ = run(capsys, *argv)
+    except SystemExit as exc:    # argparse's usage error
+        code, out = exc.code, capsys.readouterr().out
+    assert (proc.returncode, proc.stdout.decode()) == (exit_code, out)
+    assert code == exit_code
+
+
+def test_main_in_process_leaves_the_heap_unfrozen(capsys):
+    # tests and bench/tracer.py call main many times in one process
+    before = gc.get_freeze_count()
+    for argv in (("marks", "cyclic:2"), ("marks", "bogus:1")):
+        assert run(capsys, *argv)[0] in (0, 2)
+    assert gc.get_freeze_count() == before
+
+
+def test_console_script_is_the_program_entry():
+    tomllib = pytest.importorskip("tomllib")
+    config = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    with open(config, "rb") as fh:
+        scripts = tomllib.load(fh)["project"]["scripts"]
+    module, _, name = scripts["fibered-burnside"].partition(":")
+    assert getattr(importlib.import_module(module), name) is cli.run
+
+
+# Process-wide calls that only the program entry, cli.run, may make: the
+# library is imported by tests and tracers that go on running
+PROCESS_CALLS = {("gc", "freeze"), ("gc", "disable"), ("os", "_exit"),
+                 ("sys", "exit")}
+
+
+def test_only_the_program_entry_changes_process_state():
+    found, entry = [], []
+    for path in sorted(Path(fibered_burnside.__file__).parent.rglob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        allowed = set()
+        if path.name == "cli.py":
+            run_def, = [node for node in tree.body
+                        if isinstance(node, ast.FunctionDef)
+                        and node.name == "run"]
+            allowed = set(map(id, ast.walk(run_def)))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and any(
+                    (node.module, a.name) in PROCESS_CALLS
+                    for a in node.names):
+                found.append(f"{path.name}:{node.lineno}")
+            if not (isinstance(node, ast.Attribute)
+                    and isinstance(node.value, ast.Name)
+                    and (node.value.id, node.attr) in PROCESS_CALLS):
+                continue
+            (entry if id(node) in allowed else found).append(
+                f"{path.name}:{node.lineno}")
+    assert found == []
+    # the guard sees the entry's own calls
+    assert len(entry) == 2
 
 
 def _a6_file(tmp_path) -> Path:

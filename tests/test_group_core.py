@@ -1240,9 +1240,10 @@ def test_abelianization_matches_reference(small_groups, s6, tg_11_5_a,
     # the table kernel against per-element callbacks over a dict of coset
     # members: the same factors, the same coordinates of every member of K
     # and the same least coset members in order; element orders against a
-    # walk through the powers of each element
-    groups = [*small_groups, s6, _a6_from_cayley_json(), tg_11_5_a.group,
-              tg_11_5_b.group]
+    # walk through the powers of each element. E16 adds 67 subgroups, every
+    # one abelian
+    groups = [*small_groups, abelian_group((2, 2, 2, 2)), s6,
+              _a6_from_cayley_json(), tg_11_5_a.group, tg_11_5_b.group]
     for g in groups:
         assert g.element_orders.tolist() == reference_element_orders(g), g
         for sub in enumerate_subgroups(g):

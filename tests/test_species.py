@@ -22,7 +22,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from fibered_burnside import cli, monomial
+from fibered_burnside import cli, monomial, species
 from fibered_burnside.abelian_fiber import AbelianFiber, char_index
 from fibered_burnside.errors import (FiberHasPTorsion, InvalidSpec,
                                      NotABijection, NotAGroupIso,
@@ -665,6 +665,29 @@ def test_search_e16_within_budget_1000(fiber_c2):
     assert witness.to_json() == \
         reference_search_species(table, table, fiber_c2).to_json()
     assert verify_species(witness, fiber_c2).valid
+
+
+def test_search_rows_keep_the_gamma_dtype(monkeypatch, d4, fiber_c2):
+    # the gamma rows that a prefix check compares, kept per class on the G
+    # side for the whole search, stay in the gamma dtype, int8 for D4; an
+    # int64 first block would widen every one of them
+    compared = []
+    real = species.char_group_isomorphisms
+
+    def recording(dom, img, accept):
+        cells = dict(zip(accept.__code__.co_freevars,
+                         (cell.cell_contents for cell in accept.__closure__)))
+        compared.extend(cells[name] for name in ("p_g", "p_h"))
+        return real(dom, img, accept=accept)
+
+    monkeypatch.setattr(species, "char_group_isomorphisms", recording)
+    table = conjugacy_classes_of_subgroups(d4)
+    assert search_species(table, table, fiber_c2) is not None
+    dtype = monomial_basis(d4, fiber_c2, table).gamma_row(0).dtype
+    assert dtype == np.int8
+    rows = [p for p in compared if p is not None]
+    assert any(p.shape[1] for p in rows)
+    assert {p.dtype for p in rows} == {dtype}
 
 
 def _relabelled(group, rng):
