@@ -138,17 +138,30 @@ def _square_table(mul) -> np.ndarray:
     return table.astype(_index_dtype(n), copy=False)
 
 
+def _block_rows(n: int) -> int:
+    """The rows per block of the validation checks on an n x n table:
+    about 2^16 entries a block, so no transient is n x n."""
+    return max(1, (1 << 16) // n)
+
+
 def _check_permutations(lines: np.ndarray, what: str) -> None:
     """Every row of the n x n array ``lines`` (the table, or its transpose
-    for the columns) is a permutation of 0..n-1: row i is one exactly when
-    its n entries mark all n cells of row i of a boolean n x n array."""
+    for the columns) is a permutation of 0..n-1, checked in blocks of
+    ``_block_rows(n)`` rows, in order: row i of a block is one exactly when
+    its n entries mark all n cells of row i of a boolean array of the
+    block's shape. The first row that is not names the failure."""
     n = lines.shape[0]
-    seen = np.zeros((n, n), dtype=bool)
-    seen[np.arange(n)[:, None], lines] = True
-    full = seen.all(axis=1)
-    if not full.all():
-        bad = int(np.argmin(full))
-        raise NotAGroup(f"{what} {bad} is not a permutation", witness=(bad,))
+    step = _block_rows(n)
+    rows = np.arange(step)[:, None]
+    for a0 in range(0, n, step):
+        block = lines[a0:a0 + step]
+        seen = np.zeros(block.shape, dtype=bool)
+        seen[rows[:block.shape[0]], block] = True
+        full = seen.all(axis=1)
+        if not full.all():
+            bad = a0 + int(np.argmin(full))
+            raise NotAGroup(f"{what} {bad} is not a permutation",
+                            witness=(bad,))
 
 
 def _check_associativity(table: np.ndarray) -> None:
@@ -159,10 +172,11 @@ def _check_associativity(table: np.ndarray) -> None:
     element of a generating set passes. The generators are picked greedily:
     each is the least element not yet reached by right multiplication. The
     reached set is then a subgroup that the next generator at least
-    doubles, so at most log2(n) elements are tested, each with two n x n
-    gathers in the table's dtype. ``take`` keeps the column gather
-    C-ordered, as the row gather is, so their difference runs at memory
-    speed.
+    doubles, so at most log2(n) elements are tested, each with two gathers
+    in the table's dtype per block of ``_block_rows(n)`` rows a, blocks in
+    order; the first (a, c) where they differ, in row-major order, is the
+    witness. ``take`` keeps the column gather C-ordered, as the row gather
+    is, so their difference runs at memory speed.
 
     Needs identity 0 and rows that are permutations, not columns. The
     reached set H is then a finite monoid with injective left
@@ -172,18 +186,22 @@ def _check_associativity(table: np.ndarray) -> None:
     and k = 1. And hg lies outside H, or g = h^-1(hg) would lie in it.
     """
     n = table.shape[0]
+    step = _block_rows(n)
     seen = np.zeros(n, dtype=bool)
     seen[0] = True
     gens: list[int] = []
     while not seen.all():
         g = int(np.argmin(seen))
-        # [a, c] -> (a*g)*c - a*(g*c), in place; entries lie in 0..n-1,
-        # so the difference fits the dtype and is 0 exactly where they agree
-        diff = table[table[:, g]]
-        diff -= table.take(table[g], axis=1)
-        if diff.any():
-            a, c = (int(v[0]) for v in np.nonzero(diff))
-            raise NotAGroup("associativity fails", witness=(a, g, c))
+        col, row = table[:, g], table[g]
+        for a0 in range(0, n, step):
+            # [a, c] -> (a*g)*c - a*(g*c) for a from a0, in place; entries
+            # lie in 0..n-1, so the difference fits the dtype and is 0
+            # exactly where they agree
+            diff = table[col[a0:a0 + step]]
+            diff -= table[a0:a0 + step].take(row, axis=1)
+            if diff.any():
+                a, c = (int(v[0]) for v in np.nonzero(diff))
+                raise NotAGroup("associativity fails", witness=(a0 + a, g, c))
         gens.append(g)
         cols = np.array(gens)
         frontier = np.flatnonzero(seen)
@@ -1246,8 +1264,10 @@ def are_isomorphic(g: FiniteGroup, h: FiniteGroup) -> Optional[list[int]]:
             for _ in range(m - 1):
                 c_pow = h.mul[c_pow, cands]
             cands = cands[c_pow == f_prev[target]]
+            # c x c^-1 = t exactly when c x = t c, so no inverse is read
             for i, t in conj_rel[level]:
-                cands = cands[_conjugate(h, cands, images[i]) == f_prev[t]]
+                cands = cands[h.mul[cands, images[i]]
+                              == h.mul[f_prev[t], cands]]
         for c in cands.tolist():
             images.append(c)
             f = extend(level, f_prev)

@@ -287,9 +287,12 @@ class MonomialBasis:
             root = self._homs.restrict(ci, np.arange(len(chars.values)),
                                        group.inv[norm][:, None],
                                        ci).min(axis=0)
-            # the orbit reps, in lexicographic order of their values
+            # the orbit reps, in lexicographic order of their values: the
+            # values are fiber indices, so not negative, and each row is
+            # one key, its big-endian bytes, as in ``_locate``
             roots = _sorted_unique(root)
-            roots = roots[np.lexsort(chars.values[roots].T[::-1])]
+            keys = chars.values[roots].astype(">i8")
+            roots = roots[np.argsort(keys.view(f"V{keys[0].nbytes}").ravel())]
             start = len(self.rep_class)
             basis_of_root = np.empty(len(chars.values), dtype=np.int64)
             basis_of_root[roots] = start + np.arange(roots.size)
@@ -382,18 +385,31 @@ class MonomialBasis:
         pair, s, ci, cj = pair[upper], s[upper], ci[upper], cj[upper]
         n_cosets = np.bincount(pair, minlength=k * k)
         d = np.arange(s.size) - _starts(n_cosets)[pair]
-        # ^sL, ragged: entry e is s l s^-1 for the member l at position
-        # at_l[e] of the L of coset seg[e]
+        # ^sL, ragged: entry e is s l s^-1 for a member l of the L of coset
+        # seg[e], and at[e] is the position of l in ``members``, where the
+        # members of every rep lie end to end; the ragged arrays are int32
+        # or intp, or in the table's dtype, and each goes at its last use
         lens = orders[cj]
-        seg = np.repeat(np.arange(s.size), lens)
-        at_l = np.arange(seg.size) - np.repeat(_starts(lens), lens)
-        members = np.concatenate([np.asarray(r.members, dtype=np.int64)
+        seg = np.repeat(np.arange(s.size, dtype=np.int32), lens)
+        at = np.repeat(_starts(orders)[cj] - _starts(lens), lens)
+        at += np.arange(at.size)
+        members = np.concatenate([np.asarray(r.members, dtype=group.mul.dtype)
                                   for r in reps])
-        conj_l = _conjugate(group, s[seg],
-                            members[_starts(orders)[cj][seg] + at_l])
+        mem = members[at]
+        del at
+        # s l s^-1 by the gathers of ``_conjugate``, each operand dropped as
+        # soon as it is read
+        g = s.astype(group.mul.dtype)[seg]
+        gl = group.mul[g, mem]
+        del mem
+        g = group.inv[g]
+        conj_l = group.mul[gl, g]
+        del gl, g
         # the members of M = K n ^sL
-        in_k = homs.pos[ci[seg], conj_l] >= 0
-        sizes = np.bincount(seg[in_k], minlength=s.size)
+        in_k = homs.pos[ci.astype(np.int32)[seg], conj_l] >= 0
+        seg, conj_l = seg[in_k], conj_l[in_k]
+        del in_k
+        sizes = np.bincount(seg, minlength=s.size)
         # |KsL| = |K| |L| / |M|, and the double cosets of each pair
         # partition G; the sums are exact in float64 far beyond any |G|
         covered = np.bincount(pair, weights=orders[ci] * lens // sizes,
@@ -402,11 +418,17 @@ class MonomialBasis:
         if bad.size:
             raise NotAGroup(f"double cosets of classes {bad[0, 0]} and "
                             f"{bad[0, 1]} do not partition the group")
-        # sorted members of each M, coset by coset, from one sort (the key
-        # is int64 because seg is, whatever the dtype of the table), all
-        # located in the class table at once
-        cm, transporters = _locate(
-            table, np.sort(seg[in_k] * n + conj_l[in_k]) % n, sizes)
+        # sorted members of each M, coset by coset, from one sort of int64
+        # keys, whatever the dtype of seg and of the table, all located in
+        # the class table at once
+        key = seg.astype(np.int64) * n
+        del seg
+        key += conj_l
+        del conj_l
+        key.sort()
+        key %= n
+        cm, transporters = _locate(table, key, sizes)
+        del key
         # row ci lays its blocks (ci, cj), cj >= ci, side by side
         n_reps = np.asarray([i1 - i0 for i0, i1 in self.class_block],
                             dtype=np.int64)

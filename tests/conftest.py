@@ -1,5 +1,8 @@
 """Shared fixtures. Session-scoped so per-group caches (subgroup lists,
-class tables, hom sets) are reused across tests."""
+class tables, hom sets) are reused across tests, and ``traced_peak``, the
+one way the memory tests measure."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +13,19 @@ from fibered_burnside.group_core import (abelian_group, cyclic_group,
                                          dihedral_group, enumerate_subgroups,
                                          symmetric_group, trivial_group)
 from fibered_burnside.monomial import gamma_rows
+
+
+def traced_peak(fn):
+    """``(fn(), peak)``: what ``fn`` returns and the peak size in bytes of
+    the Python allocations traced by ``tracemalloc`` while it runs, which
+    numpy's array data is among."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
 
 
 @pytest.fixture(scope="session")

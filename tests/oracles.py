@@ -1220,6 +1220,24 @@ def reference_char_orbits(k_sub: Subgroup, fiber: AbelianFiber, start: int):
             [basis_of_root[_find(orbit_rep, i)] for i in range(n_h)])
 
 
+def lexsorted_orbit_reps(basis: MonomialBasis) -> list[int]:
+    """The hom index of every orbit rep of the basis, in basis order: per
+    class, the least index of each normalizer orbit, sorted by
+    ``np.lexsort`` with one key per member of K, last member first, as the
+    basis ordered them before it sorted one byte key per rep."""
+    group, fiber = basis.group, basis.fiber
+    order = []
+    for ci, k_sub in enumerate(basis.class_table.reps):
+        chars = char_index(k_sub, fiber)
+        norm = np.asarray(normalizer(group, k_sub).members, dtype=np.int64)
+        root = basis._homs.restrict(ci, np.arange(len(chars.values)),
+                                    group.inv[norm][:, None], ci).min(axis=0)
+        roots = _sorted_unique(root)
+        roots = roots[np.lexsort(chars.values[roots].T[::-1])]
+        order += roots.tolist()
+    return order
+
+
 def eager_basis_objects(basis: MonomialBasis
                         ) -> tuple[list[MonomialPair], list[Subgroup]]:
     """The orbit representatives and their stabilizers of every basis

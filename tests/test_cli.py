@@ -13,7 +13,6 @@ import os
 import pkgutil
 import subprocess
 import sys
-import tracemalloc
 import types
 from pathlib import Path
 
@@ -22,6 +21,7 @@ import pytest
 from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from conftest import traced_peak
 from oracles import a6_cayley_json, hom_set
 
 import fibered_burnside
@@ -1238,13 +1238,9 @@ def test_gamma_e16_command_and_report_allocate_under_4_mb(monkeypatch):
     sink = HashingWriter()
     monkeypatch.setattr(sys, "stdout", sink)
     args = argparse.Namespace(out=None, format="json", command="gamma")
-    tracemalloc.start()
-    try:
-        report, code = cli.cmd_gamma("abelian:2,2,2,2", "2,2")
-        assert cli._emit(report, code, args) == 0
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    code, peak = traced_peak(
+        lambda: cli._emit(*cli.cmd_gamma("abelian:2,2,2,2", "2,2"), args))
+    assert code == 0
     assert sink.digest.hexdigest() == E16_GAMMA_DIGEST
     assert peak < 4 << 20
 
@@ -1508,17 +1504,6 @@ def test_package_defines_nothing_it_never_uses():
     assert len(paths) >= 8 and len(used) > 500
     assert sorted(set(unused) - set(UNREFERENCED)) == []
     assert sorted(set(UNREFERENCED) - set(unused)) == []
-
-
-def test_package_has_no_assert_statements():
-    # `python -O` strips asserts, so every check that guards a result
-    # raises an explicit error instead
-    paths = sorted(Path(fibered_burnside.__file__).parent.rglob("*.py"))
-    assert len(paths) >= 8
-    found = [f"{path.name}:{node.lineno}" for path in paths
-             for node in ast.walk(ast.parse(path.read_text(), str(path)))
-             if isinstance(node, ast.Assert)]
-    assert not found
 
 
 KEYS = st.one_of(st.text(max_size=3), st.integers(-20, 20), st.booleans(),

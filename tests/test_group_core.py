@@ -26,7 +26,6 @@ import os
 import random
 import subprocess
 import sys
-import tracemalloc
 from collections import Counter
 from math import gcd
 from pathlib import Path
@@ -36,6 +35,7 @@ import pytest
 from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from conftest import traced_peak
 from oracles import (_orbit_reps, a6_cayley_json, brute_force_subgroups,
                      conjugate_subgroup, double_coset_reps, element_order,
                      greedy_generators, group_to_json,
@@ -223,6 +223,48 @@ def test_corrupted_tables_fail_as_the_oracles_do(small_groups, tg_7_3):
             assert new == ref, (g, kind)
             seen.add(None if new is None else new[0].split()[0])
     assert seen == {None, "row", "column", "element", "associativity"}
+
+
+def _switch_subsquare(table: np.ndarray, i: int, x: int, j: int) -> None:
+    """Switch the 2 x 2 subsquare of a group table on rows i, ix and
+    columns j, xj, for x an involution: it reads [[u, v], [v, u]], so the
+    table stays a Latin square."""
+    rows = [i, int(table[i, x])]
+    cols = [j, int(table[x, j])]
+    table[np.ix_(rows, cols)] = table[np.ix_(rows, cols[::-1])]
+
+
+def test_blocked_validation_fails_as_the_oracles_do(tg_11_5_a):
+    # the Latin-square check and Light's test read (1 << 16) // n rows at a
+    # time: 108 of 605 and 99 of 660, 6 and 7 blocks. One defect in the
+    # first, a middle and the last block, and a column defect alone, give
+    # the message and witness of the unblocked oracles
+    g = tg_11_5_a.group
+    assert (g.order, group_core._block_rows(g.order)) == (605, 108)
+    for r in (1, 300, 600):
+        table = g.mul.astype(np.int64)
+        table[r, 7] = table[r, 8]
+        new = _validation_failure(FiniteGroup, table)
+        assert new == _validation_failure(_reference_validation, table)
+        assert new == (f"row {r} is not a permutation", (r,))
+    # rows stay permutations, so this one fails Light's test first, and
+    # only then are the columns read
+    table = g.mul.astype(np.int64)
+    table[300, [598, 600]] = table[300, [600, 598]]
+    new = _validation_failure(FiniteGroup, table)
+    assert new == _validation_failure(_reference_validation, table)
+    assert new == ("column 598 is not a permutation", (598,))
+    # an odd order has no subsquare to switch; in D330, element 1 is a
+    # reflection, and each switch near row i has its witness in i's block
+    d = dihedral_group(330)
+    assert group_core._block_rows(d.order) == 99
+    for i, block in ((5, 0), (330, 3), (655, 6)):
+        table = d.mul.astype(np.int64)
+        _switch_subsquare(table, i, 1, 3)
+        new = _validation_failure(FiniteGroup, table)
+        assert new == _validation_failure(_reference_validation, table)
+        assert new[0] == "associativity fails"
+        assert new[1][0] // 99 == block
 
 
 @seed(20261019)
@@ -690,25 +732,36 @@ def test_class_table_closes_nothing_after_the_lattice(monkeypatch, make):
     assert calls == []
 
 
-def test_element_classes_memory_at_order_4805():
-    # the (31, 5) family member: the labelling reads one column of
-    # conjugates per class, so it allocates a few arrays of n entries and
-    # never an n x n table (46 MB here, as its multiplication table is)
+@pytest.fixture(scope="module")
+def g4805():
+    """The first group of the (31, 5) family, of order 4805: its
+    multiplication table takes 46 MB."""
     p, q = 31, 5
     a, b = isomorphism_class_partition(p, q)[0][0]
     g = build(ThevenazSpec(p, q, a, b)).group
     assert g.order == 4805
-    tracemalloc.start()
-    try:
-        reps, label = g.element_classes
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    return g
+
+
+def test_element_classes_memory_at_order_4805(g4805):
+    # the labelling reads one column of conjugates per class, so it
+    # allocates a few arrays of n entries and never an n x n table
+    g = g4805
+    (reps, label), peak = traced_peak(lambda: g.element_classes)
     assert peak < g.mul.nbytes // 20
     # the identity, the 960 other elements of C31 x C31 in classes of 5,
     # and one class per nontrivial coset of it
     assert reps.size == 197
     assert np.array_equal(label[reps], np.arange(reps.size))
+
+
+def test_validation_memory_at_order_4805(g4805):
+    # validation reads the table in blocks of about 2^16 entries, so it
+    # holds no n x n transient; with whole-table gathers and an n x n
+    # boolean scatter it peaked at 92 MB, twice the table
+    g, peak = traced_peak(lambda: FiniteGroup(g4805.mul))
+    assert np.array_equal(g.inv, g4805.inv)
+    assert peak < g4805.mul.nbytes // 4
 
 
 def test_dihedral_330_seeding_memory():
@@ -719,12 +772,8 @@ def test_dihedral_330_seeding_memory():
     # the orbits of b without removing duplicates gathers 2|C_G(a)||a|^2 =
     # 72M entries (144 MB) at once; deduplicated, at most n x |a| = 218k.
     g = dihedral_group(330)
-    tracemalloc.start()
-    try:
-        assert _perfect_seeds(g) == {}
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    seeds, peak = traced_peak(lambda: _perfect_seeds(g))
+    assert seeds == {}
     assert peak < 4_000_000
     assert len(enumerate_subgroups(g)) == 16 + 864
 
@@ -907,8 +956,9 @@ def test_no_assert_statements_in_package():
     # python -O strips assert statements, so no invariant may rest on one;
     # a guard raises an error that names what failed, not AssertionError
     package = Path(__file__).resolve().parents[1] / "src" / "fibered_burnside"
-    found = [f"{path.name}:{node.lineno}"
-             for path in sorted(package.rglob("*.py"))
+    paths = sorted(package.rglob("*.py"))
+    assert len(paths) >= 8
+    found = [f"{path.name}:{node.lineno}" for path in paths
              for node in ast.walk(ast.parse(path.read_text()))
              if _asserts(node)]
     assert found == []

@@ -43,7 +43,7 @@ from oracles import (BurnsideElement, ComponentMismatch, MonomialPair,
                      double_coset_reps, eager_basis_objects, fixed_cosets,
                      gamma_block, gamma_table, ghost_multiply, ghost_ring,
                      hom_set, identity_element, identity_index,
-                     integer_matrix_determinant,
+                     integer_matrix_determinant, lexsorted_orbit_reps,
                      located_block, mark, mark_morphism, multiply,
                      reference_char_group_table,
                      reference_char_orbits, reference_conj,
@@ -433,6 +433,8 @@ def test_product_block_rejects_values_of_no_character():
 
 
 def _assert_char_data_matches_reference(basis):
+    # the reps of each class come in the order of a lexsort of their values
+    assert basis.rep_hom_index == lexsorted_orbit_reps(basis)
     eager_stabilizers = eager_basis_objects(basis)[1]
     for ci, k_sub in enumerate(basis.class_table.reps):
         i0, i1 = basis.class_block[ci]
@@ -465,6 +467,17 @@ def test_char_orbits_and_tables_match_reference_larger(tg_11_5_a, tg_11_5_b,
     moved = [conjugate_subgroup(s4, s4.order - 1, r) for r in default]
     _assert_char_data_matches_reference(monomial_basis(
         s4, fiber_c6, conjugacy_classes_of_subgroups(s4, reps=moved)))
+
+
+def test_char_orbits_match_reference_past_one_byte():
+    # over C2 x C256 the characters of order 2 take fiber indices 128, 256
+    # and 384, so the byte keys of the reps order them as a lexsort only if
+    # each value is big-endian
+    fiber = AbelianFiber((2, 256))
+    for g in (cyclic_group(2), symmetric_group(3)):
+        basis = monomial_basis(g, fiber)
+        assert basis.size == {2: 5, 6: 10}[g.order]
+        _assert_char_data_matches_reference(basis)
 
 
 def _assert_lazy_objects_match_eager(basis):
