@@ -293,23 +293,21 @@ def _permutation_table(perms: np.ndarray) -> np.ndarray:
 
     The key of a permutation is the number whose base-d digits are its d
     images. The keys of the products pq are summed over k from one column
-    gather of the images p(q(k)) per k, and one search in the sorted keys
-    of the rows turns them into indices. Keys are int32, so d**d must stay
-    below 2**31 (d at most 9). Rows go in blocks of 64 p, so that no
-    temporary is much larger than the table itself."""
+    gather of the images p(q(k)) per k, and one lookup in an array of d**d
+    entries, the row of each key, turns them into indices: d is at most 8
+    (8**8 entries of int32 are 67 MB). Rows go in blocks of 64 p, so that
+    no temporary is much larger than the table itself."""
     m, d = perms.shape
     weights = d ** np.arange(d, dtype=np.int32)
-    keys = perms @ weights
-    by_key = np.argsort(keys).astype(_index_dtype(m))
-    sorted_keys = keys[by_key]
-    table = np.empty((m, m), dtype=by_key.dtype)
+    pos = np.zeros(d ** d, dtype=_index_dtype(m))
+    pos[perms @ weights] = np.arange(m)
+    table = np.empty((m, m), dtype=pos.dtype)
     for start in range(0, m, 64):
         block = perms[start:start + 64]
         products = np.zeros((len(block), m), dtype=np.int32)
         for k in range(d):
             products += block[:, perms[:, k]] * weights[k]
-        table[start:start + 64] = by_key[np.searchsorted(sorted_keys,
-                                                          products)]
+        table[start:start + 64] = pos[products]
     return table
 
 

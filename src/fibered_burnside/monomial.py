@@ -94,17 +94,6 @@ class _HomLayout:
                               dtype=_gamma_dtype(int(self.n_homs.max())))
 
 
-def _hom_layout(subs: Sequence[Subgroup], fiber: AbelianFiber) -> _HomLayout:
-    """The ``_HomLayout`` of ``subs``, built once per list of member sets
-    and fiber and kept in the group's cache, so that a basis and its gamma
-    kernel share one."""
-    key = ("homs", tuple(sub.members for sub in subs), fiber.factors)
-    cache = subs[0].group._cache
-    if key not in cache:
-        cache[key] = _HomLayout(subs, fiber)
-    return cache[key]
-
-
 def gamma_rows(subs: Sequence[Subgroup],
                fiber: AbelianFiber) -> Callable[[int], np.ndarray]:
     """The gamma coefficients of K = subs[a] against every L in ``subs``,
@@ -116,15 +105,11 @@ def gamma_rows(subs: Sequence[Subgroup],
     an L of which K fixes no coset are zero.
 
     The fixed cosets of every pair come first, from one gather per L
-    (``_fixed_by``), so only they are looked at: K's entries are its
-    (L, s, psi), s a fixed coset rep of L and psi in Hom(L, A). The Ks
-    fall into blocks of consecutive indices, none with more entries than
-    the largest single K has. The first row read of a block restricts the
-    entries of the whole block in one ``_HomLayout.restrict`` and keeps
-    them until each row is read; a row is counted into its own array when
-    it is read, so rows can be read one at a time. A row read a second
-    time is restricted again, alone. All subgroups must live over the
-    same group.
+    (``_fixed_by``), sorted by K, so only they are looked at: row a takes
+    the entries of K = subs[a], its (L, s, psi), s a fixed coset rep of L
+    and psi in Hom(L, A), restricts them in one ``_HomLayout.restrict``
+    and counts them into a new array, on every read. All subgroups must
+    live over the same group.
     """
     group = subs[0].group
     if any(sub.group is not group for sub in subs):
@@ -139,52 +124,27 @@ def gamma_rows(subs: Sequence[Subgroup],
         fixed_s.append(left_coset_reps(group, l_sub)[c])
     fixed_k = np.concatenate(fixed_k)
     by_k = np.argsort(fixed_k, kind="stable")
-    fixed_k = fixed_k[by_k]
     row = _starts(np.bincount(fixed_k, minlength=len(subs) + 1))
     fixed_l = np.concatenate(fixed_l)[by_k]
     fixed_sinv = group.inv[np.concatenate(fixed_s)[by_k]]
-    homs = _hom_layout(subs, fiber)
+    homs = _HomLayout(subs, fiber)
     col = _starts(homs.n_homs)
     width = int(homs.n_homs.sum())
     dtype = _gamma_dtype(group.order)
-    # where the entries of each K start, and the blocks of consecutive Ks
-    # between ``bounds``: a block ends before the K that would take it past
-    # the largest K's entries
-    entries = _starts(np.append(homs.n_homs[fixed_l], 0))[row]
-    cap = np.diff(entries).max(initial=0)
-    bounds = [0]
-    for a in range(1, len(subs)):
-        if entries[a + 1] - entries[bounds[-1]] > cap:
-            bounds.append(a)
-    bounds.append(len(subs))
-    unread = np.ones(len(subs), dtype=bool)
-    pending: dict[int, np.ndarray] = {}   # K -> its flat row positions
 
-    def restrict_rows(a0: int, a1: int) -> None:
-        """Keep the flat row positions of the entries of Ks a0 to a1 - 1,
-        one per (coset, psi): (^s psi)(k) = psi(s^-1 k s) on K."""
-        e = slice(row[a0], row[a1])
+    def row_of(a: int) -> np.ndarray:
+        # one entry per (coset, psi): (^s psi)(k) = psi(s^-1 k s) on K
+        e = slice(row[a], row[a + 1])
         ls, sinv = fixed_l[e], fixed_sinv[e]
         nl = homs.n_homs[ls]
         u = np.repeat(np.arange(ls.size), nl)
         psi = np.arange(u.size) - np.repeat(_starts(nl), nl)
         lu = ls[u]
-        hit = homs.restrict(lu, psi, sinv[u], fixed_k[e][u])
-        flat = hit * width + col[lu] + psi
-        pending.update(zip(range(a0, a1), np.split(
-            flat, entries[a0 + 1:a1] - entries[a0])))
-        unread[a0:a1] = False
-
-    def row_of(a: int) -> np.ndarray:
-        if a not in pending:
-            if unread[a]:   # the first row read of its block
-                b = int(np.searchsorted(bounds, a, "right"))
-                restrict_rows(bounds[b - 1], bounds[b])
-            else:
-                restrict_rows(a, a + 1)
+        hit = homs.restrict(lu, psi, sinv[u], a)
         out = np.zeros((homs.n_homs[a], width), dtype=dtype)
         # a count of the output's dtype keeps ufunc.at on its fast path
-        np.add.at(out.reshape(-1), pending.pop(a), out.dtype.type(1))
+        np.add.at(out.reshape(-1), hit * width + col[lu] + psi,
+                  out.dtype.type(1))
         return out
     return row_of
 
@@ -276,8 +236,8 @@ class MonomialBasis:
         self.char_to_basis: list[np.ndarray] = []
         # the gamma rows computed so far
         self._gamma: dict[int, np.ndarray] = {}
-        # Hom(K, A) of every class rep K, which every restriction reads
-        self._homs = _hom_layout(class_table.reps, fiber)
+        # Hom(K, A) of every class rep K; the gamma kernel builds its own
+        self._homs = _HomLayout(class_table.reps, fiber)
         for ci, chars in enumerate(self._homs.chars):
             # the hom index of x -> chi_i(n^-1 x n), row n over N = N_G(K)
             # and column i; N is a group, so column i runs over the whole

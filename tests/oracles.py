@@ -537,7 +537,7 @@ def permutation_group(gens, degree) -> FiniteGroup:
     of images, multiplied as (pq)(k) = p(q(k)), with the identity at 0 and
     the other elements in breadth-first order from ``gens``. The table
     comes from ``_permutation_table``, as that of ``symmetric_group`` does,
-    so degree is at most 9.
+    so degree is at most 8.
     """
     elems = [tuple(range(degree))]
     index = {elems[0]: 0}

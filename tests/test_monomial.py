@@ -37,6 +37,7 @@ from fibered_burnside.group_core import (Subgroup, _index_dtype,
 from fibered_burnside.monomial import (MonomialBasis, gamma_class_rows,
                                        gamma_rows, monomial_basis)
 from fibered_burnside.thevenaz import canonical_class_table
+from conftest import traced_peak
 from oracles import (BurnsideElement, ComponentMismatch, MonomialPair,
                      all_monomial_pairs, basis_element, basis_pair,
                      canonical_index, char_lookup, conjugate_subgroup,
@@ -652,8 +653,7 @@ def test_layout_lookup_beyond_int64():
 def test_mackey_row_is_one_restriction(monkeypatch, fiber_c2, fiber_c5):
     # each class row of the product table restricts all its rho and sigma
     # at once, whatever the classes of its M = K n sLs^-1; the product
-    # table of the layout is made by the first row and never by gamma.
-    # Both groups are built here: a layout is kept in its group's cache
+    # table of the layout is made by the first row and never by gamma
     tg = thevenaz.build(thevenaz.ThevenazSpec(11, 5, 3, 9))
     calls = []
     restrict = monomial._HomLayout.restrict
@@ -838,24 +838,21 @@ def restricted_entries(basis):
             @ basis._homs.n_homs).tolist()
 
 
-def assert_rows_restricted_by_blocks(basis, kernel, calls, blocks):
+def assert_one_restriction_per_row(basis, kernel, calls, blocks):
     """The rows and restrictions of the gamma kernel with id ``kernel``
     over the class reps of ``basis``, as ``count_gamma_rows`` records them:
     each class row is made once; the restrictions hand back
     sum(restricted_entries(basis)) characters in all, so no pair with a
-    zero mark is looked at; no class row lies in two of them, so no block
-    is restricted twice; and each is a block of consecutive rows with no
-    more entries than the largest row."""
+    zero mark is looked at; and each row is one restriction of its own
+    entries to its K, so no row is restricted twice or with another."""
     entries = restricted_entries(basis)
     rows = [a for kid, a, _, _ in calls if kid == kernel]
     assert sorted(rows) == list(range(len(entries)))
     mine = [(ks, n) for kid, ks, n in blocks if kid == kernel]
     assert sum(n for _, n in mine) == sum(entries)
-    covered = [a for ks, _ in mine for a in ks]
-    assert len(covered) == len(set(covered)) == len(entries)
+    assert sorted(ks for ks, _ in mine) == [[a] for a in range(len(entries))]
     for ks, n in mine:
-        assert ks == list(range(ks[0], ks[-1] + 1))
-        assert n == sum(entries[a] for a in ks) <= max(entries)
+        assert n == entries[ks[0]]
     return mine
 
 
@@ -881,20 +878,17 @@ def test_ghost_images_take_one_gamma_block_per_class_pair(monkeypatch,
 def test_gamma_table_computes_only_nonzero_mark_blocks(monkeypatch):
     # (C2)^4 over C2 x C2: 513 of the 67 x 67 class pairs have a nonzero
     # mark; the gamma table computes one kernel row per class, and the
-    # kernel restricts the characters of the fixed cosets alone, a block
-    # of consecutive rows at a time: a kernel that looked at a pair with a
-    # zero mark would restrict more. No block is restricted twice, none
-    # holds more entries than the largest row, and there are fewer blocks
-    # than rows
+    # kernel restricts the characters of the fixed cosets alone, one row
+    # at a time: a kernel that looked at a pair with a zero mark would
+    # restrict more. Each row is exactly one restriction
     basis = MonomialBasis(abelian_group([2, 2, 2, 2]), AbelianFiber((2, 2)))
     blocks = []
     calls = count_gamma_rows(monkeypatch, blocks)
     table = gamma_table(basis)
     marks = np.asarray(basis.class_table.marks)
     assert [a for _, a, _, _ in calls] == list(range(len(marks)))
-    mine = assert_rows_restricted_by_blocks(basis, calls[0][0], calls,
-                                            blocks)
-    assert len(mine) == len(blocks) < len(marks)
+    mine = assert_one_restriction_per_row(basis, calls[0][0], calls, blocks)
+    assert len(mine) == len(blocks) == len(marks)
     assert np.count_nonzero(marks) == 513
     assert table.shape == (1837, 1837) and table.dtype == np.int8
     # and keeps no gamma row
@@ -906,8 +900,8 @@ def test_gamma_table_computes_only_nonzero_mark_blocks(monkeypatch):
 def test_gamma_rows_read_in_any_order_match_one_pair_blocks(monkeypatch,
                                                            s4, fiber_c6):
     # the rows of one kernel read backwards and then some again: each
-    # equals the rows of one-pair kernels; the first reads restrict each
-    # block once, and a row read again is restricted again, alone
+    # equals the rows of one-pair kernels; each read, the first or a
+    # later one, is one restriction of that row alone
     reps = conjugacy_classes_of_subgroups(s4).reps
     expect = [np.concatenate([gamma_block(k_sub, l_sub, fiber_c6)
                               for l_sub in reps], axis=1) for k_sub in reps]
@@ -918,10 +912,22 @@ def test_gamma_rows_read_in_any_order_match_one_pair_blocks(monkeypatch,
     for a in (*range(len(reps) - 1, -1, -1), *again):
         assert np.array_equal(kernel(a), expect[a])
     basis = MonomialBasis(s4, fiber_c6)
-    first = assert_rows_restricted_by_blocks(
+    first = assert_one_restriction_per_row(
         basis, calls[0][0], calls[:len(reps)], blocks[:-len(again)])
-    assert len(first) < len(reps)
+    assert len(first) == len(reps)
     assert [ks for _, ks, _ in blocks[-len(again):]] == [[a] for a in again]
+
+
+def test_gamma_row_reads_allocate_under_half_a_mb_e16():
+    # (C2)^4 over C2 x C2: every row read, made from its own entries alone,
+    # allocates less than 0.5 MB above the row it returns (0.34 MB at
+    # most); a read that restricted a block of rows at once would allocate
+    # the whole block's entries (0.87 MB)
+    reps = conjugacy_classes_of_subgroups(abelian_group([2, 2, 2, 2])).reps
+    kernel = gamma_rows(reps, AbelianFiber((2, 2)))
+    for a in range(len(reps)):
+        out, peak = traced_peak(lambda: kernel(a))
+        assert peak - out.nbytes < 1 << 19
 
 
 def test_gamma_blocks_are_views_of_one_kept_row_per_class(monkeypatch, d4,

@@ -43,8 +43,7 @@ from oracles import (MonomialPair, hom_set,
                      reference_gamma, reference_gamma_check,
                      reference_product, reference_search_species,
                      reference_structure_constant_check)
-from test_monomial import (assert_rows_restricted_by_blocks,
-                           count_gamma_rows)
+from test_monomial import assert_one_restriction_per_row, count_gamma_rows
 
 # ---------------------------------------------------------------------------
 # Character group isomorphisms
@@ -444,12 +443,12 @@ def test_verify_auto_computes_each_block_once(monkeypatch):
     assert marks[0] == marks[1]
     for basis in sides:
         # the kept rows are the kernel's own, and the kernel restricts the
-        # characters of the fixed cosets alone, a block of consecutive
-        # rows at a time, so no block of a pair with a zero mark is
-        # computed, and no block of rows is restricted twice
+        # characters of the fixed cosets alone, one row at a time, so no
+        # block of a pair with a zero mark is computed, and no row is
+        # restricted twice
         kernel, = {kid for kid, a, _, row in gammas
                    if basis._gamma.get(a) is row}
-        assert_rows_restricted_by_blocks(basis, kernel, gammas, blocks)
+        assert_one_restriction_per_row(basis, kernel, gammas, blocks)
 
 
 def test_verify_species_reads_no_product_blocks(monkeypatch):
