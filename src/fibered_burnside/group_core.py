@@ -556,7 +556,7 @@ def _perfect_seeds(group: FiniteGroup) -> dict[tuple[int, ...], tuple[int, int]]
     found: dict[tuple[int, ...], tuple[int, int]] = {}
     tried: set[tuple[int, ...]] = set()
     for a in group.element_classes[0][1:].tolist():
-        powers = np.asarray(closure(group, (a,)), dtype=np.int64)
+        powers = _powers(mul, a, int(group.element_orders[a]))
         centralizer = np.flatnonzero(_conjugate(group, every, a) == a)
         covered = _indicator(group.order, centralizer)
         while not covered.all():
@@ -880,74 +880,72 @@ def abelian_invariant_decomposition(table) -> AbelianDecomposition:
     - the t-th generators of all primes, p ascending, multiply into the
       t-th slot, and the slots are put in ascending order.
     """
-    table = np.asarray(table, dtype=np.int64)
+    table = np.asarray(table)
     n = table.shape[0]
-    rows, orders = table.tolist(), _orders(table).tolist()
+    orders = _orders(table)
     gens: list[int] = []
     factors: list[int] = []
     for p, a in _prime_factors(n):
-        comp = [e for e in range(n) if p ** a % orders[e] == 0]   # p-part
-        basis = _p_basis(rows, comp, dict(zip(comp, comp)), orders, a)
-        for t, (g, d) in enumerate(basis):
+        comp = np.flatnonzero(p ** a % orders == 0)   # the p-part, ascending
+        part = table if comp.size == n else np.searchsorted(
+            comp, table[comp[:, None], comp])
+        for t, (g, d) in enumerate(_p_basis(part, orders[comp], a)):
             if t == len(gens):
                 gens.append(0)
                 factors.append(1)
-            gens[t], factors[t] = rows[gens[t]][g], factors[t] * d
+            gens[t], factors[t] = int(table[gens[t], comp[g]]), factors[t] * d
     gens.reverse()   # ascending divisibility d1 | d2 | ...
     factors.reverse()
-    span = [0]
+    span = np.zeros(1, dtype=np.int64)
     if prod(factors) == n:   # else the factors cannot span the group
         for g, d in zip(gens, factors):
-            span = [rows[s][c] for s in span for c in _cycle(rows, g, d)]
-    if len(set(span)) != n:
+            span = table[span[:, None], _powers(table, g, d)].ravel()
+    if _sorted_unique(span).size != n:
         raise NotAGroup("abelian basis does not span the group")
-    span = np.asarray(span, dtype=np.int64)
     coords = np.empty((n, len(factors)), dtype=np.int64)
-    coords[span] = list(itertools.product(*map(range, factors)))
-    return AbelianDecomposition(tuple(factors), coords, span)
+    coords[span] = np.indices(factors).reshape(len(factors), n).T
+    return AbelianDecomposition(tuple(factors), coords,
+                                span.astype(np.int64, copy=False))
 
 
-def _p_basis(rows: list, quot: list[int], label: dict, orders,
+def _p_basis(table: np.ndarray, orders: np.ndarray,
              a: int) -> list[tuple[int, int]]:
-    """Basis [(gen, order), ...], orders descending, of the group of the
-    cosets that ``label`` sends the elements to. ``quot`` lists their least
-    members, ascending, and ``orders`` gives their orders. The group is a
-    p-group of order at most p^a, so its rank is at most a."""
-    if len(quot) == 1 or not a:
+    """Basis [(gen, order), ...], orders descending, of the p-group of
+    order at most p^a with this multiplication table and these element
+    orders, so of rank at most a. The quotient by <x> has the least member
+    of each coset of <x> as its element, in ascending order, so it
+    compares elements as the group does."""
+    if table.shape[0] == 1 or not a:
         return []
-    x = max(quot, key=orders.__getitem__)   # the first of largest order
-    top = orders[x]
-    cyc = [label[c] for c in _cycle(rows, x, top)]
-    least = {q: min([label[rows[q][c]] for c in cyc]) for q in quot}
-    sub_label = {e: least[q] for e, q in label.items()}
-    sub_quot = sorted(set(least.values()))
-    sub_orders = {q: _coset_order(rows, q, sub_label, orders[q])
-                  for q in sub_quot}
+    x = int(np.argmax(orders))   # the first of largest order
+    top = int(orders[x])
+    cyc = _powers(table, x, top)
+    least = table[:, cyc].min(axis=1)
+    quot = np.flatnonzero(least == np.arange(least.size))
+    sub = np.searchsorted(quot, least[table[quot[:, None], quot]])
     basis = [(x, top)]
-    for y, d in _p_basis(rows, sub_quot, sub_label, sub_orders, a - 1):
-        lift = next((z for z in (label[rows[y][c]] for c in cyc)
-                     if orders[z] == d), None)
-        if lift is None:
+    for y, d in _p_basis(sub, _orders(sub), a - 1):
+        lifts = table[quot[y], cyc]
+        first = np.flatnonzero(orders[lifts] == d)
+        if not first.size:
             raise NotAGroup(
                 "a quotient basis element has no lift of its order")
-        basis.append((lift, d))
+        basis.append((int(lifts[first[0]]), d))
     return basis
 
 
-def _coset_order(rows: list, e: int, label: dict, bound: int) -> int:
-    """The least k >= 1, at most ``bound``, with e^k labelled 0."""
-    k, power = 1, e
-    while label[power] and k < bound:
-        power, k = rows[power][e], k + 1
-    return k
-
-
-def _cycle(rows: list, x: int, d: int) -> list[int]:
-    """x^0, x^1, ..., x^(d-1)."""
-    cyc = [0]
-    for _ in range(d - 1):
-        cyc.append(rows[cyc[-1]][x])
-    return cyc
+def _powers(table: np.ndarray, x, d: int) -> np.ndarray:
+    """x^0, x^1, ..., x^(d-1) along a new last axis, for an index or an
+    array of them: by doubling, x^(k+i) = x^k x^i, in log2(d) gathers."""
+    step = np.asarray(x)[..., None]   # x^known
+    out = np.zeros(step.shape[:-1] + (d,), dtype=np.int64)
+    known = 1
+    while known < d:
+        take = min(known, d - known)
+        out[..., known:known + take] = table[step, out[..., :take]]
+        known += take
+        step = table[step, step]
+    return out
 
 
 def _orders(table: np.ndarray) -> np.ndarray:
@@ -1130,8 +1128,7 @@ def _cyclic_class_lengths(group: FiniteGroup) -> np.ndarray:
     number of powers of x in that class, and <x> has |class of x| / m
     conjugates. The generators of <x> and all their conjugates give
     conjugate subgroups, so one x per class of cyclic subgroups is
-    counted: the least class rep whose class is not reached yet. Its
-    powers come by doubling, x^(k+i) = x^k x^i, in log2(ord x) gathers.
+    counted: the least class rep whose class is not reached yet.
     """
     reps, label = group.element_classes
     orders = group.element_orders
@@ -1139,16 +1136,9 @@ def _cyclic_class_lengths(group: FiniteGroup) -> np.ndarray:
     for c, x in enumerate(reps.tolist()):
         if lengths[c]:
             continue
-        d = int(orders[x])
-        powers = np.zeros(d, dtype=np.int64)
-        known, step = 1, x   # powers[:known] hold x^0 .. x^(known-1)
-        while known < d:
-            take = min(known, d - known)
-            powers[known:known + take] = group.mul[step, powers[:take]]
-            known += take
-            step = int(group.mul[powers[known - 1], x])
+        powers = _powers(group.mul, x, int(orders[x]))
         classes = label[powers]
-        lengths[classes[orders[powers] == d]] = (
+        lengths[classes[orders[powers] == powers.size]] = (
             group.element_class_sizes[x] // np.count_nonzero(classes == c))
     return lengths[label]
 

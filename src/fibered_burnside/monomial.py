@@ -42,6 +42,7 @@ class _HomLayout:
     every value and stride 0."""
 
     def __init__(self, subs: Sequence[Subgroup], fiber: AbelianFiber):
+        self.subs = subs
         self.group = subs[0].group
         self.chars = [char_index(sub, fiber) for sub in subs]
         self.n_homs = np.asarray([len(c.values) for c in self.chars],
@@ -94,15 +95,14 @@ class _HomLayout:
                               dtype=_gamma_dtype(int(self.n_homs.max())))
 
 
-def gamma_rows(subs: Sequence[Subgroup],
-               fiber: AbelianFiber) -> Callable[[int], np.ndarray]:
+def gamma_rows(homs: _HomLayout) -> Callable[[int], np.ndarray]:
     """The gamma coefficients of K = subs[a] against every L in ``subs``,
-    as a function of a: one row per character of K, in ``CharIndex``
-    order, and the characters of every L side by side, in the order of
-    ``subs`` and in ``CharIndex`` order within each, in
-    ``_gamma_dtype(|G|)``. Entry [phi, psi] counts the cosets sL with K <=
-    sLs^-1 on which the conjugate of psi restricts to phi. The columns of
-    an L of which K fixes no coset are zero.
+    the subgroups of the layout ``homs``, as a function of a: one row per
+    character of K, in ``CharIndex`` order, and the characters of every L
+    side by side, in the order of ``subs`` and in ``CharIndex`` order
+    within each, in ``_gamma_dtype(|G|)``. Entry [phi, psi] counts the
+    cosets sL with K <= sLs^-1 on which the conjugate of psi restricts to
+    phi. The columns of an L of which K fixes no coset are zero.
 
     The fixed cosets of every pair come first, from one gather per L
     (``_fixed_by``), sorted by K, so only they are looked at: row a takes
@@ -111,7 +111,7 @@ def gamma_rows(subs: Sequence[Subgroup],
     and counts them into a new array, on every read. All subgroups must
     live over the same group.
     """
-    group = subs[0].group
+    group, subs = homs.group, homs.subs
     if any(sub.group is not group for sub in subs):
         raise ValueError("subgroups live over different groups")
     # every fixed coset, as (K index, L index, coset rep), sorted by K
@@ -127,7 +127,6 @@ def gamma_rows(subs: Sequence[Subgroup],
     row = _starts(np.bincount(fixed_k, minlength=len(subs) + 1))
     fixed_l = np.concatenate(fixed_l)[by_k]
     fixed_sinv = group.inv[np.concatenate(fixed_s)[by_k]]
-    homs = _HomLayout(subs, fiber)
     col = _starts(homs.n_homs)
     width = int(homs.n_homs.sum())
     dtype = _gamma_dtype(group.order)
@@ -236,7 +235,7 @@ class MonomialBasis:
         self.char_to_basis: list[np.ndarray] = []
         # the gamma rows computed so far
         self._gamma: dict[int, np.ndarray] = {}
-        # Hom(K, A) of every class rep K; the gamma kernel builds its own
+        # Hom(K, A) of every class rep K, which the gamma kernel reads too
         self._homs = _HomLayout(class_table.reps, fiber)
         for ci, chars in enumerate(self._homs.chars):
             # the hom index of x -> chi_i(n^-1 x n), row n over N = N_G(K)
@@ -287,7 +286,7 @@ class MonomialBasis:
     @cached_property
     def _gamma_kernel(self) -> Callable[[int], np.ndarray]:
         """``gamma_rows`` over the class reps, prepared once per basis."""
-        return gamma_rows(self.class_table.reps, self.fiber)
+        return gamma_rows(self._homs)
 
     def product(self, i: int, j: int) -> list[tuple[int, int]]:
         """Structure constants of basis elements i times j as (index, coeff)

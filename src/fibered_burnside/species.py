@@ -18,7 +18,7 @@ import numpy as np
 from .abelian_fiber import AbelianFiber, CharIndex, char_index
 from .errors import (FiberHasPTorsion, InvalidSpec, NotABijection,
                      NotAGroupIso, SearchBudgetExceeded)
-from .group_core import SubgroupClassTable, _orders, _starts
+from .group_core import SubgroupClassTable, _orders, _powers, _starts
 from .monomial import _sort_runs, monomial_basis
 from .thevenaz import ThevenazGroup, canonical_class_table
 
@@ -124,13 +124,8 @@ def char_group_isomorphisms(chars1: CharIndex, chars2: CharIndex, *,
     orders2 = _orders(table2)
     # powers[k] holds c^0 .. c^(d-1) for each candidate image c of the
     # k-th generator, of order d, by ascending index of c
-    powers: list[np.ndarray] = []
-    for d in dec1.factors:
-        cands = np.flatnonzero(orders2 == d)
-        cyc = np.zeros((cands.size, d), dtype=np.int64)
-        for j in range(1, d):
-            cyc[:, j] = table2[cyc[:, j - 1], cands]
-        powers.append(cyc)
+    powers = [_powers(table2, np.flatnonzero(orders2 == d), d)
+              for d in dec1.factors]
     # span[x] is the image of the element whose coordinates on the first
     # k generators have mixed-radix index x; ``flat`` is that index of
     # every element of Hom(K, A), and spanned[k][x] is the element itself,

@@ -12,7 +12,7 @@ from fibered_burnside.abelian_fiber import AbelianFiber
 from fibered_burnside.group_core import (abelian_group, cyclic_group,
                                          dihedral_group, enumerate_subgroups,
                                          symmetric_group, trivial_group)
-from fibered_burnside.monomial import gamma_rows
+from fibered_burnside.monomial import _HomLayout, gamma_rows
 
 
 def traced_peak(fn):
@@ -35,7 +35,7 @@ def pair_gamma():
     of one gamma kernel over all subgroups, laid end to end."""
     def matrix(group, fiber):
         subs = enumerate_subgroups(group)
-        kernel = gamma_rows(subs, fiber)
+        kernel = gamma_rows(_HomLayout(subs, fiber))
         return np.concatenate([kernel(a) for a in range(len(subs))])
     return matrix
 

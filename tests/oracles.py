@@ -71,7 +71,7 @@ from fibered_burnside.group_core import (FiniteGroup, Subgroup,
                                          commutator_subgroup, double_cosets,
                                          enumerate_subgroups,
                                          left_coset_reps, normalizer)
-from fibered_burnside.monomial import (MonomialBasis, _starts,
+from fibered_burnside.monomial import (MonomialBasis, _HomLayout, _starts,
                                        gamma_class_rows, gamma_rows,
                                        monomial_basis)
 from fibered_burnside.species import SpeciesWitness, char_group_isomorphisms
@@ -1681,8 +1681,8 @@ def gamma_block(k_sub: Subgroup, l_sub: Subgroup,
     case of ``gamma_rows``: row 0 of the kernel over [K, L], at the
     columns of L, or over [K] alone when L is K."""
     if k_sub == l_sub:
-        return gamma_rows([k_sub], fiber)(0)
-    return gamma_rows([k_sub, l_sub], fiber)(0)[
+        return gamma_rows(_HomLayout([k_sub], fiber))(0)
+    return gamma_rows(_HomLayout([k_sub, l_sub], fiber))(0)[
         :, len(char_index(k_sub, fiber).values):]
 
 

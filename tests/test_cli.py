@@ -464,6 +464,22 @@ def test_reproduce_builds_each_char_index_once(monkeypatch):
     assert len(builds) == len(set(builds)) == 20
 
 
+def test_reproduce_builds_one_hom_layout_per_basis(monkeypatch):
+    # each basis's gamma kernel reads the Hom layout of the basis itself,
+    # so the two bases of the order-605 pair build two layouts, not four
+    builds = []
+    build = monomial._HomLayout.__init__
+
+    def counted(self, subs, fiber):
+        builds.append((id(subs[0].group), len(subs)))
+        build(self, subs, fiber)
+
+    monkeypatch.setattr(monomial._HomLayout, "__init__", counted)
+    _, code = cli.cmd_reproduce_paper()
+    assert code == 0
+    assert len(builds) == len(set(builds)) == 2
+
+
 def _square_arrays(value, n: int, seen: set) -> list[np.ndarray]:
     """The arrays of n^2 or more entries reachable from ``value`` through
     containers and object attributes."""
@@ -597,13 +613,16 @@ GOLDEN = [
     (("verify", "abelian:2,2,2,2", "abelian:2,2,2,2", "--fiber", "2",
       "--auto"), 0,
      "703d9dd03f5f9cc2621b4d91acabd337c3f87ff6f94d56be4a1b1b1c73727a8b"),
+    # the invariant-factor bases here lift past the first candidate
+    (("verify", "abelian:2,4,8", "abelian:2,4,8", "--fiber", "2", "--auto"),
+     0, "76e2b6f025eab0b13ade711d341f760e2056801f57f4baa1ddfe6ab9e8a00af1"),
 ]
 
 
 GOLDEN_IDS = ["gamma-s4-fiber6", "gamma-d4-fiber2x4", "verify-auto-s3",
               "verify-witness-gamma-mismatch", "verify-thevenaz-147",
               "reproduce-7-3", "reproduce-11-5", "marks-s6",
-              "verify-auto-e16"]
+              "verify-auto-e16", "verify-auto-c2xc4xc8"]
 
 
 def golden_argv(tmp_path, argv):
@@ -1426,7 +1445,7 @@ def test_package_has_one_character_representation():
 def test_package_has_no_ring_layer_or_one_pair_wrappers():
     # no command builds a ring element, a ghost element or the mark
     # morphism, or asks a batched kernel for one pair: those live in the
-    # test oracles alone, and the gamma kernel takes one list of subgroups
+    # test oracles alone, and the gamma kernel takes one Hom layout
     _assert_names_gone(
         {"BurnsideElement", "multiply", "GhostRing", "GhostElement",
          "ghost_multiply", "ghost_ring", "mark_morphism", "gamma_table",
@@ -1439,11 +1458,18 @@ def test_package_has_no_ring_layer_or_one_pair_wrappers():
          (Subgroup, ("__contains__", "_positions", "_pos")),
          (AbelianFiber, ("add", "neg", "torsion_elements")),
          (AbelianFiber((2,)), ("neg_table",))))
-    assert list(inspect.signature(gamma_rows).parameters) == ["subs", "fiber"]
+    assert list(inspect.signature(gamma_rows).parameters) == ["homs"]
     for module in _package_modules():
         missing = [name for name in getattr(module, "__all__", ())
                    if not hasattr(module, name)]
         assert not missing, module.__name__
+
+
+def test_package_has_one_abelian_kernel():
+    # invariant factors come from quotient tables and powers from one
+    # doubling helper: the recursion over Python lists and coset-label
+    # dicts, with its own power walks, is gone
+    _assert_names_gone({"_cycle", "_coset_order"}, ())
 
 
 def test_package_has_one_character_index():

@@ -942,6 +942,15 @@ def test_abelian_basis_guards_raise():
         abelian_invariant_decomposition(table)
 
 
+def test_abelian_decomposition_allocates_less_than_its_table():
+    # C31 x C31: the quotient tables of <x> are 31 x 31, so the kernel
+    # allocates less than the int64 table it is given (7.0 MiB)
+    table = abelian_group((31, 31)).mul.astype(np.int64)
+    dec, peak = traced_peak(lambda: abelian_invariant_decomposition(table))
+    assert dec.factors == (31, 31)
+    assert peak < table.nbytes
+
+
 def _asserts(node) -> bool:
     """An ``assert`` statement, or a ``raise`` of AssertionError."""
     if isinstance(node, ast.Assert):
@@ -1291,8 +1300,10 @@ def test_abelianization_matches_reference(small_groups, s6, tg_11_5_a,
     # members: the same factors, the same coordinates of every member of K
     # and the same least coset members in order; element orders against a
     # walk through the powers of each element. E16 adds 67 subgroups, every
-    # one abelian
-    groups = [*small_groups, abelian_group((2, 2, 2, 2)), s6,
+    # one abelian; in C2 x C2 x C4 and C2 x C4 x C8 some quotient generators
+    # lift past their first candidate y x^j
+    groups = [*small_groups, abelian_group((2, 2, 2, 2)),
+              abelian_group((2, 2, 4)), abelian_group((2, 4, 8)), s6,
               _a6_from_cayley_json(), tg_11_5_a.group, tg_11_5_b.group]
     for g in groups:
         assert g.element_orders.tolist() == reference_element_orders(g), g

@@ -907,7 +907,7 @@ def test_gamma_rows_read_in_any_order_match_one_pair_blocks(monkeypatch,
                               for l_sub in reps], axis=1) for k_sub in reps]
     blocks = []
     calls = count_gamma_rows(monkeypatch, blocks)
-    kernel = monomial.gamma_rows(reps, fiber_c6)
+    kernel = monomial.gamma_rows(monomial._HomLayout(reps, fiber_c6))
     again = (3, 0, 3)
     for a in (*range(len(reps) - 1, -1, -1), *again):
         assert np.array_equal(kernel(a), expect[a])
@@ -924,7 +924,7 @@ def test_gamma_row_reads_allocate_under_half_a_mb_e16():
     # most); a read that restricted a block of rows at once would allocate
     # the whole block's entries (0.87 MB)
     reps = conjugacy_classes_of_subgroups(abelian_group([2, 2, 2, 2])).reps
-    kernel = gamma_rows(reps, AbelianFiber((2, 2)))
+    kernel = gamma_rows(monomial._HomLayout(reps, AbelianFiber((2, 2))))
     for a in range(len(reps)):
         out, peak = traced_peak(lambda: kernel(a))
         assert peak - out.nbytes < 1 << 19
