@@ -42,6 +42,7 @@ except ImportError:
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
+EXIT_UNDECIDED = 3      # a search stopped by its budget: no verdict
 
 
 class SpecError(ValueError):
@@ -145,10 +146,15 @@ def cmd_verify(group_spec_g: str, group_spec_h: str, fiber_spec: str,
                *, witness_file: Optional[str] = None, auto: bool = False,
                use_thevenaz_witness: bool = False,
                budget: Optional[int] = None) -> tuple[dict, int]:
+    if budget is not None and not auto:
+        raise SpecError("--budget needs --auto")
     if budget is not None and budget < 0:
         raise SpecError(f"--budget must be non-negative, got {budget}")
     built_g = parse_group_spec(group_spec_g)
-    built_h = parse_group_spec(group_spec_h)
+    # an identical spec names the same group: both sides are one object,
+    # so H reads the class table, basis and rows cached on G's
+    built_h = (built_g if group_spec_h == group_spec_g
+               else parse_group_spec(group_spec_h))
     fiber = _parse_fiber(fiber_spec)
     inputs = {"g": group_spec_g, "h": group_spec_h, "fiber": fiber_spec,
               "mode": ("thevenaz-witness" if use_thevenaz_witness
@@ -165,7 +171,7 @@ def cmd_verify(group_spec_g: str, group_spec_h: str, fiber_spec: str,
                                      budget=budget)
         except SearchBudgetExceeded as exc:
             result = {"status": "budget_exceeded", "detail": str(exc)}
-            return _report("verify", inputs, result), EXIT_NEGATIVE
+            return _report("verify", inputs, result), EXIT_UNDECIDED
         if witness is None:
             result = {"status": "exhausted", "valid": False,
                       "caveat": EXHAUSTION_CAVEAT}

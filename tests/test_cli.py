@@ -157,7 +157,8 @@ def test_verify_auto_exhausted(capsys):
 def test_verify_budget_exceeded(capsys):
     code, report, _ = run_json(capsys, "verify", "symmetric:3", "symmetric:3",
                                "--fiber", "2", "--auto", "--budget", "0")
-    assert code == 1
+    # a stopped search decides nothing: not 1, the code of a negative verdict
+    assert code == cli.EXIT_UNDECIDED == 3
     assert report["result"]["status"] == "budget_exceeded"
 
 
@@ -174,7 +175,7 @@ def test_verify_budget_bounds_large_character_groups(capsys):
     code, report, _ = run_json(capsys, "verify", "thevenaz:11,5,3,9",
                                "thevenaz:11,5,3,4", "--fiber", "11", "--auto",
                                "--budget", "50000")
-    assert code == 1
+    assert code == cli.EXIT_UNDECIDED == 3
     assert report["result"]["status"] == "budget_exceeded"
     assert "50000" in report["result"]["detail"]
 
@@ -293,6 +294,24 @@ def test_verify_rejects_negative_budget(capsys):
                        "--fiber", "2", "--auto", "--budget", "-1")
     assert_usage_error(code, err)
     assert "--budget" in err
+
+
+@pytest.mark.parametrize("mode", [
+    ("--witness", "{witness}"),
+    ("--thevenaz-witness",),
+], ids=["witness", "thevenaz-witness"])
+def test_verify_rejects_budget_without_auto(capsys, monkeypatch, tmp_path,
+                                            mode):
+    # only --auto searches, so a budget anywhere else would be ignored;
+    # it is a usage error before any group is built
+    parsed = []
+    monkeypatch.setattr(cli, "parse_group_spec", parsed.append)
+    argv = ["verify", "thevenaz:11,5,3,9", "thevenaz:11,5,3,4", "--fiber",
+            "5", *mode, "--budget", "3"]
+    code, out, err = run(capsys, *golden_argv(tmp_path, argv))
+    assert_usage_error(code, err)
+    assert "--budget" in err and "--auto" in err
+    assert out == "" and parsed == []
 
 
 def test_verify_missing_witness_file(capsys, tmp_path):
@@ -669,6 +688,50 @@ def test_golden_reports_are_their_json_dumps(monkeypatch, tmp_path, argv,
                                                      argv)),
                               sort_keys=True, indent=2)
     assert hashlib.sha256((text + "\n").encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv, respelled", [
+    (GOLDEN[2][0], "symmetric:+3"),
+    (GOLDEN[3][0], "dihedral:+4"),
+    (GOLDEN[4][0], "thevenaz:7,3,2,+4"),
+    (GOLDEN[8][0], "abelian:2,2,2,+2"),
+    (GOLDEN[9][0], "abelian:2,4,+8"),
+    (("verify", "dihedral:91", "dihedral:91", "--fiber", "2", "--auto"),
+     "dihedral:+91"),
+], ids=["s3-auto", "d4-witness-file", "thevenaz-147", "e16-auto",
+        "c2xc4xc8-auto", "d91-auto"])
+def test_identical_specs_share_one_group(monkeypatch, tmp_path, argv,
+                                         respelled):
+    # a self-pair builds its group and basis once, and both sides read
+    # them; a respelling of the H spec builds a second group equal to the
+    # first, and the result and exit code are the same as the self-pair's
+    args = cli.build_parser().parse_args(golden_argv(tmp_path, argv))
+    assert args.group_g == args.group_h != respelled
+    parsed, bases = [], []
+    real_parse, real_init = cli.parse_group_spec, MonomialBasis.__init__
+
+    def counted_parse(text):
+        parsed.append(text)
+        return real_parse(text)
+
+    def counted_init(self, *init_args):
+        bases.append(self)
+        real_init(self, *init_args)
+
+    monkeypatch.setattr(cli, "parse_group_spec", counted_parse)
+    monkeypatch.setattr(MonomialBasis, "__init__", counted_init)
+
+    def verify(spec_h):
+        parsed.clear()
+        bases.clear()
+        report, code = cli.cmd_verify(
+            args.group_g, spec_h, args.fiber, witness_file=args.witness,
+            auto=args.auto, use_thevenaz_witness=args.thevenaz_witness)
+        return report["result"], code, len(parsed), len(bases)
+
+    result, code, n_parsed, n_bases = verify(args.group_h)
+    assert (n_parsed, n_bases) == (1, 1)
+    assert verify(respelled) == (result, code, 2, 2)
 
 
 E16_GAMMA_DIGEST = \

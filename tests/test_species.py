@@ -386,14 +386,14 @@ def test_structure_constant_check_rejects_bad_basis_maps(d4, fiber_c2):
         {"reason": "induced basis map is not a bijection"}, None)
 
 
-def test_verify_auto_computes_each_block_once(monkeypatch):
-    # D6 over C2 x C4, as `verify dihedral:6 dihedral:6 --fiber 2,4 --auto`
-    # runs it: each side runs one geometry pass (one batched double-coset
-    # call) and one term pass per class, which the basis keeps as class
-    # row ci. The run locator points every product of classes (ci, cj)
-    # into the kept row of the lower class, min(ci, cj), and reading runs
-    # computes no row again. The search and the verification share one
-    # gamma kernel per side, which computes each class row once
+def count_verify_blocks(monkeypatch, spec_h):
+    """The bases of `verify dihedral:6 <spec_h> --fiber 2,4 --auto`, as the
+    run computes them: each side runs one geometry pass (one batched
+    double-coset call) and one term pass per class, which the basis keeps
+    as class row ci. The run locator points every product of classes
+    (ci, cj) into the kept row of the lower class, min(ci, cj), and reading
+    runs computes no row again. The search and the verification share one
+    gamma kernel per side, which computes each class row once."""
     geometry, rows = [], []
     real_cosets, real_terms = monomial.double_cosets, \
         MonomialBasis._mackey_terms
@@ -411,11 +411,9 @@ def test_verify_auto_computes_each_block_once(monkeypatch):
     gammas = count_gamma_rows(monkeypatch, blocks)
     monkeypatch.setattr(monomial, "double_cosets", counted_cosets)
     monkeypatch.setattr(MonomialBasis, "_mackey_terms", counted_terms)
-    report, code = cli.cmd_verify("dihedral:6", "dihedral:6", "2,4",
-                                  auto=True)
+    report, code = cli.cmd_verify("dihedral:6", spec_h, "2,4", auto=True)
     assert code == 0 and report["result"]["valid"]
     sides = Counter(basis for basis, _, _ in rows)
-    assert len(sides) == 2
     assert sorted(map(id, geometry)) == sorted(id(b.group) for b in sides)
     for basis in sides:
         k = len(basis.class_block)
@@ -437,10 +435,8 @@ def test_verify_auto_computes_each_block_once(monkeypatch):
                 assert (start + lens <= at + row.size).all()
     assert len(rows) == len(terms) == sum(len(basis.class_block)
                                           for basis in sides)
-    assert len({kernel for kernel, _, _, _ in gammas}) == 2
+    assert len({kernel for kernel, _, _, _ in gammas}) == len(sides)
     assert len(gammas) == sum(len(basis.class_block) for basis in sides)
-    marks = [basis.class_table.marks for basis in sides]
-    assert marks[0] == marks[1]
     for basis in sides:
         # the kept rows are the kernel's own, and the kernel restricts the
         # characters of the fixed cosets alone, one row at a time, so no
@@ -449,12 +445,30 @@ def test_verify_auto_computes_each_block_once(monkeypatch):
         kernel, = {kid for kid, a, _, row in gammas
                    if basis._gamma.get(a) is row}
         assert_one_restriction_per_row(basis, kernel, gammas, blocks)
+    return list(sides)
+
+
+def test_verify_auto_computes_each_block_once(monkeypatch):
+    # an identical spec is one group: the two sides share one basis and
+    # one gamma kernel, so each class row is computed once in all
+    sides = count_verify_blocks(monkeypatch, "dihedral:6")
+    assert len(sides) == 1
+
+
+def test_verify_auto_computes_each_block_once_per_side(monkeypatch):
+    # a respelled spec builds a second group: each side computes each of
+    # its blocks once
+    sides = count_verify_blocks(monkeypatch, "dihedral:+6")
+    assert len(sides) == 2
+    assert sides[0].group is not sides[1].group
+    assert sides[0].class_table.marks == sides[1].class_table.marks
 
 
 def test_verify_species_reads_no_product_blocks(monkeypatch):
     # `verify abelian:2,2,2,2 abelian:2,2,2,2 --fiber 2 --auto` compares
     # whole class rows, read through the run locator: it computes each of
-    # the 67 rows of each side once, and the basis has no product blocks
+    # the 67 rows of its one shared basis once, and a respelled H spec each
+    # of the 67 rows of each side once; the basis has no product blocks
     rows = []
     real_terms = MonomialBasis._mackey_terms
 
@@ -464,6 +478,11 @@ def test_verify_species_reads_no_product_blocks(monkeypatch):
 
     monkeypatch.setattr(MonomialBasis, "_mackey_terms", counted_terms)
     report, code = cli.cmd_verify("abelian:2,2,2,2", "abelian:2,2,2,2", "2",
+                                  auto=True)
+    assert code == 0 and report["result"]["valid"]
+    assert len(rows) == len(set(rows)) == 67
+    rows.clear()
+    report, code = cli.cmd_verify("abelian:2,2,2,2", "abelian:2,2,2,+2", "2",
                                   auto=True)
     assert code == 0 and report["result"]["valid"]
     assert len(rows) == len(set(rows)) == 2 * 67
