@@ -1,9 +1,14 @@
 """Finite abelian fiber groups and homomorphism sets Hom(K, A).
 
-Fiber elements are residue tuples. Hom(K, A) is a ``CharIndex``: one row
-per character, holding its values as indices into the fiber's
-lexicographic element list, so pointwise products and comparisons are
-integer-table lookups.
+Fiber elements are residue tuples. Hom(K, A) = Hom(K^ab, A) depends on K
+only through the invariant factors of K^ab, so its group structure is a
+``HomType``: the images of those factors' generators, the index of a
+character and the product table with its invariant-factor decomposition,
+built once per fiber and factors and shared, read-only, by every K of
+that type. A ``CharIndex`` adds what belongs to one K: one row per
+character, holding its values as indices into the fiber's lexicographic
+element list, so pointwise products and comparisons are integer-table
+lookups.
 """
 
 from __future__ import annotations
@@ -15,8 +20,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .group_core import (AbelianDecomposition, Subgroup, _prime_factors,
-                         abelian_invariant_decomposition, abelianization)
+from .group_core import (AbelianDecomposition, Subgroup, _orders, _powers,
+                         _prime_factors, abelian_invariant_decomposition,
+                         abelianization)
 
 
 class AbelianFiber:
@@ -39,6 +45,7 @@ class AbelianFiber:
         mods = np.array(factors, dtype=np.int64)
         sums = (self.coords[:, None, :] + self.coords[None, :, :]) % mods
         self.add_table = self._encode(sums)
+        self._hom_types: dict[tuple[int, ...], HomType] = {}
 
     def _encode(self, coords: np.ndarray) -> np.ndarray:
         weights = np.ones(len(self.factors), dtype=np.int64)
@@ -63,6 +70,14 @@ class AbelianFiber:
 
     def has_trivial_torsion(self, n: int) -> bool:
         return len(self.torsion_indices(n)) == 1
+
+    def hom_type(self, factors: tuple[int, ...]) -> "HomType":
+        """The ``HomType`` of every K whose abelianization has these
+        invariant factors, built once per fiber object."""
+        found = self._hom_types.get(factors)
+        if found is None:
+            found = self._hom_types[factors] = HomType(factors, self)
+        return found
 
     def __repr__(self) -> str:
         return f"AbelianFiber{self.factors}"
@@ -95,68 +110,108 @@ def _check_homs(domain: Subgroup, fiber: AbelianFiber, rows) -> None:
         raise ValueError("value map is not a homomorphism")
 
 
-class CharIndex:
-    """Hom(K, A) as arrays.
+class HomType:
+    """Hom(K, A) for every K whose abelianization has the invariant factors
+    ``factors``: the group structure of the characters, which depends on K
+    only through those factors. ``AbelianFiber.hom_type`` builds one per
+    factors and fiber, and every ``CharIndex`` of that type reads it; its
+    arrays are read-only.
 
-    K is abelianized; a homomorphism is a choice of one d-torsion image per
-    invariant factor C_d, and the characters are in lexicographic order of
-    that image tuple, so the trivial character is index 0. ``values`` has
-    one row per character and one column per member of K; ``pos`` is the
-    position of each group element in K, or -1 outside it. ``gens`` holds
-    the member of K with each unit coordinate of K^ab (the identity for a
-    perfect K, whose one character is told by its value 0 there), and a
-    character's index is the sum of ``rank[k, v] * stride[k]`` over its
-    values v on them: ``rank[k]`` is each fiber element's position in the
-    k-th factor's torsion, or -1 outside it, and ``stride`` is the
-    mixed radix of those torsions. ``hom_factors`` are the invariant
+    A character is a choice of one d-torsion image per invariant factor
+    C_d, and the characters are in lexicographic order of that image
+    tuple, so the trivial character is index 0. ``images`` has one row per
+    character and one column per invariant factor (none for a perfect K).
+    ``rank[k]`` is each fiber element's position in the k-th factor's
+    torsion, or -1 outside it, and ``stride`` is the mixed radix of those
+    torsions, so a character's index is the sum of ``rank[k, v] *
+    stride[k]`` over its images v. ``hom_factors`` are the invariant
     factors of Hom(K, A), by arithmetic: Hom(C_d, C_e) is C_gcd(d, e).
+    """
+
+    def __init__(self, factors: tuple[int, ...], fiber: AbelianFiber):
+        torsion = [fiber.torsion_indices(d) for d in factors]
+        # (1, 0) for a perfect K: its one character has no image
+        self.images = _frozen(np.asarray(list(itertools.product(*torsion)),
+                                         dtype=np.int64))
+        torsion = torsion or [[0]]
+        rank = np.full((len(torsion), fiber.order), -1, dtype=np.int64)
+        for k, members in enumerate(torsion):
+            rank[k, members] = np.arange(len(members))
+        self.rank = _frozen(rank)
+        self.stride = _frozen(np.asarray(
+            [prod(map(len, torsion[k + 1:])) for k in range(len(torsion))],
+            dtype=np.int64))
+        self.hom_factors = _invariant_factors(
+            [gcd(d, e) for d in factors for e in fiber.factors])
+        self._add = fiber.add_table
+
+    @cached_property
+    def table(self) -> np.ndarray:
+        """Entry [i, j] is the index of the product of the i-th and j-th
+        characters: the rank and stride sum of the fiber sums of their
+        images. ``[[0]]`` for a perfect K."""
+        # built on first use: only the products and the species checks
+        # read it, and it has |Hom(K, A)|^2 entries
+        table = np.zeros((len(self.images),) * 2, dtype=np.int64)
+        for k, v in enumerate(self.images.T):
+            table += self.rank[k, self._add[v[:, None], v]] * self.stride[k]
+        return _frozen(table)
+
+    @cached_property
+    def decomposition(self) -> AbelianDecomposition:
+        """Invariant-factor basis of Hom(K, A) itself, from ``table``."""
+        dec = abelian_invariant_decomposition(self.table)
+        _frozen(dec.coords)
+        _frozen(dec.span)
+        return dec
+
+    @cached_property
+    def orders(self) -> np.ndarray:
+        """The order of every character, from ``table``."""
+        return _frozen(_orders(self.table))
+
+    @cached_property
+    def powers(self) -> dict[int, np.ndarray]:
+        """For each invariant factor d of Hom(K, A), c^0 .. c^(d-1) along
+        the last axis, for every character c of order d by ascending
+        index: the candidate images of a generator of order d."""
+        return {d: _frozen(_powers(self.table,
+                                   np.flatnonzero(self.orders == d), d))
+                for d in set(self.hom_factors)}
+
+
+def _frozen(array: np.ndarray) -> np.ndarray:
+    """``array``, made read-only."""
+    array.flags.writeable = False
+    return array
+
+
+class CharIndex:
+    """Hom(K, A) for one K: its ``HomType`` and the characters' values.
+
+    ``values`` has one row per character, in ``HomType`` order, and one
+    column per member of K; ``pos`` is the position of each group element
+    in K, or -1 outside it. ``gens`` holds the member of K with each unit
+    coordinate of K^ab (the identity for a perfect K, whose one character
+    is told by its value 0 there), so the values on ``gens`` are the
+    ``hom_type.images`` rows, and a character is found from them by the
+    type's ``rank`` and ``stride``.
     """
 
     def __init__(self, domain: Subgroup, fiber: AbelianFiber):
         dec = abelianization(domain)
-        torsion = [fiber.torsion_indices(d) for d in dec.factors]
-        # one row per character, one column per invariant factor (none for
-        # a perfect K), so these arrays are (1, 0) and (|K|, 0) in rank 0
-        images = np.asarray(list(itertools.product(*torsion)),
-                            dtype=np.int64)
+        self.hom_type = fiber.hom_type(dec.factors)
         # a member's image: its exponents times the fiber coordinates of
         # the images of the invariant factors' generators
         self.values = fiber._encode(
-            (dec.coords @ fiber.coords[images]) % np.asarray(fiber.factors))
+            (dec.coords @ fiber.coords[self.hom_type.images])
+            % np.asarray(fiber.factors))
         _check_homs(domain, fiber, self.values)
         self.pos = np.full(domain.group.order, -1, dtype=np.int64)
         self.pos[list(domain.members)] = np.arange(domain.order)
         units = [prod(dec.factors[k + 1:]) for k in range(len(dec.factors))]
         self.gens = np.asarray(dec.span[units] if units else [0],
                                dtype=np.int64)
-        torsion = torsion or [[0]]
-        self.rank = np.full((len(torsion), fiber.order), -1, dtype=np.int64)
-        for k, members in enumerate(torsion):
-            self.rank[k, members] = np.arange(len(members))
-        self.stride = np.asarray([prod(map(len, torsion[k + 1:]))
-                                  for k in range(len(torsion))],
-                                 dtype=np.int64)
-        self.hom_factors = _invariant_factors(
-            [gcd(d, e) for d in dec.factors for e in fiber.factors])
-        self._add = fiber.add_table
-
-    @cached_property
-    def table(self) -> np.ndarray:
-        """Entry [i, j] is the hom-set index of the product of the i-th and
-        j-th characters: the rank and stride sum of the fiber sums of their
-        values on ``gens``."""
-        # built on first use: only the products and the species checks
-        # read it, and it has |Hom(K, A)|^2 entries
-        on_gens = self.values[:, self.pos[self.gens]]
-        table = np.zeros((len(on_gens),) * 2, dtype=np.int64)
-        for k, v in enumerate(on_gens.T):
-            table += self.rank[k, self._add[v[:, None], v]] * self.stride[k]
-        return table
-
-    @cached_property
-    def decomposition(self) -> AbelianDecomposition:
-        """Invariant-factor basis of Hom(K, A) itself, from ``table``."""
-        return abelian_invariant_decomposition(self.table)
 
 
 def _invariant_factors(orders: Sequence[int]) -> tuple[int, ...]:
@@ -184,4 +239,4 @@ def char_index(domain: Subgroup, fiber: AbelianFiber) -> CharIndex:
     return cache[key]
 
 
-__all__ = ["AbelianFiber", "CharIndex", "char_index"]
+__all__ = ["AbelianFiber", "HomType", "CharIndex", "char_index"]

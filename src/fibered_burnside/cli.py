@@ -23,7 +23,8 @@ import numpy as np
 
 from . import group_core, species, thevenaz
 from .abelian_fiber import AbelianFiber
-from .errors import AlgebraError, FiberHasPTorsion, SearchBudgetExceeded
+from .errors import (AlgebraError, DecidersDisagree, FiberHasPTorsion,
+                     SearchBudgetExceeded)
 from .group_core import conjugacy_classes_of_subgroups
 from .monomial import gamma_class_rows, monomial_basis
 from .species import (EXHAUSTION_CAVEAT, SpeciesWitness, search_species,
@@ -246,6 +247,14 @@ def cmd_reproduce_paper(p: int = 11, q: int = 5,
     result["pair"] = {"g": [a, b], "h": [c, d]}
 
     iso = group_core.are_isomorphic(tg1.group, tg2.group)
+    # the exhaustive search and the family's closed form must agree
+    found = iso is not None
+    if found != thevenaz.family_isomorphic(spec1, spec2):
+        said = ("nonisomorphic", "isomorphic")
+        raise DecidersDisagree(
+            f"isomorphism deciders disagree on ({a}, {b}) and ({c}, {d}): "
+            f"are_isomorphic says {said[found]}, "
+            f"family_isomorphic says {said[not found]}")
     result["nonisomorphic"] = iso is None
     if iso is not None:
         result["failed_stage"] = "nonisomorphic"

@@ -33,6 +33,10 @@ class NotAGroupIso(AlgebraError):
     """A character map flagged as a group isomorphism fails to be one."""
 
 
+class DecidersDisagree(AlgebraError):
+    """Two independent decisions of one question gave different answers."""
+
+
 class SearchBudgetExceeded(AlgebraError):
     """The species search exceeded its node budget."""
 

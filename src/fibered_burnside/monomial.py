@@ -60,8 +60,9 @@ class _HomLayout:
         self.stride = np.zeros(self.gens.shape, dtype=np.int64)
         for i, (chars, p) in enumerate(zip(self.chars, points)):
             self.gens[i, :p.size] = p
-            self.rank[i, :len(chars.rank)] = chars.rank
-            self.stride[i, :chars.stride.size] = chars.stride
+            hom = chars.hom_type
+            self.rank[i, :len(hom.rank)] = hom.rank
+            self.stride[i, :hom.stride.size] = hom.stride
         self.table_start = _starts(self.n_homs ** 2)
 
     def restrict(self, c, r, t, target) -> np.ndarray:
@@ -91,7 +92,7 @@ class _HomLayout:
         ``table_start[c] + i * n_homs[c] + j``, in the smallest integer
         dtype that holds every index. Made on first use, by the first row
         of products; the gamma kernel never reads it."""
-        return np.concatenate([c.table.ravel() for c in self.chars],
+        return np.concatenate([c.hom_type.table.ravel() for c in self.chars],
                               dtype=_gamma_dtype(int(self.n_homs.max())))
 
 

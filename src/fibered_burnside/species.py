@@ -18,7 +18,7 @@ import numpy as np
 from .abelian_fiber import AbelianFiber, CharIndex, char_index
 from .errors import (FiberHasPTorsion, InvalidSpec, NotABijection,
                      NotAGroupIso, SearchBudgetExceeded)
-from .group_core import SubgroupClassTable, _orders, _powers, _starts
+from .group_core import SubgroupClassTable, _starts
 from .monomial import _sort_runs, monomial_basis
 from .thevenaz import ThevenazGroup, canonical_class_table
 
@@ -100,13 +100,13 @@ def char_group_isomorphisms(chars1: CharIndex, chars2: CharIndex, *,
     """All group isomorphisms Hom(K, A) -> Hom(K', A), given as their
     ``CharIndex``, as index maps.
 
-    Deterministic order: the generators of Hom(K, A) are those of its
-    ``CharIndex.decomposition``, and candidates for each generator image
-    ascend by hom-set index; Hom(K', A) is compared by its
-    ``hom_factors`` and never decomposed. Images are chosen one generator
-    at a time, and a candidate whose cyclic span meets the span of the
-    earlier images is skipped, since no choice of later images makes such
-    a map injective.
+    Deterministic order: the generators of Hom(K, A) are those of the
+    ``decomposition`` of its ``HomType``, and candidates for each
+    generator image ascend by hom-set index; Hom(K', A) is compared by its
+    ``hom_factors``, and the candidates are read from its type's
+    ``powers``. Images are chosen one generator at a time, and a candidate
+    whose cyclic span meets the span of the earlier images is skipped,
+    since no choice of later images makes such a map injective.
 
     ``accept(dom, img)``, if given, sees every prefix: the hom-set indices
     ``dom`` of the characters spanned by the generators chosen so far and
@@ -117,15 +117,14 @@ def char_group_isomorphisms(chars1: CharIndex, chars2: CharIndex, *,
     n = len(chars1.values)
     if n != len(chars2.values):
         return
-    if chars1.hom_factors != chars2.hom_factors:
+    type1, type2 = chars1.hom_type, chars2.hom_type
+    if type1.hom_factors != type2.hom_factors:
         return
-    dec1 = chars1.decomposition
-    table2 = chars2.table
-    orders2 = _orders(table2)
+    dec1 = type1.decomposition
+    table2 = type2.table
     # powers[k] holds c^0 .. c^(d-1) for each candidate image c of the
     # k-th generator, of order d, by ascending index of c
-    powers = [_powers(table2, np.flatnonzero(orders2 == d), d)
-              for d in dec1.factors]
+    powers = [type2.powers[d] for d in dec1.factors]
     # span[x] is the image of the element whose coordinates on the first
     # k generators have mixed-radix index x; ``flat`` is that index of
     # every element of Hom(K, A), and spanned[k][x] is the element itself,
@@ -190,7 +189,8 @@ def verify_species(witness: SpeciesWitness,
                 or sorted(cmap) != list(range(len(chars_h.values)))):
             raise NotABijection(f"character map of class {ci} is not a bijection")
         m = np.asarray(cmap, dtype=np.int64)
-        if not (m[chars_g.table] == chars_h.table[m[:, None], m]).all():
+        if not (m[chars_g.hom_type.table]
+                == chars_h.hom_type.table[m[:, None], m]).all():
             raise NotAGroupIso(
                 f"character map of class {ci} does not preserve products")
     bad = _gamma_check(basis_g, basis_h, witness)
@@ -325,14 +325,14 @@ def search_species(g_table: SubgroupClassTable,
     if len(h_table.reps) != k:
         return None
     inv_g = _class_invariants(g_table, fiber)
-    inv_h = _class_invariants(h_table, fiber)
+    inv_h = (inv_g if h_table is g_table
+             else _class_invariants(h_table, fiber))
     if sorted(inv_g) != sorted(inv_h):
         return None
     basis_g = monomial_basis(g_table.group, fiber, g_table)
     basis_h = monomial_basis(h_table.group, fiber, h_table)
     homs_g = [char_index(rep, fiber) for rep in g_table.reps]
     homs_h = [char_index(rep, fiber) for rep in h_table.reps]
-    gamma_g, gamma_h = basis_g.gamma_block, basis_h.gamma_block
     by_inv: dict[tuple, list[int]] = {}
     for j, inv in enumerate(inv_h):
         by_inv.setdefault(inv, []).append(j)
@@ -350,16 +350,20 @@ def search_species(g_table: SubgroupClassTable,
         the entry of the trivial characters, is 0."""
         return [bool(marks[x][y] or marks[y][x]) for y in others]
 
-    def rows(gamma, x: int, others, maps) -> np.ndarray:
-        """The gamma rows of class x against each class in ``others``, and
-        its gamma columns, side by side, with the characters of those
-        classes permuted by ``maps``: one row per character of x. They
-        start from an empty slice of x's own block, which keeps the gamma
-        dtype."""
-        blocks = [gamma(x, x)[:, :0]]
-        for y, m in zip(others, maps):
-            blocks += [gamma(x, y)[:, m], gamma(y, x)[m].T]
-        return np.concatenate(blocks, axis=1)
+    def rows(basis, x: int, others, maps) -> np.ndarray:
+        """The gamma rows of class x against each class in ``others``, then
+        its gamma columns, with the characters of those classes permuted
+        by ``maps``: one row per character of x, read from whole gamma
+        rows of ``basis``. With no other class it is an empty slice of x's
+        row, which keeps the gamma dtype."""
+        row = basis.gamma_row(x)
+        if not others:
+            return row[:, :0]
+        start = basis.hom_start
+        cols = np.concatenate([start[y] + m for y, m in zip(others, maps)])
+        back = np.concatenate([basis.gamma_row(y)[m, start[x]:start[x + 1]]
+                               for y, m in zip(others, maps)])
+        return np.concatenate([row.take(cols, axis=1), back.T], axis=1)
 
     def prefix_check(ci: int, j: int):
         """``accept`` for class ci sent to class j, every class before ci
@@ -373,14 +377,14 @@ def search_species(g_table: SubgroupClassTable,
         if rows_g[ci] is None:
             links = linked(marks_g, ci, range(ci))
             kept = [c for c in range(ci) if links[c]]
-            rows_g[ci] = links, kept, rows(gamma_g, ci, kept,
-                                           [slice(None)] * len(kept))
+            rows_g[ci] = links, kept, rows(basis_g, ci, kept, [
+                np.arange(len(homs_g[c].values)) for c in kept])
         links, kept, p_g = rows_g[ci]
         p_h = None
         if linked(marks_h, j, assignment[:ci]) == links:
-            p_h = rows(gamma_h, j, [assignment[c] for c in kept],
+            p_h = rows(basis_h, j, [assignment[c] for c in kept],
                        [char_assignment[c] for c in kept])
-        diag_g, diag_h = gamma_g(ci, ci), gamma_h(j, j)
+        diag_g, diag_h = basis_g.gamma_block(ci, ci), basis_h.gamma_block(j, j)
 
         def accept(dom: np.ndarray, img: np.ndarray) -> bool:
             nonlocal nodes

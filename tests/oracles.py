@@ -136,6 +136,20 @@ def char_lookup(chars: CharIndex, vals) -> np.ndarray:
     return np.asarray(found, dtype=np.int64).reshape(vals.shape[:-1])
 
 
+def reference_char_table(chars: CharIndex,
+                         fiber: AbelianFiber) -> np.ndarray:
+    """The product table of one K's characters, read off their values on
+    K rather than the shared ``HomType.images``: entry [i, j] is the
+    hom-set index of the product of the i-th and j-th characters, the rank
+    and stride sum of the fiber sums of their values on ``gens``."""
+    on_gens = chars.values[:, chars.pos[chars.gens]]
+    rank, stride = chars.hom_type.rank, chars.hom_type.stride
+    table = np.zeros((len(on_gens),) * 2, dtype=np.int64)
+    for k, v in enumerate(on_gens.T):
+        table += rank[k, fiber.add_table[v[:, None], v]] * stride[k]
+    return table
+
+
 def _mask_of(members: Iterable[int]) -> int:
     m = 0
     for v in members:
@@ -1779,7 +1793,7 @@ class GhostRing:
 
     def __init__(self, basis: MonomialBasis):
         self.basis = basis
-        self.mul_tables = [c.table for c in basis._homs.chars]
+        self.mul_tables = [c.hom_type.table for c in basis._homs.chars]
         self.sizes = basis._homs.n_homs.tolist()   # |Hom(K, A)| per class
 
     def zero(self) -> "GhostElement":

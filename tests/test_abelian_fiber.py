@@ -9,21 +9,25 @@ members and conjugates one member at a time, and
 character group through per-element callbacks.
 """
 
+import collections
 from math import gcd
 
 import numpy as np
 import pytest
 from oracles import (Character, char_lookup, fiber_add, fiber_neg, hom_set,
                      neg_table, reference_abelian_invariant_decomposition,
-                     reference_hom_set, reference_span, torsion_elements)
+                     reference_char_table, reference_hom_set, reference_span,
+                     torsion_elements)
 
 from fibered_burnside import thevenaz
 from fibered_burnside.abelian_fiber import (AbelianFiber, CharIndex,
                                             _check_homs, char_index)
 from fibered_burnside.group_core import (Subgroup, abelian_group,
+                                         abelian_invariant_decomposition,
                                          abelianization,
                                          conjugacy_classes_of_subgroups,
-                                         cyclic_group, enumerate_subgroups)
+                                         cyclic_group, dihedral_group,
+                                         enumerate_subgroups, symmetric_group)
 
 # ---------------------------------------------------------------------------
 # Fiber arithmetic
@@ -162,7 +166,7 @@ def test_thevenaz_full_group_characters(tg_7_3):
 
 
 def test_char_mul_domain_mismatch(s3, fiber_c2):
-    # characters are multiplied only within one hom set (``CharIndex.table``),
+    # characters are multiplied only within one hom set (``HomType.table``),
     # so values from another domain can only reach the one check as rows of
     # the wrong length for its domain
     subs = [s for s in enumerate_subgroups(s3) if s.order in (2, 3)]
@@ -180,7 +184,8 @@ def test_trivial_is_identity(s3, fiber_c6):
     assert np.array_equal(
         fiber_c6.add_table[chars.values, chars.values[0]], chars.values)
     n = len(chars.values)
-    assert chars.table[:, 0].tolist() == chars.table[0].tolist() == \
+    table = chars.hom_type.table
+    assert table[:, 0].tolist() == table[0].tolist() == \
         list(range(n))
 
 
@@ -273,9 +278,9 @@ def test_char_group_decomposition_matches_reference(small_groups):
             fiber = AbelianFiber(factors)
             for sub in enumerate_subgroups(g):
                 chars = char_index(sub, fiber)
-                rows = chars.table.tolist()
+                rows = chars.hom_type.table.tolist()
                 assert not chars.values[0].any()   # the identity is row 0
-                dec = chars.decomposition
+                dec = chars.hom_type.decomposition
                 ref = reference_abelian_invariant_decomposition(
                     list(range(len(rows))), lambda a, b: rows[a][b], 0)
                 assert dec.factors == ref.factors, (g, factors, sub)
@@ -303,8 +308,51 @@ def test_hom_factors_match_decomposition(small_groups, tg_11_5_a, tg_11_5_b,
     for g in (*small_groups, tg_11_5_a.group, tg_11_5_b.group):
         for rep in conjugacy_classes_of_subgroups(g).reps:
             chars = char_index(rep, fiber)
-            assert chars.hom_factors == chars.decomposition.factors, \
+            hom = chars.hom_type
+            assert hom.hom_factors == hom.decomposition.factors, \
                 (g, factors, rep)
+
+
+@pytest.mark.parametrize("factors", [(1,), (2,), (5,), (6,), (2, 2), (2, 4)])
+def test_hom_type_matches_reference_char_table(small_groups, s4, tg_11_5_a,
+                                               tg_11_5_b, factors):
+    # the shared table is the one each K's own values give, and its
+    # decomposition that of the kernel on that table, array for array, on
+    # every class rep, and its arrays are read-only. Groups whose character
+    # indices this fiber builds share one HomType per K^ab invariant
+    # factors (the session groups' indices may come from an equal fiber
+    # of another test)
+    fiber = AbelianFiber(factors)
+    fresh = (symmetric_group(5), abelian_group((2, 2, 2, 2)),
+             dihedral_group(6))
+    types, reached = {}, collections.defaultdict(set)
+    for g in (*small_groups, s4, tg_11_5_a.group, tg_11_5_b.group, *fresh):
+        for rep in conjugacy_classes_of_subgroups(g).reps:
+            chars = char_index(rep, fiber)
+            hom = chars.hom_type
+            ref = reference_char_table(chars, fiber)
+            assert hom.table.dtype == ref.dtype
+            assert np.array_equal(hom.table, ref), (g, rep)
+            dec, expect = hom.decomposition, abelian_invariant_decomposition(
+                ref)
+            assert dec.factors == expect.factors
+            for got, want in ((dec.coords, expect.coords),
+                              (dec.span, expect.span)):
+                assert got.dtype == want.dtype
+                assert np.array_equal(got, want), (g, rep)
+            assert not any(a.flags.writeable for a in (
+                hom.images, hom.rank, hom.stride, hom.table, dec.coords,
+                dec.span, hom.orders, *hom.powers.values()))
+            if any(g is f for f in fresh):
+                key = abelianization(rep).factors
+                assert types.setdefault(key, hom) is hom
+                reached[key].add(id(g))
+    # A5, perfect, has the trivial character alone
+    a5 = next(rep for rep in conjugacy_classes_of_subgroups(fresh[0]).reps
+              if rep.order == 60)
+    assert char_index(a5, fiber).hom_type.table.tolist() == [[0]]
+    assert all(fiber.hom_type(key) is hom for key, hom in types.items())
+    assert len(reached[()]) == len(reached[(2,)]) == 3
 
 
 @pytest.mark.parametrize("factors", [(1,), (2,), (6,), (2, 4), (3, 9)])
@@ -318,6 +366,6 @@ def test_char_table_matches_lookup_of_products(small_groups, tg_7_3,
         for sub in enumerate_subgroups(g):
             chars = char_index(sub, fiber)
             on_gens = chars.values[:, chars.pos[chars.gens]]
-            assert chars.table.tolist() == char_lookup(
+            assert chars.hom_type.table.tolist() == char_lookup(
                 chars, fiber.add_table[on_gens[:, None], on_gens[None]]
             ).tolist(), (g, factors, sub)

@@ -25,7 +25,8 @@ from conftest import traced_peak
 from oracles import a6_cayley_json, hom_set
 
 import fibered_burnside
-from fibered_burnside import cli, group_core, monomial, thevenaz
+from fibered_burnside import (abelian_fiber, cli, group_core, monomial,
+                              thevenaz)
 from fibered_burnside.abelian_fiber import AbelianFiber, CharIndex
 from fibered_burnside.group_core import (Subgroup,
                                          conjugacy_classes_of_subgroups,
@@ -467,6 +468,42 @@ def test_reproduce_small_family(capsys):
     assert report["result"]["note"].startswith("only one isomorphism class")
 
 
+def test_search_e16_builds_each_hom_type_once(monkeypatch):
+    # the 67 classes of E16 over C2 have five Hom types, K^ab = (C2)^r
+    # for r = 0..4: one HomType and one decomposition each, beside the 67
+    # abelianizations; the search checks 307 prefixes and finds the
+    # identity witness
+    types, decomposed = [], []
+    build = abelian_fiber.HomType.__init__
+    kernel = group_core.abelian_invariant_decomposition
+
+    def counted_build(self, factors, fiber):
+        types.append(factors)
+        build(self, factors, fiber)
+
+    def counted_kernel(table):
+        decomposed.append(len(table))
+        return kernel(table)
+
+    monkeypatch.setattr(abelian_fiber.HomType, "__init__", counted_build)
+    for module in (group_core, abelian_fiber):
+        monkeypatch.setattr(module, "abelian_invariant_decomposition",
+                            counted_kernel)
+    e16 = "abelian:2,2,2,2"
+    report, code = cli.cmd_verify(e16, e16, "2", auto=True)
+    assert code == 0
+    assert types == [(2,) * r for r in range(5)]
+    assert len(decomposed) == 72
+    witness = report["result"]["witness"]
+    assert witness["subgroup_map"] == list(range(67))
+    assert all(m == list(range(len(m))) for m in witness["char_maps"])
+    report, code = cli.cmd_verify(e16, e16, "2", auto=True, budget=307)
+    assert code == 0 and report["result"]["witness"] == witness
+    report, code = cli.cmd_verify(e16, e16, "2", auto=True, budget=306)
+    assert code == cli.EXIT_UNDECIDED
+    assert report["result"]["status"] == "budget_exceeded"
+
+
 def test_reproduce_builds_each_char_index_once(monkeypatch):
     # both groups' transversals, which the witness carries in their class
     # tables, share one index per member set and fiber
@@ -577,6 +614,30 @@ def test_reproduce_fills_partial_parameters_at_11_5():
     assert code == 0
     inputs = report["inputs"]
     assert (inputs["a"], inputs["b"], inputs["c"], inputs["d"]) == (3, 9, 3, 4)
+
+
+@pytest.mark.parametrize("patch, said", [
+    # are_isomorphic finds a map where the closed form says none exists
+    ((group_core, "are_isomorphic", lambda real: lambda g, h: {}),
+     "are_isomorphic says isomorphic, family_isomorphic says nonisomorphic"),
+    # the closed form pairs G(3, 9) with G(3, 4), which the search keeps
+    # apart; the partition never asks in that order, so it is unchanged
+    ((thevenaz, "family_isomorphic",
+      lambda real: lambda s1, s2: real(s1, s2) or (
+          (s1.a, s1.b, s2.a, s2.b) == (3, 9, 3, 4))),
+     "are_isomorphic says nonisomorphic, family_isomorphic says isomorphic"),
+], ids=["search-says-isomorphic", "closed-form-says-isomorphic"])
+def test_reproduce_rejects_disagreeing_deciders(capsys, monkeypatch, patch,
+                                                said):
+    # the nonisomorphic verdict is checked against the family's closed
+    # form; a disagreement is one error line and exit 2, with no report
+    module, name, wrap = patch
+    monkeypatch.setattr(module, name, wrap(getattr(module, name)))
+    code, out, err = run(capsys, "reproduce")
+    assert code == 2
+    assert out == ""
+    assert err == ("error: isomorphism deciders disagree on (3, 9) and "
+                   f"(3, 4): {said}\n")
 
 
 def test_input_hash_stable(capsys):
@@ -1537,17 +1598,20 @@ def test_package_has_one_abelian_kernel():
 
 def test_package_has_one_character_index():
     # a character is found by its CharIndex position alone: the Hom layout
-    # keeps no key array, key weights or key search of its own, and
-    # CharIndex memoizes its table and decomposition as cached properties
+    # keeps no key array, key weights or key search of its own, and the
+    # product table, its decomposition and the character index belong to
+    # the shared HomType, which CharIndex reads and does not copy
     group = group_core.abelian_group((2, 2))
     layout = monomial._HomLayout(group_core.enumerate_subgroups(group),
                                  AbelianFiber((2,)))
     chars = layout.chars[-1]
-    assert chars.decomposition.factors   # made on first use, with table
+    assert chars.hom_type.decomposition.factors   # made on first use
     _assert_names_gone(set(), (
         (layout, ("keys", "found", "weights", "key_start", "n_gens",
                   "_key")),
-        (chars, ("_torsion", "_table", "_decomposition"))))
+        (chars, ("_torsion", "_table", "_decomposition", "table",
+                 "decomposition", "rank", "stride", "hom_factors",
+                 "_add"))))
 
 
 # Top-level functions and classes, and methods, that nothing in the package

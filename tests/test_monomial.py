@@ -445,7 +445,7 @@ def _assert_char_data_matches_reference(basis):
         assert [list(s.members)
                 for s in eager_stabilizers[i0:i1]] == stabilizers
         assert basis.char_to_basis[ci].tolist() == to_basis
-        assert char_index(k_sub, basis.fiber).table.tolist() == \
+        assert char_index(k_sub, basis.fiber).hom_type.table.tolist() == \
             reference_char_group_table(hom_set(k_sub, basis.fiber))
 
 
@@ -527,7 +527,7 @@ def test_char_index_keys_beyond_int64():
     assert chars.gens.size == 6 and 1458 ** 6 > 2 ** 63
     assert char_lookup(chars, chars.values[:, chars.pos[chars.gens]]
                        ).tolist() == list(range(64))
-    assert chars.table.tolist() == reference_char_group_table(
+    assert chars.hom_type.table.tolist() == reference_char_group_table(
         hom_set(full, fiber))
     with pytest.raises(ValueError, match="matches no character"):
         char_lookup(chars, np.ones(6, dtype=np.int64))

@@ -708,6 +708,26 @@ def test_search_rows_keep_the_gamma_dtype(monkeypatch, d4, fiber_c2):
     assert {p.dtype for p in rows} == {dtype}
 
 
+def test_search_reads_one_table_invariants_once(monkeypatch, d4, fiber_c2):
+    # one class table on both sides has its class invariants computed
+    # once; the tables of two equal groups, once each
+    calls = []
+    real = species._class_invariants
+
+    def counted(table, fiber):
+        calls.append(table)
+        return real(table, fiber)
+
+    monkeypatch.setattr(species, "_class_invariants", counted)
+    table = conjugacy_classes_of_subgroups(d4)
+    assert search_species(table, table, fiber_c2) is not None
+    assert calls == [table]
+    calls.clear()
+    other = conjugacy_classes_of_subgroups(dihedral_group(4))
+    assert search_species(table, other, fiber_c2) is not None
+    assert calls == [table, other]
+
+
 def _relabelled(group, rng):
     """``group`` read back from Cayley JSON with its elements relabelled by
     a permutation drawn from ``rng`` that keeps the identity at 0."""
